@@ -40,7 +40,7 @@ from .errors import (
     TakeuchiViolation,
     WitnessNotIso,
 )
-from .linalg import Matrix, mixed_permutation, sparse_rank_lower_bound
+from .linalg import Matrix, permute_cols, permute_rows, sparse_rank_lower_bound
 from .pretorsor import CoringPair, PreTorsorBundle
 from .report import Report
 from .spaces import LinearMap, Space, Subspace, intersect, invert, kernel
@@ -114,8 +114,8 @@ def bialgebroid_from_torsor(bundle: PreTorsorBundle, pair: CoringPair):
     C, D = pair.C, pair.D
 
     # product on C from T^op (x) T: (u(x)v)(u'(x)v') = u'u (x) vv'
-    perm_c = mixed_permutation(f, [b.T.dim] * 4, (2, 0, 1, 3))
-    raw_c = b.TBT.proj.matrix @ b.mu.kron(b.mu) @ perm_c
+    raw_c = permute_cols(b.TBT.proj.matrix @ b.mu.kron(b.mu),
+                         [b.T.dim] * 4, (2, 0, 1, 3))
     mult_C_pairs = _bilinear_from_pairs(b, raw_c, b.TBT, pair.C_sub, f"{b.name}:C-product")
     gl_C = pair.grouplike_C
     if gl_C is None:
@@ -142,8 +142,8 @@ def bialgebroid_from_torsor(bundle: PreTorsorBundle, pair: CoringPair):
     bgd_C = RightBialgebroid(C, C_alg, source_C, target_C, rep_C)
 
     # product on D from T (x) T^op: (u(x)v)(u'(x)v') = uu' (x) v'v
-    perm_d = mixed_permutation(f, [b.T.dim] * 4, (0, 2, 3, 1))
-    raw_d = b.TAT.proj.matrix @ b.mu.kron(b.mu) @ perm_d
+    raw_d = permute_cols(b.TAT.proj.matrix @ b.mu.kron(b.mu),
+                         [b.T.dim] * 4, (0, 2, 3, 1))
     mult_D_pairs = _bilinear_from_pairs(b, raw_d, b.TAT, pair.D_sub, f"{b.name}:D-product")
     gl_D = pair.grouplike_D
     D_alg = Algebra(D.space,
@@ -214,7 +214,7 @@ def _right_bialgebroid_sweep(b, pair, C: Coring, C_alg: Algebra,
     if not ok:
         raise TakeuchiViolation(f"{b.name}: coproduct image leaves the Takeuchi product")
     # Delta multiplicative and unital
-    mult_pairs = _factorwise_product(f, C.cc, C_alg)
+    mult_pairs = _factorwise_product(C.cc, C_alg)
     lhs = C.delta.matrix @ C_alg.mult.matrix
     rhs = mult_pairs @ C.delta.matrix.kron(C.delta.matrix)
     rep.add("bgd.delta-multiplicative", "2(bgd)", lhs == rhs)
@@ -238,7 +238,7 @@ def _right_bialgebroid_sweep(b, pair, C: Coring, C_alg: Algebra,
     rep.add("bgd.eps-weak-mult", "2(bgd)", ok)
     # T is a comodule algebra
     TC = pair.TC
-    mult_tc = _factorwise_product_mixed(f, TC, b.mu, C_alg.mult.matrix,
+    mult_tc = _factorwise_product_mixed(TC, b.mu, C_alg.mult.matrix,
                                         [b.T.dim, C.dim])
     lhs = pair.rho_T.matrix @ b.mu
     rhs = mult_tc @ pair.rho_T.matrix.kron(pair.rho_T.matrix)
@@ -256,7 +256,7 @@ def _left_bialgebroid_sweep(b, pair, D: Coring, D_alg: Algebra,
     left_bialgebroid_axioms(D, D_alg, source, target, rep)
     f = b.field
     DT = pair.DT
-    mult_dt = _factorwise_product_mixed(f, DT, D_alg.mult.matrix, b.mu,
+    mult_dt = _factorwise_product_mixed(DT, D_alg.mult.matrix, b.mu,
                                         [D.dim, b.T.dim])
     lhs = pair.lrho_T.matrix @ b.mu
     rhs = mult_dt @ pair.lrho_T.matrix.kron(pair.lrho_T.matrix)
@@ -302,7 +302,7 @@ def left_bialgebroid_axioms(D: Coring, D_alg: Algebra,
     rep.add("bgd.takeuchi", "2(bgd)", ok)
     if not ok:
         raise TakeuchiViolation(f"{D.name}: coproduct image leaves the Takeuchi product")
-    mult_pairs = _factorwise_product(f, D.cc, D_alg)
+    mult_pairs = _factorwise_product(D.cc, D_alg)
     lhs = D.delta.matrix @ D_alg.mult.matrix
     rhs = mult_pairs @ D.delta.matrix.kron(D.delta.matrix)
     rep.add("bgd.delta-multiplicative", "2(bgd)", lhs == rhs)
@@ -323,18 +323,18 @@ def left_bialgebroid_axioms(D: Coring, D_alg: Algebra,
     rep.add("bgd.eps-weak-mult", "2(bgd)", ok)
 
 
-def _factorwise_product(f, cc: TensorChain, alg: Algebra) -> Matrix:
+def _factorwise_product(cc: TensorChain, alg: Algebra) -> Matrix:
     """(c (x) c')(d (x) d') = cd (x) c'd' on canonical representatives."""
-    n = alg.dim
-    perm = mixed_permutation(f, [n] * 4, (0, 2, 1, 3))
-    return (cc.proj.matrix @ alg.mult.matrix.kron(alg.mult.matrix) @ perm
+    mult = alg.mult.matrix
+    return (permute_cols(cc.proj.matrix @ mult.kron(mult),
+                         [alg.dim] * 4, (0, 2, 1, 3))
             @ cc.sect.matrix.kron(cc.sect.matrix))
 
 
-def _factorwise_product_mixed(f, chain: TensorChain, mult1: Matrix,
+def _factorwise_product_mixed(chain: TensorChain, mult1: Matrix,
                               mult2: Matrix, dims) -> Matrix:
-    perm = mixed_permutation(f, dims + dims, (0, 2, 1, 3))
-    return (chain.proj.matrix @ mult1.kron(mult2) @ perm
+    return (permute_cols(chain.proj.matrix @ mult1.kron(mult2),
+                         dims + dims, (0, 2, 1, 3))
             @ chain.sect.matrix.kron(chain.sect.matrix))
 
 
@@ -508,9 +508,9 @@ def _right_theta_identities(bgd, chain_op, th, th_inv, rep, op_data):
     rep.add("theta.eq2.3-source", "(2.3)", ok2)
     # translation map is an algebra map into C^op (x) C
     chi = th_inv.matrix @ C.cc.proj.matrix @ _left_tensor_unit(f, bgd)
-    prod_op = (chain_op.proj.matrix
-               @ bgd.algebra.mult.matrix.kron(bgd.algebra.mult.matrix)
-               @ mixed_permutation(f, [C.dim] * 4, (2, 0, 1, 3))
+    mult = bgd.algebra.mult.matrix
+    prod_op = (permute_cols(chain_op.proj.matrix @ mult.kron(mult),
+                            [C.dim] * 4, (2, 0, 1, 3))
                @ chain_op.sect.matrix.kron(chain_op.sect.matrix))
     lhs = chi @ bgd.algebra.mult.matrix
     rhs = prod_op @ chi.kron(chi)
@@ -542,8 +542,8 @@ def _pentagon_right(bgd, chain_op, th, rep, op_data):
                                         C.carrier.lact)])
     first = chain_map(Y1, [(2, th, 2), (1, None, 1)], M2)
     raw13 = (bgd.algebra.mult.matrix.kron(idC).kron(idC)
-             @ mixed_permutation(f, [C.dim] * 4, (0, 2, 1, 3))
-             @ idC.kron(idC).kron(C.cc.sect.matrix @ C.delta.matrix))
+             @ permute_rows(idC.kron(idC).kron(C.cc.sect.matrix @ C.delta.matrix),
+                            [C.dim] * 4, (0, 2, 1, 3)))
     th13 = induce(M2, LinearMap(M2.ambient, M3.carrier,
                                 M3.proj.matrix @ raw13), "theta13")
     last = chain_map(M3, [(1, None, 1), (2, th, 2)], Z)
@@ -593,8 +593,7 @@ def diagonal_coinvariants(bundle: PreTorsorBundle, pair: CoringPair) -> Report:
     rep = Report(f"{b.name}:diagonal-coinvariants")
     C, D = pair.C, pair.D
     n = b.T.dim
-    perm = mixed_permutation(f, [n] * 6, (0, 3, 4, 1, 2, 5))
-    two_tau = perm @ b.tau_raw.kron(b.tau_raw)
+    two_tau = permute_rows(b.tau_raw.kron(b.tau_raw), [n] * 6, (0, 3, 4, 1, 2, 5))
 
     # right coaction on T (x)_A T: u (x) v -> u1 (x) v1 (x) (v2 u2 (x) u3 v3)
     X4diag = tensor_chain([b.T_BA, b.T_AA, b.T_AB, b.T_BA], [b.A, b.A, b.B])
@@ -750,9 +749,10 @@ def monoidal_product(bgd: RightBialgebroid, M: Comodule, Mp: Comodule,
          Link(0, 2, A, C.carrier.ract, Mp.carrier.lact)])
     rho_M = M.chain.sect.matrix @ M.rho.matrix
     rho_Mp = Mp.chain.sect.matrix @ Mp.rho.matrix
-    perm = mixed_permutation(f, [C.dim, M.dim, C.dim, Mp.dim], (0, 2, 1, 3))
     raw = (bgd.algebra.mult.matrix.kron(Matrix.identity(f, M.dim))
-           .kron(Matrix.identity(f, Mp.dim)) @ perm @ rho_M.kron(rho_Mp))
+           .kron(Matrix.identity(f, Mp.dim))
+           @ permute_rows(rho_M.kron(rho_Mp),
+                          [C.dim, M.dim, C.dim, Mp.dim], (0, 2, 1, 3)))
     rho_amb = LinearMap(MM.ambient, CMM.carrier, CMM.proj.matrix @ raw)
     rho_MM_big = induce(MM, rho_amb, "diagonal coaction")
     # view C (x) (M (x) M') through the pair chain
@@ -891,12 +891,10 @@ def monoidal_witness(bundle: PreTorsorBundle, pair: CoringPair,
     S1_bb = _bb_bimodule(b, S1, l1, r1)
     S1p_bb = _bb_bimodule(b, S1p, l2, r2)
     S11 = tensor_chain([S1_bb, S1p_bb], [b.B])
-    idM = Matrix.identity(f, M.dim)
-    idMp = Matrix.identity(f, Mp.dim)
-    perm = mixed_permutation(f, [b.T.dim, M.dim, b.T.dim, Mp.dim], (0, 2, 1, 3))
-    raw = (b.mu.kron(MM.proj.matrix) @ perm
-           @ (TM.sect.matrix @ S1.inclusion.matrix).kron(
-               TMp.sect.matrix @ S1p.inclusion.matrix))
+    raw = (b.mu.kron(MM.proj.matrix)
+           @ permute_rows((TM.sect.matrix @ S1.inclusion.matrix).kron(
+               TMp.sect.matrix @ S1p.inclusion.matrix),
+               [b.T.dim, M.dim, b.T.dim, Mp.dim], (0, 2, 1, 3)))
     to_TMM = induce(S11, LinearMap(S11.ambient, TMM.carrier,
                                    TMM.proj.matrix @ raw), "xi")
     xi = corestrict_through(S_MM.inclusion, to_TMM, MembershipFailure,
@@ -1043,9 +1041,9 @@ def lemma55_check(bundle: PreTorsorBundle, pair: CoringPair,
         @ TX.sect.matrix
     collapse_eps = N_bim.lact.matrix @ C.eps.matrix.kron(idN)
     step = idT.kron(collapse_eps).kron(idC).kron(idM)
-    perm = mixed_permutation(f, [nT, nN, nC, nM], (0, 2, 1, 3))
     psi_map = LinearMap(TX.carrier, Z55.carrier,
-                        Z55.proj.matrix @ perm @ step @ expand)
+                        permute_cols(Z55.proj.matrix, [nT, nN, nC, nM], (0, 2, 1, 3))
+                        @ step @ expand)
 
     # Theta: t (x) c (x) n (x) m ->
     #        t0 (x) ((t1 c-) (x) n) (x) (c+ (x) m)
@@ -1056,8 +1054,7 @@ def lemma55_check(bundle: PreTorsorBundle, pair: CoringPair,
     # legs now: t0, t1, c-, c+, n, m
     s2 = idT.kron(bgd.algebra.mult.matrix).kron(idC).kron(idN).kron(idM) @ s1
     # legs: t0, (t1 c-), c+, n, m -> reorder to t0, (t1 c-), n, c+, m
-    perm2 = mixed_permutation(f, [nT, nC, nC, nN, nM], (0, 1, 3, 2, 4))
-    s3 = perm2 @ s2
+    s3 = permute_rows(s2, [nT, nC, nC, nN, nM], (0, 1, 3, 2, 4))
     into_X = idT.kron(X.proj.matrix @ CN.proj.matrix.kron(CM.proj.matrix)) @ s3
     theta_map = LinearMap(Z55.carrier, TX.carrier, TX.proj.matrix @ into_X)
 
@@ -1103,14 +1100,12 @@ def recovered_structure(bundle, pair, bgd, witness_data, xi0, xi,
     """Recover multiplication, unit and the coherence map from xi itself and
     compare with the originals."""
     b = bundle
-    f = b.field
     C = pair.C
     rep = Report(f"{b.name}:recovered-structure")
     S1, S1p = witness_data["S1"], witness_data["S1p"]
     S11 = witness_data["S11"]
     S_MM, TMM, MM = witness_data["S_MM"], witness_data["TMM"], witness_data["MM"]
     # D1 = (T (x) eps o mu) o xi, then mu_rec = D1 o (rho x rho)
-    mult_pairs = _factorwise_product(f, C.cc, bgd.algebra)
     collapse = (b.mu @ b.idT.kron(b.alpha.map.matrix @ C.eps.matrix
                                   @ bgd.algebra.mult.matrix @ MM.sect.matrix)
                 @ TMM.sect.matrix @ S_MM.inclusion.matrix)
@@ -1130,17 +1125,15 @@ def recovered_structure(bundle, pair, bgd, witness_data, xi0, xi,
     # xi_rec via the recovered multiplication formula
     TM = witness_data["TM"]
     TMp = tensor_chain([b.T_BA, Mp.carrier], [b.A])
-    idM = Matrix.identity(f, M.dim)
-    idMp = Matrix.identity(f, Mp.dim)
-    perm = mixed_permutation(f, [b.T.dim, M.dim, b.T.dim, Mp.dim], (0, 2, 1, 3))
-    pair_reps = (TM.sect.matrix @ S1.inclusion.matrix).kron(
-        TMp.sect.matrix @ S1p.inclusion.matrix)
+    pair_reps = permute_rows((TM.sect.matrix @ S1.inclusion.matrix).kron(
+        TMp.sect.matrix @ S1p.inclusion.matrix),
+        [b.T.dim, M.dim, b.T.dim, Mp.dim], (0, 2, 1, 3))
     # d(u, u') = u0 u'0 alpha(eps(u1 u'1)) as a map T (x) T -> T
     du = (b.mu @ b.mu.kron(b.alpha.map.matrix @ C.eps.matrix
                            @ bgd.algebra.mult.matrix)
           @ _rho_pair(b, pair))
     xi_rec_raw = (TMM.proj.matrix
-                  @ du.kron(MM.proj.matrix) @ perm @ pair_reps
+                  @ du.kron(MM.proj.matrix) @ pair_reps
                   @ S11.sect.matrix)
     xi_rec = corestrict_through(
         S_MM.inclusion, LinearMap(S11.carrier, TMM.carrier, xi_rec_raw),
@@ -1152,12 +1145,9 @@ def recovered_structure(bundle, pair, bgd, witness_data, xi0, xi,
 def _rho_pair(b, pair) -> Matrix:
     """(t, t') -> (t0 (x) t'0) (x) (t1 t'1) pre-collapse block: returns the
     matrix T (x) T -> T (x) C x C arranged as mu-input (x) mult-input."""
-    f = b.field
-    C = pair.C
     rho_exp = pair.TC.sect.matrix @ pair.rho_T.matrix
-    both = rho_exp.kron(rho_exp)
-    perm = mixed_permutation(f, [b.T.dim, C.dim, b.T.dim, C.dim], (0, 2, 1, 3))
-    return perm @ both
+    return permute_rows(rho_exp.kron(rho_exp),
+                        [b.T.dim, pair.C.dim, b.T.dim, pair.C.dim], (0, 2, 1, 3))
 
 
 # ---------------------------------------------------------------------------

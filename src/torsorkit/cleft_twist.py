@@ -37,7 +37,7 @@ from .errors import (
     NotWellDefined,
     ShapeMismatch,
 )
-from .linalg import Matrix, mixed_permutation
+from .linalg import Matrix, permute_cols, permute_rows
 from .report import Report
 from .spaces import LinearMap
 from .fixtures import HopfData, field_algebra
@@ -145,8 +145,7 @@ def twisted_bialgebroid(inp: TwistInput, name: str = "twist") -> TwistedBialgebr
                                     H.coring.space, s_mult_cols)
     lact_t_link = LinearMap(tensor_space([L.space, H.coring.space]),
                             H.coring.space,
-                            lact_t.matrix @ mixed_permutation(
-                                f, [nL, nH], (1, 0)))
+                            permute_cols(lact_t.matrix, [nL, nH], (1, 0)))
     chain = chain_of_spaces(
         [B.space, B.space, H.coring.space],
         [Link(1, 2, L, ract_B, lact_t_link),
@@ -720,8 +719,8 @@ def cleft_iso_check(bundle, pair, bgd_D, tw: TwistedBialgebroid,
     collapse = b.mu @ idT.kron(jt_raw)                     # T (x) H -> T
     P2 = collapse @ rho_raw                                # T -> T
     P1 = collapse.kron(idH) @ rho_raw.kron(idH) @ rho_raw  # T -> T (x) H
-    perm = mixed_permutation(f, [nT, nH, nT], (0, 2, 1))
-    to_TTH = perm @ P1.kron(P2) @ b.TAT.sect.matrix @ pair.D_sub.inclusion.matrix
+    to_TTH = permute_rows(P1.kron(P2), [nT, nH, nT], (0, 2, 1)) \
+        @ b.TAT.sect.matrix @ pair.D_sub.inclusion.matrix
     # factor the two T legs through beta
     beta2 = b.beta.map.matrix.kron(b.beta.map.matrix).kron(idH)
     X = beta2.solve(to_TTH)
@@ -732,11 +731,9 @@ def cleft_iso_check(bundle, pair, bgd_D, tw: TwistedBialgebroid,
     fwd = LinearMap(pair.D_sub.space, tw.chain.carrier, tw.chain.proj.matrix @ X)
     # inverse: b (x) b' (x) h -> b j(h1) (x) b' j(S(h2))
     delta_H = H.coring.cc.sect.matrix @ H.coring.delta.matrix
-    jS = b.mu @ (b.beta.map.matrix.kron(j_raw))            # B (x) H -> T legwise
     expand = (b.mu @ b.beta.map.matrix.kron(j_raw)).kron(
         b.mu @ b.beta.map.matrix.kron(j_raw @ antipode))
-    perm2 = mixed_permutation(f, [nB, nB, nH, nH], (0, 2, 1, 3))
-    raw_inv = (expand @ perm2
+    raw_inv = (permute_cols(expand, [nB, nB, nH, nH], (0, 2, 1, 3))
                @ Matrix.identity(f, nB * nB).kron(delta_H)
                @ tw.chain.sect.matrix)
     into_TAT = b.TAT.proj.matrix @ raw_inv

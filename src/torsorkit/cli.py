@@ -26,7 +26,7 @@ from .analysis import (
     validate_report,
 )
 from .errors import DocumentError, TorsorKitError, UnknownFixture
-from .fields import QQ, GF
+from .fields import QQ, field_from_spec
 from .report import Report
 from .serialize import bundle_from_document, bundle_to_document, dumps, loads
 
@@ -35,7 +35,10 @@ def _parse_field(text):
     if text in (None, "Q"):
         return QQ
     if text.startswith("GF"):
-        return GF(int(text[2:].lstrip("=")))
+        try:
+            return field_from_spec({"GF": text[2:].lstrip("=")})
+        except TorsorKitError as exc:
+            raise DocumentError(str(exc), "/field") from exc
     raise DocumentError(f"unrecognised field {text!r}", "/field")
 
 

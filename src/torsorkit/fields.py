@@ -99,16 +99,35 @@ class Rationals(Field):
         return str(a)
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+# deterministic Miller-Rabin: the first 12 prime bases decide primality
+# exactly below psi_12 (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 318665857834031151167461
+
+
+def _is_prime(n: int) -> bool:
+    """Exact primality test; raises ``NotPrime`` above the certified range."""
+    if n < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n >= _MR_LIMIT:
+        raise NotPrime(f"GF({n}): modulus too large to certify")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -182,7 +201,12 @@ def field_from_spec(spec) -> Field:
     if spec == "Q":
         return QQ
     if isinstance(spec, dict) and set(spec) == {"GF"}:
-        return GF(int(spec["GF"]))
+        p = spec["GF"]
+        if isinstance(p, str) and p.isascii() and p.isdigit():
+            p = int(p)
+        if type(p) is not int:
+            raise ScalarParseError(f"GF modulus must be an integer, not {p!r}")
+        return GF(p)
     raise ScalarParseError(f"unrecognised field spec {spec!r}")
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .algebra import Algebra, AlgebraMap, algebra_from_table, make_algebra
 from .errors import TorsorKitError, UnknownFixture
 from .fields import QQ, Field
-from .linalg import Matrix, permutation_matrix
+from .linalg import Matrix, permute_cols
 from .pretorsor import PreTorsorBundle, TorsorBundle, make_bundle
 from .spaces import LinearMap, Space, Subspace, intersect, kernel, quotient
 
@@ -70,8 +70,7 @@ def oracle_check_hopf(field: Field, mult: Matrix, unit, delta: Matrix,
         raise TorsorKitError("oracle: coproduct is not coassociative")
     if eps.kron(idn) @ delta != idn or idn.kron(eps) @ delta != idn:
         raise TorsorKitError("oracle: counit law fails")
-    perm = permutation_matrix(field, n, (0, 2, 1, 3))
-    m2 = mult.kron(mult) @ perm
+    m2 = permute_cols(mult.kron(mult), [n] * 4, (0, 2, 1, 3))
     if delta @ mult != m2 @ delta.kron(delta):
         raise TorsorKitError("oracle: coproduct is not an algebra map")
     if eps @ mult != eps.kron(eps):

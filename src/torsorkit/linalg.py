@@ -5,6 +5,13 @@ with one-step fraction-free Gauss-Jordan updates, which keeps entries
 integral for integer input over the rationals; the same update is valid
 verbatim over GF(p).  All pivot choices are deterministic (leftmost column,
 topmost row), so echelon bases are canonical and reproducible.
+
+A permutation is an index map, not a matrix.  ``leg_permutation`` gives the
+index map of a reordering of tensor legs of mixed dimensions;
+``permute_rows`` and ``permute_cols`` apply it to a matrix by moving rows or
+columns, with no arithmetic.  ``mixed_permutation`` builds the same
+permutation as a dense matrix and is kept as the reference the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -419,98 +426,67 @@ class Matrix:
         return X
 
 
-def permutation_matrix(field, n, order):
-    """Permutation of the legs of an n-dim space's tensor power.
+def leg_permutation(dims, order) -> list[int]:
+    """Index map of a leg permutation of a tensor product of mixed dims.
 
-    Output leg i of the result carries input leg ``order[i]``.
+    ``dims`` are the input leg dimensions and output leg i carries input
+    leg ``order[i]``; the result ``idx`` has out[i] = in[idx[i]] in
+    row-major (first leg most significant) numbering.  Built leg by leg from
+    the input strides, one list comprehension per output leg.
     """
-    k = len(order)
-    dim = n ** k
-    z, o = field.zero, field.one
-    rows = []
-    for out_idx in range(dim):
-        digits = []
-        rem = out_idx
-        for _ in range(k):
-            digits.append(rem % n)
-            rem //= n
-        digits.reverse()
-        in_digits = [0] * k
-        for i, leg in enumerate(order):
-            in_digits[leg] = digits[i]
-        in_idx = 0
-        for d in in_digits:
-            in_idx = in_idx * n + d
-        row = [z] * dim
-        row[in_idx] = o
-        rows.append(tuple(row))
-    return Matrix(field, rows, dim)
-
-
-def tensor_row_permutation(n: int, order):
-    """Index map for permuting the legs of an n-dim tensor power.
-
-    Returns ``idx`` with out[i] = in[idx[i]] under "output leg i carries
-    input leg order[i]".
-    """
-    k = len(order)
-    dim = n ** k
-    idx = []
-    for out_idx in range(dim):
-        digits = []
-        rem = out_idx
-        for _ in range(k):
-            digits.append(rem % n)
-            rem //= n
-        digits.reverse()
-        in_digits = [0] * k
-        for i, leg in enumerate(order):
-            in_digits[leg] = digits[i]
-        in_idx = 0
-        for d in in_digits:
-            in_idx = in_idx * n + d
-        idx.append(in_idx)
+    strides = [1] * len(dims)
+    for leg in range(len(dims) - 2, -1, -1):
+        strides[leg] = strides[leg + 1] * dims[leg + 1]
+    idx = [0]
+    for leg in order:
+        s = strides[leg]
+        idx = [base + s * d for base in idx for d in range(dims[leg])]
     return idx
 
 
-def permute_tensor_rows(mat: Matrix, n: int, order) -> Matrix:
-    """Apply a leg permutation to the row index of ``mat`` (no arithmetic)."""
-    idx = tensor_row_permutation(n, order)
+def permute_rows(mat: Matrix, dims, order) -> Matrix:
+    """``mixed_permutation(f, dims, order) @ mat`` by reordering rows."""
+    idx = leg_permutation(dims, order)
     if len(idx) != mat.nrows:
         raise ShapeMismatch("permutation does not match the row count")
-    return Matrix(mat.field, [mat.rows[i] for i in idx], mat.ncols)
+    rows = mat.rows
+    return Matrix(mat.field, [rows[i] for i in idx], mat.ncols)
+
+
+def permute_cols(mat: Matrix, dims, order) -> Matrix:
+    """``mat @ mixed_permutation(f, dims, order)`` by reordering columns.
+
+    Column ``idx[j]`` of the product is column ``j`` of ``mat``, so the
+    columns are read through the inverse index.
+    """
+    idx = leg_permutation(dims, order)
+    if len(idx) != mat.ncols:
+        raise ShapeMismatch("permutation does not match the column count")
+    inv = [0] * len(idx)
+    for j, c in enumerate(idx):
+        inv[c] = j
+    return Matrix(mat.field, [tuple(r[j] for j in inv) for r in mat.rows], mat.ncols)
 
 
 def mixed_permutation(field, dims, order) -> Matrix:
-    """Permutation matrix for legs of mixed dimensions.
+    """The dense permutation matrix of ``leg_permutation(dims, order)``.
 
-    Output leg i carries input leg ``order[i]``; ``dims`` are the input leg
-    dimensions.
+    A reference for tests; the engine applies permutations with
+    ``permute_rows``/``permute_cols`` instead.
     """
-    k = len(order)
-    total = 1
-    for d in dims:
-        total *= d
-    out_dims = [dims[leg] for leg in order]
-    z, o = field.zero, field.one
-    rows = []
-    for out_idx in range(total):
-        digits = []
-        rem = out_idx
-        for d in reversed(out_dims):
-            digits.append(rem % d)
-            rem //= d
-        digits.reverse()
-        in_digits = [0] * k
-        for i, leg in enumerate(order):
-            in_digits[leg] = digits[i]
-        in_idx = 0
-        for leg, d in enumerate(dims):
-            in_idx = in_idx * d + in_digits[leg]
-        row = [z] * total
-        row[in_idx] = o
-        rows.append(tuple(row))
-    return Matrix(field, rows, total)
+    idx = leg_permutation(dims, order)
+    z, o, total = field.zero, field.one, len(idx)
+    return Matrix(field, [(z,) * i + (o,) + (z,) * (total - i - 1) for i in idx], total)
+
+
+def permutation_matrix(field, n, order):
+    """``mixed_permutation`` on the legs of an n-dim space's tensor power."""
+    return mixed_permutation(field, [n] * len(order), order)
+
+
+def permute_tensor_rows(mat: Matrix, n: int, order) -> Matrix:
+    """``permute_rows`` on the legs of an n-dim space's tensor power."""
+    return permute_rows(mat, [n] * len(order), order)
 
 
 def sparse_rank_lower_bound(mat: Matrix, modulus: int, stop_at: int | None = None) -> int:

@@ -54,7 +54,7 @@ from .errors import (
     TorsorKitError,
     WitnessNotIso,
 )
-from .linalg import Matrix, permute_tensor_rows
+from .linalg import Matrix, permute_rows
 from .report import Report
 from .spaces import LinearMap, Space, Subspace, image, intersect, invert, kernel
 
@@ -334,7 +334,7 @@ def validate_torsor(bundle: PreTorsorBundle) -> Report:
 
     # (c) tau(t t') = t1 t'1 (x) t'2 t2 (x) t3 t'3
     tt = bundle.tau_raw.kron(bundle.tau_raw)  # T(x)T -> T^6 (t legs, t' legs)
-    permuted = permute_tensor_rows(tt, n, (0, 3, 4, 1, 2, 5))
+    permuted = permute_rows(tt, [n] * 6, (0, 3, 4, 1, 2, 5))
     mul3 = bundle.mu.kron(bundle.mu).kron(bundle.mu)
     rhs_mat = X3.proj.matrix @ mul3 @ permuted
     lhs_mat = bundle.tau.matrix @ bundle.mu

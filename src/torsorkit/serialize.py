@@ -114,13 +114,19 @@ def bundle_from_document(doc: dict) -> PreTorsorBundle:
                                 (T.dim, B.dim), "/maps/beta")
     tau_mat = matrix_from_json(field, maps.get("tau"),
                                (T.dim ** 3, T.dim), "/maps/tau")
+    meta = doc.get("bundle") or {}
+    if not isinstance(meta, dict):
+        raise DocumentError("bundle metadata must be an object", "/bundle")
+    name, torsor = meta.get("name", "bundle"), meta.get("torsor", False)
+    if not isinstance(name, str):
+        raise DocumentError(f"name must be a string, not {name!r}", "/bundle/name")
+    if not isinstance(torsor, bool):
+        raise DocumentError(f"torsor must be true or false, not {torsor!r}",
+                            "/bundle/torsor")
     try:
         alpha = AlgebraMap(A, T, LinearMap(A.space, T.space, alpha_mat))
         beta = AlgebraMap(B, T, LinearMap(B.space, T.space, beta_mat))
-        meta = doc.get("bundle") or {}
-        return make_bundle(A, B, T, alpha, beta, tau_mat,
-                           name=str(meta.get("name", "bundle")),
-                           torsor=bool(meta.get("torsor", False)))
+        return make_bundle(A, B, T, alpha, beta, tau_mat, name=name, torsor=torsor)
     except TorsorKitError as exc:
         raise DocumentError(str(exc), "/bundle") from exc
 

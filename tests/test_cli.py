@@ -1,8 +1,12 @@
+import argparse
+import copy
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from torsorkit.cli import main
+from torsorkit.cli import main, run
 from torsorkit.fixtures import generate
 from torsorkit.linalg import Matrix
 from torsorkit.pretorsor import make_bundle
@@ -124,3 +128,39 @@ def test_alpha_not_injective_rejected():
     import pytest as _pytest
     with _pytest.raises(AlphaNotInjective):
         build_corings(bundle)
+
+
+@pytest.mark.parametrize("path, value, pointer", [
+    (("field",), {"GF": "x"}, "/field"),
+    (("field",), {"GF": 7.5}, "/field"),
+    (("field",), {"GF": 4}, "/field"),
+    (("bundle", "torsor"), "yes", "/bundle/torsor"),
+    (("bundle", "name"), 7, "/bundle/name"),
+    (("bundle",), ["torsor"], "/bundle"),
+])
+def test_malformed_field_and_metadata_exit_2(tmp_path, capsys, path, value, pointer):
+    doc = copy.deepcopy(bundle_to_document(generate("EX-C2").bundle))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    doc_path = tmp_path / "bad.json"
+    doc_path.write_text(dumps(doc))
+    assert main(["validate", "--input", str(doc_path)]) == 2
+    assert f"error: {pointer}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["GFx", "GF", "GF4", "GF-7"])
+def test_malformed_cli_field_exit_2(capsys, spec):
+    assert main(["validate", "--fixture", "EX-TRIV", "--field", spec]) == 2
+    assert "error: /field: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["EX-C2", "EX-Q3"])
+def test_suite_report_bytes_match_the_benchmark_reference(name):
+    reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    want = json.loads(reference.read_text(encoding="utf-8"))[f"{name}@Q"]["digest"]
+    args = argparse.Namespace(fixture=name, input=None, field=None,
+                              dump_matrices=False)
+    _, doc = run("suite", args)
+    assert hashlib.sha256(dumps(doc).encode("utf-8")).hexdigest() == want

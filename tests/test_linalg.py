@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,10 @@ from torsorkit.errors import NotInvertible
 from torsorkit.fields import GF, QQ
 from torsorkit.linalg import (
     Matrix,
+    leg_permutation,
     mixed_permutation,
+    permute_cols,
+    permute_rows,
     permute_tensor_rows,
     sparse_rank_lower_bound,
 )
@@ -117,3 +121,58 @@ def test_bareiss_keeps_integrality():
     r, piv = m._rref_fraction_free()
     assert piv == [0, 1, 2]
     assert (m @ m.inverse()).is_identity()
+
+
+@st.composite
+def leg_permutation_case(draw):
+    """Legs of dims 1-4, a random order, a field and a matrix to permute."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    order = draw(st.permutations(range(len(dims))))
+    field = draw(st.sampled_from([QQ, GF(101)]))
+    total = len(leg_permutation(dims, order))
+    other = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(small_entries, min_size=other, max_size=other),
+                         min_size=total, max_size=total))
+    return dims, order, field, Matrix.from_rows(field, rows)
+
+
+@given(leg_permutation_case())
+@settings(max_examples=60, deadline=None)
+def test_leg_permutation_matches_the_digit_definition(case):
+    dims, order, _, _ = case
+    position = {digits: k for k, digits in
+                enumerate(itertools.product(*map(range, dims)))}
+    want = []
+    for out_digits in itertools.product(*(range(dims[leg]) for leg in order)):
+        in_digits = [0] * len(dims)
+        for i, leg in enumerate(order):
+            in_digits[leg] = out_digits[i]
+        want.append(position[tuple(in_digits)])
+    assert leg_permutation(dims, order) == want
+
+
+@given(leg_permutation_case())
+@settings(max_examples=60, deadline=None)
+def test_permute_rows_matches_dense_permutation(case):
+    dims, order, field, mat = case
+    assert permute_rows(mat, dims, order) == mixed_permutation(field, dims, order) @ mat
+
+
+@given(leg_permutation_case())
+@settings(max_examples=60, deadline=None)
+def test_permute_cols_matches_dense_permutation(case):
+    dims, order, field, mat = case
+    mat = mat.transpose()
+    assert permute_cols(mat, dims, order) == mat @ mixed_permutation(field, dims, order)
+
+
+@given(leg_permutation_case())
+@settings(max_examples=60, deadline=None)
+def test_leg_permutation_round_trip(case):
+    dims, order, _, mat = case
+    out_dims = [dims[leg] for leg in order]
+    inverse = [order.index(leg) for leg in range(len(order))]
+    there = permute_rows(mat, dims, order)
+    assert permute_rows(there, out_dims, inverse) == mat
+    back = permute_cols(mat.transpose(), dims, order)
+    assert permute_cols(back, out_dims, inverse) == mat.transpose()
