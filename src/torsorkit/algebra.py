@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+from math import prod
 
 from .errors import (
     ActionMismatch,
@@ -24,7 +25,7 @@ from .errors import (
     NotWellDefined,
     ShapeMismatch,
 )
-from .linalg import Matrix
+from .linalg import Matrix, kron_apply
 from .spaces import LinearMap, Space, Subspace, kernel, quotient, tensor_space
 
 
@@ -420,26 +421,9 @@ _chain_cache: dict = {}
 _chain_lock = threading.Lock()
 
 
-def _leg_map(field, factor_spaces, pos, m: Matrix) -> Matrix:
-    """id (x) ... (x) m (x) ... (x) id on the full k-ambient (matrix level)."""
-    left = 1
-    for s in factor_spaces[:pos]:
-        left *= s.dim
-    right = 1
-    for s in factor_spaces[pos + 1:]:
-        right *= s.dim
-    out = Matrix.identity(field, left)
-    out = out.kron(m)
-    out = out.kron(Matrix.identity(field, right))
-    return out
-
-
 def _link_relation_columns(field, factor_spaces, link: Link):
     """Relation generators of one link, as columns over the full ambient."""
     dims = [s.dim for s in factor_spaces]
-    total = 1
-    for d in dims:
-        total *= d
     cols = []
     ring = link.ring
     for r_idx in range(ring.dim):
@@ -451,13 +435,33 @@ def _link_relation_columns(field, factor_spaces, link: Link):
         mj_cols = [link.act_j.apply(_outer(field, r, factor_spaces[link.j].basis_vector(t)))
                    for t in range(dims[link.j])]
         mj = Matrix.from_cols(field, mj_cols, dims[link.j])
-        gi = _leg_map(field, factor_spaces, link.i, mi)
-        gj = _leg_map(field, factor_spaces, link.j, mj)
-        diff = gi - gj
-        for j in range(total):
-            c = diff.col(j)
-            if any(not field.is_zero(x) for x in c):
-                cols.append(c)
+        cols += _relation_columns(field, dims, link.i, mi, link.j, mj)
+    return cols
+
+
+def _relation_columns(field, dims, i, mi: Matrix, j, mj: Matrix):
+    """Nonzero columns of (mi on leg i) - (mj on leg j), in column order.
+
+    Column x is ``mi[:, x_i]`` put on leg i minus ``mj[:, x_j]`` put on leg
+    j, where x_i, x_j are the digits of x; it is built from the two column
+    supports, never from the ambient-sized operators.
+    """
+    total = prod(dims)
+    si, sj = prod(dims[i + 1:]), prod(dims[j + 1:])
+    z, iz, sub = field.zero, field.is_zero, field.sub
+    mi_cols, mj_cols = mi.col_supports(), mj.col_supports()
+    cols = []
+    for x in range(total):
+        xi, xj = x // si % dims[i], x // sj % dims[j]
+        entries = {x + (r - xi) * si: v for r, v in mi_cols[xi]}
+        for r, w in mj_cols[xj]:
+            y = x + (r - xj) * sj
+            entries[y] = sub(entries.get(y, z), w)
+        if any(not iz(v) for v in entries.values()):
+            col = [z] * total
+            for y, v in entries.items():
+                col[y] = v
+            cols.append(tuple(col))
     return cols
 
 
@@ -548,6 +552,7 @@ def _build_chain(spaces, links, name="") -> TensorChain:
         return TensorChain(spaces, links, carrier, pj, st,
                            Subspace.from_spanning(ambient, []))
     n = len(spaces)
+    dims = [sp.dim for sp in spaces]
     adjacent = {l.i: l for l in links if l.j == l.i + 1}
     nonadjacent = [l for l in links if l.j != l.i + 1]
     if len(adjacent) + len(nonadjacent) != len(links):
@@ -562,8 +567,6 @@ def _build_chain(spaces, links, name="") -> TensorChain:
         s = spaces[pos]
         amb_next = tensor_space([amb_so_far, s])
         step_amb = tensor_space([carrier, s])
-        pre = full_proj.matrix.kron(Matrix.identity(field, s.dim))
-        pre_map = LinearMap(amb_next, step_amb, pre)
         link = adjacent.get(pos - 1)
         if link is None:
             carrier_next, step_proj, step_sect = step_amb, LinearMap.identity(step_amb), LinearMap.identity(step_amb)
@@ -576,20 +579,19 @@ def _build_chain(spaces, links, name="") -> TensorChain:
                 mi_cols = [link.act_i.apply(_outer(field, spaces[pos - 1].basis_vector(t), r))
                            for t in range(spaces[pos - 1].dim)]
                 mi = Matrix.from_cols(field, mi_cols, spaces[pos - 1].dim)
-                lifted = full_proj.matrix @ _leg_map(field, spaces[:pos], pos - 1, mi) @ full_sect.matrix
+                lifted = full_proj.matrix @ kron_apply(field, [None] * (pos - 1) + [mi], dims[:pos],
+                                                       None, [full_sect.matrix])
                 mj_cols = [link.act_j.apply(_outer(field, r, s.basis_vector(t)))
                            for t in range(s.dim)]
                 mj = Matrix.from_cols(field, mj_cols, s.dim)
-                gen = lifted.kron(Matrix.identity(field, s.dim)) - Matrix.identity(field, carrier.dim).kron(mj)
-                for j in range(step_amb.dim):
-                    c = gen.col(j)
-                    if any(not field.is_zero(x) for x in c):
-                        lifted_cols.append(c)
+                lifted_cols += _relation_columns(field, [carrier.dim, s.dim], 0, lifted, 1, mj)
             rel = Subspace.from_spanning(step_amb, lifted_cols)
             carrier_next, step_proj, step_sect = quotient(step_amb, rel)
-        full_proj = step_proj @ pre_map
-        full_sect = LinearMap(carrier_next, amb_next,
-                              full_sect.matrix.kron(Matrix.identity(field, s.dim)) @ step_sect.matrix)
+        step_legs = [carrier.dim, s.dim]
+        full_proj = LinearMap(amb_next, carrier_next, kron_apply(
+            field, [step_proj.matrix], step_legs, None, [full_proj.matrix, None]))
+        full_sect = LinearMap(carrier_next, amb_next, kron_apply(
+            field, [full_sect.matrix, None], step_legs, None, [step_sect.matrix]))
         carrier = carrier_next
         amb_so_far = amb_next
     full_proj = full_proj.rebase(ambient)
@@ -750,30 +752,26 @@ def _contraction(m: Bimodule) -> Matrix:
 def chain_outer_bimodule(chain: TensorChain, left_factor: Bimodule,
                          right_factor: Bimodule, factors=None, check: bool = False) -> Bimodule:
     """Outer bimodule structure on a chain carrier, from the edge factors."""
-    field = chain.carrier.field
     L, R = left_factor.left, right_factor.right
-    lcols = []
-    for i in range(L.dim):
-        a = L.space.basis_vector(i)
-        m = _fixed_left_act(left_factor, a)
-        lifted = chain.proj @ LinearMap(
-            chain.ambient, chain.ambient,
-            _leg_map(field, chain.factor_spaces, 0, m.matrix)) @ chain.sect
-        lcols.append(lifted)
+    last = len(chain.factor_spaces) - 1
+    lcols = [_carrier_leg_map(chain, 0, _fixed_left_act(left_factor, a).matrix)
+             for a in map(L.space.basis_vector, range(L.dim))]
     lact = _assemble_action_left(L, chain.carrier, lcols)
-    rcols = []
-    n = len(chain.factor_spaces)
-    for i in range(R.dim):
-        a = R.space.basis_vector(i)
-        m = _fixed_right_act(right_factor, a)
-        lifted = chain.proj @ LinearMap(
-            chain.ambient, chain.ambient,
-            _leg_map(field, chain.factor_spaces, n - 1, m.matrix)) @ chain.sect
-        rcols.append(lifted)
+    rcols = [_carrier_leg_map(chain, last, _fixed_right_act(right_factor, a).matrix)
+             for a in map(R.space.basis_vector, range(R.dim))]
     ract = _assemble_action_right(R, chain.carrier, rcols)
     bm = Bimodule(chain.carrier, L, R, lact, ract, check=check)
     _chain_outer_registry[id(bm)] = (bm, chain, factors)
     return bm
+
+
+def _carrier_leg_map(chain: TensorChain, pos, m: Matrix) -> LinearMap:
+    """id (x) ... (x) m (x) ... (x) id on the ambient, seen on the carrier."""
+    legs = [None] * len(chain.factor_spaces)
+    legs[pos] = m
+    dims = [s.dim for s in chain.factor_spaces]
+    return LinearMap(chain.carrier, chain.carrier, chain.proj.matrix @ kron_apply(
+        chain.carrier.field, legs, dims, None, [chain.sect.matrix]))
 
 
 def _fixed_left_act(m: Bimodule, a) -> LinearMap:

@@ -41,16 +41,14 @@ from .report import Report
 
 
 class BundleAnalysis:
-    """Lazy per-bundle pipeline with memoised stages."""
+    """Lazy per-bundle pipeline whose stages are memoised on the bundle,
+    so every analysis of one bundle shares them."""
 
     def __init__(self, bundle: PreTorsorBundle):
         self.bundle = bundle
-        self._cache = {}
 
     def _get(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
+        return self.bundle._memo(key, build)
 
     @property
     def certified(self):

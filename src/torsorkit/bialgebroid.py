@@ -40,7 +40,7 @@ from .errors import (
     TakeuchiViolation,
     WitnessNotIso,
 )
-from .linalg import Matrix, permute_cols, permute_rows, sparse_rank_lower_bound
+from .linalg import Matrix, kron_apply, permute_cols, permute_rows, sparse_rank_lower_bound
 from .pretorsor import CoringPair, PreTorsorBundle
 from .report import Report
 from .spaces import LinearMap, Space, Subspace, intersect, invert, kernel
@@ -326,16 +326,16 @@ def left_bialgebroid_axioms(D: Coring, D_alg: Algebra,
 def _factorwise_product(cc: TensorChain, alg: Algebra) -> Matrix:
     """(c (x) c')(d (x) d') = cd (x) c'd' on canonical representatives."""
     mult = alg.mult.matrix
-    return (permute_cols(cc.proj.matrix @ mult.kron(mult),
-                         [alg.dim] * 4, (0, 2, 1, 3))
-            @ cc.sect.matrix.kron(cc.sect.matrix))
+    return _factorwise_product_mixed(cc, mult, mult, [alg.dim, alg.dim])
 
 
-def _factorwise_product_mixed(chain: TensorChain, mult1: Matrix,
-                              mult2: Matrix, dims) -> Matrix:
-    return (permute_cols(chain.proj.matrix @ mult1.kron(mult2),
-                         dims + dims, (0, 2, 1, 3))
-            @ chain.sect.matrix.kron(chain.sect.matrix))
+def _factorwise_product_mixed(chain: TensorChain, mult1: Matrix, mult2: Matrix,
+                              dims, order=(0, 2, 1, 3)) -> Matrix:
+    """mult1 (x) mult2 on pairs of representatives whose legs ``order``
+    interleaves, landed in the chain carrier."""
+    sect = chain.sect.matrix
+    return chain.proj.matrix @ kron_apply(chain.ambient.field, [mult1, mult2],
+                                          dims + dims, order, [sect, sect])
 
 
 def takeuchi_subspace_right(b, C: Coring, C_alg: Algebra,
@@ -509,9 +509,7 @@ def _right_theta_identities(bgd, chain_op, th, th_inv, rep, op_data):
     # translation map is an algebra map into C^op (x) C
     chi = th_inv.matrix @ C.cc.proj.matrix @ _left_tensor_unit(f, bgd)
     mult = bgd.algebra.mult.matrix
-    prod_op = (permute_cols(chain_op.proj.matrix @ mult.kron(mult),
-                            [C.dim] * 4, (2, 0, 1, 3))
-               @ chain_op.sect.matrix.kron(chain_op.sect.matrix))
+    prod_op = _factorwise_product_mixed(chain_op, mult, mult, [C.dim] * 2, (2, 0, 1, 3))
     lhs = chi @ bgd.algebra.mult.matrix
     rhs = prod_op @ chi.kron(chi)
     rep.add("theta.translation-multiplicative", "2(bgd)", lhs == rhs)
@@ -581,6 +579,15 @@ def _left_theta_identities(bgd, chain_op, th, th_inv, rep):
 # diagonal coinvariants
 
 
+def _diagonal_coactions_raw(b: PreTorsorBundle):
+    """The right and left diagonal coactions on pair representatives:
+    (id (x) id (x) mu (x) mu) and (mu (x) mu (x) id (x) id) after tau (x) tau
+    with its legs regrouped, each from T (x) T to the fourfold ambient."""
+    legs, swap, two_tau = [b.T.dim] * 6, (0, 3, 4, 1, 2, 5), [b.tau_raw] * 2
+    return (kron_apply(b.field, [None, None, b.mu, b.mu], legs, swap, two_tau),
+            kron_apply(b.field, [b.mu, b.mu, None, None], legs, swap, two_tau))
+
+
 def diagonal_coinvariants(bundle: PreTorsorBundle, pair: CoringPair) -> Report:
     """The two corings as coinvariants of diagonal coactions.
 
@@ -592,12 +599,10 @@ def diagonal_coinvariants(bundle: PreTorsorBundle, pair: CoringPair) -> Report:
     f = b.field
     rep = Report(f"{b.name}:diagonal-coinvariants")
     C, D = pair.C, pair.D
-    n = b.T.dim
-    two_tau = permute_rows(b.tau_raw.kron(b.tau_raw), [n] * 6, (0, 3, 4, 1, 2, 5))
+    raw, raw2 = _diagonal_coactions_raw(b)
 
     # right coaction on T (x)_A T: u (x) v -> u1 (x) v1 (x) (v2 u2 (x) u3 v3)
     X4diag = tensor_chain([b.T_BA, b.T_AA, b.T_AB, b.T_BA], [b.A, b.A, b.B])
-    raw = b.idT.kron(b.idT).kron(b.mu).kron(b.mu) @ two_tau
     to_big = b.to_chain(b.TAT, raw, X4diag, "diag-C-coaction")
     TTC = tensor_chain([b.T_BA, b.T_AA, C.carrier], [b.A, b.A])
     j = chain_map(TTC, [(1, None, 1), (1, None, 1),
@@ -616,7 +621,6 @@ def diagonal_coinvariants(bundle: PreTorsorBundle, pair: CoringPair) -> Report:
 
     # left coaction on T (x)_B T: u (x) v -> (u1 v1 (x) v2 u2) (x) u3 (x) v3
     X4diag2 = tensor_chain([b.T_BA, b.T_AB, b.T_BB, b.T_BA], [b.A, b.B, b.B])
-    raw2 = b.mu.kron(b.mu).kron(b.idT).kron(b.idT) @ two_tau
     to_big2 = b.to_chain(b.TBT, raw2, X4diag2, "diag-D-coaction")
     DTT = tensor_chain([D.carrier, b.T_BB, b.T_BA], [b.B, b.B])
     j2 = chain_map(DTT, [(1, pair.D_sub.inclusion, 2), (1, None, 1),

@@ -55,14 +55,12 @@ def _load_bundle(args):
 
 
 def _twist_report(bundle, fx) -> Report:
-    from .bialgebroid import bialgebroid_from_torsor
     from .cleft_twist import (
         cleft_iso_check,
         smash_comparison,
         twist_data_for_fixture,
         twisted_bialgebroid,
     )
-    from .pretorsor import build_corings
 
     rep = Report(f"{bundle.name}:twist")
     if fx is None or fx.hopf is None:
@@ -75,8 +73,8 @@ def _twist_report(bundle, fx) -> Report:
         rep.extend(tw.report)
         rep.add("propA.1.smash-comparison", "A.2(1)",
                 smash_comparison(inp, tw, antipode))
-        pair = build_corings(bundle)
-        _, bgd_D = bialgebroid_from_torsor(bundle, pair)
+        an = BundleAnalysis(bundle)
+        pair, bgd_D = an.pair, an.bialgebroids[1]
         rep.extend(cleft_iso_check(bundle, pair, bgd_D, tw, inp,
                                    rho_raw, j_raw, jt_raw, antipode))
     except TorsorKitError as exc:

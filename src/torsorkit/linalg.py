@@ -12,9 +12,18 @@ index map of a reordering of tensor legs of mixed dimensions;
 columns, with no arithmetic.  ``mixed_permutation`` builds the same
 permutation as a dense matrix and is kept as the reference the tests
 compare against.
+
+A Kronecker product is applied, not built.  ``kron_apply`` evaluates
+``(F1 (x) ... (x) Fk) . P . (G1 (x) ... (x) Gm)`` one output column at a
+time from the factors' column supports (the vec/Kronecker identities of
+Van Loan, *The ubiquitous Kronecker product*, JCAM 2000), so a tensor
+identity is checked at the size of its carrier, not of its ambient.
 """
 
 from __future__ import annotations
+
+from itertools import product
+from math import prod
 
 from .errors import NotInvertible, ShapeMismatch
 from .fields import Field
@@ -103,6 +112,19 @@ class Matrix:
 
     def cols(self):
         return [self.col(j) for j in range(self.ncols)]
+
+    def col_supports(self):
+        """Per column, the ``(row, value)`` pairs of its nonzero entries."""
+        if self._id_flag:
+            one = self.field.one
+            return [((j, one),) for j in range(self.ncols)]
+        iz = self.field.is_zero
+        cols = [[] for _ in range(self.ncols)]
+        for i, r in enumerate(self.rows):
+            for j, x in enumerate(r):
+                if not iz(x):
+                    cols[j].append((i, x))
+        return cols
 
     def is_zero(self):
         iz = self.field.is_zero
@@ -317,7 +339,6 @@ class Matrix:
             d = {j: x for j, x in enumerate(r) if not iz(x)}
             rows.append(d)
         pivots = []
-        piv_rows = []
         r = 0
         for c in range(n):
             pr = None
@@ -352,17 +373,17 @@ class Matrix:
             r += 1
             if r == m:
                 break
+        # nonzero rows in order, then the zero rows; no dict holds a zero
         z = f.zero
         out = []
         for d in rows:
-            row = [z] * n
-            for k, v in d.items():
-                row[k] = v
-            out.append(tuple(row))
-        # move zero rows to the bottom preserving order of nonzero rows
-        nonzero = [row for row in out if any(not iz(x) for x in row)]
-        zero = [row for row in out if all(iz(x) for x in row)]
-        return Matrix(f, nonzero + zero, n), pivots
+            if d:
+                row = [z] * n
+                for k, v in d.items():
+                    row[k] = v
+                out.append(tuple(row))
+        out += [(z,) * n] * (m - len(out))
+        return Matrix(f, out, n), pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -466,6 +487,88 @@ def permute_cols(mat: Matrix, dims, order) -> Matrix:
     for j, c in enumerate(idx):
         inv[c] = j
     return Matrix(mat.field, [tuple(r[j] for j in inv) for r in mat.rows], mat.ncols)
+
+
+def _block_sizes(factors, legs, size_of):
+    """Sizes of Kronecker factors laid over a run of tensor legs.
+
+    ``None`` is the identity on one leg; a matrix covers a nonempty run of
+    legs whose dimensions multiply to its size.  Legs of dimension one make
+    the runs ambiguous, so the cover is searched for.
+    """
+    def fit(k, pos):
+        if k == len(factors):
+            return [] if pos == len(legs) else None
+        size = 1
+        for end in range(pos + 1, len(legs) + 1):
+            size *= legs[end - 1]
+            if factors[k] is None or size == size_of(factors[k]):
+                rest = fit(k + 1, end)
+                if rest is not None:
+                    return [size] + rest
+            if factors[k] is None:
+                break
+        return None
+
+    sizes = fit(0, 0)
+    if sizes is None:
+        raise ShapeMismatch("kron_apply: factors do not match the legs")
+    return sizes
+
+
+def kron_apply(field, left, dims, order, right) -> Matrix:
+    """``(F1 (x) ... (x) Fk) @ P @ (G1 (x) ... (x) Gm)``, never built.
+
+    ``left`` holds the F factors and ``right`` the G factors, each a Matrix
+    or ``None`` for the identity on one leg.  ``dims`` are the legs the G
+    product lands on, and ``P = mixed_permutation(field, dims, order)``
+    reorders them for the F product (``order=None``: no reordering).
+
+    Each output column is the outer product of the G factors' column
+    supports, moved through the index map of P; the F factors are then
+    applied one block at a time, last first, to that sparse column.  No
+    Kronecker product and no ambient-sized matrix is materialised.
+    """
+    g_sizes = _block_sizes(right, dims, lambda m: m.nrows)
+    f_sizes = _block_sizes(left, dims if order is None else [dims[o] for o in order],
+                           lambda m: m.ncols)
+    one, z, add, mul = field.one, field.zero, field.add, field.mul
+    g_cols = [[((c, one),) for c in range(n)] if g is None else g.col_supports()
+              for g, n in zip(right, g_sizes)]
+    position = None
+    if order is not None:
+        position = [0] * prod(dims)
+        for i, x in enumerate(leg_permutation(dims, order)):
+            position[x] = i
+    # F blocks, last first: (supports, block width, block height, trailing size)
+    stages = []
+    trailing = 1
+    for fac, n in zip(reversed(left), reversed(f_sizes)):
+        if fac is not None:
+            stages.append((fac.col_supports(), n * trailing, fac.nrows * trailing, trailing))
+        trailing *= n if fac is None else fac.nrows
+    ncols = prod(len(c) for c in g_cols)
+    out = [[z] * ncols for _ in range(trailing)]
+    for j, supports in enumerate(product(*g_cols)):
+        vec = {0: one}
+        for supp, n in zip(supports, g_sizes):
+            vec = {x * n + r: mul(v, a) for x, v in vec.items() for r, a in supp}
+        if position is not None:
+            vec = {position[x]: v for x, v in vec.items()}
+        for supp, width, height, lo in stages:
+            nxt = {}
+            for x, v in vec.items():
+                hi, rem = divmod(x, width)
+                mid, low = divmod(rem, lo)
+                base = hi * height + low
+                for r, a in supp[mid]:
+                    y = base + r * lo
+                    w = mul(a, v)
+                    nxt[y] = add(nxt[y], w) if y in nxt else w
+            vec = nxt
+        for y, v in vec.items():
+            out[y][j] = v
+    return Matrix(field, out, ncols)
 
 
 def mixed_permutation(field, dims, order) -> Matrix:

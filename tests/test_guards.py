@@ -1,10 +1,13 @@
-"""Structural guards: the permutation fast path and the benchmark hooks.
+"""Structural guards: the permutation and Kronecker fast paths and the
+benchmark hooks.
 
 Leg permutations are applied as index maps (``linalg.permute_rows`` and
 ``linalg.permute_cols``); the dense permutation matrices stay in ``linalg``
-as the reference the tests compare against.  The benchmark's tracer and
-worker reach into the program by attribute name, so a renamed or deleted
-attribute must fail here rather than in a traced benchmark run.
+as the reference the tests compare against.  Tensor identities are
+evaluated on carriers, so no report materialises an ambient-sized matrix.
+The benchmark's tracer and worker reach into the program by attribute
+name, so a renamed or deleted attribute must fail here rather than in a
+traced benchmark run.
 """
 
 import ast
@@ -12,10 +15,18 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from torsorkit.analysis import BundleAnalysis, bialgebroid_report
+from torsorkit.fixtures import generate
+from torsorkit.linalg import Matrix
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "torsorkit"
 PERFBENCH = ROOT / "perfbench"
 DENSE_PERMUTATIONS = {"mixed_permutation", "permutation_matrix"}
+# the dense ambients of T (x) T (x) T (x) T and beyond start here (n = 4)
+AMBIENT_ENTRIES = 1 << 20
 
 
 def _names(tree):
@@ -67,3 +78,24 @@ def test_worker_caches_resolve():
     for key, value in zip(caches.keys, caches.values):
         module = importlib.import_module(f"torsorkit.{value.value.id}")
         assert isinstance(getattr(module, value.attr, None), dict), key.value
+
+
+@pytest.mark.parametrize("name", ["EX-SW", "EX-SMASH"])
+def test_bialgebroid_report_stays_below_ambient_size(monkeypatch, name):
+    """No ``kron`` or ``@`` result of a bialgebroid report reaches the
+    entry count of a dense fourfold ambient operator.  A freshly generated
+    bundle has fresh spaces, so its chains and stages are built here."""
+    largest = []
+
+    def watched(method):
+        def wrapper(self, other):
+            out = method(self, other)
+            largest.append((out.nrows * out.ncols, out.shape))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(Matrix, "kron", watched(Matrix.kron))
+    monkeypatch.setattr(Matrix, "__matmul__", watched(Matrix.__matmul__))
+    assert bialgebroid_report(BundleAnalysis(generate(name).bundle)).ok
+    size, shape = max(largest)
+    assert size < AMBIENT_ENTRIES, shape

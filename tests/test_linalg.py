@@ -1,13 +1,15 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torsorkit.errors import NotInvertible
+from torsorkit.errors import NotInvertible, ShapeMismatch
 from torsorkit.fields import GF, QQ
 from torsorkit.linalg import (
     Matrix,
+    kron_apply,
     leg_permutation,
     mixed_permutation,
     permute_cols,
@@ -176,3 +178,65 @@ def test_leg_permutation_round_trip(case):
     assert permute_rows(there, out_dims, inverse) == mat
     back = permute_cols(mat.transpose(), dims, order)
     assert permute_cols(back, out_dims, inverse) == mat.transpose()
+
+
+@st.composite
+def kron_factors(draw, field, legs, size_side):
+    """Kronecker factors laid over ``legs``: runs of legs, each a matrix
+    (sparse or dense, ``size_side`` of its shape fixed by the run) or, on a
+    single leg, ``None``.  Returns the factors and their sizes."""
+    factors, sizes, pos = [], [], 0
+    while pos < len(legs):
+        end = draw(st.integers(pos + 1, len(legs)))
+        size = math.prod(legs[pos:end])
+        if end == pos + 1 and draw(st.booleans()):
+            factors.append(None)
+        else:
+            other = draw(st.integers(0, 3))
+            sparse = draw(st.booleans())
+            entries = st.one_of(small_entries, st.just(0)) if sparse else small_entries
+            shape = (size, other) if size_side == "rows" else (other, size)
+            rows = draw(st.lists(st.lists(entries, min_size=shape[1], max_size=shape[1]),
+                                 min_size=shape[0], max_size=shape[0]))
+            factors.append(Matrix(field, [tuple(field.from_int(x) for x in r) for r in rows],
+                                  shape[1]))
+        sizes.append(size)
+        pos = end
+    return factors, sizes
+
+
+@st.composite
+def kron_apply_case(draw):
+    """1-4 legs of dims 1-4, an order or none, and F/G factors over them."""
+    field = draw(st.sampled_from([QQ, GF(101)]))
+    dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    order = draw(st.one_of(st.none(), st.permutations(range(len(dims)))))
+    out_legs = dims if order is None else [dims[leg] for leg in order]
+    right = draw(kron_factors(field, dims, "rows"))
+    left = draw(kron_factors(field, out_legs, "cols"))
+    return field, dims, order, left, right
+
+
+def _dense_kron(field, factors, sizes):
+    out = None
+    for fac, size in zip(factors, sizes):
+        m = Matrix.identity(field, size) if fac is None else fac
+        out = m if out is None else out.kron(m)
+    return out
+
+
+@given(kron_apply_case())
+@settings(max_examples=150, deadline=None)
+def test_kron_apply_matches_dense_kron(case):
+    field, dims, order, (left, lsizes), (right, rsizes) = case
+    perm = mixed_permutation(field, dims, range(len(dims)) if order is None else order)
+    want = _dense_kron(field, left, lsizes) @ perm @ _dense_kron(field, right, rsizes)
+    assert kron_apply(field, left, dims, order, right) == want
+
+
+def test_kron_apply_rejects_factors_off_the_legs():
+    three = Matrix.identity(QQ, 3)
+    with pytest.raises(ShapeMismatch):
+        kron_apply(QQ, [three], [2, 2], None, [None, None])
+    with pytest.raises(ShapeMismatch):
+        kron_apply(QQ, [None], [2, 2], (1, 0), [None, None])
