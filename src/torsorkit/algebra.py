@@ -7,13 +7,15 @@ newest link, which keeps intermediate dimensions small) and cached, so the
 same factor/action data always yields the identical carrier -- rebracketing
 never produces two different spaces.  Every map the engine defines on
 representatives goes through ``induce``, which checks that the raw map kills
-the relation span before descending it to the carrier.
+the relation span before descending it to the carrier.  A chain carries
+only ``proj``/``sect`` with ``proj @ sect = I``; the relation span is
+``ker(proj)``, never built, and a map ``g`` kills it iff
+``g == (g @ sect) @ proj`` (``first_unbalanced``).
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from math import prod
 
 from .errors import (
@@ -25,8 +27,9 @@ from .errors import (
     NotWellDefined,
     ShapeMismatch,
 )
-from .linalg import Matrix, kron_apply
-from .spaces import LinearMap, Space, Subspace, kernel, quotient, tensor_space
+from .fields import PrimeField
+from .linalg import Matrix, kron_apply, sparse_rank_lower_bound
+from .spaces import LinearMap, Space, Subspace, quotient, tensor_space
 
 
 class Algebra:
@@ -400,13 +403,12 @@ class Link:
 class TensorChain:
     """Canonical flat realisation of an iterated balanced tensor product."""
 
-    def __init__(self, factor_spaces, links, carrier, proj, sect, relations):
+    def __init__(self, factor_spaces, links, carrier, proj, sect):
         self.factor_spaces = tuple(factor_spaces)
         self.links = tuple(links)
         self.carrier = carrier
-        self.proj = proj          # ambient -> carrier
-        self.sect = sect          # carrier -> ambient
-        self.relations = relations  # Subspace of ambient, = kernel(proj)
+        self.proj = proj          # ambient -> carrier; its kernel is the relation span
+        self.sect = sect          # carrier -> ambient, proj @ sect = I
         self.ambient = proj.domain
 
     @property
@@ -418,7 +420,6 @@ class TensorChain:
 
 
 _chain_cache: dict = {}
-_chain_lock = threading.Lock()
 
 
 def _link_relation_columns(field, factor_spaces, link: Link):
@@ -502,30 +503,19 @@ def tensor_chain(factors, rings, extra_links=(), name="") -> TensorChain:
             )
         links.append(Link(idx, idx + 1, ring, M.ract, N.lact))
     links.extend(extra_links)
-    spaces = [m.space for m in factors]
-    key = (tuple(s.uid for s in spaces), tuple(sorted(l.key() for l in links)))
-    with _chain_lock:
-        hit = _chain_cache.get(key)
-    if hit is not None:
-        return hit
-    chain = _build_chain(spaces, links, name)
-    with _chain_lock:
-        _chain_cache.setdefault(key, chain)
-        chain = _chain_cache[key]
-    return chain
+    return _cached_chain([m.space for m in factors], links, name)
 
 
 def chain_of_spaces(spaces, links, name="") -> TensorChain:
     """Like tensor_chain but with explicit spaces and links."""
+    return _cached_chain(list(spaces), list(links), name)
+
+
+def _cached_chain(spaces, links, name) -> TensorChain:
     key = (tuple(s.uid for s in spaces), tuple(sorted(l.key() for l in links)))
-    with _chain_lock:
-        hit = _chain_cache.get(key)
-    if hit is not None:
-        return hit
-    chain = _build_chain(list(spaces), list(links), name)
-    with _chain_lock:
-        _chain_cache.setdefault(key, chain)
-        chain = _chain_cache[key]
+    chain = _chain_cache.get(key)
+    if chain is None:
+        chain = _chain_cache[key] = _build_chain(spaces, links, name)
     return chain
 
 
@@ -535,10 +525,7 @@ def _build_chain(spaces, links, name="") -> TensorChain:
         s = spaces[0]
         amb = tensor_space(spaces)
         ident = Matrix.identity(field, s.dim)
-        pj = LinearMap(amb, s, ident)
-        st = LinearMap(s, amb, ident)
-        return TensorChain(spaces, (), s, pj, st,
-                           Subspace.from_spanning(amb, []))
+        return TensorChain(spaces, (), s, LinearMap(amb, s, ident), LinearMap(s, amb, ident))
     ambient = tensor_space(spaces, name and name + "#amb")
     # a link over a one-dimensional ring has zero relation span (the unital
     # action by the lone basis vector is a scalar on both sides)
@@ -547,10 +534,8 @@ def _build_chain(spaces, links, name="") -> TensorChain:
                         name or "(x)".join(s.name for s in spaces),
                         ambient.labels)
         ident = Matrix.identity(field, ambient.dim)
-        pj = LinearMap(ambient, carrier, ident)
-        st = LinearMap(carrier, ambient, ident)
-        return TensorChain(spaces, links, carrier, pj, st,
-                           Subspace.from_spanning(ambient, []))
+        return TensorChain(spaces, links, carrier, LinearMap(ambient, carrier, ident),
+                           LinearMap(carrier, ambient, ident))
     n = len(spaces)
     dims = [sp.dim for sp in spaces]
     adjacent = {l.i: l for l in links if l.j == l.i + 1}
@@ -615,9 +600,8 @@ def _build_chain(spaces, links, name="") -> TensorChain:
                           name or "(x)".join(s.name for s in spaces), carrier.labels)
     full_proj = full_proj.retarget(carrier_named)
     full_sect = full_sect.rebase(carrier_named)
-    relations = kernel(full_proj)
     assert (full_proj @ full_sect).is_identity()
-    return TensorChain(spaces, links, carrier_named, full_proj, full_sect, relations)
+    return TensorChain(spaces, links, carrier_named, full_proj, full_sect)
 
 
 def single_chain(space: Space) -> TensorChain:
@@ -633,19 +617,38 @@ def induce(dom: TensorChain, raw: LinearMap, name: str = "") -> LinearMap:
     """
     if raw.domain is not dom.ambient:
         raise ShapeMismatch("raw map is not defined on the chain ambient")
-    rel = dom.relations
-    if rel.dim:
-        img = raw @ rel.inclusion
-        if not img.is_zero():
-            bad = next(
-                j for j in range(rel.dim)
-                if any(not raw.domain.field.is_zero(x) for x in img.matrix.col(j))
-            )
-            raise NotWellDefined(
-                f"{name or 'map'} is not balanced on {dom!r}",
-                witness=rel.inclusion.matrix.col(bad),
-            )
-    return raw @ dom.sect
+    composed = raw @ dom.sect
+    proj, sect = dom.proj.matrix, dom.sect.matrix
+    bad = first_unbalanced(raw.matrix, proj, sect, composed.matrix)
+    if bad is not None:
+        raise NotWellDefined(f"{name or 'map'} is not balanced on {dom!r}",
+                             witness=relation_witness(proj, sect, bad))
+    return composed
+
+
+def first_unbalanced(g: Matrix, proj: Matrix, sect: Matrix, g_sect: Matrix | None = None):
+    """First column x at which ``g`` and ``g @ sect @ proj`` differ, or None.
+
+    ``proj @ sect = I``, so ``sect @ proj`` is the projector along
+    ``ker(proj)`` and ``g`` kills ``ker(proj)`` iff ``g == (g @ sect) @ proj``.
+    ``g_sect`` is ``g @ sect`` when the caller has it already.  A square
+    ``proj`` is invertible and has nothing to kill.
+    """
+    if proj.nrows == proj.ncols:
+        return None
+    back = (g @ sect if g_sect is None else g_sect) @ proj
+    if back == g:
+        return None
+    return next(x for x in range(g.ncols) if g.col(x) != back.col(x))
+
+
+def relation_witness(proj: Matrix, sect: Matrix, x: int):
+    """``e_x - sect @ proj @ e_x``, a vector of ``ker(proj)``; at the index
+    ``first_unbalanced`` returns, the map has a nonzero image on it."""
+    f = proj.field
+    v = [f.neg(a) for a in sect.apply(proj.col(x))]
+    v[x] = f.add(v[x], f.one)
+    return tuple(v)
 
 
 def chain_map(dom: TensorChain, blocks, cod: TensorChain, name: str = "") -> LinearMap:
@@ -833,47 +836,29 @@ def _unfold(m: Bimodule):
 def _verify_relation_span(ts: TensorSpace):
     """Regenerate the relation span in reverse enumeration order and compare.
 
-    For large ambients the rank of the regenerated family is certified with
-    a sparse modular lower bound instead of a dense second elimination.
+    The regenerated family must die under ``proj`` and have rank
+    ``ambient.dim - carrier.dim``, the dimension of ``ker(proj)``.  The rank
+    is certified with a sparse modular lower bound where it can be, and by
+    exact elimination otherwise.
     """
     chain = ts.chain
     field = chain.ambient.field
     cols = []
     for link in reversed(chain.links):
         cols.extend(reversed(_link_relation_columns(field, chain.factor_spaces, link)))
-    target = chain.relations.dim
-    if not cols:
-        if target != 0:
-            raise NotWellDefined("relation span disagrees between enumeration orders")
-        return
+    target = chain.ambient.dim - chain.dim
     gen = Matrix(field, cols, chain.ambient.dim)
     # containment: every regenerated relation dies under proj
-    if not (chain.proj.matrix @ gen.transpose()).is_zero():
+    if cols and not (chain.proj.matrix @ gen.transpose()).is_zero():
         raise NotWellDefined("regenerated relation escapes the relation span")
-    if chain.ambient.dim <= 100:
-        regenerated = Subspace.from_spanning(chain.ambient, cols)
-        if regenerated != chain.relations:
-            raise NotWellDefined("relation span disagrees between enumeration orders")
-    else:
-        from .fields import PrimeField
-        from .linalg import sparse_rank_lower_bound
-
-        primes = [field.p] if isinstance(field, PrimeField) else [101, 32003]
-        ok = False
-        for p in primes:
-            try:
-                if sparse_rank_lower_bound(gen, p, stop_at=target) >= target:
-                    ok = True
-                    break
-            except ValueError:
-                continue
-        if not ok:
-            regenerated = Subspace.from_spanning(chain.ambient, cols)
-            ok = regenerated == chain.relations
-        if not ok:
-            raise NotWellDefined("relation span disagrees between enumeration orders")
-    if ts.carrier.dim != chain.ambient.dim - target:
-        raise NotWellDefined("carrier dimension violates rank formula")
+    for p in [field.p] if isinstance(field, PrimeField) else [101, 32003]:
+        try:
+            if sparse_rank_lower_bound(gen, p, stop_at=target) >= target:
+                return
+        except ValueError:  # a denominator vanishes mod p
+            continue
+    if gen.rank() != target:
+        raise NotWellDefined("relation span disagrees between enumeration orders")
 
 
 def induce_map(raw: LinearMap, dom: TensorSpace, cod: Space | None = None) -> LinearMap:
@@ -883,19 +868,11 @@ def induce_map(raw: LinearMap, dom: TensorSpace, cod: Space | None = None) -> Li
         raise ShapeMismatch("raw map is not defined on the pair ambient")
     composed = raw.rebase(dom.sect.codomain) @ dom.sect
     # well-definedness: raw must kill ker(proj) at the pair level
-    ker_pair = kernel(dom.proj)
-    if ker_pair.dim:
-        img = raw.rebase(ker_pair.ambient) @ ker_pair.inclusion
-        if not img.is_zero():
-            f = raw.domain.field
-            bad = next(
-                j for j in range(ker_pair.dim)
-                if any(not f.is_zero(x) for x in img.matrix.col(j))
-            )
-            raise NotWellDefined(
-                "map does not factor through the balanced tensor",
-                witness=ker_pair.inclusion.matrix.col(bad),
-            )
+    proj, sect = dom.proj.matrix, dom.sect.matrix
+    bad = first_unbalanced(raw.matrix, proj, sect, composed.matrix)
+    if bad is not None:
+        raise NotWellDefined("map does not factor through the balanced tensor",
+                             witness=relation_witness(proj, sect, bad))
     return composed
 
 

@@ -21,6 +21,7 @@ from .algebra import (
     chain_of_spaces,
     chain_outer_bimodule,
     corestrict_through,
+    first_unbalanced,
     induce,
     opposite,
     sub_bimodule,
@@ -40,7 +41,8 @@ from .errors import (
     TakeuchiViolation,
     WitnessNotIso,
 )
-from .linalg import Matrix, kron_apply, permute_cols, permute_rows, sparse_rank_lower_bound
+from .linalg import (Matrix, kron_apply, permute_cols, permute_rows, sparse_rank_lower_bound,
+                     split_leg)
 from .pretorsor import CoringPair, PreTorsorBundle
 from .report import Report
 from .spaces import LinearMap, Space, Subspace, intersect, invert, kernel
@@ -91,13 +93,15 @@ def _bilinear_from_pairs(bundle, raw_amb: Matrix, chain: TensorChain,
     kill the relations in each argument and send sub x sub into sub.
     """
     f = chain.ambient.field
-    rel = chain.relations
-    reps = chain.sect.matrix @ sub.inclusion.matrix
-    if rel.dim:
-        # independence of the representative of either kernel element
-        left_kill = raw_amb @ rel.inclusion.matrix.kron(reps)
-        right_kill = raw_amb @ reps.kron(rel.inclusion.matrix)
-        if not left_kill.is_zero() or not right_kill.is_zero():
+    proj, sect = chain.proj.matrix, chain.sect.matrix
+    reps = sect @ sub.inclusion.matrix
+    # independence of the representative of either kernel element: with the
+    # other argument in sub, raw_amb must kill ker(proj) on each leg
+    legs, reps_t = [chain.ambient.dim] * 2, reps.transpose()
+    for leg in (0, 1):
+        on_leg = kron_apply(f, [None, reps_t], [raw_amb.nrows, chain.ambient.dim], None,
+                            [split_leg(raw_amb, legs, leg)])
+        if first_unbalanced(on_leg, proj, sect) is not None:
             raise ClosureFailure(f"{name}: product is not representative-independent")
     on_sub = raw_amb @ reps.kron(reps)
     on_sub_map = LinearMap(tensor_space([sub.space, sub.space]), chain.carrier, on_sub)

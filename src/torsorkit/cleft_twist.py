@@ -18,6 +18,7 @@ from .algebra import (
     Bimodule,
     Link,
     chain_of_spaces,
+    first_unbalanced,
     make_algebra,
     opposite,
     tensor_chain,
@@ -37,7 +38,7 @@ from .errors import (
     NotWellDefined,
     ShapeMismatch,
 )
-from .linalg import Matrix, permute_cols, permute_rows
+from .linalg import Matrix, permute_cols, permute_rows, split_leg
 from .report import Report
 from .spaces import LinearMap
 from .fixtures import HopfData, field_algebra
@@ -235,12 +236,10 @@ def twisted_bialgebroid(inp: TwistInput, name: str = "twist") -> TwistedBialgebr
                 product_vector(b1i, b2i, h1i, c1i, c2i, h2i)))
     raw6 = Matrix.from_cols(f, cols, chain.dim)
     # balance in each argument over the chain relations
-    rel = chain.relations
-    if rel.dim:
-        amb_id = Matrix.identity(f, amb_dim)
-        if not (raw6 @ rel.inclusion.matrix.kron(amb_id)).is_zero() \
-                or not (raw6 @ amb_id.kron(rel.inclusion.matrix)).is_zero():
-            raise NotWellDefined(f"{name}: the twisted product is not balanced")
+    if any(first_unbalanced(split_leg(raw6, [amb_dim] * 2, leg),
+                            chain.proj.matrix, chain.sect.matrix) is not None
+           for leg in (0, 1)):
+        raise NotWellDefined(f"{name}: the twisted product is not balanced")
     rep.add("propA.1.product-balanced", "A.1(1)", True)
     mult_mat = raw6 @ chain.sect.matrix.kron(chain.sect.matrix)
     unit_vec = chain.proj.apply(_triple(f, B.unit, B.unit, H.algebra.unit, nB, nH))
@@ -757,14 +756,12 @@ def cleft_iso_check(bundle, pair, bgd_D, tw: TwistedBialgebroid,
             tw.bgd.coring.eps.matrix @ fwd.matrix == bgd_D.coring.eps.matrix)
     dd_tor = bgd_D.coring.cc
     dd_tw = tw.bgd.coring.cc
-    two = dd_tw.proj.matrix @ fwd.matrix.kron(fwd.matrix) @ dd_tor.sect.matrix
-    rel = dd_tor.relations
-    if rel.dim:
-        pairwise = dd_tw.proj.matrix @ fwd.matrix.kron(fwd.matrix)
-        lift = dd_tor.proj.matrix
+    pairwise = dd_tw.proj.matrix @ fwd.matrix.kron(fwd.matrix)
+    two = pairwise @ dd_tor.sect.matrix
+    if dd_tor.dim < dd_tor.ambient.dim:
         # balance: the pair map must kill the torsor-side relations
-        killed = pairwise @ rel.inclusion.matrix
-        rep.add("thmA.3.pair-balanced", "A.3", killed.is_zero())
+        rep.add("thmA.3.pair-balanced", "A.3", first_unbalanced(
+            pairwise, dd_tor.proj.matrix, dd_tor.sect.matrix, two) is None)
     lhs = two @ bgd_D.coring.delta.matrix
     rhs = tw.bgd.coring.delta.matrix @ fwd.matrix
     rep.add("thmA.3.coproduct", "A.3", lhs == rhs)

@@ -5,17 +5,13 @@
 
 Commands: validate, build, bialgebroid, twist, diffcalc, fixture, suite.
 Exit codes: 0 all checks pass, 1 at least one failed, 2 parse error.
-TORSORKIT_THREADS caps concurrency of independent suite checks; report
-assembly is order-deterministic either way.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import fixtures as fixture_mod
 from .analysis import (
@@ -104,26 +100,13 @@ def run(command, args) -> tuple[int, dict]:
     elif command == "diffcalc":
         reports.append(diffcalc_report(an))
     elif command == "suite":
-        jobs = [lambda: validate_report(bundle),
-                lambda: build_report(an)]
         from .pretorsor import TorsorBundle
+        reports = [validate_report(bundle), build_report(an)]
         if isinstance(bundle, TorsorBundle):
-            jobs.append(lambda: bialgebroid_report(an))
+            reports.append(bialgebroid_report(an))
             if fx is not None and fx.hopf is not None:
-                jobs.append(lambda: _twist_report(bundle, fx))
-        jobs.append(lambda: diffcalc_report(an))
-        threads = int(os.environ.get("TORSORKIT_THREADS", "1"))
-        if threads > 1:
-            # the analysis cache is shared; populate the common stages first
-            validate_report(bundle)
-            try:
-                an.pair
-            except TorsorKitError:
-                pass
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                reports = list(pool.map(lambda j: j(), jobs))
-        else:
-            reports = [j() for j in jobs]
+                reports.append(_twist_report(bundle, fx))
+        reports.append(diffcalc_report(an))
         reports.sort(key=lambda r: r.name)
     else:
         raise DocumentError(f"unknown command {command!r}", "")

@@ -489,6 +489,20 @@ def permute_cols(mat: Matrix, dims, order) -> Matrix:
     return Matrix(mat.field, [tuple(r[j] for j in inv) for r in mat.rows], mat.ncols)
 
 
+def split_leg(mat: Matrix, dims, leg) -> Matrix:
+    """``mat``, whose columns run over legs ``dims``, reshaped so that leg
+    ``leg`` indexes the columns: row ``(i, rest)`` is row i read along
+    ``leg`` with the other legs fixed at the digits ``rest``.  So
+    ``split_leg(mat @ (I (x) K (x) I)) == split_leg(mat) @ K``."""
+    if prod(dims) != mat.ncols:
+        raise ShapeMismatch("split_leg: legs do not match the column count")
+    stride = prod(dims[leg + 1:])
+    span = dims[leg] * stride
+    starts = [hi + lo for hi in range(0, mat.ncols, span) for lo in range(stride)]
+    return Matrix(mat.field, [r[b:b + span:stride] for r in mat.rows for b in starts],
+                  dims[leg])
+
+
 def _block_sizes(factors, legs, size_of):
     """Sizes of Kronecker factors laid over a run of tensor legs.
 

@@ -17,6 +17,7 @@ from .algebra import (
     AlgebraMap,
     Bimodule,
     TensorChain,
+    _carrier_leg_map,
     certify_free,
     chain_map,
     chain_outer_bimodule,
@@ -54,7 +55,7 @@ from .errors import (
     TorsorKitError,
     WitnessNotIso,
 )
-from .linalg import Matrix, permute_rows
+from .linalg import Matrix, kron_apply
 from .report import Report
 from .spaces import LinearMap, Space, Subspace, image, intersect, invert, kernel
 
@@ -305,17 +306,14 @@ def validate_torsor(bundle: PreTorsorBundle) -> Report:
 
     # leg multiplications on X3 (well defined thanks to the commuting images)
     def leg_mult(pos, alg_map, opposite_side):
-        # returns matrix: Alg (x) X3.carrier -> X3.carrier (left) or mirrored
+        # per basis element of the source algebra, the multiplication on
+        # leg ``pos`` of X3 seen on its carrier
         src = alg_map.source
         cols = []
         for i in range(src.dim):
             v = alg_map.map.apply(src.space.basis_vector(i))
             m = T.left_mult_map(v) if not opposite_side else T.right_mult_map(v)
-            leg = [bundle.idT] * 3
-            leg[pos] = m.matrix
-            raw = leg[0].kron(leg[1]).kron(leg[2])
-            lifted = X3.proj.matrix @ raw @ X3.sect.matrix
-            cols.append(lifted)
+            cols.append(_carrier_leg_map(X3, pos, m.matrix).matrix)
         return cols
 
     # (a) alpha(a) on leg 1 from the left == alpha(a) on leg 2 from the right
@@ -332,11 +330,10 @@ def validate_torsor(bundle: PreTorsorBundle) -> Report:
              for l, r in zip(lhs_cols, rhs_cols))
     rep.add("def5.1.b", "5.1(b)", ok)
 
-    # (c) tau(t t') = t1 t'1 (x) t'2 t2 (x) t3 t'3
-    tt = bundle.tau_raw.kron(bundle.tau_raw)  # T(x)T -> T^6 (t legs, t' legs)
-    permuted = permute_rows(tt, [n] * 6, (0, 3, 4, 1, 2, 5))
-    mul3 = bundle.mu.kron(bundle.mu).kron(bundle.mu)
-    rhs_mat = X3.proj.matrix @ mul3 @ permuted
+    # (c) tau(t t') = t1 t'1 (x) t'2 t2 (x) t3 t'3: tau (x) tau lands on the
+    # t legs then the t' legs, which are interleaved for mu (x) mu (x) mu
+    rhs_mat = X3.proj.matrix @ kron_apply(f, [bundle.mu] * 3, [n] * 6, (0, 3, 4, 1, 2, 5),
+                                          [bundle.tau_raw, bundle.tau_raw])
     lhs_mat = bundle.tau.matrix @ bundle.mu
     ok = lhs_mat == rhs_mat
     rep.add("def5.1.c", "5.1(c)", ok)

@@ -52,17 +52,34 @@ def algebra_to_json(alg: Algebra):
     }
 
 
+def _is_index(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def algebra_from_json(field, doc, name, pointer):
+    """An algebra from its document, every field type-checked first."""
+    if not isinstance(doc, dict):
+        raise DocumentError("algebra must be an object", pointer)
     for key in ("dim", "unit", "structure_constants"):
         if key not in doc:
             raise DocumentError(f"missing key {key!r}", pointer)
+    dim, unit, constants = doc["dim"], doc["unit"], doc["structure_constants"]
+    labels = doc.get("basis_labels")
+    if not _is_index(dim):
+        raise DocumentError(f"dim must be an integer, not {dim!r}", f"{pointer}/dim")
+    if not isinstance(unit, list) or len(unit) != dim:
+        raise DocumentError(f"unit must be a list of {dim} scalars", f"{pointer}/unit")
+    if not isinstance(constants, list):
+        raise DocumentError("must be a list", f"{pointer}/structure_constants")
+    for idx, entry in enumerate(constants):
+        if not (isinstance(entry, list) and len(entry) == 4 and all(map(_is_index, entry[:3]))):
+            raise DocumentError(f"expected [i, j, k, value] with integer indices, not {entry!r}",
+                                f"{pointer}/structure_constants/{idx}")
+    if labels is not None and not (isinstance(labels, list)
+                                   and all(isinstance(x, str) for x in labels)):
+        raise DocumentError("must be a list of strings", f"{pointer}/basis_labels")
     try:
-        return make_algebra(
-            field, int(doc["dim"]),
-            [(int(i), int(j), int(k), field.parse(v))
-             for (i, j, k, v) in doc["structure_constants"]],
-            [field.parse(x) for x in doc["unit"]],
-            name, doc.get("basis_labels"))
+        return make_algebra(field, dim, constants, unit, name, labels)
     except TorsorKitError as exc:
         raise DocumentError(str(exc), pointer) from exc
 

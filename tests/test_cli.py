@@ -85,15 +85,6 @@ def test_cli_suite_triv(capsys, tmp_path):
     assert all("paper_ref" in c for c in report["checks"])
 
 
-def test_cli_suite_threaded_deterministic(tmp_path, monkeypatch):
-    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    monkeypatch.setenv("TORSORKIT_THREADS", "1")
-    assert main(["suite", "--fixture", "EX-TRIV", "--json", str(p1)]) == 0
-    monkeypatch.setenv("TORSORKIT_THREADS", "3")
-    assert main(["suite", "--fixture", "EX-TRIV", "--json", str(p2)]) == 0
-    assert p1.read_text() == p2.read_text()
-
-
 def test_report_three_valued_statuses():
     from torsorkit.report import Report
     rep = Report("r")
@@ -139,6 +130,11 @@ def test_alpha_not_injective_rejected():
     (("bundle",), ["torsor"], "/bundle"),
 ])
 def test_malformed_field_and_metadata_exit_2(tmp_path, capsys, path, value, pointer):
+    _assert_exit_2_at(tmp_path, capsys, path, value, pointer)
+
+
+def _assert_exit_2_at(tmp_path, capsys, path, value, pointer):
+    """EX-C2's document with ``value`` put at ``path`` exits 2 at ``pointer``."""
     doc = copy.deepcopy(bundle_to_document(generate("EX-C2").bundle))
     target = doc
     for key in path[:-1]:
@@ -148,6 +144,33 @@ def test_malformed_field_and_metadata_exit_2(tmp_path, capsys, path, value, poin
     doc_path.write_text(dumps(doc))
     assert main(["validate", "--input", str(doc_path)]) == 2
     assert f"error: {pointer}: " in capsys.readouterr().err
+
+
+SC = ("algebras", "T", "structure_constants")
+
+
+@pytest.mark.parametrize("path, value, pointer", [
+    (SC + (0,), [0, 0, 0], "/algebras/T/structure_constants/0"),
+    (SC + (1,), [0, 1, 1, "1", "2"], "/algebras/T/structure_constants/1"),
+    (SC + (0,), "0001", "/algebras/T/structure_constants/0"),
+    (SC + (0, 0), "0", "/algebras/T/structure_constants/0"),
+    (SC + (0, 1), 0.0, "/algebras/T/structure_constants/0"),
+    (SC + (0, 2), True, "/algebras/T/structure_constants/0"),
+    (SC, {"0": [0, 0, 0, "1"]}, "/algebras/T/structure_constants"),
+    (("algebras", "T", "unit"), 5, "/algebras/T/unit"),
+    (("algebras", "T", "unit"), ["1"], "/algebras/T/unit"),
+    (("algebras", "T", "dim"), "2", "/algebras/T/dim"),
+    (("algebras", "T", "dim"), 2.0, "/algebras/T/dim"),
+    (("algebras", "T", "dim"), True, "/algebras/T/dim"),
+    (("algebras", "T", "basis_labels"), 5, "/algebras/T/basis_labels"),
+    (("algebras", "T", "basis_labels"), [0, 1], "/algebras/T/basis_labels"),
+    (("algebras", "B"), [], "/algebras/B"),
+])
+def test_malformed_algebra_exit_2(tmp_path, capsys, path, value, pointer):
+    """Structure constants, units, dims and labels are type-checked at the
+    parser: a wrong type exits 2 with a pointer, never a traceback or a
+    silent conversion."""
+    _assert_exit_2_at(tmp_path, capsys, path, value, pointer)
 
 
 @pytest.mark.parametrize("spec", ["GFx", "GF", "GF4", "GF-7"])

@@ -4,12 +4,15 @@ benchmark hooks.
 Leg permutations are applied as index maps (``linalg.permute_rows`` and
 ``linalg.permute_cols``); the dense permutation matrices stay in ``linalg``
 as the reference the tests compare against.  Tensor identities are
-evaluated on carriers, so no report materialises an ambient-sized matrix.
+evaluated on carriers, so no report materialises an ambient-sized matrix,
+and balance on a chain is the projector identity, so no relation span of
+nearly ambient dimension is built.
 The benchmark's tracer and worker reach into the program by attribute
 name, so a renamed or deleted attribute must fail here rather than in a
 traced benchmark run.
 """
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -18,8 +21,10 @@ from pathlib import Path
 import pytest
 
 from torsorkit.analysis import BundleAnalysis, bialgebroid_report
+from torsorkit.cli import run
 from torsorkit.fixtures import generate
 from torsorkit.linalg import Matrix
+from torsorkit.spaces import Subspace
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "torsorkit"
@@ -27,6 +32,9 @@ PERFBENCH = ROOT / "perfbench"
 DENSE_PERMUTATIONS = {"mixed_permutation", "permutation_matrix"}
 # the dense ambients of T (x) T (x) T (x) T and beyond start here (n = 4)
 AMBIENT_ENTRIES = 1 << 20
+# the relation spans of the chains over T^(x)5 have 768 (EX-SMASH) and
+# 1,020 (EX-M2) dimensions; every subspace the suite needs is below this
+SPAN_DIM = 512
 
 
 def _names(tree):
@@ -99,3 +107,22 @@ def test_bialgebroid_report_stays_below_ambient_size(monkeypatch, name):
     assert bialgebroid_report(BundleAnalysis(generate(name).bundle)).ok
     size, shape = max(largest)
     assert size < AMBIENT_ENTRIES, shape
+
+
+@pytest.mark.parametrize("name", ["EX-SMASH", "EX-M2"])
+def test_suite_builds_no_relation_span(monkeypatch, name):
+    """No ``Subspace.from_spanning`` result of ``suite`` on a fresh bundle
+    reaches ``SPAN_DIM`` dimensions: balance is checked with ``proj`` and
+    ``sect``, never through a basis of the relation span."""
+    dims = []
+    from_spanning = Subspace.__dict__["from_spanning"].__func__
+
+    def watched(*args, **kwargs):
+        out = from_spanning(*args, **kwargs)
+        dims.append((out.dim, out.ambient.dim))
+        return out
+
+    monkeypatch.setattr(Subspace, "from_spanning", staticmethod(watched))
+    args = argparse.Namespace(fixture=name, input=None, field=None, dump_matrices=False)
+    run("suite", args)
+    assert max(dims)[0] < SPAN_DIM, max(dims)

@@ -16,6 +16,7 @@ from torsorkit.linalg import (
     permute_rows,
     permute_tensor_rows,
     sparse_rank_lower_bound,
+    split_leg,
 )
 
 small_entries = st.integers(min_value=-4, max_value=4)
@@ -240,3 +241,40 @@ def test_kron_apply_rejects_factors_off_the_legs():
         kron_apply(QQ, [three], [2, 2], None, [None, None])
     with pytest.raises(ShapeMismatch):
         kron_apply(QQ, [None], [2, 2], (1, 0), [None, None])
+
+
+@given(leg_permutation_case(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_split_leg_matches_the_digit_definition(case, data):
+    dims, _, field, mat = case
+    mat = mat.transpose()
+    leg = data.draw(st.integers(0, len(dims) - 1))
+    position = {digits: k for k, digits in
+                enumerate(itertools.product(*map(range, dims)))}
+    rest = list(itertools.product(*(range(d) for k, d in enumerate(dims) if k != leg)))
+    want = [tuple(row[position[r[:leg] + (x,) + r[leg:]]] for x in range(dims[leg]))
+            for row in mat.rows for r in rest]
+    assert split_leg(mat, dims, leg) == Matrix(field, want, dims[leg])
+
+
+@given(leg_permutation_case(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_split_leg_turns_a_leg_map_into_a_product(case, data):
+    """split_leg(g @ (I (x) K (x) I)) == split_leg(g) @ K: a map kills a
+    subspace on one leg iff its split matrix kills it."""
+    dims, _, field, mat = case
+    mat = mat.transpose()
+    leg = data.draw(st.integers(0, len(dims) - 1))
+    width = data.draw(st.integers(1, 3))
+    rows = data.draw(st.lists(st.lists(small_entries, min_size=width, max_size=width),
+                              min_size=dims[leg], max_size=dims[leg]))
+    k = Matrix.from_rows(field, rows)
+    on_leg = (Matrix.identity(field, math.prod(dims[:leg])).kron(k)
+              .kron(Matrix.identity(field, math.prod(dims[leg + 1:]))))
+    out_dims = dims[:leg] + [width] + dims[leg + 1:]
+    assert split_leg(mat @ on_leg, out_dims, leg) == split_leg(mat, dims, leg) @ k
+
+
+def test_split_leg_rejects_legs_off_the_columns():
+    with pytest.raises(ShapeMismatch):
+        split_leg(Matrix.identity(QQ, 6), [2, 2], 0)

@@ -2,23 +2,40 @@
 
 Each product that the engine evaluates through ``linalg.kron_apply`` or
 builds from column supports is compared with the dense Kronecker
-expression it replaced, which lives on here only as the reference.  The last test shows
-that the structured ``bgd.delta-multiplicative`` identity can still fail.
+expression it replaced, which lives on here only as the reference.  Balance
+on a tensor chain is the projector identity ``g == (g @ sect) @ proj``; the
+relation kernel ``kernel(chain.proj)`` it replaced is the reference here.
+The mutation tests show that the structured identities can still fail.
 """
 
 import math
+import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from torsorkit.algebra import Algebra, _carrier_leg_map, _relation_columns
+from torsorkit import algebra
+from torsorkit.algebra import (
+    Algebra,
+    _carrier_leg_map,
+    _relation_columns,
+    first_unbalanced,
+    induce,
+    relation_witness,
+)
+from torsorkit.analysis import BundleAnalysis
 from torsorkit.bialgebroid import (
+    _bilinear_from_pairs,
     _diagonal_coactions_raw,
     _factorwise_product,
     _factorwise_product_mixed,
 )
+from torsorkit.errors import ClosureFailure, NotWellDefined
 from torsorkit.fields import GF, QQ
-from torsorkit.linalg import Matrix, permute_cols, permute_rows
-from torsorkit.spaces import LinearMap
+from torsorkit.fixtures import generate
+from torsorkit.linalg import Matrix, kron_apply, permute_cols, permute_rows
+from torsorkit.pretorsor import validate_torsor
+from torsorkit.spaces import LinearMap, kernel
 
 from conftest import fixture
 
@@ -91,12 +108,13 @@ def test_relation_columns_match_dense(case):
 
 
 def test_carrier_leg_maps_match_dense(ex_smash):
-    """The outer actions of a chain: a map on its first or last leg, seen on
-    the carrier of EX-SMASH's threefold balanced tensor."""
+    """A map on one leg seen on the carrier of EX-SMASH's threefold balanced
+    tensor: the outer actions of a chain (first and last leg) and the leg
+    multiplications of ``validate_torsor`` (every leg)."""
     chain = ex_smash.bundle.X3
     f = chain.carrier.field
     dims = [s.dim for s in chain.factor_spaces]
-    for pos in (0, len(dims) - 1):
+    for pos in range(len(dims)):
         m = Matrix(f, [tuple(f.from_int((3 * r + 5 * c) % 7 - 3) for c in range(dims[pos]))
                        for r in range(dims[pos])])
         want = chain.proj.matrix @ _dense_leg_map(f, dims, pos, m) @ chain.sect.matrix
@@ -123,3 +141,110 @@ def test_perturbed_d_product_breaks_delta_multiplicativity(an_smash):
     mult = LinearMap(D_alg.mult.domain, D_alg.space, Matrix(f, rows))
     perturbed = Algebra(D_alg.space, mult, D_alg.unit, "D'", check=False)
     assert not delta_multiplicative(perturbed)
+
+
+@pytest.mark.parametrize("name", ["EX-SW", "EX-SMASH"])
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "GF101"])
+def test_torsor_axiom_c_matches_dense(name, field):
+    """def5.1.c evaluates ``mu (x) mu (x) mu`` after the interleaving of
+    ``tau (x) tau`` through ``kron_apply``; the dense form is the reference,
+    and the report row must give the reference verdict."""
+    b = fixture(name, field).bundle
+    n = b.T.dim
+    tt = permute_rows(b.tau_raw.kron(b.tau_raw), [n] * 6, (0, 3, 4, 1, 2, 5))
+    dense = b.X3.proj.matrix @ b.mu.kron(b.mu).kron(b.mu) @ tt
+    structured = b.X3.proj.matrix @ kron_apply(field, [b.mu] * 3, [n] * 6,
+                                               (0, 3, 4, 1, 2, 5), [b.tau_raw] * 2)
+    assert structured == dense
+    row = next(c for c in validate_torsor(b).checks if c.check_id == "def5.1.c")
+    assert (row.status == "pass") == (b.tau.matrix @ b.mu == dense)
+
+
+# -- balance by the projector identity ------------------------------------
+
+_QUOTIENT_CHAINS = {}
+
+
+def _quotient_chains(name, field):
+    """The chains with a quotient that a fresh bundle builds up to its
+    corings, each with its relation span computed the slow way."""
+    key = (name, field.name)
+    if key not in _QUOTIENT_CHAINS:
+        before = set(map(id, algebra._chain_cache.values()))
+        BundleAnalysis(generate(name, field).bundle).pair
+        _QUOTIENT_CHAINS[key] = [(c, kernel(c.proj)) for c in list(algebra._chain_cache.values())
+                                 if id(c) not in before and c.dim < c.ambient.dim]
+    return _QUOTIENT_CHAINS[key]
+
+
+@given(st.sampled_from(["EX-SMASH", "EX-M2"]), st.sampled_from([QQ, GF(101)]),
+       st.integers(0, 1 << 30), st.data())
+@settings(max_examples=60, deadline=None)
+def test_projector_identity_matches_relation_kernel(name, field, pick, data):
+    """g = h.proj + c.w.z^T with z a column of I - sect.proj: balanced iff it
+    kills ``kernel(proj)``, and the witness is a relation g does not kill."""
+    chains = _quotient_chains(name, field)
+    chain, rel = chains[pick % len(chains)]
+    proj, sect = chain.proj.matrix, chain.sect.matrix
+    rng = random.Random(data.draw(st.integers(0, 1 << 30)))
+    cod = data.draw(st.integers(1, 3))
+
+    def small():
+        return field.from_int(rng.choice([0, 0, 1, -1, 2, -3]))
+
+    h = Matrix(field, [tuple(small() for _ in range(chain.dim)) for _ in range(cod)])
+    z = (Matrix.identity(field, chain.ambient.dim) - sect @ proj).col(
+        rng.randrange(chain.ambient.dim))
+    c = field.from_int(rng.choice([0, 1, -2]))
+    w = [field.mul(c, small()) for _ in range(cod)]
+    g = h @ proj + Matrix(field, [tuple(field.mul(a, b) for b in z) for a in w])
+    bad = first_unbalanced(g, proj, sect)
+    assert (bad is None) == (g @ rel.inclusion.matrix).is_zero()
+    if bad is not None:
+        witness = relation_witness(proj, sect, bad)
+        assert rel.contains_vector(witness)
+        assert any(not field.is_zero(v) for v in g.apply(witness))
+
+
+def test_induce_rejects_the_swapped_product_on_smash(ex_smash):
+    """mu is balanced on T (x)_B T; mu after the leg swap is not, and the
+    witness is a relation with nonzero image."""
+    b = ex_smash.bundle
+    TBT, f = b.TBT, b.field
+    assert TBT.dim < TBT.ambient.dim
+    mu = LinearMap(TBT.ambient, b.T.space, b.mu)
+    assert induce(TBT, mu).matrix == b.mu @ TBT.sect.matrix
+    swapped = LinearMap(TBT.ambient, b.T.space, permute_cols(b.mu, [b.T.dim] * 2, (1, 0)))
+    with pytest.raises(NotWellDefined) as err:
+        induce(TBT, swapped)
+    witness = err.value.witness
+    assert not any(not f.is_zero(v) for v in TBT.proj.apply(witness))
+    assert any(not f.is_zero(v) for v in swapped.apply(witness))
+
+
+def test_product_descent_matches_dense_and_catches_a_perturbation(an_smash):
+    """``_bilinear_from_pairs`` checks each leg with the projector identity;
+    the dense ``raw @ (kernel (x) reps)`` products are the reference.  A
+    rank-one term on a relation of either leg must be rejected."""
+    b, pair = an_smash.bundle, an_smash.pair
+    chain, sub, f = b.TBT, pair.C_sub, b.field
+    raw = permute_cols(chain.proj.matrix @ b.mu.kron(b.mu), [b.T.dim] * 4, (2, 0, 1, 3))
+    rel = kernel(chain.proj).inclusion.matrix
+    reps = chain.sect.matrix @ sub.inclusion.matrix
+
+    def dense_balanced(m):
+        return (m @ rel.kron(reps)).is_zero() and (m @ reps.kron(rel)).is_zero()
+
+    assert dense_balanced(raw)
+    assert _bilinear_from_pairs(b, raw, chain, sub, "C").shape == (sub.dim, sub.dim ** 2)
+    proj, sect = chain.proj.matrix, chain.sect.matrix
+    z = next(w for w in (relation_witness(proj, sect, x) for x in range(chain.ambient.dim))
+             if any(not f.is_zero(v) for v in w))
+    u = reps.col(0)
+    zero_row = (f.zero,) * raw.ncols
+    for left, right in ((z, u), (u, z)):
+        bump = Matrix(f, [left]).kron(Matrix(f, [right]))
+        bumped = raw + Matrix(f, bump.rows + (zero_row,) * (raw.nrows - 1))
+        assert not dense_balanced(bumped)
+        with pytest.raises(ClosureFailure, match="representative-independent"):
+            _bilinear_from_pairs(b, bumped, chain, sub, "C")
