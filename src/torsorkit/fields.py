@@ -43,7 +43,7 @@ class Field:
         raise NotImplementedError
 
     def parse(self, s):
-        """Parse a scalar from an int or a decimal string like ``-3/7``."""
+        """Parse a scalar from an int (never a bool) or a decimal string like ``-3/7``."""
         raise NotImplementedError
 
     def to_str(self, a) -> str:
@@ -84,6 +84,8 @@ class Rationals(Field):
         return Fraction(n)
 
     def parse(self, s):
+        if isinstance(s, bool):
+            raise ScalarParseError(f"a boolean is not a scalar: {s!r}")
         if isinstance(s, int):
             return Fraction(s)
         if isinstance(s, Fraction):
@@ -166,6 +168,8 @@ class PrimeField(Field):
         return n % self.p
 
     def parse(self, s):
+        if isinstance(s, bool):
+            raise ScalarParseError(f"a boolean is not a scalar: {s!r}")
         if isinstance(s, int):
             return s % self.p
         if isinstance(s, str):

@@ -1,10 +1,10 @@
-"""Dense exact matrices with fraction-free (Bareiss-style) elimination.
+"""Dense exact matrices with one sparse elimination routine.
 
-Rows are tuples of field values.  The reduced row echelon form is computed
-with one-step fraction-free Gauss-Jordan updates, which keeps entries
-integral for integer input over the rationals; the same update is valid
-verbatim over GF(p).  All pivot choices are deterministic (leftmost column,
-topmost row), so echelon bases are canonical and reproducible.
+Rows are tuples of field values.  ``Matrix.rref`` is the only elimination:
+normalised Gauss-Jordan on rows held as sparse dicts, exact over Q and
+GF(p) alike.  Every rank, kernel, solve and inverse goes through it.  Pivot
+choices are deterministic (leftmost column, topmost row), so echelon bases
+are canonical and reproducible.
 
 A permutation is an index map, not a matrix.  ``leg_permutation`` gives the
 index map of a reordering of tensor legs of mixed dimensions;
@@ -272,64 +272,10 @@ class Matrix:
         """Reduced row echelon form and pivot column list.
 
         Deterministic pivoting (leftmost column, topmost row), so the result
-        is the canonical rref.  Small dense matrices use one-step
-        fraction-free Gauss-Jordan (Bareiss update), which keeps integer
-        input integral; larger ones use a sparse-friendly normalised
-        elimination that only touches nonzero rows.  Both are exact and the
-        rref is unique, so the paths agree.
+        is the canonical rref.  Rows are held as sparse dicts; each pivot row
+        is normalised and eliminated from every other row that has an entry
+        in its column, so work scales with the nonzero entries touched.
         """
-        if max(self.nrows, self.ncols) <= 48:
-            return self._rref_fraction_free()
-        return self._rref_sparse()
-
-    def _rref_fraction_free(self):
-        f = self.field
-        iz, mul, sub, div = f.is_zero, f.mul, f.sub, f.div
-        m, n = self.nrows, self.ncols
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        prev = f.one
-        r = 0
-        for c in range(n):
-            pr = None
-            for i in range(r, m):
-                if not iz(rows[i][c]):
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            if pr != r:
-                rows[r], rows[pr] = rows[pr], rows[r]
-            p = rows[r][c]
-            piv_row = rows[r]
-            p_is_prev = p == prev
-            for i in range(m):
-                if i == r:
-                    continue
-                ri = rows[i]
-                ai = ri[c]
-                if iz(ai):
-                    if p_is_prev:
-                        continue
-                    for k in range(n):
-                        x = ri[k]
-                        if not iz(x):
-                            ri[k] = div(mul(p, x), prev)
-                else:
-                    for k in range(n):
-                        ri[k] = div(sub(mul(p, ri[k]), mul(ai, piv_row[k])), prev)
-            prev = p
-            pivots.append(c)
-            r += 1
-            if r == m:
-                break
-        for i, c in enumerate(pivots):
-            p = rows[i][c]
-            if not iz(sub(p, f.one)):
-                rows[i] = [div(x, p) for x in rows[i]]
-        return Matrix(f, [tuple(row) for row in rows], n), pivots
-
-    def _rref_sparse(self):
         f = self.field
         iz, mul, sub, div = f.is_zero, f.mul, f.sub, f.div
         m, n = self.nrows, self.ncols
@@ -604,45 +550,3 @@ def permutation_matrix(field, n, order):
 def permute_tensor_rows(mat: Matrix, n: int, order) -> Matrix:
     """``permute_rows`` on the legs of an n-dim space's tensor power."""
     return permute_rows(mat, [n] * len(order), order)
-
-
-def sparse_rank_lower_bound(mat: Matrix, modulus: int, stop_at: int | None = None) -> int:
-    """Rank of ``mat`` reduced mod a prime, via sparse echelon insertion.
-
-    For integer matrices over Q this is a certified lower bound on the exact
-    rank (specialisation cannot raise rank).  Rows are kept as sparse dicts;
-    no back-elimination, so fill-in stays small for the kron-structured
-    matrices this is used on.
-    """
-    p = modulus
-    basis: dict[int, dict[int, int]] = {}
-    rank = 0
-    for row in mat.rows:
-        r = {}
-        for j, x in enumerate(row):
-            if isinstance(x, int):
-                v = x % p
-            else:
-                num, den = x.numerator, x.denominator
-                if den % p == 0:
-                    raise ValueError("denominator not invertible mod p")
-                v = num * pow(den, p - 2, p) % p
-            if v:
-                r[j] = v
-        while r:
-            lead = min(r)
-            if lead not in basis:
-                inv = pow(r[lead], p - 2, p)
-                basis[lead] = {j: v * inv % p for j, v in r.items()}
-                rank += 1
-                break
-            coef = r[lead]
-            for j, v in basis[lead].items():
-                w = (r.get(j, 0) - coef * v) % p
-                if w:
-                    r[j] = w
-                elif j in r:
-                    del r[j]
-        if stop_at is not None and rank >= stop_at:
-            return rank
-    return rank

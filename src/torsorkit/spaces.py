@@ -226,10 +226,15 @@ class Subspace:
 
 
 def kernel(f: LinearMap, name: str = "") -> Subspace:
-    """Kernel as a canonical Subspace of the domain; rank-nullity asserted."""
+    """Kernel as a canonical Subspace of the domain; rank-nullity asserted.
+
+    ``kernel_basis`` has one vector per free column of the rref, so rank
+    plus nullity is the domain dimension exactly when those vectors are
+    independent: the check needs no second elimination of ``f``.
+    """
     basis = f.matrix.kernel_basis()
     sub = Subspace.from_spanning(f.domain, basis, name or f"ker({f.domain.name})")
-    assert sub.dim + f.matrix.rank() == f.domain.dim
+    assert sub.dim == len(basis)
     return sub
 
 

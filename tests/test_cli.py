@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from torsorkit.cli import main, run
+from torsorkit.fields import GF
 from torsorkit.fixtures import generate
 from torsorkit.linalg import Matrix
 from torsorkit.pretorsor import make_bundle
@@ -133,9 +134,11 @@ def test_malformed_field_and_metadata_exit_2(tmp_path, capsys, path, value, poin
     _assert_exit_2_at(tmp_path, capsys, path, value, pointer)
 
 
-def _assert_exit_2_at(tmp_path, capsys, path, value, pointer):
-    """EX-C2's document with ``value`` put at ``path`` exits 2 at ``pointer``."""
-    doc = copy.deepcopy(bundle_to_document(generate("EX-C2").bundle))
+def _assert_exit_2_at(tmp_path, capsys, path, value, pointer, field=None):
+    """EX-C2's document, over Q unless ``field`` is given, with ``value``
+    put at ``path`` exits 2 at ``pointer``."""
+    fx = generate("EX-C2") if field is None else generate("EX-C2", field)
+    doc = copy.deepcopy(bundle_to_document(fx.bundle))
     target = doc
     for key in path[:-1]:
         target = target[key]
@@ -171,6 +174,24 @@ def test_malformed_algebra_exit_2(tmp_path, capsys, path, value, pointer):
     parser: a wrong type exits 2 with a pointer, never a traceback or a
     silent conversion."""
     _assert_exit_2_at(tmp_path, capsys, path, value, pointer)
+
+
+@pytest.mark.parametrize("field", [None, GF(101)], ids=["Q", "GF101"])
+@pytest.mark.parametrize("path, value, pointer", [
+    (("algebras", "T", "unit", 0), True, "/algebras/T"),
+    (("algebras", "T", "unit", 1), False, "/algebras/T"),
+    (SC + (3, 3), True, "/algebras/T"),
+    (("algebras", "A", "structure_constants", 0, 3), True, "/algebras/A"),
+    (("maps", "alpha", 0, 0), True, "/maps/alpha"),
+    (("maps", "beta", 1, 0), False, "/maps/beta"),
+    (("maps", "tau", 0, 1), False, "/maps/tau"),
+])
+def test_boolean_scalars_exit_2(tmp_path, capsys, field, path, value, pointer):
+    """JSON ``true``/``false`` is not a scalar: in a unit, a structure
+    constant value or a map entry it exits 2 with a pointer.  Each boolean
+    replaces an entry of the same numeric value, so only its type is
+    wrong."""
+    _assert_exit_2_at(tmp_path, capsys, path, value, pointer, field)
 
 
 @pytest.mark.parametrize("spec", ["GFx", "GF", "GF4", "GF-7"])

@@ -2,8 +2,8 @@ import time
 
 import pytest
 
-from torsorkit.errors import NotPrime
-from torsorkit.fields import GF, _is_prime
+from torsorkit.errors import NotPrime, ScalarParseError
+from torsorkit.fields import GF, QQ, _is_prime
 
 
 def _trial_division(n):
@@ -39,3 +39,11 @@ def test_strong_pseudoprimes_rejected(n):
 def test_moduli_beyond_the_certified_range_rejected():
     with pytest.raises(NotPrime, match="too large to certify"):
         GF(2 ** 89 - 1)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "GF101"])
+@pytest.mark.parametrize("value", [True, False])
+def test_booleans_are_not_scalars(field, value):
+    with pytest.raises(ScalarParseError):
+        field.parse(value)
+    assert field.parse(int(value)) == int(value)

@@ -15,7 +15,6 @@ from torsorkit.linalg import (
     permute_cols,
     permute_rows,
     permute_tensor_rows,
-    sparse_rank_lower_bound,
     split_leg,
 )
 
@@ -45,22 +44,36 @@ def test_kernel_killed(rows):
         assert all(x == 0 for x in m.apply(v))
 
 
-@given(mat_strategy())
-@settings(max_examples=40, deadline=None)
-def test_rref_idempotent_and_paths_agree(rows):
-    m = Matrix.from_rows(QQ, rows)
-    r1, p1 = m._rref_fraction_free()
-    r2, p2 = m._rref_sparse()
-    assert p1 == p2 and r1 == r2
-    again, pagain = r1.rref()
-    assert again == r1 and pagain == p1
+def assert_is_rref_of(m, r, pivots):
+    """``r`` with ``pivots`` meets the definition of the rref of ``m``."""
+    f = m.field
+    assert r.shape == m.shape
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for i, c in enumerate(pivots):
+        assert r.rows[i][c] == f.one
+        assert all(f.is_zero(r.rows[k][c]) for k in range(r.nrows) if k != i)
+        assert all(f.is_zero(x) for x in r.rows[i][:c])
+    assert all(f.is_zero(x) for row in r.rows[len(pivots):] for x in row)
+    # same row space: r's rows are combinations of m's, and each row of m
+    # reduces to zero against r's pivot rows
+    assert m.transpose().solve(r.transpose()) is not None
+    assert r.rank() == len(pivots)
+    for row in m.rows:
+        rest = list(row)
+        for i, c in enumerate(pivots):
+            a = rest[c]
+            rest = [f.sub(x, f.mul(a, y)) for x, y in zip(rest, r.rows[i])]
+        assert all(f.is_zero(x) for x in rest)
 
 
-@given(mat_strategy(4))
-@settings(max_examples=40, deadline=None)
-def test_rref_agrees_mod_p(rows):
-    mq = Matrix.from_rows(QQ, rows)
-    assert sparse_rank_lower_bound(mq, 32003) <= mq.rank()
+@given(mat_strategy(), st.sampled_from([QQ, GF(101)]))
+@settings(max_examples=60, deadline=None)
+def test_rref_meets_its_definition(rows, field):
+    m = Matrix.from_rows(field, rows)
+    r, pivots = m.rref()
+    assert_is_rref_of(m, r, pivots)
+    again, pagain = r.rref()
+    assert again == r and pagain == pivots
 
 
 def test_inverse_and_errors():
@@ -119,10 +132,11 @@ def test_kron_and_permutations():
     assert mp.rank() == 6
 
 
-def test_bareiss_keeps_integrality():
+def test_rref_of_invertible_integer_matrix_is_identity():
     m = Matrix.from_rows(QQ, [[2, 4, 1], [3, 7, 2], [5, 9, 4]])
-    r, piv = m._rref_fraction_free()
+    r, piv = m.rref()
     assert piv == [0, 1, 2]
+    assert r.is_identity()
     assert (m @ m.inverse()).is_identity()
 
 

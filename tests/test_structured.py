@@ -248,3 +248,18 @@ def test_product_descent_matches_dense_and_catches_a_perturbation(an_smash):
         assert not dense_balanced(bumped)
         with pytest.raises(ClosureFailure, match="representative-independent"):
             _bilinear_from_pairs(b, bumped, chain, sub, "C")
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "GF101"])
+def test_relation_span_check_catches_a_rank_loss(monkeypatch, field):
+    """The regenerated relation family of ``balanced_tensor`` is compared
+    with ``ker(proj)`` by exact rank: a family that keeps only its first
+    column dies under proj but spans too little, and must be rejected."""
+    b = fixture("EX-SMASH", None if field is QQ else field).bundle
+    TBT = algebra.balanced_tensor(b.T_AB, b.B, b.T_BA)
+    assert TBT.dim < TBT.chain.ambient.dim
+    real = algebra._link_relation_columns
+    monkeypatch.setattr(algebra, "_link_relation_columns",
+                        lambda *args: real(*args)[:1])
+    with pytest.raises(NotWellDefined, match="disagrees between enumeration orders"):
+        algebra.balanced_tensor(b.T_AB, b.B, b.T_BA)
