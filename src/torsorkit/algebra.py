@@ -42,6 +42,7 @@ class Algebra:
         if mult.domain.dim != space.dim * space.dim:
             raise ShapeMismatch("multiplication domain is not the square tensor")
         self.mult = mult
+        self._mult_cols = mult.matrix.col_supports()
         self.unit = tuple(unit)
         if len(self.unit) != space.dim:
             raise ShapeMismatch("unit vector has wrong length")
@@ -59,22 +60,18 @@ class Algebra:
     def product_vec(self, u, v):
         n = self.dim
         f = self.field
-        iz, mul = f.is_zero, f.mul
+        iz, add, mul = f.is_zero, f.add, f.mul
         acc = [f.zero] * n
-        rows = self.mult.matrix.rows
+        cols = self._mult_cols
+        v_support = [(j, b) for j, b in enumerate(v) if not iz(b)]
         for i, a in enumerate(u):
             if iz(a):
                 continue
             base = i * n
-            for j, b in enumerate(v):
-                if iz(b):
-                    continue
+            for j, b in v_support:
                 c = mul(a, b)
-                col = base + j
-                for k in range(n):
-                    x = rows[k][col]
-                    if not iz(x):
-                        acc[k] = f.add(acc[k], mul(c, x))
+                for k, x in cols[base + j]:
+                    acc[k] = add(acc[k], mul(c, x))
         return tuple(acc)
 
     def _validate(self):
@@ -422,7 +419,8 @@ _chain_cache: dict = {}
 
 
 def _link_relation_columns(field, factor_spaces, link: Link):
-    """Relation generators of one link, as columns over the full ambient."""
+    """Relation generators of one link, as sparse columns over the full
+    ambient (see ``_relation_columns``)."""
     dims = [s.dim for s in factor_spaces]
     cols = []
     ring = link.ring
@@ -440,7 +438,8 @@ def _link_relation_columns(field, factor_spaces, link: Link):
 
 
 def _relation_columns(field, dims, i, mi: Matrix, j, mj: Matrix):
-    """Nonzero columns of (mi on leg i) - (mj on leg j), in column order.
+    """Nonzero columns of (mi on leg i) - (mj on leg j), in column order,
+    each a dict ``{row: nonzero value}``.
 
     Column x is ``mi[:, x_i]`` put on leg i minus ``mj[:, x_j]`` put on leg
     j, where x_i, x_j are the digits of x; it is built from the two column
@@ -448,7 +447,7 @@ def _relation_columns(field, dims, i, mi: Matrix, j, mj: Matrix):
     """
     total = prod(dims)
     si, sj = prod(dims[i + 1:]), prod(dims[j + 1:])
-    z, iz, sub = field.zero, field.is_zero, field.sub
+    iz, sub, neg = field.is_zero, field.sub, field.neg
     mi_cols, mj_cols = mi.col_supports(), mj.col_supports()
     cols = []
     for x in range(total):
@@ -456,12 +455,15 @@ def _relation_columns(field, dims, i, mi: Matrix, j, mj: Matrix):
         entries = {x + (r - xi) * si: v for r, v in mi_cols[xi]}
         for r, w in mj_cols[xj]:
             y = x + (r - xj) * sj
-            entries[y] = sub(entries.get(y, z), w)
-        if any(not iz(v) for v in entries.values()):
-            col = [z] * total
-            for y, v in entries.items():
-                col[y] = v
-            cols.append(tuple(col))
+            v = entries.get(y)
+            if v is None:
+                entries[y] = neg(w)
+            elif iz(v := sub(v, w)):
+                del entries[y]
+            else:
+                entries[y] = v
+        if entries:
+            cols.append(entries)
     return cols
 
 
@@ -569,7 +571,8 @@ def _build_chain(spaces, links, name="") -> TensorChain:
                            for t in range(s.dim)]
                 mj = Matrix.from_cols(field, mj_cols, s.dim)
                 lifted_cols += _relation_columns(field, [carrier.dim, s.dim], 0, lifted, 1, mj)
-            rel = Subspace.from_spanning(step_amb, lifted_cols)
+            rel = Subspace.from_spanning(
+                step_amb, Matrix.from_sparse_rows(field, lifted_cols, step_amb.dim))
             carrier_next, step_proj, step_sect = quotient(step_amb, rel)
         step_legs = [carrier.dim, s.dim]
         full_proj = LinearMap(amb_next, carrier_next, kron_apply(
@@ -585,11 +588,9 @@ def _build_chain(spaces, links, name="") -> TensorChain:
     if nonadjacent:
         gen_cols = []
         for link in nonadjacent:
-            for c in _link_relation_columns(field, spaces, link):
-                v = full_proj.apply(c)
-                if any(not field.is_zero(x) for x in v):
-                    gen_cols.append(v)
-        rel = Subspace.from_spanning(carrier, gen_cols)
+            gen_cols += _link_relation_columns(field, spaces, link)
+        gen = Matrix.from_sparse_rows(field, gen_cols, ambient.dim)
+        rel = Subspace.from_spanning(carrier, (full_proj.matrix @ gen.transpose()).transpose())
         carrier2, extra_proj, extra_sect = quotient(carrier, rel)
         full_proj = extra_proj @ full_proj
         full_sect = full_sect @ extra_sect
@@ -845,7 +846,7 @@ def _verify_relation_span(ts: TensorSpace):
     for link in reversed(chain.links):
         cols.extend(reversed(_link_relation_columns(field, chain.factor_spaces, link)))
     target = chain.ambient.dim - chain.dim
-    gen = Matrix(field, cols, chain.ambient.dim)
+    gen = Matrix.from_sparse_rows(field, cols, chain.ambient.dim)
     # containment: every regenerated relation dies under proj
     if cols and not (chain.proj.matrix @ gen.transpose()).is_zero():
         raise NotWellDefined("regenerated relation escapes the relation span")

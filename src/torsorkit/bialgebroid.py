@@ -124,8 +124,7 @@ def bialgebroid_from_torsor(bundle: PreTorsorBundle, pair: CoringPair):
     if gl_C is None:
         raise AxiomFailure(f"{b.name}: bundle is not unital, no candidate unit")
     C_alg = Algebra(C.space,
-                    LinearMap(tensor_space([C.space, C.space]), C.space,
-                              Matrix(f, mult_C_pairs.rows, C.dim * C.dim)),
+                    LinearMap(tensor_space([C.space, C.space]), C.space, mult_C_pairs),
                     gl_C.element, name=f"Calg({b.name})")
     sC_cols = []
     tC_cols = []
@@ -150,8 +149,7 @@ def bialgebroid_from_torsor(bundle: PreTorsorBundle, pair: CoringPair):
     mult_D_pairs = _bilinear_from_pairs(b, raw_d, b.TAT, pair.D_sub, f"{b.name}:D-product")
     gl_D = pair.grouplike_D
     D_alg = Algebra(D.space,
-                    LinearMap(tensor_space([D.space, D.space]), D.space,
-                              Matrix(f, mult_D_pairs.rows, D.dim * D.dim)),
+                    LinearMap(tensor_space([D.space, D.space]), D.space, mult_D_pairs),
                     gl_D.element, name=f"Dalg({b.name})")
     sD_cols = []
     tD_cols = []
@@ -354,8 +352,7 @@ def takeuchi_subspace_right(b, C: Coring, C_alg: Algebra,
         lt = C_alg.left_mult_map(target.map.apply(a)).matrix
         m1 = C.cc.proj.matrix @ ls.kron(idC) @ C.cc.sect.matrix
         m2 = C.cc.proj.matrix @ idC.kron(lt) @ C.cc.sect.matrix
-        subs.append(kernel(LinearMap(C.cc.carrier, C.cc.carrier,
-                                     Matrix(f, (m1 - m2).rows, C.cc.dim))))
+        subs.append(kernel(LinearMap(C.cc.carrier, C.cc.carrier, m1 - m2)))
     return intersect(subs, "takeuchi") if subs else None
 
 
@@ -372,8 +369,7 @@ def takeuchi_subspace_left(D: Coring, D_alg: Algebra,
         rs = D_alg.right_mult_map(source.map.apply(a)).matrix
         m1 = D.cc.proj.matrix @ rt.kron(idD) @ D.cc.sect.matrix
         m2 = D.cc.proj.matrix @ idD.kron(rs) @ D.cc.sect.matrix
-        subs.append(kernel(LinearMap(D.cc.carrier, D.cc.carrier,
-                                     Matrix(f, (m1 - m2).rows, D.cc.dim))))
+        subs.append(kernel(LinearMap(D.cc.carrier, D.cc.carrier, m1 - m2)))
     return intersect(subs, "takeuchi") if subs else None
 
 

@@ -10,7 +10,7 @@ Exit codes: 0 all checks pass, 1 at least one failed, 2 parse error.
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
 import sys
 
 from . import fixtures as fixture_mod
@@ -44,10 +44,24 @@ def _load_bundle(args):
         fx = fixture_mod.generate(args.fixture, field)
         return fx.bundle, fx
     if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            doc = loads(fh.read())
-        return bundle_from_document(doc), None
+        try:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise DocumentError(f"cannot read {args.input}: {exc.strerror}", "") from exc
+        except UnicodeDecodeError as exc:
+            raise DocumentError(f"{args.input} is not UTF-8: {exc.reason}", "") from exc
+        return bundle_from_document(loads(text)), None
     raise DocumentError("need --fixture NAME or --input FILE", "")
+
+
+def _open_report(path):
+    """The ``--json`` target, opened before the analysis runs, so a path
+    that cannot be written is a document error, not a lost report."""
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc.strerror}", "") from exc
 
 
 def _twist_report(bundle, fx) -> Report:
@@ -136,18 +150,19 @@ def main(argv=None) -> int:
     parser.add_argument("--dump-matrices", action="store_true")
     parser.add_argument("--json", dest="json_out", help="write report JSON here")
     args = parser.parse_args(argv)
-    try:
-        code, doc = run(args.command, args)
-    except (DocumentError, UnknownFixture) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TorsorKitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    text = dumps(doc)
-    if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with contextlib.ExitStack() as stack:
+        try:
+            out = stack.enter_context(_open_report(args.json_out)) if args.json_out else None
+            code, doc = run(args.command, args)
+        except (DocumentError, UnknownFixture) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except TorsorKitError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        text = dumps(doc)
+        if out is not None:
+            out.write(text)
     if args.command == "fixture":
         print(text, end="")
     else:

@@ -180,7 +180,7 @@ def _oracle_dims(field, T: Algebra, alpha: Matrix, beta: Matrix,
     # Tbar as the intersection (C (x) T and T (x) D inside q3bar)
     ct_cols = []
     for i in range(dim_C):
-        rep = s2b.apply(C_basis.rows[i])
+        rep = s2b.apply(C_basis.row(i))
         for t in range(n):
             vec = [field.zero] * (n ** 3)
             for j, x in enumerate(rep):
@@ -188,7 +188,7 @@ def _oracle_dims(field, T: Algebra, alpha: Matrix, beta: Matrix,
             ct_cols.append(p3bar.apply(tuple(vec)))
     td_cols = []
     for i in range(dim_D):
-        rep = s2a.apply(D_basis.rows[i])
+        rep = s2a.apply(D_basis.row(i))
         for t in range(n):
             vec = [field.zero] * (n ** 3)
             for j, x in enumerate(rep):

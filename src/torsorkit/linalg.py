@@ -1,17 +1,26 @@
-"""Dense exact matrices with one sparse elimination routine.
+"""Sparse exact matrices with one elimination routine.
 
-Rows are tuples of field values.  ``Matrix.rref`` is the only elimination:
-normalised Gauss-Jordan on rows held as sparse dicts, exact over Q and
-GF(p) alike.  Every rank, kernel, solve and inverse goes through it.  Pivot
-choices are deterministic (leftmost column, topmost row), so echelon bases
-are canonical and reproducible.
+A ``Matrix`` stores each row as a dict from column index to value, and no
+dict ever holds a zero.  Equality compares those dicts, so two matrices with
+the same entries are equal however they were built, and a check costs time
+in proportion to the nonzero entries, never the zeros (compressed sparse
+rows; Davis, *Direct Methods for Sparse Linear Systems*, SIAM 2006, ch. 2).
+The public constructor takes dense rows and drops their zeros once; every
+operation builds its result from sparse rows directly through
+``Matrix.from_sparse_rows``.  An identity is a flag over n one-entry rows.
+``.rows`` is a dense view built on demand, for documents and tests.
+
+``Matrix.rref`` is the only elimination: normalised Gauss-Jordan on the
+sparse rows, exact over Q and GF(p) alike.  Every rank, kernel, solve and
+inverse goes through it.  Pivot choices are deterministic (leftmost column,
+topmost row), so echelon bases are canonical and reproducible.
 
 A permutation is an index map, not a matrix.  ``leg_permutation`` gives the
 index map of a reordering of tensor legs of mixed dimensions;
 ``permute_rows`` and ``permute_cols`` apply it to a matrix by moving rows or
 columns, with no arithmetic.  ``mixed_permutation`` builds the same
-permutation as a dense matrix and is kept as the reference the tests
-compare against.
+permutation as a matrix and is kept as the reference the tests compare
+against.
 
 A Kronecker product is applied, not built.  ``kron_apply`` evaluates
 ``(F1 (x) ... (x) Fk) . P . (G1 (x) ... (x) Gm)`` one output column at a
@@ -32,44 +41,63 @@ _identity_cache: dict = {}
 
 
 class Matrix:
-    """Immutable ``rows x cols`` matrix over a fixed field."""
+    """Immutable ``rows x cols`` matrix over a fixed field.
 
-    __slots__ = ("field", "nrows", "ncols", "rows", "_id_flag")
+    ``_rows`` is a tuple of dicts ``{col: nonzero value}``; they are shared
+    between matrices and never mutated after construction.
+    """
+
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_id_flag")
 
     def __init__(self, field: Field, rows, ncols: int | None = None):
-        self.field = field
-        self.rows = tuple(tuple(r) for r in rows)
-        self.nrows = len(self.rows)
-        if self.nrows:
-            self.ncols = len(self.rows[0])
-            if any(len(r) != self.ncols for r in self.rows):
+        rows = [tuple(r) for r in rows]
+        if rows:
+            width = len(rows[0])
+            if any(len(r) != width for r in rows):
                 raise ShapeMismatch("ragged rows")
-            if ncols is not None and ncols != self.ncols:
+            if ncols is not None and ncols != width:
                 raise ShapeMismatch("ncols disagrees with row length")
-        else:
-            if ncols is None:
-                raise ShapeMismatch("empty matrix needs explicit ncols")
-            self.ncols = ncols
+            ncols = width
+        elif ncols is None:
+            raise ShapeMismatch("empty matrix needs explicit ncols")
+        iz = field.is_zero
+        self.field = field
+        self.nrows = len(rows)
+        self.ncols = ncols
+        self._rows = tuple({j: x for j, x in enumerate(r) if not iz(x)} for r in rows)
         self._id_flag = None
 
     # -- constructors ------------------------------------------------
 
     @staticmethod
+    def from_sparse_rows(field, rows, ncols) -> "Matrix":
+        """A matrix on rows given as dicts ``{col: nonzero value}``.
+
+        The dicts must hold no zero.  They are kept, not copied, so no one
+        may mutate them afterwards.
+        """
+        m = object.__new__(Matrix)
+        m.field = field
+        m._rows = rows = tuple(rows)
+        m.nrows = len(rows)
+        m.ncols = ncols
+        m._id_flag = None
+        return m
+
+    @staticmethod
     def zero(field, nrows, ncols):
-        z = field.zero
-        return Matrix(field, [(z,) * ncols for _ in range(nrows)], ncols)
+        return Matrix.from_sparse_rows(field, [{} for _ in range(nrows)], ncols)
 
     @staticmethod
     def identity(field, n):
         key = (id(field), n)
         hit = _identity_cache.get(key)
-        if hit is not None:
-            return hit
-        z, o = field.zero, field.one
-        m = Matrix(field, [tuple(o if i == j else z for j in range(n)) for i in range(n)], n)
-        m._id_flag = True
-        _identity_cache[key] = m
-        return m
+        if hit is None:
+            one = field.one
+            hit = Matrix.from_sparse_rows(field, [{i: one} for i in range(n)], n)
+            hit._id_flag = True
+            _identity_cache[key] = hit
+        return hit
 
     @staticmethod
     def from_rows(field, rows, ncols=None):
@@ -81,9 +109,17 @@ class Matrix:
         if not cols:
             if nrows is None:
                 raise ShapeMismatch("from_cols: empty column list needs nrows")
-            return Matrix(field, [()] * nrows, 0) if nrows else Matrix(field, [], 0)
+            return Matrix.zero(field, nrows, 0)
         n = len(cols[0])
-        return Matrix(field, [tuple(c[i] for c in cols) for i in range(n)], len(cols))
+        if any(len(c) != n for c in cols):
+            raise ShapeMismatch("from_cols: ragged columns")
+        iz = field.is_zero
+        rows = [{} for _ in range(n)]
+        for j, c in enumerate(cols):
+            for i, x in enumerate(c):
+                if not iz(x):
+                    rows[i][j] = x
+        return Matrix.from_sparse_rows(field, rows, len(cols))
 
     # -- basics ------------------------------------------------------
 
@@ -91,97 +127,116 @@ class Matrix:
     def shape(self):
         return (self.nrows, self.ncols)
 
+    @property
+    def rows(self):
+        """Dense view: a tuple of row tuples, zeros filled in."""
+        return tuple(self.row(i) for i in range(self.nrows))
+
+    def sparse_rows(self):
+        """The rows as dicts ``{col: nonzero value}``; do not mutate them."""
+        return self._rows
+
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
             and self.shape == other.shape
-            and self.rows == other.rows
+            and self._rows == other._rows
         )
 
     def __hash__(self):
-        return hash((self.shape, self.rows))
+        return hash((self.shape, tuple(frozenset(r.items()) for r in self._rows)))
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field.name})"
 
     def entry(self, i, j):
-        return self.rows[i][j]
+        return self._rows[i].get(j, self.field.zero)
+
+    def row(self, i):
+        z = self.field.zero
+        get = self._rows[i].get
+        return tuple(get(j, z) for j in range(self.ncols))
 
     def col(self, j):
-        return tuple(r[j] for r in self.rows)
-
-    def cols(self):
-        return [self.col(j) for j in range(self.ncols)]
+        z = self.field.zero
+        return tuple(r.get(j, z) for r in self._rows)
 
     def col_supports(self):
         """Per column, the ``(row, value)`` pairs of its nonzero entries."""
         if self._id_flag:
             one = self.field.one
             return [((j, one),) for j in range(self.ncols)]
-        iz = self.field.is_zero
         cols = [[] for _ in range(self.ncols)]
-        for i, r in enumerate(self.rows):
-            for j, x in enumerate(r):
-                if not iz(x):
-                    cols[j].append((i, x))
+        for i, r in enumerate(self._rows):
+            for j, x in r.items():
+                cols[j].append((i, x))
         return cols
 
     def is_zero(self):
-        iz = self.field.is_zero
-        return all(iz(x) for r in self.rows for x in r)
+        return not any(self._rows)
 
     def is_identity(self):
         if self._id_flag is not None:
             return self._id_flag
-        if self.nrows != self.ncols:
-            self._id_flag = False
-            return False
-        f = self.field
-        ok = all(
-            (f.is_zero(f.sub(x, f.one)) if i == j else f.is_zero(x))
-            for i, r in enumerate(self.rows)
-            for j, x in enumerate(r)
-        )
+        one = self.field.one
+        ok = self.nrows == self.ncols and all(
+            len(r) == 1 and r.get(i) == one for i, r in enumerate(self._rows))
         self._id_flag = ok
         return ok
 
     def transpose(self):
-        return Matrix(self.field, list(zip(*self.rows)) if self.nrows else [], self.nrows)
+        cols = [{} for _ in range(self.ncols)]
+        for i, r in enumerate(self._rows):
+            for j, x in r.items():
+                cols[j][i] = x
+        return Matrix.from_sparse_rows(self.field, cols, self.nrows)
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """Entrywise ``op(a, b)`` on the union of the supports."""
         self._check_same_shape(other)
         f = self.field
-        return Matrix(
-            self.field,
-            [tuple(f.add(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)],
-            self.ncols,
-        )
+        iz, z = f.is_zero, f.zero
+        out = []
+        for r1, r2 in zip(self._rows, other._rows):
+            row = {}
+            for k in r1.keys() | r2.keys():
+                w = op(r1.get(k, z), r2.get(k, z))
+                if not iz(w):
+                    row[k] = w
+            out.append(row)
+        return Matrix.from_sparse_rows(f, out, self.ncols)
+
+    def __add__(self, other):
+        return self._combine(other, self.field.add)
 
     def __sub__(self, other):
-        self._check_same_shape(other)
-        f = self.field
-        return Matrix(
-            self.field,
-            [tuple(f.sub(a, b) for a, b in zip(r1, r2)) for r1, r2 in zip(self.rows, other.rows)],
-            self.ncols,
-        )
+        return self._combine(other, self.field.sub)
 
     def __neg__(self):
-        f = self.field
-        return Matrix(self.field, [tuple(f.neg(a) for a in r) for r in self.rows], self.ncols)
+        neg = self.field.neg
+        return Matrix.from_sparse_rows(
+            self.field, [{k: neg(v) for k, v in r.items()} for r in self._rows], self.ncols)
 
     def scale(self, c):
         f = self.field
-        return Matrix(self.field, [tuple(f.mul(c, a) for a in r) for r in self.rows], self.ncols)
+        if f.is_zero(c):
+            return Matrix.zero(f, self.nrows, self.ncols)
+        mul = f.mul
+        return Matrix.from_sparse_rows(
+            f, [{k: mul(c, v) for k, v in r.items()} for r in self._rows], self.ncols)
 
     def _check_same_shape(self, other):
         if self.shape != other.shape:
             raise ShapeMismatch(f"shape {self.shape} vs {other.shape}")
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """Matrix product; sparse-aware on both factors."""
+        """Matrix product, row by row over the nonzero entries.
+
+        A product of nonzero field elements is nonzero, so a row whose
+        entries each received one term holds no zero; only rows where terms
+        met are tested for zeros."""
         if self.ncols != other.nrows:
             raise ShapeMismatch(f"cannot multiply {self.shape} by {other.shape}")
         if self.is_identity():
@@ -189,43 +244,42 @@ class Matrix:
         if other.is_identity():
             return self
         f = self.field
-        z = f.zero
         iz, add, mul = f.is_zero, f.add, f.mul
-        n = other.ncols
-        nz_rows = [None] * other.nrows
-        orows = other.rows
+        orows = other._rows
         out = []
-        for r in self.rows:
-            acc = [z] * n
-            for j, a in enumerate(r):
-                if iz(a):
-                    continue
-                pairs = nz_rows[j]
-                if pairs is None:
-                    pairs = tuple((k, b) for k, b in enumerate(orows[j]) if not iz(b))
-                    nz_rows[j] = pairs
-                for k, b in pairs:
-                    acc[k] = add(acc[k], mul(a, b))
-            out.append(tuple(acc))
-        return Matrix(f, out, n)
+        for r in self._rows:
+            acc = {}
+            terms = 0
+            for j, a in r.items():
+                brow = orows[j]
+                terms += len(brow)
+                for k, b in brow.items():
+                    if k in acc:
+                        acc[k] = add(acc[k], mul(a, b))
+                    else:
+                        acc[k] = mul(a, b)
+            if terms > len(acc):
+                acc = {k: v for k, v in acc.items() if not iz(v)}
+            out.append(acc)
+        return Matrix.from_sparse_rows(f, out, other.ncols)
 
     def apply(self, vec):
-        """Image of a coordinate vector; cost scales with its support."""
+        """Image of a coordinate vector; cost scales with the nonzeros."""
         if len(vec) != self.ncols:
             raise ShapeMismatch("vector length mismatch")
         if self._id_flag:
             return tuple(vec)
         f = self.field
-        iz, add, mul = f.is_zero, f.add, f.mul
-        out = [f.zero] * self.nrows
-        rows = self.rows
-        for j, v in enumerate(vec):
-            if iz(v):
-                continue
-            for i in range(self.nrows):
-                a = rows[i][j]
-                if not iz(a):
-                    out[i] = add(out[i], mul(a, v))
+        iz, add, mul, z = f.is_zero, f.add, f.mul, f.zero
+        support = {j: v for j, v in enumerate(vec) if not iz(v)}
+        out = [z] * self.nrows
+        for i, r in enumerate(self._rows):
+            acc = z
+            for j, a in r.items():
+                v = support.get(j)
+                if v is not None:
+                    acc = add(acc, mul(a, v))
+            out[i] = acc
         return tuple(out)
 
     def kron(self, other: "Matrix") -> "Matrix":
@@ -233,20 +287,15 @@ class Matrix:
         f = self.field
         if self.is_identity() and other.is_identity():
             return Matrix.identity(f, self.nrows * other.nrows)
-        iz, mul = f.is_zero, f.mul
-        z = f.zero
-        zrow = (z,) * other.ncols
+        mul = f.mul
+        n = other.ncols
         out = []
-        for r1 in self.rows:
-            for r2 in other.rows:
-                row = []
-                for a in r1:
-                    if iz(a):
-                        row.extend(zrow)
-                    else:
-                        row.extend(mul(a, b) for b in r2)
-                out.append(tuple(row))
-        return Matrix(f, out, self.ncols * other.ncols)
+        for r1 in self._rows:
+            blocks = [(j1 * n, a) for j1, a in r1.items()]
+            for r2 in other._rows:
+                out.append({base + j2: mul(a, b) for base, a in blocks
+                            for j2, b in r2.items()})
+        return Matrix.from_sparse_rows(f, out, self.ncols * n)
 
     @staticmethod
     def stack_rows(mats):
@@ -257,14 +306,21 @@ class Matrix:
         for m in mats:
             if m.ncols != ncols:
                 raise ShapeMismatch("stack_rows: column counts differ")
-            rows.extend(m.rows)
-        return Matrix(f, rows, ncols)
+            rows.extend(m._rows)
+        return Matrix.from_sparse_rows(f, rows, ncols)
 
     @staticmethod
     def augment(a: "Matrix", b: "Matrix") -> "Matrix":
         if a.nrows != b.nrows:
             raise ShapeMismatch("augment: row counts differ")
-        return Matrix(a.field, [ra + rb for ra, rb in zip(a.rows, b.rows)], a.ncols + b.ncols)
+        n = a.ncols
+        rows = []
+        for ra, rb in zip(a._rows, b._rows):
+            row = dict(ra)
+            for k, v in rb.items():
+                row[n + k] = v
+            rows.append(row)
+        return Matrix.from_sparse_rows(a.field, rows, n + b.ncols)
 
     # -- elimination ---------------------------------------------------
 
@@ -272,18 +328,15 @@ class Matrix:
         """Reduced row echelon form and pivot column list.
 
         Deterministic pivoting (leftmost column, topmost row), so the result
-        is the canonical rref.  Rows are held as sparse dicts; each pivot row
-        is normalised and eliminated from every other row that has an entry
-        in its column, so work scales with the nonzero entries touched.
+        is the canonical rref.  Each pivot row is normalised and eliminated
+        from every other row that has an entry in its column, so work
+        scales with the nonzero entries touched.
         """
         f = self.field
-        iz, mul, sub, div = f.is_zero, f.mul, f.sub, f.div
+        iz, mul, sub, div, neg = f.is_zero, f.mul, f.sub, f.div, f.neg
+        one = f.one
         m, n = self.nrows, self.ncols
-        # rows as sparse dicts col -> value
-        rows = []
-        for r in self.rows:
-            d = {j: x for j, x in enumerate(r) if not iz(x)}
-            rows.append(d)
+        rows = [dict(r) for r in self._rows]
         pivots = []
         r = 0
         for c in range(n):
@@ -298,62 +351,64 @@ class Matrix:
                 rows[r], rows[pr] = rows[pr], rows[r]
             piv = rows[r]
             p = piv[c]
-            if p != f.one:
+            if p != one:
                 for k in list(piv):
                     piv[k] = div(piv[k], p)
-            piv_items = tuple(piv.items())
+            # column c of every other row becomes exactly zero
+            piv_items = tuple((k, v) for k, v in piv.items() if k != c)
             for i in range(m):
                 if i == r:
                     continue
                 ri = rows[i]
-                a = ri.get(c)
+                a = ri.pop(c, None)
                 if a is None:
                     continue
+                na = neg(a)
                 for k, v in piv_items:
-                    w = sub(ri.get(k, f.zero), mul(a, v))
-                    if iz(w):
-                        ri.pop(k, None)
+                    x = ri.get(k)
+                    if x is None:
+                        ri[k] = mul(na, v)
                     else:
-                        ri[k] = w
+                        w = sub(x, mul(a, v))
+                        if iz(w):
+                            del ri[k]
+                        else:
+                            ri[k] = w
             pivots.append(c)
             r += 1
             if r == m:
                 break
-        # nonzero rows in order, then the zero rows; no dict holds a zero
-        z = f.zero
-        out = []
-        for d in rows:
-            if d:
-                row = [z] * n
-                for k, v in d.items():
-                    row[k] = v
-                out.append(tuple(row))
-        out += [(z,) * n] * (m - len(out))
-        return Matrix(f, out, n), pivots
+        # nonzero rows in order, then the zero rows
+        out = [d for d in rows if d]
+        out += [{} for _ in range(m - len(out))]
+        return Matrix.from_sparse_rows(f, out, n), pivots
 
     def rank(self):
         return len(self.rref()[1])
 
-    def kernel_basis(self):
-        """Canonical kernel basis (one row per free column of the rref)."""
+    def nullspace(self) -> "Matrix":
+        """Canonical kernel basis as the rows of a matrix: one row per free
+        column j of the rref, 1 at j and minus column j of the rref at the
+        pivots."""
         f = self.field
         R, pivots = self.rref()
+        neg, one = f.neg, f.one
         pivset = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivset]
-        basis = []
-        z, o = f.zero, f.one
-        for j in free:
-            v = [z] * self.ncols
-            v[j] = o
-            for i, p in enumerate(pivots):
-                v[p] = f.neg(R.rows[i][j])
-            basis.append(tuple(v))
-        return basis
+        vecs = {j: {j: one} for j in range(self.ncols) if j not in pivset}
+        for p, row in zip(pivots, R._rows):
+            for j, x in row.items():
+                if j != p:
+                    vecs[j][p] = neg(x)
+        return Matrix.from_sparse_rows(f, vecs.values(), self.ncols)
+
+    def kernel_basis(self):
+        """``nullspace`` as a list of coordinate tuples."""
+        return list(self.nullspace().rows)
 
     def row_space_basis(self):
         """Canonical (rref) basis of the row space."""
         R, pivots = self.rref()
-        return [R.rows[i] for i in range(len(pivots))]
+        return [R.row(i) for i in range(len(pivots))]
 
     def solve(self, rhs: "Matrix"):
         """A particular X with ``self @ X == rhs``, or None if inconsistent.
@@ -362,16 +417,14 @@ class Matrix:
         """
         if rhs.nrows != self.nrows:
             raise ShapeMismatch("solve: row counts differ")
-        f = self.field
         R, pivots = Matrix.augment(self, rhs).rref()
         n = self.ncols
         if any(p >= n for p in pivots):
             return None
-        z = f.zero
-        out_rows = [[z] * rhs.ncols for _ in range(n)]
-        for i, p in enumerate(pivots):
-            out_rows[p] = list(R.rows[i][n:])
-        return Matrix(f, [tuple(r) for r in out_rows], rhs.ncols)
+        out = [{} for _ in range(n)]
+        for p, row in zip(pivots, R._rows):
+            out[p] = {k - n: v for k, v in row.items() if k >= n}
+        return Matrix.from_sparse_rows(self.field, out, rhs.ncols)
 
     def inverse(self):
         f = self.field
@@ -416,23 +469,21 @@ def permute_rows(mat: Matrix, dims, order) -> Matrix:
     idx = leg_permutation(dims, order)
     if len(idx) != mat.nrows:
         raise ShapeMismatch("permutation does not match the row count")
-    rows = mat.rows
-    return Matrix(mat.field, [rows[i] for i in idx], mat.ncols)
+    rows = mat._rows
+    return Matrix.from_sparse_rows(mat.field, [rows[i] for i in idx], mat.ncols)
 
 
 def permute_cols(mat: Matrix, dims, order) -> Matrix:
     """``mat @ mixed_permutation(f, dims, order)`` by reordering columns.
 
-    Column ``idx[j]`` of the product is column ``j`` of ``mat``, so the
-    columns are read through the inverse index.
+    Column ``idx[j]`` of the product is column ``j`` of ``mat``, so each
+    entry moves from column j to column ``idx[j]``.
     """
     idx = leg_permutation(dims, order)
     if len(idx) != mat.ncols:
         raise ShapeMismatch("permutation does not match the column count")
-    inv = [0] * len(idx)
-    for j, c in enumerate(idx):
-        inv[c] = j
-    return Matrix(mat.field, [tuple(r[j] for j in inv) for r in mat.rows], mat.ncols)
+    return Matrix.from_sparse_rows(mat.field, [{idx[j]: x for j, x in r.items()} for r in mat._rows],
+                          mat.ncols)
 
 
 def split_leg(mat: Matrix, dims, leg) -> Matrix:
@@ -444,9 +495,15 @@ def split_leg(mat: Matrix, dims, leg) -> Matrix:
         raise ShapeMismatch("split_leg: legs do not match the column count")
     stride = prod(dims[leg + 1:])
     span = dims[leg] * stride
-    starts = [hi + lo for hi in range(0, mat.ncols, span) for lo in range(stride)]
-    return Matrix(mat.field, [r[b:b + span:stride] for r in mat.rows for b in starts],
-                  dims[leg])
+    per_row = prod(dims[:leg]) * stride
+    out = [{} for _ in range(mat.nrows * per_row)]
+    for i, r in enumerate(mat._rows):
+        base = i * per_row
+        for k, x in r.items():
+            hi, rem = divmod(k, span)
+            t, lo = divmod(rem, stride)
+            out[base + hi * stride + lo][t] = x
+    return Matrix.from_sparse_rows(mat.field, out, dims[leg])
 
 
 def _block_sizes(factors, legs, size_of):
@@ -492,7 +549,7 @@ def kron_apply(field, left, dims, order, right) -> Matrix:
     g_sizes = _block_sizes(right, dims, lambda m: m.nrows)
     f_sizes = _block_sizes(left, dims if order is None else [dims[o] for o in order],
                            lambda m: m.ncols)
-    one, z, add, mul = field.one, field.zero, field.add, field.mul
+    one, iz, add, mul = field.one, field.is_zero, field.add, field.mul
     g_cols = [[((c, one),) for c in range(n)] if g is None else g.col_supports()
               for g, n in zip(right, g_sizes)]
     position = None
@@ -508,13 +565,14 @@ def kron_apply(field, left, dims, order, right) -> Matrix:
             stages.append((fac.col_supports(), n * trailing, fac.nrows * trailing, trailing))
         trailing *= n if fac is None else fac.nrows
     ncols = prod(len(c) for c in g_cols)
-    out = [[z] * ncols for _ in range(trailing)]
+    out = [{} for _ in range(trailing)]
     for j, supports in enumerate(product(*g_cols)):
         vec = {0: one}
         for supp, n in zip(supports, g_sizes):
             vec = {x * n + r: mul(v, a) for x, v in vec.items() for r, a in supp}
         if position is not None:
             vec = {position[x]: v for x, v in vec.items()}
+        summed = False
         for supp, width, height, lo in stages:
             nxt = {}
             for x, v in vec.items():
@@ -524,22 +582,27 @@ def kron_apply(field, left, dims, order, right) -> Matrix:
                 for r, a in supp[mid]:
                     y = base + r * lo
                     w = mul(a, v)
-                    nxt[y] = add(nxt[y], w) if y in nxt else w
+                    if y in nxt:
+                        nxt[y] = add(nxt[y], w)
+                        summed = True
+                    else:
+                        nxt[y] = w
             vec = nxt
         for y, v in vec.items():
-            out[y][j] = v
-    return Matrix(field, out, ncols)
+            if not (summed and iz(v)):
+                out[y][j] = v
+    return Matrix.from_sparse_rows(field, out, ncols)
 
 
 def mixed_permutation(field, dims, order) -> Matrix:
-    """The dense permutation matrix of ``leg_permutation(dims, order)``.
+    """The permutation matrix of ``leg_permutation(dims, order)``.
 
     A reference for tests; the engine applies permutations with
     ``permute_rows``/``permute_cols`` instead.
     """
     idx = leg_permutation(dims, order)
-    z, o, total = field.zero, field.one, len(idx)
-    return Matrix(field, [(z,) * i + (o,) + (z,) * (total - i - 1) for i in idx], total)
+    one = field.one
+    return Matrix.from_sparse_rows(field, [{i: one} for i in idx], len(idx))
 
 
 def permutation_matrix(field, n, order):

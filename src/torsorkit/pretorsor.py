@@ -193,7 +193,7 @@ class PreTorsorBundle:
     def is_unital(self) -> bool:
         one = self.unit_col.kron(self.unit_col).kron(self.unit_col)
         return self.tau.apply(tuple(self.T.unit)) == tuple(
-            self.X3.proj.matrix.apply(tuple(r[0] for r in one.rows)))
+            self.X3.proj.matrix.apply(one.col(0)))
 
     def __repr__(self):
         return f"PreTorsorBundle({self.name}: {self.A.name}-{self.B.name} on {self.T.name})"
@@ -438,9 +438,9 @@ def build_corings(bundle: PreTorsorBundle) -> CoringPair:
     grouplike_C = grouplike_D = None
     if bundle.is_unital():
         one_pair = b.unit_col.kron(b.unit_col)
-        gC = TBT.proj.apply(tuple(r[0] for r in one_pair.rows))
+        gC = TBT.proj.apply(one_pair.col(0))
         grouplike_C = check_grouplike(C, C_sub.retraction.apply(gC))
-        gD = TAT.proj.apply(tuple(r[0] for r in one_pair.rows))
+        gD = TAT.proj.apply(one_pair.col(0))
         grouplike_D = check_grouplike(D, D_sub.retraction.apply(gD))
         # eps applied to the group-like is the base unit
         assert C.eps.apply(grouplike_C.element) == b.A.unit

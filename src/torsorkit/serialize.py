@@ -25,6 +25,8 @@ def matrix_to_json(field, mat: Matrix):
 def matrix_from_json(field, rows, shape, pointer):
     if not isinstance(rows, list):
         raise DocumentError("missing or non-list matrix", pointer)
+    if not all(isinstance(r, list) for r in rows):
+        raise DocumentError("every row must be a list", pointer)
     try:
         mat = Matrix.from_rows(field, rows, shape[1] if rows == [] else None)
     except (TorsorKitError, TypeError, ValueError) as exc:

@@ -179,15 +179,22 @@ class Subspace:
 
     @staticmethod
     def from_spanning(ambient: Space, vectors, name: str = "") -> "Subspace":
-        """Canonicalise a spanning family into a Subspace."""
+        """Canonicalise a spanning family into a Subspace.
+
+        ``vectors`` is a list of coordinate tuples, or a Matrix whose rows
+        are the vectors."""
         field = ambient.field
-        mat = Matrix(field, list(vectors), ambient.dim)
+        if isinstance(vectors, Matrix):
+            mat = vectors
+        else:
+            mat = Matrix(field, list(vectors), ambient.dim)
         R, pivots = mat.rref()
-        basis = [R.rows[i] for i in range(len(pivots))]
-        sub = Space(field, len(basis), name or f"sub({ambient.name})")
-        incl = LinearMap.from_columns(sub, ambient, basis)
-        retr_rows = [ambient.basis_vector(p) for p in pivots]
-        retr = LinearMap(ambient, sub, Matrix(field, retr_rows, ambient.dim))
+        sub = Space(field, len(pivots), name or f"sub({ambient.name})")
+        basis = Matrix.from_sparse_rows(field, R.sparse_rows()[:len(pivots)], ambient.dim)
+        incl = LinearMap(sub, ambient, basis.transpose())
+        one = field.one
+        retr = LinearMap(ambient, sub, Matrix.from_sparse_rows(
+            field, [{p: one} for p in pivots], ambient.dim))
         return Subspace(ambient, sub, incl, retr, pivots)
 
     def contains_vector(self, vec) -> bool:
@@ -228,19 +235,19 @@ class Subspace:
 def kernel(f: LinearMap, name: str = "") -> Subspace:
     """Kernel as a canonical Subspace of the domain; rank-nullity asserted.
 
-    ``kernel_basis`` has one vector per free column of the rref, so rank
+    ``nullspace`` has one vector per free column of the rref, so rank
     plus nullity is the domain dimension exactly when those vectors are
     independent: the check needs no second elimination of ``f``.
     """
-    basis = f.matrix.kernel_basis()
+    basis = f.matrix.nullspace()
     sub = Subspace.from_spanning(f.domain, basis, name or f"ker({f.domain.name})")
-    assert sub.dim == len(basis)
+    assert sub.dim == basis.nrows
     return sub
 
 
 def image(f: LinearMap, name: str = "") -> Subspace:
-    cols = [f.matrix.col(j) for j in range(f.domain.dim)]
-    return Subspace.from_spanning(f.codomain, cols, name or f"im({f.codomain.name})")
+    return Subspace.from_spanning(f.codomain, f.matrix.transpose(),
+                                  name or f"im({f.codomain.name})")
 
 
 def quotient(V: Space, S: Subspace, name: str = ""):
@@ -259,21 +266,19 @@ def quotient(V: Space, S: Subspace, name: str = ""):
     pivset = set(S.pivots)
     free = [j for j in range(V.dim) if j not in pivset]
     Q = Space(field, len(free), name or f"{V.name}/~", labels=[V.labels[j] for j in free])
-    # reduce mod S, then read off the complement coordinates
+    # reduce mod S, then read off the complement coordinates: row j of the
+    # inclusion holds coordinate j of each echelon basis vector of S
+    one, neg, pivots = field.one, field.neg, S.pivots
+    incl_rows = S.inclusion.matrix.sparse_rows()
     reduce_rows = []
-    basis_rows = S.inclusion.matrix.cols()  # echelon basis vectors of S
     for j in free:
-        row = [field.zero] * V.dim
-        row[j] = field.one
-        for bi, p in enumerate(S.pivots):
-            b = basis_rows[bi]
-            coeff = b[j]
-            if not field.is_zero(coeff):
-                row[p] = field.neg(coeff)
-        reduce_rows.append(tuple(row))
-    proj = LinearMap(V, Q, Matrix(field, reduce_rows, V.dim))
-    sect_cols = [V.basis_vector(j) for j in free]
-    sect = LinearMap.from_columns(Q, V, sect_cols)
+        row = {j: one}
+        for bi, coeff in incl_rows[j].items():
+            row[pivots[bi]] = neg(coeff)
+        reduce_rows.append(row)
+    proj = LinearMap(V, Q, Matrix.from_sparse_rows(field, reduce_rows, V.dim))
+    sect = LinearMap(Q, V, Matrix.from_sparse_rows(field, [{j: one} for j in free],
+                                                   V.dim).transpose())
     return Q, proj, sect
 
 
@@ -306,8 +311,7 @@ def intersect(subspaces, name: str = "") -> Subspace:
     for s in subspaces:
         proj_onto = (s.inclusion @ s.retraction).matrix
         blocks.append(proj_onto - ident)
-    stacked = Matrix.stack_rows(blocks)
-    basis = stacked.kernel_basis()
+    basis = Matrix.stack_rows(blocks).nullspace()
     return Subspace.from_spanning(ambient, basis, name or "intersection")
 
 

@@ -2,6 +2,9 @@ import argparse
 import copy
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +20,8 @@ from torsorkit.serialize import (
     dumps,
     loads,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_export_import_byte_stable(tmp_path):
@@ -200,11 +205,66 @@ def test_malformed_cli_field_exit_2(capsys, spec):
     assert "error: /field: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name", ["EX-C2", "EX-Q3"])
-def test_suite_report_bytes_match_the_benchmark_reference(name):
-    reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
-    want = json.loads(reference.read_text(encoding="utf-8"))[f"{name}@Q"]["digest"]
-    args = argparse.Namespace(fixture=name, input=None, field=None,
+REFERENCE = json.loads((ROOT / "perfbench" / "reference.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("key", sorted(REFERENCE), ids=lambda key: key.removesuffix("@Q"))
+def test_suite_report_bytes_match_the_benchmark_reference(key):
+    """Every bundle the benchmark gates on, over the field it is recorded
+    for, gives the recorded report bytes."""
+    name, _, field = key.partition("@")
+    args = argparse.Namespace(fixture=name, input=None, field=field,
                               dump_matrices=False)
     _, doc = run("suite", args)
-    assert hashlib.sha256(dumps(doc).encode("utf-8")).hexdigest() == want
+    digest = hashlib.sha256(dumps(doc).encode("utf-8")).hexdigest()
+    assert digest == REFERENCE[key]["digest"]
+
+
+@pytest.mark.parametrize("path, value", [
+    (("maps", "tau", 0), ["1"]),                       # ragged row
+    (("maps", "tau", 0), ["1", "0", "0"]),             # too-long row
+    (("maps", "alpha"), [["1"]]),                      # missing row
+    (("maps", "beta"), [["1", "0"], ["0", "0"]]),      # wrong width
+    (("maps", "alpha"), [[], []]),                     # zero-width rows
+    (("maps", "tau"), "1"),                            # non-list matrix
+    (("maps", "alpha", 0), "1"),                       # non-list row
+    (("maps", "tau", 0, 0), ["1"]),                    # nested-list entry
+])
+def test_malformed_map_shapes_exit_2(tmp_path, capsys, path, value):
+    """A map of the wrong shape or type exits 2 at ``/maps/<name>``."""
+    _assert_exit_2_at(tmp_path, capsys, path, value, f"/maps/{path[1]}")
+
+
+def test_missing_input_file_exits_2(tmp_path, capsys):
+    assert main(["validate", "--input", str(tmp_path / "absent.json")]) == 2
+    assert "error: /: " in capsys.readouterr().err
+
+
+def test_directory_as_input_exits_2(tmp_path, capsys):
+    assert main(["validate", "--input", str(tmp_path)]) == 2
+    assert "error: /: " in capsys.readouterr().err
+
+
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"field": "\xe9"}')
+    assert main(["validate", "--input", str(path)]) == 2
+    assert "error: /: " in capsys.readouterr().err
+
+
+def test_unwritable_json_target_exits_2_before_the_analysis(tmp_path, capsys, monkeypatch):
+    def no_analysis(*args):
+        raise AssertionError("the analysis ran before the --json target was checked")
+
+    monkeypatch.setattr("torsorkit.cli.run", no_analysis)
+    target = tmp_path / "missing-dir" / "report.json"
+    assert main(["validate", "--fixture", "EX-TRIV", "--json", str(target)]) == 2
+    assert "error: /: " in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "torsorkit", "validate", "--fixture", "EX-TRIV"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "0 failed" in proc.stdout

@@ -1,6 +1,7 @@
 """Structural guards: the permutation and Kronecker fast paths and the
 benchmark hooks.
 
+The engine works on sparse matrix rows and never reads the dense view.
 Leg permutations are applied as index maps (``linalg.permute_rows`` and
 ``linalg.permute_cols``); the dense permutation matrices stay in ``linalg``
 as the reference the tests compare against.  Tensor identities are
@@ -30,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "torsorkit"
 PERFBENCH = ROOT / "perfbench"
 DENSE_PERMUTATIONS = {"mixed_permutation", "permutation_matrix"}
+DENSE_VIEW_READERS = {"linalg.py", "serialize.py"}
 # the dense ambients of T (x) T (x) T (x) T and beyond start here (n = 4)
 AMBIENT_ENTRIES = 1 << 20
 # the relation spans of the chains over T^(x)5 have 768 (EX-SMASH) and
@@ -56,6 +58,19 @@ def test_only_linalg_builds_dense_permutations():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         offenders += [f"{path.name}:{line} {name}" for name, line in _names(tree)
                       if name in DENSE_PERMUTATIONS]
+    assert not offenders, offenders
+
+
+def test_only_linalg_and_serialize_read_the_dense_view():
+    """``Matrix.rows`` builds a dense copy on every read; the engine works
+    on the sparse rows through accessors instead."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in DENSE_VIEW_READERS:
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute) and node.attr == "rows"]
     assert not offenders, offenders
 
 

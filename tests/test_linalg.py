@@ -292,3 +292,245 @@ def test_split_leg_turns_a_leg_map_into_a_product(case, data):
 def test_split_leg_rejects_legs_off_the_columns():
     with pytest.raises(ShapeMismatch):
         split_leg(Matrix.identity(QQ, 6), [2, 2], 0)
+
+
+# -- sparse Matrix against a dense reference ------------------------------
+#
+# The reference below works on plain tuples of rows and knows nothing of the
+# sparse storage: every Matrix operation must give the same entries, store
+# no zero, and hash equal matrices alike.
+
+def _ref_matmul(f, a, b, ncols):
+    return tuple(tuple(_ref_dot(f, row, [r[k] for r in b]) for k in range(ncols))
+                 for row in a)
+
+
+def _ref_dot(f, u, v):
+    acc = f.zero
+    for x, y in zip(u, v):
+        acc = f.add(acc, f.mul(x, y))
+    return acc
+
+
+def _ref_kron(f, a, b):
+    return tuple(tuple(f.mul(x, y) for x in r1 for y in r2) for r1 in a for r2 in b)
+
+
+def _ref_identity(f, n):
+    return tuple(tuple(f.one if i == j else f.zero for j in range(n)) for i in range(n))
+
+
+def _ref_transpose(a, nrows, ncols):
+    return tuple(tuple(a[i][j] for i in range(nrows)) for j in range(ncols))
+
+
+def _ref_rref(f, a, ncols):
+    """Gauss-Jordan on lists, leftmost pivot column and topmost row."""
+    rows = [list(r) for r in a]
+    pivots, r = [], 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(rows)) if not f.is_zero(rows[i][c])), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        p = rows[r][c]
+        rows[r] = [f.div(x, p) for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not f.is_zero(rows[i][c]):
+                a_ic = rows[i][c]
+                rows[i] = [f.sub(x, f.mul(a_ic, y)) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return tuple(tuple(row) for row in rows), pivots
+
+
+def _ref_kernel(f, a, ncols):
+    rr, pivots = _ref_rref(f, a, ncols)
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        v = [f.zero] * ncols
+        v[j] = f.one
+        for i, p in enumerate(pivots):
+            v[p] = f.neg(rr[i][j])
+        basis.append(tuple(v))
+    return basis
+
+
+def _ref_permutation(f, dims, order):
+    """The leg permutation matrix from the digit definition."""
+    position = {d: k for k, d in enumerate(itertools.product(*map(range, dims)))}
+    total = len(position)
+    out = []
+    for digits in itertools.product(*(range(dims[leg]) for leg in order)):
+        src = [0] * len(dims)
+        for i, leg in enumerate(order):
+            src[leg] = digits[i]
+        col = position[tuple(src)]
+        out.append(tuple(f.one if k == col else f.zero for k in range(total)))
+    return tuple(out)
+
+
+def assert_sparse_invariants(m):
+    """No stored zero, every column in range, and equal matrices hash alike."""
+    f = m.field
+    rows = m.sparse_rows()
+    assert len(rows) == m.nrows
+    for r in rows:
+        assert all(0 <= k < m.ncols and not f.is_zero(v) for k, v in r.items())
+    copy = Matrix(f, m.rows, m.ncols)
+    assert copy == m and hash(copy) == hash(m)
+
+
+def assert_matches(m, ref, shape):
+    assert_sparse_invariants(m)
+    assert m.shape == shape
+    assert m.rows == tuple(ref)
+
+
+FIELDS = st.sampled_from([QQ, GF(101)])
+
+
+@st.composite
+def operand(draw, field, nrows, ncols):
+    """A zero, an identity (when square) or a mostly-zero random matrix."""
+    kinds = ["random", "random", "zero"] + (["identity"] if nrows == ncols else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zero":
+        return Matrix.zero(field, nrows, ncols)
+    if kind == "identity":
+        return Matrix.identity(field, nrows)
+    entries = st.one_of(st.just(0), st.just(0), small_entries)
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    return Matrix(field, [tuple(field.from_int(x) for x in r) for r in rows], ncols)
+
+
+@st.composite
+def operand_case(draw):
+    """A field, shapes m x n and n x p with zero sizes allowed, operands
+    a, b (m x n) and c (n x p), a scalar and a vector of length n."""
+    field = draw(FIELDS)
+    m, n, p = (draw(st.integers(0, 4)) for _ in range(3))
+    a, b = draw(operand(field, m, n)), draw(operand(field, m, n))
+    c = draw(operand(field, n, p))
+    scalar = field.from_int(draw(small_entries))
+    vec = tuple(field.from_int(x) for x in draw(st.lists(small_entries, min_size=n, max_size=n)))
+    return field, a, b, c, scalar, vec
+
+
+@given(operand_case())
+@settings(max_examples=200, deadline=None)
+def test_arithmetic_matches_the_dense_reference(case):
+    f, a, b, c, scalar, vec = case
+    (m, n), p = a.shape, c.ncols
+    ra, rb, rc = a.rows, b.rows, c.rows
+    assert (a == b) == (ra == rb)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert_matches(a @ c, _ref_matmul(f, ra, rc, p), (m, p))
+    # every entry of a @ c meets its negative: sums that cancel store nothing
+    cancelled = Matrix.augment(a, a) @ Matrix.stack_rows([c, -c])
+    assert_matches(cancelled, [(f.zero,) * p] * m, (m, p))
+    assert_matches(a + b, [tuple(map(f.add, x, y)) for x, y in zip(ra, rb)], (m, n))
+    assert_matches(a - b, [tuple(map(f.sub, x, y)) for x, y in zip(ra, rb)], (m, n))
+    assert_matches(a - a, [(f.zero,) * n] * m, (m, n))
+    assert_matches(-a, [tuple(map(f.neg, x)) for x in ra], (m, n))
+    assert_matches(a.scale(scalar), [tuple(f.mul(scalar, x) for x in r) for r in ra], (m, n))
+    assert_matches(a.kron(c), _ref_kron(f, ra, rc), (m * n, n * p))
+    assert_matches(a.transpose(), _ref_transpose(ra, m, n), (n, m))
+    assert_matches(Matrix.stack_rows([a, b]), ra + rb, (2 * m, n))
+    assert_matches(Matrix.augment(a, b), [x + y for x, y in zip(ra, rb)], (m, 2 * n))
+    supports = [[(i, r[j]) for i, r in enumerate(ra) if not f.is_zero(r[j])] for j in range(n)]
+    assert [list(s) for s in a.col_supports()] == supports
+    assert a.apply(vec) == tuple(_ref_dot(f, r, vec) for r in ra)
+    assert all(a.entry(i, j) == ra[i][j] for i in range(m) for j in range(n))
+    assert all(a.col(j) == tuple(r[j] for r in ra) for j in range(n))
+    assert a.is_zero() == all(f.is_zero(x) for r in ra for x in r)
+    assert a.is_identity() == (m == n and ra == _ref_identity(f, m))
+
+
+@given(operand_case())
+@settings(max_examples=200, deadline=None)
+def test_elimination_matches_the_dense_reference(case):
+    f, a, b, c, _, _ = case
+    m, n = a.shape
+    ra = a.rows
+    r, pivots = a.rref()
+    want, want_pivots = _ref_rref(f, ra, n)
+    assert_matches(r, want, (m, n))
+    assert pivots == want_pivots
+    assert a.kernel_basis() == _ref_kernel(f, ra, n)
+    assert a.row_space_basis() == list(want[:len(pivots)])
+    # the canonical solution sets the free variables to zero; b is an
+    # arbitrary right-hand side, a @ c a consistent one
+    for rhs in (b, a @ c):
+        width = rhs.ncols
+        aug, aug_pivots = _ref_rref(f, [u + v for u, v in zip(ra, rhs.rows)], n + width)
+        x = a.solve(rhs)
+        if any(q >= n for q in aug_pivots):
+            assert x is None
+            continue
+        ref_x = [(f.zero,) * width] * n
+        for i, q in enumerate(aug_pivots):
+            ref_x[q] = aug[i][n:]
+        assert_matches(x, ref_x, (n, width))
+    if m == n and len(pivots) == n:
+        assert_matches(a @ a.inverse(), _ref_identity(f, n), (n, n))
+    elif m == n:
+        with pytest.raises(NotInvertible):
+            a.inverse()
+
+
+@st.composite
+def reshape_case(draw):
+    """Legs of dims 0-3, an order, and matrices whose rows or columns run
+    over the legs."""
+    field = draw(FIELDS)
+    dims = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    order = draw(st.permutations(range(len(dims))))
+    total = math.prod(dims)
+    other = draw(st.integers(0, 3))
+    on_rows = draw(operand(field, total, other))
+    on_cols = draw(operand(field, other, total))
+    return field, dims, order, on_rows, on_cols
+
+
+@given(reshape_case(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_reshapes_match_the_dense_reference(case, data):
+    f, dims, order, on_rows, on_cols = case
+    total = math.prod(dims)
+    perm = _ref_permutation(f, dims, order)
+    assert_matches(mixed_permutation(f, dims, order), perm, (total, total))
+    assert_matches(permute_rows(on_rows, dims, order),
+                   _ref_matmul(f, perm, on_rows.rows, on_rows.ncols), on_rows.shape)
+    assert_matches(permute_cols(on_cols, dims, order),
+                   _ref_matmul(f, on_cols.rows, perm, total), on_cols.shape)
+    leg = data.draw(st.integers(0, len(dims) - 1))
+    position = {d: k for k, d in enumerate(itertools.product(*map(range, dims)))}
+    rest = list(itertools.product(*(range(d) for k, d in enumerate(dims) if k != leg)))
+    want = [tuple(row[position[r[:leg] + (x,) + r[leg:]]] for x in range(dims[leg]))
+            for row in on_cols.rows for r in rest]
+    assert_matches(split_leg(on_cols, dims, leg), want, (len(want), dims[leg]))
+
+
+@given(kron_apply_case())
+@settings(max_examples=150, deadline=None)
+def test_kron_apply_matches_the_dense_reference(case):
+    field, dims, order, (left, lsizes), (right, rsizes) = case
+
+    def dense_kron(factors, sizes):
+        out = ((field.one,),)
+        for fac, size in zip(factors, sizes):
+            out = _ref_kron(field, out, _ref_identity(field, size) if fac is None else fac.rows)
+        return out
+
+    g = dense_kron(right, rsizes)
+    ncols = len(g[0]) if g else math.prod(
+        size if fac is None else fac.ncols for fac, size in zip(right, rsizes))
+    perm = _ref_permutation(field, dims, range(len(dims)) if order is None else order)
+    fk = dense_kron(left, lsizes)
+    want = _ref_matmul(field, fk, _ref_matmul(field, perm, g, ncols), ncols)
+    assert_matches(kron_apply(field, left, dims, order, right), want, (len(fk), ncols))

@@ -103,8 +103,10 @@ def _dense_leg_map(field, dims, pos, m):
 def test_relation_columns_match_dense(case):
     field, dims, i, mi, j, mj = case
     gen = _dense_leg_map(field, dims, i, mi) - _dense_leg_map(field, dims, j, mj)
-    want = [c for c in gen.cols() if any(not field.is_zero(x) for x in c)]
-    assert _relation_columns(field, dims, i, mi, j, mj) == want
+    want = [c for c in gen.transpose().rows if any(not field.is_zero(x) for x in c)]
+    got = _relation_columns(field, dims, i, mi, j, mj)
+    assert [tuple(c.get(y, field.zero) for y in range(gen.nrows)) for c in got] == want
+    assert all(not field.is_zero(v) for c in got for v in c.values())
 
 
 def test_carrier_leg_maps_match_dense(ex_smash):
