@@ -1,11 +1,13 @@
 """Finite-dimensional algebras, bimodules and balanced tensor products.
 
 The balanced tensor product M1 (x)_R1 M2 (x)_R2 ... Mn is realised once as a
-``TensorChain``: the quotient of the full k-tensor ambient by all balancing
-relations.  Chains are built left-associated (each step quotients only by the
-newest link, which keeps intermediate dimensions small) and cached, so the
-same factor/action data always yields the identical carrier -- rebracketing
-never produces two different spaces.  Every map the engine defines on
+``TensorChain``, the only balanced tensor the engine has: the quotient of the
+full k-tensor ambient by all balancing relations.  ``chain_outer_bimodule``
+gives a chain's carrier the outer bimodule structure of its edge factors.
+Chains are built left-associated (each step quotients only by the newest
+link, which keeps intermediate dimensions small) and cached, so the same
+factor/action data always yields the identical carrier -- rebracketing never
+produces two different spaces.  Every map the engine defines on
 representatives goes through ``induce``, which checks that the raw map kills
 the relation span before descending it to the carrier.  A chain carries
 only ``proj``/``sect`` with ``proj @ sect = I``; the relation span is
@@ -27,7 +29,7 @@ from .errors import (
     NotWellDefined,
     ShapeMismatch,
 )
-from .linalg import Matrix, kron_apply
+from .linalg import Matrix, kron_apply, outer
 from .spaces import LinearMap, Space, Subspace, quotient, tensor_space
 
 
@@ -42,7 +44,6 @@ class Algebra:
         if mult.domain.dim != space.dim * space.dim:
             raise ShapeMismatch("multiplication domain is not the square tensor")
         self.mult = mult
-        self._mult_cols = mult.matrix.col_supports()
         self.unit = tuple(unit)
         if len(self.unit) != space.dim:
             raise ShapeMismatch("unit vector has wrong length")
@@ -58,25 +59,10 @@ class Algebra:
         return f"Algebra({self.name}, dim={self.dim})"
 
     def product_vec(self, u, v):
-        n = self.dim
-        f = self.field
-        iz, add, mul = f.is_zero, f.add, f.mul
-        acc = [f.zero] * n
-        cols = self._mult_cols
-        v_support = [(j, b) for j, b in enumerate(v) if not iz(b)]
-        for i, a in enumerate(u):
-            if iz(a):
-                continue
-            base = i * n
-            for j, b in v_support:
-                c = mul(a, b)
-                for k, x in cols[base + j]:
-                    acc[k] = add(acc[k], mul(c, x))
-        return tuple(acc)
+        return self.mult.matrix.apply_pair(u, v)
 
     def _validate(self):
         n = self.dim
-        f = self.field
         e = [self.space.basis_vector(i) for i in range(n)]
         for i in range(n):
             for j in range(n):
@@ -172,13 +158,7 @@ def enveloping(B: Algebra) -> Algebra:
                     if f.is_zero(b):
                         continue
                     sc.append((i1 * n + i2, j1 * n + j2, k1 * n + k2, f.mul(a, b)))
-    unit = [f.zero] * dim
-    for k1, a in enumerate(B.unit):
-        for k2, b in enumerate(B.unit):
-            v = f.mul(a, b)
-            if not f.is_zero(v):
-                unit[k1 * n + k2] = v
-    return make_algebra(f, dim, sc, unit, B.name + "^e", labels)
+    return make_algebra(f, dim, sc, outer(f, B.unit, B.unit), B.name + "^e", labels)
 
 
 class AlgebraMap:
@@ -253,13 +233,13 @@ class Bimodule:
         return self.space.field
 
     def lact_vec(self, a, m):
-        return _pair_apply(self.lact, self.left.dim, self.space.dim, a, m)
+        return self.lact.matrix.apply_pair(a, m)
 
     def ract_vec(self, m, a):
-        return _pair_apply(self.ract, self.space.dim, self.right.dim, m, a)
+        return self.ract.matrix.apply_pair(m, a)
 
     def _validate(self):
-        L, R, f = self.left, self.right, self.field
+        L, R = self.left, self.right
         e = [self.space.basis_vector(i) for i in range(self.dim)]
         eL = [L.space.basis_vector(i) for i in range(L.dim)]
         eR = [R.space.basis_vector(i) for i in range(R.dim)]
@@ -288,26 +268,12 @@ class Bimodule:
         return f"Bimodule({self.left.name}-{self.space.name}-{self.right.name})"
 
 
-def _pair_apply(act: LinearMap, d1, d2, u, v):
-    f = act.codomain.field
-    iz = f.is_zero
-    vec = [f.zero] * (d1 * d2)
-    for i, a in enumerate(u):
-        if iz(a):
-            continue
-        for j, b in enumerate(v):
-            if not iz(b):
-                vec[i * d2 + j] = f.mul(a, b)
-    return act.apply(tuple(vec))
-
-
 def regular_bimodule(T: Algebra, left: AlgebraMap | None = None,
                      right: AlgebraMap | None = None, check: bool = True) -> Bimodule:
     """T as a bimodule over subalgebra images: actions via unit maps.
 
     ``left``/``right`` default to T acting on itself by multiplication.
     """
-    f = T.field
     L = left.source if left else T
     R = right.source if right else T
     n = T.dim
@@ -338,7 +304,6 @@ def sub_bimodule(sub: Subspace, outer: Bimodule, err=ActionMismatch, check: bool
     """
     if sub.ambient is not outer.space:
         raise ShapeMismatch("subspace does not live in the bimodule space")
-    field = sub.ambient.field
     L, R = outer.left, outer.right
     lcols = []
     for i in range(L.dim):
@@ -416,6 +381,8 @@ class TensorChain:
 
 
 _chain_cache: dict = {}
+# never written; kept only because perfbench/worker.py lists it in GLOBAL_CACHES
+_chain_outer_registry: dict = {}
 
 
 def _link_relation_columns(field, factor_spaces, link: Link):
@@ -427,10 +394,10 @@ def _link_relation_columns(field, factor_spaces, link: Link):
     for r_idx in range(ring.dim):
         r = ring.space.basis_vector(r_idx)
         # matrix acting on factor i: x -> x.r
-        mi_cols = [link.act_i.apply(_outer(field, factor_spaces[link.i].basis_vector(t), r))
+        mi_cols = [link.act_i.matrix.apply_pair(factor_spaces[link.i].basis_vector(t), r)
                    for t in range(dims[link.i])]
         mi = Matrix.from_cols(field, mi_cols, dims[link.i])
-        mj_cols = [link.act_j.apply(_outer(field, r, factor_spaces[link.j].basis_vector(t)))
+        mj_cols = [link.act_j.matrix.apply_pair(r, factor_spaces[link.j].basis_vector(t))
                    for t in range(dims[link.j])]
         mj = Matrix.from_cols(field, mj_cols, dims[link.j])
         cols += _relation_columns(field, dims, link.i, mi, link.j, mj)
@@ -465,19 +432,6 @@ def _relation_columns(field, dims, i, mi: Matrix, j, mj: Matrix):
         if entries:
             cols.append(entries)
     return cols
-
-
-def _outer(field, u, v):
-    iz, mul = field.is_zero, field.mul
-    out = [field.zero] * (len(u) * len(v))
-    for i, a in enumerate(u):
-        if iz(a):
-            continue
-        base = i * len(v)
-        for j, b in enumerate(v):
-            if not iz(b):
-                out[base + j] = mul(a, b)
-    return tuple(out)
 
 
 def tensor_chain(factors, rings, extra_links=(), name="") -> TensorChain:
@@ -562,12 +516,12 @@ def _build_chain(spaces, links, name="") -> TensorChain:
             lifted_cols = []
             for r_idx in range(ring.dim):
                 r = ring.space.basis_vector(r_idx)
-                mi_cols = [link.act_i.apply(_outer(field, spaces[pos - 1].basis_vector(t), r))
+                mi_cols = [link.act_i.matrix.apply_pair(spaces[pos - 1].basis_vector(t), r)
                            for t in range(spaces[pos - 1].dim)]
                 mi = Matrix.from_cols(field, mi_cols, spaces[pos - 1].dim)
                 lifted = full_proj.matrix @ kron_apply(field, [None] * (pos - 1) + [mi], dims[:pos],
                                                        None, [full_sect.matrix])
-                mj_cols = [link.act_j.apply(_outer(field, r, s.basis_vector(t)))
+                mj_cols = [link.act_j.matrix.apply_pair(r, s.basis_vector(t))
                            for t in range(s.dim)]
                 mj = Matrix.from_cols(field, mj_cols, s.dim)
                 lifted_cols += _relation_columns(field, [carrier.dim, s.dim], 0, lifted, 1, mj)
@@ -659,7 +613,6 @@ def chain_map(dom: TensorChain, blocks, cod: TensorChain, name: str = "") -> Lin
     sub-chain (None = identity on a single shared factor).  Balance across
     block boundaries is verified by ``induce``.
     """
-    field = dom.ambient.field
     di = ci = 0
     mat = None
     for (dlen, block, clen) in blocks:
@@ -697,63 +650,8 @@ def _subchain(chain: TensorChain, a: int, b: int) -> TensorChain:
     return chain_of_spaces(spaces, links)
 
 
-class TensorSpace:
-    """Binary balanced tensor M (x)_R N with outer bimodule structure."""
-
-    def __init__(self, left: Bimodule, right: Bimodule, over: Algebra,
-                 chain: TensorChain, outer: Bimodule):
-        self.left = left
-        self.right = right
-        self.over = over
-        self.chain = chain
-        self.carrier = chain.carrier
-        self.outer = outer
-        # binary-level proj/sect (one level of pairing)
-        field = self.carrier.field
-        pair = tensor_space([left.space, right.space])
-        self.proj = LinearMap(pair, self.carrier, chain.proj.matrix) \
-            if pair.dim == chain.ambient.dim and len(chain.factor_spaces) == 2 \
-            else self._binary_proj(pair)
-        self.sect = LinearMap(self.carrier, pair, chain.sect.matrix) \
-            if pair.dim == chain.ambient.dim and len(chain.factor_spaces) == 2 \
-            else self._binary_sect(pair)
-
-    def _binary_proj(self, pair):
-        lexp = _expansion(self.left)
-        rexp = _expansion(self.right)
-        return self.chain.proj @ LinearMap(pair, self.chain.ambient, lexp.kron(rexp))
-
-    def _binary_sect(self, pair):
-        lcon = _contraction(self.left)
-        rcon = _contraction(self.right)
-        return LinearMap(self.chain.ambient, pair, lcon.kron(rcon)) @ self.chain.sect
-
-    @property
-    def dim(self):
-        return self.carrier.dim
-
-
-# keyed by object id; each entry retains the bimodule itself so the id can
-# never be recycled onto an unrelated object
-_chain_outer_registry: dict[int, tuple[Bimodule, TensorChain, list]] = {}
-
-
-def _expansion(m: Bimodule) -> Matrix:
-    entry = _chain_outer_registry.get(id(m))
-    if entry is None or entry[0] is not m:
-        return Matrix.identity(m.field, m.dim)
-    return entry[1].sect.matrix
-
-
-def _contraction(m: Bimodule) -> Matrix:
-    entry = _chain_outer_registry.get(id(m))
-    if entry is None or entry[0] is not m:
-        return Matrix.identity(m.field, m.dim)
-    return entry[1].proj.matrix
-
-
 def chain_outer_bimodule(chain: TensorChain, left_factor: Bimodule,
-                         right_factor: Bimodule, factors=None, check: bool = False) -> Bimodule:
+                         right_factor: Bimodule, check: bool = False) -> Bimodule:
     """Outer bimodule structure on a chain carrier, from the edge factors."""
     L, R = left_factor.left, right_factor.right
     last = len(chain.factor_spaces) - 1
@@ -763,9 +661,7 @@ def chain_outer_bimodule(chain: TensorChain, left_factor: Bimodule,
     rcols = [_carrier_leg_map(chain, last, _fixed_right_act(right_factor, a).matrix)
              for a in map(R.space.basis_vector, range(R.dim))]
     ract = _assemble_action_right(R, chain.carrier, rcols)
-    bm = Bimodule(chain.carrier, L, R, lact, ract, check=check)
-    _chain_outer_registry[id(bm)] = (bm, chain, factors)
-    return bm
+    return Bimodule(chain.carrier, L, R, lact, ract, check=check)
 
 
 def _carrier_leg_map(chain: TensorChain, pos, m: Matrix) -> LinearMap:
@@ -805,68 +701,6 @@ def _assemble_action_right(R: Algebra, space: Space, per_basis_maps) -> LinearMa
         for i in range(R.dim):
             cols.append(mats[i].col(j))
     return LinearMap.from_columns(amb, space, cols)
-
-
-def balanced_tensor(M: Bimodule, R: Algebra, N: Bimodule, name: str = "") -> TensorSpace:
-    """M (x)_R N as a TensorSpace; nested chain carriers are flattened."""
-    if M.right is not R or N.left is not R:
-        raise ActionMismatch("middle algebra does not match the factor actions")
-    lfacts = _unfold(M)
-    rfacts = _unfold(N)
-    factors = lfacts + rfacts
-    rings = []
-    for a, b in zip(factors, factors[1:]):
-        rings.append(a.right)
-    chain = tensor_chain(factors, rings, name=name)
-    outer = chain_outer_bimodule(chain, factors[0], factors[-1], factors)
-    ts = TensorSpace(M, N, R, chain, outer)
-    # TensorSpace invariant: relations regenerated in a second enumeration
-    # order must span the same subspace.
-    _verify_relation_span(ts)
-    return ts
-
-
-def _unfold(m: Bimodule):
-    entry = _chain_outer_registry.get(id(m))
-    if entry is not None and entry[0] is m and entry[2] is not None:
-        return list(entry[2])
-    return [m]
-
-
-def _verify_relation_span(ts: TensorSpace):
-    """Regenerate the relation span in reverse enumeration order and compare.
-
-    The regenerated family must die under ``proj`` and have rank
-    ``ambient.dim - carrier.dim``, the dimension of ``ker(proj)``: then it
-    spans exactly ``ker(proj)``.  The rank is computed by exact elimination.
-    """
-    chain = ts.chain
-    field = chain.ambient.field
-    cols = []
-    for link in reversed(chain.links):
-        cols.extend(reversed(_link_relation_columns(field, chain.factor_spaces, link)))
-    target = chain.ambient.dim - chain.dim
-    gen = Matrix.from_sparse_rows(field, cols, chain.ambient.dim)
-    # containment: every regenerated relation dies under proj
-    if cols and not (chain.proj.matrix @ gen.transpose()).is_zero():
-        raise NotWellDefined("regenerated relation escapes the relation span")
-    if gen.rank() != target:
-        raise NotWellDefined("relation span disagrees between enumeration orders")
-
-
-def induce_map(raw: LinearMap, dom: TensorSpace, cod: Space | None = None) -> LinearMap:
-    """Public form of ``induce`` on a binary TensorSpace: raw is defined on
-    the one-level pair ambient ``left.space (x) right.space``."""
-    if raw.domain.dim != dom.left.dim * dom.right.dim:
-        raise ShapeMismatch("raw map is not defined on the pair ambient")
-    composed = raw.rebase(dom.sect.codomain) @ dom.sect
-    # well-definedness: raw must kill ker(proj) at the pair level
-    proj, sect = dom.proj.matrix, dom.sect.matrix
-    bad = first_unbalanced(raw.matrix, proj, sect, composed.matrix)
-    if bad is not None:
-        raise NotWellDefined("map does not factor through the balanced tensor",
-                             witness=relation_witness(proj, sect, bad))
-    return composed
 
 
 class FreenessCertificate:

@@ -19,7 +19,6 @@ from .bialgebroid import (
     monoidal_witness,
     recovered_structure,
     theta,
-    _left_module_wrap,
 )
 from .coring import Comodule
 from .diffcalc import bimodule_connection, build_calculus, connections

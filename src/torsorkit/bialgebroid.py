@@ -24,7 +24,6 @@ from .algebra import (
     first_unbalanced,
     induce,
     opposite,
-    sub_bimodule,
     tensor_chain,
     tensor_space,
 )
@@ -39,9 +38,8 @@ from .errors import (
     NotTimesAHopf,
     ShapeMismatch,
     TakeuchiViolation,
-    WitnessNotIso,
 )
-from .linalg import Matrix, kron_apply, permute_cols, permute_rows, split_leg
+from .linalg import Matrix, kron_apply, outer, permute_cols, permute_rows, split_leg
 from .pretorsor import CoringPair, PreTorsorBundle
 from .report import Report
 from .spaces import LinearMap, Space, Subspace, intersect, invert, kernel
@@ -130,9 +128,9 @@ def bialgebroid_from_torsor(bundle: PreTorsorBundle, pair: CoringPair):
     tC_cols = []
     for i in range(b.A.dim):
         av = b.alpha.map.apply(b.A.space.basis_vector(i))
-        amb = _outer_pair(f, tuple(b.T.unit), av)
+        amb = outer(f, b.T.unit, av)
         sC_cols.append(pair.C_sub.retraction.apply(b.TBT.proj.apply(amb)))
-        amb2 = _outer_pair(f, av, tuple(b.T.unit))
+        amb2 = outer(f, av, b.T.unit)
         tC_cols.append(pair.C_sub.retraction.apply(b.TBT.proj.apply(amb2)))
     source_C = AlgebraMap(b.A, C_alg,
                           LinearMap.from_columns(b.A.space, C.space, sC_cols))
@@ -155,9 +153,9 @@ def bialgebroid_from_torsor(bundle: PreTorsorBundle, pair: CoringPair):
     tD_cols = []
     for i in range(b.B.dim):
         bv = b.beta.map.apply(b.B.space.basis_vector(i))
-        amb = _outer_pair(f, bv, tuple(b.T.unit))
+        amb = outer(f, bv, b.T.unit)
         sD_cols.append(pair.D_sub.retraction.apply(b.TAT.proj.apply(amb)))
-        amb2 = _outer_pair(f, tuple(b.T.unit), bv)
+        amb2 = outer(f, b.T.unit, bv)
         tD_cols.append(pair.D_sub.retraction.apply(b.TAT.proj.apply(amb2)))
     source_D = AlgebraMap(b.B, D_alg,
                           LinearMap.from_columns(b.B.space, D.space, sD_cols))
@@ -170,22 +168,10 @@ def bialgebroid_from_torsor(bundle: PreTorsorBundle, pair: CoringPair):
     return bgd_C, bgd_D
 
 
-def _outer_pair(f, u, v):
-    out = [f.zero] * (len(u) * len(v))
-    for i, a in enumerate(u):
-        if f.is_zero(a):
-            continue
-        for j, bb in enumerate(v):
-            if not f.is_zero(bb):
-                out[i * len(v) + j] = f.mul(a, bb)
-    return tuple(out)
-
-
 def _right_bialgebroid_sweep(b, pair, C: Coring, C_alg: Algebra,
                              source: AlgebraMap, target: AlgebraMap, rep: Report):
     f = b.field
     A = C.base
-    idC = Matrix.identity(f, C.dim)
     # commuting ranges
     ok = True
     for i in range(A.dim):
@@ -219,7 +205,7 @@ def _right_bialgebroid_sweep(b, pair, C: Coring, C_alg: Algebra,
     lhs = C.delta.matrix @ C_alg.mult.matrix
     rhs = mult_pairs @ C.delta.matrix.kron(C.delta.matrix)
     rep.add("bgd.delta-multiplicative", "2(bgd)", lhs == rhs)
-    one_cc = C.cc.proj.apply(_outer_pair(f, C_alg.unit, C_alg.unit))
+    one_cc = C.cc.proj.apply(outer(f, C_alg.unit, C_alg.unit))
     rep.add("bgd.delta-unital", "2(bgd)", C.delta.apply(C_alg.unit) == one_cc)
     # counit laws
     rep.add("bgd.eps-unital", "2(bgd)", C.eps.apply(C_alg.unit) == A.unit)
@@ -244,7 +230,7 @@ def _right_bialgebroid_sweep(b, pair, C: Coring, C_alg: Algebra,
     lhs = pair.rho_T.matrix @ b.mu
     rhs = mult_tc @ pair.rho_T.matrix.kron(pair.rho_T.matrix)
     rep.add("bgd.comodule-algebra", "5.2", lhs == rhs)
-    one_tc = TC.proj.apply(_outer_pair(f, tuple(b.T.unit), C_alg.unit))
+    one_tc = TC.proj.apply(outer(f, b.T.unit, C_alg.unit))
     rep.add("bgd.comodule-algebra-unital", "5.2",
             pair.rho_T.apply(tuple(b.T.unit)) == one_tc)
     if not rep.ok:
@@ -262,7 +248,7 @@ def _left_bialgebroid_sweep(b, pair, D: Coring, D_alg: Algebra,
     lhs = pair.lrho_T.matrix @ b.mu
     rhs = mult_dt @ pair.lrho_T.matrix.kron(pair.lrho_T.matrix)
     rep.add("bgd.comodule-algebra", "5.2", lhs == rhs)
-    one_dt = DT.proj.apply(_outer_pair(f, D_alg.unit, tuple(b.T.unit)))
+    one_dt = DT.proj.apply(outer(f, D_alg.unit, b.T.unit))
     rep.add("bgd.comodule-algebra-unital", "5.2",
             pair.lrho_T.apply(tuple(b.T.unit)) == one_dt)
     if not rep.ok:
@@ -307,7 +293,7 @@ def left_bialgebroid_axioms(D: Coring, D_alg: Algebra,
     lhs = D.delta.matrix @ D_alg.mult.matrix
     rhs = mult_pairs @ D.delta.matrix.kron(D.delta.matrix)
     rep.add("bgd.delta-multiplicative", "2(bgd)", lhs == rhs)
-    one_dd = D.cc.proj.apply(_outer_pair(f, D_alg.unit, D_alg.unit))
+    one_dd = D.cc.proj.apply(outer(f, D_alg.unit, D_alg.unit))
     rep.add("bgd.delta-unital", "2(bgd)", D.delta.apply(D_alg.unit) == one_dd)
     rep.add("bgd.eps-unital", "2(bgd)", D.eps.apply(D_alg.unit) == B.unit)
     ok = True
@@ -386,9 +372,11 @@ class ThetaData:
         self.report = report
 
 
-def _op_bimodules(bgd: RightBialgebroid):
-    """C as a bimodule over A^op via the target map, plus mixed taggings."""
-    f = bgd.coring.field
+def _op_bimodules(bgd):
+    """C as a bimodule over A^op via the target map, plus mixed taggings.
+
+    The A^op-bimodule is the factor of the A^op-balanced square on which
+    theta is defined, for a right and a left bialgebroid alike."""
     A_op = opposite(bgd.base)
     C = bgd.coring
     n = C.dim
@@ -426,20 +414,16 @@ def theta(bgd: RightBialgebroid, side: str = "right") -> ThetaData:
     rep = Report(f"{C.name}:theta")
     idC = Matrix.identity(f, C.dim)
     left_handed = isinstance(bgd, LeftBialgebroid) or side == "left"
+    op_data = _op_bimodules(bgd)
+    chain_op = tensor_chain([op_data[1], op_data[1]], [op_data[0]])
     if left_handed:
-        chain_op = _left_op_chain(bgd)
         raw = (idC.kron(bgd.algebra.mult.matrix)
                @ C.cc.sect.matrix.kron(idC) @ bgd.coring.delta.matrix.kron(idC))
-        th = induce(chain_op, LinearMap(
-            chain_op.ambient, C.cc.carrier, C.cc.proj.matrix @ raw), "theta")
-        op_data = None
     else:
-        op_data = _op_bimodules(bgd)
-        chain_op = tensor_chain([op_data[1], op_data[1]], [op_data[0]])
         raw = (bgd.algebra.mult.matrix.kron(idC)
                @ idC.kron(C.cc.sect.matrix @ C.delta.matrix))
-        th = induce(chain_op, LinearMap(
-            chain_op.ambient, C.cc.carrier, C.cc.proj.matrix @ raw), "theta")
+    th = induce(chain_op, LinearMap(
+        chain_op.ambient, C.cc.carrier, C.cc.proj.matrix @ raw), "theta")
     try:
         th_inv = invert(th)
     except NotInvertible as exc:
@@ -458,36 +442,10 @@ def theta(bgd: RightBialgebroid, side: str = "right") -> ThetaData:
     return ThetaData(th, th_inv, chain_op, rep)
 
 
-def _left_op_chain(bgd) -> TensorChain:
-    """D (x)_{B^op} D with both structures via the target map (left case)."""
-    f = bgd.coring.field
-    B_op = opposite(bgd.base)
-    D = bgd.coring
-    n = D.dim
-    lcols = []
-    for i in range(B_op.dim):
-        tb = bgd.target.map.apply(bgd.base.space.basis_vector(i))
-        lm = bgd.algebra.left_mult_map(tb)
-        for j in range(n):
-            lcols.append(lm.apply(D.space.basis_vector(j)))
-    lact = LinearMap.from_columns(tensor_space([B_op.space, D.space]), D.space, lcols)
-    rcols = []
-    rms = [bgd.algebra.right_mult_map(bgd.target.map.apply(
-        bgd.base.space.basis_vector(i))) for i in range(B_op.dim)]
-    for j in range(n):
-        ej = D.space.basis_vector(j)
-        for i in range(B_op.dim):
-            rcols.append(rms[i].apply(ej))
-    ract = LinearMap.from_columns(tensor_space([D.space, B_op.space]), D.space, rcols)
-    D_opop = Bimodule(D.space, B_op, B_op, lact, ract, check=False)
-    return tensor_chain([D_opop, D_opop], [B_op])
-
-
 def _right_theta_identities(bgd, chain_op, th, th_inv, rep, op_data):
     f = bgd.coring.field
     C = bgd.coring
     A = bgd.base
-    idC = Matrix.identity(f, C.dim)
     # translation identities: theta^{-1}(1 (x) t(a)) = s(a) (x) 1 and
     # theta^{-1}(1 (x) s(a)) = 1 (x) s(a)
     ok1 = ok2 = True
@@ -495,12 +453,12 @@ def _right_theta_identities(bgd, chain_op, th, th_inv, rep, op_data):
         a = A.space.basis_vector(i)
         ta, sa = bgd.t_vec(a), bgd.s_vec(a)
         one = bgd.algebra.unit
-        lhs = th_inv.apply(C.cc.proj.apply(_outer_pair(f, one, ta)))
-        rhs = chain_op.proj.apply(_outer_pair(f, sa, one))
+        lhs = th_inv.apply(C.cc.proj.apply(outer(f, one, ta)))
+        rhs = chain_op.proj.apply(outer(f, sa, one))
         if lhs != rhs:
             ok1 = False
-        lhs = th_inv.apply(C.cc.proj.apply(_outer_pair(f, one, sa)))
-        rhs = chain_op.proj.apply(_outer_pair(f, one, sa))
+        lhs = th_inv.apply(C.cc.proj.apply(outer(f, one, sa)))
+        rhs = chain_op.proj.apply(outer(f, one, sa))
         if lhs != rhs:
             ok2 = False
     rep.add("theta.eq2.3-target", "(2.3)", ok1)
@@ -562,12 +520,12 @@ def _left_theta_identities(bgd, chain_op, th, th_inv, rep):
     for i in range(B.dim):
         a = B.space.basis_vector(i)
         tb, sb = bgd.t_vec(a), bgd.s_vec(a)
-        lhs = th_inv.apply(D.cc.proj.apply(_outer_pair(f, tb, one)))
-        rhs = chain_op.proj.apply(_outer_pair(f, one, sb))
+        lhs = th_inv.apply(D.cc.proj.apply(outer(f, tb, one)))
+        rhs = chain_op.proj.apply(outer(f, one, sb))
         if lhs != rhs:
             ok1 = False
-        lhs = th_inv.apply(D.cc.proj.apply(_outer_pair(f, sb, one)))
-        rhs = chain_op.proj.apply(_outer_pair(f, sb, one))
+        lhs = th_inv.apply(D.cc.proj.apply(outer(f, sb, one)))
+        rhs = chain_op.proj.apply(outer(f, sb, one))
         if lhs != rhs:
             ok2 = False
     rep.add("theta.eq2.3-mirror-target", "(2.3)", ok1)
@@ -820,7 +778,6 @@ def _beta_actions_on_cotensor(bundle, chain_TM, sub: Subspace):
 
 
 def _bb_bimodule(bundle, sub: Subspace, lacts, racts) -> Bimodule:
-    f = bundle.field
     B = bundle.B
     lcols = []
     for i in range(B.dim):
@@ -865,7 +822,7 @@ def monoidal_witness(bundle: PreTorsorBundle, pair: CoringPair,
     rho_A_cols = []
     for i in range(A.dim):
         ta = bgd.t_vec(A.space.basis_vector(i))
-        rho_A_cols.append(CA.proj.apply(_outer_pair(f, ta, A.unit)))
+        rho_A_cols.append(CA.proj.apply(outer(f, ta, A.unit)))
     rho_A = LinearMap.from_columns(A.space, CA.carrier, rho_A_cols)
     A_com = Comodule(C, A_bim, "left", rho_A, "A")
     S_A = cotensor(T_right, A_com, "TboxA")
@@ -873,7 +830,7 @@ def monoidal_witness(bundle: PreTorsorBundle, pair: CoringPair,
     xi0_cols = []
     for i in range(b.B.dim):
         bv = b.beta.map.apply(b.B.space.basis_vector(i))
-        xi0_cols.append(TA.proj.apply(_outer_pair(f, bv, A.unit)))
+        xi0_cols.append(TA.proj.apply(outer(f, bv, A.unit)))
     xi0_amb = LinearMap.from_columns(b.B.space, TA.carrier, xi0_cols)
     xi0 = corestrict_through(S_A.inclusion, xi0_amb, MembershipFailure,
                              f"{b.name}: xi0 misses the cotensor")
@@ -964,7 +921,6 @@ def can_factorisation(bundle: PreTorsorBundle, pair: CoringPair,
 
 
 def _left_module_wrap(A: Algebra, space: Space, lact: LinearMap, K: Algebra) -> Bimodule:
-    f = space.field
     cols = [space.basis_vector(j) for j in range(space.dim)]
     ract = LinearMap.from_columns(tensor_space([space, K.space]), space, cols)
     return Bimodule(space, A, K, lact, ract)
@@ -1177,7 +1133,7 @@ def homogeneous_pretorsor(bgd: RightBialgebroid, th: ThetaData, p_span,
     CP_cols = []
     for i in range(C.dim):
         for j in range(P.dim):
-            CP_cols.append(C.cc.proj.apply(_outer_pair(
+            CP_cols.append(C.cc.proj.apply(outer(
                 f, C.space.basis_vector(i), P.inclusion.matrix.col(j))))
     W = Subspace.from_spanning(C.cc.carrier, CP_cols, "CxP")
     if not W.contains_map(C.delta @ P.inclusion):
@@ -1197,9 +1153,9 @@ def homogeneous_pretorsor(bgd: RightBialgebroid, th: ThetaData, p_span,
     spanning = []
     for i in range(C.dim):
         for j in range(I.dim):
-            spanning.append(C.cc.proj.apply(_outer_pair(
+            spanning.append(C.cc.proj.apply(outer(
                 f, C.space.basis_vector(i), I.inclusion.matrix.col(j))))
-            spanning.append(C.cc.proj.apply(_outer_pair(
+            spanning.append(C.cc.proj.apply(outer(
                 f, I.inclusion.matrix.col(j), C.space.basis_vector(i))))
     coideal_span = Subspace.from_spanning(C.cc.carrier, spanning, "coideal")
     if not coideal_span.contains_map(C.delta @ I.inclusion):

@@ -19,15 +19,12 @@ from .algebra import (
     Link,
     chain_of_spaces,
     first_unbalanced,
-    make_algebra,
-    opposite,
     tensor_chain,
     tensor_space,
 )
 from .bialgebroid import (
     LeftBialgebroid,
     ThetaData,
-    _outer_pair,
     left_bialgebroid_axioms,
     theta,
 )
@@ -38,7 +35,7 @@ from .errors import (
     NotWellDefined,
     ShapeMismatch,
 )
-from .linalg import Matrix, permute_cols, permute_rows, split_leg
+from .linalg import Matrix, outer, permute_cols, permute_rows, split_leg
 from .report import Report
 from .spaces import LinearMap
 from .fixtures import HopfData, field_algebra
@@ -157,26 +154,7 @@ def twisted_bialgebroid(inp: TwistInput, name: str = "twist") -> TwistedBialgebr
     delta_H = Hd.cc.sect.matrix @ Hd.delta.matrix       # H -> H (x) H
     delta2_H = delta_H.kron(Matrix.identity(f, nH)) @ delta_H
 
-    def act(hvec, bvec):
-        out = [f.zero] * nB
-        for hi, hv in _nz(f, hvec):
-            for bi, bv in _nz(f, bvec):
-                col = inp.action.col(hi * nB + bi)
-                for k, x in enumerate(col):
-                    if not f.is_zero(x):
-                        out[k] = f.add(out[k], f.mul(f.mul(hv, bv), x))
-        return tuple(out)
-
-    def coc(mat, h1, h2):
-        out = [f.zero] * nB
-        for i1, v1 in _nz(f, h1):
-            for i2, v2 in _nz(f, h2):
-                col = mat.col(i1 * nH + i2)
-                for k, x in enumerate(col):
-                    if not f.is_zero(x):
-                        out[k] = f.add(out[k], f.mul(f.mul(v1, v2), x))
-        return tuple(out)
-
+    act, sigma = inp.action.apply_pair, inp.sigma.apply_pair
     # evaluate the product on all representative pairs
     amb_dim = nB * nB * nH
     basisH = [Hd.space.basis_vector(i) for i in range(nH)]
@@ -207,14 +185,13 @@ def twisted_bialgebroid(inp: TwistInput, name: str = "twist") -> TwistedBialgebr
                                 basisB[bi],
                                 B.product_vec(
                                     act(basisH[x1], basisB[ci]),
-                                    coc(inp.sigma, basisH[x2], basisH[u1])))
+                                    sigma(basisH[x2], basisH[u1])))
                             b2 = B.product_vec(
                                 basisB[cpi],
                                 B.product_vec(
-                                    act(_bv(f, nH, v1), basisB[bpi]),
-                                    coc(inp.sigma, _bv(f, nH, v2), _bv(f, nH, y))))
-                            hleg = H.algebra.product_vec(_bv(f, nH, x3),
-                                                         _bv(f, nH, u2))
+                                    act(basisH[v1], basisB[bpi]),
+                                    sigma(basisH[v2], basisH[y])))
+                            hleg = H.algebra.product_vec(basisH[x3], basisH[u2])
                             for (i1, w1) in _nz(f, b1):
                                 for (i2, w2) in _nz(f, b2):
                                     for (i3, w3) in _nz(f, hleg):
@@ -242,7 +219,7 @@ def twisted_bialgebroid(inp: TwistInput, name: str = "twist") -> TwistedBialgebr
         raise NotWellDefined(f"{name}: the twisted product is not balanced")
     rep.add("propA.1.product-balanced", "A.1(1)", True)
     mult_mat = raw6 @ chain.sect.matrix.kron(chain.sect.matrix)
-    unit_vec = chain.proj.apply(_triple(f, B.unit, B.unit, H.algebra.unit, nB, nH))
+    unit_vec = chain.proj.apply(outer(f, B.unit, B.unit, H.algebra.unit))
     D_alg = Algebra(chain.carrier,
                     LinearMap(tensor_space([chain.carrier, chain.carrier]),
                               chain.carrier, mult_mat),
@@ -253,10 +230,8 @@ def twisted_bialgebroid(inp: TwistInput, name: str = "twist") -> TwistedBialgebr
     s_cols, t_cols = [], []
     for i in range(nB):
         bvec = basisB[i]
-        s_cols.append(chain.proj.apply(_triple(f, bvec, B.unit, H.algebra.unit,
-                                               nB, nH)))
-        t_cols.append(chain.proj.apply(_triple(f, B.unit, bvec, H.algebra.unit,
-                                               nB, nH)))
+        s_cols.append(chain.proj.apply(outer(f, bvec, B.unit, H.algebra.unit)))
+        t_cols.append(chain.proj.apply(outer(f, B.unit, bvec, H.algebra.unit)))
     source = AlgebraMap(B, D_alg, LinearMap.from_columns(B.space, chain.carrier,
                                                          s_cols))
     target = AlgebraMap(B, D_alg, LinearMap.from_columns(B.space, chain.carrier,
@@ -295,13 +270,10 @@ def twisted_bialgebroid(inp: TwistInput, name: str = "twist") -> TwistedBialgebr
                 ph1 = chi_mat.col(h1)
                 for (xy, vxy) in _nz(f, ph1):
                     x, y = divmod(xy, nH)
-                    st = coc(inp.sigma_tilde, _bv(f, nH, y), _bv(f, nH, h2))
-                    left_leg = chain.proj.apply(_triple(
-                        f, basisB[b_i], st, _bv(f, nH, x), nB, nH))
-                    right_leg = chain.proj.apply(_triple(
-                        f, B.unit, basisB[bp_i], _bv(f, nH, h3), nB, nH))
-                    pair_amb = _outer_pair(f, left_leg, right_leg)
-                    contrib = dd.proj.apply(pair_amb)
+                    st = inp.sigma_tilde.apply_pair(basisH[y], basisH[h2])
+                    left_leg = chain.proj.apply(outer(f, basisB[b_i], st, basisH[x]))
+                    right_leg = chain.proj.apply(outer(f, B.unit, basisB[bp_i], basisH[h3]))
+                    contrib = dd.proj.apply(outer(f, left_leg, right_leg))
                     for k, x2 in enumerate(contrib):
                         if not f.is_zero(x2):
                             dvec[k] = f.add(dvec[k], f.mul(f.mul(val, vh),
@@ -314,9 +286,8 @@ def twisted_bialgebroid(inp: TwistInput, name: str = "twist") -> TwistedBialgebr
                     x, y = divmod(xy, nH)
                     term = B.product_vec(
                         basisB[b_i],
-                        B.product_vec(act(_bv(f, nH, h1), basisB[bp_i]),
-                                      coc(inp.sigma, _bv(f, nH, x),
-                                          _bv(f, nH, y))))
+                        B.product_vec(act(basisH[h1], basisB[bp_i]),
+                                      sigma(basisH[x], basisH[y])))
                     for k, x2 in enumerate(term):
                         if not f.is_zero(x2):
                             evec[k] = f.add(evec[k],
@@ -338,26 +309,8 @@ def twisted_bialgebroid(inp: TwistInput, name: str = "twist") -> TwistedBialgebr
 
     # the displayed Galois inverse, evaluated from the formulas
     _displayed_galois_inverse(inp, bgd, th, chain, chi_mat, delta_H, delta2_H,
-                              act, coc, rep, name)
+                              rep, name)
     return TwistedBialgebroid(bgd, th, chain, rep)
-
-
-def _bv(f, n, i):
-    return tuple(f.one if j == i else f.zero for j in range(n))
-
-
-def _triple(f, b, bp, h, nB, nH):
-    out = [f.zero] * (nB * nB * nH)
-    for i, x in enumerate(b):
-        if f.is_zero(x):
-            continue
-        for j, y in enumerate(bp):
-            if f.is_zero(y):
-                continue
-            for k, z in enumerate(h):
-                if not f.is_zero(z):
-                    out[(i * nB + j) * nH + k] = f.mul(x, f.mul(y, z))
-    return tuple(out)
 
 
 def _minus_plus(inp: TwistInput) -> Matrix:
@@ -371,13 +324,16 @@ def _minus_plus(inp: TwistInput) -> Matrix:
 
 
 def _displayed_galois_inverse(inp, bgd, th, chain, chi_mat, delta_H, delta2_H,
-                              act, coc, rep, name):
+                              rep, name):
     """Prop A.1(3): the displayed formula is a two-sided inverse of theta."""
     f = inp.B.field
     B, H = inp.B, inp.H
     nB, nH = B.dim, H.dim
     dim_D = chain.dim
     basisB = [B.space.basis_vector(i) for i in range(nB)]
+    basisH = [H.coring.space.basis_vector(i) for i in range(nH)]
+    act, sigma, sigma_tilde = (inp.action.apply_pair, inp.sigma.apply_pair,
+                               inp.sigma_tilde.apply_pair)
     dd = bgd.coring.cc
     delta3_H = delta_H.kron(Matrix.identity(f, nH * nH)) @ delta2_H
 
@@ -403,24 +359,18 @@ def _displayed_galois_inverse(inp, bgd, th, chain, chi_mat, delta_H, delta2_H,
                             a, bb = divmod(ab, nH)   # y3+1 = a, y3+2 = bb
                             coef = f.mul(f.mul(vxy, vy), f.mul(vuv,
                                                                f.mul(vu, vab)))
-                            first = chain.proj.apply(_triple(
-                                f, basisB[b_i], B.unit, _bv(f, nH, x), nB, nH))
+                            first = chain.proj.apply(outer(f, basisB[b_i], B.unit, basisH[x]))
                             mid_b = B.product_vec(
                                 basisB[bp_i],
-                                B.product_vec(act(_bv(f, nH, y1), basisB[c_i]),
-                                              coc(inp.sigma, _bv(f, nH, y2),
-                                                  _bv(f, nH, u1))))
+                                B.product_vec(act(basisH[y1], basisB[c_i]),
+                                              sigma(basisH[y2], basisH[u1])))
                             last_b = B.product_vec(
                                 basisB[cp_i],
-                                coc(inp.sigma_tilde,
-                                    H.algebra.product_vec(_bv(f, nH, v),
-                                                          _bv(f, nH, bb)),
-                                    _bv(f, nH, y4)))
-                            hleg = H.algebra.product_vec(_bv(f, nH, a),
-                                                         _bv(f, nH, u2))
-                            second = chain.proj.apply(_triple_from_vecs(
-                                f, mid_b, last_b, hleg, nB, nH))
-                            pair = _outer_pair(f, first, second)
+                                sigma_tilde(H.algebra.product_vec(basisH[v], basisH[bb]),
+                                            basisH[y4]))
+                            hleg = H.algebra.product_vec(basisH[a], basisH[u2])
+                            second = chain.proj.apply(outer(f, mid_b, last_b, hleg))
+                            pair = outer(f, first, second)
                             # the pair lives in D (x)_{B^op} D
                             contrib = th.chain_op.proj.apply(pair)
                             for k2, val in enumerate(contrib):
@@ -459,10 +409,6 @@ def _displayed_galois_inverse(inp, bgd, th, chain, chi_mat, delta_H, delta2_H,
         raise IsoFailure(f"{name}: displayed Galois inverse is not two-sided")
 
 
-def _triple_from_vecs(f, b, bp, h, nB, nH):
-    return _triple(f, b, bp, h, nB, nH)
-
-
 # ---------------------------------------------------------------------------
 # trivial-cocycle comparison against an independently coded smash pattern
 
@@ -480,17 +426,7 @@ def smash_pattern_product(inp: TwistInput, antipode: Matrix) -> Matrix:
     basisB = [B.space.basis_vector(i) for i in range(nB)]
     basisH = [H.coring.space.basis_vector(i) for i in range(nH)]
     amb = nB * nB * nH
-
-    def act(hvec, bvec):
-        out = [f.zero] * nB
-        for hi, hv in _nz(f, hvec):
-            for bi, bv in _nz(f, bvec):
-                col = inp.action.col(hi * nB + bi)
-                for k, x in enumerate(col):
-                    if not f.is_zero(x):
-                        out[k] = f.add(out[k], f.mul(f.mul(hv, bv), x))
-        return tuple(out)
-
+    act = inp.action.apply_pair
     cols = []
     for left in range(amb):
         b_i, rem = divmod(left, nB * nH)
@@ -526,7 +462,6 @@ def smash_pattern_product(inp: TwistInput, antipode: Matrix) -> Matrix:
 def smash_comparison(inp: TwistInput, tw: TwistedBialgebroid,
                      antipode: Matrix) -> bool:
     """Trivial cocycle: the twisted product equals the smash pattern."""
-    f = inp.B.field
     raw = smash_pattern_product(inp, antipode)
     chain = tw.chain
     lhs = tw.bgd.algebra.mult.matrix
@@ -545,22 +480,11 @@ def cocycle_double_twist(bgdH: LeftBialgebroid, sigma: Matrix,
     f = bgdH.coring.field
     H = bgdH
     L = H.base
-    nH, nL = H.dim, L.dim
+    nH = H.dim
     rep = Report(f"{name}:double-twist")
     delta_H = H.coring.cc.sect.matrix @ H.coring.delta.matrix
     delta2_H = delta_H.kron(Matrix.identity(f, nH)) @ delta_H
     basisH = [H.coring.space.basis_vector(i) for i in range(nH)]
-
-    def coc(mat, i1v, i2v):
-        out = [f.zero] * nL
-        for (i1, v1) in _nz(f, i1v):
-            for (i2, v2) in _nz(f, i2v):
-                col = mat.col(i1 * nH + i2)
-                for k, x in enumerate(col):
-                    if not f.is_zero(x):
-                        out[k] = f.add(out[k], f.mul(f.mul(v1, v2), x))
-        return tuple(out)
-
     cols = []
     for i in range(nH):
         d2i = delta2_H.col(i)
@@ -573,8 +497,8 @@ def cocycle_double_twist(bgdH: LeftBialgebroid, sigma: Matrix,
                 for (j123, vj) in _nz(f, d2j):
                     j12, j3 = divmod(j123, nH)
                     j1, j2 = divmod(j12, nH)
-                    sfac = coc(sigma, basisH[i1], basisH[j1])
-                    tfac = coc(sigma_tilde, basisH[i3], basisH[j3])
+                    sfac = sigma.apply_pair(basisH[i1], basisH[j1])
+                    tfac = sigma_tilde.apply_pair(basisH[i3], basisH[j3])
                     mid = H.algebra.product_vec(basisH[i2], basisH[j2])
                     term = H.algebra.product_vec(
                         H.s_vec(sfac),
@@ -629,7 +553,7 @@ def remark_a2_automorphism(inp: TwistInput, tw: TwistedBialgebroid,
                     p = chi_mat.col(h2)
                     for (xy, vxy) in _nz(f, p):
                         x, y = divmod(xy, nH)
-                        lval = _coc_L(f, inp, sig_mat, basisH[x], basisH[y], nH)
+                        lval = sig_mat.apply_pair(basisH[x], basisH[y])
                         term = H.algebra.product_vec(H.t_vec(lval), basisH[h1])
                         for k, w in enumerate(term):
                             if not f.is_zero(w):
@@ -638,7 +562,7 @@ def remark_a2_automorphism(inp: TwistInput, tw: TwistedBialgebroid,
                     p = chi_mat.col(h1)
                     for (xy, vxy) in _nz(f, p):
                         x, y = divmod(xy, nH)
-                        lval = _coc_L(f, inp, sig_mat, basisH[y], basisH[h2], nH)
+                        lval = sig_mat.apply_pair(basisH[y], basisH[h2])
                         term = H.algebra.product_vec(basisH[x], H.t_vec(lval))
                         for k, w in enumerate(term):
                             if not f.is_zero(w):
@@ -651,8 +575,7 @@ def remark_a2_automorphism(inp: TwistInput, tw: TwistedBialgebroid,
     rep.add("remA.2.inverse-pair", "A.2(2)",
             (phi @ psi).is_identity() and (psi @ phi).is_identity())
     # identify D (B = L) with H and transport
-    emb_cols = [tw.chain.proj.apply(_triple(f, inp.B.unit, inp.B.unit,
-                                            basisH[i], inp.B.dim, nH))
+    emb_cols = [tw.chain.proj.apply(outer(f, inp.B.unit, inp.B.unit, basisH[i]))
                 for i in range(nH)]
     emb = Matrix.from_cols(f, emb_cols, tw.chain.dim)
     # emb is a bijection H -> D; invert it to get the comparison map D -> H_tw
@@ -677,17 +600,6 @@ def remark_a2_automorphism(inp: TwistInput, tw: TwistedBialgebroid,
     rep.add("remA.2.iso-counit", "A.2(2)",
             twisted.coring.eps.matrix @ comp == tw.bgd.coring.eps.matrix)
     return rep
-
-
-def _coc_L(f, inp, mat, h1, h2, nH):
-    out = [f.zero] * inp.L.dim
-    for (i1, v1) in _nz(f, h1):
-        for (i2, v2) in _nz(f, h2):
-            col = mat.col(i1 * nH + i2)
-            for k, x in enumerate(col):
-                if not f.is_zero(x):
-                    out[k] = f.add(out[k], f.mul(f.mul(v1, v2), x))
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

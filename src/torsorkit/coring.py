@@ -14,6 +14,7 @@ from .algebra import (
     TensorChain,
     chain_map,
     chain_outer_bimodule,
+    regular_bimodule,
     tensor_chain,
 )
 from .errors import (
@@ -25,7 +26,7 @@ from .errors import (
     NotGroupLike,
     ShapeMismatch,
 )
-from .linalg import Matrix
+from .linalg import Matrix, outer
 from .spaces import LinearMap, Subspace, kernel
 
 
@@ -116,24 +117,12 @@ class Coring:
         return f"Coring({self.name} over {self.base.name}, dim={self.dim})"
 
 
-def make_coring(base, carrier, delta, eps, name="") -> Coring:
-    return Coring(base, carrier, delta, eps, name)
-
-
 def trivial_coring(base: Algebra, carrier: Bimodule | None = None, name: str = "") -> Coring:
     """The base algebra as a coring: Delta the canonical iso, eps = id."""
-    from .algebra import regular_bimodule
-
     bb = carrier or regular_bimodule(base)
     cc = tensor_chain([bb, bb], [base])
-    cols = []
-    for j in range(base.dim):
-        v = base.space.basis_vector(j)
-        amb = [base.field.zero] * (base.dim * base.dim)
-        for i, a in enumerate(v):
-            for k, b in enumerate(base.unit):
-                amb[i * base.dim + k] = base.field.mul(a, b)
-        cols.append(cc.proj.apply(tuple(amb)))
+    cols = [cc.proj.apply(outer(base.field, base.space.basis_vector(j), base.unit))
+            for j in range(base.dim)]
     delta = LinearMap.from_columns(base.space, cc.carrier, cols)
     eps = LinearMap.identity(base.space)
     return Coring(base, bb, delta, eps, name or base.name + "-triv")
@@ -150,15 +139,7 @@ class GroupLike:
 
 def check_grouplike(C: Coring, g) -> GroupLike:
     g = tuple(g)
-    f = C.field
-    n = C.dim
-    amb = [f.zero] * (n * n)
-    for i, a in enumerate(g):
-        if f.is_zero(a):
-            continue
-        for j, b in enumerate(g):
-            amb[i * n + j] = f.mul(a, b)
-    gg = C.cc.proj.apply(tuple(amb))
+    gg = C.cc.proj.apply(outer(C.field, g, g))
     dg = C.delta.apply(g)
     if dg != gg:
         raise NotGroupLike(f"{C.name}: Delta(g) != g (x) g")

@@ -12,9 +12,6 @@ connection).  Everything is an exact matrix identity.
 from __future__ import annotations
 
 from .algebra import (
-    Algebra,
-    Bimodule,
-    TensorChain,
     chain_map,
     chain_outer_bimodule,
     corestrict_through,
@@ -32,7 +29,7 @@ from .errors import (
 from .linalg import Matrix
 from .pretorsor import CoringPair, EntwiningData, PreTorsorBundle
 from .report import Report
-from .spaces import LinearMap, Subspace, intersect, kernel
+from .spaces import LinearMap, intersect, kernel
 
 
 class DiffCalculus:

@@ -17,8 +17,8 @@ from .algebra import Algebra, AlgebraMap, algebra_from_table, make_algebra
 from .errors import TorsorKitError, UnknownFixture
 from .fields import QQ, Field
 from .linalg import Matrix, permute_cols
-from .pretorsor import PreTorsorBundle, TorsorBundle, make_bundle
-from .spaces import LinearMap, Space, Subspace, intersect, kernel, quotient
+from .pretorsor import PreTorsorBundle, make_bundle
+from .spaces import LinearMap, Space, Subspace, intersect, quotient
 
 
 @dataclass

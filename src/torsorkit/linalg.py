@@ -26,7 +26,10 @@ A Kronecker product is applied, not built.  ``kron_apply`` evaluates
 ``(F1 (x) ... (x) Fk) . P . (G1 (x) ... (x) Gm)`` one output column at a
 time from the factors' column supports (the vec/Kronecker identities of
 Van Loan, *The ubiquitous Kronecker product*, JCAM 2000), so a tensor
-identity is checked at the size of its carrier, not of its ambient.
+identity is checked at the size of its carrier, not of its ambient.  In the
+same way ``Matrix.apply_pair`` evaluates a bilinear map, such as a product
+or an action, on a pair of vectors without building their outer product;
+``outer`` builds it where a tensor vector is wanted.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ class Matrix:
     between matrices and never mutated after construction.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_rows", "_id_flag")
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_id_flag", "_col_cache")
 
     def __init__(self, field: Field, rows, ncols: int | None = None):
         rows = [tuple(r) for r in rows]
@@ -66,6 +69,7 @@ class Matrix:
         self.ncols = ncols
         self._rows = tuple({j: x for j, x in enumerate(r) if not iz(x)} for r in rows)
         self._id_flag = None
+        self._col_cache = None
 
     # -- constructors ------------------------------------------------
 
@@ -82,6 +86,7 @@ class Matrix:
         m.nrows = len(rows)
         m.ncols = ncols
         m._id_flag = None
+        m._col_cache = None
         return m
 
     @staticmethod
@@ -281,6 +286,33 @@ class Matrix:
                     acc = add(acc, mul(a, v))
             out[i] = acc
         return tuple(out)
+
+    def apply_pair(self, u, v):
+        """``self @ (u (x) v)``, the pair in row-major order: the image of a
+        pair under a bilinear map such as a product or an action.
+
+        The column supports are computed on the first call and kept, so
+        the cost scales with the nonzeros of u and v and of the columns
+        they select."""
+        if len(u) * len(v) != self.ncols:
+            raise ShapeMismatch("pair length mismatch")
+        cols = self._col_cache
+        if cols is None:
+            cols = self._col_cache = self.col_supports()
+        f = self.field
+        iz, add, mul = f.is_zero, f.add, f.mul
+        acc = [f.zero] * self.nrows
+        width = len(v)
+        v_support = [(j, b) for j, b in enumerate(v) if not iz(b)]
+        for i, a in enumerate(u):
+            if iz(a):
+                continue
+            base = i * width
+            for j, b in v_support:
+                c = mul(a, b)
+                for k, x in cols[base + j]:
+                    acc[k] = add(acc[k], mul(c, x))
+        return tuple(acc)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, row-major index convention."""
@@ -592,6 +624,22 @@ def kron_apply(field, left, dims, order, right) -> Matrix:
             if not (summed and iz(v)):
                 out[y][j] = v
     return Matrix.from_sparse_rows(field, out, ncols)
+
+
+def outer(field, *vecs):
+    """Coordinates of ``v1 (x) ... (x) vk``, row-major, built from the
+    nonzeros of the factors."""
+    iz, mul = field.is_zero, field.mul
+    terms, size = [(0, field.one)], 1
+    for vec in vecs:
+        n = len(vec)
+        support = [(j, a) for j, a in enumerate(vec) if not iz(a)]
+        terms = [(x * n + j, mul(c, a)) for x, c in terms for j, a in support]
+        size *= n
+    out = [field.zero] * size
+    for x, c in terms:
+        out[x] = c
+    return tuple(out)
 
 
 def mixed_permutation(field, dims, order) -> Matrix:

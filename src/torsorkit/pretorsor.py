@@ -15,7 +15,6 @@ from __future__ import annotations
 from .algebra import (
     Algebra,
     AlgebraMap,
-    Bimodule,
     TensorChain,
     _carrier_leg_map,
     certify_free,
@@ -24,6 +23,7 @@ from .algebra import (
     corestrict_through,
     induce,
     regular_bimodule,
+    single_chain,
     sub_bimodule,
     tensor_chain,
 )
@@ -32,7 +32,6 @@ from .coring import (
     Comodule,
     Coring,
     CoringMorphism,
-    GroupLike,
     check_grouplike,
     coring_morphism,
     cotensor,
@@ -57,7 +56,7 @@ from .errors import (
 )
 from .linalg import Matrix, kron_apply
 from .report import Report
-from .spaces import LinearMap, Space, Subspace, image, intersect, invert, kernel
+from .spaces import LinearMap, Space, image, intersect, invert, kernel
 
 
 class PreTorsorBundle:
@@ -158,12 +157,12 @@ class PreTorsorBundle:
     def mu_TBT(self) -> LinearMap:
         """Multiplication T (x)_B T -> T."""
         return self._memo("mu_TBT", lambda: self.to_chain(
-            self.TBT, self.mu, _single(self, self.T.space), "mu over B"))
+            self.TBT, self.mu, single_chain(self.T.space), "mu over B"))
 
     @property
     def mu_TAT(self) -> LinearMap:
         return self._memo("mu_TAT", lambda: self.to_chain(
-            self.TAT, self.mu, _single(self, self.T.space), "mu over A"))
+            self.TAT, self.mu, single_chain(self.T.space), "mu over A"))
 
     # -- the defining kernels ------------------------------------------
 
@@ -171,7 +170,6 @@ class PreTorsorBundle:
     def omega_C(self) -> LinearMap:
         """(mu (x) T (x) T) o (T (x) tau) - (unit insertion), on T (x)_B T."""
         def build():
-            n = self.T.dim
             step1 = self.idT.kron(self.tau_raw)
             step2 = self.mu.kron(self.idT).kron(self.idT)
             first = step2 @ step1
@@ -201,12 +199,6 @@ class PreTorsorBundle:
 
 class TorsorBundle(PreTorsorBundle):
     """A pre-torsor declared to satisfy the torsor axioms as well."""
-
-
-def _single(bundle, space: Space) -> TensorChain:
-    from .algebra import single_chain
-
-    return single_chain(space)
 
 
 def make_bundle(A, B, T, alpha, beta, tau_raw, name="bundle", torsor=False):
@@ -379,7 +371,6 @@ def build_corings(bundle: PreTorsorBundle) -> CoringPair:
     if not bundle.beta.is_injective():
         raise BetaNotInjective(f"{bundle.name}: beta has a kernel")
     b = bundle
-    f = b.field
     TBT, TAT, X3 = b.TBT, b.TAT, b.X3
 
     C_sub = kernel(b.omega_C, "C")
@@ -1095,9 +1086,9 @@ def kappa(bundle: PreTorsorBundle, pair: CoringPair, Ct: Coring,
     to_big = LinearMap(pair.C.space, TBTCt.carrier, TBTCt.proj.matrix @ raw)
     CCt = tensor_chain([pair.C.carrier, Ct.carrier], [b.A])
     j_CCt = chain_map(CCt, [(1, pair.C_sub.inclusion, 2), (1, None, 1)], TBTCt)
-    rho_C = corestrict_through(j_CCt, to_big, MembershipFailure,
-                               f"{b.name}: induced coaction misses C(x)Ct")
-    _ = rho_C  # the corestriction succeeding is the content of the check
+    # the corestriction succeeding is the content of the check
+    corestrict_through(j_CCt, to_big, MembershipFailure,
+                       f"{b.name}: induced coaction misses C(x)Ct")
 
     # kappa: collapse with mu, pull back along alpha, act on Ct
     collapse = b.mu.kron(idCt) @ raw

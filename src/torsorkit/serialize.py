@@ -67,8 +67,8 @@ def algebra_from_json(field, doc, name, pointer):
             raise DocumentError(f"missing key {key!r}", pointer)
     dim, unit, constants = doc["dim"], doc["unit"], doc["structure_constants"]
     labels = doc.get("basis_labels")
-    if not _is_index(dim):
-        raise DocumentError(f"dim must be an integer, not {dim!r}", f"{pointer}/dim")
+    if not (_is_index(dim) and dim >= 0):
+        raise DocumentError(f"dim must be a non-negative integer, not {dim!r}", f"{pointer}/dim")
     if not isinstance(unit, list) or len(unit) != dim:
         raise DocumentError(f"unit must be a list of {dim} scalars", f"{pointer}/unit")
     if not isinstance(constants, list):
@@ -77,9 +77,17 @@ def algebra_from_json(field, doc, name, pointer):
         if not (isinstance(entry, list) and len(entry) == 4 and all(map(_is_index, entry[:3]))):
             raise DocumentError(f"expected [i, j, k, value] with integer indices, not {entry!r}",
                                 f"{pointer}/structure_constants/{idx}")
-    if labels is not None and not (isinstance(labels, list)
-                                   and all(isinstance(x, str) for x in labels)):
-        raise DocumentError("must be a list of strings", f"{pointer}/basis_labels")
+        if not all(0 <= x < dim for x in entry[:3]):
+            raise DocumentError(f"index out of range for dim {dim} in {entry!r}",
+                                f"{pointer}/structure_constants/{idx}")
+    if labels is not None:
+        if not (isinstance(labels, list) and all(isinstance(x, str) for x in labels)):
+            raise DocumentError("must be a list of strings", f"{pointer}/basis_labels")
+        if len(labels) != dim:
+            raise DocumentError(f"expected {dim} labels, found {len(labels)}",
+                                f"{pointer}/basis_labels")
+        if len(set(labels)) != dim:
+            raise DocumentError("duplicate basis labels", f"{pointer}/basis_labels")
     try:
         return make_algebra(field, dim, constants, unit, name, labels)
     except TorsorKitError as exc:

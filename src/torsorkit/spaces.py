@@ -48,9 +48,6 @@ class Space:
         f = self.field
         return tuple(f.one if j == i else f.zero for j in range(self.dim))
 
-    def zero_vector(self):
-        return (self.field.zero,) * self.dim
-
 
 class LinearMap:
     __slots__ = ("domain", "codomain", "matrix")
@@ -78,12 +75,6 @@ class LinearMap:
     @staticmethod
     def from_columns(domain: Space, codomain: Space, cols) -> "LinearMap":
         return LinearMap(domain, codomain, Matrix.from_cols(domain.field, list(cols), codomain.dim))
-
-    @staticmethod
-    def from_vector(codomain: Space, vec) -> "LinearMap":
-        """The map k -> codomain sending 1 to ``vec`` (a rank<=1 column)."""
-        one = Space(codomain.field, 1, "k")
-        return LinearMap.from_columns(one, codomain, [tuple(vec)])
 
     # -- algebra ---------------------------------------------------------
 
@@ -132,13 +123,6 @@ class LinearMap:
 
     def is_identity(self):
         return self.domain is self.codomain and self.matrix.is_identity()
-
-    def kron(self, other: "LinearMap", dom: Space, cod: Space) -> "LinearMap":
-        """Kronecker product realised between explicit tensor spaces."""
-        m = self.matrix.kron(other.matrix)
-        if (dom.dim, cod.dim) != (m.ncols, m.nrows):
-            raise ShapeMismatch("kron: supplied tensor spaces have wrong dims")
-        return LinearMap(dom, cod, m)
 
     def rank(self):
         return self.matrix.rank()

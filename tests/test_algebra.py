@@ -4,10 +4,10 @@ import pytest
 
 from torsorkit.algebra import (
     AlgebraMap,
-    balanced_tensor,
     certify_free,
+    chain_outer_bimodule,
     enveloping,
-    induce_map,
+    induce,
     make_algebra,
     opposite,
     regular_bimodule,
@@ -40,19 +40,22 @@ def test_make_algebra_validation():
 def test_balanced_tensor_examples():
     k = field_algebra(QQ)
     k_bim = regular_bimodule(k)
-    ts = balanced_tensor(k_bim, k, k_bim)
-    assert ts.dim == 1
+    assert tensor_chain([k_bim, k_bim], [k]).dim == 1
     c2 = group_algebra(QQ, 2, "kC2")
     kk = field_algebra(QQ)
     um = unit_algebra_map(kk, c2)
     t_bim = regular_bimodule(c2, um, um)
-    ts2 = balanced_tensor(t_bim, kk, t_bim)
-    assert ts2.dim == 4
-    assert (ts2.proj @ ts2.sect).is_identity()
+    chain2 = tensor_chain([t_bim, t_bim], [kk])
+    assert chain2.dim == 4
+    assert (chain2.proj @ chain2.sect).is_identity()
     m2 = matrix_algebra(QQ)
     m2_bim = regular_bimodule(m2)
-    ts3 = balanced_tensor(m2_bim, m2, m2_bim)
-    assert ts3.dim == 4
+    chain3 = tensor_chain([m2_bim, m2_bim], [m2])
+    assert chain3.dim == 4
+    # M2 (x)_M2 M2 is an M2-M2 bimodule through its edge factors
+    outer = chain_outer_bimodule(chain3, m2_bim, m2_bim, check=True)
+    assert outer.space is chain3.carrier
+    assert outer.left is m2 and outer.right is m2
 
 
 def test_balanced_tensor_over_field_is_plain():
@@ -60,27 +63,32 @@ def test_balanced_tensor_over_field_is_plain():
     kk = field_algebra(QQ)
     um = unit_algebra_map(kk, c2)
     t_bim = regular_bimodule(c2, um, um)
-    ts = balanced_tensor(t_bim, kk, t_bim)
-    assert ts.proj.matrix.is_identity()
+    assert tensor_chain([t_bim, t_bim], [kk]).proj.matrix.is_identity()
 
 
-def test_iterated_tensors_flatten_to_same_carrier():
+def test_iterated_tensors_share_one_carrier():
     m2 = matrix_algebra(QQ)
     bim = regular_bimodule(m2)
-    left = balanced_tensor(balanced_tensor(bim, m2, bim).outer, m2, bim)
-    right = balanced_tensor(bim, m2, balanced_tensor(bim, m2, bim).outer)
-    assert left.carrier is right.carrier  # rebracketing is the identity
-    assert left.dim == 4
+    flat = tensor_chain([bim, bim, bim], [m2, m2])
+    assert tensor_chain([bim, bim, bim], [m2, m2]).carrier is flat.carrier
+    assert flat.dim == 4
+    # bracketing through the outer bimodule of a pair gives the same size
+    pair = tensor_chain([bim, bim], [m2])
+    outer = chain_outer_bimodule(pair, bim, bim, check=True)
+    assert tensor_chain([outer, bim], [m2]).dim == 4
+    assert tensor_chain([bim, outer], [m2]).dim == 4
 
 
-def test_induce_map_well_defined_and_not():
+def _mult_on_square(m2):
+    chain = tensor_chain([regular_bimodule(m2)] * 2, [m2])
+    return chain, LinearMap(chain.ambient, m2.space, m2.mult.matrix)
+
+
+def test_induce_well_defined_and_not():
     m2 = matrix_algebra(QQ)
-    bim = regular_bimodule(m2)
-    ts = balanced_tensor(bim, m2, bim)
-    pair = ts.proj.domain
-    mu = LinearMap(pair, m2.space, m2.mult.matrix)
-    induced = induce_map(mu, ts)
-    assert induced.domain is ts.carrier
+    chain, mu = _mult_on_square(m2)
+    induced = induce(chain, mu)
+    assert induced.domain is chain.carrier
     # multiplication after the swap is not balanced over a matrix algebra
     n = m2.dim
     perm_cols = []
@@ -90,9 +98,9 @@ def test_induce_map_well_defined_and_not():
             v[j * n + i] = QQ.one
             perm_cols.append(tuple(v))
     swap = Matrix.from_cols(QQ, perm_cols, n * n)
-    bad = LinearMap(pair, m2.space, m2.mult.matrix @ swap)
+    bad = LinearMap(chain.ambient, m2.space, m2.mult.matrix @ swap)
     with pytest.raises(NotWellDefined) as err:
-        induce_map(bad, ts)
+        induce(chain, bad)
     assert err.value.witness is not None
 
 
@@ -154,10 +162,5 @@ def test_algebra_map_validation():
 
 def test_induced_map_composes_with_projection():
     # the induced map followed by the projection recovers the raw map
-    m2 = matrix_algebra(QQ)
-    bim = regular_bimodule(m2)
-    ts = balanced_tensor(bim, m2, bim)
-    pair = ts.proj.domain
-    mu = LinearMap(pair, m2.space, m2.mult.matrix)
-    induced = induce_map(mu, ts)
-    assert (induced @ ts.proj).matrix == mu.matrix
+    chain, mu = _mult_on_square(matrix_algebra(QQ))
+    assert (induce(chain, mu) @ chain.proj).matrix == mu.matrix

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torsorkit.cli import main, run
 from torsorkit.fields import GF
@@ -173,11 +174,19 @@ SC = ("algebras", "T", "structure_constants")
     (("algebras", "T", "basis_labels"), 5, "/algebras/T/basis_labels"),
     (("algebras", "T", "basis_labels"), [0, 1], "/algebras/T/basis_labels"),
     (("algebras", "B"), [], "/algebras/B"),
+    # indices out of range, label lists of the wrong size or repeated, a negative dim
+    (SC + (2, 0), 2, "/algebras/T/structure_constants/2"),
+    (SC + (1, 2), -1, "/algebras/T/structure_constants/1"),
+    (("algebras", "A", "structure_constants", 0, 1), 1, "/algebras/A/structure_constants/0"),
+    (("algebras", "T", "basis_labels"), ["e"], "/algebras/T/basis_labels"),
+    (("algebras", "T", "basis_labels"), ["e", "g", "h"], "/algebras/T/basis_labels"),
+    (("algebras", "T", "basis_labels"), ["e", "e"], "/algebras/T/basis_labels"),
+    (("algebras", "T", "dim"), -1, "/algebras/T/dim"),
 ])
 def test_malformed_algebra_exit_2(tmp_path, capsys, path, value, pointer):
-    """Structure constants, units, dims and labels are type-checked at the
-    parser: a wrong type exits 2 with a pointer, never a traceback or a
-    silent conversion."""
+    """Structure constants, units, dims and labels are type-checked, and
+    indices and label lists range-checked, at the parser: a bad entry exits
+    2 with a pointer to it, never a traceback or a silent conversion."""
     _assert_exit_2_at(tmp_path, capsys, path, value, pointer)
 
 
@@ -268,3 +277,49 @@ def test_python_dash_m_runs_the_cli():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "0 failed" in proc.stdout
+
+
+# -- bounded document fuzz ------------------------------------------------
+
+WRONG_VALUES = [None, True, False, 0, -1, 7, 1.5, "", "x", "1/0", "-3/7", [], {}, [0], {"k": 1}]
+SCALAR_TEXTS = ["0", "1", "-1", "2", "1/2", "-3/7"]
+
+
+@st.composite
+def mutated_document(draw):
+    """EX-C2's document with one entry, reached by a random walk from the
+    root, given a wrong type, deleted, duplicated or changed."""
+    doc = bundle_to_document(generate("EX-C2").bundle)
+    node = doc
+    while True:
+        key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                   else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+        else:
+            break
+    kind = draw(st.sampled_from(["type", "delete", "duplicate", "change"]))
+    if kind == "delete":
+        del node[key]
+    elif kind == "duplicate" and isinstance(node, list):
+        node.insert(key, copy.deepcopy(child))
+    elif kind == "change" and isinstance(child, bool):
+        node[key] = not child
+    elif kind == "change" and isinstance(child, int):
+        node[key] = draw(st.integers(-2, 9))
+    elif kind == "change" and isinstance(child, str):
+        node[key] = draw(st.sampled_from(SCALAR_TEXTS))
+    else:
+        node[key] = copy.deepcopy(draw(st.sampled_from(WRONG_VALUES)))
+    return doc
+
+
+@given(mutated_document())
+@settings(max_examples=40, deadline=None)
+def test_mutated_documents_exit_0_1_or_2(tmp_path_factory, doc):
+    """A mutated document is a verdict (0 or 1) or a document error (2),
+    never an escaped exception."""
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(dumps(doc))
+    assert main(["validate", "--input", str(path)]) in (0, 1, 2)

@@ -10,7 +10,8 @@ and balance on a chain is the projector identity, so no relation span of
 nearly ambient dimension is built.
 The benchmark's tracer and worker reach into the program by attribute
 name, so a renamed or deleted attribute must fail here rather than in a
-traced benchmark run.
+traced benchmark run.  No module keeps an import it never reads, and no
+module-level container but the three caches grows from one run to the next.
 """
 
 import argparse
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from torsorkit import algebra
 from torsorkit.analysis import BundleAnalysis, bialgebroid_report
 from torsorkit.cli import run
 from torsorkit.fixtures import generate
@@ -37,6 +39,9 @@ AMBIENT_ENTRIES = 1 << 20
 # the relation spans of the chains over T^(x)5 have 768 (EX-SMASH) and
 # 1,020 (EX-M2) dimensions; every subspace the suite needs is below this
 SPAN_DIM = 512
+# module-level containers that may grow: the chain cache, the identity cache
+# and the field cache (GF(p) must return the same field object)
+GROWING_CACHES = {"algebra._chain_cache", "linalg._identity_cache", "fields._gf_cache"}
 
 
 def _names(tree):
@@ -141,3 +146,58 @@ def test_suite_builds_no_relation_span(monkeypatch, name):
     args = argparse.Namespace(fixture=name, input=None, field=None, dump_matrices=False)
     run("suite", args)
     assert max(dims)[0] < SPAN_DIM, max(dims)
+
+
+def test_every_top_level_import_is_read():
+    """Each name a top-level import binds is read in its module or listed
+    in ``__all__``; no linter runs on this code, so this test is the check."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound, exported = {}, set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound.update((a.asname or a.name.partition(".")[0], node.lineno)
+                             for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound.update((a.asname or a.name, node.lineno) for a in node.names)
+            elif isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                exported = set(ast.literal_eval(node.value))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused += [f"{path.name}:{line} {name}" for name, line in bound.items()
+                   if name not in read and name not in exported]
+    assert not unused, unused
+
+
+def _module_container_sizes():
+    """The size of every module-level dict, list and set in ``torsorkit``
+    but the growing caches."""
+    sizes = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__main__":
+            continue
+        module = importlib.import_module(
+            "torsorkit" if path.stem == "__init__" else f"torsorkit.{path.stem}")
+        for attr, value in vars(module).items():
+            key = f"{path.stem}.{attr}"
+            if (isinstance(value, (dict, list, set)) and not attr.startswith("__")
+                    and key not in GROWING_CACHES):
+                sizes[key] = len(value)
+    return sizes
+
+
+def test_suite_keeps_no_process_global_state():
+    """``suite`` on EX-SW and then on EX-SMASH in one process: the outer
+    bimodule registry stays empty and no other module-level container
+    changes size between the two runs."""
+    def suite(name):
+        run("suite", argparse.Namespace(fixture=name, input=None, field=None,
+                                        dump_matrices=False))
+
+    suite("EX-SW")
+    after_first = _module_container_sizes()
+    suite("EX-SMASH")
+    assert _module_container_sizes() == after_first
+    assert not algebra._chain_outer_registry

@@ -12,6 +12,7 @@ from torsorkit.linalg import (
     kron_apply,
     leg_permutation,
     mixed_permutation,
+    outer,
     permute_cols,
     permute_rows,
     permute_tensor_rows,
@@ -534,3 +535,31 @@ def test_kron_apply_matches_the_dense_reference(case):
     fk = dense_kron(left, lsizes)
     want = _ref_matmul(field, fk, _ref_matmul(field, perm, g, ncols), ncols)
     assert_matches(kron_apply(field, left, dims, order, right), want, (len(fk), ncols))
+
+
+@st.composite
+def pair_case(draw):
+    """A field, a matrix on the pairs of legs of dims d1 and d2 (a zero, an
+    identity or a random one), a vector on each leg and a third vector."""
+    field = draw(FIELDS)
+    d1, d2, d3, m = (draw(st.integers(0, 3)) for _ in range(4))
+    mat = draw(operand(field, m, d1 * d2))
+    u, v, w = (tuple(field.from_int(x) for x in draw(
+        st.lists(st.one_of(st.just(0), small_entries), min_size=d, max_size=d)))
+        for d in (d1, d2, d3))
+    return field, mat, u, v, w
+
+
+@given(pair_case())
+@settings(max_examples=150, deadline=None)
+def test_apply_pair_and_outer_match_the_dense_reference(case):
+    field, mat, u, v, w = case
+    uv = tuple(field.mul(a, b) for a in u for b in v)
+    assert outer(field, u, v) == uv
+    assert outer(field, u, v, w) == tuple(field.mul(x, c) for x in uv for c in w)
+    expected = tuple(_ref_dot(field, row, uv) for row in mat.rows)
+    assert mat.apply_pair(u, v) == expected
+    # the second call reads the column supports kept by the first
+    assert mat.apply_pair(u, v) == expected
+    with pytest.raises(ShapeMismatch):
+        mat.apply_pair((field.one,) * (mat.ncols + 1), (field.one,))

@@ -252,16 +252,29 @@ def test_product_descent_matches_dense_and_catches_a_perturbation(an_smash):
             _bilinear_from_pairs(b, bumped, chain, sub, "C")
 
 
+def _spans_the_relation_kernel(chain, cols):
+    """Whether sparse relation columns span ``ker(chain.proj)``: each one
+    dies under ``proj`` and together they have rank ``ambient.dim - dim``,
+    computed by exact elimination."""
+    gen = Matrix.from_sparse_rows(chain.ambient.field, cols, chain.ambient.dim)
+    dies = not cols or (chain.proj.matrix @ gen.transpose()).is_zero()
+    return dies and gen.rank() == chain.ambient.dim - chain.dim
+
+
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "GF101"])
-def test_relation_span_check_catches_a_rank_loss(monkeypatch, field):
-    """The regenerated relation family of ``balanced_tensor`` is compared
-    with ``ker(proj)`` by exact rank: a family that keeps only its first
-    column dies under proj but spans too little, and must be rejected."""
-    b = fixture("EX-SMASH", None if field is QQ else field).bundle
-    TBT = algebra.balanced_tensor(b.T_AB, b.B, b.T_BA)
-    assert TBT.dim < TBT.chain.ambient.dim
-    real = algebra._link_relation_columns
-    monkeypatch.setattr(algebra, "_link_relation_columns",
-                        lambda *args: real(*args)[:1])
-    with pytest.raises(NotWellDefined, match="disagrees between enumeration orders"):
-        algebra.balanced_tensor(b.T_AB, b.B, b.T_BA)
+def test_relation_span_check_catches_a_rank_loss(field):
+    """The balancing relations of every quotient chain of EX-SMASH and
+    EX-M2, regenerated link by link in reverse order, span exactly
+    ``ker(proj)``; the family cut to its first column dies under ``proj``
+    but spans too little, and the check rejects it."""
+    for name in ("EX-SMASH", "EX-M2"):
+        chains = _quotient_chains(name, field)
+        assert chains
+        for chain, _ in chains:
+            cols = []
+            for link in reversed(chain.links):
+                cols.extend(reversed(algebra._link_relation_columns(
+                    field, chain.factor_spaces, link)))
+            assert _spans_the_relation_kernel(chain, cols), chain
+            assert chain.ambient.dim - chain.dim > 1
+            assert not _spans_the_relation_kernel(chain, cols[:1]), chain
