@@ -38,8 +38,16 @@ def _parse_field(text):
     raise DocumentError(f"unrecognised field {text!r}", "/field")
 
 
+def _source_field(args):
+    """The ``--field`` of a run, once ``--fixture`` and ``--input`` are
+    known not to name two sources."""
+    if args.fixture and args.input:
+        raise DocumentError("--fixture and --input name two inputs; give one", "")
+    return _parse_field(args.field)
+
+
 def _load_bundle(args):
-    field = _parse_field(args.field)
+    field = _source_field(args)
     if args.fixture:
         fx = fixture_mod.generate(args.fixture, field)
         return fx.bundle, fx
@@ -51,7 +59,11 @@ def _load_bundle(args):
             raise DocumentError(f"cannot read {args.input}: {exc.strerror}", "") from exc
         except UnicodeDecodeError as exc:
             raise DocumentError(f"{args.input} is not UTF-8: {exc.reason}", "") from exc
-        return bundle_from_document(loads(text)), None
+        bundle = bundle_from_document(loads(text))
+        if args.field is not None and bundle.field is not field:
+            raise DocumentError(f"--field {args.field} disagrees with the document's "
+                                f"field {bundle.field.name}", "/field")
+        return bundle, None
     raise DocumentError("need --fixture NAME or --input FILE", "")
 
 
@@ -95,7 +107,7 @@ def _twist_report(bundle, fx) -> Report:
 def run(command, args) -> tuple[int, dict]:
     """Execute one command; returns (exit code, report document)."""
     if command == "fixture":
-        field = _parse_field(args.field)
+        field = _source_field(args)
         fx = fixture_mod.generate(args.fixture or args.name, field)
         doc = bundle_to_document(fx.bundle)
         return 0, doc

@@ -2,8 +2,18 @@
 
 Every computation in the engine runs over one of these two field kinds.
 Elements are plain Python values (``fractions.Fraction`` for the rationals,
-``int`` residues for GF(p)); a ``Field`` object bundles the arithmetic so
-matrices can stay field-generic.
+``int`` residues in ``[0, p)`` for GF(p)); a ``Field`` object bundles the
+arithmetic so matrices can stay field-generic.
+
+The scalar methods (``add``, ``mul``, ``is_zero`` and the rest) serve the
+engine one value at a time.  The ``Matrix`` kernels do not call them per
+entry: they compute each term with the native ``+``, ``-`` and ``*`` of the
+stored values and hand every result row, column or vector once to
+``Field.normalise``, which returns its stored form: canonical values (a
+``Fraction``, or an ``int`` in ``[1, p)``) with the zeros dropped.  Over QQ
+that only filters zeros, and only where terms were summed; over GF(p) it
+reduces every value mod p once (delayed modular reduction, as in Dumas,
+Giorgi and Pernet, *FFLAS and FFPACK*, ACM TOMS 35(3), 2008).
 """
 
 from __future__ import annotations
@@ -37,6 +47,16 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def is_zero(self, a) -> bool:
+        raise NotImplementedError
+
+    def normalise(self, acc: dict, summed: bool) -> dict:
+        """Stored form of ``acc``, a dict of raw values built with native
+        ``+ - *`` from stored values: canonical values, zeros dropped.
+
+        ``summed`` says a value may be zero: terms were added, or the values
+        are arbitrary input.  When it is false every value is a product of
+        nonzero stored values.  The result may be ``acc`` itself.
+        """
         raise NotImplementedError
 
     def from_int(self, n: int):
@@ -79,6 +99,11 @@ class Rationals(Field):
 
     def is_zero(self, a):
         return a == 0
+
+    def normalise(self, acc, summed):
+        # Fraction arithmetic is exact and canonical, and a product of
+        # nonzero rationals is nonzero: only sums need the zero filter
+        return {k: v for k, v in acc.items() if v} if summed else acc
 
     def from_int(self, n):
         return Fraction(n)
@@ -163,6 +188,11 @@ class PrimeField(Field):
 
     def is_zero(self, a):
         return a % self.p == 0
+
+    def normalise(self, acc, summed):
+        # every raw value needs its reduction, summed or not
+        p = self.p
+        return {k: r for k, v in acc.items() if (r := v % p)}
 
     def from_int(self, n):
         return n % self.p

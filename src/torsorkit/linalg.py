@@ -10,6 +10,15 @@ operation builds its result from sparse rows directly through
 ``Matrix.from_sparse_rows``.  An identity is a flag over n one-entry rows.
 ``.rows`` is a dense view built on demand, for documents and tests.
 
+Stored values are canonical: a ``Fraction`` over QQ, an ``int`` in
+``[1, p)`` over GF(p).  The kernels (``__matmul__``, ``rref``, ``kron``,
+``kron_apply``, ``apply``, ``apply_pair``, ``outer``, the entrywise
+operations and the constructors) compute every term with the native ``+``,
+``-`` and ``*`` of those values and call no per-entry field method; each
+result row, column or vector is reduced once by ``Field.normalise``, which
+drops its zeros and, over GF(p), reduces it mod p.  Both fields take the
+same code path.
+
 ``Matrix.rref`` is the only elimination: normalised Gauss-Jordan on the
 sparse rows, exact over Q and GF(p) alike.  Every rank, kernel, solve and
 inverse goes through it.  Pivot choices are deterministic (leftmost column,
@@ -63,11 +72,11 @@ class Matrix:
             ncols = width
         elif ncols is None:
             raise ShapeMismatch("empty matrix needs explicit ncols")
-        iz = field.is_zero
+        normalise = field.normalise
         self.field = field
         self.nrows = len(rows)
         self.ncols = ncols
-        self._rows = tuple({j: x for j, x in enumerate(r) if not iz(x)} for r in rows)
+        self._rows = tuple(normalise(dict(enumerate(r)), True) for r in rows)
         self._id_flag = None
         self._col_cache = None
 
@@ -118,13 +127,12 @@ class Matrix:
         n = len(cols[0])
         if any(len(c) != n for c in cols):
             raise ShapeMismatch("from_cols: ragged columns")
-        iz = field.is_zero
         rows = [{} for _ in range(n)]
         for j, c in enumerate(cols):
             for i, x in enumerate(c):
-                if not iz(x):
-                    rows[i][j] = x
-        return Matrix.from_sparse_rows(field, rows, len(cols))
+                rows[i][j] = x
+        normalise = field.normalise
+        return Matrix.from_sparse_rows(field, [normalise(r, True) for r in rows], len(cols))
 
     # -- basics ------------------------------------------------------
 
@@ -198,39 +206,43 @@ class Matrix:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _combine(self, other, op):
-        """Entrywise ``op(a, b)`` on the union of the supports."""
+    def _combine(self, other, negate):
+        """``self + other``, or ``self - other`` when ``negate``, on the union
+        of the supports; only rows whose supports meet can cancel."""
         self._check_same_shape(other)
         f = self.field
-        iz, z = f.is_zero, f.zero
+        normalise = f.normalise
         out = []
         for r1, r2 in zip(self._rows, other._rows):
-            row = {}
-            for k in r1.keys() | r2.keys():
-                w = op(r1.get(k, z), r2.get(k, z))
-                if not iz(w):
-                    row[k] = w
-            out.append(row)
+            row = dict(r1)
+            for k, v in r2.items():
+                if negate:
+                    v = -v
+                row[k] = row[k] + v if k in row else v
+            out.append(normalise(row, len(row) < len(r1) + len(r2)))
         return Matrix.from_sparse_rows(f, out, self.ncols)
 
     def __add__(self, other):
-        return self._combine(other, self.field.add)
+        return self._combine(other, False)
 
     def __sub__(self, other):
-        return self._combine(other, self.field.sub)
+        return self._combine(other, True)
 
     def __neg__(self):
-        neg = self.field.neg
+        normalise = self.field.normalise
         return Matrix.from_sparse_rows(
-            self.field, [{k: neg(v) for k, v in r.items()} for r in self._rows], self.ncols)
+            self.field, [normalise({k: -v for k, v in r.items()}, False) for r in self._rows],
+            self.ncols)
 
     def scale(self, c):
         f = self.field
-        if f.is_zero(c):
+        if not c:
             return Matrix.zero(f, self.nrows, self.ncols)
-        mul = f.mul
+        normalise = f.normalise
+        # a multiple of p reduces to zero rows over GF(p); over QQ c is nonzero
         return Matrix.from_sparse_rows(
-            f, [{k: mul(c, v) for k, v in r.items()} for r in self._rows], self.ncols)
+            f, [normalise({k: c * v for k, v in r.items()}, False) for r in self._rows],
+            self.ncols)
 
     def _check_same_shape(self, other):
         if self.shape != other.shape:
@@ -239,9 +251,10 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """Matrix product, row by row over the nonzero entries.
 
+        Each row is summed with native ``+`` and ``*`` and normalised once.
         A product of nonzero field elements is nonzero, so a row whose
         entries each received one term holds no zero; only rows where terms
-        met are tested for zeros."""
+        met are tested for zeros over QQ."""
         if self.ncols != other.nrows:
             raise ShapeMismatch(f"cannot multiply {self.shape} by {other.shape}")
         if self.is_identity():
@@ -249,23 +262,20 @@ class Matrix:
         if other.is_identity():
             return self
         f = self.field
-        iz, add, mul = f.is_zero, f.add, f.mul
+        normalise = f.normalise
         orows = other._rows
         out = []
         for r in self._rows:
             acc = {}
+            get = acc.get
             terms = 0
             for j, a in r.items():
                 brow = orows[j]
                 terms += len(brow)
                 for k, b in brow.items():
-                    if k in acc:
-                        acc[k] = add(acc[k], mul(a, b))
-                    else:
-                        acc[k] = mul(a, b)
-            if terms > len(acc):
-                acc = {k: v for k, v in acc.items() if not iz(v)}
-            out.append(acc)
+                    x = get(k)
+                    acc[k] = a * b if x is None else x + a * b
+            out.append(normalise(acc, terms > len(acc)))
         return Matrix.from_sparse_rows(f, out, other.ncols)
 
     def apply(self, vec):
@@ -275,17 +285,19 @@ class Matrix:
         if self._id_flag:
             return tuple(vec)
         f = self.field
-        iz, add, mul, z = f.is_zero, f.add, f.mul, f.zero
-        support = {j: v for j, v in enumerate(vec) if not iz(v)}
-        out = [z] * self.nrows
+        support = {j: v for j, v in enumerate(vec) if v}
+        acc = {}
+        summed = False
         for i, r in enumerate(self._rows):
-            acc = z
             for j, a in r.items():
                 v = support.get(j)
                 if v is not None:
-                    acc = add(acc, mul(a, v))
-            out[i] = acc
-        return tuple(out)
+                    if i in acc:
+                        acc[i] += a * v
+                        summed = True
+                    else:
+                        acc[i] = a * v
+        return _dense(f, f.normalise(acc, summed), self.nrows)
 
     def apply_pair(self, u, v):
         """``self @ (u (x) v)``, the pair in row-major order: the image of a
@@ -300,33 +312,37 @@ class Matrix:
         if cols is None:
             cols = self._col_cache = self.col_supports()
         f = self.field
-        iz, add, mul = f.is_zero, f.add, f.mul
-        acc = [f.zero] * self.nrows
         width = len(v)
-        v_support = [(j, b) for j, b in enumerate(v) if not iz(b)]
+        v_support = [(j, b) for j, b in enumerate(v) if b]
+        acc = {}
+        get = acc.get
+        terms = 0
         for i, a in enumerate(u):
-            if iz(a):
+            if not a:
                 continue
             base = i * width
             for j, b in v_support:
-                c = mul(a, b)
-                for k, x in cols[base + j]:
-                    acc[k] = add(acc[k], mul(c, x))
-        return tuple(acc)
+                c = a * b
+                col = cols[base + j]
+                terms += len(col)
+                for k, x in col:
+                    y = get(k)
+                    acc[k] = c * x if y is None else y + c * x
+        return _dense(f, f.normalise(acc, terms > len(acc)), self.nrows)
 
     def kron(self, other: "Matrix") -> "Matrix":
         """Kronecker product, row-major index convention."""
         f = self.field
         if self.is_identity() and other.is_identity():
             return Matrix.identity(f, self.nrows * other.nrows)
-        mul = f.mul
+        normalise = f.normalise
         n = other.ncols
         out = []
         for r1 in self._rows:
             blocks = [(j1 * n, a) for j1, a in r1.items()]
             for r2 in other._rows:
-                out.append({base + j2: mul(a, b) for base, a in blocks
-                            for j2, b in r2.items()})
+                out.append(normalise({base + j2: a * b for base, a in blocks
+                                      for j2, b in r2.items()}, False))
         return Matrix.from_sparse_rows(f, out, self.ncols * n)
 
     @staticmethod
@@ -360,12 +376,14 @@ class Matrix:
         """Reduced row echelon form and pivot column list.
 
         Deterministic pivoting (leftmost column, topmost row), so the result
-        is the canonical rref.  Each pivot row is normalised and eliminated
-        from every other row that has an entry in its column, so work
-        scales with the nonzero entries touched.
+        is the canonical rref.  Each pivot row is scaled by the one inverse
+        of its pivot and eliminated from every other row that has an entry
+        in its column, so work scales with the nonzero entries touched.
+        Every row the elimination changes is normalised before the next
+        pivot search, which takes any key in a row for a nonzero entry.
         """
         f = self.field
-        iz, mul, sub, div, neg = f.is_zero, f.mul, f.sub, f.div, f.neg
+        normalise, inv = f.normalise, f.inv
         one = f.one
         m, n = self.nrows, self.ncols
         rows = [dict(r) for r in self._rows]
@@ -384,8 +402,8 @@ class Matrix:
             piv = rows[r]
             p = piv[c]
             if p != one:
-                for k in list(piv):
-                    piv[k] = div(piv[k], p)
+                p = inv(p)
+                piv = rows[r] = normalise({k: v * p for k, v in piv.items()}, False)
             # column c of every other row becomes exactly zero
             piv_items = tuple((k, v) for k, v in piv.items() if k != c)
             for i in range(m):
@@ -393,19 +411,13 @@ class Matrix:
                     continue
                 ri = rows[i]
                 a = ri.pop(c, None)
-                if a is None:
+                if a is None or not piv_items:
                     continue
-                na = neg(a)
+                na = -a
                 for k, v in piv_items:
                     x = ri.get(k)
-                    if x is None:
-                        ri[k] = mul(na, v)
-                    else:
-                        w = sub(x, mul(a, v))
-                        if iz(w):
-                            del ri[k]
-                        else:
-                            ri[k] = w
+                    ri[k] = na * v if x is None else x + na * v
+                rows[i] = normalise(ri, True)
             pivots.append(c)
             r += 1
             if r == m:
@@ -581,7 +593,7 @@ def kron_apply(field, left, dims, order, right) -> Matrix:
     g_sizes = _block_sizes(right, dims, lambda m: m.nrows)
     f_sizes = _block_sizes(left, dims if order is None else [dims[o] for o in order],
                            lambda m: m.ncols)
-    one, iz, add, mul = field.one, field.is_zero, field.add, field.mul
+    one, normalise = field.one, field.normalise
     g_cols = [[((c, one),) for c in range(n)] if g is None else g.col_supports()
               for g, n in zip(right, g_sizes)]
     position = None
@@ -601,44 +613,48 @@ def kron_apply(field, left, dims, order, right) -> Matrix:
     for j, supports in enumerate(product(*g_cols)):
         vec = {0: one}
         for supp, n in zip(supports, g_sizes):
-            vec = {x * n + r: mul(v, a) for x, v in vec.items() for r, a in supp}
+            vec = {x * n + r: v * a for x, v in vec.items() for r, a in supp}
         if position is not None:
             vec = {position[x]: v for x, v in vec.items()}
         summed = False
         for supp, width, height, lo in stages:
             nxt = {}
+            get = nxt.get
             for x, v in vec.items():
                 hi, rem = divmod(x, width)
                 mid, low = divmod(rem, lo)
                 base = hi * height + low
                 for r, a in supp[mid]:
                     y = base + r * lo
-                    w = mul(a, v)
-                    if y in nxt:
-                        nxt[y] = add(nxt[y], w)
-                        summed = True
+                    w = get(y)
+                    if w is None:
+                        nxt[y] = a * v
                     else:
-                        nxt[y] = w
+                        nxt[y] = w + a * v
+                        summed = True
             vec = nxt
-        for y, v in vec.items():
-            if not (summed and iz(v)):
-                out[y][j] = v
+        for y, v in normalise(vec, summed).items():
+            out[y][j] = v
     return Matrix.from_sparse_rows(field, out, ncols)
 
 
 def outer(field, *vecs):
     """Coordinates of ``v1 (x) ... (x) vk``, row-major, built from the
     nonzeros of the factors."""
-    iz, mul = field.is_zero, field.mul
-    terms, size = [(0, field.one)], 1
+    terms, size = {0: field.one}, 1
     for vec in vecs:
         n = len(vec)
-        support = [(j, a) for j, a in enumerate(vec) if not iz(a)]
-        terms = [(x * n + j, mul(c, a)) for x, c in terms for j, a in support]
+        support = [(j, a) for j, a in enumerate(vec) if a]
+        terms = {x * n + j: c * a for x, c in terms.items() for j, a in support}
         size *= n
+    return _dense(field, field.normalise(terms, False), size)
+
+
+def _dense(field, entries, size):
+    """The dense vector of length ``size`` with the stored ``entries``."""
     out = [field.zero] * size
-    for x, c in terms:
-        out[x] = c
+    for k, x in entries.items():
+        out[k] = x
     return tuple(out)
 
 

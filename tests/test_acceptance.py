@@ -7,6 +7,8 @@ faithfully, print FAIL, and are marked strict-xfail with the analysis
 recorded in the project notes.  All other components must pass.
 """
 
+import argparse
+
 import pytest
 
 from torsorkit.algebra import regular_bimodule
@@ -20,6 +22,7 @@ from torsorkit.bialgebroid import (
     _left_module_wrap,
 )
 from torsorkit.analysis import dimension_summary, BundleAnalysis
+from torsorkit.cli import run
 from torsorkit.errors import TorsorKitError
 from torsorkit.fields import GF, QQ
 from torsorkit.fixtures import field_algebra, generate
@@ -30,6 +33,7 @@ from torsorkit.spaces import LinearMap
 from conftest import analysis, fixture
 
 TORSOR_NAMES = ("EX-TRIV", "EX-C2", "EX-SW")
+BIG_PRIME = 2**61 - 1
 ALL_NAMES = ("EX-TRIV", "EX-C2", "EX-SW", "EX-M2")
 
 
@@ -286,11 +290,25 @@ def test_criterion_10_differential_calculi():
                          "equal to the restricted entwining")
 
 
+def _suite_rows(name, field):
+    """(id, status, dims) of every check of ``suite`` on a fixture."""
+    args = argparse.Namespace(fixture=name, input=None, field=field, dump_matrices=False)
+    _, doc = run("suite", args)
+    return [(c["id"], c["status"], c["dims"]) for c in doc["checks"]]
+
+
 def test_criterion_11_cross_field():
+    """The verdicts hold over GF(101), and over GF(2^61 - 1), whose raw
+    products pass 2^64 before the kernels reduce them."""
     ok = True
     for name in ALL_NAMES + ("EX-SMASH",):
         dq = dimension_summary(analysis(name))
         fxp = generate(name, GF(101))
         dp = dimension_summary(BundleAnalysis(fxp.bundle))
         ok &= dq == dp
-    assert _line(11, ok, "dimension verdicts identical over Q and GF(101)")
+    for name in ("EX-SW", "EX-SMASH"):
+        dq = dimension_summary(analysis(name))
+        dbig = dimension_summary(BundleAnalysis(generate(name, GF(BIG_PRIME)).bundle))
+        ok &= dq == dbig
+        ok &= _suite_rows(name, "Q") == _suite_rows(name, f"GF{BIG_PRIME}")
+    assert _line(11, ok, "dimension verdicts identical over Q, GF(101) and GF(2^61-1)")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from torsorkit.cli import main, run
-from torsorkit.fields import GF
+from torsorkit.fields import GF, QQ
 from torsorkit.fixtures import generate
 from torsorkit.linalg import Matrix
 from torsorkit.pretorsor import make_bundle
@@ -212,6 +212,29 @@ def test_boolean_scalars_exit_2(tmp_path, capsys, field, path, value, pointer):
 def test_malformed_cli_field_exit_2(capsys, spec):
     assert main(["validate", "--fixture", "EX-TRIV", "--field", spec]) == 2
     assert "error: /field: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc_field, args, pointer", [
+    ("Q", ["--field", "GF101"], "/field"),
+    ("GF101", ["--field", "Q"], "/field"),
+    ("GF101", ["--field", "GF2"], "/field"),
+    ("Q", ["--fixture", "EX-C2"], "/"),
+    ("GF101", ["--fixture", "EX-C2", "--field", "GF101"], "/"),
+    (None, ["--fixture", "EX-C2"], "/"),
+], ids=["Q-doc-GF101", "GF101-doc-Q", "GF101-doc-GF2", "fixture-and-input",
+        "fixture-field-and-input", "fixture-and-missing-input"])
+def test_conflicting_sources_exit_2(tmp_path, capsys, doc_field, args, pointer):
+    """A ``--field`` that disagrees with the ``--input`` document's field,
+    or ``--fixture`` beside ``--input`` (even a missing file), exits 2; a
+    ``--field`` that agrees with the document runs."""
+    path = tmp_path / "doc.json"
+    if doc_field is not None:
+        field = QQ if doc_field == "Q" else GF(int(doc_field[2:]))
+        path.write_text(dumps(bundle_to_document(generate("EX-C2", field).bundle)))
+    assert main(["validate", "--input", str(path)] + args) == 2
+    assert f"error: {pointer}: " in capsys.readouterr().err
+    if doc_field is not None:
+        assert main(["validate", "--input", str(path), "--field", doc_field]) == 0
 
 
 REFERENCE = json.loads((ROOT / "perfbench" / "reference.json").read_text(encoding="utf-8"))

@@ -8,6 +8,8 @@ as the reference the tests compare against.  Tensor identities are
 evaluated on carriers, so no report materialises an ambient-sized matrix,
 and balance on a chain is the projector identity, so no relation span of
 nearly ambient dimension is built.
+The ``Matrix`` kernels sum with native operators and reduce each result
+once through ``Field.normalise``, never through the per-entry field methods.
 The benchmark's tracer and worker reach into the program by attribute
 name, so a renamed or deleted attribute must fail here rather than in a
 traced benchmark run.  No module keeps an import it never reads, and no
@@ -42,6 +44,11 @@ SPAN_DIM = 512
 # module-level containers that may grow: the chain cache, the identity cache
 # and the field cache (GF(p) must return the same field object)
 GROWING_CACHES = {"algebra._chain_cache", "linalg._identity_cache", "fields._gf_cache"}
+# the linalg kernels that sum with native operators, and the per-entry
+# field methods they must not call
+NATIVE_KERNELS = {"__init__", "from_cols", "_combine", "__neg__", "scale", "__matmul__",
+                  "apply", "apply_pair", "kron", "rref", "kron_apply", "outer"}
+SCALAR_METHODS = {"add", "sub", "mul", "div", "is_zero"}
 
 
 def _names(tree):
@@ -76,6 +83,20 @@ def test_only_linalg_and_serialize_read_the_dense_view():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                       if isinstance(node, ast.Attribute) and node.attr == "rows"]
+    assert not offenders, offenders
+
+
+def test_matrix_kernels_call_no_scalar_field_method():
+    """The ``Matrix`` kernels compute with native ``+ - *`` and hand each
+    result row, column or vector once to ``Field.normalise``; none reads a
+    field's per-entry ``add``, ``sub``, ``mul``, ``div`` or ``is_zero``."""
+    tree = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
+    kernels = {node.name: node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name in NATIVE_KERNELS}
+    assert set(kernels) == NATIVE_KERNELS, NATIVE_KERNELS - set(kernels)
+    offenders = [f"{name}:{node.lineno} .{node.attr}"
+                 for name, fn in sorted(kernels.items()) for node in ast.walk(fn)
+                 if isinstance(node, ast.Attribute) and node.attr in SCALAR_METHODS]
     assert not offenders, offenders
 
 

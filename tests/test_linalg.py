@@ -20,6 +20,9 @@ from torsorkit.linalg import (
 )
 
 small_entries = st.integers(min_value=-4, max_value=4)
+# both ends of the modulus range: GF(2) cancels often, and over GF(2^61 - 1)
+# the raw products the kernels sum before reducing pass 2^64
+FIELDS = st.sampled_from([QQ, GF(2), GF(101), GF(2**61 - 1)])
 
 
 def mat_strategy(max_dim=5):
@@ -67,7 +70,7 @@ def assert_is_rref_of(m, r, pivots):
         assert all(f.is_zero(x) for x in rest)
 
 
-@given(mat_strategy(), st.sampled_from([QQ, GF(101)]))
+@given(mat_strategy(), FIELDS)
 @settings(max_examples=60, deadline=None)
 def test_rref_meets_its_definition(rows, field):
     m = Matrix.from_rows(field, rows)
@@ -146,7 +149,7 @@ def leg_permutation_case(draw):
     """Legs of dims 1-4, a random order, a field and a matrix to permute."""
     dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     order = draw(st.permutations(range(len(dims))))
-    field = draw(st.sampled_from([QQ, GF(101)]))
+    field = draw(FIELDS)
     total = len(leg_permutation(dims, order))
     other = draw(st.integers(1, 3))
     rows = draw(st.lists(st.lists(small_entries, min_size=other, max_size=other),
@@ -224,7 +227,7 @@ def kron_factors(draw, field, legs, size_side):
 @st.composite
 def kron_apply_case(draw):
     """1-4 legs of dims 1-4, an order or none, and F/G factors over them."""
-    field = draw(st.sampled_from([QQ, GF(101)]))
+    field = draw(FIELDS)
     dims = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
     order = draw(st.one_of(st.none(), st.permutations(range(len(dims)))))
     out_legs = dims if order is None else [dims[leg] for leg in order]
@@ -373,13 +376,34 @@ def _ref_permutation(f, dims, order):
     return tuple(out)
 
 
+def assert_canonical(f, v):
+    """``v`` is a nonzero value in stored form: a ``Fraction`` over QQ, an
+    ``int`` in ``[1, p)`` over GF(p)."""
+    if f is QQ:
+        assert type(v) is Fraction and v != 0, v
+    else:
+        assert type(v) is int and 0 < v < f.p, v
+
+
+def assert_canonical_vector(f, vec):
+    """A dense vector of stored-form values, its zeros the field's zero."""
+    for v in vec:
+        if v == 0:
+            assert type(v) is type(f.zero) and v == f.zero, v
+        else:
+            assert_canonical(f, v)
+
+
 def assert_sparse_invariants(m):
-    """No stored zero, every column in range, and equal matrices hash alike."""
+    """Every stored value canonical and nonzero, every column in range, and
+    equal matrices hash alike."""
     f = m.field
     rows = m.sparse_rows()
     assert len(rows) == m.nrows
     for r in rows:
-        assert all(0 <= k < m.ncols and not f.is_zero(v) for k, v in r.items())
+        assert all(0 <= k < m.ncols for k in r)
+        for v in r.values():
+            assert_canonical(f, v)
     copy = Matrix(f, m.rows, m.ncols)
     assert copy == m and hash(copy) == hash(m)
 
@@ -389,8 +413,6 @@ def assert_matches(m, ref, shape):
     assert m.shape == shape
     assert m.rows == tuple(ref)
 
-
-FIELDS = st.sampled_from([QQ, GF(101)])
 
 
 @st.composite
@@ -446,6 +468,7 @@ def test_arithmetic_matches_the_dense_reference(case):
     supports = [[(i, r[j]) for i, r in enumerate(ra) if not f.is_zero(r[j])] for j in range(n)]
     assert [list(s) for s in a.col_supports()] == supports
     assert a.apply(vec) == tuple(_ref_dot(f, r, vec) for r in ra)
+    assert_canonical_vector(f, a.apply(vec))
     assert all(a.entry(i, j) == ra[i][j] for i in range(m) for j in range(n))
     assert all(a.col(j) == tuple(r[j] for r in ra) for j in range(n))
     assert a.is_zero() == all(f.is_zero(x) for r in ra for x in r)
@@ -557,8 +580,10 @@ def test_apply_pair_and_outer_match_the_dense_reference(case):
     uv = tuple(field.mul(a, b) for a in u for b in v)
     assert outer(field, u, v) == uv
     assert outer(field, u, v, w) == tuple(field.mul(x, c) for x in uv for c in w)
+    assert_canonical_vector(field, outer(field, u, v, w))
     expected = tuple(_ref_dot(field, row, uv) for row in mat.rows)
     assert mat.apply_pair(u, v) == expected
+    assert_canonical_vector(field, mat.apply_pair(u, v))
     # the second call reads the column supports kept by the first
     assert mat.apply_pair(u, v) == expected
     with pytest.raises(ShapeMismatch):
