@@ -39,10 +39,14 @@ def _parse_field(text):
 
 
 def _source_field(args):
-    """The ``--field`` of a run, once ``--fixture`` and ``--input`` are
-    known not to name two sources."""
-    if args.fixture and args.input:
-        raise DocumentError("--fixture and --input name two inputs; give one", "")
+    """The ``--field`` of a run, once the positional name, ``--fixture`` and
+    ``--input`` are known not to name two sources.  A caller's namespace
+    may have no positional name."""
+    given = [flag for flag, value in (("the positional NAME", getattr(args, "name", None)),
+                                      ("--fixture", args.fixture),
+                                      ("--input", args.input)) if value]
+    if len(given) > 1:
+        raise DocumentError(f"{given[0]} and {given[1]} name two inputs; give one", "")
     return _parse_field(args.field)
 
 
@@ -108,7 +112,10 @@ def run(command, args) -> tuple[int, dict]:
     """Execute one command; returns (exit code, report document)."""
     if command == "fixture":
         field = _source_field(args)
-        fx = fixture_mod.generate(args.fixture or args.name, field)
+        name = args.fixture or getattr(args, "name", None)
+        if not name:
+            raise DocumentError("the fixture command needs a fixture NAME", "")
+        fx = fixture_mod.generate(name, field)
         doc = bundle_to_document(fx.bundle)
         return 0, doc
 

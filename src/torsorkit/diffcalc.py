@@ -27,7 +27,7 @@ from .errors import (
     RangeFailure,
 )
 from .linalg import Matrix
-from .pretorsor import CoringPair, EntwiningData, PreTorsorBundle
+from .pretorsor import CoringPair, EntwiningData, Hand, PreTorsorBundle
 from .report import Report
 from .spaces import LinearMap, intersect, kernel
 
@@ -67,35 +67,22 @@ class BimoduleConnection:
 
 def build_calculus(bundle: PreTorsorBundle, pair: CoringPair,
                    side: str = "A") -> DiffCalculus:
-    """Degree-(0,1,2) calculus on one base algebra of a unital pre-torsor."""
+    """Degree-(0,1,2) calculus on one base algebra of a unital pre-torsor:
+    on A from the right hand's coring C, on B from the left hand's D."""
     if not bundle.is_unital():
         raise NotUnital(bundle.name, side="structure map")
+    if side not in ("A", "B"):
+        raise ValueError("side must be 'A' or 'B'")
     b = bundle
     f = b.field
     rep = Report(f"{b.name}:calculus-{side}")
-    if side == "A":
-        base = b.A
-        two_leg = b.TBT
-        coring_sub = pair.C_sub
-        mu_two = b.mu_TBT
-        unit_map_mat = b.alpha.map.matrix
-        four_leg = b.X4C
-        two_tau = b.to_chain(two_leg, b.idT.kron(b.tau_raw), four_leg, "T(x)tau")
-        outer = chain_outer_bimodule(two_leg, b.T_AB, b.T_BA)
-    elif side == "B":
-        base = b.B
-        two_leg = b.TAT
-        coring_sub = pair.D_sub
-        mu_two = b.mu_TAT
-        unit_map_mat = b.beta.map.matrix
-        four_leg = b.X4D
-        two_tau = b.to_chain(two_leg, b.tau_raw.kron(b.idT), four_leg, "tau(x)T")
-        outer = chain_outer_bimodule(two_leg, b.T_BA, b.T_AB)
-    else:
-        raise ValueError("side must be 'A' or 'B'")
+    h = Hand(b, "right" if side == "A" else "left", pair)
+    base, two_leg, four_leg = h.base, h.two, h.X4
+    unit_map_mat = h.unit.map.matrix
+    outer = chain_outer_bimodule(two_leg, *h.legs(b.T_AB, b.T_BA))
 
     # degree-one forms: multiplication kernel intersected with the coring
-    omega1 = intersect([kernel(mu_two, "ker mu"), coring_sub],
+    omega1 = intersect([kernel(h.mu_two, "ker mu"), h.sub],
                        f"Omega1({side})")
     rep.add("appB.omega1-in-kermu", "B.1", True,
             dims={"omega1": omega1.dim})
@@ -115,7 +102,7 @@ def build_calculus(bundle: PreTorsorBundle, pair: CoringPair,
     incl_two = omega1.inclusion.matrix
     reps = two_leg.sect.matrix @ incl_two
     term1 = four_leg.proj.matrix @ unit_col.kron(unit_col).kron(reps)
-    term2 = two_tau.matrix @ incl_two
+    term2 = h.two_tau.matrix @ incl_two
     term3 = four_leg.proj.matrix @ reps.kron(unit_col).kron(unit_col)
     d1_big = LinearMap(omega1.space, four_leg.carrier, term1 - term2 + term3)
     j_om2 = chain_map(omega2, [(1, omega1.inclusion, 2),
@@ -218,18 +205,22 @@ def bimodule_connection(bundle: PreTorsorBundle, pair: CoringPair,
     Om1T = left_conn.module_chain
     om1B = calcB.omega1
 
+    j_l = chain_map(Om1T, [(1, om1B.inclusion, 2), (1, None, 1)], b.X3)
+
+    def twist(chain, two_leg, omega1, name, msg):
+        # t (x) omega -> tau(t omega_1) omega_2 on ``chain``, into Omega1(B) (x)_B T
+        expand = b.idT.kron(two_leg.sect.matrix @ omega1.inclusion.matrix)
+        raw = (b.idT.kron(b.idT).kron(b.mu)
+               @ b.tau_raw.kron(b.idT)
+               @ b.mu.kron(b.idT)
+               @ expand)
+        to_X3 = induce(chain, LinearMap(chain.ambient, b.X3.carrier,
+                                        b.X3.proj.matrix @ raw), name)
+        return corestrict_through(j_l, to_X3, MembershipFailure, f"{b.name}: {msg}")
+
     # sigma_B on T (x)_B Omega1(B)
     TOm1B = tensor_chain([b.T_BB, calcB.omega1_bim], [b.B])
-    expand = b.idT.kron(b.TAT.sect.matrix @ om1B.inclusion.matrix)
-    raw = (b.idT.kron(b.idT).kron(b.mu)
-           @ b.tau_raw.kron(b.idT)
-           @ b.mu.kron(b.idT)
-           @ expand)
-    to_X3 = induce(TOm1B, LinearMap(TOm1B.ambient, b.X3.carrier,
-                                    b.X3.proj.matrix @ raw), "sigma_B")
-    j_l = chain_map(Om1T, [(1, om1B.inclusion, 2), (1, None, 1)], b.X3)
-    sigma_b = corestrict_through(j_l, to_X3, MembershipFailure,
-                                 f"{b.name}: the twist map leaves its range")
+    sigma_b = twist(TOm1B, b.TAT, om1B, "sigma_B", "the twist map leaves its range")
     rep.add("propB.2.sigmaB-defined", "B.2(1)", True)
 
     # twisted Leibniz: nabla_l(t b) = nabla_l(t) b + sigma_B(t (x) d0 b);
@@ -269,17 +260,9 @@ def bimodule_connection(bundle: PreTorsorBundle, pair: CoringPair,
             else "TauNotRightBLinear: no mixed twist on this bundle")
     sigma_l = None
     if tau_right_linear:
-        om1A = calcA.omega1
         TOm1A = tensor_chain([b.T_BA, calcA.omega1_bim], [b.A])
-        expand_a = b.idT.kron(b.TBT.sect.matrix @ om1A.inclusion.matrix)
-        raw_a = (b.idT.kron(b.idT).kron(b.mu)
-                 @ b.tau_raw.kron(b.idT)
-                 @ b.mu.kron(b.idT)
-                 @ expand_a)
-        to_X3a = induce(TOm1A, LinearMap(TOm1A.ambient, b.X3.carrier,
-                                         b.X3.proj.matrix @ raw_a), "sigma_l")
-        sigma_l = corestrict_through(j_l, to_X3a, MembershipFailure,
-                                     f"{b.name}: the mixed twist leaves its range")
+        sigma_l = twist(TOm1A, b.TBT, calcA.omega1, "sigma_l",
+                        "the mixed twist leaves its range")
         kills = sigma_l.matrix @ TOm1A.proj.matrix @ b.idT.kron(calcA.d0.matrix)
         rep.add("propB.2.sigma-l-kills-dA", "B.2(2)", kills.is_zero())
     elif require_sigma_l:

@@ -8,6 +8,19 @@ entwining maps, the coinvariant bicomodule inside T (x)_B T (x)_A T and the
 structure isomorphisms relating all of these.  Every corestriction is solved
 as a linear system, never assumed; each solved system replaces a flatness or
 purity argument with a direct check on the given data.
+
+The two families are mirrors.  The right hand builds the A-coring C inside
+T (x)_B T, its coaction T -> T (x)_A C, the Galois map and psi_C; the left
+hand builds the B-coring D inside T (x)_A T, the coaction T -> D (x)_B T and
+psi_D.  The left hand is the right hand with its tensor legs in reverse
+order and B, beta, D in place of A, alpha, C.  Each mirrored construction
+is written once, in right-hand order, against a ``Hand``, and only ``Hand``
+tells the two apart.  Not mirrors, and written out: the two branches of
+``equivalence_witness`` (both take left comodules, and only the C branch
+checks colinearity), ``kappa``, the identity (4.8) of ``structure_isos``,
+in ``diffcalc`` d0 and the outer terms of d1 (mirroring d0 flips its sign),
+and in ``bialgebroid`` the right sweep and the left axioms (their bimodule
+rules differ).
 """
 
 from __future__ import annotations
@@ -166,27 +179,25 @@ class PreTorsorBundle:
 
     # -- the defining kernels ------------------------------------------
 
+    def _omega(self, side: str) -> LinearMap:
+        h = Hand(self, side)
+
+        def build():
+            step1 = h.kron(self.idT, self.tau_raw)
+            first = h.kron(self.mu, self.idT, self.idT) @ step1
+            second = h.kron(self.unit_col, self.idT, self.idT)
+            return self.to_chain(h.two, first - second, self.X3, f"omega_{h.letter}")
+        return self._memo(f"omega_{h.letter}", build)
+
     @property
     def omega_C(self) -> LinearMap:
         """(mu (x) T (x) T) o (T (x) tau) - (unit insertion), on T (x)_B T."""
-        def build():
-            step1 = self.idT.kron(self.tau_raw)
-            step2 = self.mu.kron(self.idT).kron(self.idT)
-            first = step2 @ step1
-            second = self.unit_col.kron(self.idT).kron(self.idT)
-            return self.to_chain(self.TBT, first - second, self.X3, "omega_C")
-        return self._memo("omega_C", build)
+        return self._omega("right")
 
     @property
     def omega_D(self) -> LinearMap:
         """(T (x) T (x) mu) o (tau (x) T) - (unit append), on T (x)_A T."""
-        def build():
-            step1 = self.tau_raw.kron(self.idT)
-            step2 = self.idT.kron(self.idT).kron(self.mu)
-            first = step2 @ step1
-            second = self.idT.kron(self.idT).kron(self.unit_col)
-            return self.to_chain(self.TAT, first - second, self.X3, "omega_D")
-        return self._memo("omega_D", build)
+        return self._omega("left")
 
     def is_unital(self) -> bool:
         one = self.unit_col.kron(self.unit_col).kron(self.unit_col)
@@ -207,6 +218,79 @@ def make_bundle(A, B, T, alpha, beta, tau_raw, name="bundle", torsor=False):
 
 
 # ---------------------------------------------------------------------------
+# the two hands
+
+
+def _mirrored(right: str, left: str, owner: str = "bundle"):
+    """A ``Hand`` attribute read, on use, from the bundle or the coring pair
+    under its right-hand or its left-hand name."""
+    return property(lambda h: getattr(getattr(h, owner), left if h.reversed else right))
+
+
+class Hand:
+    """The right hand (A, alpha, the coring C) or the left hand (B, beta,
+    the coring D) of a bundle, and with a coring pair its coring.
+
+    Mirrored constructions are written once, in right-hand order: ``legs``
+    and ``kron`` reverse tensor factors, chain-map blocks and Kronecker
+    factors for the left hand, and ``label`` does the same for the names in
+    messages.  ``pick`` chooses between two words that are not mirrors.
+    """
+
+    # per side: the coring's letter, the unit map, the base, the other side
+    _WORDS = {"right": ("C", "alpha", "A", "left"), "left": ("D", "beta", "B", "right")}
+
+    two = _mirrored("TBT", "TAT")               # the coring's ambient
+    mu_two = _mirrored("mu_TBT", "mu_TAT")
+    base_two = _mirrored("TAT", "TBT")          # T (x) T over the base
+    mu_base = _mirrored("mu_TAT", "mu_TBT")
+    X4 = _mirrored("X4C", "X4D")
+    omega = _mirrored("omega_C", "omega_D")
+    coring = _mirrored("C", "D", "pair")
+    sub = _mirrored("C_sub", "D_sub", "pair")
+    rho = _mirrored("rho_T", "lrho_T", "pair")  # T -> T (x)_A C
+    TK = _mirrored("TC", "DT", "pair")
+
+    def __init__(self, bundle: PreTorsorBundle, side: str, pair: CoringPair | None = None):
+        if side not in self._WORDS:
+            raise ShapeMismatch(f"side must be 'right' or 'left', not {side!r}")
+        self.bundle, self.side, self.pair = bundle, side, pair
+        self.reversed = side == "left"
+        self.letter, self.unit_name, self.base_name, self.opposite = self._WORDS[side]
+        self.unit = getattr(bundle, self.unit_name)
+        self.base = getattr(bundle, self.base_name)
+        self.T_base = getattr(bundle, f"T_{self.base_name}{self.base_name}")
+
+    @property
+    def KT(self) -> TensorChain:
+        """C (x)_A T."""
+        return tensor_chain(self.legs(self.coring.carrier, self.T_base), [self.base])
+
+    @property
+    def two_tau(self) -> LinearMap:
+        """T (x)_B tau from the coring's ambient, memoised on the bundle."""
+        b = self.bundle
+        name = self.label("T", "tau")
+        return b._memo(name, lambda: b.to_chain(
+            self.two, self.kron(b.idT, b.tau_raw), self.X4, name))
+
+    def legs(self, *xs) -> list:
+        return list(xs[::-1] if self.reversed else xs)
+
+    def kron(self, *ms: Matrix) -> Matrix:
+        first, *rest = self.legs(*ms)
+        for m in rest:
+            first = first.kron(m)
+        return first
+
+    def label(self, *names: str) -> str:
+        return "(x)".join(self.legs(*names))
+
+    def pick(self, right, left):
+        return left if self.reversed else right
+
+
+# ---------------------------------------------------------------------------
 # validation
 
 
@@ -223,37 +307,29 @@ def validate_pretorsor(bundle: PreTorsorBundle) -> Report:
     """Check bilinearity and the three structure axioms, report-style."""
     rep = Report(f"{bundle.name}:pre-torsor")
     T, f = bundle.T, bundle.field
-    X3, TBT, TAT, X5 = bundle.X3, bundle.TBT, bundle.TAT, bundle.X5
-    idA = Matrix.identity(f, bundle.A.dim)
-    idB = Matrix.identity(f, bundle.B.dim)
+    X3, X5 = bundle.X3, bundle.X5
     x3_outer = chain_outer_bimodule(X3, bundle.T_BA, bundle.T_BA)
+    right, left = Hand(bundle, "right"), Hand(bundle, "left")
 
-    lhs = bundle.tau.matrix @ bundle.T_BA.lact.matrix
-    rhs = x3_outer.lact.matrix @ idB.kron(bundle.tau.matrix)
-    rep.add("def3.1.bilinear.left", "3.1", lhs == rhs,
-            witness=None if lhs == rhs else "left B-linearity")
-    lhs = bundle.tau.matrix @ bundle.T_BA.ract.matrix
-    rhs = x3_outer.ract.matrix @ bundle.tau.matrix.kron(idA)
-    rep.add("def3.1.bilinear.right", "3.1", lhs == rhs,
-            witness=None if lhs == rhs else "right A-linearity")
+    # tau is left B-linear and right A-linear
+    for h in (left, right):
+        act = h.pick("ract", "lact")
+        lhs = bundle.tau.matrix @ getattr(bundle.T_BA, act).matrix
+        rhs = getattr(x3_outer, act).matrix @ h.kron(
+            bundle.tau.matrix, Matrix.identity(f, h.base.dim))
+        rep.add(f"def3.1.bilinear.{h.side}", "3.1", lhs == rhs,
+                witness=None if lhs == rhs else f"{h.side} {h.base_name}-linearity")
 
-    # (a) (mu (x)_B T) o tau = beta (x)_B T
-    mu12 = chain_map(X3, [(2, bundle.mu_TAT, 1), (1, None, 1)], TBT, "(mu,T)")
-    lhs_a = mu12 @ bundle.tau
-    rhs_a = LinearMap(T.space, TBT.carrier,
-                      TBT.proj.matrix @ bundle.unit_col.kron(bundle.idT))
-    ok = lhs_a == rhs_a
-    rep.add("def3.1.a", "3.1(a)", ok,
-            witness=None if ok else _first_diff_label(T.space, lhs_a, rhs_a))
-
-    # (b) (T (x)_A mu) o tau = T (x)_A alpha
-    mu23 = chain_map(X3, [(1, None, 1), (2, bundle.mu_TBT, 1)], TAT, "(T,mu)")
-    lhs_b = mu23 @ bundle.tau
-    rhs_b = LinearMap(T.space, TAT.carrier,
-                      TAT.proj.matrix @ bundle.idT.kron(bundle.unit_col))
-    ok = lhs_b == rhs_b
-    rep.add("def3.1.b", "3.1(b)", ok,
-            witness=None if ok else _first_diff_label(T.space, lhs_b, rhs_b))
+    # (a) (mu (x)_B T) o tau = beta (x)_B T and, mirrored, (b)
+    for h, part in ((right, "a"), (left, "b")):
+        mu_legs = chain_map(X3, h.legs((2, h.mu_base, 1), (1, None, 1)), h.two,
+                            f"({','.join(h.legs('mu', 'T'))})")
+        lhs = mu_legs @ bundle.tau
+        rhs = LinearMap(T.space, h.two.carrier,
+                        h.two.proj.matrix @ h.kron(bundle.unit_col, bundle.idT))
+        ok = lhs == rhs
+        rep.add(f"def3.1.{part}", f"3.1({part})", ok,
+                witness=None if ok else _first_diff_label(T.space, lhs, rhs))
 
     # (c) coassociativity of tau; a non-bilinear candidate makes the two
     # composites themselves ill defined, which is already a failure
@@ -308,19 +384,14 @@ def validate_torsor(bundle: PreTorsorBundle) -> Report:
             cols.append(_carrier_leg_map(X3, pos, m.matrix).matrix)
         return cols
 
-    # (a) alpha(a) on leg 1 from the left == alpha(a) on leg 2 from the right
-    lhs_cols = leg_mult(0, bundle.alpha, opposite_side=False)
-    rhs_cols = leg_mult(1, bundle.alpha, opposite_side=True)
-    ok = all(l @ bundle.tau.matrix == r @ bundle.tau.matrix
-             for l, r in zip(lhs_cols, rhs_cols))
-    rep.add("def5.1.a", "5.1(a)", ok)
-
+    # (a) alpha(a) on leg 1 from the left == alpha(a) on leg 2 from the right,
     # (b) beta(b) on leg 2 from the left == beta(b) on leg 3 from the right
-    lhs_cols = leg_mult(1, bundle.beta, opposite_side=False)
-    rhs_cols = leg_mult(2, bundle.beta, opposite_side=True)
-    ok = all(l @ bundle.tau.matrix == r @ bundle.tau.matrix
-             for l, r in zip(lhs_cols, rhs_cols))
-    rep.add("def5.1.b", "5.1(b)", ok)
+    for part, alg_map, pos in (("a", bundle.alpha, 0), ("b", bundle.beta, 1)):
+        lhs_cols = leg_mult(pos, alg_map, opposite_side=False)
+        rhs_cols = leg_mult(pos + 1, alg_map, opposite_side=True)
+        ok = all(l @ bundle.tau.matrix == r @ bundle.tau.matrix
+                 for l, r in zip(lhs_cols, rhs_cols))
+        rep.add(f"def5.1.{part}", f"5.1({part})", ok)
 
     # (c) tau(t t') = t1 t'1 (x) t'2 t2 (x) t3 t'3: tau (x) tau lands on the
     # t legs then the t' legs, which are interleaved for mu (x) mu (x) mu
@@ -371,73 +442,55 @@ def build_corings(bundle: PreTorsorBundle) -> CoringPair:
     if not bundle.beta.is_injective():
         raise BetaNotInjective(f"{bundle.name}: beta has a kernel")
     b = bundle
-    TBT, TAT, X3 = b.TBT, b.TAT, b.X3
+    hands = (Hand(b, "right"), Hand(b, "left"))
 
-    C_sub = kernel(b.omega_C, "C")
-    D_sub = kernel(b.omega_D, "D")
+    subs = [kernel(h.omega, h.letter) for h in hands]
     # re-assert the kernel property (nothing larger is killed)
-    assert (b.omega_C @ C_sub.inclusion).is_zero()
-    assert C_sub.dim == TBT.dim - b.omega_C.rank()
+    assert (b.omega_C @ subs[0].inclusion).is_zero()
+    assert subs[0].dim == b.TBT.dim - b.omega_C.rank()
 
-    tbt_outer = chain_outer_bimodule(TBT, b.T_AB, b.T_BA)
-    tat_outer = chain_outer_bimodule(TAT, b.T_BA, b.T_AB)
-    C_bim = sub_bimodule(C_sub, tbt_outer, NotSubcomoduleCompatible)
-    D_bim = sub_bimodule(D_sub, tat_outer, NotSubcomoduleCompatible)
-
-    # Delta_C: corestriction of T (x)_B tau
-    TBtau = b.to_chain(TBT, b.idT.kron(b.tau_raw), b.X4C, "T(x)tau")
-    CC = tensor_chain([C_bim, C_bim], [b.A])
-    j_CC = chain_map(CC, [(1, C_sub.inclusion, 2), (1, C_sub.inclusion, 2)], b.X4C)
-    assert j_CC.rank() == CC.dim
-    delta_C = corestrict_through(
-        j_CC, TBtau @ C_sub.inclusion, CoproductDoesNotCorestrict,
-        f"{b.name}: T(x)tau does not corestrict to C(x)C")
-
-    # eps_C: multiplication followed by an alpha-preimage
-    mu_C = b.mu_TBT @ C_sub.inclusion
-    eps_C = corestrict_through(
-        b.alpha.map, mu_C, CounitNotInImageOfUnit,
-        f"{b.name}: mu(C) does not lie in alpha(A)")
-
-    C = Coring(b.A, C_bim, delta_C, eps_C, name=f"C({b.name})")
-
-    # Delta_D: corestriction of tau (x)_A T
-    tauT = b.to_chain(TAT, b.tau_raw.kron(b.idT), b.X4D, "tau(x)T")
-    DD = tensor_chain([D_bim, D_bim], [b.B])
-    j_DD = chain_map(DD, [(1, D_sub.inclusion, 2), (1, D_sub.inclusion, 2)], b.X4D)
-    assert j_DD.rank() == DD.dim
-    delta_D = corestrict_through(
-        j_DD, tauT @ D_sub.inclusion, CoproductDoesNotCorestrict,
-        f"{b.name}: tau(x)T does not corestrict to D(x)D")
-    mu_D = b.mu_TAT @ D_sub.inclusion
-    eps_D = corestrict_through(
-        b.beta.map, mu_D, CounitNotInImageOfUnit,
-        f"{b.name}: mu(D) does not lie in beta(B)")
-    D = Coring(b.B, D_bim, delta_D, eps_D, name=f"D({b.name})")
+    bims = [sub_bimodule(sub, chain_outer_bimodule(h.two, *h.legs(b.T_AB, b.T_BA)),
+                         NotSubcomoduleCompatible) for h, sub in zip(hands, subs)]
+    C, D = (_coring(h, sub, bim) for h, sub, bim in zip(hands, subs, bims))
 
     # coactions on T given by tau
-    TC = tensor_chain([b.T_BA, C_bim], [b.A])
-    j_TC = chain_map(TC, [(1, None, 1), (1, C_sub.inclusion, 2)], X3)
-    rho_T = corestrict_through(j_TC, bundle.tau, MembershipFailure,
-                               f"{b.name}: tau does not land in T(x)C")
-    DT = tensor_chain([D_bim, b.T_BA], [b.B])
-    j_DT = chain_map(DT, [(1, D_sub.inclusion, 2), (1, None, 1)], X3)
-    lrho_T = corestrict_through(j_DT, bundle.tau, MembershipFailure,
-                                f"{b.name}: tau does not land in D(x)T")
+    rho_T, lrho_T = (
+        corestrict_through(
+            chain_map(tensor_chain(h.legs(b.T_BA, bim), [h.base]),
+                      h.legs((1, None, 1), (1, sub.inclusion, 2)), b.X3),
+            b.tau, MembershipFailure,
+            f"{b.name}: tau does not land in {h.label('T', h.letter)}")
+        for h, sub, bim in zip(hands, subs, bims))
     bicomodule = Bicomodule(D, C, b.T_BA, lrho_T, rho_T, name=f"T({b.name})")
 
     grouplike_C = grouplike_D = None
     if bundle.is_unital():
         one_pair = b.unit_col.kron(b.unit_col)
-        gC = TBT.proj.apply(one_pair.col(0))
-        grouplike_C = check_grouplike(C, C_sub.retraction.apply(gC))
-        gD = TAT.proj.apply(one_pair.col(0))
-        grouplike_D = check_grouplike(D, D_sub.retraction.apply(gD))
+        grouplike_C, grouplike_D = (
+            check_grouplike(K, sub.retraction.apply(h.two.proj.apply(one_pair.col(0))))
+            for h, K, sub in zip(hands, (C, D), subs))
         # eps applied to the group-like is the base unit
         assert C.eps.apply(grouplike_C.element) == b.A.unit
 
-    return CoringPair(bundle, C, D, C_sub, D_sub, rho_T, lrho_T, bicomodule,
+    return CoringPair(bundle, C, D, subs[0], subs[1], rho_T, lrho_T, bicomodule,
                       grouplike_C, grouplike_D)
+
+
+def _coring(h: Hand, sub, bim) -> Coring:
+    """Delta corestricts T (x)_B tau to C (x)_A C, eps pulls mu back along alpha."""
+    b = h.bundle
+    K = h.letter
+    two_tau = h.two_tau
+    KK = tensor_chain([bim, bim], [h.base])
+    j_KK = chain_map(KK, [(1, sub.inclusion, 2), (1, sub.inclusion, 2)], h.X4)
+    assert j_KK.rank() == KK.dim
+    delta = corestrict_through(
+        j_KK, two_tau @ sub.inclusion, CoproductDoesNotCorestrict,
+        f"{b.name}: {h.label('T', 'tau')} does not corestrict to {K}(x){K}")
+    eps = corestrict_through(
+        h.unit.map, h.mu_two @ sub.inclusion, CounitNotInImageOfUnit,
+        f"{b.name}: mu({K}) does not lie in {h.unit_name}({h.base_name})")
+    return Coring(h.base, bim, delta, eps, name=f"{K}({b.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -458,53 +511,36 @@ class GaloisData:
 def galois(bundle: PreTorsorBundle, pair: CoringPair, side: str = "right") -> GaloisData:
     """The canonical map and translation map, with the reconstruction checks.
 
-    Right side: can: T(x)_BT -> T(x)_AC, t (x) t' -> t rho(t').  A failed
-    inversion is the verdict NotGalois and carries the rank deficit.
+    Right side: can: T(x)_BT -> T(x)_AC, t (x) t' -> t rho(t'); the left side
+    mirrors it with the B-coring.  A failed inversion is the verdict
+    NotGalois and carries the rank deficit.
     """
+    h = Hand(bundle, side, pair)
     b = bundle
     f = b.field
-    if side == "right":
-        TC = pair.TC
-        rho_exp = TC.sect.matrix @ pair.rho_T.matrix
-        step1 = b.idT.kron(rho_exp)
-        step2 = b.mu.kron(Matrix.identity(f, pair.C.dim))
-        can = b.to_chain(b.TBT, step2 @ step1, TC, "can_C")
-        try:
-            can_inv = invert(can)
-        except NotInvertible as exc:
-            raise NotGalois(f"{b.name}: right canonical map is not bijective",
-                            rank_deficit=can.domain.dim - (exc.rank or 0)) from None
-        one_tensor = LinearMap(pair.C.space, TC.carrier,
-                               TC.proj.matrix @ b.unit_col.kron(Matrix.identity(f, pair.C.dim)))
-        chi = can_inv @ one_tensor
-        # reconstruction: tau = (T (x) chi) o rho
-        tau_rt = chain_map(TC, [(1, None, 1), (1, chi, 2)], b.X3) @ pair.rho_T
-        if tau_rt != bundle.tau:
-            raise NotGalois(f"{b.name}: translation map does not reproduce tau")
-        # mu o chi = alpha o eps
-        if b.mu_TBT @ chi != b.alpha.map @ pair.C.eps:
-            raise NotGalois(f"{b.name}: mu o chi != alpha o eps")
-        return GaloisData("right", can, can_inv, chi)
-
-    DT = pair.DT
-    rho_exp = DT.sect.matrix @ pair.lrho_T.matrix
-    step1 = rho_exp.kron(b.idT)
-    step2 = Matrix.identity(f, pair.D.dim).kron(b.mu)
-    can = b.to_chain(b.TAT, step2 @ step1, DT, "can_D_left")
+    K, TK = h.coring, h.TK
+    idK = Matrix.identity(f, K.dim)
+    rho_exp = TK.sect.matrix @ h.rho.matrix
+    step1 = h.kron(b.idT, rho_exp)
+    step2 = h.kron(b.mu, idK)
+    can = b.to_chain(h.two, step2 @ step1, TK, h.pick("can_C", "can_D_left"))
     try:
         can_inv = invert(can)
     except NotInvertible as exc:
-        raise NotGalois(f"{b.name}: left canonical map is not bijective",
+        raise NotGalois(f"{b.name}: {side} canonical map is not bijective",
                         rank_deficit=can.domain.dim - (exc.rank or 0)) from None
-    one_tensor = LinearMap(pair.D.space, DT.carrier,
-                           DT.proj.matrix @ Matrix.identity(f, pair.D.dim).kron(b.unit_col))
+    one_tensor = LinearMap(K.space, TK.carrier,
+                           TK.proj.matrix @ h.kron(b.unit_col, idK))
     chi = can_inv @ one_tensor
-    tau_rt = chain_map(DT, [(1, chi, 2), (1, None, 1)], b.X3) @ pair.lrho_T
+    # reconstruction: tau = (T (x) chi) o rho
+    tau_rt = chain_map(TK, h.legs((1, None, 1), (1, chi, 2)), b.X3) @ h.rho
     if tau_rt != bundle.tau:
-        raise NotGalois(f"{b.name}: left translation map does not reproduce tau")
-    if b.mu_TAT @ chi != b.beta.map @ pair.D.eps:
-        raise NotGalois(f"{b.name}: mu o chi != beta o eps")
-    return GaloisData("left", can, can_inv, chi)
+        translation = h.pick("translation map", "left translation map")
+        raise NotGalois(f"{b.name}: {translation} does not reproduce tau")
+    # mu o chi = alpha o eps
+    if h.mu_two @ chi != h.unit.map @ K.eps:
+        raise NotGalois(f"{b.name}: mu o chi != {h.unit_name} o eps")
+    return GaloisData(side, can, can_inv, chi)
 
 
 # ---------------------------------------------------------------------------
@@ -529,119 +565,65 @@ def entwining(bundle: PreTorsorBundle, pair: CoringPair, side: str = "right") ->
     Right side: psi_C: C (x)_A T -> T (x)_A C by t_i (x) u_i (x) v ->
     t_i tau(u_i v); left side mirrored with the B-coring.
     """
+    h = Hand(bundle, side, pair)
     b = bundle
     f = b.field
     rep = Report(f"{b.name}:entwining-{side}")
-    if side == "right":
-        C, C_sub = pair.C, pair.C_sub
-        CT = tensor_chain([C.carrier, b.T_AA], [b.A])
-        TC = pair.TC
-        expand_C = b.TBT.sect.matrix @ C_sub.inclusion.matrix
-        idC = Matrix.identity(f, C.dim)
-        raw = (
-            b.mu.kron(b.idT).kron(b.idT)
-            @ b.idT.kron(b.tau_raw)
-            @ b.idT.kron(b.mu)
-            @ expand_C.kron(b.idT)
-        )
-        to_X3 = induce(CT, LinearMap(CT.ambient, b.X3.carrier, b.X3.proj.matrix @ raw),
-                       "psi_C")
-        j_TC = chain_map(TC, [(1, None, 1), (1, C_sub.inclusion, 2)], b.X3)
-        psi = corestrict_through(j_TC, to_X3, MembershipFailure,
-                                 f"{b.name}: psi_C does not land in T(x)C")
+    K, KT, TK = h.coring, h.KT, h.TK
+    expand = h.two.sect.matrix @ h.sub.inclusion.matrix
+    idK = Matrix.identity(f, K.dim)
+    raw = (
+        h.kron(b.mu, b.idT, b.idT)
+        @ h.kron(b.idT, b.tau_raw)
+        @ h.kron(b.idT, b.mu)
+        @ h.kron(expand, b.idT)
+    )
+    to_X3 = induce(KT, LinearMap(KT.ambient, b.X3.carrier, b.X3.proj.matrix @ raw),
+                   f"psi_{h.letter}")
+    j_TK = chain_map(TK, h.legs((1, None, 1), (1, h.sub.inclusion, 2)), b.X3)
+    psi = corestrict_through(
+        j_TK, to_X3, MembershipFailure,
+        f"{b.name}: psi_{h.letter} does not land in {h.label('T', h.letter)}")
 
-        CTT = tensor_chain([C.carrier, b.T_AA, b.T_AA], [b.A, b.A])
-        TCT = tensor_chain([b.T_BA, C.carrier, b.T_AA], [b.A, b.A])
-        TTC = tensor_chain([b.T_BA, b.T_AA, C.carrier], [b.A, b.A])
-        TCC = tensor_chain([b.T_BA, C.carrier, C.carrier], [b.A, b.A])
-        CCT = tensor_chain([C.carrier, C.carrier, b.T_AA], [b.A, b.A])
-        mu_A = bundle.mu_TAT
-        lhs1 = psi @ chain_map(CTT, [(1, None, 1), (2, mu_A, 1)], CT)
-        rhs1 = (chain_map(TTC, [(2, mu_A, 1), (1, None, 1)], TC)
-                @ chain_map(TCT, [(1, None, 1), (2, psi, 2)], TTC)
-                @ chain_map(CTT, [(2, psi, 2), (1, None, 1)], TCT))
-        rep.add("entw.right.mult", "2(psi)", lhs1 == rhs1)
+    def chain3(*factors):
+        return tensor_chain(h.legs(*factors), [h.base, h.base])
 
-        unit_in = LinearMap(C.space, CT.carrier,
-                            CT.proj.matrix @ idC.kron(b.unit_col))
-        unit_out = LinearMap(C.space, TC.carrier,
-                             TC.proj.matrix @ b.unit_col.kron(idC))
-        rep.add("entw.right.unit", "2(psi)", psi @ unit_in == unit_out)
+    Tb = h.T_base
+    KTT = chain3(K.carrier, Tb, Tb)
+    TKT = chain3(b.T_BA, K.carrier, Tb)
+    TTK = chain3(b.T_BA, Tb, K.carrier)
+    TKK = chain3(b.T_BA, K.carrier, K.carrier)
+    KKT = chain3(K.carrier, K.carrier, Tb)
+    mu_base = h.mu_base
+    lhs1 = psi @ chain_map(KTT, h.legs((1, None, 1), (2, mu_base, 1)), KT)
+    rhs1 = (chain_map(TTK, h.legs((2, mu_base, 1), (1, None, 1)), TK)
+            @ chain_map(TKT, h.legs((1, None, 1), (2, psi, 2)), TTK)
+            @ chain_map(KTT, h.legs((2, psi, 2), (1, None, 1)), TKT))
+    rep.add(f"entw.{side}.mult", "2(psi)", lhs1 == rhs1)
 
-        lhs3 = chain_map(TC, [(1, None, 1), (1, C.delta, 2)], TCC) @ psi
-        rhs3 = (chain_map(CTC := tensor_chain([C.carrier, b.T_AA, C.carrier],
-                                              [b.A, b.A]),
-                          [(2, psi, 2), (1, None, 1)], TCC)
-                @ chain_map(CCT, [(1, None, 1), (2, psi, 2)], CTC)
-                @ chain_map(CT, [(1, C.delta, 2), (1, None, 1)], CCT))
-        rep.add("entw.right.coprod", "2(psi)", lhs3 == rhs3)
+    unit_in = LinearMap(K.space, KT.carrier, KT.proj.matrix @ h.kron(idK, b.unit_col))
+    unit_out = LinearMap(K.space, TK.carrier, TK.proj.matrix @ h.kron(b.unit_col, idK))
+    rep.add(f"entw.{side}.unit", "2(psi)", psi @ unit_in == unit_out)
 
-        alpha_eps = b.alpha.map.matrix @ C.eps.matrix
-        lhs4 = b.mu @ b.idT.kron(alpha_eps) @ TC.sect.matrix @ psi.matrix
-        rhs4 = b.mu @ alpha_eps.kron(b.idT) @ CT.sect.matrix
-        rep.add("entw.right.counit", "2(psi)", lhs4 == rhs4)
+    lhs3 = chain_map(TK, h.legs((1, None, 1), (1, K.delta, 2)), TKK) @ psi
+    KTK = chain3(K.carrier, Tb, K.carrier)
+    rhs3 = (chain_map(KTK, h.legs((2, psi, 2), (1, None, 1)), TKK)
+            @ chain_map(KKT, h.legs((1, None, 1), (2, psi, 2)), KTK)
+            @ chain_map(KT, h.legs((1, K.delta, 2), (1, None, 1)), KKT))
+    rep.add(f"entw.{side}.coprod", "2(psi)", lhs3 == rhs3)
 
-        # entwined module identity for T
-        lhs5 = pair.rho_T @ bundle.mu_TAT
-        rhs5 = (chain_map(TTC, [(2, mu_A, 1), (1, None, 1)], TC)
-                @ chain_map(TCT, [(1, None, 1), (2, psi, 2)], TTC)
-                @ chain_map(b.TAT, [(1, pair.rho_T, 2), (1, None, 1)], TCT))
-        rep.add("entw.right.module", "2(entwined)", lhs5 == rhs5)
-    else:
-        D, D_sub = pair.D, pair.D_sub
-        TD = tensor_chain([b.T_BB, D.carrier], [b.B])
-        DT = pair.DT
-        expand_D = b.TAT.sect.matrix @ D_sub.inclusion.matrix
-        idD = Matrix.identity(f, D.dim)
-        raw = (
-            b.idT.kron(b.idT).kron(b.mu)
-            @ b.tau_raw.kron(b.idT)
-            @ b.mu.kron(b.idT)
-            @ b.idT.kron(expand_D)
-        )
-        to_X3 = induce(TD, LinearMap(TD.ambient, b.X3.carrier, b.X3.proj.matrix @ raw),
-                       "psi_D")
-        j_DT = chain_map(DT, [(1, D_sub.inclusion, 2), (1, None, 1)], b.X3)
-        psi = corestrict_through(j_DT, to_X3, MembershipFailure,
-                                 f"{b.name}: psi_D does not land in D(x)T")
+    unit_eps = h.unit.map.matrix @ K.eps.matrix
+    lhs4 = b.mu @ h.kron(b.idT, unit_eps) @ TK.sect.matrix @ psi.matrix
+    rhs4 = b.mu @ h.kron(unit_eps, b.idT) @ KT.sect.matrix
+    rep.add(f"entw.{side}.counit", "2(psi)", lhs4 == rhs4)
 
-        TTD = tensor_chain([b.T_BB, b.T_BB, D.carrier], [b.B, b.B])
-        TDT = tensor_chain([b.T_BB, D.carrier, b.T_BA], [b.B, b.B])
-        DTT = tensor_chain([D.carrier, b.T_BB, b.T_BA], [b.B, b.B])
-        DDT = tensor_chain([D.carrier, D.carrier, b.T_BA], [b.B, b.B])
-        TDD = tensor_chain([b.T_BB, D.carrier, D.carrier], [b.B, b.B])
-        lhs1 = psi @ chain_map(TTD, [(2, bundle.mu_TBT, 1), (1, None, 1)], TD)
-        rhs1 = (chain_map(DTT, [(1, None, 1), (2, bundle.mu_TBT, 1)], DT)
-                @ chain_map(TDT, [(2, psi, 2), (1, None, 1)], DTT)
-                @ chain_map(TTD, [(1, None, 1), (2, psi, 2)], TDT))
-        rep.add("entw.left.mult", "2(psi)", lhs1 == rhs1)
+    # entwined module identity for T
+    lhs5 = h.rho @ mu_base
+    rhs5 = (chain_map(TTK, h.legs((2, mu_base, 1), (1, None, 1)), TK)
+            @ chain_map(TKT, h.legs((1, None, 1), (2, psi, 2)), TTK)
+            @ chain_map(h.base_two, h.legs((1, h.rho, 2), (1, None, 1)), TKT))
+    rep.add(f"entw.{side}.module", "2(entwined)", lhs5 == rhs5)
 
-        unit_in = LinearMap(D.space, TD.carrier,
-                            TD.proj.matrix @ b.unit_col.kron(idD))
-        unit_out = LinearMap(D.space, DT.carrier,
-                             DT.proj.matrix @ idD.kron(b.unit_col))
-        rep.add("entw.left.unit", "2(psi)", psi @ unit_in == unit_out)
-
-        lhs3 = chain_map(DT, [(1, D.delta, 2), (1, None, 1)], DDT) @ psi
-        rhs3 = (chain_map(DTD := tensor_chain([D.carrier, b.T_BB, D.carrier],
-                                              [b.B, b.B]),
-                          [(1, None, 1), (2, psi, 2)], DDT)
-                @ chain_map(TDD, [(2, psi, 2), (1, None, 1)], DTD)
-                @ chain_map(TD, [(1, None, 1), (1, D.delta, 2)], TDD))
-        rep.add("entw.left.coprod", "2(psi)", lhs3 == rhs3)
-
-        beta_eps = b.beta.map.matrix @ D.eps.matrix
-        lhs4 = b.mu @ beta_eps.kron(b.idT) @ DT.sect.matrix @ psi.matrix
-        rhs4 = b.mu @ b.idT.kron(beta_eps) @ TD.sect.matrix
-        rep.add("entw.left.counit", "2(psi)", lhs4 == rhs4)
-
-        lhs5 = pair.lrho_T @ bundle.mu_TBT
-        rhs5 = (chain_map(DTT, [(1, None, 1), (2, bundle.mu_TBT, 1)], DT)
-                @ chain_map(TDT, [(2, psi, 2), (1, None, 1)], DTT)
-                @ chain_map(b.TBT, [(1, None, 1), (1, pair.lrho_T, 2)], TDT))
-        rep.add("entw.left.module", "2(entwined)", lhs5 == rhs5)
-
-    psi_inv = None
     try:
         psi_inv = invert(psi)
     except NotInvertible:
@@ -676,50 +658,13 @@ def tbar(bundle: PreTorsorBundle, pair: CoringPair,
     and must agree as canonical subspaces.
     """
     b = bundle
-    f = b.field
-    C, D = pair.C, pair.D
-    C_sub, D_sub = pair.C_sub, pair.D_sub
     X3bar = b.X3bar
-    idC = Matrix.identity(f, C.dim)
-    idD = Matrix.identity(f, D.dim)
-
-    TD = tensor_chain([b.T_BB, D.carrier], [b.B])
-    CT = tensor_chain([C.carrier, b.T_AA], [b.A])
-    j_TD = chain_map(TD, [(1, None, 1), (1, D_sub.inclusion, 2)], X3bar)
-    j_CT = chain_map(CT, [(1, C_sub.inclusion, 2), (1, None, 1)], X3bar)
-
-    # (i): left coaction (psi_D (x) D) o (T (x) Delta_D) on T (x)_B D
-    DTD = tensor_chain([D.carrier, b.T_BB, D.carrier], [b.B, b.B])
-    TDD = tensor_chain([b.T_BB, D.carrier, D.carrier], [b.B, b.B])
-    coact_TD = (chain_map(TDD, [(2, ent_left.psi, 2), (1, None, 1)], DTD)
-                @ chain_map(TD, [(1, None, 1), (1, D.delta, 2)], TDD))
-    # reference: x -> lrho(1) . x with the left T-action mu (x) D
-    w1 = Matrix(f, [(x,) for x in pair.DT.sect.apply(
-        pair.lrho_T.apply(tuple(b.T.unit)))], 1)
-    laction_TD = TD.proj.matrix @ b.mu.kron(Matrix.identity(f, D.space.dim)) \
-        @ b.idT.kron(TD.sect.matrix)
-    ref_TD = LinearMap(
-        TD.carrier, DTD.carrier,
-        DTD.proj.matrix @ idD.kron(TD.sect.matrix)
-        @ idD.kron(laction_TD) @ w1.kron(Matrix.identity(f, TD.dim)))
-    sub_i = kernel(coact_TD - ref_TD)
-    S_i = image(j_TD @ sub_i.inclusion, "Tbar")
-
-    # (ii): right coaction (C (x) psi_C) o (Delta_C (x) T) on C (x)_A T
-    CTC = tensor_chain([C.carrier, b.T_AA, C.carrier], [b.A, b.A])
-    CCT = tensor_chain([C.carrier, C.carrier, b.T_AA], [b.A, b.A])
-    coact_CT = (chain_map(CCT, [(1, None, 1), (2, ent_right.psi, 2)], CTC)
-                @ chain_map(CT, [(1, C.delta, 2), (1, None, 1)], CCT))
-    v1 = Matrix(f, [(x,) for x in pair.TC.sect.apply(
-        pair.rho_T.apply(tuple(b.T.unit)))], 1)
-    raction_CT = CT.proj.matrix @ Matrix.identity(f, C.space.dim).kron(b.mu) \
-        @ CT.sect.matrix.kron(b.idT)
-    ref_CT = LinearMap(
-        CT.carrier, CTC.carrier,
-        CTC.proj.matrix @ CT.sect.matrix.kron(idC)
-        @ raction_CT.kron(idC) @ Matrix.identity(f, CT.dim).kron(v1))
-    sub_ii = kernel(coact_CT - ref_CT)
-    S_ii = image(j_CT @ sub_ii.inclusion, "Tbar")
+    left, right = Hand(b, "left", pair), Hand(b, "right", pair)
+    j_TD, j_CT = (chain_map(h.KT, h.legs((1, h.sub.inclusion, 2), (1, None, 1)), X3bar)
+                  for h in (left, right))
+    # (i) and (ii): the coinvariants of T (x)_B D and of C (x)_A T
+    S_i = _coinvariant_image(left, ent_left, j_TD)
+    S_ii = _coinvariant_image(right, ent_right, j_CT)
 
     # (iii): the intersection
     S_iii = intersect([image(j_CT), image(j_TD)], "Tbar")
@@ -738,18 +683,37 @@ def tbar(bundle: PreTorsorBundle, pair: CoringPair,
     mid_tau = X5bar.proj.matrix @ b.idT.kron(b.tau_raw).kron(b.idT) \
         @ X3bar.sect.matrix @ S_iii.inclusion.matrix
     to_X5 = LinearMap(S_iii.space, X5bar.carrier, mid_tau)
-    CTbar = tensor_chain([C.carrier, Tbar_bim], [b.A])
-    j_CTbar = chain_map(CTbar, [(1, C_sub.inclusion, 2),
-                                (1, S_iii.inclusion, 3)], X5bar)
-    lrho = corestrict_through(j_CTbar, to_X5, MembershipFailure,
-                              f"{b.name}: coaction does not land in C(x)Tbar")
-    TbarD = tensor_chain([Tbar_bim, D.carrier], [b.B])
-    j_TbarD = chain_map(TbarD, [(1, S_iii.inclusion, 3),
-                                (1, D_sub.inclusion, 2)], X5bar)
-    rrho = corestrict_through(j_TbarD, to_X5, MembershipFailure,
-                              f"{b.name}: coaction does not land in Tbar(x)D")
-    bico = Bicomodule(C, D, Tbar_bim, lrho, rrho, name=f"Tbar({b.name})")
+    lrho, rrho = (
+        corestrict_through(
+            chain_map(tensor_chain(h.legs(h.coring.carrier, Tbar_bim), [h.base]),
+                      h.legs((1, h.sub.inclusion, 2), (1, S_iii.inclusion, 3)), X5bar),
+            to_X5, MembershipFailure,
+            f"{b.name}: coaction does not land in {h.label(h.letter, 'Tbar')}")
+        for h in (right, left))
+    bico = Bicomodule(pair.C, pair.D, Tbar_bim, lrho, rrho, name=f"Tbar({b.name})")
     return TbarBicomodule(S_iii, Tbar_bim, bico, lrho, rrho)
+
+
+def _coinvariant_image(h: Hand, ent: EntwiningData, j: LinearMap):
+    """The coinvariants of C (x)_A T under (C (x) psi_C) o (Delta_C (x) T),
+    against x -> x . rho(1), as a subspace of the codomain of ``j``."""
+    b = h.bundle
+    f = b.field
+    K, KT = h.coring, h.KT
+    idK = Matrix.identity(f, K.dim)
+    KTK = tensor_chain(h.legs(K.carrier, h.T_base, K.carrier), [h.base, h.base])
+    KKT = tensor_chain(h.legs(K.carrier, K.carrier, h.T_base), [h.base, h.base])
+    coact = (chain_map(KKT, h.legs((1, None, 1), (2, ent.psi, 2)), KTK)
+             @ chain_map(KT, h.legs((1, K.delta, 2), (1, None, 1)), KKT))
+    v1 = Matrix(f, [(x,) for x in h.TK.sect.apply(h.rho.apply(tuple(b.T.unit)))], 1)
+    action = KT.proj.matrix @ h.kron(Matrix.identity(f, K.space.dim), b.mu) \
+        @ h.kron(KT.sect.matrix, b.idT)
+    ref = LinearMap(
+        KT.carrier, KTK.carrier,
+        KTK.proj.matrix @ h.kron(KT.sect.matrix, idK)
+        @ h.kron(action, idK) @ h.kron(Matrix.identity(f, KT.dim), v1))
+    sub = kernel(coact - ref)
+    return image(j @ sub.inclusion, "Tbar")
 
 
 # ---------------------------------------------------------------------------
@@ -774,39 +738,19 @@ def structure_isos(bundle: PreTorsorBundle, pair: CoringPair, tb: TbarBicomodule
     """The cotensor isomorphisms and, with invertible entwinings, the
     identification of T with the coinvariant bicomodule."""
     b = bundle
-    f = b.field
     C, D = pair.C, pair.D
     rep = Report(f"{b.name}:isos")
     maps = {}
     Tbar = tb.subspace
     Tbar_bim = tb.carrier
-    X3bar, X4D, X4C = b.X3bar, b.X4D, b.X4C
+    X3bar = b.X3bar
+    right, left = Hand(b, "right", pair), Hand(b, "left", pair)
 
-    T_comodule_right = Comodule(C, b.T_BA, "right", pair.rho_T, "T", check=False)
-    Tbar_left = Comodule(C, Tbar_bim, "left", tb.lrho, "Tbar", check=False)
-    box = cotensor(T_comodule_right, Tbar_left, "TboxTbar")
-    TTbar = tensor_chain([b.T_BA, Tbar_bim], [b.A])
+    box, TTbar, expand, j_TTbar, varpi, varpi_inv = _collapse(right, left, tb)
     rep.add("thm4.4.box-dim", "4.4", box.dim == D.dim,
             dims={"T box Tbar": box.dim, "D": D.dim}, certified=certified)
-
-    # varpi: multiply the first three legs
-    expand = b.idT.kron(X3bar.sect.matrix @ Tbar.inclusion.matrix)
-    mul3 = (b.mu @ b.mu.kron(b.idT)).kron(b.idT)
-    varpi_amb = induce(TTbar, LinearMap(
-        TTbar.ambient, b.TAT.carrier, b.TAT.proj.matrix @ mul3 @ expand), "varpi")
-    varpi = corestrict_through(pair.D_sub.inclusion, varpi_amb @ box.inclusion,
-                               IsoFailure, f"{b.name}: varpi does not land in D")
-    # inverse: restriction of tau (x) T
-    tauT = b.to_chain(b.TAT, b.tau_raw.kron(b.idT), X4D, "tau(x)T")
-    j_TTbar = chain_map(TTbar, [(1, None, 1), (1, Tbar.inclusion, 3)], X4D)
-    into_TTbar = corestrict_through(
-        j_TTbar, tauT @ pair.D_sub.inclusion, IsoFailure,
-        f"{b.name}: tau(x)T does not land in T(x)Tbar")
-    varpi_inv = corestrict_through(
-        box.inclusion, into_TTbar, IsoFailure,
-        f"{b.name}: tau(x)T does not land in the cotensor")
-    ok = (varpi @ varpi_inv).is_identity() and (varpi_inv @ varpi).is_identity()
-    rep.add("thm4.4.varpi", "4.4", ok, certified=certified)
+    rep.add("thm4.4.varpi", "4.4", _mutually_inverse(varpi, varpi_inv),
+            certified=certified)
     maps["varpi"] = varpi
     maps["varpi_inv"] = varpi_inv
 
@@ -825,85 +769,27 @@ def structure_isos(bundle: PreTorsorBundle, pair: CoringPair, tb: TbarBicomodule
     rep.add("thm4.4.right-colinear", "4.4", lhs2 == rhs2, certified=certified)
 
     # mirror: Tbar box_D T = C
-    Tbar_right = Comodule(D, Tbar_bim, "right", tb.rrho, "Tbar", check=False)
-    T_left = Comodule(D, b.T_BA, "left", pair.lrho_T, "T", check=False)
-    box2 = cotensor(Tbar_right, T_left, "TbarboxT")
-    TbarT = tensor_chain([Tbar_bim, b.T_BA], [b.B])
+    box2, TbarT, expand2, j_TbarT, varpi2, varpi2_inv = _collapse(left, right, tb)
     rep.add("thm4.4.box2-dim", "4.4", box2.dim == C.dim,
             dims={"Tbar box T": box2.dim, "C": C.dim}, certified=certified)
-    expand2 = (X3bar.sect.matrix @ Tbar.inclusion.matrix).kron(b.idT)
-    # multiply legs 2,3,4 of (t,u,v,w): t (x) (uvw)
-    mul_tail = b.idT.kron(b.mu @ b.mu.kron(b.idT))
-    varpi2_amb = induce(TbarT, LinearMap(
-        TbarT.ambient, b.TBT.carrier, b.TBT.proj.matrix @ mul_tail @ expand2),
-        "varpi2")
-    varpi2 = corestrict_through(pair.C_sub.inclusion, varpi2_amb @ box2.inclusion,
-                                IsoFailure, f"{b.name}: mirror map does not land in C")
-    Ttau = b.to_chain(b.TBT, b.idT.kron(b.tau_raw), X4C, "T(x)tau")
-    j_TbarT = chain_map(TbarT, [(1, Tbar.inclusion, 3), (1, None, 1)], X4C)
-    into_TbarT = corestrict_through(
-        j_TbarT, Ttau @ pair.C_sub.inclusion, IsoFailure,
-        f"{b.name}: T(x)tau does not land in Tbar(x)T")
-    varpi2_inv = corestrict_through(box2.inclusion, into_TbarT, IsoFailure,
-                                    f"{b.name}: mirror inverse misses the cotensor")
-    ok = (varpi2 @ varpi2_inv).is_identity() and (varpi2_inv @ varpi2).is_identity()
-    rep.add("thm4.4.varpi-mirror", "4.4", ok, certified=certified)
+    rep.add("thm4.4.varpi-mirror", "4.4", _mutually_inverse(varpi2, varpi2_inv),
+            certified=certified)
     maps["varpi2"] = varpi2
 
     # Cor 4.3: T (x)_A Tbar = T (x)_B D and C (x)_A T = Tbar (x)_B T
-    TD = tensor_chain([b.T_BB, D.carrier], [b.B])
-    CT = tensor_chain([C.carrier, b.T_AA], [b.A])
-    j_TD = chain_map(TD, [(1, None, 1), (1, pair.D_sub.inclusion, 2)], X3bar)
-    j_CT = chain_map(CT, [(1, pair.C_sub.inclusion, 2), (1, None, 1)], X3bar)
-    dcou_amb = induce(TTbar, LinearMap(
-        TTbar.ambient, X3bar.carrier,
-        X3bar.proj.matrix @ b.mu.kron(b.idT).kron(b.idT) @ expand), "Dcou")
-    dcou = corestrict_through(j_TD, dcou_amb, IsoFailure,
-                              f"{b.name}: counit map does not land in T(x)D")
-    expand_D = b.idT.kron(b.TAT.sect.matrix @ pair.D_sub.inclusion.matrix)
-    dcouinv_mat = b.mu.kron(b.idT).kron(b.idT).kron(b.idT) \
-        @ b.idT.kron(b.tau_raw).kron(b.idT) @ expand_D
-    dcouinv_amb = induce(TD, LinearMap(TD.ambient, X4D.carrier,
-                                       X4D.proj.matrix @ dcouinv_mat), "Dcouinv")
-    dcouinv = corestrict_through(j_TTbar, dcouinv_amb, IsoFailure,
-                                 f"{b.name}: inverse misses T(x)Tbar")
-    ok = (dcou @ dcouinv).is_identity() and (dcouinv @ dcou).is_identity()
+    j_TD, j_CT = (chain_map(h.KT, h.legs((1, h.sub.inclusion, 2), (1, None, 1)), X3bar)
+                  for h in (left, right))
+    dcou, ok = _counit_iso(right, left, TTbar, expand, j_TTbar, j_TD)
     rep.add("cor4.3.1", "4.3(1)", ok, certified=certified)
     maps["TA_Tbar_to_TD"] = dcou
-
-    ccou_amb = induce(TbarT, LinearMap(
-        TbarT.ambient, X3bar.carrier,
-        X3bar.proj.matrix @ b.idT.kron(b.idT).kron(b.mu) @ expand2), "Ccou")
-    ccou = corestrict_through(j_CT, ccou_amb, IsoFailure,
-                              f"{b.name}: mirror counit does not land in C(x)T")
-    expand_C = (b.TBT.sect.matrix @ pair.C_sub.inclusion.matrix).kron(b.idT)
-    ccouinv_mat = b.idT.kron(b.idT).kron(b.idT).kron(b.mu) \
-        @ b.idT.kron(b.tau_raw).kron(b.idT) @ expand_C
-    ccouinv_amb = induce(CT, LinearMap(CT.ambient, X4C.carrier,
-                                       X4C.proj.matrix @ ccouinv_mat), "Ccouinv")
-    j_TbarT_X4C = chain_map(TbarT, [(1, Tbar.inclusion, 3), (1, None, 1)], X4C)
-    ccouinv = corestrict_through(j_TbarT_X4C, ccouinv_amb, IsoFailure,
-                                 f"{b.name}: mirror inverse misses Tbar(x)T")
-    ok = (ccou @ ccouinv).is_identity() and (ccouinv @ ccou).is_identity()
+    ccou, ok = _counit_iso(left, right, TbarT, expand2, j_TbarT, j_CT)
     rep.add("cor4.3.2", "4.3(2)", ok, certified=certified)
     maps["C_AT_to_TbarT"] = ccou
 
     # Thm 4.9: with invertible entwinings, T = Tbar via equal one-sided coactions
     if ent_right.invertible and ent_left.invertible:
-        idC = Matrix.identity(f, C.dim)
-        idD = Matrix.identity(f, D.dim)
-        v1c = Matrix(f, [(x,) for x in pair.rho_T.apply(tuple(b.T.unit))], 1)
-        lmult_TC = pair.TC.proj.matrix @ b.mu.kron(idC) \
-            @ b.idT.kron(pair.TC.sect.matrix)
-        t_tau1 = LinearMap(b.T.space, pair.TC.carrier,
-                           lmult_TC @ b.idT.kron(v1c))
-        lcoact = ent_right.psi_inv @ t_tau1
-        w1c = Matrix(f, [(x,) for x in pair.lrho_T.apply(tuple(b.T.unit))], 1)
-        rmult_DT = pair.DT.proj.matrix @ idD.kron(b.mu) \
-            @ pair.DT.sect.matrix.kron(b.idT)
-        tau1_t = LinearMap(b.T.space, pair.DT.carrier,
-                           rmult_DT @ w1c.kron(b.idT))
-        rcoact = ent_left.psi_inv @ tau1_t
+        lcoact = _one_sided_coaction(right, ent_right)
+        rcoact = _one_sided_coaction(left, ent_left)
         taubar_left = j_CT @ lcoact
         taubar_right = j_TD @ rcoact
         ok = taubar_left == taubar_right
@@ -916,14 +802,12 @@ def structure_isos(bundle: PreTorsorBundle, pair: CoringPair, tb: TbarBicomodule
         maps["taubar"] = taubar
 
         # identity (4.8)
-        lcan = induce(b.TBT, LinearMap(
-            b.TBT.ambient, CT.carrier,
-            CT.proj.matrix @ idC.kron(b.mu)
-            @ (CT.sect.matrix @ lcoact.matrix).kron(b.idT)), "lcan")
-        rcan = induce(b.TAT, LinearMap(
-            b.TAT.ambient, TD.carrier,
-            TD.proj.matrix @ b.mu.kron(idD)
-            @ b.idT.kron(TD.sect.matrix @ rcoact.matrix)), "rcan")
+        lcan, rcan = (
+            induce(h.two, LinearMap(
+                h.two.ambient, h.KT.carrier,
+                h.KT.proj.matrix @ h.kron(Matrix.identity(b.field, h.coring.dim), b.mu)
+                @ h.kron(h.KT.sect.matrix @ coact.matrix, b.idT)), f"{h.opposite[0]}can")
+            for h, coact in ((right, lcoact), (left, rcoact)))
         lcan_inv = invert(lcan)
         rcan_inv = invert(rcan)
         can_right = gal_right or galois(bundle, pair, "right")
@@ -938,6 +822,79 @@ def structure_isos(bundle: PreTorsorBundle, pair: CoringPair, tb: TbarBicomodule
         maps["can_D_right"] = rcan
         maps["can_C_left"] = lcan
     return IsoReport(rep, maps)
+
+
+def _mutually_inverse(f: LinearMap, g: LinearMap) -> bool:
+    return (f @ g).is_identity() and (g @ f).is_identity()
+
+
+def _collapse(h: Hand, other: Hand, tb: TbarBicomodule):
+    """T box_C Tbar and the collapse varpi onto D, with its inverse from
+    tau (x)_A T; the left hand gives the mirror Tbar box_D T onto C.
+
+    Also returns the chain T (x)_A Tbar, the expansion of its Tbar leg and
+    its injection into tau (x)_A T's codomain, which Cor 4.3 reuses.
+    """
+    b = h.bundle
+    Tbar = tb.subspace
+    T_com = Comodule(h.coring, b.T_BA, h.side, h.rho, "T", check=False)
+    Tbar_com = Comodule(h.coring, tb.carrier, h.opposite, h.pick(tb.lrho, tb.rrho), "Tbar",
+                        check=False)
+    box = cotensor(*h.legs(T_com, Tbar_com), "box".join(h.legs("T", "Tbar")))
+    TTbar = tensor_chain(h.legs(b.T_BA, tb.carrier), [h.base])
+    # varpi: multiply the first three legs
+    expand = h.kron(b.idT, b.X3bar.sect.matrix @ Tbar.inclusion.matrix)
+    mul3 = h.kron(b.mu @ b.mu.kron(b.idT), b.idT)
+    varpi_amb = induce(TTbar, LinearMap(
+        TTbar.ambient, h.base_two.carrier, h.base_two.proj.matrix @ mul3 @ expand),
+        h.pick("varpi", "varpi2"))
+    varpi = corestrict_through(
+        other.sub.inclusion, varpi_amb @ box.inclusion, IsoFailure,
+        f"{b.name}: {h.pick('varpi', 'mirror map')} does not land in {other.letter}")
+    # inverse: restriction of tau (x) T
+    j = chain_map(TTbar, h.legs((1, None, 1), (1, Tbar.inclusion, 3)), other.X4)
+    into_TTbar = corestrict_through(
+        j, other.two_tau @ other.sub.inclusion, IsoFailure,
+        f"{b.name}: {other.label('T', 'tau')} does not land in {h.label('T', 'Tbar')}")
+    varpi_inv = corestrict_through(
+        box.inclusion, into_TTbar, IsoFailure, f"{b.name}: " + h.pick(
+            "tau(x)T does not land in the cotensor", "mirror inverse misses the cotensor"))
+    return box, TTbar, expand, j, varpi, varpi_inv
+
+
+def _counit_iso(h: Hand, other: Hand, TTbar, expand: Matrix, j_TTbar: LinearMap,
+                j_KT: LinearMap) -> tuple[LinearMap, bool]:
+    """Cor 4.3(1), T (x)_A Tbar = T (x)_B D: multiply the first two legs, and
+    back by tau on the middle leg; the left hand gives (2), Tbar (x)_B T =
+    C (x)_A T.  ``j_KT`` injects T (x)_B D into T (x)_B T (x)_A T."""
+    b = h.bundle
+    X3bar, X4, KT = b.X3bar, other.X4, other.KT
+    name = f"{other.letter}cou"
+    cou_amb = induce(TTbar, LinearMap(
+        TTbar.ambient, X3bar.carrier,
+        X3bar.proj.matrix @ h.kron(b.mu, b.idT, b.idT) @ expand), name)
+    cou = corestrict_through(
+        j_KT, cou_amb, IsoFailure, f"{b.name}: {h.pick('counit map', 'mirror counit')} "
+        f"does not land in {other.label(other.letter, 'T')}")
+    expand_K = other.kron(other.two.sect.matrix @ other.sub.inclusion.matrix, b.idT)
+    inv_mat = h.kron(b.mu, b.idT, b.idT, b.idT) \
+        @ h.kron(b.idT, b.tau_raw, b.idT) @ expand_K
+    inv_amb = induce(KT, LinearMap(KT.ambient, X4.carrier, X4.proj.matrix @ inv_mat),
+                     f"{name}inv")
+    inv = corestrict_through(
+        j_TTbar, inv_amb, IsoFailure,
+        f"{b.name}: {h.pick('inverse', 'mirror inverse')} misses {h.label('T', 'Tbar')}")
+    return cou, _mutually_inverse(cou, inv)
+
+
+def _one_sided_coaction(h: Hand, ent: EntwiningData) -> LinearMap:
+    """T -> C (x)_A T, t -> psi_C^-1(t rho(1)); the left hand gives T -> T (x)_B D."""
+    b = h.bundle
+    TK = h.TK
+    idK = Matrix.identity(b.field, h.coring.dim)
+    v1 = Matrix(b.field, [(x,) for x in h.rho.apply(tuple(b.T.unit))], 1)
+    mult = TK.proj.matrix @ h.kron(b.mu, idK) @ h.kron(b.idT, TK.sect.matrix)
+    return ent.psi_inv @ LinearMap(b.T.space, TK.carrier, mult @ h.kron(b.idT, v1))
 
 
 # ---------------------------------------------------------------------------

@@ -214,25 +214,37 @@ def test_malformed_cli_field_exit_2(capsys, spec):
     assert "error: /field: " in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("doc_field, args, pointer", [
-    ("Q", ["--field", "GF101"], "/field"),
-    ("GF101", ["--field", "Q"], "/field"),
-    ("GF101", ["--field", "GF2"], "/field"),
-    ("Q", ["--fixture", "EX-C2"], "/"),
-    ("GF101", ["--fixture", "EX-C2", "--field", "GF101"], "/"),
-    (None, ["--fixture", "EX-C2"], "/"),
+DOC = "<the document path>"
+
+
+@pytest.mark.parametrize("doc_field, argv, pointer, says", [
+    ("Q", ["validate", "--input", DOC, "--field", "GF101"], "/field", "disagrees"),
+    ("GF101", ["validate", "--input", DOC, "--field", "Q"], "/field", "disagrees"),
+    ("GF101", ["validate", "--input", DOC, "--field", "GF2"], "/field", "disagrees"),
+    ("Q", ["validate", "--input", DOC, "--fixture", "EX-C2"], "/", "two inputs"),
+    ("GF101", ["validate", "--input", DOC, "--fixture", "EX-C2", "--field", "GF101"], "/",
+     "two inputs"),
+    (None, ["validate", "--input", DOC, "--fixture", "EX-C2"], "/", "two inputs"),
+    (None, ["fixture", "EX-C2", "--fixture", "EX-TRIV"], "/", "two inputs"),
+    (None, ["fixture", "EX-C2", "--input", DOC], "/", "two inputs"),
+    (None, ["validate", "EX-C2", "--fixture", "EX-TRIV"], "/", "two inputs"),
+    (None, ["fixture"], "/", "needs a fixture NAME"),
 ], ids=["Q-doc-GF101", "GF101-doc-Q", "GF101-doc-GF2", "fixture-and-input",
-        "fixture-field-and-input", "fixture-and-missing-input"])
-def test_conflicting_sources_exit_2(tmp_path, capsys, doc_field, args, pointer):
+        "fixture-field-and-input", "fixture-and-missing-input",
+        "name-and-fixture", "name-and-missing-input", "validate-name-and-fixture",
+        "fixture-without-name"])
+def test_conflicting_sources_exit_2(tmp_path, capsys, doc_field, argv, pointer, says):
     """A ``--field`` that disagrees with the ``--input`` document's field,
-    or ``--fixture`` beside ``--input`` (even a missing file), exits 2; a
-    ``--field`` that agrees with the document runs."""
+    or two of the positional name, ``--fixture`` and ``--input`` (even a
+    missing file), exits 2, and so does the fixture command without a name;
+    a ``--field`` that agrees with the document runs."""
     path = tmp_path / "doc.json"
     if doc_field is not None:
         field = QQ if doc_field == "Q" else GF(int(doc_field[2:]))
         path.write_text(dumps(bundle_to_document(generate("EX-C2", field).bundle)))
-    assert main(["validate", "--input", str(path)] + args) == 2
-    assert f"error: {pointer}: " in capsys.readouterr().err
+    assert main([str(path) if arg == DOC else arg for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {pointer}: " in err and says in err
     if doc_field is not None:
         assert main(["validate", "--input", str(path), "--field", doc_field]) == 0
 

@@ -14,6 +14,8 @@ The benchmark's tracer and worker reach into the program by attribute
 name, so a renamed or deleted attribute must fail here rather than in a
 traced benchmark run.  No module keeps an import it never reads, and no
 module-level container but the three caches grows from one run to the next.
+Each mirrored left/right construction is written once, against a
+``pretorsor.Hand``, and only ``Hand`` tells the two hands apart.
 """
 
 import argparse
@@ -49,6 +51,12 @@ GROWING_CACHES = {"algebra._chain_cache", "linalg._identity_cache", "fields._gf_
 NATIVE_KERNELS = {"__init__", "from_cols", "_combine", "__neg__", "scale", "__matmul__",
                   "apply", "apply_pair", "kron", "rref", "kron_apply", "outer"}
 SCALAR_METHODS = {"add", "sub", "mul", "div", "is_zero"}
+# the modules whose mirrored constructions take a Hand, the words that name a
+# hand, and the one comparison with such a word that is not about a hand:
+# equivalence_witness requires its comodule to be a left one
+MIRRORED_MODULES = ("pretorsor.py", "diffcalc.py")
+HAND_WORDS = {"right", "left"}
+COMODULE_SIDE_CHECKS = {"M.side != 'left'"}
 
 
 def _names(tree):
@@ -97,6 +105,26 @@ def test_matrix_kernels_call_no_scalar_field_method():
     offenders = [f"{name}:{node.lineno} .{node.attr}"
                  for name, fn in sorted(kernels.items()) for node in ast.walk(fn)
                  if isinstance(node, ast.Attribute) and node.attr in SCALAR_METHODS]
+    assert not offenders, offenders
+
+
+def test_only_hand_tells_the_hands_apart():
+    """Outside ``Hand`` no code in ``pretorsor`` or ``diffcalc`` compares a
+    value with "right" or "left": a construction that branches on its side
+    would write the mirror a second time."""
+    offenders = []
+    for name in MIRRORED_MODULES:
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        for scope in tree.body:
+            if isinstance(scope, ast.ClassDef) and scope.name == "Hand":
+                continue
+            offenders += [
+                f"{name}:{node.lineno} {ast.unparse(node)}" for node in ast.walk(scope)
+                if isinstance(node, ast.Compare)
+                and ast.unparse(node) not in COMODULE_SIDE_CHECKS
+                and any(isinstance(leaf, ast.Constant) and leaf.value in HAND_WORDS
+                        for operand in (node.left, *node.comparators)
+                        for leaf in ast.walk(operand))]
     assert not offenders, offenders
 
 

@@ -4,11 +4,14 @@ import pytest
 
 from torsorkit.algebra import sub_bimodule, tensor_chain
 from torsorkit.coring import Comodule, Coring
-from torsorkit.errors import NotGalois, TorsorKitError
+from torsorkit.diffcalc import build_calculus
+from torsorkit.errors import NotGalois, ShapeMismatch, TorsorKitError
 from torsorkit.fields import QQ
 from torsorkit.fixtures import generate
 from torsorkit.linalg import Matrix
 from torsorkit.pretorsor import (
+    Hand,
+    entwining,
     equivalence_witness,
     galois,
     kappa,
@@ -17,6 +20,8 @@ from torsorkit.pretorsor import (
     validate_torsor,
 )
 from torsorkit.spaces import LinearMap
+
+from conftest import analysis
 
 
 def _mutate_tau(fx, i, j, delta=1):
@@ -202,3 +207,21 @@ def test_kappa_identity_permutation_and_degenerate(an_c2):
     morph3, bij3, gal3 = kappa(b, pair, Cg, rho_triv)
     assert not bij3 and not gal3
     assert morph3.map.rank() == 1  # surjective onto the span, not injective
+
+
+@pytest.mark.parametrize("build, side, error", [
+    (galois, "Right", ShapeMismatch),
+    (galois, "x", ShapeMismatch),
+    (entwining, "Right", ShapeMismatch),
+    (entwining, "x", ShapeMismatch),
+    (Hand, "", ShapeMismatch),
+    (build_calculus, "right", ValueError),
+    (build_calculus, "C", ValueError),
+], ids=["galois-Right", "galois-x", "entwining-Right", "entwining-x", "Hand-empty",
+        "calculus-right", "calculus-C"])
+def test_an_unknown_side_raises(build, side, error):
+    """A side that names neither hand raises; it never runs the left-hand
+    construction.  ``build_calculus`` names its sides by base, A or B."""
+    an = analysis("EX-C2")
+    with pytest.raises(error, match="side must be"):
+        build(an.bundle, side, an.pair) if build is Hand else build(an.bundle, an.pair, side)
