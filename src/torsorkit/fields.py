@@ -1,19 +1,32 @@
 """Exact scalar fields: the rationals and prime fields GF(p).
 
 Every computation in the engine runs over one of these two field kinds.
-Elements are plain Python values (``fractions.Fraction`` for the rationals,
-``int`` residues in ``[0, p)`` for GF(p)); a ``Field`` object bundles the
-arithmetic so matrices can stay field-generic.
+Elements are plain Python values; a ``Field`` object bundles the arithmetic
+so matrices can stay field-generic.  Each value has exactly one stored
+form.  Over QQ it is an ``int`` when the value is integral and a
+``fractions.Fraction`` with denominator > 1 otherwise, so the integral
+values that dominate the paper's examples stay in native ``int``
+arithmetic and the general representation is used only where it is needed
+(as ``fmpz`` does in Hart, *FLINT: Fast Library for Number Theory*, ICMS
+2010).  ``Fraction(2) == 2``, ``hash(Fraction(2)) == hash(2)`` and
+``to_str`` writes both as ``2``, so equality, hashes and documents do not
+depend on the form.  Over GF(p) it is an ``int`` residue in ``[0, p)``.
+No value is ever a ``float``: nothing outside this module divides with
+``/``.
 
 The scalar methods (``add``, ``mul``, ``is_zero`` and the rest) serve the
-engine one value at a time.  The ``Matrix`` kernels do not call them per
-entry: they compute each term with the native ``+``, ``-`` and ``*`` of the
-stored values and hand every result row, column or vector once to
-``Field.normalise``, which returns its stored form: canonical values (a
-``Fraction``, or an ``int`` in ``[1, p)``) with the zeros dropped.  Over QQ
-that only filters zeros, and only where terms were summed; over GF(p) it
-reduces every value mod p once (delayed modular reduction, as in Dumas,
-Giorgi and Pernet, *FFLAS and FFPACK*, ACM TOMS 35(3), 2008).
+engine one value at a time and return stored forms.  The ``Matrix`` kernels
+do not call them per entry: they compute each term with the native ``+``,
+``-`` and ``*`` of the stored values and hand every result row, column or
+vector once to ``Field.normalise``, which returns its stored form, with the
+zeros dropped.  Over QQ that turns each integral ``Fraction`` (``2 * 1/2``,
+``1/2 + 1/2``) into its ``int`` and filters zeros where terms were summed;
+over GF(p) it reduces every value mod p once (delayed modular reduction, as
+in Dumas, Giorgi and Pernet, *FFLAS and FFPACK*, ACM TOMS 35(3), 2008).
+
+Both fields parse only the literals ``to_str`` writes: ``[+-]digits`` or
+``[+-]digits/digits``.  Exponents, decimal points, underscores and
+whitespace are refused, so no short literal expands into a huge integer.
 """
 
 from __future__ import annotations
@@ -63,7 +76,7 @@ class Field:
         raise NotImplementedError
 
     def parse(self, s):
-        """Parse a scalar from an int (never a bool) or a decimal string like ``-3/7``."""
+        """Parse a scalar from an int (never a bool) or a literal like ``-3/7``."""
         raise NotImplementedError
 
     def to_str(self, a) -> str:
@@ -73,21 +86,44 @@ class Field:
         return self.name
 
 
+def _literal(s: str, kind: str) -> tuple[int, int]:
+    """Numerator and denominator of a scalar literal in the grammar
+    ``to_str`` writes, ``[+-]digits`` or ``[+-]digits/digits`` with ASCII
+    digits; anything else raises ``ScalarParseError``."""
+    try:
+        num, slash, den = s.partition("/")
+        digits = num[1:] if num[:1] in ("+", "-") else num
+        if digits.isascii() and digits.isdigit() and (
+                not slash or den.isascii() and den.isdigit()):
+            return int(num), int(den) if slash else 1
+    except ValueError:  # more digits than the interpreter converts
+        pass
+    raise ScalarParseError(f"bad {kind} literal {s!r}")
+
+
+def _stored(v):
+    """The stored form of a rational: an integral ``Fraction`` becomes its int."""
+    return v.numerator if type(v) is Fraction and v.denominator == 1 else v
+
+
 class Rationals(Field):
+    """QQ, each value an ``int`` when integral, else a ``Fraction`` with
+    denominator > 1."""
+
     name = "Q"
 
     def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = 0
+        self.one = 1
 
     def add(self, a, b):
-        return a + b
+        return _stored(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _stored(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _stored(a * b)
 
     def neg(self, a):
         return -a
@@ -95,31 +131,36 @@ class Rationals(Field):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / a
+        # 1/(num/den) is den/num; never ``1 / a``, a float when a is an int
+        return _stored(Fraction(a.denominator, a.numerator))
 
     def is_zero(self, a):
         return a == 0
 
     def normalise(self, acc, summed):
-        # Fraction arithmetic is exact and canonical, and a product of
-        # nonzero rationals is nonzero: only sums need the zero filter
+        for v in acc.values():
+            if type(v) is not int:
+                # a sum or product of Fractions may be integral (2 * 1/2)
+                return {k: x.numerator if type(x) is not int and x.denominator == 1 else x
+                        for k, x in acc.items() if x}
+        # a product of nonzero ints is nonzero: only sums need the zero filter
         return {k: v for k, v in acc.items() if v} if summed else acc
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def parse(self, s):
         if isinstance(s, bool):
             raise ScalarParseError(f"a boolean is not a scalar: {s!r}")
         if isinstance(s, int):
-            return Fraction(s)
-        if isinstance(s, Fraction):
             return s
+        if isinstance(s, Fraction):
+            return _stored(s)
         if isinstance(s, str):
-            try:
-                return Fraction(s)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ScalarParseError(f"bad rational literal {s!r}") from exc
+            num, den = _literal(s, "rational")
+            if den == 0:
+                raise ScalarParseError(f"bad rational literal {s!r}")
+            return num if den == 1 else _stored(Fraction(num, den))
         raise ScalarParseError(f"cannot parse scalar from {type(s).__name__}")
 
     def to_str(self, a):
@@ -203,16 +244,12 @@ class PrimeField(Field):
         if isinstance(s, int):
             return s % self.p
         if isinstance(s, str):
-            if "/" in s:
-                num, _, den = s.partition("/")
-                try:
-                    return self.div(int(num) % self.p, int(den) % self.p)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise ScalarParseError(f"bad GF({self.p}) literal {s!r}") from exc
-            try:
-                return int(s) % self.p
-            except ValueError as exc:
-                raise ScalarParseError(f"bad GF({self.p}) literal {s!r}") from exc
+            num, den = _literal(s, f"GF({self.p})")
+            if den == 1:
+                return num % self.p
+            if den % self.p == 0:
+                raise ScalarParseError(f"bad GF({self.p}) literal {s!r}")
+            return self.div(num % self.p, den % self.p)
         raise ScalarParseError(f"cannot parse scalar from {type(s).__name__}")
 
     def to_str(self, a):

@@ -10,14 +10,16 @@ operation builds its result from sparse rows directly through
 ``Matrix.from_sparse_rows``.  An identity is a flag over n one-entry rows.
 ``.rows`` is a dense view built on demand, for documents and tests.
 
-Stored values are canonical: a ``Fraction`` over QQ, an ``int`` in
-``[1, p)`` over GF(p).  The kernels (``__matmul__``, ``rref``, ``kron``,
+Stored values are canonical: over QQ an ``int`` when integral and a
+``Fraction`` with denominator > 1 otherwise, over GF(p) an ``int`` in
+``[1, p)``.  The kernels (``__matmul__``, ``rref``, ``kron``,
 ``kron_apply``, ``apply``, ``apply_pair``, ``outer``, the entrywise
 operations and the constructors) compute every term with the native ``+``,
 ``-`` and ``*`` of those values and call no per-entry field method; each
 result row, column or vector is reduced once by ``Field.normalise``, which
-drops its zeros and, over GF(p), reduces it mod p.  Both fields take the
-same code path.
+drops its zeros and puts each value in stored form: over QQ an integral
+``Fraction`` becomes its ``int``, over GF(p) a value is reduced mod p.
+Both fields take the same code path.
 
 ``Matrix.rref`` is the only elimination: normalised Gauss-Jordan on the
 sparse rows, exact over Q and GF(p) alike.  Every rank, kernel, solve and

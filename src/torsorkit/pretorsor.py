@@ -595,10 +595,11 @@ def entwining(bundle: PreTorsorBundle, pair: CoringPair, side: str = "right") ->
     TKK = chain3(b.T_BA, K.carrier, K.carrier)
     KKT = chain3(K.carrier, K.carrier, Tb)
     mu_base = h.mu_base
+    # (mu (x) C) o (T (x) psi), shared by the mult and module identities
+    mu_psi = (chain_map(TTK, h.legs((2, mu_base, 1), (1, None, 1)), TK)
+              @ chain_map(TKT, h.legs((1, None, 1), (2, psi, 2)), TTK))
     lhs1 = psi @ chain_map(KTT, h.legs((1, None, 1), (2, mu_base, 1)), KT)
-    rhs1 = (chain_map(TTK, h.legs((2, mu_base, 1), (1, None, 1)), TK)
-            @ chain_map(TKT, h.legs((1, None, 1), (2, psi, 2)), TTK)
-            @ chain_map(KTT, h.legs((2, psi, 2), (1, None, 1)), TKT))
+    rhs1 = mu_psi @ chain_map(KTT, h.legs((2, psi, 2), (1, None, 1)), TKT)
     rep.add(f"entw.{side}.mult", "2(psi)", lhs1 == rhs1)
 
     unit_in = LinearMap(K.space, KT.carrier, KT.proj.matrix @ h.kron(idK, b.unit_col))
@@ -619,9 +620,7 @@ def entwining(bundle: PreTorsorBundle, pair: CoringPair, side: str = "right") ->
 
     # entwined module identity for T
     lhs5 = h.rho @ mu_base
-    rhs5 = (chain_map(TTK, h.legs((2, mu_base, 1), (1, None, 1)), TK)
-            @ chain_map(TKT, h.legs((1, None, 1), (2, psi, 2)), TTK)
-            @ chain_map(h.base_two, h.legs((1, h.rho, 2), (1, None, 1)), TKT))
+    rhs5 = mu_psi @ chain_map(h.base_two, h.legs((1, h.rho, 2), (1, None, 1)), TKT)
     rep.add(f"entw.{side}.module", "2(entwined)", lhs5 == rhs5)
 
     try:
@@ -636,12 +635,14 @@ def entwining(bundle: PreTorsorBundle, pair: CoringPair, side: str = "right") ->
 
 
 class TbarBicomodule:
-    def __init__(self, subspace, carrier, bicomodule, lrho, rrho):
+    def __init__(self, subspace, carrier, bicomodule, lrho, rrho, j_CT, j_TD):
         self.subspace = subspace        # Subspace of X3bar.carrier
         self.carrier = carrier          # Bimodule on the subspace
         self.bicomodule = bicomodule    # validated C-D bicomodule
         self.lrho = lrho                # Tbar -> C (x)_A Tbar
         self.rrho = rrho                # Tbar -> Tbar (x)_B D
+        self.j_CT = j_CT                # C (x)_A T -> X3bar
+        self.j_TD = j_TD                # T (x)_B D -> X3bar
 
     @property
     def dim(self):
@@ -691,7 +692,7 @@ def tbar(bundle: PreTorsorBundle, pair: CoringPair,
             f"{b.name}: coaction does not land in {h.label(h.letter, 'Tbar')}")
         for h in (right, left))
     bico = Bicomodule(pair.C, pair.D, Tbar_bim, lrho, rrho, name=f"Tbar({b.name})")
-    return TbarBicomodule(S_iii, Tbar_bim, bico, lrho, rrho)
+    return TbarBicomodule(S_iii, Tbar_bim, bico, lrho, rrho, j_CT, j_TD)
 
 
 def _coinvariant_image(h: Hand, ent: EntwiningData, j: LinearMap):
@@ -777,12 +778,10 @@ def structure_isos(bundle: PreTorsorBundle, pair: CoringPair, tb: TbarBicomodule
     maps["varpi2"] = varpi2
 
     # Cor 4.3: T (x)_A Tbar = T (x)_B D and C (x)_A T = Tbar (x)_B T
-    j_TD, j_CT = (chain_map(h.KT, h.legs((1, h.sub.inclusion, 2), (1, None, 1)), X3bar)
-                  for h in (left, right))
-    dcou, ok = _counit_iso(right, left, TTbar, expand, j_TTbar, j_TD)
+    dcou, ok = _counit_iso(right, left, TTbar, expand, j_TTbar, tb.j_TD)
     rep.add("cor4.3.1", "4.3(1)", ok, certified=certified)
     maps["TA_Tbar_to_TD"] = dcou
-    ccou, ok = _counit_iso(left, right, TbarT, expand2, j_TbarT, j_CT)
+    ccou, ok = _counit_iso(left, right, TbarT, expand2, j_TbarT, tb.j_CT)
     rep.add("cor4.3.2", "4.3(2)", ok, certified=certified)
     maps["C_AT_to_TbarT"] = ccou
 
@@ -790,8 +789,8 @@ def structure_isos(bundle: PreTorsorBundle, pair: CoringPair, tb: TbarBicomodule
     if ent_right.invertible and ent_left.invertible:
         lcoact = _one_sided_coaction(right, ent_right)
         rcoact = _one_sided_coaction(left, ent_left)
-        taubar_left = j_CT @ lcoact
-        taubar_right = j_TD @ rcoact
+        taubar_left = tb.j_CT @ lcoact
+        taubar_right = tb.j_TD @ rcoact
         ok = taubar_left == taubar_right
         rep.add("thm4.9.coactions-coincide", "4.9", ok, certified=certified)
         taubar = corestrict_through(Tbar.inclusion, taubar_left, IsoFailure,

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -140,9 +141,9 @@ def test_malformed_field_and_metadata_exit_2(tmp_path, capsys, path, value, poin
     _assert_exit_2_at(tmp_path, capsys, path, value, pointer)
 
 
-def _assert_exit_2_at(tmp_path, capsys, path, value, pointer, field=None):
+def _write_bad_doc(tmp_path, path, value, field=None):
     """EX-C2's document, over Q unless ``field`` is given, with ``value``
-    put at ``path`` exits 2 at ``pointer``."""
+    put at ``path``, written to a file whose path is returned."""
     fx = generate("EX-C2") if field is None else generate("EX-C2", field)
     doc = copy.deepcopy(bundle_to_document(fx.bundle))
     target = doc
@@ -151,6 +152,12 @@ def _assert_exit_2_at(tmp_path, capsys, path, value, pointer, field=None):
     target[path[-1]] = value
     doc_path = tmp_path / "bad.json"
     doc_path.write_text(dumps(doc))
+    return doc_path
+
+
+def _assert_exit_2_at(tmp_path, capsys, path, value, pointer, field=None):
+    """EX-C2's document with ``value`` put at ``path`` exits 2 at ``pointer``."""
+    doc_path = _write_bad_doc(tmp_path, path, value, field)
     assert main(["validate", "--input", str(doc_path)]) == 2
     assert f"error: {pointer}: " in capsys.readouterr().err
 
@@ -206,6 +213,21 @@ def test_boolean_scalars_exit_2(tmp_path, capsys, field, path, value, pointer):
     replaces an entry of the same numeric value, so only its type is
     wrong."""
     _assert_exit_2_at(tmp_path, capsys, path, value, pointer, field)
+
+
+@pytest.mark.parametrize("field", [None, GF(101)], ids=["Q", "GF101"])
+@pytest.mark.parametrize("path, pointer", [
+    (("maps", "tau", 0, 0), "/maps/tau"),
+    (SC + (3, 3), "/algebras/T"),
+])
+def test_exponent_literals_exit_2_at_once(tmp_path, capsys, field, path, pointer):
+    """A scalar is a literal as ``to_str`` writes it: ``1e10000000`` would
+    parse into a 33M-bit integer, so it exits 2 with a pointer, at once."""
+    doc_path = _write_bad_doc(tmp_path, path, "1e10000000", field)
+    start = time.perf_counter()
+    assert main(["validate", "--input", str(doc_path)]) == 2
+    assert time.perf_counter() - start < 5.0
+    assert f"error: {pointer}: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec", ["GFx", "GF", "GF4", "GF-7"])

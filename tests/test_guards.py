@@ -16,6 +16,8 @@ traced benchmark run.  No module keeps an import it never reads, and no
 module-level container but the three caches grows from one run to the next.
 Each mirrored left/right construction is written once, against a
 ``pretorsor.Hand``, and only ``Hand`` tells the two hands apart.
+Over QQ integral values are stored as ``int``, so only ``fields`` may
+divide: ``a / b`` on two stored ints would give a ``float``.
 """
 
 import argparse
@@ -105,6 +107,20 @@ def test_matrix_kernels_call_no_scalar_field_method():
     offenders = [f"{name}:{node.lineno} .{node.attr}"
                  for name, fn in sorted(kernels.items()) for node in ast.walk(fn)
                  if isinstance(node, ast.Attribute) and node.attr in SCALAR_METHODS]
+    assert not offenders, offenders
+
+
+def test_only_fields_uses_true_division():
+    """Integral rationals are stored as ``int``, and ``/`` on two ints is a
+    ``float``: division goes through ``Field.inv``/``Field.div``."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "fields.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [f"{path.name}:{node.lineno} {ast.unparse(node)}" for node in ast.walk(tree)
+                      if isinstance(node, (ast.BinOp, ast.AugAssign))
+                      and isinstance(node.op, ast.Div)]
     assert not offenders, offenders
 
 

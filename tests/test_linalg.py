@@ -20,27 +20,38 @@ from torsorkit.linalg import (
 )
 
 small_entries = st.integers(min_value=-4, max_value=4)
+# QQ entries in every form a caller may hand in: ints, non-integral
+# Fractions and integral Fractions (Fraction(3), Fraction(4, 2)), which the
+# constructors and parse store as ints, so the kernels meet both stored
+# forms and mixes of them
+qq_entries = st.one_of(small_entries, st.builds(Fraction, small_entries, st.integers(2, 3)),
+                       small_entries.map(Fraction))
 # both ends of the modulus range: GF(2) cancels often, and over GF(2^61 - 1)
 # the raw products the kernels sum before reducing pass 2^64
 FIELDS = st.sampled_from([QQ, GF(2), GF(101), GF(2**61 - 1)])
 
 
-def mat_strategy(max_dim=5):
+def entries(field):
+    """Matrix entries to draw over ``field``; over QQ in every form."""
+    return qq_entries if field is QQ else small_entries
+
+
+def mat_strategy(max_dim=5, values=small_entries):
     return st.integers(1, max_dim).flatmap(
         lambda m: st.integers(1, max_dim).flatmap(
             lambda n: st.lists(
-                st.lists(small_entries, min_size=n, max_size=n),
+                st.lists(values, min_size=n, max_size=n),
                 min_size=m, max_size=m)))
 
 
-@given(mat_strategy())
+@given(mat_strategy(values=qq_entries))
 @settings(max_examples=60, deadline=None)
 def test_rank_nullity(rows):
     m = Matrix.from_rows(QQ, rows)
     assert m.rank() + len(m.kernel_basis()) == m.ncols
 
 
-@given(mat_strategy())
+@given(mat_strategy(values=qq_entries))
 @settings(max_examples=60, deadline=None)
 def test_kernel_killed(rows):
     m = Matrix.from_rows(QQ, rows)
@@ -152,7 +163,7 @@ def leg_permutation_case(draw):
     field = draw(FIELDS)
     total = len(leg_permutation(dims, order))
     other = draw(st.integers(1, 3))
-    rows = draw(st.lists(st.lists(small_entries, min_size=other, max_size=other),
+    rows = draw(st.lists(st.lists(entries(field), min_size=other, max_size=other),
                          min_size=total, max_size=total))
     return dims, order, field, Matrix.from_rows(field, rows)
 
@@ -213,12 +224,11 @@ def kron_factors(draw, field, legs, size_side):
         else:
             other = draw(st.integers(0, 3))
             sparse = draw(st.booleans())
-            entries = st.one_of(small_entries, st.just(0)) if sparse else small_entries
+            values = st.one_of(entries(field), st.just(0)) if sparse else entries(field)
             shape = (size, other) if size_side == "rows" else (other, size)
-            rows = draw(st.lists(st.lists(entries, min_size=shape[1], max_size=shape[1]),
+            rows = draw(st.lists(st.lists(values, min_size=shape[1], max_size=shape[1]),
                                  min_size=shape[0], max_size=shape[0]))
-            factors.append(Matrix(field, [tuple(field.from_int(x) for x in r) for r in rows],
-                                  shape[1]))
+            factors.append(Matrix(field, rows, shape[1]))
         sizes.append(size)
         pos = end
     return factors, sizes
@@ -284,7 +294,7 @@ def test_split_leg_turns_a_leg_map_into_a_product(case, data):
     mat = mat.transpose()
     leg = data.draw(st.integers(0, len(dims) - 1))
     width = data.draw(st.integers(1, 3))
-    rows = data.draw(st.lists(st.lists(small_entries, min_size=width, max_size=width),
+    rows = data.draw(st.lists(st.lists(entries(field), min_size=width, max_size=width),
                               min_size=dims[leg], max_size=dims[leg]))
     k = Matrix.from_rows(field, rows)
     on_leg = (Matrix.identity(field, math.prod(dims[:leg])).kron(k)
@@ -377,10 +387,11 @@ def _ref_permutation(f, dims, order):
 
 
 def assert_canonical(f, v):
-    """``v`` is a nonzero value in stored form: a ``Fraction`` over QQ, an
-    ``int`` in ``[1, p)`` over GF(p)."""
+    """``v`` is a nonzero value in stored form: over QQ an ``int`` when
+    integral, else a ``Fraction`` with denominator > 1; over GF(p) an
+    ``int`` in ``[1, p)``."""
     if f is QQ:
-        assert type(v) is Fraction and v != 0, v
+        assert v != 0 and (type(v) is int or type(v) is Fraction and v.denominator > 1), v
     else:
         assert type(v) is int and 0 < v < f.p, v
 
@@ -424,10 +435,10 @@ def operand(draw, field, nrows, ncols):
         return Matrix.zero(field, nrows, ncols)
     if kind == "identity":
         return Matrix.identity(field, nrows)
-    entries = st.one_of(st.just(0), st.just(0), small_entries)
-    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+    values = st.one_of(st.just(0), st.just(0), entries(field))
+    rows = draw(st.lists(st.lists(values, min_size=ncols, max_size=ncols),
                          min_size=nrows, max_size=nrows))
-    return Matrix(field, [tuple(field.from_int(x) for x in r) for r in rows], ncols)
+    return Matrix(field, rows, ncols)
 
 
 @st.composite
@@ -438,8 +449,8 @@ def operand_case(draw):
     m, n, p = (draw(st.integers(0, 4)) for _ in range(3))
     a, b = draw(operand(field, m, n)), draw(operand(field, m, n))
     c = draw(operand(field, n, p))
-    scalar = field.from_int(draw(small_entries))
-    vec = tuple(field.from_int(x) for x in draw(st.lists(small_entries, min_size=n, max_size=n)))
+    scalar = field.parse(draw(entries(field)))
+    vec = tuple(field.parse(x) for x in draw(st.lists(entries(field), min_size=n, max_size=n)))
     return field, a, b, c, scalar, vec
 
 
@@ -567,8 +578,8 @@ def pair_case(draw):
     field = draw(FIELDS)
     d1, d2, d3, m = (draw(st.integers(0, 3)) for _ in range(4))
     mat = draw(operand(field, m, d1 * d2))
-    u, v, w = (tuple(field.from_int(x) for x in draw(
-        st.lists(st.one_of(st.just(0), small_entries), min_size=d, max_size=d)))
+    u, v, w = (tuple(field.parse(x) for x in draw(
+        st.lists(st.one_of(st.just(0), entries(field)), min_size=d, max_size=d)))
         for d in (d1, d2, d3))
     return field, mat, u, v, w
 
