@@ -327,18 +327,23 @@ def sub_bimodule(sub: Subspace, outer: Bimodule, err=ActionMismatch, check: bool
     return Bimodule(sub.space, L, R, lact, ract, check=check)
 
 
-def corestrict_through(j: LinearMap, f: LinearMap, err, msg: str) -> LinearMap:
-    """Solve j o g = f for g; ``j`` must be injective.
+def factor_matrix(jmat: Matrix, fmat: Matrix, err, msg: str) -> Matrix:
+    """The canonical X with ``jmat @ X == fmat`` (``Matrix.solve``, which
+    checks it exactly).  When there is none, the image of ``fmat`` does not
+    lie in the image of ``jmat``; the error raised is the mathematical
+    verdict supplied by the caller."""
+    X = jmat.solve(fmat)
+    if X is None:
+        raise err(msg)
+    return X
 
-    Failure means the image of ``f`` does not lie in the image of ``j``; the
-    error raised is the mathematical verdict supplied by the caller.
-    """
+
+def corestrict_through(j: LinearMap, f: LinearMap, err, msg: str) -> LinearMap:
+    """Solve j o g = f for g (``factor_matrix`` on the maps' matrices);
+    ``j`` must be injective."""
     if j.codomain is not f.codomain:
         raise ShapeMismatch("corestriction target mismatch")
-    X = j.matrix.solve(f.matrix)
-    if X is None or j.matrix @ X != f.matrix:
-        raise err(msg)
-    return LinearMap(f.domain, j.domain, X)
+    return LinearMap(f.domain, j.domain, factor_matrix(j.matrix, f.matrix, err, msg))
 
 
 class Link:

@@ -21,10 +21,14 @@ drops its zeros and puts each value in stored form: over QQ an integral
 ``Fraction`` becomes its ``int``, over GF(p) a value is reduced mod p.
 Both fields take the same code path.
 
-``Matrix.rref`` is the only elimination: normalised Gauss-Jordan on the
-sparse rows, exact over Q and GF(p) alike.  Every rank, kernel, solve and
-inverse goes through it.  Pivot choices are deterministic (leftmost column,
-topmost row), so echelon bases are canonical and reproducible.
+``Matrix.rref`` is the only elimination: Gauss-Jordan on the sparse rows,
+exact over Q and GF(p) alike, with the modular reduction delayed to the
+points where a value is read (once per column, pivot row and output row)
+and each pivot touching only the rows its column meets.  Every rank,
+kernel, solve and inverse goes through it.  A matrix has exactly one
+reduced row echelon form, so echelon bases are canonical and reproducible
+whichever row supplies a pivot.  ``Matrix.solve`` cuts a tall system to a
+basis of its rows before it eliminates, and checks the solution exactly.
 
 A permutation is an index map, not a matrix.  ``leg_permutation`` gives the
 index map of a reordering of tensor legs of mixed dimensions;
@@ -284,8 +288,6 @@ class Matrix:
         """Image of a coordinate vector; cost scales with the nonzeros."""
         if len(vec) != self.ncols:
             raise ShapeMismatch("vector length mismatch")
-        if self._id_flag:
-            return tuple(vec)
         f = self.field
         support = {j: v for j, v in enumerate(vec) if v}
         acc = {}
@@ -377,57 +379,77 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form and pivot column list.
 
-        Deterministic pivoting (leftmost column, topmost row), so the result
-        is the canonical rref.  Each pivot row is scaled by the one inverse
-        of its pivot and eliminated from every other row that has an entry
-        in its column, so work scales with the nonzero entries touched.
-        Every row the elimination changes is normalised before the next
-        pivot search, which takes any key in a row for a nonzero entry.
+        A matrix has exactly one reduced row echelon form, so the result and
+        its pivots are canonical whichever row supplies each pivot; the
+        elimination takes the lowest-index row that is not yet a pivot row,
+        moves no row, and returns the pivot rows in pivot order and then
+        the zero rows.
+
+        Between pivots the rows hold raw values built with native ``+ - *``
+        (delayed reduction).  An index from each column to the rows that may
+        hold it limits every pivot to the rows its column meets (the row
+        and column lists of sparse elimination, Davis 2006).  At column c
+        those rows give up their raw entries, and one ``normalise`` of that
+        column says which are nonzero and gives their stored values.  A
+        pivot row is normalised once, scaled by the inverse of its pivot,
+        when it is chosen, and every output row once at the end: at most
+        ``2 * ncols + nrows`` calls in all, over QQ and GF(p) alike.
         """
         f = self.field
         normalise, inv = f.normalise, f.inv
         one = f.one
-        m, n = self.nrows, self.ncols
+        m = self.nrows
         rows = [dict(r) for r in self._rows]
-        pivots = []
-        r = 0
-        for c in range(n):
-            pr = None
-            for i in range(r, m):
-                if c in rows[i]:
-                    pr = i
-                    break
+        # column -> rows that may hold it, a dict as an ordered set; a row
+        # leaves a list only when that column is eliminated
+        cols = {}
+        for i, r in enumerate(rows):
+            for k in r:
+                held = cols.get(k)
+                if held is None:
+                    cols[k] = {i: None}
+                else:
+                    held[i] = None
+        is_pivot = [False] * m
+        pivots, pivot_rows = [], []
+        # a row gains keys only from pivot rows, whose columns are all
+        # listed already, so the columns to visit are known up front
+        for c in sorted(cols):
+            col = normalise({i: x for i in cols.pop(c)
+                             if (x := rows[i].pop(c, None)) is not None}, True)
+            pr = min((i for i in col if not is_pivot[i]), default=None)
             if pr is None:
+                # only pivot rows hold column c: they keep their entries
+                for i, x in col.items():
+                    rows[i][c] = x
                 continue
-            if pr != r:
-                rows[r], rows[pr] = rows[pr], rows[r]
-            piv = rows[r]
-            p = piv[c]
-            if p != one:
-                p = inv(p)
-                piv = rows[r] = normalise({k: v * p for k, v in piv.items()}, False)
-            # column c of every other row becomes exactly zero
-            piv_items = tuple((k, v) for k, v in piv.items() if k != c)
-            for i in range(m):
-                if i == r:
-                    continue
+            p = col.pop(pr)
+            s = inv(p) if p != one else one
+            piv = normalise({k: v * s for k, v in rows[pr].items()}, True)
+            # every other row that meets column c loses it; a key new to a
+            # row joins its column's list
+            items = [(k, v, cols[k]) for k, v in piv.items()]
+            for i, a in col.items():
                 ri = rows[i]
-                a = ri.pop(c, None)
-                if a is None or not piv_items:
-                    continue
                 na = -a
-                for k, v in piv_items:
+                for k, v, held in items:
                     x = ri.get(k)
-                    ri[k] = na * v if x is None else x + na * v
-                rows[i] = normalise(ri, True)
+                    if x is None:
+                        ri[k] = na * v
+                        held[i] = None
+                    else:
+                        ri[k] = x + na * v
+            piv[c] = one
+            rows[pr] = piv
+            is_pivot[pr] = True
             pivots.append(c)
-            r += 1
-            if r == m:
+            pivot_rows.append(pr)
+            if len(pivots) == m:
                 break
-        # nonzero rows in order, then the zero rows
-        out = [d for d in rows if d]
+        # every other row lost each of its columns, so it is empty
+        out = [normalise(rows[i], True) for i in pivot_rows]
         out += [{} for _ in range(m - len(out))]
-        return Matrix.from_sparse_rows(f, out, n), pivots
+        return Matrix.from_sparse_rows(f, out, self.ncols), pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -459,10 +481,22 @@ class Matrix:
     def solve(self, rhs: "Matrix"):
         """A particular X with ``self @ X == rhs``, or None if inconsistent.
 
-        Free variables are set to zero, so the solution is canonical.
+        Free variables are set to zero, so the solution is canonical: it is
+        read off the rref of ``[self | rhs]``.  A tall system (more rows
+        than columns) is first cut to a basis P of the rows of ``self``, the
+        pivots of ``self.transpose().rref()``.  When the system is
+        consistent, the rows P of ``[self | rhs]`` span all of its rows, so
+        their rref, and with it X, is the same; X is returned only if
+        ``self @ X == rhs``, checked exactly, so callers need not check.
         """
         if rhs.nrows != self.nrows:
             raise ShapeMismatch("solve: row counts differ")
+        if self.nrows > self.ncols:
+            f = self.field
+            _, P = self.transpose().rref()
+            X = Matrix.from_sparse_rows(f, [self._rows[i] for i in P], self.ncols).solve(
+                Matrix.from_sparse_rows(f, [rhs._rows[i] for i in P], rhs.ncols))
+            return X if self @ X == rhs else None
         R, pivots = Matrix.augment(self, rhs).rref()
         n = self.ncols
         if any(p >= n for p in pivots):

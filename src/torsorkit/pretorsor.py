@@ -34,6 +34,7 @@ from .algebra import (
     chain_map,
     chain_outer_bimodule,
     corestrict_through,
+    factor_matrix,
     induce,
     regular_bimodule,
     single_chain,
@@ -900,13 +901,6 @@ def _one_sided_coaction(h: Hand, ent: EntwiningData) -> LinearMap:
 # per-object equivalence witnesses
 
 
-def _factor_matrix(jmat: Matrix, fmat: Matrix, err, msg: str) -> Matrix:
-    X = jmat.solve(fmat)
-    if X is None or jmat @ X != fmat:
-        raise err(msg)
-    return X
-
-
 def equivalence_witness(bundle: PreTorsorBundle, pair: CoringPair,
                         tb: TbarBicomodule, M: Comodule,
                         certified: bool = True) -> IsoReport:
@@ -951,7 +945,7 @@ def equivalence_witness(bundle: PreTorsorBundle, pair: CoringPair,
         expand = (b.X3bar.sect.matrix @ tb.subspace.inclusion.matrix).kron(
             TM.sect.matrix @ S1.inclusion.matrix)
         to_TM = mu4.kron(idM) @ expand @ TbarS1.sect.matrix @ S2.inclusion.matrix
-        X = _factor_matrix(
+        X = factor_matrix(
             b.alpha.map.matrix.kron(idM), to_TM, WitnessNotIso,
             f"{b.name}: collapse does not factor through alpha")
         iso = LinearMap(S2.space, M.space, M.carrier.lact.matrix @ X)
@@ -1000,7 +994,7 @@ def equivalence_witness(bundle: PreTorsorBundle, pair: CoringPair,
             (b.X3bar.sect.matrix @ tb.subspace.inclusion.matrix).kron(idM)
             @ TbarM.sect.matrix @ S1.inclusion.matrix)
         to_TM = mu4.kron(idM) @ expand @ TS1.sect.matrix @ S2.inclusion.matrix
-        X = _factor_matrix(
+        X = factor_matrix(
             b.beta.map.matrix.kron(idM), to_TM, WitnessNotIso,
             f"{b.name}: collapse does not factor through beta")
         iso = LinearMap(S2.space, M.space, M.carrier.lact.matrix @ X)
@@ -1048,8 +1042,8 @@ def kappa(bundle: PreTorsorBundle, pair: CoringPair, Ct: Coring,
 
     # kappa: collapse with mu, pull back along alpha, act on Ct
     collapse = b.mu.kron(idCt) @ raw
-    X = _factor_matrix(b.alpha.map.matrix.kron(idCt), collapse, NotAMorphism,
-                       f"{b.name}: comparison map does not factor through alpha")
+    X = factor_matrix(b.alpha.map.matrix.kron(idCt), collapse, NotAMorphism,
+                      f"{b.name}: comparison map does not factor through alpha")
     kap = LinearMap(pair.C.space, Ct.space, Ct.carrier.lact.matrix @ X)
     try:
         morphism = coring_morphism(kap, pair.C, Ct)

@@ -9,7 +9,8 @@ evaluated on carriers, so no report materialises an ambient-sized matrix,
 and balance on a chain is the projector identity, so no relation span of
 nearly ambient dimension is built.
 The ``Matrix`` kernels sum with native operators and reduce each result
-once through ``Field.normalise``, never through the per-entry field methods.
+once through ``Field.normalise``, never through the per-entry field methods;
+``rref`` reduces once per column, pivot row and output row.
 The benchmark's tracer and worker reach into the program by attribute
 name, so a renamed or deleted attribute must fail here rather than in a
 traced benchmark run.  No module keeps an import it never reads, and no
@@ -24,6 +25,7 @@ import argparse
 import ast
 import importlib
 import importlib.util
+import random
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,7 @@ import pytest
 from torsorkit import algebra
 from torsorkit.analysis import BundleAnalysis, bialgebroid_report
 from torsorkit.cli import run
+from torsorkit.fields import PrimeField
 from torsorkit.fixtures import generate
 from torsorkit.linalg import Matrix
 from torsorkit.spaces import Subspace
@@ -108,6 +111,32 @@ def test_matrix_kernels_call_no_scalar_field_method():
                  for name, fn in sorted(kernels.items()) for node in ast.walk(fn)
                  if isinstance(node, ast.Attribute) and node.attr in SCALAR_METHODS]
     assert not offenders, offenders
+
+
+class CountingField(PrimeField):
+    """GF(p) that counts its ``normalise`` calls."""
+
+    def __init__(self, p):
+        super().__init__(p)
+        self.calls = 0
+
+    def normalise(self, acc, summed):
+        self.calls += 1
+        return super().normalise(acc, summed)
+
+
+def test_rref_reduces_once_per_column_pivot_and_output_row():
+    """``rref`` delays the modular reduction: one ``normalise`` per column it
+    reads, per pivot row it chooses and per row it returns, never one per
+    row it touches at each pivot (about ``rank * nrows``)."""
+    f = CountingField(101)
+    rng = random.Random(0)
+    n = 12
+    dense = Matrix(f, [[rng.randrange(1, 101) for _ in range(n)] for _ in range(n)])
+    f.calls = 0
+    _, pivots = dense.rref()
+    assert len(pivots) == n
+    assert f.calls <= 2 * dense.ncols + dense.nrows, f.calls
 
 
 def test_only_fields_uses_true_division():

@@ -130,6 +130,12 @@ def test_identity_cache_and_fast_paths():
     m = Matrix.from_rows(QQ, [[2, 0], [1, 1]])
     assert Matrix.identity(QQ, 2) @ m == m
     assert m.apply((Fraction(1), Fraction(0))) == (Fraction(2), Fraction(1))
+    # an identity reduces its input like every other matrix
+    for f, vec, want in [(GF(5), (7, 3), (2, 3)),
+                         (QQ, (Fraction(4, 2), Fraction(1, 2)), (2, Fraction(1, 2)))]:
+        image = Matrix.identity(f, 2).apply(vec)
+        assert image == want
+        assert_canonical_vector(f, image)
 
 
 def test_kron_and_permutations():
@@ -501,21 +507,91 @@ def test_elimination_matches_the_dense_reference(case):
     # the canonical solution sets the free variables to zero; b is an
     # arbitrary right-hand side, a @ c a consistent one
     for rhs in (b, a @ c):
-        width = rhs.ncols
-        aug, aug_pivots = _ref_rref(f, [u + v for u, v in zip(ra, rhs.rows)], n + width)
-        x = a.solve(rhs)
-        if any(q >= n for q in aug_pivots):
-            assert x is None
-            continue
-        ref_x = [(f.zero,) * width] * n
-        for i, q in enumerate(aug_pivots):
-            ref_x[q] = aug[i][n:]
-        assert_matches(x, ref_x, (n, width))
+        assert_solves_like_the_reference(a, rhs)
     if m == n and len(pivots) == n:
         assert_matches(a @ a.inverse(), _ref_identity(f, n), (n, n))
     elif m == n:
         with pytest.raises(NotInvertible):
             a.inverse()
+
+
+def assert_solves_like_the_reference(a, rhs):
+    """``a.solve(rhs)`` is None exactly when the rref of ``[a | rhs]`` has a
+    pivot right of ``a``, and otherwise the solution read off that rref."""
+    f, n, width = a.field, a.ncols, rhs.ncols
+    aug, aug_pivots = _ref_rref(f, [u + v for u, v in zip(a.rows, rhs.rows)], n + width)
+    x = a.solve(rhs)
+    if any(q >= n for q in aug_pivots):
+        assert x is None
+        return
+    want = [(f.zero,) * width] * n
+    for i, q in enumerate(aug_pivots):
+        want[q] = aug[i][n:]
+    assert_matches(x, want, (n, width))
+
+
+def dense_entries(field):
+    """Mostly nonzero entries: over GF(p) any residue, so raw sums meet
+    multiples of p, over QQ fractions with denominators up to 3."""
+    if field is QQ:
+        return st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    return st.integers(0, field.p - 1)
+
+
+def dense_operand(draw, field, nrows, ncols):
+    rows = draw(st.lists(st.lists(dense_entries(field), min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    return Matrix.from_rows(field, rows, ncols)
+
+
+@st.composite
+def tall_case(draw):
+    """A dense m x n matrix (m <= 9, n <= 11), and a tall system: an m x t
+    left side with t < m, of full column rank or of rank below t, with a
+    consistent and an arbitrary right-hand side."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(3), GF(101), GF(2**61 - 1)]))
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 11))
+    a = dense_operand(draw, field, m, n)
+    t = draw(st.integers(0, m - 1))
+    left = dense_operand(draw, field, m, t)
+    if draw(st.booleans()) and t > 1:
+        k = draw(st.integers(0, t - 1))
+        left = dense_operand(draw, field, m, k) @ dense_operand(draw, field, k, t)
+    width = draw(st.integers(1, 3))
+    consistent = left @ dense_operand(draw, field, t, width)
+    arbitrary = dense_operand(draw, field, m, width)
+    return a, left, consistent, arbitrary
+
+
+@given(tall_case())
+@settings(max_examples=100, deadline=None)
+def test_delayed_reduction_and_tall_solves_match_the_dense_reference(case):
+    """Dense operands make raw sums that are multiples of p but not zero, so
+    every pivot search must read its column reduced; a tall solve must
+    return None when its basis rows are consistent but the others are not."""
+    a, left, consistent, arbitrary = case
+    r, pivots = a.rref()
+    want, want_pivots = _ref_rref(a.field, a.rows, a.ncols)
+    assert_matches(r, want, a.shape)
+    assert pivots == want_pivots
+    for rhs in (consistent, arbitrary):
+        assert_solves_like_the_reference(left, rhs)
+
+
+def test_a_raw_multiple_of_p_is_no_pivot():
+    """Over GF(3) the raw entry (2, 2) of this matrix is 2 - 2*2 = -2 after
+    the first pivot and -2 - 1*1 = -3 after the second: nonzero as an int,
+    zero in the field, so column 2 has no pivot.  The tall system on its
+    first two columns is consistent for column 2 and not for column 2 plus
+    e_2, though its basis rows 0 and 1 are consistent for both."""
+    f = GF(3)
+    m = Matrix.from_rows(f, [[1, 0, 2], [0, 1, 1], [2, 1, 2]])
+    r, pivots = m.rref()
+    assert_matches(r, [(1, 0, 2), (0, 1, 1), (0, 0, 0)], (3, 3))
+    assert pivots == [0, 1]
+    left = Matrix.from_rows(f, [[1, 0], [0, 1], [2, 1]])
+    assert_matches(left.solve(Matrix.from_rows(f, [[2], [1], [2]])), [(2,), (1,)], (2, 1))
+    assert left.solve(Matrix.from_rows(f, [[2], [1], [0]])) is None
 
 
 @st.composite
