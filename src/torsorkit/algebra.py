@@ -4,10 +4,13 @@ The balanced tensor product M1 (x)_R1 M2 (x)_R2 ... Mn is realised once as a
 ``TensorChain``, the only balanced tensor the engine has: the quotient of the
 full k-tensor ambient by all balancing relations.  ``chain_outer_bimodule``
 gives a chain's carrier the outer bimodule structure of its edge factors.
-Chains are built left-associated (each step quotients only by the newest
-link, which keeps intermediate dimensions small) and cached, so the same
-factor/action data always yields the identical carrier -- rebracketing never
-produces two different spaces.  Every map the engine defines on
+Chains are cached, so the same factor/action data always yields the
+identical carrier -- rebracketing never produces two different spaces.  Each
+chain is its cached prefix plus one step: with adjacent links only, the
+chain on all but the last factor, tensored with the last factor and
+quotiented by the newest link alone (which keeps the quotient small); with
+non-adjacent links, its adjacent-only chain quotiented by the rest.  No
+prefix is folded twice.  Every map the engine defines on
 representatives goes through ``induce``, which checks that the raw map kills
 the relation span before descending it to the carrier.  A chain carries
 only ``proj``/``sect`` with ``proj @ sect = I``; the relation span is
@@ -390,21 +393,24 @@ _chain_cache: dict = {}
 _chain_outer_registry: dict = {}
 
 
+def _link_leg_maps(field, factor_spaces, link: Link):
+    """Per ring basis element r, the pair ``(mi, mj)``: x -> x.r on factor
+    i and y -> r.y on factor j."""
+    si, sj = factor_spaces[link.i], factor_spaces[link.j]
+    act_i, act_j = link.act_i.matrix.apply_pair, link.act_j.matrix.apply_pair
+    for r in map(link.ring.space.basis_vector, range(link.ring.dim)):
+        yield (Matrix.from_cols(field, [act_i(x, r) for x in map(si.basis_vector, range(si.dim))],
+                                si.dim),
+               Matrix.from_cols(field, [act_j(r, y) for y in map(sj.basis_vector, range(sj.dim))],
+                                sj.dim))
+
+
 def _link_relation_columns(field, factor_spaces, link: Link):
     """Relation generators of one link, as sparse columns over the full
     ambient (see ``_relation_columns``)."""
     dims = [s.dim for s in factor_spaces]
     cols = []
-    ring = link.ring
-    for r_idx in range(ring.dim):
-        r = ring.space.basis_vector(r_idx)
-        # matrix acting on factor i: x -> x.r
-        mi_cols = [link.act_i.matrix.apply_pair(factor_spaces[link.i].basis_vector(t), r)
-                   for t in range(dims[link.i])]
-        mi = Matrix.from_cols(field, mi_cols, dims[link.i])
-        mj_cols = [link.act_j.matrix.apply_pair(r, factor_spaces[link.j].basis_vector(t))
-                   for t in range(dims[link.j])]
-        mj = Matrix.from_cols(field, mj_cols, dims[link.j])
+    for mi, mj in _link_leg_maps(field, factor_spaces, link):
         cols += _relation_columns(field, dims, link.i, mi, link.j, mj)
     return cols
 
@@ -439,7 +445,7 @@ def _relation_columns(field, dims, i, mi: Matrix, j, mj: Matrix):
     return cols
 
 
-def tensor_chain(factors, rings, extra_links=(), name="") -> TensorChain:
+def tensor_chain(factors, rings, extra_links=()) -> TensorChain:
     """Balanced tensor of bimodule factors over the given rings.
 
     ``factors`` is a list of Bimodules, ``rings`` the list of middle algebras
@@ -463,104 +469,79 @@ def tensor_chain(factors, rings, extra_links=(), name="") -> TensorChain:
             )
         links.append(Link(idx, idx + 1, ring, M.ract, N.lact))
     links.extend(extra_links)
-    return _cached_chain([m.space for m in factors], links, name)
+    return _cached_chain([m.space for m in factors], links)
 
 
-def chain_of_spaces(spaces, links, name="") -> TensorChain:
+def chain_of_spaces(spaces, links) -> TensorChain:
     """Like tensor_chain but with explicit spaces and links."""
-    return _cached_chain(list(spaces), list(links), name)
+    return _cached_chain(list(spaces), list(links))
 
 
-def _cached_chain(spaces, links, name) -> TensorChain:
+def _cached_chain(spaces, links) -> TensorChain:
     key = (tuple(s.uid for s in spaces), tuple(sorted(l.key() for l in links)))
     chain = _chain_cache.get(key)
     if chain is None:
-        chain = _chain_cache[key] = _build_chain(spaces, links, name)
+        chain = _chain_cache[key] = _build_chain(spaces, links)
     return chain
 
 
-def _build_chain(spaces, links, name="") -> TensorChain:
+def _build_chain(spaces, links) -> TensorChain:
+    """A chain from a cached smaller one and at most one quotient step."""
     field = spaces[0].field
+    ambient = tensor_space(spaces)
     if len(spaces) == 1 and not links:
-        s = spaces[0]
-        amb = tensor_space(spaces)
-        ident = Matrix.identity(field, s.dim)
-        return TensorChain(spaces, (), s, LinearMap(amb, s, ident), LinearMap(s, amb, ident))
-    ambient = tensor_space(spaces, name and name + "#amb")
+        ident = Matrix.identity(field, spaces[0].dim)
+        return TensorChain(spaces, (), spaces[0], LinearMap(ambient, spaces[0], ident),
+                           LinearMap(spaces[0], ambient, ident))
+    name = "(x)".join(s.name for s in spaces)
     # a link over a one-dimensional ring has zero relation span (the unital
     # action by the lone basis vector is a scalar on both sides)
     if all(l.ring.dim == 1 for l in links):
-        carrier = Space(field, ambient.dim,
-                        name or "(x)".join(s.name for s in spaces),
-                        ambient.labels)
+        carrier = Space(field, ambient.dim, name, ambient.labels)
         ident = Matrix.identity(field, ambient.dim)
         return TensorChain(spaces, links, carrier, LinearMap(ambient, carrier, ident),
                            LinearMap(carrier, ambient, ident))
-    n = len(spaces)
-    dims = [sp.dim for sp in spaces]
-    adjacent = {l.i: l for l in links if l.j == l.i + 1}
-    nonadjacent = [l for l in links if l.j != l.i + 1]
-    if len(adjacent) + len(nonadjacent) != len(links):
+    adjacent = [l for l in links if l.j == l.i + 1]
+    if len({l.i for l in adjacent}) != len(adjacent):
         raise ShapeMismatch("duplicate adjacent links")
-
-    # left-associated fold over adjacent links
-    carrier = spaces[0]
-    full_proj = LinearMap.identity(spaces[0])
-    full_sect = LinearMap.identity(spaces[0])
-    amb_so_far = spaces[0]
-    for pos in range(1, n):
-        s = spaces[pos]
-        amb_next = tensor_space([amb_so_far, s])
-        step_amb = tensor_space([carrier, s])
-        link = adjacent.get(pos - 1)
-        if link is None:
-            carrier_next, step_proj, step_sect = step_amb, LinearMap.identity(step_amb), LinearMap.identity(step_amb)
-        else:
-            ring = link.ring
-            # lift act_i through the current carrier (acts on the last factor)
-            lifted_cols = []
-            for r_idx in range(ring.dim):
-                r = ring.space.basis_vector(r_idx)
-                mi_cols = [link.act_i.matrix.apply_pair(spaces[pos - 1].basis_vector(t), r)
-                           for t in range(spaces[pos - 1].dim)]
-                mi = Matrix.from_cols(field, mi_cols, spaces[pos - 1].dim)
-                lifted = full_proj.matrix @ kron_apply(field, [None] * (pos - 1) + [mi], dims[:pos],
-                                                       None, [full_sect.matrix])
-                mj_cols = [link.act_j.matrix.apply_pair(r, s.basis_vector(t))
-                           for t in range(s.dim)]
-                mj = Matrix.from_cols(field, mj_cols, s.dim)
-                lifted_cols += _relation_columns(field, [carrier.dim, s.dim], 0, lifted, 1, mj)
-            rel = Subspace.from_spanning(
-                step_amb, Matrix.from_sparse_rows(field, lifted_cols, step_amb.dim))
-            carrier_next, step_proj, step_sect = quotient(step_amb, rel)
-        step_legs = [carrier.dim, s.dim]
-        full_proj = LinearMap(amb_next, carrier_next, kron_apply(
-            field, [step_proj.matrix], step_legs, None, [full_proj.matrix, None]))
-        full_sect = LinearMap(carrier_next, amb_next, kron_apply(
-            field, [full_sect.matrix, None], step_legs, None, [step_sect.matrix]))
-        carrier = carrier_next
-        amb_so_far = amb_next
-    full_proj = full_proj.rebase(ambient)
-    full_sect = full_sect.retarget(ambient)
-
-    # non-adjacent links: quotient the carrier once more
-    if nonadjacent:
+    if len(adjacent) < len(links):
+        base = _cached_chain(spaces, adjacent)
         gen_cols = []
-        for link in nonadjacent:
-            gen_cols += _link_relation_columns(field, spaces, link)
+        for link in links:
+            if link.j != link.i + 1:
+                gen_cols += _link_relation_columns(field, spaces, link)
         gen = Matrix.from_sparse_rows(field, gen_cols, ambient.dim)
-        rel = Subspace.from_spanning(carrier, (full_proj.matrix @ gen.transpose()).transpose())
-        carrier2, extra_proj, extra_sect = quotient(carrier, rel)
-        full_proj = extra_proj @ full_proj
-        full_sect = full_sect @ extra_sect
-        carrier = carrier2
-
-    carrier_named = Space(field, carrier.dim,
-                          name or "(x)".join(s.name for s in spaces), carrier.labels)
-    full_proj = full_proj.retarget(carrier_named)
-    full_sect = full_sect.rebase(carrier_named)
-    assert (full_proj @ full_sect).is_identity()
-    return TensorChain(spaces, links, carrier_named, full_proj, full_sect)
+        rel = Subspace.from_spanning(base.carrier,
+                                     (base.proj.matrix @ gen.transpose()).transpose())
+        carrier, step_proj, step_sect = quotient(base.carrier, rel)
+        proj = step_proj.matrix @ base.proj.matrix
+        sect = base.sect.matrix @ step_sect.matrix
+    else:
+        n = len(spaces)
+        head = _cached_chain(spaces[:-1], [l for l in links if l.j < n - 1])
+        last = spaces[-1]
+        step_amb = tensor_space([head.carrier, last])
+        link = next((l for l in links if l.j == n - 1), None)
+        if link is None:
+            ident = LinearMap.identity(step_amb)
+            carrier, step_proj, step_sect = step_amb, ident, ident
+        else:
+            # the newest link, with its right action read on the prefix carrier
+            rel_cols = []
+            for mi, mj in _link_leg_maps(field, spaces, link):
+                lifted = _carrier_leg_map(head, n - 2, mi).matrix
+                rel_cols += _relation_columns(field, [head.dim, last.dim], 0, lifted, 1, mj)
+            rel = Subspace.from_spanning(
+                step_amb, Matrix.from_sparse_rows(field, rel_cols, step_amb.dim))
+            carrier, step_proj, step_sect = quotient(step_amb, rel)
+        legs = [head.dim, last.dim]
+        proj = kron_apply(field, [step_proj.matrix], legs, None, [head.proj.matrix, None])
+        sect = kron_apply(field, [head.sect.matrix, None], legs, None, [step_sect.matrix])
+    carrier = Space(field, carrier.dim, name, carrier.labels)
+    proj, sect = LinearMap(ambient, carrier, proj), LinearMap(carrier, ambient, sect)
+    if not (proj @ sect).is_identity():
+        raise ShapeMismatch(f"the section of {name} does not split its projection")
+    return TensorChain(spaces, links, carrier, proj, sect)
 
 
 def single_chain(space: Space) -> TensorChain:

@@ -147,7 +147,7 @@ def twisted_bialgebroid(inp: TwistInput, name: str = "twist") -> TwistedBialgebr
     chain = chain_of_spaces(
         [B.space, B.space, H.coring.space],
         [Link(1, 2, L, ract_B, lact_t_link),
-         Link(0, 2, L, ract_B, lact_s)], name=f"D({name})")
+         Link(0, 2, L, ract_B, lact_s)])
     dim_D = chain.dim
 
     Hd = H.coring

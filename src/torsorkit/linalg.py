@@ -62,10 +62,11 @@ class Matrix:
     """Immutable ``rows x cols`` matrix over a fixed field.
 
     ``_rows`` is a tuple of dicts ``{col: nonzero value}``; they are shared
-    between matrices and never mutated after construction.
+    between matrices and never mutated after construction, so the hash is
+    computed once, on first use.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_rows", "_id_flag", "_col_cache")
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_id_flag", "_col_cache", "_hash")
 
     def __init__(self, field: Field, rows, ncols: int | None = None):
         rows = [tuple(r) for r in rows]
@@ -85,6 +86,7 @@ class Matrix:
         self._rows = tuple(normalise(dict(enumerate(r)), True) for r in rows)
         self._id_flag = None
         self._col_cache = None
+        self._hash = None
 
     # -- constructors ------------------------------------------------
 
@@ -102,6 +104,7 @@ class Matrix:
         m.ncols = ncols
         m._id_flag = None
         m._col_cache = None
+        m._hash = None
         return m
 
     @staticmethod
@@ -163,7 +166,9 @@ class Matrix:
         )
 
     def __hash__(self):
-        return hash((self.shape, tuple(frozenset(r.items()) for r in self._rows)))
+        if self._hash is None:
+            self._hash = hash((self.shape, tuple(frozenset(r.items()) for r in self._rows)))
+        return self._hash
 
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field.name})"

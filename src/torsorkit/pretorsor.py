@@ -62,6 +62,7 @@ from .errors import (
     NotAMorphism,
     NotFree,
     NotGalois,
+    NotGroupLike,
     NotInvertible,
     NotSubcomoduleCompatible,
     ShapeMismatch,
@@ -446,9 +447,11 @@ def build_corings(bundle: PreTorsorBundle) -> CoringPair:
     hands = (Hand(b, "right"), Hand(b, "left"))
 
     subs = [kernel(h.omega, h.letter) for h in hands]
-    # re-assert the kernel property (nothing larger is killed)
-    assert (b.omega_C @ subs[0].inclusion).is_zero()
-    assert subs[0].dim == b.TBT.dim - b.omega_C.rank()
+    # re-check the kernel property (nothing larger is killed)
+    if not (b.omega_C @ subs[0].inclusion).is_zero():
+        raise MembershipFailure(f"{b.name}: omega_C does not kill C")
+    if subs[0].dim != b.TBT.dim - b.omega_C.rank():
+        raise MembershipFailure(f"{b.name}: C and ker(omega_C) differ in dimension")
 
     bims = [sub_bimodule(sub, chain_outer_bimodule(h.two, *h.legs(b.T_AB, b.T_BA)),
                          NotSubcomoduleCompatible) for h, sub in zip(hands, subs)]
@@ -471,7 +474,8 @@ def build_corings(bundle: PreTorsorBundle) -> CoringPair:
             check_grouplike(K, sub.retraction.apply(h.two.proj.apply(one_pair.col(0))))
             for h, K, sub in zip(hands, (C, D), subs))
         # eps applied to the group-like is the base unit
-        assert C.eps.apply(grouplike_C.element) == b.A.unit
+        if C.eps.apply(grouplike_C.element) != b.A.unit:
+            raise NotGroupLike(f"{b.name}: eps of the group-like of C is not the unit of A")
 
     return CoringPair(bundle, C, D, subs[0], subs[1], rho_T, lrho_T, bicomodule,
                       grouplike_C, grouplike_D)
@@ -484,7 +488,8 @@ def _coring(h: Hand, sub, bim) -> Coring:
     two_tau = h.two_tau
     KK = tensor_chain([bim, bim], [h.base])
     j_KK = chain_map(KK, [(1, sub.inclusion, 2), (1, sub.inclusion, 2)], h.X4)
-    assert j_KK.rank() == KK.dim
+    if j_KK.rank() != KK.dim:
+        raise CoproductDoesNotCorestrict(f"{b.name}: {K}(x){K} -> X4 is not injective")
     delta = corestrict_through(
         j_KK, two_tau @ sub.inclusion, CoproductDoesNotCorestrict,
         f"{b.name}: {h.label('T', 'tau')} does not corestrict to {K}(x){K}")

@@ -217,7 +217,7 @@ class Subspace:
 
 
 def kernel(f: LinearMap, name: str = "") -> Subspace:
-    """Kernel as a canonical Subspace of the domain; rank-nullity asserted.
+    """Kernel as a canonical Subspace of the domain; rank-nullity checked.
 
     ``nullspace`` has one vector per free column of the rref, so rank
     plus nullity is the domain dimension exactly when those vectors are
@@ -225,7 +225,8 @@ def kernel(f: LinearMap, name: str = "") -> Subspace:
     """
     basis = f.matrix.nullspace()
     sub = Subspace.from_spanning(f.domain, basis, name or f"ker({f.domain.name})")
-    assert sub.dim == basis.nrows
+    if sub.dim != basis.nrows:
+        raise ShapeMismatch(f"the nullspace basis of {f!r} is not independent")
     return sub
 
 

@@ -19,6 +19,9 @@ Each mirrored left/right construction is written once, against a
 ``pretorsor.Hand``, and only ``Hand`` tells the two hands apart.
 Over QQ integral values are stored as ``int``, so only ``fields`` may
 divide: ``a / b`` on two stored ints would give a ``float``.
+The engine states its consistency checks as explicit raises, never as
+``assert``, and a chain is built from its cached prefix with one quotient
+step, so no prefix is folded twice.
 """
 
 import argparse
@@ -171,6 +174,46 @@ def test_only_hand_tells_the_hands_apart():
                         for operand in (node.left, *node.comparators)
                         for leaf in ast.walk(operand))]
     assert not offenders, offenders
+
+
+def test_engine_checks_survive_optimised_mode():
+    """``python -O`` strips ``assert`` statements, so the engine states each
+    consistency check as an explicit ``raise``."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Assert)]
+    assert not offenders, offenders
+
+
+def test_suite_quotients_each_chain_prefix_once(monkeypatch):
+    """A chain is its cached prefix plus at most one quotient step, so one
+    ``suite`` on a fresh bundle never folds the same prefix twice.  Each
+    quotient step is keyed by the chain being built when it runs: its
+    factor-space uids and link keys."""
+    building, steps = [], []
+    build_chain, quotient = algebra._build_chain, algebra.quotient
+
+    def traced_build(*args):
+        spaces, links = args[:2]
+        building.append((tuple(s.uid for s in spaces),
+                         tuple(sorted(link.key() for link in links))))
+        try:
+            return build_chain(*args)
+        finally:
+            building.pop()
+
+    def traced_quotient(*args):
+        steps.append(building[-1])
+        return quotient(*args)
+
+    monkeypatch.setattr(algebra, "_build_chain", traced_build)
+    monkeypatch.setattr(algebra, "quotient", traced_quotient)
+    run("suite", argparse.Namespace(fixture="EX-SMASH", input=None, field=None,
+                                    dump_matrices=False))
+    assert steps
+    assert len(set(steps)) == len(steps), f"{len(steps) - len(set(steps))} of {len(steps)} refold"
 
 
 def test_tracer_spans_resolve():

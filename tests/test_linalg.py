@@ -138,6 +138,17 @@ def test_identity_cache_and_fast_paths():
         assert_canonical_vector(f, image)
 
 
+def test_hash_is_kept_and_agrees_with_equality():
+    """A matrix is immutable, so its hash is computed once; equal matrices
+    built by different constructors hash alike."""
+    dense = Matrix.from_rows(QQ, [[2, 0], [1, 1]])
+    sparse = Matrix.from_sparse_rows(QQ, [{0: 2}, {0: 1, 1: 1}], 2)
+    assert dense == sparse and hash(dense) == hash(sparse) == hash(dense)
+    assert hash(dense) == hash((dense.shape, tuple(frozenset(r.items())
+                                                   for r in dense.sparse_rows())))
+    assert len({dense, sparse, Matrix.identity(QQ, 2), dense.transpose()}) == 3
+
+
 def test_kron_and_permutations():
     a = Matrix.from_rows(QQ, [[1, 2]])
     b = Matrix.from_rows(QQ, [[0], [3]])

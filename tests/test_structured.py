@@ -8,6 +8,7 @@ relation kernel ``kernel(chain.proj)`` it replaced is the reference here.
 The mutation tests show that the structured identities can still fail.
 """
 
+import argparse
 import math
 import random
 
@@ -18,6 +19,7 @@ from torsorkit import algebra
 from torsorkit.algebra import (
     Algebra,
     _carrier_leg_map,
+    _link_relation_columns,
     _relation_columns,
     first_unbalanced,
     induce,
@@ -30,12 +32,13 @@ from torsorkit.bialgebroid import (
     _factorwise_product,
     _factorwise_product_mixed,
 )
+from torsorkit.cli import run
 from torsorkit.errors import ClosureFailure, NotWellDefined
 from torsorkit.fields import GF, QQ
 from torsorkit.fixtures import generate
 from torsorkit.linalg import Matrix, kron_apply, permute_cols, permute_rows
 from torsorkit.pretorsor import validate_torsor
-from torsorkit.spaces import LinearMap, kernel
+from torsorkit.spaces import LinearMap, Subspace, kernel
 
 from conftest import fixture
 
@@ -206,6 +209,32 @@ def test_projector_identity_matches_relation_kernel(name, field, pick, data):
         witness = relation_witness(proj, sect, bad)
         assert rel.contains_vector(witness)
         assert any(not field.is_zero(v) for v in g.apply(witness))
+
+
+@pytest.mark.parametrize("name", ["EX-SMASH", "EX-M2"])
+@pytest.mark.parametrize("field", ["Q", "GF101"])
+def test_every_quotient_chain_meets_the_relation_oracle(name, field):
+    """Each chain is its cached prefix plus one quotient step.  For every
+    chain with a quotient that ``suite`` builds on a fresh bundle, the
+    relation span of all its links on the full ambient, generated the slow
+    way, is ``kernel(proj)``, and ``sect`` sends each carrier basis vector
+    to the ambient basis vector of the same label."""
+    before = set(map(id, algebra._chain_cache.values()))
+    run("suite", argparse.Namespace(fixture=name, input=None, field=field,
+                                    dump_matrices=False))
+    chains = [c for c in list(algebra._chain_cache.values())
+              if id(c) not in before and c.dim < c.ambient.dim]
+    assert chains
+    for chain in chains:
+        f = chain.carrier.field
+        gens = [col for link in chain.links
+                for col in _link_relation_columns(f, chain.factor_spaces, link)]
+        rel = Subspace.from_spanning(chain.ambient,
+                                     Matrix.from_sparse_rows(f, gens, chain.ambient.dim))
+        assert kernel(chain.proj) == rel, chain
+        for q, col in enumerate(chain.sect.matrix.col_supports()):
+            assert len(col) == 1 and col[0][1] == f.one, (chain, q)
+            assert chain.ambient.labels[col[0][0]] == chain.carrier.labels[q], (chain, q)
 
 
 def test_induce_rejects_the_swapped_product_on_smash(ex_smash):
