@@ -16,10 +16,19 @@ the relation span before descending it to the carrier.  A chain carries
 only ``proj``/``sect`` with ``proj @ sect = I``; the relation span is
 ``ker(proj)``, never built, and a map ``g`` kills it iff
 ``g == (g @ sect) @ proj`` (``first_unbalanced``).
+
+A bimodule action is one matrix, on ``L (x) M`` or ``M (x) R``, and this
+module is the only one that knows its column layout: ``fix_left`` and
+``fix_right`` read off the map of one ring element, ``join_left`` and
+``join_right`` assemble an action from the maps of the ring basis.  Every
+action is written as a matrix expression in the structure maps, such as
+``mult o (alpha (x) id)``, and evaluated by ``kron_apply``; none is built
+one basis vector at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import prod
 
@@ -32,7 +41,7 @@ from .errors import (
     NotWellDefined,
     ShapeMismatch,
 )
-from .linalg import Matrix, kron_apply, outer
+from .linalg import Matrix, kron_apply, outer, permute_cols
 from .spaces import LinearMap, Space, Subspace, quotient, tensor_space
 
 
@@ -87,21 +96,13 @@ class Algebra:
 
     def left_mult_map(self, vec) -> LinearMap:
         """Left multiplication by a fixed element, as a map on the space."""
-        cols = [self.product_vec(vec, self.space.basis_vector(j)) for j in range(self.dim)]
-        return LinearMap.from_columns(self.space, self.space, cols)
+        return LinearMap(self.space, self.space, fix_left(self.mult.matrix, vec, self.dim))
 
     def right_mult_map(self, vec) -> LinearMap:
-        cols = [self.product_vec(self.space.basis_vector(j), vec) for j in range(self.dim)]
-        return LinearMap.from_columns(self.space, self.space, cols)
+        return LinearMap(self.space, self.space, fix_right(self.mult.matrix, self.dim, vec))
 
     def is_commutative(self):
-        n = self.dim
-        e = [self.space.basis_vector(i) for i in range(n)]
-        return all(
-            self.product_vec(e[i], e[j]) == self.product_vec(e[j], e[i])
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
+        return self.mult.matrix == permute_cols(self.mult.matrix, [self.dim] * 2, (1, 0))
 
 
 def make_algebra(field, dim, structure_constants, unit, name="", labels=None) -> Algebra:
@@ -132,14 +133,9 @@ def algebra_from_table(field, dim, table, unit, name="", labels=None) -> Algebra
 def opposite(A: Algebra) -> Algebra:
     """The opposite algebra on the same underlying space."""
     space = Space(A.field, A.dim, A.name + "^op", A.space.labels)
-    n = A.dim
-    cols = []
-    for i in range(n):
-        for j in range(n):
-            cols.append(A.product_vec(A.space.basis_vector(j), A.space.basis_vector(i)))
-    tensor = tensor_space([space, space])
-    mult = LinearMap.from_columns(tensor, space, cols)
-    return Algebra(space, mult, A.unit, A.name + "^op")
+    mult = permute_cols(A.mult.matrix, [A.dim, A.dim], (1, 0))
+    return Algebra(space, LinearMap(tensor_space([space, space]), space, mult), A.unit,
+                   A.name + "^op")
 
 
 def enveloping(B: Algebra) -> Algebra:
@@ -208,7 +204,8 @@ class Bimodule:
     """An L-R bimodule with explicit action matrices.
 
     ``lact: L (x) M -> M`` and ``ract: M (x) R -> M`` are stored as full
-    matrices on k-tensor ambients so induced maps stay uniform.
+    matrices on k-tensor ambients so induced maps stay uniform, read with
+    ``fix_left``/``fix_right`` and assembled with ``join_left``/``join_right``.
     """
 
     def __init__(self, space: Space, left: Algebra, right: Algebra,
@@ -273,61 +270,49 @@ class Bimodule:
 
 def regular_bimodule(T: Algebra, left: AlgebraMap | None = None,
                      right: AlgebraMap | None = None, check: bool = True) -> Bimodule:
-    """T as a bimodule over subalgebra images: actions via unit maps.
+    """T as a bimodule over subalgebra images: ``mult o (alpha (x) id)`` and
+    ``mult o (id (x) beta)``.
 
     ``left``/``right`` default to T acting on itself by multiplication.
     """
     L = left.source if left else T
     R = right.source if right else T
-    n = T.dim
-    lcols = []
-    for i in range(L.dim):
-        ai = left.map.apply(L.space.basis_vector(i)) if left else L.space.basis_vector(i)
-        lm = T.left_mult_map(ai)
-        for j in range(n):
-            lcols.append(lm.apply(T.space.basis_vector(j)))
-    lact = LinearMap.from_columns(tensor_space([L.space, T.space]), T.space, lcols)
-    rcols = []
-    rmaps = []
-    for i in range(R.dim):
-        bi = right.map.apply(R.space.basis_vector(i)) if right else R.space.basis_vector(i)
-        rmaps.append(T.right_mult_map(bi))
-    for j in range(n):
-        ej = T.space.basis_vector(j)
-        for i in range(R.dim):
-            rcols.append(rmaps[i].apply(ej))
-    ract = LinearMap.from_columns(tensor_space([T.space, R.space]), T.space, rcols)
-    return Bimodule(T.space, L, R, lact, ract, check=check)
+    f, n, mult = T.field, T.dim, T.mult.matrix
+    lact = kron_apply(f, [mult], [n, n], None, [left.map.matrix if left else None, None])
+    ract = kron_apply(f, [mult], [n, n], None, [None, right.map.matrix if right else None])
+    return Bimodule(T.space, L, R, LinearMap(tensor_space([L.space, T.space]), T.space, lact),
+                    LinearMap(tensor_space([T.space, R.space]), T.space, ract), check=check)
 
 
 def sub_bimodule(sub: Subspace, outer: Bimodule, err=ActionMismatch, check: bool = False) -> Bimodule:
     """Restrict a bimodule structure to a stable subspace.
 
-    Raises ``err`` when an action does not preserve the subspace.
+    Raises ``err`` when an action does not preserve the subspace, naming the
+    ring basis element of the first column, in action-matrix order, that
+    leaves it.
     """
     if sub.ambient is not outer.space:
         raise ShapeMismatch("subspace does not live in the bimodule space")
     L, R = outer.left, outer.right
-    lcols = []
-    for i in range(L.dim):
-        a = L.space.basis_vector(i)
-        for j in range(sub.dim):
-            v = outer.lact_vec(a, sub.inclusion.matrix.col(j))
-            if not sub.contains_vector(v):
-                raise err(f"left action by {L.space.labels[i]} leaves the subspace")
-            lcols.append(sub.retraction.apply(v))
-    lact = LinearMap.from_columns(tensor_space([L.space, sub.space]), sub.space, lcols)
-    rcols = []
-    for j in range(sub.dim):
-        w = sub.inclusion.matrix.col(j)
-        for i in range(R.dim):
-            a = R.space.basis_vector(i)
-            v = outer.ract_vec(w, a)
-            if not sub.contains_vector(v):
-                raise err(f"right action by {R.space.labels[i]} leaves the subspace")
-            rcols.append(sub.retraction.apply(v))
-    ract = LinearMap.from_columns(tensor_space([sub.space, R.space]), sub.space, rcols)
-    return Bimodule(sub.space, L, R, lact, ract, check=check)
+    f, incl, n = outer.field, sub.inclusion.matrix, outer.dim
+    lact = _restrict(sub, kron_apply(f, [outer.lact.matrix], [L.dim, n], None, [None, incl]),
+                     lambda x: err(f"left action by {L.space.labels[x // sub.dim]} "
+                                   "leaves the subspace"))
+    ract = _restrict(sub, kron_apply(f, [outer.ract.matrix], [n, R.dim], None, [incl, None]),
+                     lambda x: err(f"right action by {R.space.labels[x % R.dim]} "
+                                   "leaves the subspace"))
+    return Bimodule(sub.space, L, R,
+                    LinearMap(tensor_space([L.space, sub.space]), sub.space, lact),
+                    LinearMap(tensor_space([sub.space, R.space]), sub.space, ract), check=check)
+
+
+def _restrict(sub: Subspace, full: Matrix, fail) -> Matrix:
+    """``full`` read in the subspace's coordinates; ``fail(x)`` is raised at
+    the first column x of ``full`` that leaves the subspace."""
+    for x in range(full.ncols):
+        if not sub.contains_vector(full.col(x)):
+            raise fail(x)
+    return sub.retraction.matrix @ full
 
 
 def factor_matrix(jmat: Matrix, fmat: Matrix, err, msg: str) -> Matrix:
@@ -393,16 +378,13 @@ _chain_cache: dict = {}
 _chain_outer_registry: dict = {}
 
 
-def _link_leg_maps(field, factor_spaces, link: Link):
+def _link_leg_maps(link: Link):
     """Per ring basis element r, the pair ``(mi, mj)``: x -> x.r on factor
     i and y -> r.y on factor j."""
-    si, sj = factor_spaces[link.i], factor_spaces[link.j]
-    act_i, act_j = link.act_i.matrix.apply_pair, link.act_j.matrix.apply_pair
+    act_i, act_j = link.act_i, link.act_j
     for r in map(link.ring.space.basis_vector, range(link.ring.dim)):
-        yield (Matrix.from_cols(field, [act_i(x, r) for x in map(si.basis_vector, range(si.dim))],
-                                si.dim),
-               Matrix.from_cols(field, [act_j(r, y) for y in map(sj.basis_vector, range(sj.dim))],
-                                sj.dim))
+        yield (fix_right(act_i.matrix, act_i.codomain.dim, r),
+               fix_left(act_j.matrix, r, act_j.codomain.dim))
 
 
 def _link_relation_columns(field, factor_spaces, link: Link):
@@ -410,7 +392,7 @@ def _link_relation_columns(field, factor_spaces, link: Link):
     ambient (see ``_relation_columns``)."""
     dims = [s.dim for s in factor_spaces]
     cols = []
-    for mi, mj in _link_leg_maps(field, factor_spaces, link):
+    for mi, mj in _link_leg_maps(link):
         cols += _relation_columns(field, dims, link.i, mi, link.j, mj)
     return cols
 
@@ -528,7 +510,7 @@ def _build_chain(spaces, links) -> TensorChain:
         else:
             # the newest link, with its right action read on the prefix carrier
             rel_cols = []
-            for mi, mj in _link_leg_maps(field, spaces, link):
+            for mi, mj in _link_leg_maps(link):
                 lifted = _carrier_leg_map(head, n - 2, mi).matrix
                 rel_cols += _relation_columns(field, [head.dim, last.dim], 0, lifted, 1, mj)
             rel = Subspace.from_spanning(
@@ -638,16 +620,21 @@ def _subchain(chain: TensorChain, a: int, b: int) -> TensorChain:
 
 def chain_outer_bimodule(chain: TensorChain, left_factor: Bimodule,
                          right_factor: Bimodule, check: bool = False) -> Bimodule:
-    """Outer bimodule structure on a chain carrier, from the edge factors."""
+    """Outer bimodule structure on a chain carrier, from the edge factors:
+    the left factor's action on the first leg and the right factor's on the
+    last, each read on the carrier through ``proj``/``sect``."""
     L, R = left_factor.left, right_factor.right
-    last = len(chain.factor_spaces) - 1
-    lcols = [_carrier_leg_map(chain, 0, _fixed_left_act(left_factor, a).matrix)
-             for a in map(L.space.basis_vector, range(L.dim))]
-    lact = _assemble_action_left(L, chain.carrier, lcols)
-    rcols = [_carrier_leg_map(chain, last, _fixed_right_act(right_factor, a).matrix)
-             for a in map(R.space.basis_vector, range(R.dim))]
-    ract = _assemble_action_right(R, chain.carrier, rcols)
-    return Bimodule(chain.carrier, L, R, lact, ract, check=check)
+    f, proj, sect = chain.carrier.field, chain.proj.matrix, chain.sect.matrix
+    dims = [s.dim for s in chain.factor_spaces]
+    idle = [None] * (len(dims) - 1)
+    lact = proj @ kron_apply(f, [left_factor.lact.matrix] + idle, [L.dim] + dims, None,
+                             [None, sect])
+    ract = proj @ kron_apply(f, idle + [right_factor.ract.matrix], dims + [R.dim], None,
+                             [sect, None])
+    return Bimodule(chain.carrier, L, R,
+                    LinearMap(tensor_space([L.space, chain.carrier]), chain.carrier, lact),
+                    LinearMap(tensor_space([chain.carrier, R.space]), chain.carrier, ract),
+                    check=check)
 
 
 def _carrier_leg_map(chain: TensorChain, pos, m: Matrix) -> LinearMap:
@@ -659,34 +646,30 @@ def _carrier_leg_map(chain: TensorChain, pos, m: Matrix) -> LinearMap:
         chain.carrier.field, legs, dims, None, [chain.sect.matrix]))
 
 
-def _fixed_left_act(m: Bimodule, a) -> LinearMap:
-    cols = [m.lact_vec(a, m.space.basis_vector(j)) for j in range(m.dim)]
-    return LinearMap.from_columns(m.space, m.space, cols)
+def fix_left(bilinear: Matrix, u, n) -> Matrix:
+    """``x -> bilinear(u (x) x)`` on an n-dim second leg: the map of one
+    element u read off a left action (or product) matrix."""
+    f = bilinear.field
+    return kron_apply(f, [bilinear], [len(u), n], None, [Matrix.from_cols(f, [u]), None])
 
 
-def _fixed_right_act(m: Bimodule, a) -> LinearMap:
-    cols = [m.ract_vec(m.space.basis_vector(j), a) for j in range(m.dim)]
-    return LinearMap.from_columns(m.space, m.space, cols)
+def fix_right(bilinear: Matrix, n, v) -> Matrix:
+    """``x -> bilinear(x (x) v)`` on an n-dim first leg: the map of one
+    element v read off a right action (or product) matrix."""
+    f = bilinear.field
+    return kron_apply(f, [bilinear], [n, len(v)], None, [None, Matrix.from_cols(f, [v])])
 
 
-def _assemble_action_left(L: Algebra, space: Space, per_basis_maps) -> LinearMap:
-    amb = tensor_space([L.space, space])
-    cols = []
-    for i in range(L.dim):
-        mat = per_basis_maps[i].matrix
-        for j in range(space.dim):
-            cols.append(mat.col(j))
-    return LinearMap.from_columns(amb, space, cols)
+def join_left(maps) -> Matrix:
+    """The left action matrix on ``L (x) M`` whose i-th fixed map is
+    ``maps[i]``: the blocks side by side."""
+    return functools.reduce(Matrix.augment, maps)
 
 
-def _assemble_action_right(R: Algebra, space: Space, per_basis_maps) -> LinearMap:
-    amb = tensor_space([space, R.space])
-    mats = [m.matrix for m in per_basis_maps]
-    cols = []
-    for j in range(space.dim):
-        for i in range(R.dim):
-            cols.append(mats[i].col(j))
-    return LinearMap.from_columns(amb, space, cols)
+def join_right(maps) -> Matrix:
+    """The right action matrix on ``M (x) R`` whose i-th fixed map is
+    ``maps[i]``: ``join_left`` with its two column legs swapped."""
+    return permute_cols(join_left(maps), [maps[0].ncols, len(maps)], (1, 0))
 
 
 class FreenessCertificate:

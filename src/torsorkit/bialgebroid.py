@@ -22,7 +22,11 @@ from .algebra import (
     chain_outer_bimodule,
     corestrict_through,
     first_unbalanced,
+    fix_left,
+    fix_right,
     induce,
+    join_left,
+    join_right,
     opposite,
     tensor_chain,
     tensor_space,
@@ -379,24 +383,11 @@ def _op_bimodules(bgd):
     theta is defined, for a right and a left bialgebroid alike."""
     A_op = opposite(bgd.base)
     C = bgd.coring
-    n = C.dim
-    lcols = []
-    for i in range(A_op.dim):
-        ta = bgd.target.map.apply(bgd.base.space.basis_vector(i))
-        lm = bgd.algebra.left_mult_map(ta)
-        for j in range(n):
-            lcols.append(lm.apply(C.space.basis_vector(j)))
-    lact = LinearMap.from_columns(tensor_space([A_op.space, C.space]), C.space, lcols)
-    rcols = []
-    rms = []
-    for i in range(A_op.dim):
-        ta = bgd.target.map.apply(bgd.base.space.basis_vector(i))
-        rms.append(bgd.algebra.right_mult_map(ta))
-    for j in range(n):
-        ej = C.space.basis_vector(j)
-        for i in range(A_op.dim):
-            rcols.append(rms[i].apply(ej))
-    ract = LinearMap.from_columns(tensor_space([C.space, A_op.space]), C.space, rcols)
+    f, n, mult, t = C.field, C.dim, bgd.algebra.mult.matrix, bgd.target.map.matrix
+    lact = LinearMap(tensor_space([A_op.space, C.space]), C.space,
+                     kron_apply(f, [mult], [n, n], None, [t, None]))
+    ract = LinearMap(tensor_space([C.space, A_op.space]), C.space,
+                     kron_apply(f, [mult], [n, n], None, [None, t]))
     C_opop = Bimodule(C.space, A_op, A_op, lact, ract, check=False)
     # mixed: left A^op (target, left mult), right A (source, right mult)
     C_L = Bimodule(C.space, A_op, bgd.base, lact, C.carrier.ract, check=False)
@@ -412,16 +403,14 @@ def theta(bgd: RightBialgebroid, side: str = "right") -> ThetaData:
     f = bgd.coring.field
     C = bgd.coring
     rep = Report(f"{C.name}:theta")
-    idC = Matrix.identity(f, C.dim)
     left_handed = isinstance(bgd, LeftBialgebroid) or side == "left"
     op_data = _op_bimodules(bgd)
     chain_op = tensor_chain([op_data[1], op_data[1]], [op_data[0]])
+    mult, split = bgd.algebra.mult.matrix, C.cc.sect.matrix @ C.delta.matrix
     if left_handed:
-        raw = (idC.kron(bgd.algebra.mult.matrix)
-               @ C.cc.sect.matrix.kron(idC) @ bgd.coring.delta.matrix.kron(idC))
+        raw = kron_apply(f, [None, mult], [C.dim] * 3, None, [split, None])
     else:
-        raw = (bgd.algebra.mult.matrix.kron(idC)
-               @ idC.kron(C.cc.sect.matrix @ C.delta.matrix))
+        raw = kron_apply(f, [mult, None], [C.dim] * 3, None, [None, split])
     th = induce(chain_op, LinearMap(
         chain_op.ambient, C.cc.carrier, C.cc.proj.matrix @ raw), "theta")
     try:
@@ -615,25 +604,16 @@ def comodule_actions(M: Comodule, bgd: RightBialgebroid):
     CM = M.chain
     rho_exp = CM.sect.matrix @ M.rho.matrix
     idM = Matrix.identity(f, M.dim)
-    s_maps, t_maps = [], []
-    for i in range(A.dim):
-        a = A.space.basis_vector(i)
-        ls = bgd.left_mult(bgd.s_vec(a))
-        lt = bgd.left_mult(bgd.t_vec(a))
-        s_maps.append(M.carrier.lact.matrix
-                      @ (C.eps.matrix @ ls).kron(idM) @ rho_exp)
-        t_maps.append(M.carrier.lact.matrix
-                      @ (C.eps.matrix @ lt).kron(idM) @ rho_exp)
-    ok = all(s_maps[i] == t_maps[i] for i in range(A.dim))
+    mult, n = bgd.algebra.mult.matrix, C.dim
+    # m . a = eps(s(a) m_(-1)) . m_(0), and the same with t(a) for s(a)
+    s_act, t_act = (M.carrier.lact.matrix @ kron_apply(
+        f, [C.eps.matrix @ kron_apply(f, [mult], [n, n], None, [st.map.matrix, None]), None],
+        [n, M.dim, A.dim], (2, 0, 1), [rho_exp, None]) for st in (bgd.source, bgd.target))
+    ok = s_act == t_act
     rep.add("act.s-t-agree", "2(comod)", ok)
     if not ok:
         raise AxiomFailure(f"{M.name}: source and target action forms disagree")
-    ract_cols = []
-    for j in range(M.dim):
-        for i in range(A.dim):
-            ract_cols.append(s_maps[i].col(j))
-    ract = LinearMap.from_columns(tensor_space([M.space, A.space]), M.space,
-                                  ract_cols)
+    ract = LinearMap(tensor_space([M.space, A.space]), M.space, s_act)
     new_bim = Bimodule(M.space, A, A, M.carrier.lact, ract)
     # Takeuchi membership of the coaction
     subs = []
@@ -641,7 +621,7 @@ def comodule_actions(M: Comodule, bgd: RightBialgebroid):
     for i in range(A.dim):
         a = A.space.basis_vector(i)
         ls = bgd.left_mult(bgd.s_vec(a))
-        m1 = CM.proj.matrix @ idC.kron(s_maps[i]) @ CM.sect.matrix
+        m1 = CM.proj.matrix @ idC.kron(fix_right(s_act, M.dim, a)) @ CM.sect.matrix
         m2 = CM.proj.matrix @ ls.kron(idM) @ CM.sect.matrix
         subs.append(kernel(LinearMap(CM.carrier, CM.carrier, m1 - m2)))
     tak = intersect(subs, "takeuchi") if subs else None
@@ -663,50 +643,20 @@ def monoidal_product(bgd: RightBialgebroid, M: Comodule, Mp: Comodule,
     A = bgd.base
     f = C.field
     A_op = opposite(A)
-    # link: right A^op-action on M is the left A-action, left A^op-action on
-    # M' the (induced) right A-action
-    acts_i = []
-    for j in range(M.dim):
-        for i in range(A_op.dim):
-            acts_i.append(M.carrier.lact_vec(A.space.basis_vector(i),
-                                             M.space.basis_vector(j)))
-    act_i = LinearMap.from_columns(tensor_space([M.space, A_op.space]),
-                                   M.space, acts_i)
-    acts_j = []
-    for i in range(A_op.dim):
-        for j in range(Mp.dim):
-            acts_j.append(Mp.carrier.ract_vec(Mp.space.basis_vector(j),
-                                              A.space.basis_vector(i)))
-    act_j = LinearMap.from_columns(tensor_space([A_op.space, Mp.space]),
-                                   Mp.space, acts_j)
-    MM = chain_of_spaces([M.space, Mp.space],
-                         [Link(0, 1, A_op, act_i, act_j)])
+    link = _opposite_link(A_op, M.carrier, Mp.carrier)
+    MM = chain_of_spaces([M.space, Mp.space], [link])
     # carrier bimodule: left A through the second factor, trivial right
-    lcols = []
-    for i in range(A.dim):
-        a = A.space.basis_vector(i)
-        fixed = Matrix.from_cols(
-            f, [Mp.carrier.lact_vec(a, Mp.space.basis_vector(j))
-                for j in range(Mp.dim)], Mp.dim)
-        lcols.append(MM.proj @ LinearMap(
-            MM.ambient, MM.ambient,
-            Matrix.identity(f, M.dim).kron(fixed)) @ MM.sect)
-    lact_cols = []
-    for i in range(A.dim):
-        for j in range(MM.dim):
-            lact_cols.append(lcols[i].matrix.col(j))
-    lact = LinearMap.from_columns(tensor_space([A.space, MM.carrier]),
-                                  MM.carrier, lact_cols)
-    triv_cols = []
-    for j in range(MM.dim):
-        triv_cols.append(MM.carrier.basis_vector(j))
-    ract = LinearMap.from_columns(tensor_space([MM.carrier, K.space]),
-                                  MM.carrier, triv_cols)
+    lact = LinearMap(tensor_space([A.space, MM.carrier]), MM.carrier,
+                     MM.proj.matrix @ kron_apply(f, [None, Mp.carrier.lact.matrix],
+                                                 [A.dim, M.dim, Mp.dim], (1, 0, 2),
+                                                 [None, MM.sect.matrix]))
+    ract = LinearMap(tensor_space([MM.carrier, K.space]), MM.carrier,
+                     Matrix.identity(f, MM.dim))
     MM_bim = Bimodule(MM.carrier, A, K, lact, ract)
     # diagonal coaction
     CMM = chain_of_spaces(
         [C.space, M.space, Mp.space],
-        [Link(1, 2, A_op, act_i, act_j),
+        [Link(1, 2, A_op, link.act_i, link.act_j),
          Link(0, 2, A, C.carrier.ract, Mp.carrier.lact)])
     rho_M = M.chain.sect.matrix @ M.rho.matrix
     rho_Mp = Mp.chain.sect.matrix @ Mp.rho.matrix
@@ -723,6 +673,17 @@ def monoidal_product(bgd: RightBialgebroid, M: Comodule, Mp: Comodule,
                                 "diagonal coaction misses C (x) (M (x) M')")
     com = Comodule(bgd.coring, MM_bim, "left", rho_MM, f"{M.name}(x){Mp.name}")
     return com, MM
+
+
+def _opposite_link(A_op: Algebra, M: Bimodule, Mp: Bimodule) -> Link:
+    """The balancing of M (x)_{A^op} M': the right A^op-action on M is its
+    left A-action, the left A^op-action on M' its right A-action."""
+    n = A_op.dim
+    return Link(0, 1, A_op,
+                LinearMap(tensor_space([M.space, A_op.space]), M.space,
+                          permute_cols(M.lact.matrix, [M.dim, n], (1, 0))),
+                LinearMap(tensor_space([A_op.space, Mp.space]), Mp.space,
+                          permute_cols(Mp.ract.matrix, [n, Mp.dim], (1, 0))))
 
 
 def _pair_to_triple(C, MM, MM_bim, CMM2, CMM) -> LinearMap:
@@ -779,19 +740,9 @@ def _beta_actions_on_cotensor(bundle, chain_TM, sub: Subspace):
 
 def _bb_bimodule(bundle, sub: Subspace, lacts, racts) -> Bimodule:
     B = bundle.B
-    lcols = []
-    for i in range(B.dim):
-        for j in range(sub.dim):
-            lcols.append(lacts[i].col(j))
-    lact = LinearMap.from_columns(tensor_space([B.space, sub.space]),
-                                  sub.space, lcols)
-    rcols = []
-    for j in range(sub.dim):
-        for i in range(B.dim):
-            rcols.append(racts[i].col(j))
-    ract = LinearMap.from_columns(tensor_space([sub.space, B.space]),
-                                  sub.space, rcols)
-    return Bimodule(sub.space, B, B, lact, ract)
+    return Bimodule(sub.space, B, B,
+                    LinearMap(tensor_space([B.space, sub.space]), sub.space, join_left(lacts)),
+                    LinearMap(tensor_space([sub.space, B.space]), sub.space, join_right(racts)))
 
 
 def monoidal_witness(bundle: PreTorsorBundle, pair: CoringPair,
@@ -869,12 +820,8 @@ def monoidal_witness(bundle: PreTorsorBundle, pair: CoringPair,
     ok = True
     for i in range(b.B.dim):
         a = b.B.space.basis_vector(i)
-        lact_fix = Matrix.from_cols(
-            f, [s11_outer.lact_vec(a, S11.carrier.basis_vector(j))
-                for j in range(S11.dim)], S11.dim)
-        ract_fix = Matrix.from_cols(
-            f, [s11_outer.ract_vec(S11.carrier.basis_vector(j), a)
-                for j in range(S11.dim)], S11.dim)
+        lact_fix = fix_left(s11_outer.lact.matrix, a, S11.dim)
+        ract_fix = fix_right(s11_outer.ract.matrix, S11.dim, a)
         if xi.matrix @ lact_fix != lmm[i] @ xi.matrix:
             ok = False
         if xi.matrix @ ract_fix != rmm[i] @ xi.matrix:
@@ -921,9 +868,8 @@ def can_factorisation(bundle: PreTorsorBundle, pair: CoringPair,
 
 
 def _left_module_wrap(A: Algebra, space: Space, lact: LinearMap, K: Algebra) -> Bimodule:
-    cols = [space.basis_vector(j) for j in range(space.dim)]
-    ract = LinearMap.from_columns(tensor_space([space, K.space]), space, cols)
-    return Bimodule(space, A, K, lact, ract)
+    ident = Matrix.identity(space.field, space.dim)
+    return Bimodule(space, A, K, lact, LinearMap(tensor_space([space, K.space]), space, ident))
 
 
 def cofree_comodule(bgd: RightBialgebroid, N_bim: Bimodule):
@@ -985,14 +931,9 @@ def lemma55_check(bundle: PreTorsorBundle, pair: CoringPair,
     idT, idC = b.idT, Matrix.identity(f, nC)
     idN, idM = Matrix.identity(f, nN), Matrix.identity(f, nM)
     # target chain with its three balancings
-    lt_cols = []
-    for j in range(nC):
-        c = C.space.basis_vector(j)
-        for i in range(A.dim):
-            lt_cols.append(bgd.left_mult(
-                bgd.t_vec(A.space.basis_vector(i))).apply(c))
-    ract_lt = LinearMap.from_columns(tensor_space([C.space, A.space]),
-                                     C.space, lt_cols)
+    # c . a = t(a) c
+    ract_lt = LinearMap(tensor_space([C.space, A.space]), C.space, kron_apply(
+        f, [bgd.algebra.mult.matrix], [nC, nC], (1, 0), [None, bgd.target.map.matrix]))
     Z55 = chain_of_spaces(
         [b.T.space, C.space, N_bim.space, M_bim.space],
         [Link(0, 1, A, b.T_BA.ract, C.carrier.lact),
@@ -1165,25 +1106,10 @@ def homogeneous_pretorsor(bgd: RightBialgebroid, th: ThetaData, p_span,
     from .spaces import quotient as space_quotient
     Q_space, pi, sect_Q = space_quotient(C.space, I, "Q")
     # induced bimodule structure on the quotient
-    lact_cols = []
-    for i in range(A.dim):
-        a = A.space.basis_vector(i)
-        act = pi.matrix @ Matrix.from_cols(
-            f, [C.carrier.lact_vec(a, sect_Q.matrix.col(j))
-                for j in range(Q_space.dim)], Q_space.dim)
-        lact_cols.append(act)
-    lact_Q = LinearMap.from_columns(
-        tensor_space([A.space, Q_space]), Q_space,
-        [lact_cols[i].col(j) for i in range(A.dim) for j in range(Q_space.dim)])
-    ract_cols = []
-    for i in range(A.dim):
-        a = A.space.basis_vector(i)
-        ract_cols.append(pi.matrix @ Matrix.from_cols(
-            f, [C.carrier.ract_vec(sect_Q.matrix.col(j), a)
-                for j in range(Q_space.dim)], Q_space.dim))
-    ract_Q = LinearMap.from_columns(
-        tensor_space([Q_space, A.space]), Q_space,
-        [ract_cols[i].col(j) for j in range(Q_space.dim) for i in range(A.dim)])
+    lact_Q = LinearMap(tensor_space([A.space, Q_space]), Q_space, pi.matrix @ kron_apply(
+        f, [C.carrier.lact.matrix], [A.dim, C.dim], None, [None, sect_Q.matrix]))
+    ract_Q = LinearMap(tensor_space([Q_space, A.space]), Q_space, pi.matrix @ kron_apply(
+        f, [C.carrier.ract.matrix], [C.dim, A.dim], None, [sect_Q.matrix, None]))
     Q_bim = Bimodule(Q_space, A, A, lact_Q, ract_Q)
     QQ = tensor_chain([Q_bim, Q_bim], [A])
     two_pi = QQ.proj.matrix @ pi.matrix.kron(pi.matrix) @ C.cc.sect.matrix
@@ -1229,21 +1155,11 @@ def homogeneous_pretorsor(bgd: RightBialgebroid, th: ThetaData, p_span,
                                 Bsub.inclusion.matrix))
 
     # the canonical map and its theta-built inverse
-    incl_B_mat = Bsub.inclusion.matrix
-    r_cols = []
-    for j in range(C.dim):
-        c = C.space.basis_vector(j)
-        for i in range(B_alg.dim):
-            r_cols.append(alg.product_vec(c, incl_B_mat.col(i)))
-    ract_B = LinearMap.from_columns(tensor_space([C.space, B_alg.space]),
-                                    C.space, r_cols)
-    l_cols = []
-    for i in range(B_alg.dim):
-        bv = incl_B_mat.col(i)
-        for j in range(C.dim):
-            l_cols.append(alg.product_vec(bv, C.space.basis_vector(j)))
-    lact_B = LinearMap.from_columns(tensor_space([B_alg.space, C.space]),
-                                    C.space, l_cols)
+    incl_B_mat, dims = Bsub.inclusion.matrix, [C.dim, C.dim]
+    ract_B = LinearMap(tensor_space([C.space, B_alg.space]), C.space,
+                       kron_apply(f, [alg.mult.matrix], dims, None, [None, incl_B_mat]))
+    lact_B = LinearMap(tensor_space([B_alg.space, C.space]), C.space,
+                       kron_apply(f, [alg.mult.matrix], dims, None, [incl_B_mat, None]))
     C_AB = Bimodule(C.space, C.carrier.left, B_alg, C.carrier.lact, ract_B,
                     check=False)
     C_BA = Bimodule(C.space, B_alg, C.carrier.right, lact_B, C.carrier.ract,

@@ -35,7 +35,7 @@ from .errors import (
     NotWellDefined,
     ShapeMismatch,
 )
-from .linalg import Matrix, outer, permute_cols, permute_rows, split_leg
+from .linalg import Matrix, kron_apply, outer, permute_cols, permute_rows, split_leg
 from .report import Report
 from .spaces import LinearMap
 from .fixtures import HopfData, field_algebra
@@ -124,26 +124,12 @@ def twisted_bialgebroid(inp: TwistInput, name: str = "twist") -> TwistedBialgebr
     iota_mat = inp.iota.map.matrix
     ract_B = LinearMap(tensor_space([B.space, L.space]), B.space,
                        B.mult.matrix @ Matrix.identity(f, nB).kron(iota_mat))
-    t_mult_cols = []
-    for j in range(nH):
-        hj = H.coring.space.basis_vector(j)
-        for i in range(nL):
-            tl = H.t_vec(L.space.basis_vector(i))
-            t_mult_cols.append(H.algebra.product_vec(hj, tl))
-    lact_t = LinearMap.from_columns(tensor_space([H.coring.space, L.space]),
-                                    H.coring.space, t_mult_cols)
     # act maps for the links: (2,3): b'.iota(l) vs h t(l); (1,3): b.iota(l) vs s(l) h
-    s_mult_cols = []
-    for i in range(nL):
-        sl = H.s_vec(L.space.basis_vector(i))
-        lm = H.algebra.left_mult_map(sl)
-        for j in range(nH):
-            s_mult_cols.append(lm.apply(H.coring.space.basis_vector(j)))
-    lact_s = LinearMap.from_columns(tensor_space([L.space, H.coring.space]),
-                                    H.coring.space, s_mult_cols)
-    lact_t_link = LinearMap(tensor_space([L.space, H.coring.space]),
-                            H.coring.space,
-                            permute_cols(lact_t.matrix, [nL, nH], (1, 0)))
+    mult_H, Hs, legs_H = H.algebra.mult.matrix, H.coring.space, [nH, nH]
+    lact_s = LinearMap(tensor_space([L.space, Hs]), Hs,
+                       kron_apply(f, [mult_H], legs_H, None, [H.source.map.matrix, None]))
+    lact_t_link = LinearMap(tensor_space([L.space, Hs]), Hs,
+                            kron_apply(f, [mult_H], legs_H, (1, 0), [H.target.map.matrix, None]))
     chain = chain_of_spaces(
         [B.space, B.space, H.coring.space],
         [Link(1, 2, L, ract_B, lact_t_link),
@@ -238,18 +224,12 @@ def twisted_bialgebroid(inp: TwistInput, name: str = "twist") -> TwistedBialgebr
                                                          t_cols), anti=True)
 
     # carrier bimodule from the left bialgebroid rule
-    lcols, rcols = [], []
-    for i in range(nB):
-        sl = D_alg.left_mult_map(source.map.apply(basisB[i]))
-        tl = D_alg.left_mult_map(target.map.apply(basisB[i]))
-        lcols.append(sl.matrix)
-        rcols.append(tl.matrix)
-    lact_D = LinearMap.from_columns(
-        tensor_space([B.space, chain.carrier]), chain.carrier,
-        [lcols[i].col(j) for i in range(nB) for j in range(dim_D)])
-    ract_D = LinearMap.from_columns(
-        tensor_space([chain.carrier, B.space]), chain.carrier,
-        [rcols[i].col(j) for j in range(dim_D) for i in range(nB)])
+    # b . d . b' = s(b) t(b') d
+    dims = [dim_D, dim_D]
+    lact_D = LinearMap(tensor_space([B.space, chain.carrier]), chain.carrier,
+                       kron_apply(f, [mult_mat], dims, None, [source.map.matrix, None]))
+    ract_D = LinearMap(tensor_space([chain.carrier, B.space]), chain.carrier,
+                       kron_apply(f, [mult_mat], dims, (1, 0), [None, target.map.matrix]))
     carrier = Bimodule(chain.carrier, B, B, lact_D, ract_D)
 
     # coproduct and counit

@@ -1,23 +1,31 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from torsorkit.algebra import (
     AlgebraMap,
     certify_free,
     chain_outer_bimodule,
     enveloping,
+    fix_left,
+    fix_right,
     induce,
+    join_left,
+    join_right,
     make_algebra,
     opposite,
     regular_bimodule,
+    sub_bimodule,
     tensor_chain,
 )
+from torsorkit.bialgebroid import _opposite_link
 from torsorkit.errors import NotAssociative, NotFree, NotUnital, NotWellDefined
-from torsorkit.fields import QQ
+from torsorkit.fields import GF, QQ
 from torsorkit.fixtures import field_algebra, group_algebra, matrix_algebra, unit_algebra_map
 from torsorkit.linalg import Matrix
-from torsorkit.spaces import LinearMap, tensor_space
+from torsorkit.spaces import LinearMap, Subspace, tensor_space
 
 
 def test_make_algebra_validation():
@@ -164,3 +172,110 @@ def test_induced_map_composes_with_projection():
     # the induced map followed by the projection recovers the raw map
     chain, mu = _mult_on_square(matrix_algebra(QQ))
     assert (induce(chain, mu) @ chain.proj).matrix == mu.matrix
+
+
+# (ring dim, module dim) pairs: unequal, with one-dimensional legs on
+# either side, so a swapped pair of column legs changes the matrix
+LEG_DIMS = [(1, 3), (3, 1), (2, 3), (3, 2), (2, 4), (1, 1)]
+SMALL = st.integers(-3, 3)
+
+
+def _basis(field, n):
+    return [tuple(field.one if j == i else field.zero for j in range(n)) for i in range(n)]
+
+
+@given(st.sampled_from([QQ, GF(101)]), st.sampled_from(LEG_DIMS), st.data())
+@settings(max_examples=40, deadline=None)
+def test_action_helpers_agree_with_apply_pair(field, dims, data):
+    """``fix_*`` read back the maps ``join_*`` assembled, and each helper
+    agrees column by column with ``apply_pair`` on basis vectors."""
+    k, m = dims
+
+    def draw_matrix(rows, cols):
+        return Matrix(field, data.draw(st.lists(st.lists(SMALL, min_size=cols, max_size=cols),
+                                                min_size=rows, max_size=rows)), cols)
+
+    maps = [draw_matrix(m, m) for _ in range(k)]
+    ring, module = _basis(field, k), _basis(field, m)
+    lact, ract = join_left(maps), join_right(maps)
+    assert lact.shape == ract.shape == (m, k * m)
+    for r, mi in zip(ring, maps):
+        assert fix_left(lact, r, m) == mi
+        assert fix_right(ract, m, r) == mi
+        for j, x in enumerate(module):
+            assert lact.apply_pair(r, x) == mi.col(j) == ract.apply_pair(x, r)
+    u = tuple(field.parse(a) for a in data.draw(st.lists(SMALL, min_size=k, max_size=k)))
+    left_bilinear, right_bilinear = draw_matrix(m, k * m), draw_matrix(m, m * k)
+    for j, x in enumerate(module):
+        assert fix_left(left_bilinear, u, m).col(j) == left_bilinear.apply_pair(u, x)
+        assert fix_right(right_bilinear, m, u).col(j) == right_bilinear.apply_pair(x, u)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)])
+def test_actions_through_algebra_maps_agree_with_apply_pair(field):
+    """``regular_bimodule`` through two different embeddings of kC2 in M2,
+    and the A^op-link of ``monoidal_product`` on those bimodules, over a base
+    of dimension 2 acting on a module of dimension 4."""
+    T = matrix_algebra(field)
+    c2 = group_algebra(field, 2, "kC2")
+
+    def embed(g):
+        cols = [T.unit, tuple(field.parse(x) for x in g)]
+        return AlgebraMap(c2, T, LinearMap.from_columns(c2.space, T.space, cols))
+
+    swap, sign = embed([0, 1, 1, 0]), embed([1, 0, 0, -1])
+    M, Mp = regular_bimodule(T, swap, sign), regular_bimodule(T, sign, swap)
+    link = _opposite_link(opposite(c2), M, Mp)
+    for a in _basis(field, c2.dim):
+        for x in _basis(field, T.dim):
+            assert M.lact_vec(a, x) == T.product_vec(swap.map.apply(a), x)
+            assert M.ract_vec(x, a) == T.product_vec(x, sign.map.apply(a))
+            assert link.act_i.matrix.apply_pair(x, a) == M.lact_vec(a, x)
+            assert link.act_j.matrix.apply_pair(a, x) == Mp.ract_vec(x, a)
+
+
+class Unstable(Exception):
+    pass
+
+
+def _first_leaving(sub, outer, swapped=False):
+    """The message of the first action column that leaves ``sub``: the left
+    action over (ring, module) pairs, then the right action over (module,
+    ring) pairs; ``swapped`` swaps both pair orders."""
+    cols = [sub.inclusion.matrix.col(j) for j in range(sub.dim)]
+    for side, ring, act in (("left", outer.left, lambda a, w: outer.lact_vec(a, w)),
+                            ("right", outer.right, lambda a, w: outer.ract_vec(w, a))):
+        pairs = list(itertools.product(range(ring.dim), cols))
+        if (side == "right") != swapped:
+            pairs = [(i, w) for w in cols for i in range(ring.dim)]
+        for i, w in pairs:
+            if not sub.contains_vector(act(ring.space.basis_vector(i), w)):
+                return f"{side} action by {ring.space.labels[i]} leaves the subspace"
+    return None
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)])
+def test_sub_bimodule_names_the_first_column_that_leaves(field):
+    """An unstable subspace raises the caller's error, naming the ring basis
+    element of the first leaving column: the left action is checked first,
+    in (ring, module) order, then the right one in (module, ring) order."""
+    T = matrix_algebra(field)
+    k = field_algebra(field)
+    e = _basis(field, T.dim)
+    vectors = e + [tuple(a + b for a, b in zip(e[i], e[j]))
+                   for i, j in itertools.combinations(range(T.dim), 2)]
+    order_matters = set()
+    for outer in (regular_bimodule(T), regular_bimodule(T, unit_algebra_map(k, T), None)):
+        for pair in itertools.combinations(vectors, 2):
+            sub = Subspace.from_spanning(T.space, pair)
+            expected = _first_leaving(sub, outer)
+            if expected is None:
+                assert sub_bimodule(sub, outer, Unstable, check=True).space is sub.space
+                continue
+            if expected != _first_leaving(sub, outer, swapped=True):
+                order_matters.add(expected.split()[0])
+            with pytest.raises(Unstable) as err:
+                sub_bimodule(sub, outer, Unstable)
+            assert str(err.value) == expected
+    # both sides meet a subspace whose first leaving column depends on the order
+    assert order_matters == {"left", "right"}

@@ -22,13 +22,18 @@ divide: ``a / b`` on two stored ints would give a ``float``.
 The engine states its consistency checks as explicit raises, never as
 ``assert``, and a chain is built from its cached prefix with one quotient
 step, so no prefix is folded twice.
+Every bimodule action is a matrix expression in the structure maps, never
+assembled one basis vector at a time, and a traced benchmark pass passes.
 """
 
 import argparse
 import ast
 import importlib
 import importlib.util
+import json
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,6 +70,10 @@ SCALAR_METHODS = {"add", "sub", "mul", "div", "is_zero"}
 MIRRORED_MODULES = ("pretorsor.py", "diffcalc.py")
 HAND_WORDS = {"right", "left"}
 COMODULE_SIDE_CHECKS = {"M.side != 'left'"}
+# the naive oracle builds its reference maps column by column on purpose
+ORACLE = "fixtures.py"
+COLUMN_LOOP_HELPERS = {"_fixed_left_act", "_fixed_right_act",
+                       "_assemble_action_left", "_assemble_action_right"}
 
 
 def _names(tree):
@@ -338,3 +347,42 @@ def test_suite_keeps_no_process_global_state():
     suite("EX-SMASH")
     assert _module_container_sizes() == after_first
     assert not algebra._chain_outer_registry
+
+
+def _called_name(call):
+    return getattr(call.func, "attr", getattr(call.func, "id", None))
+
+
+def test_no_action_is_assembled_column_by_column():
+    """Outside the oracle no ``LinearMap.from_columns`` call takes a
+    ``tensor_space(...)`` domain, the shape of an action built one column
+    at a time, and the helpers that built and took apart actions that way
+    are gone."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [f"{path.name}:{node.lineno} def {node.name}" for node in ast.walk(tree)
+                      if isinstance(node, ast.FunctionDef) and node.name in COLUMN_LOOP_HELPERS]
+        if path.name == ORACLE:
+            continue
+        offenders += [f"{path.name}:{node.lineno} {ast.unparse(node)[:60]}"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and _called_name(node) == "from_columns"
+                      and node.args and isinstance(node.args[0], ast.Call)
+                      and _called_name(node.args[0]) == "tensor_space"]
+    assert not offenders, offenders
+
+
+@pytest.mark.parametrize("workload", ["dense-q", "smash-q"])
+def test_traced_benchmark_pass_is_correct(workload):
+    """One untraced and one traced benchmark pass exit 0 with ``correct``
+    true: every gate check passes, every name the tracer wraps resolves and
+    no layer contradicts its workload.  The two workloads meet every branch
+    of the layer checks: dense-q is quotient-free and reads documents,
+    smash-q quotients and carries Hopf data."""
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload, "--seed", "1",
+         "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
