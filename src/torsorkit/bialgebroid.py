@@ -526,12 +526,16 @@ def _left_theta_identities(bgd, chain_op, th, th_inv, rep):
 
 
 def _diagonal_coactions_raw(b: PreTorsorBundle):
-    """The right and left diagonal coactions on pair representatives:
-    (id (x) id (x) mu (x) mu) and (mu (x) mu (x) id (x) id) after tau (x) tau
-    with its legs regrouped, each from T (x) T to the fourfold ambient."""
-    legs, swap, two_tau = [b.T.dim] * 6, (0, 3, 4, 1, 2, 5), [b.tau_raw] * 2
-    return (kron_apply(b.field, [None, None, b.mu, b.mu], legs, swap, two_tau),
-            kron_apply(b.field, [b.mu, b.mu, None, None], legs, swap, two_tau))
+    """The right and left diagonal coactions on pair representatives, each
+    from T (x) T to the fourfold ambient:
+    u (x) v -> u1 (x) v1 (x) v2 u2 (x) u3 v3 and u1 v1 (x) v2 u2 (x) u3 (x) v3.
+
+    Both finish from one ``tau_pair_inner`` (the middle product v2 u2
+    already contracted, t1 (x) t'1 (x) t'2 t2 (x) t3 (x) t'3): mu on its last
+    two legs gives the right coaction, mu on its first two the left."""
+    n, W = b.T.dim, b.tau_pair_inner()
+    return (kron_apply(b.field, [None, None, None, b.mu], [n] * 5, None, [W]),
+            kron_apply(b.field, [b.mu, None, None, None], [n] * 5, None, [W]))
 
 
 def diagonal_coinvariants(bundle: PreTorsorBundle, pair: CoringPair) -> Report:

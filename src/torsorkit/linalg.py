@@ -136,6 +136,8 @@ class Matrix:
         n = len(cols[0])
         if any(len(c) != n for c in cols):
             raise ShapeMismatch("from_cols: ragged columns")
+        if nrows is not None and nrows != n:
+            raise ShapeMismatch(f"from_cols: columns of length {n}, nrows={nrows}")
         rows = [{} for _ in range(n)]
         for j, c in enumerate(cols):
             for i, x in enumerate(c):

@@ -69,7 +69,7 @@ from .errors import (
     TorsorKitError,
     WitnessNotIso,
 )
-from .linalg import Matrix, kron_apply
+from .linalg import Matrix, kron_apply, permute_rows
 from .report import Report
 from .spaces import LinearMap, Space, image, intersect, invert, kernel
 
@@ -146,6 +146,23 @@ class PreTorsorBundle:
     def tau_raw(self) -> Matrix:
         """tau on canonical cube representatives."""
         return self.X3.sect.matrix @ self.tau.matrix
+
+    def tau_pair_inner(self) -> Matrix:
+        """``W = (id (x) id (x) mu (x) id (x) id) o P(0,3,4,1,2,5) o (tau (x) tau)``
+        on pair representatives: t (x) t' -> t1 (x) t'1 (x) t'2 t2 (x) t3 (x) t'3,
+        an n^5 x n^2 matrix.
+
+        The middle legs are contracted first.  ``half`` sends t (x) s to
+        t1 (x) s t2 (x) t3; it is applied to the t and t'2 legs of
+        t (x) tau(t'), giving t'1 (x) t1 (x) t'2 t2 (x) t3 (x) t'3, and a row
+        permutation swaps the first two legs.  The n^6 outer product
+        tau(t) (x) tau(t') is never formed.  Not memoised: it is cheap to
+        build and large to keep.
+        """
+        f, n, tau = self.field, self.T.dim, self.tau_raw
+        half = kron_apply(f, [None, self.mu, None], [n] * 4, (0, 3, 1, 2), [tau, None])
+        Z = kron_apply(f, [None, half, None], [n] * 4, (1, 0, 2, 3), [None, tau])
+        return permute_rows(Z, [n] * 5, (1, 0, 2, 3, 4))
 
     @property
     def idT(self) -> Matrix:
@@ -395,10 +412,10 @@ def validate_torsor(bundle: PreTorsorBundle) -> Report:
                  for l, r in zip(lhs_cols, rhs_cols))
         rep.add(f"def5.1.{part}", f"5.1({part})", ok)
 
-    # (c) tau(t t') = t1 t'1 (x) t'2 t2 (x) t3 t'3: tau (x) tau lands on the
-    # t legs then the t' legs, which are interleaved for mu (x) mu (x) mu
-    rhs_mat = X3.proj.matrix @ kron_apply(f, [bundle.mu] * 3, [n] * 6, (0, 3, 4, 1, 2, 5),
-                                          [bundle.tau_raw, bundle.tau_raw])
+    # (c) tau(t t') = t1 t'1 (x) t'2 t2 (x) t3 t'3: the middle product comes
+    # contracted in tau_pair_inner, mu on the outer leg pairs finishes it
+    rhs_mat = X3.proj.matrix @ kron_apply(f, [bundle.mu, None, bundle.mu], [n] * 5, None,
+                                          [bundle.tau_pair_inner()])
     lhs_mat = bundle.tau.matrix @ bundle.mu
     ok = lhs_mat == rhs_mat
     rep.add("def5.1.c", "5.1(c)", ok)

@@ -24,6 +24,7 @@ The engine states its consistency checks as explicit raises, never as
 step, so no prefix is folded twice.
 Every bimodule action is a matrix expression in the structure maps, never
 assembled one basis vector at a time, and a traced benchmark pass passes.
+The checks on tau (x) tau contract its middle legs before any outer product.
 """
 
 import argparse
@@ -40,10 +41,12 @@ import pytest
 
 from torsorkit import algebra
 from torsorkit.analysis import BundleAnalysis, bialgebroid_report
+from torsorkit.bialgebroid import diagonal_coinvariants
 from torsorkit.cli import run
 from torsorkit.fields import PrimeField
 from torsorkit.fixtures import generate
-from torsorkit.linalg import Matrix
+from torsorkit.linalg import Matrix, kron_apply
+from torsorkit.pretorsor import validate_torsor
 from torsorkit.spaces import Subspace
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -371,6 +374,27 @@ def test_no_action_is_assembled_column_by_column():
                       and node.args and isinstance(node.args[0], ast.Call)
                       and _called_name(node.args[0]) == "tensor_space"]
     assert not offenders, offenders
+
+
+def test_tau_pair_checks_contract_before_the_outer_product(monkeypatch):
+    """No ``kron_apply`` call under ``validate_torsor`` or
+    ``diagonal_coinvariants`` on a fresh EX-SW runs over six legs, the
+    n^6 outer product tau(t) (x) tau(t'): the middle legs are contracted
+    first (``PreTorsorBundle.tau_pair_inner``)."""
+    an = BundleAnalysis(generate("EX-SW").bundle)
+    b, pair = an.bundle, an.pair
+    legs = []
+
+    def watched(field, left, dims, order, right):
+        legs.append(len(dims))
+        return kron_apply(field, left, dims, order, right)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("torsorkit.") and getattr(module, "kron_apply", None) is kron_apply:
+            monkeypatch.setattr(module, "kron_apply", watched)
+    assert validate_torsor(b).ok
+    assert diagonal_coinvariants(b, pair).ok
+    assert legs and max(legs) < 6, sorted(set(legs))
 
 
 @pytest.mark.parametrize("workload", ["dense-q", "smash-q"])

@@ -320,6 +320,22 @@ def test_split_leg_turns_a_leg_map_into_a_product(case, data):
     assert split_leg(mat @ on_leg, out_dims, leg) == split_leg(mat, dims, leg) @ k
 
 
+@pytest.mark.parametrize("cols, nrows", [([], None), ([(1, 2), (3,)], None),
+                                         ([(1, 2)], 3), ([(1, 2)], 1), ([(0, 0)], 0)])
+def test_from_cols_rejects_a_shape_it_cannot_build(cols, nrows):
+    """An empty list needs ``nrows``; given columns must be equally long
+    and as long as ``nrows`` says."""
+    cols = [tuple(QQ.from_int(x) for x in c) for c in cols]
+    with pytest.raises(ShapeMismatch):
+        Matrix.from_cols(QQ, cols, nrows)
+
+
+def test_from_cols_takes_a_matching_nrows():
+    one, two = QQ.from_int(1), QQ.from_int(2)
+    assert Matrix.from_cols(QQ, [(one, two)], 2) == Matrix.from_cols(QQ, [(one, two)])
+    assert Matrix.from_cols(QQ, [], 3).shape == (3, 0)
+
+
 def test_split_leg_rejects_legs_off_the_columns():
     with pytest.raises(ShapeMismatch):
         split_leg(Matrix.identity(QQ, 6), [2, 2], 0)

@@ -11,6 +11,8 @@ The mutation tests show that the structured identities can still fail.
 import argparse
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,16 +33,20 @@ from torsorkit.bialgebroid import (
     _diagonal_coactions_raw,
     _factorwise_product,
     _factorwise_product_mixed,
+    diagonal_coinvariants,
 )
 from torsorkit.cli import run
-from torsorkit.errors import ClosureFailure, NotWellDefined
+from torsorkit.errors import ClosureFailure, Disagreement, NotWellDefined
 from torsorkit.fields import GF, QQ
 from torsorkit.fixtures import generate
 from torsorkit.linalg import Matrix, kron_apply, permute_cols, permute_rows
-from torsorkit.pretorsor import validate_torsor
+from torsorkit.pretorsor import PreTorsorBundle, validate_torsor
+from torsorkit.serialize import bundle_from_document, loads
 from torsorkit.spaces import LinearMap, Subspace, kernel
 
 from conftest import fixture
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _dense_factorwise(chain, mult1, mult2, dims, order=(0, 2, 1, 3)):
@@ -68,14 +74,46 @@ def test_factorwise_products_match_dense_on_smash(an_smash):
     assert got == want
 
 
+# the benchmark's seeded dense bases; dense tau is where contracting the
+# inner leg of tau (x) tau first saves the most
+DENSE_SEED = 15
+_DENSE_BUNDLES = {}
+
+
+def _bundle(name, field):
+    """The fixture's bundle, or for ``dense-NAME`` the fixture's document
+    moved to a seeded dense basis by the benchmark and loaded as a document."""
+    if not name.startswith("dense-"):
+        return fixture(name, field).bundle
+    key = (name, field.name)
+    if key not in _DENSE_BUNDLES:
+        if str(PERFBENCH) not in sys.path:
+            sys.path.insert(0, str(PERFBENCH))
+        import workloads
+        text = workloads.dense_document_text(name[len("dense-"):],
+                                             "Q" if field is QQ else f"GF{field.p}", DENSE_SEED)
+        _DENSE_BUNDLES[key] = bundle_from_document(loads(text))
+    return _DENSE_BUNDLES[key]
+
+
+def _dense_two_tau(b):
+    return permute_rows(b.tau_raw.kron(b.tau_raw), [b.T.dim] * 6, (0, 3, 4, 1, 2, 5))
+
+
 def test_diagonal_coactions_match_dense():
-    for name in ("EX-SW", "EX-Q3"):
-        b = fixture(name).bundle
-        two_tau = permute_rows(b.tau_raw.kron(b.tau_raw), [b.T.dim] * 6,
-                               (0, 3, 4, 1, 2, 5))
+    """``tau_pair_inner`` and the two diagonal coactions finished from it,
+    against the dense Kronecker forms, on native and dense-basis bundles."""
+    cases = [(name, QQ) for name in ("EX-SW", "EX-Q3")]
+    cases += [(name, field) for name in ("dense-EX-SW", "dense-EX-Q4")
+              for field in (QQ, GF(101))]
+    for name, field in cases:
+        b = _bundle(name, field)
+        two_tau = _dense_two_tau(b)
+        assert b.tau_pair_inner() == (b.idT.kron(b.idT).kron(b.mu).kron(b.idT).kron(b.idT)
+                                      @ two_tau), name
         right, left = _diagonal_coactions_raw(b)
-        assert right == b.idT.kron(b.idT).kron(b.mu).kron(b.mu) @ two_tau
-        assert left == b.mu.kron(b.mu).kron(b.idT).kron(b.idT) @ two_tau
+        assert right == b.idT.kron(b.idT).kron(b.mu).kron(b.mu) @ two_tau, name
+        assert left == b.mu.kron(b.mu).kron(b.idT).kron(b.idT) @ two_tau, name
 
 
 def _square(field, side):
@@ -148,21 +186,42 @@ def test_perturbed_d_product_breaks_delta_multiplicativity(an_smash):
     assert not delta_multiplicative(perturbed)
 
 
-@pytest.mark.parametrize("name", ["EX-SW", "EX-SMASH"])
+@pytest.mark.parametrize("name", ["EX-SW", "EX-SMASH", "dense-EX-SW", "dense-EX-Q4"])
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "GF101"])
 def test_torsor_axiom_c_matches_dense(name, field):
-    """def5.1.c evaluates ``mu (x) mu (x) mu`` after the interleaving of
-    ``tau (x) tau`` through ``kron_apply``; the dense form is the reference,
-    and the report row must give the reference verdict."""
-    b = fixture(name, field).bundle
+    """def5.1.c finishes ``tau_pair_inner`` with ``mu (x) id (x) mu``; the
+    dense ``mu (x) mu (x) mu`` after the interleaving of ``tau (x) tau`` is
+    the reference, and the report row must give the reference verdict."""
+    b = _bundle(name, field)
     n = b.T.dim
-    tt = permute_rows(b.tau_raw.kron(b.tau_raw), [n] * 6, (0, 3, 4, 1, 2, 5))
-    dense = b.X3.proj.matrix @ b.mu.kron(b.mu).kron(b.mu) @ tt
-    structured = b.X3.proj.matrix @ kron_apply(field, [b.mu] * 3, [n] * 6,
-                                               (0, 3, 4, 1, 2, 5), [b.tau_raw] * 2)
+    dense = b.X3.proj.matrix @ b.mu.kron(b.mu).kron(b.mu) @ _dense_two_tau(b)
+    structured = b.X3.proj.matrix @ kron_apply(field, [b.mu, None, b.mu], [n] * 5, None,
+                                               [b.tau_pair_inner()])
     assert structured == dense
     row = next(c for c in validate_torsor(b).checks if c.check_id == "def5.1.c")
     assert (row.status == "pass") == (b.tau.matrix @ b.mu == dense)
+
+
+def test_perturbed_tau_pair_inner_breaks_def51c_and_lemma53(monkeypatch):
+    """def5.1.c and both diagonal coactions finish the one ``tau_pair_inner``:
+    with one entry of it changed, def5.1.c fails, both coactions change and
+    Lemma 5.3's coinvariant check raises."""
+    an = BundleAnalysis(generate("EX-SW").bundle)
+    b, pair = an.bundle, an.pair
+    f = b.field
+    right, left = _diagonal_coactions_raw(b)
+    inner = PreTorsorBundle.tau_pair_inner
+
+    def bumped(self):
+        W = inner(self)
+        return W + Matrix.from_sparse_rows(f, [{0: f.one}] + [{} for _ in range(W.nrows - 1)], W.ncols)
+
+    monkeypatch.setattr(PreTorsorBundle, "tau_pair_inner", bumped)
+    assert validate_torsor(b).find("def5.1.c").status == "fail"
+    bumped_right, bumped_left = _diagonal_coactions_raw(b)
+    assert bumped_right != right and bumped_left != left
+    with pytest.raises(Disagreement, match="diagonal coinvariants differ"):
+        diagonal_coinvariants(b, pair)
 
 
 # -- balance by the projector identity ------------------------------------
