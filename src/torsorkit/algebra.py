@@ -10,7 +10,11 @@ chain is its cached prefix plus one step: with adjacent links only, the
 chain on all but the last factor, tensored with the last factor and
 quotiented by the newest link alone (which keeps the quotient small); with
 non-adjacent links, its adjacent-only chain quotiented by the rest.  No
-prefix is folded twice.  Every map the engine defines on
+prefix is folded twice.  Every column of a chain's ``sect`` is an ambient
+basis vector, so a step writes ``sect`` down as a column selection
+(``_compose_selections``), and its ``proj`` is the step's reduction rows
+applied to the prefix's ``proj``, assembled row by row (``_lift_rows``);
+neither goes through ``kron_apply``.  Every map the engine defines on
 representatives goes through ``induce``, which checks that the raw map kills
 the relation span before descending it to the carrier.  A chain carries
 only ``proj``/``sect`` with ``proj @ sect = I``; the relation span is
@@ -468,7 +472,14 @@ def _cached_chain(spaces, links) -> TensorChain:
 
 
 def _build_chain(spaces, links) -> TensorChain:
-    """A chain from a cached smaller one and at most one quotient step."""
+    """A chain from a cached smaller one and at most one quotient step.
+
+    The chain's ``sect`` is a column selection: the smaller chain's
+    selection composed with the step's.  Its ``proj`` is the step's
+    reduction rows applied to the smaller chain's ``proj``: ``step_proj @
+    base.proj``, or over a prefix ``head``, ``step_proj @ (head.proj (x) I)``
+    assembled row by row.
+    """
     field = spaces[0].field
     ambient = tensor_space(spaces)
     if len(spaces) == 1 and not links:
@@ -497,7 +508,7 @@ def _build_chain(spaces, links) -> TensorChain:
                                      (base.proj.matrix @ gen.transpose()).transpose())
         carrier, step_proj, step_sect = quotient(base.carrier, rel)
         proj = step_proj.matrix @ base.proj.matrix
-        sect = base.sect.matrix @ step_sect.matrix
+        sect = _compose_selections(field, base.sect.matrix, step_sect.matrix)
     else:
         n = len(spaces)
         head = _cached_chain(spaces[:-1], [l for l in links if l.j < n - 1])
@@ -516,14 +527,57 @@ def _build_chain(spaces, links) -> TensorChain:
             rel = Subspace.from_spanning(
                 step_amb, Matrix.from_sparse_rows(field, rel_cols, step_amb.dim))
             carrier, step_proj, step_sect = quotient(step_amb, rel)
-        legs = [head.dim, last.dim]
-        proj = kron_apply(field, [step_proj.matrix], legs, None, [head.proj.matrix, None])
-        sect = kron_apply(field, [head.sect.matrix, None], legs, None, [step_sect.matrix])
+        proj = _lift_rows(field, step_proj.matrix, head.proj.matrix, last.dim)
+        sect = _compose_selections(field, head.sect.matrix, step_sect.matrix, last.dim)
     carrier = Space(field, carrier.dim, name, carrier.labels)
     proj, sect = LinearMap(ambient, carrier, proj), LinearMap(carrier, ambient, sect)
     if not (proj @ sect).is_identity():
         raise ShapeMismatch(f"the section of {name} does not split its projection")
     return TensorChain(spaces, links, carrier, proj, sect)
+
+
+def _lift_rows(field, step: Matrix, head: Matrix, width) -> Matrix:
+    """``step @ (head (x) I_width)``, assembled row by row: entry (s, c) of
+    a ``step`` row, with (x, l) = divmod(s, width), adds c times ``head``
+    row x at columns k * width + l."""
+    if head.is_identity():
+        return step
+    normalise, head_rows = field.normalise, head.sparse_rows()
+    out = []
+    for row in step.sparse_rows():
+        acc = {}
+        get = acc.get
+        terms = 0
+        for s, c in row.items():
+            x, l = divmod(s, width)
+            hrow = head_rows[x]
+            terms += len(hrow)
+            for k, v in hrow.items():
+                y = k * width + l
+                w = get(y)
+                acc[y] = c * v if w is None else w + c * v
+        out.append(normalise(acc, terms > len(acc)))
+    return Matrix.from_sparse_rows(field, out, head.ncols * width)
+
+
+def _compose_selections(field, head: Matrix, step: Matrix, width=1) -> Matrix:
+    """``(head (x) I_width) @ step`` for two selection matrices, each column
+    an ambient unit vector: the column q that ``step`` puts at row s, with
+    (x, l) = divmod(s, width), lands at row pos(x) * width + l, where pos(x)
+    is the row of ``head``'s column x, read off its sparse rows."""
+    if head.is_identity():
+        return step
+    pos = [None] * head.ncols
+    for i, row in enumerate(head.sparse_rows()):
+        for x in row:
+            pos[x] = i
+    one = field.one
+    out = [{} for _ in range(head.nrows * width)]
+    for s, row in enumerate(step.sparse_rows()):
+        x, l = divmod(s, width)
+        for q in row:
+            out[pos[x] * width + l] = {q: one}
+    return Matrix.from_sparse_rows(field, out, step.ncols)
 
 
 def single_chain(space: Space) -> TensorChain:

@@ -1,6 +1,7 @@
 import argparse
 import copy
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -334,6 +335,19 @@ def test_python_dash_m_runs_the_cli():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "0 failed" in proc.stdout
+    proc = subprocess.run([sys.executable, "-m", "torsorkit", "--help"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage:" in proc.stdout
+
+
+def test_importing_the_main_module_does_not_run_the_cli(monkeypatch):
+    """Only ``python -m torsorkit`` runs the CLI; an import of
+    ``torsorkit.__main__`` leaves the importer's ``sys.argv`` alone."""
+    monkeypatch.delitem(sys.modules, "torsorkit.__main__", raising=False)
+    monkeypatch.setattr(sys, "argv", ["pytest", "tests/test_cli.py"])
+    module = importlib.import_module("torsorkit.__main__")
+    assert callable(module.main)
 
 
 # -- bounded document fuzz ------------------------------------------------

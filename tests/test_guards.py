@@ -228,6 +228,25 @@ def test_suite_quotients_each_chain_prefix_once(monkeypatch):
     assert len(set(steps)) == len(steps), f"{len(steps) - len(set(steps))} of {len(steps)} refold"
 
 
+def test_chain_steps_assemble_proj_and_sect_without_kron_apply(monkeypatch):
+    """A quotient step writes ``sect`` as a column selection and ``proj`` as
+    its reduction rows applied to the prefix's ``proj``, so on a fresh
+    EX-SMASH ``suite`` ``_build_chain`` itself never calls ``kron_apply``.
+    The step's relation columns still reach it through
+    ``_carrier_leg_map``."""
+    callers = []
+
+    def watched(*args):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return kron_apply(*args)
+
+    monkeypatch.setattr(algebra, "kron_apply", watched)
+    run("suite", argparse.Namespace(fixture="EX-SMASH", input=None, field=None,
+                                    dump_matrices=False))
+    assert "_carrier_leg_map" in callers
+    assert callers.count("_build_chain") == 0, callers.count("_build_chain")
+
+
 def test_tracer_spans_resolve():
     spec = importlib.util.spec_from_file_location("perfbench_tracer",
                                                   PERFBENCH / "tracer.py")
