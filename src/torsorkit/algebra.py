@@ -78,21 +78,24 @@ class Algebra:
         return self.mult.matrix.apply_pair(u, v)
 
     def _validate(self):
-        n = self.dim
-        e = [self.space.basis_vector(i) for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                ij = self.product_vec(e[i], e[j])
-                for k in range(n):
-                    left = self.product_vec(ij, e[k])
-                    right = self.product_vec(e[i], self.product_vec(e[j], e[k]))
-                    if left != right:
-                        raise NotAssociative(i, j, k)
-        for i in range(n):
-            if self.product_vec(self.unit, e[i]) != e[i]:
-                raise NotUnital(i, side="left")
-            if self.product_vec(e[i], self.unit) != e[i]:
-                raise NotUnital(i, side="right")
+        """mult o (mult (x) id) == mult o (id (x) mult), and the unit's left
+        and right multiplication maps are the identity.  The witness is the
+        first failing basis triple, or the first failing basis vector with
+        the left side before the right."""
+        n, f, mult = self.dim, self.field, self.mult.matrix
+        xy_z = kron_apply(f, [mult], [n, n], None, [mult, None])
+        x_yz = kron_apply(f, [mult], [n, n], None, [None, mult])
+        if xy_z != x_yz:
+            ij, k = divmod(first_nonzero_col(xy_z - x_yz), n)
+            raise NotAssociative(*divmod(ij, n), k)
+        by_unit = (fix_left(mult, self.unit, n), fix_right(mult, n, self.unit))
+        if all(m.is_identity() for m in by_unit):
+            return
+        one = Matrix.identity(f, n)
+        left, right = (first_nonzero_col(m - one) for m in by_unit)
+        if right is None or (left is not None and left <= right):
+            raise NotUnital(left, side="left")
+        raise NotUnital(right, side="right")
 
     def unit_map(self) -> LinearMap:
         one = Space(self.field, 1, "k")
@@ -613,9 +616,14 @@ def first_unbalanced(g: Matrix, proj: Matrix, sect: Matrix, g_sect: Matrix | Non
     if proj.nrows == proj.ncols:
         return None
     back = (g @ sect if g_sect is None else g_sect) @ proj
-    if back == g:
-        return None
-    return next(x for x in range(g.ncols) if g.col(x) != back.col(x))
+    return None if back == g else first_nonzero_col(g - back)
+
+
+def first_nonzero_col(m: Matrix):
+    """The least column index at which ``m`` has a nonzero entry, or None;
+    read off the sparse rows, so for a difference ``a - b`` the first basis
+    vector on which a and b differ."""
+    return min((min(r) for r in m.sparse_rows() if r), default=None)
 
 
 def relation_witness(proj: Matrix, sect: Matrix, x: int):
@@ -702,16 +710,22 @@ def _carrier_leg_map(chain: TensorChain, pos, m: Matrix) -> LinearMap:
 
 def fix_left(bilinear: Matrix, u, n) -> Matrix:
     """``x -> bilinear(u (x) x)`` on an n-dim second leg: the map of one
-    element u read off a left action (or product) matrix."""
+    element u read off a left action (or product) matrix, as
+    ``bilinear @ (u (x) id)``; row i*n + k of ``u (x) id`` holds u_i at k."""
     f = bilinear.field
-    return kron_apply(f, [bilinear], [len(u), n], None, [Matrix.from_cols(f, [u]), None])
+    nz = f.normalise(dict(enumerate(u)), True)
+    return bilinear @ Matrix.from_sparse_rows(
+        f, [{k: c} if (c := nz.get(i)) else {} for i in range(len(u)) for k in range(n)], n)
 
 
 def fix_right(bilinear: Matrix, n, v) -> Matrix:
     """``x -> bilinear(x (x) v)`` on an n-dim first leg: the map of one
-    element v read off a right action (or product) matrix."""
+    element v read off a right action (or product) matrix, as
+    ``bilinear @ (id (x) v)``; row k*len(v) + i of ``id (x) v`` holds v_i at k."""
     f = bilinear.field
-    return kron_apply(f, [bilinear], [n, len(v)], None, [None, Matrix.from_cols(f, [v])])
+    nz = f.normalise(dict(enumerate(v)), True)
+    return bilinear @ Matrix.from_sparse_rows(
+        f, [{k: c} if (c := nz.get(i)) else {} for k in range(n) for i in range(len(v))], n)
 
 
 def join_left(maps) -> Matrix:

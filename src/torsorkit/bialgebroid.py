@@ -394,7 +394,7 @@ def _op_bimodules(bgd):
     return A_op, C_opop, C_L
 
 
-def theta(bgd: RightBialgebroid, side: str = "right") -> ThetaData:
+def theta(bgd: RightBialgebroid) -> ThetaData:
     """The bialgebroid Galois map c (x) c' -> c Delta(c') and its inverse.
 
     For a left bialgebroid the mirror map Delta(x) y with the opposite
@@ -403,7 +403,7 @@ def theta(bgd: RightBialgebroid, side: str = "right") -> ThetaData:
     f = bgd.coring.field
     C = bgd.coring
     rep = Report(f"{C.name}:theta")
-    left_handed = isinstance(bgd, LeftBialgebroid) or side == "left"
+    left_handed = isinstance(bgd, LeftBialgebroid)
     op_data = _op_bimodules(bgd)
     chain_op = tensor_chain([op_data[1], op_data[1]], [op_data[0]])
     mult, split = bgd.algebra.mult.matrix, C.cc.sect.matrix @ C.delta.matrix

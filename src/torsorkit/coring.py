@@ -14,6 +14,7 @@ from .algebra import (
     TensorChain,
     chain_map,
     chain_outer_bimodule,
+    first_nonzero_col,
     regular_bimodule,
     tensor_chain,
 )
@@ -31,11 +32,11 @@ from .spaces import LinearMap, Subspace, kernel
 
 
 def _witness(space, diff: LinearMap):
-    f = diff.domain.field
-    for j in range(diff.domain.dim):
-        if any(not f.is_zero(x) for x in diff.matrix.col(j)):
-            return space.labels[j] if j < len(space.labels) else str(j)
-    return None
+    """Label of the first basis vector on which ``diff`` is nonzero, or None."""
+    j = first_nonzero_col(diff.matrix)
+    if j is None:
+        return None
+    return space.labels[j] if j < len(space.labels) else str(j)
 
 
 class Coring:

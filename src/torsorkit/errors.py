@@ -48,6 +48,7 @@ class NotUnital(TorsorKitError):
     def __init__(self, i, side="both"):
         super().__init__(f"unit law fails on basis vector {i} ({side})")
         self.index = i
+        self.side = side
 
 
 class NotHomomorphism(TorsorKitError):

@@ -620,6 +620,30 @@ def _block_sizes(factors, legs, size_of):
     return sizes
 
 
+def _block_offsets(dims, order, sizes):
+    """Per block of ``sizes`` laid over ``dims``, where each of its rows
+    lands once the legs are reordered by ``order``.
+
+    An index's digit on input leg i moves to that leg's stride among the
+    reordered legs, so the landing place of a G-product index is the sum of
+    its blocks' table entries.  Each table has its block's size; legs of
+    dimension one add nothing, so the first legs that reach a block's size
+    are its legs.
+    """
+    stride, s = [0] * len(dims), 1
+    for leg in reversed(order):
+        stride[leg] = s
+        s *= dims[leg]
+    tables, leg = [], 0
+    for n in sizes:
+        table = [0]
+        while len(table) != n:
+            table = [t + stride[leg] * d for t in table for d in range(dims[leg])]
+            leg += 1
+        tables.append(table)
+    return tables
+
+
 def kron_apply(field, left, dims, order, right) -> Matrix:
     """``(F1 (x) ... (x) Fk) @ P @ (G1 (x) ... (x) Gm)``, never built.
 
@@ -631,7 +655,9 @@ def kron_apply(field, left, dims, order, right) -> Matrix:
     Each output column is the outer product of the G factors' column
     supports, moved through the index map of P; the F factors are then
     applied one block at a time, last first, to that sparse column.  No
-    Kronecker product and no ambient-sized matrix is materialised.
+    Kronecker product and no ambient-sized matrix is materialised, and P's
+    index map is kept per G block (``_block_offsets``), never over the
+    whole product of the legs.
     """
     g_sizes = _block_sizes(right, dims, lambda m: m.nrows)
     f_sizes = _block_sizes(left, dims if order is None else [dims[o] for o in order],
@@ -639,11 +665,7 @@ def kron_apply(field, left, dims, order, right) -> Matrix:
     one, normalise = field.one, field.normalise
     g_cols = [[((c, one),) for c in range(n)] if g is None else g.col_supports()
               for g, n in zip(right, g_sizes)]
-    position = None
-    if order is not None:
-        position = [0] * prod(dims)
-        for i, x in enumerate(leg_permutation(dims, order)):
-            position[x] = i
+    offsets = None if order is None else _block_offsets(dims, order, g_sizes)
     # F blocks, last first: (supports, block width, block height, trailing size)
     stages = []
     trailing = 1
@@ -655,10 +677,12 @@ def kron_apply(field, left, dims, order, right) -> Matrix:
     out = [{} for _ in range(trailing)]
     for j, supports in enumerate(product(*g_cols)):
         vec = {0: one}
-        for supp, n in zip(supports, g_sizes):
-            vec = {x * n + r: v * a for x, v in vec.items() for r, a in supp}
-        if position is not None:
-            vec = {position[x]: v for x, v in vec.items()}
+        if offsets is None:
+            for supp, n in zip(supports, g_sizes):
+                vec = {x * n + r: v * a for x, v in vec.items() for r, a in supp}
+        else:
+            for supp, off in zip(supports, offsets):
+                vec = {x + off[r]: v * a for x, v in vec.items() for r, a in supp}
         summed = False
         for supp, width, height, lo in stages:
             nxt = {}

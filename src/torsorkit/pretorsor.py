@@ -46,6 +46,7 @@ from .coring import (
     Comodule,
     Coring,
     CoringMorphism,
+    _witness,
     check_grouplike,
     coring_morphism,
     cotensor,
@@ -71,7 +72,7 @@ from .errors import (
 )
 from .linalg import Matrix, kron_apply, permute_rows
 from .report import Report
-from .spaces import LinearMap, Space, image, intersect, invert, kernel
+from .spaces import LinearMap, image, intersect, invert, kernel
 
 
 class PreTorsorBundle:
@@ -313,15 +314,6 @@ class Hand:
 # validation
 
 
-def _first_diff_label(space: Space, lhs: LinearMap, rhs: LinearMap):
-    f = space.field
-    d = lhs - rhs
-    for j in range(d.domain.dim):
-        if any(not f.is_zero(x) for x in d.matrix.col(j)):
-            return space.labels[j] if j < len(space.labels) else str(j)
-    return None
-
-
 def validate_pretorsor(bundle: PreTorsorBundle) -> Report:
     """Check bilinearity and the three structure axioms, report-style."""
     rep = Report(f"{bundle.name}:pre-torsor")
@@ -348,7 +340,7 @@ def validate_pretorsor(bundle: PreTorsorBundle) -> Report:
                         h.two.proj.matrix @ h.kron(bundle.unit_col, bundle.idT))
         ok = lhs == rhs
         rep.add(f"def3.1.{part}", f"3.1({part})", ok,
-                witness=None if ok else _first_diff_label(T.space, lhs, rhs))
+                witness=None if ok else _witness(T.space, lhs - rhs))
 
     # (c) coassociativity of tau; a non-bilinear candidate makes the two
     # composites themselves ill defined, which is already a failure
@@ -359,7 +351,7 @@ def validate_pretorsor(bundle: PreTorsorBundle) -> Report:
                           X5, "(T,T,tau)") @ bundle.tau
         ok = lhs_c == rhs_c
         rep.add("def3.1.c", "3.1(c)", ok,
-                witness=None if ok else _first_diff_label(T.space, lhs_c, rhs_c))
+                witness=None if ok else _witness(T.space, lhs_c - rhs_c))
     except NotWellDefined:
         rep.add("def3.1.c", "3.1(c)", False,
                 witness="structure map is not bilinear, composite undefined")

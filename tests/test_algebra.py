@@ -33,16 +33,24 @@ def test_make_algebra_validation():
     assert k.dim == 1
     c2 = group_algebra(QQ, 2, "kC2")
     assert c2.is_commutative()
-    # e0 e0 = e1 with e1 absorbing and no unit
+    # e0 e0 = e1 with e1 absorbing and no unit: both sides fail at e0, and
+    # the left side is reported first
     with pytest.raises(NotUnital) as err:
         make_algebra(QQ, 2, [(0, 0, 1, 1)], [1, 0], "bad")
-    assert err.value.index is not None
-    # (e0 e1)e1 = 0 but e0(e1 e1) = e0
+    assert (err.value.index, err.value.side) == (0, "left")
+    # (e0 e1)e1 = 0 but e0(e1 e1) = e0: the first failing triple
     with pytest.raises(NotAssociative) as err2:
         make_algebra(QQ, 2,
                      [(0, 0, 0, 1), (1, 1, 0, 1), (1, 0, 1, 1)],
                      [1, 0], "bad2")
-    assert len(err2.value.triple) == 3
+    assert err2.value.triple == (0, 1, 1)
+    # e0 is a left unit only (e1 e0 = 0), then a right unit only (e0 e1 = 0)
+    with pytest.raises(NotUnital) as err3:
+        make_algebra(QQ, 2, [(0, 0, 0, 1), (0, 1, 1, 1)], [1, 0], "bad3")
+    assert (err3.value.index, err3.value.side) == (1, "right")
+    with pytest.raises(NotUnital) as err4:
+        make_algebra(QQ, 2, [(0, 0, 0, 1), (1, 0, 1, 1)], [1, 0], "bad4")
+    assert (err4.value.index, err4.value.side) == (1, "left")
 
 
 def test_balanced_tensor_examples():

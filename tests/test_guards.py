@@ -25,6 +25,8 @@ step, so no prefix is folded twice.
 Every bimodule action is a matrix expression in the structure maps, never
 assembled one basis vector at a time, and a traced benchmark pass passes.
 The checks on tau (x) tau contract its middle legs before any outer product.
+Every displayed cleft/twist formula is a ``kron_apply`` expression; only the
+independent smash-pattern reference still sums one scalar at a time.
 """
 
 import argparse
@@ -77,6 +79,12 @@ COMODULE_SIDE_CHECKS = {"M.side != 'left'"}
 ORACLE = "fixtures.py"
 COLUMN_LOOP_HELPERS = {"_fixed_left_act", "_fixed_right_act",
                        "_assemble_action_left", "_assemble_action_right"}
+# cleft_twist: the per-value reference kept on purpose, the helpers and
+# closures that evaluated the displayed formulas one basis tuple at a time,
+# and the per-value reads they were built from
+CLEFT_REFERENCE = "smash_pattern_product"
+CLEFT_LOOP_HELPERS = {"_nz", "product_vector", "inv_vector", "eval_map"}
+PER_VALUE_READS = {"basis_vector", "col", "apply_pair", "product_vec"}
 
 
 def _names(tree):
@@ -429,3 +437,32 @@ def test_traced_benchmark_pass_is_correct(workload):
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
     assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
+
+
+def _field_scalar_call(node):
+    """``f.mul``, ``field.is_zero``, ``inp.B.field.add``: a per-value field
+    method read off a field."""
+    if not (isinstance(node, ast.Attribute) and node.attr in SCALAR_METHODS):
+        return False
+    recv = node.value
+    return (isinstance(recv, ast.Name) and recv.id in {"f", "field"}) or (
+        isinstance(recv, ast.Attribute) and recv.attr == "field")
+
+
+def test_cleft_twist_formulas_are_matrix_expressions():
+    """Outside ``smash_pattern_product`` no code in ``cleft_twist`` calls a
+    per-value field method or reads a basis vector, a dense column, a
+    bilinear map on a vector pair or a product of two vectors, and no
+    helper that evaluated a formula one basis tuple at a time is defined."""
+    tree = ast.parse((PACKAGE / "cleft_twist.py").read_text(encoding="utf-8"))
+    top = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert CLEFT_REFERENCE in top
+    offenders = [f"{node.lineno} def {node.name}" for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef) and node.name in CLEFT_LOOP_HELPERS]
+    for scope in tree.body:
+        if isinstance(scope, ast.FunctionDef) and scope.name == CLEFT_REFERENCE:
+            continue
+        offenders += [f"{node.lineno} {ast.unparse(node)}" for node in ast.walk(scope)
+                      if _field_scalar_call(node) or (
+                          isinstance(node, ast.Attribute) and node.attr in PER_VALUE_READS)]
+    assert not offenders, offenders

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -278,6 +279,24 @@ def test_kron_apply_matches_dense_kron(case):
     perm = mixed_permutation(field, dims, range(len(dims)) if order is None else order)
     want = _dense_kron(field, left, lsizes) @ perm @ _dense_kron(field, right, rsizes)
     assert kron_apply(field, left, dims, order, right) == want
+
+
+def test_kron_apply_reorders_many_legs_at_the_size_of_its_blocks():
+    """A reordering of twenty two-dimensional legs (2^20 positions) costs
+    the size of the G blocks: no index map over the whole product is built.
+    Each leg carries e1, so the one G column sits at the all-ones position,
+    and each F factor (1 2) reads 2 off it."""
+    legs = 20
+    e1, two = Matrix.from_cols(QQ, [(0, 1)]), Matrix.from_rows(QQ, [[1, 2]])
+    tracemalloc.start()
+    try:
+        out = kron_apply(QQ, [two] * legs, [2] * legs, tuple(reversed(range(legs))),
+                         [e1] * legs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == Matrix.from_rows(QQ, [[2 ** legs]])
+    assert peak < 1 << 20, peak
 
 
 def test_kron_apply_rejects_factors_off_the_legs():
