@@ -173,8 +173,16 @@ class Subspace:
         else:
             mat = Matrix(field, list(vectors), ambient.dim)
         R, pivots = mat.rref()
-        sub = Space(field, len(pivots), name or f"sub({ambient.name})")
-        basis = Matrix.from_sparse_rows(field, R.sparse_rows()[:len(pivots)], ambient.dim)
+        return Subspace._from_echelon(ambient, R.sparse_rows()[:len(pivots)], pivots,
+                                      name or f"sub({ambient.name})")
+
+    @staticmethod
+    def _from_echelon(ambient: Space, rows, pivots, name: str) -> "Subspace":
+        """The Subspace whose reduced-echelon basis is ``rows`` (sparse, one
+        per pivot column, in pivot order)."""
+        field = ambient.field
+        sub = Space(field, len(pivots), name)
+        basis = Matrix.from_sparse_rows(field, rows, ambient.dim)
         incl = LinearMap(sub, ambient, basis.transpose())
         one = field.one
         retr = LinearMap(ambient, sub, Matrix.from_sparse_rows(
@@ -217,17 +225,31 @@ class Subspace:
 
 
 def kernel(f: LinearMap, name: str = "") -> Subspace:
-    """Kernel as a canonical Subspace of the domain; rank-nullity checked.
+    """Kernel as a canonical Subspace of the domain; rank-nullity checked."""
+    return _kernel(f.domain, f.matrix, name or f"ker({f.domain.name})")
 
-    ``nullspace`` has one vector per free column of the rref, so rank
-    plus nullity is the domain dimension exactly when those vectors are
-    independent: the check needs no second elimination of ``f``.
+
+def _kernel(domain: Space, mat: Matrix, name: str) -> Subspace:
+    """The kernel of ``mat`` on ``domain``, from one elimination.
+
+    ``nullspace`` gives one vector per free column j of the rref, with 1 at
+    j, 0 at the other free columns and every other nonzero left of j.  So
+    for ``mat`` with its columns reversed, those vectors read backwards are
+    the reduced-echelon basis of the kernel, each leading with 1 at its
+    pivot and 0 at the other pivots, and in reverse order.  Rank plus
+    nullity is the domain dimension exactly when those vectors are
+    independent, that is when their leading columns are distinct.
     """
-    basis = f.matrix.nullspace()
-    sub = Subspace.from_spanning(f.domain, basis, name or f"ker({f.domain.name})")
-    if sub.dim != basis.nrows:
-        raise ShapeMismatch(f"the nullspace basis of {f!r} is not independent")
-    return sub
+    last = mat.ncols - 1
+    flipped = Matrix.from_sparse_rows(
+        mat.field, [{last - k: v for k, v in r.items()} for r in mat.sparse_rows()],
+        mat.ncols)
+    rows = [{last - k: v for k, v in r.items()}
+            for r in reversed(flipped.nullspace().sparse_rows())]
+    pivots = [min(r) for r in rows]
+    if any(a >= b for a, b in zip(pivots, pivots[1:])):
+        raise ShapeMismatch(f"the nullspace basis of {name} is not independent")
+    return Subspace._from_echelon(domain, rows, pivots, name)
 
 
 def image(f: LinearMap, name: str = "") -> Subspace:
@@ -296,8 +318,7 @@ def intersect(subspaces, name: str = "") -> Subspace:
     for s in subspaces:
         proj_onto = (s.inclusion @ s.retraction).matrix
         blocks.append(proj_onto - ident)
-    basis = Matrix.stack_rows(blocks).nullspace()
-    return Subspace.from_spanning(ambient, basis, name or "intersection")
+    return _kernel(ambient, Matrix.stack_rows(blocks), name or "intersection")
 
 
 def tensor_space(spaces, name: str = "") -> Space:

@@ -10,7 +10,8 @@ and balance on a chain is the projector identity, so no relation span of
 nearly ambient dimension is built.
 The ``Matrix`` kernels sum with native operators and reduce each result
 once through ``Field.normalise``, never through the per-entry field methods;
-``rref`` reduces once per column, pivot row and output row.
+``rref`` reduces once per column, pivot row and output row.  The package
+imports nothing outside the standard library.
 The benchmark's tracer and worker reach into the program by attribute
 name, so a renamed or deleted attribute must fail here rather than in a
 traced benchmark run.  No module keeps an import it never reads, and no
@@ -67,7 +68,8 @@ GROWING_CACHES = {"algebra._chain_cache", "linalg._identity_cache", "fields._gf_
 # the linalg kernels that sum with native operators, and the per-entry
 # field methods they must not call
 NATIVE_KERNELS = {"__init__", "from_cols", "_combine", "__neg__", "scale", "__matmul__",
-                  "apply", "apply_pair", "kron", "rref", "kron_apply", "outer"}
+                  "_sparse_product", "_packed_product", "apply", "apply_pair", "kron",
+                  "rref", "kron_apply", "outer"}
 SCALAR_METHODS = {"add", "sub", "mul", "div", "is_zero"}
 # the modules whose mirrored constructions take a Hand, the words that name a
 # hand, and the one comparison with such a word that is not about a hand:
@@ -424,19 +426,40 @@ def test_tau_pair_checks_contract_before_the_outer_product(monkeypatch):
     assert legs and max(legs) < 6, sorted(set(legs))
 
 
-@pytest.mark.parametrize("workload", ["dense-q", "smash-q"])
+@pytest.mark.parametrize("workload", ["dense-q", "smash-q", "dense-gf101"])
 def test_traced_benchmark_pass_is_correct(workload):
     """One untraced and one traced benchmark pass exit 0 with ``correct``
     true: every gate check passes, every name the tracer wraps resolves and
-    no layer contradicts its workload.  The two workloads meet every branch
-    of the layer checks: dense-q is quotient-free and reads documents,
-    smash-q quotients and carries Hopf data."""
+    no layer contradicts its workload.  dense-q and smash-q meet every
+    branch of the layer checks: dense-q is quotient-free and reads
+    documents, smash-q quotients and carries Hopf data.  dense-gf101 is the
+    one workload over GF(p), so the only one whose products take the packed
+    path of ``Matrix.__matmul__``."""
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "run.py"), "--workload", workload, "--seed", "1",
          "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
     assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
+
+
+def test_engine_imports_only_the_standard_library():
+    """``pyproject.toml`` declares no dependency, so every absolute import
+    of the package names a standard-library module, though other packages
+    (numpy among them) may be installed where the tests run."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert not offenders, offenders
 
 
 def _field_scalar_call(node):

@@ -1,15 +1,20 @@
 import itertools
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torsorkit import linalg
 from torsorkit.errors import NotInvertible, ShapeMismatch
 from torsorkit.fields import GF, QQ
 from torsorkit.linalg import (
     Matrix,
+    _packed_product,
+    _slot,
+    _sparse_product,
     kron_apply,
     leg_permutation,
     mixed_permutation,
@@ -721,3 +726,120 @@ def test_apply_pair_and_outer_match_the_dense_reference(case):
     assert mat.apply_pair(u, v) == expected
     with pytest.raises(ShapeMismatch):
         mat.apply_pair((field.one,) * (mat.ncols + 1), (field.one,))
+
+
+# -- the packed GF(p) product against the dict loop ------------------------
+#
+# Over GF(p) ``Matrix.__matmul__`` sums a product whose right operand is
+# dense enough as packed integers (``_packed_product``) and every other
+# product in dicts (``_sparse_product``); ``_packed_slot`` picks the path.
+# Both must give the dense reference's entries, stored alike.
+
+# (2^31 - 2)^2 fills 62 bits, so four such products fill a 64-bit slot;
+# (2^61 - 2)^2 fills 122 bits, which no slot holds
+PACKED_FIELDS = [GF(2), GF(101), GF(2**31 - 1), GF(2**61 - 1)]
+
+
+def random_operand(rng, field, nrows, ncols, density):
+    """Entries nonzero with probability ``density``, half of them ``p - 1``
+    so that the slot sums reach their bound."""
+    top = field.p - 1
+
+    def value():
+        return top if rng.random() < 0.5 else rng.randrange(1, field.p)
+
+    return Matrix.from_sparse_rows(
+        field, [{j: value() for j in range(ncols) if rng.random() < density}
+                for _ in range(nrows)], ncols)
+
+
+@st.composite
+def packed_case(draw):
+    """GF(p) operands a (m x n) and b (n x q), up to 12 x 40 and 40 x 40;
+    each operand has one density from full to empty, so the products fall
+    on both sides of the cost rule, and empty rows and columns are common
+    at the low densities."""
+    field = draw(st.sampled_from(PACKED_FIELDS))
+    m, n, q = draw(st.integers(1, 12)), draw(st.integers(2, 40)), draw(st.integers(8, 40))
+    densities = st.sampled_from([1, 0.5, 0.125, 1 / 32, 0])
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    return (random_operand(rng, field, m, n, draw(densities)),
+            random_operand(rng, field, n, q, draw(densities)))
+
+
+@given(packed_case())
+@settings(max_examples=80, deadline=None)
+def test_packed_product_matches_the_dict_loop_and_the_reference(case):
+    a, b = case
+    f, (m, n), q = a.field, a.shape, b.ncols
+    product = a @ b
+    assert_matches(product, _ref_matmul(f, a.rows, b.rows, q), (m, q))
+    rows = tuple(_sparse_product(a.sparse_rows(), b.sparse_rows(), f.normalise))
+    assert rows == product.sparse_rows()
+    # every row of these products cancels to zero
+    doubled, negated = Matrix.augment(a, a), Matrix.stack_rows([b, -b])
+    assert_matches(doubled @ negated, [(f.zero,) * q] * m, (m, q))
+    for left, right, want in ((a, b, rows), (doubled, negated, ({},) * m)):
+        slot = _slot(f, left.ncols)
+        if slot is None:
+            assert f.p == 2**61 - 1 or f.p == 2**31 - 1 and left.ncols > 4
+            continue
+        packed = _packed_product(left.sparse_rows(), right.sparse_rows(), q, f.p, slot[1])
+        assert tuple(packed) == want
+
+
+def test_a_slot_holds_its_largest_sum():
+    assert _slot(GF(2), 255) == (8, "B") and _slot(GF(2), 256) == (16, "H")
+    assert _slot(GF(101), 6) == (16, "H") and _slot(GF(101), 7) == (32, "I")
+    assert _slot(GF(2**31 - 1), 4) == (64, "Q") and _slot(GF(2**31 - 1), 5) is None
+    assert _slot(GF(2**61 - 1), 1) is None and _slot(QQ, 1) is None
+
+
+def test_the_cost_rule_sends_each_product_down_its_path(monkeypatch):
+    """Each product runs the path ``_packed_slot`` names and equals the
+    dense reference: dense products over GF(p) with a slot pack; products
+    over QQ, over a prime too large for a slot, with a sparse right operand
+    or tiny take the dict loop."""
+    taken = []
+    for name in ("_sparse_product", "_packed_product"):
+        def spy(*args, real=getattr(linalg, name), name=name):
+            taken.append(name)
+            return real(*args)
+        monkeypatch.setattr(linalg, name, spy)
+    rng = random.Random(18)
+    cases = [
+        (GF(101), (16, 64, 16), 1, 1, "_packed_product"),
+        (GF(2), (16, 64, 16), 1, 1, "_packed_product"),
+        (GF(101), (1024, 16, 4), 0.75, 1, "_packed_product"),
+        (GF(2**31 - 1), (64, 4, 64), 1, 1, "_packed_product"),
+        (GF(2**31 - 1), (64, 5, 64), 1, 1, "_sparse_product"),
+        (GF(2**61 - 1), (16, 64, 16), 1, 1, "_sparse_product"),
+        (GF(101), (16, 64, 16), 1, 1 / 64, "_sparse_product"),
+        (GF(101), (4, 64, 4), 1 / 16, 1 / 16, "_sparse_product"),
+    ]
+    for field, (m, n, q), dense_a, dense_b, path in cases:
+        a = random_operand(rng, field, m, n, dense_a)
+        b = random_operand(rng, field, n, q, dense_b)
+        taken.clear()
+        product = a @ b
+        assert taken == [path], (field, m, n, q, dense_a, dense_b)
+        assert_matches(product, _ref_matmul(field, a.rows, b.rows, q), (m, q))
+    qq = Matrix.from_rows(QQ, [[1] * 64] * 16)
+    taken.clear()
+    assert qq @ qq.transpose() == Matrix.from_rows(QQ, [[64] * 16] * 16)
+    assert taken == ["_sparse_product"]
+
+
+@pytest.mark.parametrize("order", [(1, 1), (0, 2), (0,), (0, 1, 2), (-1, 0)])
+def test_an_order_that_is_no_permutation_is_refused(order):
+    """``leg_permutation([2, 2], (1, 1))`` once gave [0, 1, 1, 2], so a row
+    or column was silently duplicated; every consumer of an order refuses
+    one that does not list each leg exactly once."""
+    mat = Matrix.identity(QQ, 4)
+    for build in (lambda: leg_permutation([2, 2], order),
+                  lambda: permute_rows(mat, [2, 2], order),
+                  lambda: permute_cols(mat, [2, 2], order),
+                  lambda: mixed_permutation(QQ, [2, 2], order),
+                  lambda: kron_apply(QQ, [None, None], [2, 2], order, [None, None])):
+        with pytest.raises(ShapeMismatch, match="not a permutation"):
+            build()
