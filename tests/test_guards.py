@@ -9,8 +9,10 @@ evaluated on carriers, so no report materialises an ambient-sized matrix,
 and balance on a chain is the projector identity, so no relation span of
 nearly ambient dimension is built.
 The ``Matrix`` kernels sum with native operators and reduce each result
-once through ``Field.normalise``, never through the per-entry field methods;
-``rref`` reduces once per column, pivot row and output row.  The package
+once, through ``Field.normalise`` or a packed row's one mod-p pass, never
+through the per-entry field methods; ``rref``'s dict loop reduces once per
+column, pivot row and output row, and its packed path once per pivot row
+and output row.  The package
 imports nothing outside the standard library.
 The benchmark's tracer and worker reach into the program by attribute
 name, so a renamed or deleted attribute must fail here rather than in a
@@ -42,13 +44,13 @@ from pathlib import Path
 
 import pytest
 
-from torsorkit import algebra
+from torsorkit import algebra, linalg
 from torsorkit.analysis import BundleAnalysis, bialgebroid_report
 from torsorkit.bialgebroid import diagonal_coinvariants
 from torsorkit.cli import run
 from torsorkit.fields import PrimeField
 from torsorkit.fixtures import generate
-from torsorkit.linalg import Matrix, kron_apply
+from torsorkit.linalg import Matrix, _rref_slot, kron_apply
 from torsorkit.pretorsor import validate_torsor
 from torsorkit.spaces import Subspace
 
@@ -68,8 +70,9 @@ GROWING_CACHES = {"algebra._chain_cache", "linalg._identity_cache", "fields._gf_
 # the linalg kernels that sum with native operators, and the per-entry
 # field methods they must not call
 NATIVE_KERNELS = {"__init__", "from_cols", "_combine", "__neg__", "scale", "__matmul__",
-                  "_sparse_product", "_packed_product", "apply", "apply_pair", "kron",
-                  "rref", "kron_apply", "outer"}
+                  "_sparse_product", "_packed_product", "_pack", "_unpack", "apply",
+                  "apply_pair", "kron", "rref", "_sparse_rref", "_packed_rref", "kron_apply",
+                  "outer"}
 SCALAR_METHODS = {"add", "sub", "mul", "div", "is_zero"}
 # the modules whose mirrored constructions take a Hand, the words that name a
 # hand, and the one comparison with such a word that is not about a hand:
@@ -151,17 +154,43 @@ class CountingField(PrimeField):
 
 
 def test_rref_reduces_once_per_column_pivot_and_output_row():
-    """``rref`` delays the modular reduction: one ``normalise`` per column it
-    reads, per pivot row it chooses and per row it returns, never one per
-    row it touches at each pivot (about ``rank * nrows``)."""
-    f = CountingField(101)
+    """The dict loop of ``rref`` delays the modular reduction: one
+    ``normalise`` per column it reads, per pivot row it chooses and per row
+    it returns, never one per row it touches at each pivot (about
+    ``rank * nrows``).  The operand is dense, over a prime with no packing
+    slot, so the cost rule sends it to the dict loop."""
+    f = CountingField(2**61 - 1)
     rng = random.Random(0)
     n = 12
-    dense = Matrix(f, [[rng.randrange(1, 101) for _ in range(n)] for _ in range(n)])
+    dense = Matrix(f, [[rng.randrange(1, f.p) for _ in range(n)] for _ in range(n)])
+    assert _rref_slot(dense) is None
     f.calls = 0
     _, pivots = dense.rref()
     assert len(pivots) == n
     assert f.calls <= 2 * dense.ncols + dense.nrows, f.calls
+
+
+def test_packed_rref_reduces_once_per_pivot_and_output_row(monkeypatch):
+    """On packed rows ``rref`` reduces a row only when it unpacks it: once
+    per pivot row it chooses and once per pivot row it returns, never at a
+    row step, and it calls no ``normalise``."""
+    f = CountingField(101)
+    rng = random.Random(0)
+    n = 12
+    dense = Matrix(f, [[rng.randrange(1, 101) for _ in range(n)] for _ in range(n)])
+    assert _rref_slot(dense) is not None
+    unpacked = []
+
+    def counting_unpack(*args, real=linalg._unpack):
+        unpacked.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_unpack", counting_unpack)
+    f.calls = 0
+    _, pivots = dense.rref()
+    assert len(pivots) == n
+    assert f.calls == 0, f.calls
+    assert len(unpacked) <= 2 * len(pivots), len(unpacked)
 
 
 def test_only_fields_uses_true_division():

@@ -13,8 +13,11 @@ from torsorkit.fields import GF, QQ
 from torsorkit.linalg import (
     Matrix,
     _packed_product,
+    _packed_rref,
+    _rref_slot,
     _slot,
     _sparse_product,
+    _sparse_rref,
     kron_apply,
     leg_permutation,
     mixed_permutation,
@@ -828,6 +831,181 @@ def test_the_cost_rule_sends_each_product_down_its_path(monkeypatch):
     taken.clear()
     assert qq @ qq.transpose() == Matrix.from_rows(QQ, [[64] * 16] * 16)
     assert taken == ["_sparse_product"]
+
+
+RREF_FIELDS = [GF(2), GF(3), GF(101), GF(2**31 - 1)]
+
+
+@st.composite
+def packed_rref_case(draw):
+    """A GF(p) operand up to 24 x 24, tall, wide or square: random at one
+    density from full to empty, so the eliminations fall on both sides of
+    the cost rule, or a product through an inner dimension below both
+    sides, so it is rank-deficient.  Half the nonzero entries are p - 1,
+    so raw slots climb towards their bound, and empty rows and columns
+    are common at the low densities."""
+    field = draw(st.sampled_from(RREF_FIELDS))
+    m, n = draw(st.integers(1, 24)), draw(st.integers(1, 24))
+    density = draw(st.sampled_from([1, 0.5, 0.25, 0.125, 1 / 32, 0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()) and min(m, n) > 1:
+        k = draw(st.integers(1, min(m, n) - 1))
+        a = random_operand(rng, field, m, k, density) @ random_operand(rng, field, k, n, 1)
+    else:
+        a = random_operand(rng, field, m, n, density)
+    return a
+
+
+def assert_packed_rref_agrees(a):
+    """``a.rref()`` equals the dense reference, and so do the dict loop and,
+    wherever a slot exists, the packed path forced on ``a``."""
+    f, (m, n) = a.field, a.shape
+    r, pivots = a.rref()
+    want, want_pivots = _ref_rref(f, a.rows, n)
+    assert_matches(r, want, (m, n))
+    assert pivots == want_pivots
+    expected = (list(r.sparse_rows()), pivots)
+    assert _sparse_rref(a.sparse_rows(), f) == expected
+    slot = _slot(f, min(m, n) + 1)
+    if slot is None:
+        assert f.p == 2**31 - 1 and min(m, n) > 3
+        return
+    assert _packed_rref(a.sparse_rows(), n, f, slot[1]) == expected
+
+
+@given(packed_rref_case())
+@settings(max_examples=150, deadline=None)
+def test_packed_rref_matches_the_dict_loop_and_the_reference(a):
+    assert_packed_rref_agrees(a)
+
+
+def test_packed_rref_meets_its_slot_bound_and_empty_shapes():
+    """``L @ U`` with L lower triangular of ones and U upper triangular
+    with p - 1 above its unit diagonal: at every pivot each other row reads
+    1 and the scaled pivot row holds p - 1, so each step adds (p - 1)**2 and
+    the last row's slots climb to about 90% of ``(min(m, n) + 1) * (p -
+    1)**2``.  Then operands whose every entry is p - 1, full rank or of
+    rank one, and operands with no rows, no columns or only zeros."""
+    rng = random.Random(19)
+    for field in RREF_FIELDS:
+        top = field.p - 1
+        n = 3 if field.p == 2**31 - 1 else 24
+        lower = Matrix.from_rows(field, [[1 if j <= i else 0 for j in range(n)]
+                                         for i in range(n)])
+        upper = Matrix.from_rows(field, [[1 if j == i else top if j > i else 0
+                                          for j in range(n)] for i in range(n)])
+        assert_packed_rref_agrees(lower @ upper)
+        for m, n in [(3, 3), (2, 3), (3, 2), (16, 16), (24, 8), (8, 24)]:
+            assert_packed_rref_agrees(Matrix.from_rows(field, [[top] * n] * m))
+            # p - 1 on the diagonal and above, random below: full rank
+            rows = [[top if j >= i else rng.randrange(field.p) for j in range(n)]
+                    for i in range(m)]
+            assert_packed_rref_agrees(Matrix.from_rows(field, rows))
+        for m, n in [(0, 3), (3, 0), (0, 0), (3, 5)]:
+            zero = Matrix.zero(field, m, n)
+            assert zero.rref() == (zero, [])
+            slot = _slot(field, min(m, n) + 1)
+            assert _packed_rref(zero.sparse_rows(), n, field, slot[1]) == ([{}] * m, [])
+
+
+def test_a_raw_multiple_of_p_is_no_pivot_on_packed_rows():
+    """The matrix of ``test_a_raw_multiple_of_p_is_no_pivot`` forced through
+    the packed path: after the two pivot steps ``row += (p - a) * pivot``
+    slot (2, 2) holds 2 + 1*2 + 2*1 = 6, nonzero as an int and zero mod 3,
+    so column 2 has no pivot here either."""
+    f = GF(3)
+    m = Matrix.from_rows(f, [[1, 0, 2], [0, 1, 1], [2, 1, 2]])
+    rows, pivots = _packed_rref(m.sparse_rows(), 3, f, _slot(f, 4)[1])
+    assert rows == [{0: 1, 2: 2}, {1: 1, 2: 1}, {}]
+    assert pivots == [0, 1]
+
+
+def operand_with(rng, field, m, n, nnz):
+    """An m x n GF(p) operand with exactly ``nnz`` nonzero entries."""
+    rows = [{} for _ in range(m)]
+    for k in rng.sample(range(m * n), nnz):
+        rows[k // n][k % n] = rng.randrange(1, field.p)
+    return Matrix.from_sparse_rows(field, rows, n)
+
+
+def test_the_cost_rule_sends_each_elimination_down_its_path(monkeypatch):
+    """Each elimination runs the path ``_rref_slot`` names and equals the
+    dense reference: dense GF(p) operands with a slot pack, and so do
+    operands just above the density the rule asks for; operands at that
+    density or below, over QQ, or over a prime too large for a slot take
+    the dict loop."""
+    taken = []
+    for name in ("_sparse_rref", "_packed_rref"):
+        def spy(*args, real=getattr(linalg, name), name=name):
+            taken.append(name)
+            return real(*args)
+        monkeypatch.setattr(linalg, name, spy)
+    rng = random.Random(19)
+    cases = [
+        # (field, m, n, nonzeros, path); the rule packs when
+        # nnz * max(12, min(m, n, 128)) > 4 * m * n
+        (GF(101), 64, 64, 64 * 64, "_packed_rref"),
+        (GF(2), 64, 64, 64 * 64, "_packed_rref"),
+        (GF(101), 256, 64, 1025, "_packed_rref"),
+        (GF(101), 256, 64, 1024, "_sparse_rref"),
+        (GF(101), 16, 1024, 4097, "_packed_rref"),
+        (GF(101), 16, 1024, 4096, "_sparse_rref"),
+        (GF(101), 8, 8, 22, "_packed_rref"),
+        (GF(101), 8, 8, 21, "_sparse_rref"),
+        (GF(101), 64, 64, 128, "_sparse_rref"),
+        (GF(2**31 - 1), 3, 8, 24, "_packed_rref"),
+        (GF(2**31 - 1), 4, 8, 32, "_sparse_rref"),
+        (GF(2**61 - 1), 16, 16, 256, "_sparse_rref"),
+    ]
+    # above min(m, n) = 128 the density must pass 1/32; these are only
+    # classified, their dict-loop eliminations would take too long here
+    assert _rref_slot(operand_with(rng, GF(101), 512, 256, 4097)) is not None
+    assert _rref_slot(operand_with(rng, GF(101), 512, 256, 4096)) is None
+    for field, m, n, nnz, path in cases:
+        a = operand_with(rng, field, m, n, nnz)
+        assert (_rref_slot(a) is not None) == (path == "_packed_rref")
+        taken.clear()
+        r, pivots = a.rref()
+        assert taken == [path], (field, m, n, nnz)
+        if m * n <= 64 * 64:
+            want, want_pivots = _ref_rref(field, a.rows, n)
+            assert_matches(r, want, (m, n))
+            assert pivots == want_pivots
+    qq = Matrix.from_rows(QQ, [[i + j for j in range(8)] for i in range(8)])
+    taken.clear()
+    assert qq.rank() == 2
+    assert taken == ["_sparse_rref"]
+
+
+def test_kron_with_an_identity_factor_matches_the_reference():
+    """``I (x) X``, ``X (x) I`` and ``I (x) I`` only move entries, an empty
+    identity included; over QQ a product of Fractions that is integral is
+    stored as an int, and every result holds no zero."""
+    rng = random.Random(19)
+    q_values = [1, -2, 3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2)]
+    for f in (QQ, GF(2), GF(101)):
+        for m, n in [(1, 1), (2, 3), (3, 2), (4, 4)]:
+            if f is QQ:
+                rows = [[rng.choice(q_values + [0]) for _ in range(n)] for _ in range(m)]
+            else:
+                rows = [[rng.randrange(f.p) for _ in range(n)] for _ in range(m)]
+            x = Matrix.from_rows(f, rows)
+            for k in (0, 1, 3):
+                eye = Matrix.identity(f, k)
+                ref_eye = _ref_identity(f, k)
+                assert_matches(eye.kron(x), _ref_kron(f, ref_eye, x.rows), (k * m, k * n))
+                assert_matches(x.kron(eye), _ref_kron(f, x.rows, ref_eye), (m * k, n * k))
+                assert_matches(eye.kron(eye), _ref_identity(f, k * k), (k * k, k * k))
+                assert_matches(x.kron(x), _ref_kron(f, x.rows, x.rows), (m * m, n * n))
+            # the first block of I (x) X is X's own rows
+            shared = Matrix.identity(f, 2).kron(x).sparse_rows()
+            assert all(r is s for r, s in zip(shared, x.sparse_rows()))
+    halves = Matrix.from_rows(QQ, [[Fraction(1, 2), Fraction(2, 3)]])
+    doubles = Matrix.from_rows(QQ, [[2, Fraction(3, 2)], [Fraction(3, 4), 0]])
+    k = halves.kron(doubles)
+    assert_matches(k, _ref_kron(QQ, halves.rows, doubles.rows), (2, 4))
+    assert k.sparse_rows()[0] == {0: 1, 1: Fraction(3, 4), 2: Fraction(4, 3), 3: 1}
+    assert all(type(v) is int for v in (k.entry(0, 0), k.entry(0, 3)))
 
 
 @pytest.mark.parametrize("order", [(1, 1), (0, 2), (0,), (0, 1, 2), (-1, 0)])
