@@ -38,7 +38,7 @@ from .algebra import (
 from .bialgebroid import (
     LeftBialgebroid,
     ThetaData,
-    left_bialgebroid_axioms,
+    bialgebroid_axioms,
     theta,
 )
 from .coring import Coring
@@ -102,7 +102,7 @@ def hopf_algebra_as_left_bialgebroid(h: HopfData) -> tuple[LeftBialgebroid, Thet
     rep = Report(f"{H.name}:left-bialgebroid")
     bgd = LeftBialgebroid(coring, H, unit_map,
                           AlgebraMap(L, H, unit_map.map, anti=True), rep)
-    left_bialgebroid_axioms(coring, H, bgd.source, bgd.target, rep)
+    bialgebroid_axioms(bgd, coring.name)
     if not rep.ok:
         raise AxiomFailure(f"{H.name}: not a left bialgebroid")
     th = theta(bgd)
@@ -296,7 +296,7 @@ def twisted_bialgebroid(inp: TwistInput, name: str = "twist") -> TwistedBialgebr
     coring = Coring(B, carrier, delta_D, eps_D, name=f"D({name})")
     rep.add("propA.1.coring", "A.1(2)", True)
     bgd = LeftBialgebroid(coring, D_alg, source, target, rep)
-    left_bialgebroid_axioms(coring, D_alg, source, target, rep)
+    bialgebroid_axioms(bgd, coring.name)
     if not rep.ok:
         raise AxiomFailure(f"{name}: twisted bialgebroid sweep failed: "
                            + ", ".join(c.check_id for c in rep.failures()))
@@ -417,7 +417,7 @@ def cocycle_double_twist(bgdH: LeftBialgebroid, sigma: Matrix,
         src = AlgebraMap(L, H_tw, bgdH.source.map)
         tgt = AlgebraMap(L, H_tw, bgdH.target.map, anti=True)
         twisted = LeftBialgebroid(bgdH.coring, H_tw, src, tgt, rep)
-        left_bialgebroid_axioms(bgdH.coring, H_tw, src, tgt, rep)
+        bialgebroid_axioms(twisted, bgdH.coring.name)
     except Exception as exc:  # noqa: BLE001
         rep.add("remA.2.bialgebroid", "A.2(2)", False, witness=str(exc))
         return None, rep

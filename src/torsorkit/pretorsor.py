@@ -270,6 +270,7 @@ class Hand:
     sub = _mirrored("C_sub", "D_sub", "pair")
     rho = _mirrored("rho_T", "lrho_T", "pair")  # T -> T (x)_A C
     TK = _mirrored("TC", "DT", "pair")
+    grouplike = _mirrored("grouplike_C", "grouplike_D", "pair")
 
     def __init__(self, bundle: PreTorsorBundle, side: str, pair: CoringPair | None = None):
         if side not in self._WORDS:

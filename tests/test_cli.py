@@ -287,6 +287,26 @@ def test_suite_report_bytes_match_the_benchmark_reference(key):
     assert digest == REFERENCE[key]["digest"]
 
 
+# suite report digests for the GF(101) runs that perfbench/reference.json
+# does not record; EX-SMASH is the one GF(p) bialgebroid over a base of
+# dimension above 1
+GF101_SUITE_DIGESTS = {
+    "EX-TRIV": "24963025f913eb8224df776bbcff3b48547da45f7668d9267ac5b04aa09087b9",
+    "EX-C2": "3673183cad0d861ab29aa53c12ec89d22dcefaddb0be2bdfee6003d5934513fb",
+    "EX-Q3": "73b1c5acf4cab8da41aaa6ead1bc7a5d94395b0685a87457d134ad0e5e0670bc",
+    "EX-SMASH": "1a9b4791fa556f602c9795382e17f13bf48f742d1c80b2c88989f6bf3638eed9",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GF101_SUITE_DIGESTS))
+def test_gf101_suite_report_bytes_match_the_recorded_digests(name):
+    args = argparse.Namespace(fixture=name, input=None, field="GF101",
+                              dump_matrices=False)
+    _, doc = run("suite", args)
+    digest = hashlib.sha256(dumps(doc).encode("utf-8")).hexdigest()
+    assert digest == GF101_SUITE_DIGESTS[name]
+
+
 @pytest.mark.parametrize("path, value", [
     (("maps", "tau", 0), ["1"]),                       # ragged row
     (("maps", "tau", 0), ["1", "0", "0"]),             # too-long row

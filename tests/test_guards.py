@@ -29,11 +29,14 @@ Every bimodule action is a matrix expression in the structure maps, never
 assembled one basis vector at a time, and a traced benchmark pass passes.
 The checks on tau (x) tau contract its middle legs before any outer product.
 Every displayed cleft/twist formula is a ``kron_apply`` expression; only the
-independent smash-pattern reference still sums one scalar at a time.
+independent smash-pattern reference still sums one scalar at a time.  No
+bialgebroid check reads a structure map one value at a time, and every name
+a module reads is bound in it.
 """
 
 import argparse
 import ast
+import builtins
 import importlib
 import importlib.util
 import json
@@ -77,7 +80,7 @@ SCALAR_METHODS = {"add", "sub", "mul", "div", "is_zero"}
 # the modules whose mirrored constructions take a Hand, the words that name a
 # hand, and the one comparison with such a word that is not about a hand:
 # equivalence_witness requires its comodule to be a left one
-MIRRORED_MODULES = ("pretorsor.py", "diffcalc.py")
+MIRRORED_MODULES = ("pretorsor.py", "diffcalc.py", "bialgebroid.py")
 HAND_WORDS = {"right", "left"}
 COMODULE_SIDE_CHECKS = {"M.side != 'left'"}
 # the naive oracle builds its reference maps column by column on purpose
@@ -89,7 +92,7 @@ COLUMN_LOOP_HELPERS = {"_fixed_left_act", "_fixed_right_act",
 # and the per-value reads they were built from
 CLEFT_REFERENCE = "smash_pattern_product"
 CLEFT_LOOP_HELPERS = {"_nz", "product_vector", "inv_vector", "eval_map"}
-PER_VALUE_READS = {"basis_vector", "col", "apply_pair", "product_vec"}
+PER_VALUE_READS = {"basis_vector", "col", "apply_pair", "product_vec", "lact_vec", "ract_vec"}
 
 
 def _names(tree):
@@ -208,9 +211,9 @@ def test_only_fields_uses_true_division():
 
 
 def test_only_hand_tells_the_hands_apart():
-    """Outside ``Hand`` no code in ``pretorsor`` or ``diffcalc`` compares a
-    value with "right" or "left": a construction that branches on its side
-    would write the mirror a second time."""
+    """Outside ``Hand`` no code in ``pretorsor``, ``diffcalc`` or
+    ``bialgebroid`` compares a value with "right" or "left": a construction
+    that branches on its side would write the mirror a second time."""
     offenders = []
     for name in MIRRORED_MODULES:
         tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
@@ -501,6 +504,14 @@ def _field_scalar_call(node):
         isinstance(recv, ast.Attribute) and recv.attr == "field")
 
 
+def _per_value_reads(scope):
+    """Per-value field calls and reads of a basis vector, a dense column, a
+    bilinear map or action on a vector pair or a product of two vectors."""
+    return [f"{node.lineno} {ast.unparse(node)}" for node in ast.walk(scope)
+            if _field_scalar_call(node) or (
+                isinstance(node, ast.Attribute) and node.attr in PER_VALUE_READS)]
+
+
 def test_cleft_twist_formulas_are_matrix_expressions():
     """Outside ``smash_pattern_product`` no code in ``cleft_twist`` calls a
     per-value field method or reads a basis vector, a dense column, a
@@ -514,7 +525,47 @@ def test_cleft_twist_formulas_are_matrix_expressions():
     for scope in tree.body:
         if isinstance(scope, ast.FunctionDef) and scope.name == CLEFT_REFERENCE:
             continue
-        offenders += [f"{node.lineno} {ast.unparse(node)}" for node in ast.walk(scope)
-                      if _field_scalar_call(node) or (
-                          isinstance(node, ast.Attribute) and node.attr in PER_VALUE_READS)]
+        offenders += _per_value_reads(scope)
     assert not offenders, offenders
+
+
+def test_bialgebroid_checks_are_matrix_expressions():
+    """No code in ``bialgebroid`` reads a structure map one value at a time:
+    each axiom row, action and span is a matrix expression.  The per-value
+    loops live on in ``tests/test_bialgebroid.py`` as the reference."""
+    tree = ast.parse((PACKAGE / "bialgebroid.py").read_text(encoding="utf-8"))
+    offenders = _per_value_reads(tree)
+    assert not offenders, offenders
+
+
+def _bound_names(tree):
+    """Every name a module binds in any of its scopes: imports, defs and
+    classes, arguments, assignment and loop targets, exception names."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.arg):
+            bound.add(node.arg)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            bound.add(node.id)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.add(node.name)
+    return bound
+
+
+def test_every_loaded_name_is_bound():
+    """Each name a module reads is a builtin or bound somewhere in that
+    module: no linter runs on this code, and a raise of an error class that
+    was never imported fails only when the raise is reached."""
+    known = set(dir(builtins)) | {"__file__"}
+    unbound = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = _bound_names(tree) | known
+        unbound += [f"{path.name}:{node.lineno} {node.id}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    and node.id not in bound]
+    assert not unbound, unbound

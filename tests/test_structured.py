@@ -62,7 +62,7 @@ def test_factorwise_products_match_dense_on_smash(an_smash):
     for cc, alg in ((pair.C.cc, C_alg), (pair.D.cc, D_alg)):
         mult = alg.mult.matrix
         want = _dense_factorwise(cc, mult, mult, [alg.dim] * 2)
-        assert _factorwise_product(cc, alg) == want
+        assert _factorwise_product(cc, mult) == want
     mixed = [(pair.TC, b.mu, C_alg.mult.matrix, [b.T.dim, pair.C.dim]),
              (pair.DT, D_alg.mult.matrix, b.mu, [pair.D.dim, b.T.dim])]
     for chain, mult1, mult2, dims in mixed:
@@ -179,7 +179,7 @@ def test_perturbed_d_product_breaks_delta_multiplicativity(an_smash):
     delta2 = delta.kron(delta)
 
     def delta_multiplicative(alg):
-        return delta @ alg.mult.matrix == _factorwise_product(D.cc, alg) @ delta2
+        return delta @ alg.mult.matrix == _factorwise_product(D.cc, alg.mult.matrix) @ delta2
 
     assert delta_multiplicative(D_alg)
     rows = [list(r) for r in D_alg.mult.matrix.rows]
