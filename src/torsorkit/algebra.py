@@ -23,17 +23,26 @@ only ``proj``/``sect`` with ``proj @ sect = I``; the relation span is
 
 A bimodule action is one matrix, on ``L (x) M`` or ``M (x) R``, and this
 module is the only one that knows its column layout: ``fix_left`` and
-``fix_right`` read off the map of one ring element, ``join_left`` and
-``join_right`` assemble an action from the maps of the ring basis.  Every
-action is written as a matrix expression in the structure maps, such as
-``mult o (alpha (x) id)``, and evaluated by ``kron_apply``; none is built
-one basis vector at a time.
+``fix_right`` read off the map of one ring element, given as a column,
+``split_left`` and ``split_right`` the maps of the whole ring basis by
+column selection, and ``join_left`` and ``join_right`` assemble an action
+from those maps.  Every action is written as a matrix expression in the
+structure maps, such as ``mult o (alpha (x) id)``, and evaluated by
+``kron_apply``; none is built one basis vector at a time.
+
+Elements the engine checks are columns, as the unit ``Algebra.unit_col``
+is.  Each validator is an identity of maps checked on the whole basis at
+once: associativity and the unit for ``Algebra``, ``map o mult = mult o
+(map (x) map)`` for ``AlgebraMap``, and unitality, associativity and
+commuting actions for ``Bimodule``; a failing identity names its first
+failing basis element, the one a per-element loop would have stopped at.
+``nonlinear_side`` is the one bimodule-linearity check, ``x o act_M =
+act_N o (id (x) x)`` on either side, for every validator that needs it.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from math import prod
 
 from .errors import (
@@ -45,14 +54,19 @@ from .errors import (
     NotWellDefined,
     ShapeMismatch,
 )
-from .linalg import Matrix, kron_apply, outer, permute_cols
+from .linalg import Matrix, kron_apply, permute_cols
 from .spaces import LinearMap, Space, Subspace, quotient, tensor_space
 
 
 class Algebra:
-    """Structure-constant algebra with unit, validated at construction."""
+    """Structure-constant algebra with unit, validated at construction.
 
-    def __init__(self, space: Space, mult: LinearMap, unit, name: str = "", check: bool = True):
+    The unit is given and kept as a one-column matrix, ``unit_col``;
+    ``unit`` is the same element as a coordinate vector, the form documents
+    store."""
+
+    def __init__(self, space: Space, mult: LinearMap, unit: Matrix, name: str = "",
+                 check: bool = True):
         self.space = space
         self.field = space.field
         if mult.codomain is not space:
@@ -60,12 +74,16 @@ class Algebra:
         if mult.domain.dim != space.dim * space.dim:
             raise ShapeMismatch("multiplication domain is not the square tensor")
         self.mult = mult
-        self.unit = tuple(unit)
-        if len(self.unit) != space.dim:
+        if unit.shape != (space.dim, 1):
             raise ShapeMismatch("unit vector has wrong length")
+        self.unit_col = unit
         self.name = name or space.name
         if check:
             self._validate()
+
+    @functools.cached_property
+    def unit(self):
+        return self.unit_col.col(0)
 
     @property
     def dim(self):
@@ -73,9 +91,6 @@ class Algebra:
 
     def __repr__(self):
         return f"Algebra({self.name}, dim={self.dim})"
-
-    def product_vec(self, u, v):
-        return self.mult.matrix.apply_pair(u, v)
 
     def _validate(self):
         """mult o (mult (x) id) == mult o (id (x) mult), and the unit's left
@@ -88,7 +103,7 @@ class Algebra:
         if xy_z != x_yz:
             ij, k = divmod(first_nonzero_col(xy_z - x_yz), n)
             raise NotAssociative(*divmod(ij, n), k)
-        by_unit = (fix_left(mult, self.unit, n), fix_right(mult, n, self.unit))
+        by_unit = (fix_left(mult, self.unit_col, n), fix_right(mult, n, self.unit_col))
         if all(m.is_identity() for m in by_unit):
             return
         one = Matrix.identity(f, n)
@@ -96,17 +111,6 @@ class Algebra:
         if right is None or (left is not None and left <= right):
             raise NotUnital(left, side="left")
         raise NotUnital(right, side="right")
-
-    def unit_map(self) -> LinearMap:
-        one = Space(self.field, 1, "k")
-        return LinearMap.from_columns(one, self.space, [self.unit])
-
-    def left_mult_map(self, vec) -> LinearMap:
-        """Left multiplication by a fixed element, as a map on the space."""
-        return LinearMap(self.space, self.space, fix_left(self.mult.matrix, vec, self.dim))
-
-    def right_mult_map(self, vec) -> LinearMap:
-        return LinearMap(self.space, self.space, fix_right(self.mult.matrix, self.dim, vec))
 
     def is_commutative(self):
         return self.mult.matrix == permute_cols(self.mult.matrix, [self.dim] * 2, (1, 0))
@@ -122,7 +126,7 @@ def make_algebra(field, dim, structure_constants, unit, name="", labels=None) ->
             raise ShapeMismatch(f"structure constant index ({i},{j},{k}) out of range")
         cols[i * dim + j][k] = field.add(cols[i * dim + j][k], field.parse(v))
     mult = LinearMap.from_columns(tensor, space, cols)
-    return Algebra(space, mult, [field.parse(x) for x in unit], name)
+    return Algebra(space, mult, Matrix.from_cols(field, [[field.parse(x) for x in unit]]), name)
 
 
 def algebra_from_table(field, dim, table, unit, name="", labels=None) -> Algebra:
@@ -141,30 +145,19 @@ def opposite(A: Algebra) -> Algebra:
     """The opposite algebra on the same underlying space."""
     space = Space(A.field, A.dim, A.name + "^op", A.space.labels)
     mult = permute_cols(A.mult.matrix, [A.dim, A.dim], (1, 0))
-    return Algebra(space, LinearMap(tensor_space([space, space]), space, mult), A.unit,
+    return Algebra(space, LinearMap(tensor_space([space, space]), space, mult), A.unit_col,
                    A.name + "^op")
 
 
 def enveloping(B: Algebra) -> Algebra:
-    """B (x)_k B^op with product (b (x) b')(c (x) c') = bc (x) c'b'."""
-    n = B.dim
-    f = B.field
-    e = [B.space.basis_vector(i) for i in range(n)]
-    dim = n * n
-    labels = [f"{a}(x){b}" for a in B.space.labels for b in B.space.labels]
-    sc = []
-    for i1, i2 in itertools.product(range(n), repeat=2):
-        for j1, j2 in itertools.product(range(n), repeat=2):
-            left = B.product_vec(e[i1], e[j1])
-            right = B.product_vec(e[j2], e[i2])
-            for k1, a in enumerate(left):
-                if f.is_zero(a):
-                    continue
-                for k2, b in enumerate(right):
-                    if f.is_zero(b):
-                        continue
-                    sc.append((i1 * n + i2, j1 * n + j2, k1 * n + k2, f.mul(a, b)))
-    return make_algebra(f, dim, sc, outer(f, B.unit, B.unit), B.name + "^e", labels)
+    """B (x)_k B^op with product (b (x) b')(c (x) c') = bc (x) c'b': legs
+    (b, b', c, c') reordered to (b, c, c', b') and multiplied in pairs."""
+    n, f = B.dim, B.field
+    space = Space(f, n * n, B.name + "^e",
+                  [f"{a}(x){b}" for a in B.space.labels for b in B.space.labels])
+    mult = kron_apply(f, [B.mult.matrix] * 2, [n] * 4, (0, 2, 3, 1), [None] * 4)
+    return Algebra(space, LinearMap(tensor_space([space, space]), space, mult),
+                   B.unit_col.kron(B.unit_col), space.name)
 
 
 class AlgebraMap:
@@ -182,22 +175,19 @@ class AlgebraMap:
             self._validate()
 
     def _validate(self):
-        src, tgt = self.source, self.target
-        if self.map.apply(src.unit) != tgt.unit:
+        """map @ unit == unit, and map o mult == mult o (map (x) map), with
+        the factors swapped for an anti-homomorphism; the witness is the
+        first failing basis pair."""
+        src, tgt, m = self.source, self.target, self.map.matrix
+        if m @ src.unit_col != tgt.unit_col:
             raise NotHomomorphism(f"{self!r} does not preserve the unit")
-        n = src.dim
-        e = [src.space.basis_vector(i) for i in range(n)]
-        for i in range(n):
-            fi = self.map.apply(e[i])
-            for j in range(n):
-                fj = self.map.apply(e[j])
-                lhs = self.map.apply(src.product_vec(e[i], e[j]))
-                rhs = tgt.product_vec(fj, fi) if self.anti else tgt.product_vec(fi, fj)
-                if lhs != rhs:
-                    kind = "anti-multiplication" if self.anti else "multiplication"
-                    raise NotHomomorphism(
-                        f"{self!r} does not preserve {kind} on basis pair ({i}, {j})"
-                    )
+        lhs = m @ src.mult.matrix
+        rhs = kron_apply(src.field, [tgt.mult.matrix], [tgt.dim] * 2,
+                         (1, 0) if self.anti else None, [m, m])
+        if lhs != rhs:
+            i, j = divmod(first_nonzero_col(lhs - rhs), src.dim)
+            kind = "anti-multiplication" if self.anti else "multiplication"
+            raise NotHomomorphism(f"{self!r} does not preserve {kind} on basis pair ({i}, {j})")
 
     def is_injective(self):
         return self.map.rank() == self.source.dim
@@ -239,37 +229,25 @@ class Bimodule:
     def field(self):
         return self.space.field
 
-    def lact_vec(self, a, m):
-        return self.lact.matrix.apply_pair(a, m)
-
-    def ract_vec(self, m, a):
-        return self.ract.matrix.apply_pair(m, a)
-
     def _validate(self):
-        L, R = self.left, self.right
-        e = [self.space.basis_vector(i) for i in range(self.dim)]
-        eL = [L.space.basis_vector(i) for i in range(L.dim)]
-        eR = [R.space.basis_vector(i) for i in range(R.dim)]
-        for m in e:
-            if self.lact_vec(L.unit, m) != m or self.ract_vec(m, R.unit) != m:
-                raise ActionMismatch(f"actions on {self.space.name} are not unital")
-        for a in eL:
-            for b in eL:
-                ab = L.product_vec(a, b)
-                for m in e:
-                    if self.lact_vec(ab, m) != self.lact_vec(a, self.lact_vec(b, m)):
-                        raise ActionMismatch("left action is not associative")
-        for a in eR:
-            for b in eR:
-                ab = R.product_vec(a, b)
-                for m in e:
-                    if self.ract_vec(m, ab) != self.ract_vec(self.ract_vec(m, a), b):
-                        raise ActionMismatch("right action is not associative")
-        for a in eL:
-            for b in eR:
-                for m in e:
-                    if self.ract_vec(self.lact_vec(a, m), b) != self.lact_vec(a, self.ract_vec(m, b)):
-                        raise ActionMismatch("left and right actions do not commute")
+        """The actions are unital and associative and commute, each checked
+        as one identity of maps on the whole of L, M and R."""
+        L, R, f, n = self.left, self.right, self.field, self.dim
+        lact, ract = self.lact.matrix, self.ract.matrix
+        one = Matrix.identity(f, n)
+        if fix_left(lact, L.unit_col, n) != one or fix_right(ract, n, R.unit_col) != one:
+            raise ActionMismatch(f"actions on {self.space.name} are not unital")
+        left = [L.dim, n]
+        if (kron_apply(f, [lact], left, None, [L.mult.matrix, None])
+                != kron_apply(f, [lact], left, None, [None, lact])):
+            raise ActionMismatch("left action is not associative")
+        right = [n, R.dim]
+        if (kron_apply(f, [ract], right, None, [None, R.mult.matrix])
+                != kron_apply(f, [ract], right, None, [ract, None])):
+            raise ActionMismatch("right action is not associative")
+        if (kron_apply(f, [ract], right, None, [lact, None])
+                != kron_apply(f, [lact], left, None, [None, ract])):
+            raise ActionMismatch("left and right actions do not commute")
 
     def __repr__(self):
         return f"Bimodule({self.left.name}-{self.space.name}-{self.right.name})"
@@ -387,11 +365,9 @@ _chain_outer_registry: dict = {}
 
 def _link_leg_maps(link: Link):
     """Per ring basis element r, the pair ``(mi, mj)``: x -> x.r on factor
-    i and y -> r.y on factor j."""
-    act_i, act_j = link.act_i, link.act_j
-    for r in map(link.ring.space.basis_vector, range(link.ring.dim)):
-        yield (fix_right(act_i.matrix, act_i.codomain.dim, r),
-               fix_left(act_j.matrix, r, act_j.codomain.dim))
+    i and y -> r.y on factor j, read off the two actions."""
+    m = link.ring.dim
+    return zip(split_right(link.act_i.matrix, m), split_left(link.act_j.matrix, m))
 
 
 def _link_relation_columns(field, factor_spaces, link: Link):
@@ -708,24 +684,36 @@ def _carrier_leg_map(chain: TensorChain, pos, m: Matrix) -> LinearMap:
         chain.carrier.field, legs, dims, None, [chain.sect.matrix]))
 
 
-def fix_left(bilinear: Matrix, u, n) -> Matrix:
+def fix_left(bilinear: Matrix, u: Matrix, n) -> Matrix:
     """``x -> bilinear(u (x) x)`` on an n-dim second leg: the map of one
-    element u read off a left action (or product) matrix, as
-    ``bilinear @ (u (x) id)``; row i*n + k of ``u (x) id`` holds u_i at k."""
-    f = bilinear.field
-    nz = f.normalise(dict(enumerate(u)), True)
-    return bilinear @ Matrix.from_sparse_rows(
-        f, [{k: c} if (c := nz.get(i)) else {} for i in range(len(u)) for k in range(n)], n)
+    element, given as a column u, read off a left action (or product)
+    matrix, as ``bilinear @ (u (x) id)``."""
+    return bilinear @ u.kron(Matrix.identity(u.field, n))
 
 
-def fix_right(bilinear: Matrix, n, v) -> Matrix:
+def fix_right(bilinear: Matrix, n, v: Matrix) -> Matrix:
     """``x -> bilinear(x (x) v)`` on an n-dim first leg: the map of one
-    element v read off a right action (or product) matrix, as
-    ``bilinear @ (id (x) v)``; row k*len(v) + i of ``id (x) v`` holds v_i at k."""
-    f = bilinear.field
-    nz = f.normalise(dict(enumerate(v)), True)
-    return bilinear @ Matrix.from_sparse_rows(
-        f, [{k: c} if (c := nz.get(i)) else {} for k in range(n) for i in range(len(v))], n)
+    element, given as a column v, read off a right action (or product)
+    matrix, as ``bilinear @ (id (x) v)``."""
+    return bilinear @ Matrix.identity(v.field, n).kron(v)
+
+
+def split_left(act: Matrix, m) -> list:
+    """The maps of the m ring basis elements read off a left action matrix
+    on ``L (x) M``: its m blocks of columns, so ``join_left`` undoes it."""
+    n = act.ncols // m
+    blocks = [[{} for _ in range(act.nrows)] for _ in range(m)]
+    for i, row in enumerate(act.sparse_rows()):
+        for k, x in row.items():
+            r, c = divmod(k, n)
+            blocks[r][i][c] = x
+    return [Matrix.from_sparse_rows(act.field, rows, n) for rows in blocks]
+
+
+def split_right(act: Matrix, m) -> list:
+    """``split_left`` for a right action matrix on ``M (x) R``, with its two
+    column legs swapped first, so ``join_right`` undoes it."""
+    return split_left(permute_cols(act, [m, act.ncols // m], (1, 0)), m)
 
 
 def join_left(maps) -> Matrix:
@@ -738,6 +726,21 @@ def join_right(maps) -> Matrix:
     """The right action matrix on ``M (x) R`` whose i-th fixed map is
     ``maps[i]``: ``join_left`` with its two column legs swapped."""
     return permute_cols(join_left(maps), [maps[0].ncols, len(maps)], (1, 0))
+
+
+def nonlinear_side(x: Matrix, M: Bimodule, N: Bimodule, sides=("left", "right")):
+    """The first of ``sides`` on which ``x: M -> N`` is not linear, or None:
+    "left" when ``x o lact_M != lact_N o (id (x) x)``, "right" when
+    ``x o ract_M != ract_N o (x (x) id)``."""
+    f = x.field
+    for side in sides:
+        if side == "left":
+            ok = x @ M.lact.matrix == N.lact.matrix @ Matrix.identity(f, M.left.dim).kron(x)
+        else:
+            ok = x @ M.ract.matrix == N.ract.matrix @ x.kron(Matrix.identity(f, M.right.dim))
+        if not ok:
+            return side
+    return None
 
 
 class FreenessCertificate:
@@ -757,9 +760,10 @@ class FreenessCertificate:
 def certify_free(M: Bimodule, side: str) -> FreenessCertificate:
     """Certify M free as a one-sided module, solving for an explicit iso.
 
-    Generators are searched deterministically among basis vectors, running
-    sums and pairwise sums; NotFree means no certificate was found (which
-    does not decide faithful flatness).
+    Generators, one-column matrices, are searched deterministically among
+    basis vectors, running sums and pairwise sums, each orbit read off the
+    action matrix with ``fix_left``/``fix_right``; NotFree means no
+    certificate was found (which does not decide faithful flatness).
     """
     if side not in ("left", "right"):
         raise ShapeMismatch("side must be 'left' or 'right'")
@@ -767,45 +771,29 @@ def certify_free(M: Bimodule, side: str) -> FreenessCertificate:
     if alg.dim == 0 or M.dim % alg.dim != 0:
         raise NotFree(f"dim {M.dim} not a multiple of dim {alg.dim}")
     rank = M.dim // alg.dim
-    field = M.field
-    basis = [M.space.basis_vector(i) for i in range(M.dim)]
-    candidates = list(basis)
-    run = None
-    for v in basis:
-        run = v if run is None else tuple(field.add(a, b) for a, b in zip(run, v))
-        candidates.append(run)
-    for i in range(min(M.dim, 6)):
-        for j in range(i + 1, min(M.dim, 6)):
-            candidates.append(tuple(field.add(a, b) for a, b in zip(basis[i], basis[j])))
-
-    def orbit_cols(v):
-        cols = []
-        for r in range(alg.dim):
-            a = alg.space.basis_vector(r)
-            cols.append(M.lact_vec(a, v) if side == "left" else M.ract_vec(v, a))
-        return cols
-
-    chosen = []
-    span_rows: list = []
-    span_rank = 0
-    for v in candidates:
+    field, n = M.field, M.dim
+    # the supports of the candidates: basis vectors, running sums, pairwise sums
+    supports = ([{i} for i in range(n)] + [set(range(i + 1)) for i in range(n)]
+                + [{i, j} for i in range(min(n, 6)) for j in range(i + 1, min(n, 6))])
+    chosen, orbits = [], []
+    span = Matrix.zero(field, 0, n)
+    for support in supports:
         if len(chosen) == rank:
             break
-        cols = orbit_cols(v)
-        test = Matrix(field, span_rows + cols, M.dim)
-        r = test.rank()
-        if r == span_rank + alg.dim:
+        v = Matrix.from_sparse_rows(field, [{0: field.one} if i in support else {}
+                                            for i in range(n)], 1)
+        # the orbit a.v (left) or v.a (right) over the basis a of alg, as columns
+        orbit = (fix_right(M.lact.matrix, alg.dim, v) if side == "left"
+                 else fix_left(M.ract.matrix, v, alg.dim))
+        R, pivots = Matrix.stack_rows([span, orbit.transpose()]).rref()
+        if len(pivots) == span.nrows + alg.dim:
             chosen.append(v)
-            span_rows = [tuple(row) for row in test.row_space_basis()]
-            span_rank = r
+            orbits.append(orbit)
+            span = Matrix.from_sparse_rows(field, R.sparse_rows()[:len(pivots)], n)
     if len(chosen) != rank:
         raise NotFree(f"no free generating set of rank {rank} found for {M!r}")
-    all_cols = []
-    for v in chosen:
-        all_cols.extend(orbit_cols(v))
-    iso = LinearMap.from_columns(
-        Space(field, M.dim, f"{alg.name}^{rank}"), M.space, all_cols
-    )
+    iso = LinearMap(Space(field, n, f"{alg.name}^{rank}"), M.space,
+                    functools.reduce(Matrix.augment, orbits, Matrix.zero(field, n, 0)))
     if iso.rank() != M.dim:
         raise NotFree("assembled module map is not bijective")
     return FreenessCertificate(M, side, rank, iso, chosen)

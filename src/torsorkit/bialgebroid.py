@@ -34,6 +34,7 @@ from .algebra import (
     first_nonzero_col,
     first_unbalanced,
     induce,
+    nonlinear_side,
     opposite,
     regular_bimodule,
     tensor_chain,
@@ -55,7 +56,7 @@ from .errors import (
     ShapeMismatch,
     TakeuchiViolation,
 )
-from .linalg import Matrix, kron_apply, outer, permute_cols, permute_rows, split_leg
+from .linalg import Matrix, kron_apply, permute_cols, permute_rows, split_leg
 from .pretorsor import CoringPair, Hand, PreTorsorBundle, make_bundle, validate_pretorsor
 from .report import Report
 from .spaces import LinearMap, Space, Subspace, intersect, invert, kernel, quotient
@@ -84,12 +85,6 @@ class RightBialgebroid:
     @property
     def dim(self):
         return self.coring.dim
-
-    def s_vec(self, a):
-        return self.source.map.apply(a)
-
-    def t_vec(self, a):
-        return self.target.map.apply(a)
 
     def legs(self, *xs) -> list:
         return list(xs[::-1] if self.reversed else xs)
@@ -165,9 +160,9 @@ def _bialgebroid_on(h: Hand) -> RightBialgebroid:
                   h.grouplike.element, name=f"{h.letter}alg({b.name})")
     to_C, unit = sub.retraction.matrix @ h.two.proj.matrix, h.unit.map.matrix
     source = AlgebraMap(h.base, alg, LinearMap(h.base.space, C.space,
-                                               to_C @ h.kron(b.unit_col, unit)))
+                                               to_C @ h.kron(b.T.unit_col, unit)))
     target = AlgebraMap(h.base, alg, LinearMap(h.base.space, C.space,
-                                               to_C @ h.kron(unit, b.unit_col)), anti=True)
+                                               to_C @ h.kron(unit, b.T.unit_col)), anti=True)
     bgd = h.pick(RightBialgebroid, LeftBialgebroid)(
         C, alg, source, target, Report(f"{b.name}:bialgebroid-{h.letter}"))
     bialgebroid_axioms(bgd, h.pick(b.name, C.name))
@@ -209,10 +204,9 @@ def bialgebroid_axioms(bgd: RightBialgebroid, name: str):
     delta = C.delta.matrix
     rep.add("bgd.delta-multiplicative", "2(bgd)",
             delta @ mult == _factorwise_product(C.cc, mult) @ delta.kron(delta))
-    unit = bgd.algebra.unit
-    rep.add("bgd.delta-unital", "2(bgd)",
-            C.delta.apply(unit) == C.cc.proj.apply(outer(f, unit, unit)))
-    rep.add("bgd.eps-unital", "2(bgd)", C.eps.apply(unit) == bgd.base.unit)
+    one = bgd.algebra.unit_col
+    rep.add("bgd.delta-unital", "2(bgd)", delta @ one == C.cc.proj.matrix @ one.kron(one))
+    rep.add("bgd.eps-unital", "2(bgd)", C.eps.matrix @ one == bgd.base.unit_col)
     # eps(s(eps(c)) c') = eps(t(eps(c)) c') = eps(c c')
     eps_mult = C.eps.matrix @ mult
     rep.add("bgd.eps-weak-mult", "2(bgd)", all(
@@ -228,8 +222,8 @@ def _comodule_algebra_rows(h: Hand, bgd: RightBialgebroid):
     mult = _factorwise_product_mixed(TK, *h.legs(b.mu, bgd.algebra.mult.matrix),
                                      h.legs(b.T.dim, bgd.dim))
     rep.add("bgd.comodule-algebra", "5.2", rho @ b.mu == mult @ rho.kron(rho))
-    rep.add("bgd.comodule-algebra-unital", "5.2", h.rho.apply(b.T.unit)
-            == TK.proj.apply(outer(b.field, *h.legs(b.T.unit, bgd.algebra.unit))))
+    rep.add("bgd.comodule-algebra-unital", "5.2", rho @ b.T.unit_col
+            == TK.proj.matrix @ h.kron(b.T.unit_col, bgd.algebra.unit_col))
 
 
 def _factorwise_product(cc: TensorChain, mult: Matrix) -> Matrix:
@@ -335,7 +329,7 @@ def _translation_identities(bgd, chain_op, th_inv, rep):
     and theta^{-1}(1 (x) s(a)) = 1 (x) s(a).  A left bialgebroid reads both
     with the legs reversed, as its mirror rows."""
     C = bgd.coring
-    one = Matrix.from_cols(C.field, [bgd.algebra.unit])
+    one = bgd.algebra.unit_col
     s, t = bgd.source.map.matrix, bgd.target.map.matrix
     tag = "theta.eq2.3-mirror" if bgd.reversed else "theta.eq2.3"
 
@@ -359,8 +353,7 @@ def _translation_multiplicative(bgd, chain_op, th_inv, rep):
 
 def _left_tensor_unit(f, bgd) -> Matrix:
     """c -> 1 (x) c at the pair-ambient level."""
-    one_col = Matrix(f, [(x,) for x in bgd.algebra.unit], 1)
-    return one_col.kron(Matrix.identity(f, bgd.dim))
+    return bgd.algebra.unit_col.kron(Matrix.identity(f, bgd.dim))
 
 
 def _pentagon_right(bgd, chain_op, th, rep, op_data):
@@ -428,7 +421,7 @@ def diagonal_coinvariants(bundle: PreTorsorBundle, pair: CoringPair) -> Report:
                         (1, pair.C_sub.inclusion, 2)], X4diag)
     rho_diag = corestrict_through(j, to_big, MembershipFailure,
                                   f"{b.name}: diagonal coaction misses (TxT)xC")
-    gC = Matrix(f, [(x,) for x in pair.grouplike_C.element], 1)
+    gC = pair.grouplike_C.element
     ref = LinearMap(b.TAT.carrier, TTC.carrier,
                     TTC.proj.matrix @ b.TAT.sect.matrix.kron(gC))
     coinv = kernel(rho_diag - ref, "D-diag")
@@ -446,7 +439,7 @@ def diagonal_coinvariants(bundle: PreTorsorBundle, pair: CoringPair) -> Report:
                          (1, None, 1)], X4diag2)
     lrho_diag = corestrict_through(j2, to_big2, MembershipFailure,
                                    f"{b.name}: diagonal coaction misses Dx(TxT)")
-    gD = Matrix(f, [(x,) for x in pair.grouplike_D.element], 1)
+    gD = pair.grouplike_D.element
     ref2 = LinearMap(b.TBT.carrier, DTT.carrier,
                      DTT.proj.matrix @ gD.kron(b.TBT.sect.matrix))
     coinv2 = kernel(lrho_diag - ref2, "C-diag")
@@ -628,7 +621,7 @@ def monoidal_witness(bundle: PreTorsorBundle, pair: CoringPair,
     # the monoidal unit: A with coaction through the target map
     A_bim = regular_bimodule(A)
     CA = tensor_chain([C.carrier, A_bim], [A])
-    unit_A = Matrix.from_cols(f, [A.unit])
+    unit_A = A.unit_col
     rho_A = LinearMap(A.space, CA.carrier,
                       CA.proj.matrix @ bgd.target.map.matrix.kron(unit_A))
     A_com = Comodule(C, A_bim, "left", rho_A, "A")
@@ -669,11 +662,12 @@ def monoidal_witness(bundle: PreTorsorBundle, pair: CoringPair,
 
     # B-B bilinearity of xi
     lmm, rmm = _beta_actions_on_cotensor(b, TMM, S_MM)
-    s11_outer = chain_outer_bimodule(S11, S1_bb, S1p_bb)
-    x, id_B = xi.matrix, Matrix.identity(f, b.B.dim)
-    rep.add("thm5.4.xi-bilinear", "(5.2)",
-            x @ s11_outer.lact.matrix == lmm @ id_B.kron(x)
-            and x @ s11_outer.ract.matrix == rmm @ x.kron(id_B))
+    S_MM_bb = Bimodule(S_MM.space, b.B, b.B,
+                       LinearMap(tensor_space([b.B.space, S_MM.space]), S_MM.space, lmm),
+                       LinearMap(tensor_space([S_MM.space, b.B.space]), S_MM.space, rmm),
+                       check=False)
+    rep.add("thm5.4.xi-bilinear", "(5.2)", nonlinear_side(
+        xi.matrix, chain_outer_bimodule(S11, S1_bb, S1p_bb), S_MM_bb) is None)
 
     witness = MonoidalWitness(xi0, xi, S_A, S_MM, rep)
     return witness, {"MM_com": MM_com, "MM": MM, "S1": S1, "S1p": S1p,
@@ -899,7 +893,7 @@ def _subalgebra(alg: Algebra, sub: Subspace, name: str, err, msg: str) -> Algebr
     space = Space(f, sub.dim, name)
     return Algebra(space, LinearMap(tensor_space([space, space]), space,
                                     sub.retraction.matrix @ prods.matrix),
-                   sub.retraction.apply(alg.unit), name)
+                   sub.retraction.matrix @ alg.unit_col, name)
 
 
 def homogeneous_pretorsor(bgd: RightBialgebroid, th: ThetaData, p_span,
@@ -918,8 +912,8 @@ def homogeneous_pretorsor(bgd: RightBialgebroid, th: ThetaData, p_span,
     f, n = C.field, C.dim
     mult, proj_cc = alg.mult.matrix, C.cc.proj.matrix
     # close the span under t(A), the unit and products
-    P = _span(C.space, Matrix.augment(Matrix.from_cols(f, [alg.unit, *p_span], n),
-                                      bgd.target.map.matrix), "P")
+    P = _span(C.space, Matrix.augment(Matrix.augment(
+        alg.unit_col, Matrix.from_cols(f, p_span, n)), bgd.target.map.matrix), "P")
     while True:
         incl = P.inclusion.matrix
         bigger = _span(C.space, Matrix.augment(
@@ -970,7 +964,7 @@ def homogeneous_pretorsor(bgd: RightBialgebroid, th: ThetaData, p_span,
                       CQ.proj.matrix @ Matrix.identity(f, C.dim).kron(pi.matrix)
                       @ C.cc.sect.matrix @ C.delta.matrix)
     C_comodule = Comodule(Q, C.carrier, "right", rho_C, "C")
-    gQ = check_grouplike(Q, pi.apply(tuple(alg.unit)))
+    gQ = check_grouplike(Q, pi.matrix @ alg.unit_col)
     Bsub = coinvariants(C_comodule, gQ, "B")
     # B must contain P and close under products
     if not Bsub.contains_map(P.inclusion):
@@ -1046,17 +1040,17 @@ def cleft_pretorsor(A: Algebra, T: Algebra, alpha: AlgebraMap, C,
     Comodule(C, T_AA, "right", rho, "T")  # validates the coaction
 
     # j: left linear, right colinear
-    if j.matrix @ C.carrier.lact.matrix != mu @ alpha.map.matrix.kron(j.matrix):
-        raise NotColinear(f"{name}: the cleaving map is not left linear")
+    side = nonlinear_side(j.matrix, C.carrier, T_AA, ("left",))
+    if side is not None:
+        raise NotColinear(f"{name}: the cleaving map is not {side} linear")
     lhs = rho @ j
     rhs = chain_map(C.cc, [(1, j, 1), (1, None, 1)], TC) @ C.delta
     if lhs != rhs:
         raise NotColinear(f"{name}: the cleaving map is not colinear")
     # jt: bilinear
-    if jt.matrix @ C.carrier.lact.matrix != mu @ alpha.map.matrix.kron(jt.matrix):
-        raise NotColinear(f"{name}: the convolution inverse is not left linear")
-    if jt.matrix @ C.carrier.ract.matrix != mu @ jt.matrix.kron(alpha.map.matrix):
-        raise NotColinear(f"{name}: the convolution inverse is not right linear")
+    side = nonlinear_side(jt.matrix, C.carrier, T_AA)
+    if side is not None:
+        raise NotColinear(f"{name}: the convolution inverse is not {side} linear")
     # convolution identities
     delta_raw = C.cc.sect.matrix @ C.delta.matrix
     conv1 = mu @ j.matrix.kron(jt.matrix) @ delta_raw
@@ -1079,7 +1073,7 @@ def cleft_pretorsor(A: Algebra, T: Algebra, alpha: AlgebraMap, C,
     if lhs != rhs:
         raise AxiomFailure(f"{name}: T is not an entwined module")
     # identity (3.5): jt(c) rho(1) = psi(c1 (x) jt(c2))
-    rho1 = Matrix(f, [(x,) for x in rho.apply(tuple(T.unit))], 1)
+    rho1 = rho.matrix @ T.unit_col
     lmult_TC = TC.proj.matrix @ mu.kron(idC) @ idT.kron(TC.sect.matrix)
     lhs35 = LinearMap(C.space, TC.carrier, lmult_TC @ jt.matrix.kron(rho1))
     rhs35 = psi @ chain_map(C.cc, [(1, None, 1), (1, jt, 1)], CT) @ C.delta

@@ -3,7 +3,12 @@
 A coring is a coalgebra in A-A bimodules; its coproduct lands in the
 balanced tensor of the carrier with itself.  All axioms are validated at
 construction as exact matrix identities, with the first failing basis
-vector as witness.
+vector as witness; bilinearity of the coproduct, the counit, a coaction and
+a coring morphism is ``algebra.nonlinear_side``.  A left comodule is
+validated by the right comodule's one body with its tensor legs reversed
+and its two actions exchanged (``Comodule.legs``), after Brzezinski and
+Wisbauer, *Corings and Comodules* (LMS LN 309, 2003), where the comodule
+axioms are identities of maps.  A group-like element is a column.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from .algebra import (
     chain_map,
     chain_outer_bimodule,
     first_nonzero_col,
+    nonlinear_side,
     regular_bimodule,
     tensor_chain,
 )
@@ -27,7 +33,7 @@ from .errors import (
     NotGroupLike,
     ShapeMismatch,
 )
-from .linalg import Matrix, outer
+from .linalg import Matrix
 from .spaces import LinearMap, Subspace, kernel
 
 
@@ -76,22 +82,13 @@ class Coring:
         A, C = self.base, self.carrier
         f = self.field
         # bilinearity of Delta and eps
-        lhs = self.delta.matrix @ C.lact.matrix
-        rhs = self.cc_outer.lact.matrix @ Matrix.identity(f, A.dim).kron(self.delta.matrix)
-        if lhs != rhs:
-            raise NotBilinear(f"{self.name}: coproduct is not left linear")
-        lhs = self.delta.matrix @ C.ract.matrix
-        rhs = self.cc_outer.ract.matrix @ self.delta.matrix.kron(Matrix.identity(f, A.dim))
-        if lhs != rhs:
-            raise NotBilinear(f"{self.name}: coproduct is not right linear")
-        lhs = self.eps.matrix @ C.lact.matrix
-        rhs = A.mult.matrix @ Matrix.identity(f, A.dim).kron(self.eps.matrix)
-        if lhs != rhs:
-            raise NotBilinear(f"{self.name}: counit is not left linear")
-        lhs = self.eps.matrix @ C.ract.matrix
-        rhs = A.mult.matrix @ self.eps.matrix.kron(Matrix.identity(f, A.dim))
-        if lhs != rhs:
-            raise NotBilinear(f"{self.name}: counit is not right linear")
+        side = nonlinear_side(self.delta.matrix, C, self.cc_outer)
+        if side is not None:
+            raise NotBilinear(f"{self.name}: coproduct is not {side} linear")
+        side = nonlinear_side(self.eps.matrix, C,
+                              Bimodule(A.space, A, A, A.mult, A.mult, check=False))
+        if side is not None:
+            raise NotBilinear(f"{self.name}: counit is not {side} linear")
         # coassociativity
         ccc = self.ccc()
         left = chain_map(self.cc, [(1, self.delta, 2), (1, None, 1)], ccc) @ self.delta
@@ -122,35 +119,38 @@ def trivial_coring(base: Algebra, carrier: Bimodule | None = None, name: str = "
     """The base algebra as a coring: Delta the canonical iso, eps = id."""
     bb = carrier or regular_bimodule(base)
     cc = tensor_chain([bb, bb], [base])
-    cols = [cc.proj.apply(outer(base.field, base.space.basis_vector(j), base.unit))
-            for j in range(base.dim)]
-    delta = LinearMap.from_columns(base.space, cc.carrier, cols)
+    delta = LinearMap(base.space, cc.carrier, cc.proj.matrix @ Matrix.identity(
+        base.field, base.dim).kron(base.unit_col))
     eps = LinearMap.identity(base.space)
     return Coring(base, bb, delta, eps, name or base.name + "-triv")
 
 
 class GroupLike:
-    def __init__(self, coring: Coring, element):
+    """A group-like element of a coring, kept as a one-column matrix."""
+
+    def __init__(self, coring: Coring, element: Matrix):
         self.coring = coring
-        self.element = tuple(element)
+        self.element = element
 
     def __repr__(self):
         return f"GroupLike({self.coring.name})"
 
 
-def check_grouplike(C: Coring, g) -> GroupLike:
-    g = tuple(g)
-    gg = C.cc.proj.apply(outer(C.field, g, g))
-    dg = C.delta.apply(g)
-    if dg != gg:
+def check_grouplike(C: Coring, g: Matrix) -> GroupLike:
+    """``g``, a one-column matrix, as a group-like element of C."""
+    if C.delta.matrix @ g != C.cc.proj.matrix @ g.kron(g):
         raise NotGroupLike(f"{C.name}: Delta(g) != g (x) g")
-    if C.eps.apply(g) != C.base.unit:
+    if C.eps.matrix @ g != C.base.unit_col:
         raise NotGroupLike(f"{C.name}: eps(g) != 1")
     return GroupLike(C, g)
 
 
 class Comodule:
-    """A one-sided comodule; ``side`` is 'right' or 'left'."""
+    """A one-sided comodule; ``side`` is 'right' or 'left'.
+
+    A left comodule is the right one with its tensor legs reversed and its
+    two actions exchanged (``legs``), so each construction and check is
+    written once, in right-hand order."""
 
     def __init__(self, coring: Coring, carrier: Bimodule, side: str,
                  rho: LinearMap, name: str = "", check: bool = True):
@@ -162,19 +162,10 @@ class Comodule:
         self.side = side
         self.name = name or self.space.name
         A = coring.base
-        if side == "right":
-            if carrier.right is not A:
-                raise ShapeMismatch("right comodule needs a right base action")
-            self.chain = tensor_chain([carrier, coring.carrier], [A])
-        else:
-            if carrier.left is not A:
-                raise ShapeMismatch("left comodule needs a left base action")
-            self.chain = tensor_chain([coring.carrier, carrier], [A])
-        self.outer = chain_outer_bimodule(
-            self.chain,
-            carrier if side == "right" else coring.carrier,
-            coring.carrier if side == "right" else carrier,
-        )
+        if (carrier.left if side == "left" else carrier.right) is not A:
+            raise ShapeMismatch(f"{side} comodule needs a {side} base action")
+        self.chain = tensor_chain(self.legs(carrier, coring.carrier), [A])
+        self.outer = chain_outer_bimodule(self.chain, *self.legs(carrier, coring.carrier))
         if rho.domain is not self.space or rho.codomain is not self.chain.carrier:
             raise ShapeMismatch("coaction has wrong domain or codomain")
         self.rho = rho
@@ -185,60 +176,34 @@ class Comodule:
     def dim(self):
         return self.space.dim
 
+    def legs(self, *xs) -> list:
+        """Tensor legs in right-hand order, reversed for a left comodule."""
+        return list(xs[::-1] if self.side == "left" else xs)
+
     def _validate(self):
-        C = self.coring
-        A = C.base
-        f = self.space.field
-        M = self.carrier
-        ident = Matrix.identity(f, self.dim)
-        if self.side == "right":
-            mcc = tensor_chain([M, C.carrier, C.carrier], [A, A])
-            lhs = chain_map(self.chain, [(1, self.rho, 2), (1, None, 1)], mcc) @ self.rho
-            rhs = chain_map(self.chain, [(1, None, 1), (1, C.delta, 2)], mcc) @ self.rho
-            if lhs != rhs:
-                raise NotCoassociative(
-                    f"{self.name}: coaction fails coassociativity at "
-                    f"{_witness(self.space, lhs - rhs)}"
-                )
-            counit = (
-                M.ract.matrix @ ident.kron(C.eps.matrix)
-                @ self.chain.sect.matrix @ self.rho.matrix
+        """Coassociativity, the counit law, then linearity over the base and
+        over the other ring, for a right comodule M -> M (x)_A C; a left
+        comodule reads each through ``legs``."""
+        C, M, rho = self.coring, self.carrier, self.rho
+        ident = Matrix.identity(self.space.field, self.dim)
+        mcc = tensor_chain(self.legs(M, C.carrier, C.carrier), [C.base] * 2)
+        lhs = chain_map(self.chain, self.legs((1, rho, 2), (1, None, 1)), mcc) @ rho
+        rhs = chain_map(self.chain, self.legs((1, None, 1), (1, C.delta, 2)), mcc) @ rho
+        if lhs != rhs:
+            raise NotCoassociative(
+                f"{self.name}: coaction fails coassociativity at "
+                f"{_witness(self.space, lhs - rhs)}"
             )
-            if counit != ident:
-                raise NotCounital(f"{self.name}: (id (x) eps) o rho != id")
-            lhs_m = self.rho.matrix @ M.ract.matrix
-            rhs_m = self.outer.ract.matrix @ self.rho.matrix.kron(Matrix.identity(f, A.dim))
-            if lhs_m != rhs_m:
-                raise NotBilinear(f"{self.name}: coaction is not right base-linear")
-            L = M.left
-            lhs_m = self.rho.matrix @ M.lact.matrix
-            rhs_m = self.outer.lact.matrix @ Matrix.identity(f, L.dim).kron(self.rho.matrix)
-            if lhs_m != rhs_m:
-                raise NotBilinear(f"{self.name}: coaction is not left linear")
-        else:
-            ccm = tensor_chain([C.carrier, C.carrier, M], [A, A])
-            lhs = chain_map(self.chain, [(1, None, 1), (1, self.rho, 2)], ccm) @ self.rho
-            rhs = chain_map(self.chain, [(1, C.delta, 2), (1, None, 1)], ccm) @ self.rho
-            if lhs != rhs:
-                raise NotCoassociative(
-                    f"{self.name}: coaction fails coassociativity at "
-                    f"{_witness(self.space, lhs - rhs)}"
-                )
-            counit = (
-                M.lact.matrix @ C.eps.matrix.kron(ident)
-                @ self.chain.sect.matrix @ self.rho.matrix
-            )
-            if counit != ident:
-                raise NotCounital(f"{self.name}: (eps (x) id) o rho != id")
-            lhs_m = self.rho.matrix @ M.lact.matrix
-            rhs_m = self.outer.lact.matrix @ Matrix.identity(f, A.dim).kron(self.rho.matrix)
-            if lhs_m != rhs_m:
-                raise NotBilinear(f"{self.name}: coaction is not left base-linear")
-            R = M.right
-            lhs_m = self.rho.matrix @ M.ract.matrix
-            rhs_m = self.outer.ract.matrix @ self.rho.matrix.kron(Matrix.identity(f, R.dim))
-            if lhs_m != rhs_m:
-                raise NotBilinear(f"{self.name}: coaction is not right linear")
+        base_act = self.legs(M.ract, M.lact)[0]
+        first, second = self.legs(ident, C.eps.matrix)
+        if base_act.matrix @ first.kron(second) @ self.chain.sect.matrix @ rho.matrix != ident:
+            raise NotCounital(f"{self.name}: ({' (x) '.join(self.legs('id', 'eps'))}) "
+                              "o rho != id")
+        base_side, other = self.legs("right", "left")
+        side = nonlinear_side(rho.matrix, M, self.outer, (base_side, other))
+        if side is not None:
+            base = "base-" if side == base_side else ""
+            raise NotBilinear(f"{self.name}: coaction is not {side} {base}linear")
 
     def __repr__(self):
         return f"Comodule({self.name}, {self.side} over {self.coring.name})"
@@ -297,15 +262,9 @@ def cotensor(M: Comodule, N: Comodule, name: str = "") -> Subspace:
     return kernel(lhs - rhs, name or f"{M.name}cot{N.name}")
 
 
-def _tensor_with_grouplike(M: Comodule, g) -> LinearMap:
-    f = M.space.field
-    n = M.dim
-    gcol = Matrix(f, [(x,) for x in g], 1)
-    if M.side == "right":
-        raw = Matrix.identity(f, n).kron(gcol)
-    else:
-        raw = gcol.kron(Matrix.identity(f, n))
-    return LinearMap(M.space, M.chain.carrier, M.chain.proj.matrix @ raw)
+def _tensor_with_grouplike(M: Comodule, g: Matrix) -> LinearMap:
+    first, second = M.legs(Matrix.identity(M.space.field, M.dim), g)
+    return LinearMap(M.space, M.chain.carrier, M.chain.proj.matrix @ first.kron(second))
 
 
 def coinvariants(M: Comodule, g: GroupLike, name: str = "") -> Subspace:
@@ -316,31 +275,22 @@ def coinvariants(M: Comodule, g: GroupLike, name: str = "") -> Subspace:
     return kernel(diff, name or f"{M.name}^co")
 
 
-def coinvariants_entwined(M: Comodule, action: LinearMap, rho_unit, name: str = "") -> Subspace:
+def coinvariants_entwined(M: Comodule, action: LinearMap, rho_unit: Matrix,
+                          name: str = "") -> Subspace:
     """Coinvariants of an entwined module: rho(m) = m . rho(1).
 
     ``action`` is the module structure (M (x) T -> M for a right comodule,
     T (x) M -> M for a left one) on the k-tensor ambient; ``rho_unit`` is
-    the image of the ring unit under the reference coaction, expanded to
-    the k-tensor ambient of that coaction's chain.
+    the image of the ring unit under the reference coaction, a column on
+    the k-tensor ambient of that coaction's chain.  For a right comodule
+    the reference is m -> sum (m.t_k) (x) c_k, with rho(1) = sum t_k (x)
+    c_k; a left one reads it through ``M.legs``.
     """
-    f = M.space.field
-    n = M.dim
-    ru = Matrix(f, [(x,) for x in rho_unit], 1)
-    if M.side == "right":
-        # m -> sum (m.t_k) (x) c_k ; rho_unit lives in T (x) C coordinates
-        t_dim = action.domain.dim // n
-        c_dim = len(rho_unit) // t_dim
-        step1 = Matrix.identity(f, n).kron(ru)  # M -> M(x)T(x)C
-        step2 = action.matrix.kron(Matrix.identity(f, c_dim))
-        raw = step2 @ step1
-    else:
-        m_side = action.domain.dim // n
-        d_dim = len(rho_unit) // m_side
-        step1 = ru.kron(Matrix.identity(f, n))  # M -> D(x)T(x)M
-        step2 = Matrix.identity(f, d_dim).kron(action.matrix)
-        raw = step2 @ step1
-    ref = LinearMap(M.space, M.chain.carrier, M.chain.proj.matrix @ raw)
+    f, n = M.space.field, M.dim
+    coring_leg = Matrix.identity(f, rho_unit.nrows // (action.domain.dim // n))
+    insert, act = (a.kron(b) for a, b in (M.legs(Matrix.identity(f, n), rho_unit),
+                                           M.legs(action.matrix, coring_leg)))
+    ref = LinearMap(M.space, M.chain.carrier, M.chain.proj.matrix @ act @ insert)
     return kernel(M.rho - ref, name or f"{M.name}^co")
 
 
@@ -366,16 +316,9 @@ def coring_morphism(kappa: LinearMap, C: Coring, Ct: Coring) -> CoringMorphism:
         raise ShapeMismatch("coring morphism needs a common base algebra")
     if kappa.domain is not C.space or kappa.codomain is not Ct.space:
         raise ShapeMismatch("morphism has wrong underlying spaces")
-    f = C.field
-    A = C.base
-    lhs = kappa.matrix @ C.carrier.lact.matrix
-    rhs = Ct.carrier.lact.matrix @ Matrix.identity(f, A.dim).kron(kappa.matrix)
-    if lhs != rhs:
-        raise NotColinear("coring morphism is not left linear")
-    lhs = kappa.matrix @ C.carrier.ract.matrix
-    rhs = Ct.carrier.ract.matrix @ kappa.matrix.kron(Matrix.identity(f, A.dim))
-    if lhs != rhs:
-        raise NotColinear("coring morphism is not right linear")
+    side = nonlinear_side(kappa.matrix, C.carrier, Ct.carrier)
+    if side is not None:
+        raise NotColinear(f"coring morphism is not {side} linear")
     two = chain_map(C.cc, [(1, kappa, 1), (1, kappa, 1)], Ct.cc)
     if Ct.delta @ kappa != two @ C.delta:
         raise NotColinear("coring morphism does not intertwine the coproducts")

@@ -16,6 +16,7 @@ from .algebra import (
     chain_outer_bimodule,
     corestrict_through,
     induce,
+    split_right,
     sub_bimodule,
     tensor_chain,
 )
@@ -90,7 +91,7 @@ def build_calculus(bundle: PreTorsorBundle, pair: CoringPair,
     omega2 = tensor_chain([om1_bim, om1_bim], [base])
 
     # d0: a -> 1 (x) u(a) - u(a) (x) 1
-    unit_col = b.unit_col
+    unit_col = b.T.unit_col
     d0_big = LinearMap(base.space, two_leg.carrier,
                        two_leg.proj.matrix
                        @ (unit_col.kron(unit_map_mat)
@@ -132,7 +133,7 @@ def connections(bundle: PreTorsorBundle, pair: CoringPair,
     TOm1 = tensor_chain([b.T_BA, calcA.omega1_bim], [b.A])
     embed = LinearMap(
         b.T.space, b.X3.carrier,
-        b.X3.proj.matrix @ b.idT.kron(b.unit_col).kron(b.unit_col))
+        b.X3.proj.matrix @ b.idT.kron(b.T.unit_col).kron(b.T.unit_col))
     big = bundle.tau - embed
     j = chain_map(TOm1, [(1, None, 1), (1, calcA.omega1.inclusion, 2)], b.X3)
     nabla_r = corestrict_through(j, big, RangeFailure,
@@ -163,7 +164,7 @@ def connections(bundle: PreTorsorBundle, pair: CoringPair,
     Om1T = tensor_chain([calcB.omega1_bim, b.T_BA], [b.B])
     embed_l = LinearMap(
         b.T.space, b.X3.carrier,
-        b.X3.proj.matrix @ b.unit_col.kron(b.unit_col).kron(b.idT))
+        b.X3.proj.matrix @ b.T.unit_col.kron(b.T.unit_col).kron(b.idT))
     big_l = embed_l - bundle.tau
     j_l = chain_map(Om1T, [(1, calcB.omega1.inclusion, 2), (1, None, 1)], b.X3)
     nabla_l = corestrict_through(j_l, big_l, RangeFailure,
@@ -244,16 +245,12 @@ def bimodule_connection(bundle: PreTorsorBundle, pair: CoringPair,
                 ent_left.psi @ lift == into_DT @ sigma_b)
 
     # sigma_l needs tau right B-linear
-    tau_right_linear = True
-    for i in range(b.B.dim):
-        bv = b.beta.map.apply(b.B.space.basis_vector(i))
-        rmul = b.T.right_mult_map(bv).matrix
-        lhs_m = bundle.tau.matrix @ rmul
-        rhs_m = (b.X3.proj.matrix @ b.idT.kron(b.idT).kron(rmul)
-                 @ b.X3.sect.matrix @ bundle.tau.matrix)
-        if lhs_m != rhs_m:
-            tau_right_linear = False
-            break
+    # per basis element of B, right multiplication by its image under beta,
+    # read off the right B-action of T
+    tau = bundle.tau.matrix
+    tau_right_linear = all(
+        tau @ rmul == b.X3.proj.matrix @ b.idT.kron(b.idT).kron(rmul) @ b.X3.sect.matrix @ tau
+        for rmul in split_right(b.T_AB.ract.matrix, b.B.dim))
     # a verdict, not a failure: the mixed twist simply may not exist
     rep.add("propB.2.tau-right-linear", "B.2(2)", True,
             witness=None if tau_right_linear

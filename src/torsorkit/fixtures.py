@@ -332,9 +332,9 @@ def smash_product(field: Field, B: Algebra, h: HopfData, action: Matrix,
                             avec = [f.zero] * (nh * nb)
                             avec[idx1 * nb + p] = cji
                             acted = action.apply(tuple(avec))
-                            prod_b = B.product_vec(B.space.basis_vector(i),
-                                                   acted)
-                            prod_h = h.algebra.product_vec(
+                            prod_b = B.mult.matrix.apply_pair(B.space.basis_vector(i),
+                                                              acted)
+                            prod_h = h.algebra.mult.matrix.apply_pair(
                                 h.algebra.space.basis_vector(idx2),
                                 h.algebra.space.basis_vector(q))
                             for bi, bv in enumerate(prod_b):

@@ -127,14 +127,6 @@ class LinearMap:
     def rank(self):
         return self.matrix.rank()
 
-    def retarget(self, codomain: Space) -> "LinearMap":
-        """Same matrix viewed into another space of equal dimension."""
-        return LinearMap(self.domain, codomain, self.matrix)
-
-    def rebase(self, domain: Space) -> "LinearMap":
-        """Same matrix viewed from another space of equal dimension."""
-        return LinearMap(domain, self.codomain, self.matrix)
-
 
 class Subspace:
     """A subspace with canonical inclusion and a retraction splitting it.
@@ -196,19 +188,26 @@ class Subspace:
 
     def contains_map(self, f: LinearMap) -> bool:
         """Whether the image of ``f`` (into the ambient) lies in this subspace."""
-        if f.codomain is not self.ambient:
-            raise AmbientMismatch("map does not land in the ambient space")
-        proj = self.inclusion @ self.retraction @ f
-        return (proj - f).is_zero()
+        return self._retract(f) is not None
 
     def corestrict(self, f: LinearMap) -> LinearMap:
         """View a map into the ambient as a map into the subspace.
 
         Raises AmbientMismatch if the image is not contained in the subspace.
         """
-        if not self.contains_map(f):
+        g = self._retract(f)
+        if g is None:
             raise AmbientMismatch("image not contained in subspace")
-        return self.retraction @ f
+        return g
+
+    def _retract(self, f: LinearMap):
+        """``retraction @ f``, or None when the image of ``f`` leaves the
+        subspace: the inclusion of that retraction is not ``f``.  The
+        ambient projector ``inclusion @ retraction`` is never built."""
+        if f.codomain is not self.ambient:
+            raise AmbientMismatch("map does not land in the ambient space")
+        g = self.retraction @ f
+        return g if self.inclusion.matrix @ g.matrix == f.matrix else None
 
     def __eq__(self, other):
         return (

@@ -129,7 +129,7 @@ def test_criterion_3_galois_bijectivity():
         pair = an.pair
         one_tensor = LinearMap(
             pair.C.space, pair.TC.carrier,
-            pair.TC.proj.matrix @ b.unit_col.kron(
+            pair.TC.proj.matrix @ b.T.unit_col.kron(
                 Matrix.identity(b.field, pair.C.dim)))
         ok &= g.can @ g.chi == one_tensor
         ok &= b.mu_TBT @ g.chi == b.alpha.map @ pair.C.eps

@@ -17,6 +17,8 @@ from torsorkit.algebra import (
     make_algebra,
     opposite,
     regular_bimodule,
+    split_left,
+    split_right,
     sub_bimodule,
     tensor_chain,
 )
@@ -162,7 +164,7 @@ def test_opposite():
     op = opposite(m2)
     e01 = m2.space.basis_vector(1)
     e10 = m2.space.basis_vector(2)
-    assert op.product_vec(e01, e10) == m2.product_vec(e10, e01)
+    assert op.mult.matrix.apply_pair(e01, e10) == m2.mult.matrix.apply_pair(e10, e01)
 
 
 def test_algebra_map_validation():
@@ -195,8 +197,9 @@ def _basis(field, n):
 @given(st.sampled_from([QQ, GF(101)]), st.sampled_from(LEG_DIMS), st.data())
 @settings(max_examples=40, deadline=None)
 def test_action_helpers_agree_with_apply_pair(field, dims, data):
-    """``fix_*`` read back the maps ``join_*`` assembled, and each helper
-    agrees column by column with ``apply_pair`` on basis vectors."""
+    """``fix_*`` and ``split_*`` read back the maps ``join_*`` assembled,
+    and each helper agrees column by column with ``apply_pair`` on basis
+    vectors."""
     k, m = dims
 
     def draw_matrix(rows, cols):
@@ -207,16 +210,18 @@ def test_action_helpers_agree_with_apply_pair(field, dims, data):
     ring, module = _basis(field, k), _basis(field, m)
     lact, ract = join_left(maps), join_right(maps)
     assert lact.shape == ract.shape == (m, k * m)
+    assert split_left(lact, k) == maps == split_right(ract, k)
     for r, mi in zip(ring, maps):
-        assert fix_left(lact, r, m) == mi
-        assert fix_right(ract, m, r) == mi
+        assert fix_left(lact, Matrix.from_cols(field, [r]), m) == mi
+        assert fix_right(ract, m, Matrix.from_cols(field, [r])) == mi
         for j, x in enumerate(module):
             assert lact.apply_pair(r, x) == mi.col(j) == ract.apply_pair(x, r)
     u = tuple(field.parse(a) for a in data.draw(st.lists(SMALL, min_size=k, max_size=k)))
     left_bilinear, right_bilinear = draw_matrix(m, k * m), draw_matrix(m, m * k)
+    u_col = Matrix.from_cols(field, [u])
     for j, x in enumerate(module):
-        assert fix_left(left_bilinear, u, m).col(j) == left_bilinear.apply_pair(u, x)
-        assert fix_right(right_bilinear, m, u).col(j) == right_bilinear.apply_pair(x, u)
+        assert fix_left(left_bilinear, u_col, m).col(j) == left_bilinear.apply_pair(u, x)
+        assert fix_right(right_bilinear, m, u_col).col(j) == right_bilinear.apply_pair(x, u)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)])
@@ -236,10 +241,10 @@ def test_actions_through_algebra_maps_agree_with_apply_pair(field):
     link = _opposite_link(opposite(c2), M, Mp)
     for a in _basis(field, c2.dim):
         for x in _basis(field, T.dim):
-            assert M.lact_vec(a, x) == T.product_vec(swap.map.apply(a), x)
-            assert M.ract_vec(x, a) == T.product_vec(x, sign.map.apply(a))
-            assert link.act_i.matrix.apply_pair(x, a) == M.lact_vec(a, x)
-            assert link.act_j.matrix.apply_pair(a, x) == Mp.ract_vec(x, a)
+            assert M.lact.matrix.apply_pair(a, x) == T.mult.matrix.apply_pair(swap.map.apply(a), x)
+            assert M.ract.matrix.apply_pair(x, a) == T.mult.matrix.apply_pair(x, sign.map.apply(a))
+            assert link.act_i.matrix.apply_pair(x, a) == M.lact.matrix.apply_pair(a, x)
+            assert link.act_j.matrix.apply_pair(a, x) == Mp.ract.matrix.apply_pair(x, a)
 
 
 class Unstable(Exception):
@@ -251,8 +256,8 @@ def _first_leaving(sub, outer, swapped=False):
     action over (ring, module) pairs, then the right action over (module,
     ring) pairs; ``swapped`` swaps both pair orders."""
     cols = [sub.inclusion.matrix.col(j) for j in range(sub.dim)]
-    for side, ring, act in (("left", outer.left, lambda a, w: outer.lact_vec(a, w)),
-                            ("right", outer.right, lambda a, w: outer.ract_vec(w, a))):
+    for side, ring, act in (("left", outer.left, lambda a, w: outer.lact.matrix.apply_pair(a, w)),
+                            ("right", outer.right, lambda a, w: outer.ract.matrix.apply_pair(w, a))):
         pairs = list(itertools.product(range(ring.dim), cols))
         if (side == "right") != swapped:
             pairs = [(i, w) for w in cols for i in range(ring.dim)]

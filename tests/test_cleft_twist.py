@@ -91,7 +91,7 @@ def test_base_case_and_double_twist():
     twisted, rep2 = cocycle_double_twist(bgdH, sigma, sigma, "c2")
     assert rep2.ok and twisted is not None
     g = twisted.coring.space.basis_vector(1)
-    assert twisted.algebra.product_vec(g, g) == tuple(h.algebra.unit)
+    assert twisted.algebra.mult.matrix.apply_pair(g, g) == tuple(h.algebra.unit)
 
 
 def test_double_twist_trivial_keeps_product():
@@ -173,17 +173,17 @@ def _reference_product(inp):
                             v1, v2 = divmod(v12, nH)
                             coef = f.mul(f.mul(vxy, vuv),
                                          f.mul(vx, f.mul(vu, vv)))
-                            b1 = B.product_vec(
+                            b1 = B.mult.matrix.apply_pair(
                                 basisB[bi],
-                                B.product_vec(
+                                B.mult.matrix.apply_pair(
                                     act(basisH[x1], basisB[ci]),
                                     sigma(basisH[x2], basisH[u1])))
-                            b2 = B.product_vec(
+                            b2 = B.mult.matrix.apply_pair(
                                 basisB[cpi],
-                                B.product_vec(
+                                B.mult.matrix.apply_pair(
                                     act(basisH[v1], basisB[bpi]),
                                     sigma(basisH[v2], basisH[y])))
-                            hleg = H.algebra.product_vec(basisH[x3], basisH[u2])
+                            hleg = H.algebra.mult.matrix.apply_pair(basisH[x3], basisH[u2])
                             for (i1, w1) in _nonzero(f, b1):
                                 for (i2, w2) in _nonzero(f, b2):
                                     for (i3, w3) in _nonzero(f, hleg):
@@ -238,9 +238,9 @@ def _reference_coproduct_counit(inp):
             ph2 = chi_mat.col(h2)
             for (xy, vxy) in _nonzero(f, ph2):
                 x, y = divmod(xy, nH)
-                term = B.product_vec(
+                term = B.mult.matrix.apply_pair(
                     basisB[b_i],
-                    B.product_vec(act(basisH[h1], basisB[bp_i]),
+                    B.mult.matrix.apply_pair(act(basisH[h1], basisB[bp_i]),
                                   sigma(basisH[x], basisH[y])))
                 for k, x2 in enumerate(term):
                     if not f.is_zero(x2):
@@ -282,15 +282,15 @@ def _reference_inverse(inp):
                             coef = f.mul(f.mul(vxy, vy), f.mul(vuv,
                                                                f.mul(vu, vab)))
                             first = outer(f, basisB[b_i], B.unit, basisH[x])
-                            mid_b = B.product_vec(
+                            mid_b = B.mult.matrix.apply_pair(
                                 basisB[bp_i],
-                                B.product_vec(act(basisH[y1], basisB[c_i]),
+                                B.mult.matrix.apply_pair(act(basisH[y1], basisB[c_i]),
                                               sigma(basisH[y2], basisH[u1])))
-                            last_b = B.product_vec(
+                            last_b = B.mult.matrix.apply_pair(
                                 basisB[cp_i],
-                                sigma_tilde(H.algebra.product_vec(basisH[v], basisH[bb]),
+                                sigma_tilde(H.algebra.mult.matrix.apply_pair(basisH[v], basisH[bb]),
                                             basisH[y4]))
-                            hleg = H.algebra.product_vec(basisH[a], basisH[u2])
+                            hleg = H.algebra.mult.matrix.apply_pair(basisH[a], basisH[u2])
                             second = outer(f, mid_b, last_b, hleg)
                             pair = outer(f, first, second)
                             for k2, val in enumerate(pair):
@@ -328,10 +328,10 @@ def _reference_double_twist(bgdH, sigma, sigma_tilde):
                     j1, j2 = divmod(j12, nH)
                     sfac = sigma.apply_pair(basisH[i1], basisH[j1])
                     tfac = sigma_tilde.apply_pair(basisH[i3], basisH[j3])
-                    mid = H.algebra.product_vec(basisH[i2], basisH[j2])
-                    term = H.algebra.product_vec(
-                        H.s_vec(sfac),
-                        H.algebra.product_vec(H.t_vec(tfac), mid))
+                    mid = H.algebra.mult.matrix.apply_pair(basisH[i2], basisH[j2])
+                    term = H.algebra.mult.matrix.apply_pair(
+                        H.source.map.apply(sfac),
+                        H.algebra.mult.matrix.apply_pair(H.target.map.apply(tfac), mid))
                     for k, x in enumerate(term):
                         if not f.is_zero(x):
                             acc[k] = f.add(acc[k], f.mul(f.mul(vi, vj), x))
@@ -356,7 +356,7 @@ def _reference_a2_maps(inp):
                     for (xy, vxy) in _nonzero(f, p):
                         x, y = divmod(xy, nH)
                         lval = sig_mat.apply_pair(basisH[x], basisH[y])
-                        term = H.algebra.product_vec(H.t_vec(lval), basisH[h1])
+                        term = H.algebra.mult.matrix.apply_pair(H.target.map.apply(lval), basisH[h1])
                         for k, w in enumerate(term):
                             if not f.is_zero(w):
                                 acc[k] = f.add(acc[k], f.mul(f.mul(vh, vxy), w))
@@ -365,7 +365,7 @@ def _reference_a2_maps(inp):
                     for (xy, vxy) in _nonzero(f, p):
                         x, y = divmod(xy, nH)
                         lval = sig_mat.apply_pair(basisH[y], basisH[h2])
-                        term = H.algebra.product_vec(basisH[x], H.t_vec(lval))
+                        term = H.algebra.mult.matrix.apply_pair(basisH[x], H.target.map.apply(lval))
                         for k, w in enumerate(term):
                             if not f.is_zero(w):
                                 acc[k] = f.add(acc[k], f.mul(f.mul(vh, vxy), w))

@@ -30,8 +30,9 @@ assembled one basis vector at a time, and a traced benchmark pass passes.
 The checks on tau (x) tau contract its middle legs before any outer product.
 Every displayed cleft/twist formula is a ``kron_apply`` expression; only the
 independent smash-pattern reference still sums one scalar at a time.  No
-bialgebroid check reads a structure map one value at a time, and every name
-a module reads is bound in it.
+bialgebroid check reads a structure map one value at a time, and no engine
+code outside a short list of named functions reads a value at a time at
+all.  Every name a module reads is bound in it.
 """
 
 import argparse
@@ -92,7 +93,26 @@ COLUMN_LOOP_HELPERS = {"_fixed_left_act", "_fixed_right_act",
 # and the per-value reads they were built from
 CLEFT_REFERENCE = "smash_pattern_product"
 CLEFT_LOOP_HELPERS = {"_nz", "product_vector", "inv_vector", "eval_map"}
-PER_VALUE_READS = {"basis_vector", "col", "apply_pair", "product_vec", "lact_vec", "ract_vec"}
+PER_VALUE_READS = {"basis_vector", "col", "apply", "apply_pair", "product_vec", "lact_vec",
+                   "ract_vec", "s_vec", "t_vec"}
+# the modules whose job is values one at a time: the Matrix kernels, the
+# scalars, the document layer and the naive oracle
+PER_VALUE_MODULES = {"linalg.py", "fields.py", "serialize.py", ORACLE}
+# the only engine functions that still read values one at a time, and why
+PER_VALUE_EXEMPT = {
+    "algebra.make_algebra": "parses a document's structure constants",
+    "algebra.algebra_from_table": "parses a document's dense product table",
+    "algebra._restrict": "its per-column contains_vector keeps dense-q's traced "
+                         "fields.is_zero calls, which the benchmark requires",
+    "algebra._relation_columns": "the per-value field.sub and is_zero that the traced "
+                                 "benchmark counts",
+    "algebra.relation_witness": "a witness is a vector",
+    "algebra.Algebra.unit": "the unit as the vector documents store and the tests read",
+    "spaces.LinearMap.apply": "the per-vector image the tests use as their reference",
+    "spaces.Subspace.contains_vector": "the per-value fields.is_zero calls dense-q's "
+                                       "traced benchmark requires",
+    "cleft_twist.smash_pattern_product": "the independent per-value reference",
+}
 
 
 def _names(tree):
@@ -510,6 +530,34 @@ def _per_value_reads(scope):
     return [f"{node.lineno} {ast.unparse(node)}" for node in ast.walk(scope)
             if _field_scalar_call(node) or (
                 isinstance(node, ast.Attribute) and node.attr in PER_VALUE_READS)]
+
+
+def _engine_scopes():
+    """``(module.function, node)`` for each top-level function, method and
+    other top-level statement of the engine modules."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in PER_VALUE_MODULES:
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    yield f"{path.stem}.{node.name}.{getattr(item, 'name', '')}", item
+            else:
+                yield f"{path.stem}.{getattr(node, 'name', '')}", node
+
+
+def test_engine_reads_no_value_at_a_time():
+    """Outside ``PER_VALUE_MODULES`` and the functions of
+    ``PER_VALUE_EXEMPT`` no engine code calls a per-value field method or
+    reads a basis vector, a dense column, an image of one vector or a
+    bilinear map on a vector pair: maps, bimodules, comodules, units and
+    group-likes are checked as whole-matrix identities.  Every exemption
+    names a function that exists."""
+    scopes = dict(_engine_scopes())
+    assert set(PER_VALUE_EXEMPT) <= set(scopes), set(PER_VALUE_EXEMPT) - set(scopes)
+    offenders = [f"{name} {read}" for name, scope in scopes.items()
+                 if name not in PER_VALUE_EXEMPT for read in _per_value_reads(scope)]
+    assert not offenders, offenders
 
 
 def test_cleft_twist_formulas_are_matrix_expressions():

@@ -79,7 +79,7 @@ def test_c2_corings_explicit(an_c2):
             b.TBT.proj.apply(amb))) == b.A.unit
     from torsorkit.coring import check_grouplike
     for k in range(2):
-        check_grouplike(pair.C, pair.C.space.basis_vector(k))
+        check_grouplike(pair.C, Matrix.from_cols(QQ, [pair.C.space.basis_vector(k)]))
 
 
 def test_galois_translation_values(an_c2):
@@ -137,9 +137,8 @@ def test_equivalence_witness_regular_and_sum(an_c2):
     ract = LinearMap(tensor_space([one, b.A.space]), one,
                      Matrix.from_rows(QQ, [[1]]))
     mbim = Bimodule(one, b.A, b.A, lact, ract)
-    g = pair.grouplike_C.element
+    gcol = pair.grouplike_C.element
     cm = tensor_chain([pair.C.carrier, mbim], [b.A])
-    gcol = Matrix(QQ, [(x,) for x in g], 1)
     rho = LinearMap(one, cm.carrier, cm.proj.matrix @ gcol)
     m1 = Comodule(pair.C, mbim, "left", rho, "M1")
     w1 = equivalence_witness(b, pair, an.tbar, m1)
@@ -187,9 +186,8 @@ def test_kappa_identity_permutation_and_degenerate(an_c2):
     assert bij2 and gal2
     assert morph2.map.matrix == P
     # group-like span: surjective but not injective, Galois verdict false
-    g = pair.grouplike_C.element
+    gcol = pair.grouplike_C.element
     span = Space(QQ, 1, "Cg")
-    gcol = Matrix(QQ, [(x,) for x in g], 1)
     lact1 = LinearMap(tensor_space([b.A.space, span]), span,
                       Matrix.from_rows(QQ, [[1]]))
     ract1 = LinearMap(tensor_space([span, b.A.space]), span,

@@ -187,7 +187,7 @@ def test_perturbed_d_product_breaks_delta_multiplicativity(an_smash):
                 if not f.is_zero(x))
     rows[i][j] = f.add(rows[i][j], f.one)
     mult = LinearMap(D_alg.mult.domain, D_alg.space, Matrix(f, rows))
-    perturbed = Algebra(D_alg.space, mult, D_alg.unit, "D'", check=False)
+    perturbed = Algebra(D_alg.space, mult, D_alg.unit_col, "D'", check=False)
     assert not delta_multiplicative(perturbed)
 
 
