@@ -200,11 +200,13 @@ def bialgebroid_report(an: BundleAnalysis) -> Report:
         rep.extend(diagonal_coinvariants(b, an.pair))
     except TorsorKitError as exc:
         rep.add("lem5.3", "5.3", False, witness=str(exc))
+    reduced = None
     try:
         creg = an.regular_comodule()
         witness, data = monoidal_witness(b, an.pair, an.bialgebroids[0],
                                          creg, creg)
         rep.extend(witness.report)
+        reduced = data["phi_MM"], data["S_MM"]
         data["xi"] = witness.xi
         ok = can_factorisation(b, an.pair, an.bialgebroids[0],
                                an.galois_right, data)
@@ -217,7 +219,7 @@ def bialgebroid_report(an: BundleAnalysis) -> Report:
         from .algebra import regular_bimodule
         A_bim = regular_bimodule(b.A)
         rep.extend(lemma55_check(b, an.pair, an.bialgebroids[0],
-                                 an.theta_right, A_bim, A_bim))
+                                 an.theta_right, A_bim, A_bim, reduced=reduced))
     except TorsorKitError as exc:
         rep.add("lem5.5", "(5.13)", False, witness=str(exc))
     return rep

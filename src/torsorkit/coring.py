@@ -249,6 +249,12 @@ class Bicomodule:
 
 def cotensor(M: Comodule, N: Comodule, name: str = "") -> Subspace:
     """The equaliser M cotensor_C N inside the carrier of M (x)_A N."""
+    return kernel(cotensor_difference(M, N), name or f"{M.name}cot{N.name}")
+
+
+def cotensor_difference(M: Comodule, N: Comodule) -> LinearMap:
+    """``rho_M (x) id - id (x) rho_N`` from M (x)_A N to M (x)_A C (x)_A N,
+    whose kernel is the cotensor."""
     if M.side != "right" or N.side != "left":
         raise ShapeMismatch("cotensor needs a right and a left comodule")
     if M.coring is not N.coring:
@@ -259,7 +265,7 @@ def cotensor(M: Comodule, N: Comodule, name: str = "") -> Subspace:
     mcn = tensor_chain([M.carrier, C.carrier, N.carrier], [A, A])
     lhs = chain_map(mn, [(1, M.rho, 2), (1, None, 1)], mcn)
     rhs = chain_map(mn, [(1, None, 1), (1, N.rho, 2)], mcn)
-    return kernel(lhs - rhs, name or f"{M.name}cot{N.name}")
+    return lhs - rhs
 
 
 def _tensor_with_grouplike(M: Comodule, g: Matrix) -> LinearMap:
@@ -273,25 +279,6 @@ def coinvariants(M: Comodule, g: GroupLike, name: str = "") -> Subspace:
         raise ShapeMismatch("group-like lives in a different coring")
     diff = M.rho - _tensor_with_grouplike(M, g.element)
     return kernel(diff, name or f"{M.name}^co")
-
-
-def coinvariants_entwined(M: Comodule, action: LinearMap, rho_unit: Matrix,
-                          name: str = "") -> Subspace:
-    """Coinvariants of an entwined module: rho(m) = m . rho(1).
-
-    ``action`` is the module structure (M (x) T -> M for a right comodule,
-    T (x) M -> M for a left one) on the k-tensor ambient; ``rho_unit`` is
-    the image of the ring unit under the reference coaction, a column on
-    the k-tensor ambient of that coaction's chain.  For a right comodule
-    the reference is m -> sum (m.t_k) (x) c_k, with rho(1) = sum t_k (x)
-    c_k; a left one reads it through ``M.legs``.
-    """
-    f, n = M.space.field, M.dim
-    coring_leg = Matrix.identity(f, rho_unit.nrows // (action.domain.dim // n))
-    insert, act = (a.kron(b) for a, b in (M.legs(Matrix.identity(f, n), rho_unit),
-                                           M.legs(action.matrix, coring_leg)))
-    ref = LinearMap(M.space, M.chain.carrier, M.chain.proj.matrix @ act @ insert)
-    return kernel(M.rho - ref, name or f"{M.name}^co")
 
 
 class CoringMorphism:

@@ -61,20 +61,26 @@ permutation as a matrix and is kept as the reference the tests compare
 against.  An order that does not list each leg exactly once is refused.
 
 A Kronecker product is applied, not built.  ``kron_apply`` evaluates
-``(F1 (x) ... (x) Fk) . P . (G1 (x) ... (x) Gm)`` one output column at a
-time from the factors' column supports, which each ``Matrix`` computes once
-and keeps (the vec/Kronecker identities of Van Loan, *The ubiquitous
-Kronecker product*, JCAM 2000), so a tensor identity is checked at the size
-of its carrier, not of its ambient.  In the
-same way ``Matrix.apply_pair`` evaluates a bilinear map, such as a product
-or an action, on a pair of vectors without building their outer product;
-``outer`` builds it where a tensor vector is wanted.
+``(F1 (x) ... (x) Fk) . P . (G1 (x) ... (x) Gm)`` by the shuffle algorithm
+(Davio, *Kronecker products and shuffle algebra*, IEEE Trans. Comput.
+1981; Fackler, *Algorithm 993*, ACM TOMS 45, 2019).  It builds the G
+product on its nonempty rows only, each moved through P by a per-block
+index table, and then applies the F factors one at a time, last first,
+each to all columns at once as one ``Matrix.__matmul__`` whose right
+operand is the current rows reshaped so that the factor's legs index its
+rows.  A reshape is an index map with no arithmetic, so every stage takes
+the product's own path choice, and over GF(p) a dense stage is packed.  So
+a tensor identity is checked at the size of its carrier, not of its
+ambient (the vec/Kronecker identities of Van Loan, *The ubiquitous
+Kronecker product*, JCAM 2000).  In the same way ``Matrix.apply_pair``
+evaluates a bilinear map, such as a product or an action, on a pair of
+vectors without building their outer product; ``outer`` builds it where a
+tensor vector is wanted.
 """
 
 from __future__ import annotations
 
 import sys
-from itertools import product
 from math import prod
 from operator import mul
 
@@ -875,8 +881,29 @@ def _block_sizes(factors, legs, size_of):
 
     ``None`` is the identity on one leg; a matrix covers a nonempty run of
     legs whose dimensions multiply to its size.  Legs of dimension one make
-    the runs ambiguous, so the cover is searched for.
+    the runs ambiguous, so the cover is searched for, depth first and
+    shortest run first.  The search's first path is tried first without
+    recursion: each factor takes its shortest run, and the last one the
+    legs that are left.
     """
+    sizes, pos, last = [], 0, len(factors) - 1
+    for k, fac in enumerate(factors):
+        if pos == len(legs):
+            break
+        size = legs[pos]
+        pos += 1
+        if fac is not None:
+            want = size_of(fac)
+            while pos < len(legs) and (size != want or k == last):
+                size *= legs[pos]
+                pos += 1
+            if size != want:
+                break
+        sizes.append(size)
+    else:
+        if pos == len(legs):
+            return sizes
+
     def fit(k, pos):
         if k == len(factors):
             return [] if pos == len(legs) else None
@@ -921,6 +948,88 @@ def _block_offsets(dims, order, sizes):
     return tables
 
 
+def _g_rows(field, right, offsets):
+    """The nonempty rows of ``P @ (G1 (x) ... (x) Gm)`` as ``{row: {col:
+    value}}``, and its column count.
+
+    ``offsets`` gives, per G block, where each of its rows lands (a table
+    from ``_block_offsets``, or a ``range`` of the block's row-major
+    stride), so a product row lands at the sum of its blocks' entries.  A
+    row is the outer product of one nonempty row of each factor; an
+    identity factor's row r is the unit vector at r, so it moves indices
+    and multiplies nothing.  A row is normalised only where it holds
+    products of two matrix factors' values.
+    """
+    rows, ncols, scaled = None, 1, False
+    for g, off in zip(right, offsets):
+        if g is None:
+            n = len(off)
+            if rows is None:
+                one = field.one
+                rows = {off[r]: {r: one} for r in range(n)}
+            else:
+                rows = {x + off[r]: {c * n + r: v for c, v in row.items()}
+                        for x, row in rows.items() for r in range(n)}
+            ncols *= n
+            continue
+        m = g.ncols
+        if rows is None:
+            rows = {off[r]: gr for r, gr in enumerate(g._rows) if gr}
+        elif scaled:
+            normalise = field.normalise
+            rows = {x + off[r]: normalise({c * m + k: v * a for c, v in row.items()
+                                           for k, a in gr.items()}, False)
+                    for x, row in rows.items() for r, gr in enumerate(g._rows) if gr}
+        else:
+            # every value so far is one
+            rows = {x + off[r]: {c * m + k: a for c in row for k, a in gr.items()}
+                    for x, row in rows.items() for r, gr in enumerate(g._rows) if gr}
+        ncols *= m
+        scaled = True
+    if rows is None:
+        # no legs: the product is the 1 x 1 identity
+        rows = {0: {0: field.one}}
+    return rows, ncols
+
+
+def _apply_block(field, fac, rows, nhi, lo, ncols):
+    """``(I_nhi (x) fac (x) I_lo) @ S`` for S given by its nonempty rows
+    ``{row: {col: value}}`` with ``ncols`` columns, as the same kind of map.
+
+    One matrix product ``fac @ R``: R has one row per index ``mid`` of the
+    block's legs and one column per (leading index, trailing index,
+    column) of S, so entry (hi, mid, low; j) of S is entry (mid; hi, low,
+    j) of R.  The reshapes are index maps; only ``Matrix.__matmul__``
+    computes, on whichever path it picks.
+    """
+    n = fac.ncols
+    width, span = n * lo, lo * ncols
+    blocks = [{} for _ in range(n)]
+    for x, row in rows.items():
+        hi, rem = divmod(x, width)
+        mid, low = divmod(rem, lo)
+        base = hi * span + low * ncols
+        blocks[mid].update({base + j: v for j, v in row.items()})
+    res = fac @ Matrix.from_sparse_rows(field, blocks, nhi * span)
+    # entry (r; hi, low, j) of the product is entry (hi, r, low; j) of the
+    # result, whose row-major position y * ncols + j moves (hi, low, j) by
+    # hi blocks of the other fac.nrows - 1 rows and by r rows
+    step = (fac.nrows - 1) * span
+    out = {}
+    get = out.get
+    for r, prow in enumerate(res._rows):
+        shift = r * span
+        for c, v in prow.items():
+            pos = c + c // span * step + shift
+            y = pos // ncols
+            row = get(y)
+            if row is None:
+                out[y] = {pos % ncols: v}
+            else:
+                row[pos % ncols] = v
+    return out
+
+
 def kron_apply(field, left, dims, order, right) -> Matrix:
     """``(F1 (x) ... (x) Fk) @ P @ (G1 (x) ... (x) Gm)``, never built.
 
@@ -929,60 +1038,60 @@ def kron_apply(field, left, dims, order, right) -> Matrix:
     product lands on, and ``P = mixed_permutation(field, dims, order)``
     reorders them for the F product (``order=None``: no reordering).
 
-    Each output column is the outer product of the G factors' column
-    supports (``Matrix.col_supports``, kept on each factor from its first
-    use), moved through the index map of P; the F factors are then
-    applied one block at a time, last first, to that sparse column.  No
-    Kronecker product and no ambient-sized matrix is materialised, and P's
-    index map is kept per G block (``_block_offsets``), never over the
-    whole product of the legs.
+    The G product is built on its nonempty rows only, each moved through P
+    by a per-block index table (``_block_offsets``, never a map over the
+    whole product of the legs).  The F factors are then applied one at a
+    time, last first, each to all columns at once as one matrix product
+    (``_apply_block``): the shuffle algorithm of Davio, *Kronecker products
+    and shuffle algebra* (IEEE Trans. Comput. 1981) and Fackler, *Algorithm
+    993* (ACM TOMS 45, 2019).  Each stage is a ``Matrix.__matmul__``, so
+    over GF(p) a dense stage takes the packed product.  No Kronecker
+    product, no ambient-sized matrix and no empty row of an intermediate
+    stage is materialised.
     """
     if order is not None:
         _check_order(dims, order)
     g_sizes = _block_sizes(right, dims, lambda m: m.nrows)
     f_sizes = _block_sizes(left, dims if order is None else [dims[o] for o in order],
                            lambda m: m.ncols)
-    one, normalise = field.one, field.normalise
-    g_cols = [[((c, one),) for c in range(n)] if g is None else g.col_supports()
-              for g, n in zip(right, g_sizes)]
-    offsets = None if order is None else _block_offsets(dims, order, g_sizes)
-    # F blocks, last first: (supports, block width, block height, trailing size)
-    stages = []
-    trailing = 1
-    for fac, n in zip(reversed(left), reversed(f_sizes)):
-        if fac is not None:
-            stages.append((fac.col_supports(), n * trailing, fac.nrows * trailing, trailing))
-        trailing *= n if fac is None else fac.nrows
-    ncols = prod(len(c) for c in g_cols)
-    out = [{} for _ in range(trailing)]
-    for j, supports in enumerate(product(*g_cols)):
-        vec = {0: one}
-        if offsets is None:
-            for supp, n in zip(supports, g_sizes):
-                vec = {x * n + r: v * a for x, v in vec.items() for r, a in supp}
-        else:
-            for supp, off in zip(supports, offsets):
-                vec = {x + off[r]: v * a for x, v in vec.items() for r, a in supp}
-        summed = False
-        for supp, width, height, lo in stages:
-            nxt = {}
-            get = nxt.get
-            for x, v in vec.items():
-                hi, rem = divmod(x, width)
-                mid, low = divmod(rem, lo)
-                base = hi * height + low
-                for r, a in supp[mid]:
-                    y = base + r * lo
-                    w = get(y)
-                    if w is None:
-                        nxt[y] = a * v
-                    else:
-                        nxt[y] = w + a * v
-                        summed = True
-            vec = nxt
-        for y, v in normalise(vec, summed).items():
-            out[y][j] = v
-    return Matrix.from_sparse_rows(field, out, ncols)
+    if order is None and len(right) == 1 and right[0] is not None:
+        # the G product is that one factor
+        if len(left) == 1:
+            return right[0] if left[0] is None else left[0] @ right[0]
+        if all(fac is None for fac in left):
+            return right[0]
+    if order is None or 0 in g_sizes:
+        # row-major places; past a leg of dimension 0 the product is empty,
+        # and any n places do
+        offsets, stride = [], 1
+        for n in reversed(g_sizes):
+            offsets.append(range(0, n * stride, stride) if stride else range(n))
+            stride *= n
+        offsets.reverse()
+    else:
+        offsets = _block_offsets(dims, order, g_sizes)
+    rows, ncols = _g_rows(field, right, offsets)
+    empty = {}
+    if len(left) == 1 and left[0] is not None:
+        # the one factor spans every leg: S itself is the right operand
+        get = rows.get
+        return left[0] @ Matrix.from_sparse_rows(
+            field, [get(x, empty) for x in range(f_sizes[0])], ncols)
+    # block k is applied between the input legs of blocks 0..k-1 (lead)
+    # and the output legs of the blocks after it (lo)
+    lead = [1]
+    for n in f_sizes:
+        lead.append(lead[-1] * n)
+    lo = 1
+    for k in range(len(left) - 1, -1, -1):
+        fac = left[k]
+        if fac is None:
+            lo *= f_sizes[k]
+            continue
+        rows = _apply_block(field, fac, rows, lead[k], lo, ncols)
+        lo *= fac.nrows
+    get = rows.get
+    return Matrix.from_sparse_rows(field, [get(y, empty) for y in range(lo)], ncols)
 
 
 def outer(field, *vecs):

@@ -315,6 +315,154 @@ def test_kron_apply_rejects_factors_off_the_legs():
         kron_apply(QQ, [None], [2, 2], (1, 0), [None, None])
 
 
+def test_kron_apply_takes_a_leg_of_dimension_zero_under_a_permutation():
+    """A G block over a leg of dimension 0 once made ``_block_offsets`` run
+    off the legs (``IndexError``); the product is empty, of the F shape."""
+    empty = Matrix(QQ, [], 0)
+    got = kron_apply(QQ, [empty, None], [1, 0, 4, 3], (1, 2, 3, 0), [empty, None])
+    assert got == Matrix.zero(QQ, 0, 0)
+    assert got == kron_apply_per_column(QQ, [empty, None], [1, 0, 4, 3], (1, 2, 3, 0),
+                                        [empty, None])
+
+def kron_apply_per_column(field, left, dims, order, right) -> Matrix:
+    """``kron_apply`` one output column at a time: the reference.
+
+    Each output column is the outer product of the G factors' column
+    supports, moved through the index map of P; the F factors are then
+    applied one block at a time, last first, to that sparse column."""
+    if order is not None:
+        linalg._check_order(dims, order)
+    g_sizes = linalg._block_sizes(right, dims, lambda m: m.nrows)
+    f_sizes = linalg._block_sizes(left, dims if order is None else [dims[o] for o in order],
+                                  lambda m: m.ncols)
+    one, normalise = field.one, field.normalise
+    g_cols = [[((c, one),) for c in range(n)] if g is None else g.col_supports()
+              for g, n in zip(right, g_sizes)]
+    # with a leg of dimension 0 the G product has no rows to place
+    offsets = (None if order is None or 0 in g_sizes
+               else linalg._block_offsets(dims, order, g_sizes))
+    # F blocks, last first: (supports, block width, block height, trailing size)
+    stages = []
+    trailing = 1
+    for fac, n in zip(reversed(left), reversed(f_sizes)):
+        if fac is not None:
+            stages.append((fac.col_supports(), n * trailing, fac.nrows * trailing, trailing))
+        trailing *= n if fac is None else fac.nrows
+    ncols = math.prod(len(c) for c in g_cols)
+    out = [{} for _ in range(trailing)]
+    for j, supports in enumerate(itertools.product(*g_cols)):
+        vec = {0: one}
+        if offsets is None:
+            for supp, n in zip(supports, g_sizes):
+                vec = {x * n + r: v * a for x, v in vec.items() for r, a in supp}
+        else:
+            for supp, off in zip(supports, offsets):
+                vec = {x + off[r]: v * a for x, v in vec.items() for r, a in supp}
+        for supp, width, height, lo in stages:
+            nxt = {}
+            for x, v in vec.items():
+                hi, rem = divmod(x, width)
+                mid, low = divmod(rem, lo)
+                base = hi * height + low
+                for r, a in supp[mid]:
+                    y = base + r * lo
+                    nxt[y] = nxt[y] + a * v if y in nxt else a * v
+            vec = nxt
+        for y, v in normalise(vec, True).items():
+            out[y][j] = v
+    return Matrix.from_sparse_rows(field, out, ncols)
+
+
+@st.composite
+def kron_reference_case(draw):
+    """A ``kron_apply`` case over QQ or GF(101) on 1-4 legs of dimension
+    0-4, so that legs of dimension 0 and 1 (ambiguous covers) occur, with
+    the F list all ``None`` or the G list all identities now and then."""
+    field = draw(st.sampled_from([QQ, GF(101)]))
+    dims = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4))
+    order = draw(st.one_of(st.none(), st.permutations(range(len(dims)))))
+    out_legs = dims if order is None else [dims[leg] for leg in order]
+    right, _ = draw(kron_factors(field, dims, "rows"))
+    left, _ = draw(kron_factors(field, out_legs, "cols"))
+    if draw(st.integers(0, 5)) == 0:
+        right = [None] * len(dims)
+    if draw(st.integers(0, 5)) == 0:
+        left = [None] * len(out_legs)
+    return field, dims, order, left, right
+
+
+@given(kron_reference_case())
+@settings(max_examples=300, deadline=None)
+def test_kron_apply_matches_the_per_column_reference(case):
+    field, dims, order, left, right = case
+    got = kron_apply(field, left, dims, order, right)
+    assert_sparse_invariants(got)
+    assert got == kron_apply_per_column(field, left, dims, order, right)
+
+
+@st.composite
+def dense_kron_case(draw):
+    """A dense GF(101) G on three or four legs of dimension 4 and a dense F
+    of 2-4 rows on two adjacent legs, dense enough that its stage passes
+    ``_packed_slot``'s cost rule."""
+    field = GF(101)
+    legs = draw(st.integers(3, 4))
+    dims = [4] * legs
+    order = draw(st.one_of(st.none(), st.permutations(range(legs))))
+    nonzero = st.integers(1, 100)
+    g_cols = draw(st.integers(4, 8))
+    right = [Matrix(field, draw(st.lists(st.lists(nonzero, min_size=g_cols, max_size=g_cols),
+                                         min_size=4 ** legs, max_size=4 ** legs)), g_cols)]
+    at = draw(st.integers(0, legs - 2))
+    f_rows = draw(st.integers(2, 4))
+    block = Matrix(field, draw(st.lists(st.lists(nonzero, min_size=16, max_size=16),
+                                        min_size=f_rows, max_size=f_rows)), 16)
+    left = [None] * at + [block] + [None] * (legs - 2 - at)
+    return field, dims, order, left, right
+
+
+@given(dense_kron_case())
+@settings(max_examples=25, deadline=None)
+def test_a_dense_gf_stage_takes_the_packed_product(case):
+    field, dims, order, left, right = case
+    packed = []
+    real = linalg._packed_product
+
+    def counted(*args):
+        packed.append(args[2])
+        return real(*args)
+
+    linalg._packed_product = counted
+    try:
+        got = kron_apply(field, left, dims, order, right)
+    finally:
+        linalg._packed_product = real
+    assert packed
+    assert got == kron_apply_per_column(field, left, dims, order, right)
+
+
+@given(kron_reference_case())
+@settings(max_examples=100, deadline=None)
+def test_kron_apply_makes_one_product_per_f_factor(case):
+    """The shuffle algorithm applies each F factor as exactly one
+    ``Matrix.__matmul__``, and builds the G product with none."""
+    field, dims, order, left, right = case
+    calls = []
+    real = Matrix.__matmul__
+
+    def counted(a, b):
+        calls.append(a)
+        return real(a, b)
+
+    Matrix.__matmul__ = counted
+    try:
+        kron_apply(field, left, dims, order, right)
+    finally:
+        Matrix.__matmul__ = real
+    assert len(calls) == sum(fac is not None for fac in left)
+    assert all(any(a is fac for fac in left) for a in calls)
+
+
 @given(leg_permutation_case(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_split_leg_matches_the_digit_definition(case, data):
