@@ -112,9 +112,6 @@ class Algebra:
             raise NotUnital(left, side="left")
         raise NotUnital(right, side="right")
 
-    def is_commutative(self):
-        return self.mult.matrix == permute_cols(self.mult.matrix, [self.dim] * 2, (1, 0))
-
 
 def make_algebra(field, dim, structure_constants, unit, name="", labels=None) -> Algebra:
     """Algebra from sparse structure constants [(i, j, k, value), ...]."""
@@ -147,17 +144,6 @@ def opposite(A: Algebra) -> Algebra:
     mult = permute_cols(A.mult.matrix, [A.dim, A.dim], (1, 0))
     return Algebra(space, LinearMap(tensor_space([space, space]), space, mult), A.unit_col,
                    A.name + "^op")
-
-
-def enveloping(B: Algebra) -> Algebra:
-    """B (x)_k B^op with product (b (x) b')(c (x) c') = bc (x) c'b': legs
-    (b, b', c, c') reordered to (b, c, c', b') and multiplied in pairs."""
-    n, f = B.dim, B.field
-    space = Space(f, n * n, B.name + "^e",
-                  [f"{a}(x){b}" for a in B.space.labels for b in B.space.labels])
-    mult = kron_apply(f, [B.mult.matrix] * 2, [n] * 4, (0, 2, 3, 1), [None] * 4)
-    return Algebra(space, LinearMap(tensor_space([space, space]), space, mult),
-                   B.unit_col.kron(B.unit_col), space.name)
 
 
 class AlgebraMap:

@@ -243,28 +243,3 @@ def diffcalc_report(an: BundleAnalysis) -> Report:
     except TorsorKitError as exc:
         rep.add("appB", "B", False, witness=str(exc))
     return rep
-
-
-def dimension_summary(an: BundleAnalysis) -> dict:
-    """The dimension verdicts compared across fields (exact integers)."""
-    b = an.bundle
-    pair = an.pair
-    out = {
-        "C": pair.C.dim,
-        "D": pair.D.dim,
-        "Tbar": an.tbar.dim,
-        "can": an.galois_right.can.domain.dim,
-        "psi_C_invertible": an.ent_right.invertible,
-        "psi_D_invertible": an.ent_left.invertible,
-    }
-    calcA = build_calculus(b, pair, "A")
-    calcB = build_calculus(b, pair, "B")
-    out["Omega1A"] = calcA.dim
-    out["Omega1B"] = calcB.dim
-    if isinstance(b, TorsorBundle):
-        try:
-            out["theta_C"] = an.theta_right.theta.domain.dim
-            out["theta_D"] = an.theta_left.theta.domain.dim
-        except TorsorKitError:
-            out["theta_C"] = out["theta_D"] = None
-    return out

@@ -349,9 +349,9 @@ def _translation_multiplicative(bgd, chain_op, th_inv, rep):
     C = bgd.coring
     mult = bgd.algebra.mult.matrix
     chi = th_inv.matrix @ C.cc.proj.matrix @ _left_tensor_unit(C.field, bgd)
-    prod_op = _factorwise_product_mixed(chain_op, mult, mult, [C.dim] * 2, (2, 0, 1, 3))
-    rep.add("theta.translation-multiplicative", "2(bgd)",
-            chi @ mult == prod_op @ chi.kron(chi))
+    rep.add("theta.translation-multiplicative", "2(bgd)", chi @ mult
+            == _factorwise_product_mixed(chain_op, mult, mult, [C.dim] * 2, (2, 0, 1, 3),
+                                         into=chi))
 
 
 def _left_tensor_unit(f, bgd) -> Matrix:
@@ -710,11 +710,6 @@ def can_factorisation(bundle: PreTorsorBundle, pair: CoringPair,
 
 # ---------------------------------------------------------------------------
 # the cotensor-with-cofree isomorphism
-
-
-def _left_module_wrap(A: Algebra, space: Space, lact: LinearMap, K: Algebra) -> Bimodule:
-    ident = Matrix.identity(space.field, space.dim)
-    return Bimodule(space, A, K, lact, LinearMap(tensor_space([space, K.space]), space, ident))
 
 
 def cofree_comodule(bgd: RightBialgebroid, N_bim: Bimodule):

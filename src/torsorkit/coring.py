@@ -21,7 +21,6 @@ from .algebra import (
     chain_outer_bimodule,
     first_nonzero_col,
     nonlinear_side,
-    regular_bimodule,
     tensor_chain,
 )
 from .errors import (
@@ -113,16 +112,6 @@ class Coring:
 
     def __repr__(self):
         return f"Coring({self.name} over {self.base.name}, dim={self.dim})"
-
-
-def trivial_coring(base: Algebra, carrier: Bimodule | None = None, name: str = "") -> Coring:
-    """The base algebra as a coring: Delta the canonical iso, eps = id."""
-    bb = carrier or regular_bimodule(base)
-    cc = tensor_chain([bb, bb], [base])
-    delta = LinearMap(base.space, cc.carrier, cc.proj.matrix @ Matrix.identity(
-        base.field, base.dim).kron(base.unit_col))
-    eps = LinearMap.identity(base.space)
-    return Coring(base, bb, delta, eps, name or base.name + "-triv")
 
 
 class GroupLike:

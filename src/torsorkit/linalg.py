@@ -46,12 +46,21 @@ the rows its column meets.  Over GF(p) a dense enough operand takes
 each row step one big-int multiply-add, with slots wide enough for the
 ``min(m, n)`` steps a row can take (Dumas, Giorgi and Pernet, *FFLAS and
 FFPACK*, ACM TOMS 35, 2008).  ``_rref_slot`` picks the path from the
-operand's nonzero count and shape.  Every rank, kernel, solve and inverse
-goes through ``rref``.  A matrix has exactly one reduced row echelon form,
+operand's nonzero count and shape.  Every kernel and inverse goes through
+``rref``, and so does every rank and solve except on a matrix whose every
+column c has a unit row, a row equal to the unit vector e_c
+(``Matrix.unit_rows``).  A matrix has exactly one reduced row echelon form,
 so both paths give the same rows and pivots, and echelon bases are
 canonical and reproducible whichever row supplies a pivot.
-``Matrix.solve`` cuts a tall system to a basis of its rows before it
-eliminates, and checks the solution exactly.
+
+``Matrix.solve`` cuts a tall system to a basis P of its rows and checks the
+solution exactly.  The injections the engine corestricts through (canonical
+echelon inclusions, identities and their Kronecker products) have unit rows
+for every column, so there P is those rows, the system on them is the
+identity, and the solution is read off the right-hand side with no
+elimination (reading permuted-identity structure instead of factoring:
+Davis, *Direct Methods for Sparse Linear Systems*, SIAM 2006).  Any other
+tall system finds P by eliminating its transpose.
 
 A permutation is an index map, not a matrix.  ``leg_permutation`` gives the
 index map of a reordering of tensor legs of mixed dimensions;
@@ -467,7 +476,30 @@ class Matrix:
         return Matrix.from_sparse_rows(f, rows, self.ncols), pivots
 
     def rank(self):
+        """The rank: ``ncols`` when every column has a unit row (see
+        ``unit_rows``), otherwise the number of pivots of ``rref``."""
+        if self.unit_rows() is not None:
+            return self.ncols
         return len(self.rref()[1])
+
+    def unit_rows(self):
+        """For each column c, the first row equal to the unit vector e_c, or
+        None when some column has no such row.
+
+        Those rows are a basis of the rows and ``self`` restricted to them is
+        the identity, so ``self`` has full column rank.  Echelon inclusions
+        and their Kronecker products with identities have them.
+        """
+        one = self.field.one
+        first = {}
+        for i, r in enumerate(self._rows):
+            if len(r) == 1:
+                for c, x in r.items():
+                    if x == one and c not in first:
+                        first[c] = i
+        if len(first) < self.ncols:
+            return None
+        return [first[c] for c in range(self.ncols)]
 
     def nullspace(self) -> "Matrix":
         """Canonical kernel basis as the rows of a matrix: one row per free
@@ -488,26 +520,29 @@ class Matrix:
         """``nullspace`` as a list of coordinate tuples."""
         return list(self.nullspace().rows)
 
-    def row_space_basis(self):
-        """Canonical (rref) basis of the row space."""
-        R, pivots = self.rref()
-        return [R.row(i) for i in range(len(pivots))]
-
     def solve(self, rhs: "Matrix"):
         """A particular X with ``self @ X == rhs``, or None if inconsistent.
 
-        Free variables are set to zero, so the solution is canonical: it is
-        read off the rref of ``[self | rhs]``.  A tall system (more rows
-        than columns) is first cut to a basis P of the rows of ``self``, the
-        pivots of ``self.transpose().rref()``.  When the system is
-        consistent, the rows P of ``[self | rhs]`` span all of its rows, so
-        their rref, and with it X, is the same; X is returned only if
+        Free variables are set to zero, so the solution is canonical.  A tall
+        system (more rows than columns) is first cut to a basis P of the
+        rows of ``self`` and solved on those rows; X is returned only if
         ``self @ X == rhs``, checked exactly, so callers need not check.
+        When every column has a unit row (``unit_rows``), those rows are P
+        and ``self[P]`` is the identity, so X is ``rhs[P]``, the unique
+        solution, read off with no elimination.  Otherwise P is the pivots
+        of ``self.transpose().rref()``, and X is read off the rref of
+        ``[self[P] | rhs[P]]``: when the system is consistent, the rows P
+        span all of its rows, so that rref, and with it X, is the same as
+        for the whole system.
         """
         if rhs.nrows != self.nrows:
             raise ShapeMismatch("solve: row counts differ")
+        f = self.field
+        P = self.unit_rows()
+        if P is not None:
+            X = Matrix.from_sparse_rows(f, [rhs._rows[i] for i in P], rhs.ncols)
+            return X if self @ X == rhs else None
         if self.nrows > self.ncols:
-            f = self.field
             _, P = self.transpose().rref()
             X = Matrix.from_sparse_rows(f, [self._rows[i] for i in P], self.ncols).solve(
                 Matrix.from_sparse_rows(f, [rhs._rows[i] for i in P], rhs.ncols))
@@ -519,7 +554,7 @@ class Matrix:
         out = [{} for _ in range(n)]
         for p, row in zip(pivots, R._rows):
             out[p] = {k - n: v for k, v in row.items() if k >= n}
-        return Matrix.from_sparse_rows(self.field, out, rhs.ncols)
+        return Matrix.from_sparse_rows(f, out, rhs.ncols)
 
     def inverse(self):
         f = self.field

@@ -187,27 +187,12 @@ class Subspace:
         return all(f.is_zero(f.sub(a, b)) for a, b in zip(back, vec))
 
     def contains_map(self, f: LinearMap) -> bool:
-        """Whether the image of ``f`` (into the ambient) lies in this subspace."""
-        return self._retract(f) is not None
-
-    def corestrict(self, f: LinearMap) -> LinearMap:
-        """View a map into the ambient as a map into the subspace.
-
-        Raises AmbientMismatch if the image is not contained in the subspace.
-        """
-        g = self._retract(f)
-        if g is None:
-            raise AmbientMismatch("image not contained in subspace")
-        return g
-
-    def _retract(self, f: LinearMap):
-        """``retraction @ f``, or None when the image of ``f`` leaves the
-        subspace: the inclusion of that retraction is not ``f``.  The
+        """Whether the image of ``f`` (into the ambient) lies in this
+        subspace: whether the inclusion of ``retraction @ f`` is ``f``.  The
         ambient projector ``inclusion @ retraction`` is never built."""
         if f.codomain is not self.ambient:
             raise AmbientMismatch("map does not land in the ambient space")
-        g = self.retraction @ f
-        return g if self.inclusion.matrix @ g.matrix == f.matrix else None
+        return self.inclusion.matrix @ (self.retraction.matrix @ f.matrix) == f.matrix
 
     def __eq__(self, other):
         return (

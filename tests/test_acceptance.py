@@ -19,18 +19,19 @@ from torsorkit.bialgebroid import (
     lemma55_check,
     monoidal_witness,
     recovered_structure,
-    _left_module_wrap,
 )
-from torsorkit.analysis import dimension_summary, BundleAnalysis
+from torsorkit.analysis import BundleAnalysis
 from torsorkit.cli import run
+from torsorkit.diffcalc import build_calculus
 from torsorkit.errors import TorsorKitError
 from torsorkit.fields import GF, QQ
 from torsorkit.fixtures import field_algebra, generate
 from torsorkit.linalg import Matrix
-from torsorkit.pretorsor import make_bundle, validate_pretorsor, validate_torsor
+from torsorkit.pretorsor import TorsorBundle, make_bundle, validate_pretorsor, validate_torsor
 from torsorkit.spaces import LinearMap
 
 from conftest import analysis, fixture
+from test_bialgebroid import left_module_wrap
 
 TORSOR_NAMES = ("EX-TRIV", "EX-C2", "EX-SW")
 BIG_PRIME = 2**61 - 1
@@ -239,8 +240,8 @@ def test_criterion_8_monoidal_witnesses():
         A_bim = regular_bimodule(b.A)
         ok &= lemma55_check(b, an.pair, bC, an.theta_right,
                             A_bim, A_bim, K).ok
-        C_mod = _left_module_wrap(b.A, an.pair.C.space,
-                                  an.pair.C.carrier.lact, K)
+        C_mod = left_module_wrap(b.A, an.pair.C.space,
+                                 an.pair.C.carrier.lact, K)
         ok &= lemma55_check(b, an.pair, bC, an.theta_right,
                             C_mod, C_mod, K).ok
     assert _line(8, ok, "monoidal structure maps bijective, canonical-map "
@@ -295,6 +296,29 @@ def _suite_rows(name, field):
     args = argparse.Namespace(fixture=name, input=None, field=field, dump_matrices=False)
     _, doc = run("suite", args)
     return [(c["id"], c["status"], c["dims"]) for c in doc["checks"]]
+
+
+def dimension_summary(an: BundleAnalysis) -> dict:
+    """The dimension verdicts compared across fields (exact integers)."""
+    b = an.bundle
+    pair = an.pair
+    out = {
+        "C": pair.C.dim,
+        "D": pair.D.dim,
+        "Tbar": an.tbar.dim,
+        "can": an.galois_right.can.domain.dim,
+        "psi_C_invertible": an.ent_right.invertible,
+        "psi_D_invertible": an.ent_left.invertible,
+        "Omega1A": build_calculus(b, pair, "A").dim,
+        "Omega1B": build_calculus(b, pair, "B").dim,
+    }
+    if isinstance(b, TorsorBundle):
+        try:
+            out["theta_C"] = an.theta_right.theta.domain.dim
+            out["theta_D"] = an.theta_left.theta.domain.dim
+        except TorsorKitError:
+            out["theta_C"] = out["theta_D"] = None
+    return out
 
 
 def test_criterion_11_cross_field():

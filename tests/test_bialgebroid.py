@@ -15,6 +15,7 @@ from torsorkit import bialgebroid
 from torsorkit.algebra import (
     Algebra,
     AlgebraMap,
+    Bimodule,
     corestrict_through,
     fix_left,
     fix_right,
@@ -29,7 +30,6 @@ from torsorkit.bialgebroid import (
     _beta_actions_on_cotensor,
     _comodule_algebra_rows,
     _factorwise_product_mixed,
-    _left_module_wrap,
     _subalgebra,
     _translation_identities,
     bialgebroid_axioms,
@@ -63,7 +63,7 @@ from torsorkit.fixtures import FIXTURE_NAMES, field_algebra, group_hopf, sweedle
 from torsorkit.linalg import Matrix, outer
 from torsorkit.pretorsor import Hand
 from torsorkit.report import Report
-from torsorkit.spaces import LinearMap, Subspace, intersect, kernel
+from torsorkit.spaces import LinearMap, Subspace, intersect, kernel, tensor_space
 
 from conftest import fixture
 
@@ -141,6 +141,13 @@ def test_monoidal_witness_and_512(an_triv, an_c2, an_sw):
         assert rec.ok, rec.summary()
 
 
+def left_module_wrap(A, space, lact, K):
+    """An A-K-bimodule on ``space``: ``lact`` on the left, K = k acting
+    trivially on the right."""
+    ident = Matrix.identity(space.field, space.dim)
+    return Bimodule(space, A, K, lact, LinearMap(tensor_space([space, K.space]), space, ident))
+
+
 def test_lemma55_unit_and_regular(an_c2):
     an = an_c2
     b = an.bundle
@@ -149,7 +156,7 @@ def test_lemma55_unit_and_regular(an_c2):
     K = field_algebra(QQ)
     A_bim = regular_bimodule(b.A)
     assert lemma55_check(b, an.pair, bC, th, A_bim, A_bim, K).ok
-    C_mod = _left_module_wrap(b.A, an.pair.C.space, an.pair.C.carrier.lact, K)
+    C_mod = left_module_wrap(b.A, an.pair.C.space, an.pair.C.carrier.lact, K)
     assert lemma55_check(b, an.pair, bC, th, C_mod, C_mod, K).ok
 
 

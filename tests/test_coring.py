@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from torsorkit.algebra import regular_bimodule, tensor_chain
+from torsorkit.algebra import Algebra, regular_bimodule, tensor_chain
 from torsorkit.coring import (
     Comodule,
     Coring,
@@ -10,7 +10,6 @@ from torsorkit.coring import (
     coinvariants,
     coring_morphism,
     cotensor,
-    trivial_coring,
 )
 from torsorkit.errors import (
     NotCoassociative,
@@ -40,6 +39,15 @@ def coinvariants_entwined(M: Comodule, action: LinearMap, rho_unit: Matrix,
                                            M.legs(action.matrix, coring_leg)))
     ref = LinearMap(M.space, M.chain.carrier, M.chain.proj.matrix @ act @ insert)
     return kernel(M.rho - ref, name or f"{M.name}^co")
+
+
+def trivial_coring(base: Algebra) -> Coring:
+    """The base algebra as a coring: Delta the canonical iso, eps = id."""
+    bb = regular_bimodule(base)
+    cc = tensor_chain([bb, bb], [base])
+    delta = LinearMap(base.space, cc.carrier, cc.proj.matrix @ Matrix.identity(
+        base.field, base.dim).kron(base.unit_col))
+    return Coring(base, bb, delta, LinearMap.identity(base.space), base.name + "-triv")
 
 
 @pytest.fixture(scope="module")

@@ -53,9 +53,10 @@ from torsorkit.analysis import BundleAnalysis, bialgebroid_report
 from torsorkit.bialgebroid import diagonal_coinvariants
 from torsorkit.cli import run
 from torsorkit.fields import PrimeField
-from torsorkit.fixtures import generate
+from torsorkit.fixtures import FIXTURE_NAMES, generate
 from torsorkit.linalg import Matrix, _rref_slot, kron_apply
 from torsorkit.pretorsor import validate_torsor
+from torsorkit.serialize import bundle_from_document, loads
 from torsorkit.spaces import Subspace
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -112,6 +113,27 @@ PER_VALUE_EXEMPT = {
     "spaces.Subspace.contains_vector": "the per-value fields.is_zero calls dense-q's "
                                        "traced benchmark requires",
     "cleft_twist.smash_pattern_product": "the independent per-value reference",
+}
+
+# the functions of src/ that nothing in src/ calls, and why each stays
+UNREACHED = {
+    "bialgebroid.homogeneous_pretorsor": "paper construction: the pre-torsor of a "
+                                         "quotient coring, awaiting a fixture generator",
+    "bialgebroid.cleft_pretorsor": "paper construction: the pre-torsor of a cleft "
+                                   "extension, awaiting a fixture generator",
+    "cleft_twist.remark_a2_automorphism": "paper construction: Remark A.2's automorphism, "
+                                          "awaiting an opt-in report section",
+    "linalg.permutation_matrix": "perfbench's tracer wraps it",
+    "linalg.permute_tensor_rows": "perfbench's tracer wraps it",
+    "fields.Field.from_int": "the Field interface: a scalar from an int, for callers "
+                             "building matrices",
+    "fields.Rationals.from_int": "the QQ side of Field.from_int",
+    "fields.PrimeField.from_int": "the GF(p) side of Field.from_int",
+    "linalg.Matrix.scale": "Matrix arithmetic beside +, - and negation",
+    "report.Report.find": "the lookup of one check row, for callers reading a report",
+    "report.Report.summary": "the failures of a report in one line, for callers",
+    "algebra.join_right": "the right-action column layout stays in algebra beside its "
+                          "mirror join_left",
 }
 
 
@@ -617,3 +639,125 @@ def test_every_loaded_name_is_bound():
                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
                     and node.id not in bound]
     assert not unbound, unbound
+
+
+def _unreached_functions():
+    """Each function and method defined in ``src/`` whose name nothing else
+    in ``src/`` mentions, as ``module.qualified.name``: no other Name,
+    Attribute or identifier-like string constant outside its own body.
+    Dunder methods are reached by the language and are skipped."""
+    defs, mentions = [], {}
+
+    def collect(node, prefix, module):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append((f"{module}.{prefix}{child.name}", child))
+            elif isinstance(child, ast.ClassDef):
+                collect(child, f"{prefix}{child.name}.", module)
+
+    def mentioned(node):
+        if isinstance(node, ast.Name):
+            return node.id
+        if isinstance(node, ast.Attribute):
+            return node.attr
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            return node.value
+        return None
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        collect(tree, "", path.stem)
+        for node in ast.walk(tree):
+            name = mentioned(node)
+            if name is not None:
+                mentions[name] = mentions.get(name, 0) + 1
+    unreached = set()
+    for qualname, node in defs:
+        if node.name.startswith("__") and node.name.endswith("__"):
+            continue
+        own = sum(mentioned(inner) == node.name for inner in ast.walk(node))
+        if mentions.get(node.name, 0) == own:
+            unreached.add(qualname)
+    return unreached
+
+
+def test_every_function_is_reached_from_the_package():
+    """Every ``src/`` function has a caller in ``src/``, or is listed in
+    ``UNREACHED`` with its reason.  A helper only tests call lives in those
+    tests, so code that nothing in the package reaches cannot rot unseen."""
+    unreached = _unreached_functions()
+    assert unreached <= set(UNREACHED), sorted(unreached - set(UNREACHED))
+    assert set(UNREACHED) <= unreached, sorted(set(UNREACHED) - unreached)
+
+
+FACTOR_FIXTURES = [(name, field) for name in FIXTURE_NAMES for field in ("Q", "GF101")]
+# the seed-1 documents of the dense-q and dense-gf101 workloads
+DENSE_DOCUMENTS = [("EX-C2", "Q"), ("EX-Q3", "Q"), ("EX-Q4", "GF101"), ("EX-SW", "GF101"),
+                   ("EX-M2", "GF101")]
+
+
+def _eliminating_factorisations(monkeypatch, args):
+    """The left operand of each ``factor_matrix`` call of one ``suite`` run
+    that calls ``Matrix.rref``."""
+    inside, eliminating = [], []
+    factor_matrix, rref = algebra.factor_matrix, Matrix.rref
+
+    def watched_factor(jmat, *rest):
+        inside.append(jmat)
+        try:
+            return factor_matrix(jmat, *rest)
+        finally:
+            inside.pop()
+
+    def watched_rref(self):
+        if inside and (not eliminating or eliminating[-1] is not inside[-1]):
+            eliminating.append(inside[-1])
+        return rref(self)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("torsorkit") and getattr(module, "factor_matrix", None) \
+                is factor_matrix:
+            monkeypatch.setattr(module, "factor_matrix", watched_factor)
+    monkeypatch.setattr(Matrix, "rref", watched_rref)
+    run("suite", args)
+    return eliminating
+
+
+@pytest.mark.parametrize("name, field", FACTOR_FIXTURES)
+def test_suite_corestricts_without_elimination(monkeypatch, name, field):
+    """Every injection ``suite`` corestricts through on a fixture is a
+    chain map of echelon inclusions and identities, so it has a unit row
+    for every column and ``Matrix.solve`` reads the corestriction off those
+    rows: no ``factor_matrix`` call makes an ``rref`` call."""
+    args = argparse.Namespace(fixture=name, input=None, field=field, dump_matrices=False)
+    eliminating = _eliminating_factorisations(monkeypatch, args)
+    assert not eliminating, [j.shape for j in eliminating]
+
+
+@pytest.mark.parametrize("name, field", DENSE_DOCUMENTS)
+def test_dense_documents_eliminate_only_through_the_unit_maps(monkeypatch, tmp_path,
+                                                              name, field):
+    """On the seed-1 dense documents of the benchmark the only corestrictions
+    that eliminate go through a unit map, alpha or beta (the counits of both
+    corings), or a unit map tensored with an identity (the collapse of
+    ``equivalence_witness``): those are the document's own data, which the
+    basis change makes dense.  Every chain-map injection still has unit
+    rows."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import workloads
+    text = workloads.dense_document_text(name, field, 1)
+    path = tmp_path / "dense.json"
+    path.write_text(text, encoding="utf-8")
+    bundle = bundle_from_document(loads(text))
+    args = argparse.Namespace(fixture=None, input=str(path), field=None, dump_matrices=False)
+    eliminating = _eliminating_factorisations(monkeypatch, args)
+    units = [bundle.alpha.map.matrix, bundle.beta.map.matrix]
+
+    def through_a_unit(j):
+        return any(j.ncols % u.ncols == 0 and j == u.kron(Matrix.identity(
+            u.field, j.ncols // u.ncols)) for u in units)
+
+    assert eliminating and all(through_a_unit(j) for j in eliminating), \
+        [j.shape for j in eliminating]

@@ -705,7 +705,7 @@ def test_elimination_matches_the_dense_reference(case):
     assert_matches(r, want, (m, n))
     assert pivots == want_pivots
     assert a.kernel_basis() == _ref_kernel(f, ra, n)
-    assert a.row_space_basis() == list(want[:len(pivots)])
+    assert row_space_basis(a) == list(want[:len(pivots)])
     # the canonical solution sets the free variables to zero; b is an
     # arbitrary right-hand side, a @ c a consistent one
     for rhs in (b, a @ c):
@@ -715,6 +715,12 @@ def test_elimination_matches_the_dense_reference(case):
     elif m == n:
         with pytest.raises(NotInvertible):
             a.inverse()
+
+
+def row_space_basis(m):
+    """The canonical (rref) basis of the row space of ``m``, as row tuples."""
+    R, pivots = m.rref()
+    return [R.row(i) for i in range(len(pivots))]
 
 
 def assert_solves_like_the_reference(a, rhs):
@@ -1169,3 +1175,160 @@ def test_an_order_that_is_no_permutation_is_refused(order):
                   lambda: kron_apply(QQ, [None, None], [2, 2], order, [None, None])):
         with pytest.raises(ShapeMismatch, match="not a permutation"):
             build()
+
+
+# ``Matrix.solve`` and ``rank`` read a matrix whose every column c has a unit
+# row (a row equal to e_c) off those rows, with no elimination: the
+# injections the engine corestricts through are echelon inclusions,
+# identities and their Kronecker products, all of which have them.  The
+# elimination body they replace is kept here as the reference.
+
+def solve_by_elimination(a, rhs):
+    """``Matrix.solve`` by elimination alone: a tall system is cut to the
+    row basis P that ``a.transpose().rref()`` picks, and the canonical
+    solution, free variables zero, is read off the rref of ``[a | rhs]``."""
+    f = a.field
+    if a.nrows > a.ncols:
+        _, P = a.transpose().rref()
+        rows, rhs_rows = a.sparse_rows(), rhs.sparse_rows()
+        X = solve_by_elimination(
+            Matrix.from_sparse_rows(f, [rows[i] for i in P], a.ncols),
+            Matrix.from_sparse_rows(f, [rhs_rows[i] for i in P], rhs.ncols))
+        return X if a @ X == rhs else None
+    R, pivots = Matrix.augment(a, rhs).rref()
+    n = a.ncols
+    if any(p >= n for p in pivots):
+        return None
+    out = [{} for _ in range(n)]
+    for p, row in zip(pivots, R.sparse_rows()):
+        out[p] = {k - n: v for k, v in row.items() if k >= n}
+    return Matrix.from_sparse_rows(f, out, rhs.ncols)
+
+
+def echelon_inclusion(rng, field, n, k):
+    """The n x k inclusion of a random k-dimensional subspace of an
+    n-dimensional space by its reduced echelon basis: basis vector j is 1 at
+    its pivot, 0 at the other pivots and random after its pivot, so each
+    pivot row is a unit row."""
+    pivots = sorted(rng.sample(range(n), k))
+    pivset = set(pivots)
+    rows = [{} for _ in range(n)]
+    for j, p in enumerate(pivots):
+        rows[p][j] = field.one
+        for i in range(p + 1, n):
+            if i not in pivset and rng.random() < 0.5:
+                rows[i][j] = field.from_int(rng.randrange(-3, 4))
+    return Matrix(field, [[r.get(j, field.zero) for j in range(k)] for r in rows], k)
+
+
+def permuted_rows(rng, mat):
+    rows = list(mat.sparse_rows())
+    rng.shuffle(rows)
+    return Matrix.from_sparse_rows(mat.field, rows, mat.ncols)
+
+
+@st.composite
+def unit_row_case(draw):
+    """An injection with a unit row for every column: an echelon inclusion,
+    or its Kronecker product with an identity on either side with its rows
+    permuted, optionally with a second unit row for one column; and whether
+    it has unit rows.  The variants without are the same matrix with one
+    column's unit rows spoiled, by a second entry or by a value other than
+    1, or with a zero column added."""
+    field = draw(st.sampled_from([QQ, GF(101)]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = draw(st.integers(0, 7))
+    a = echelon_inclusion(rng, field, n, draw(st.integers(0, n)))
+    shape = draw(st.sampled_from(["plain", "id (x) a", "a (x) id"]))
+    if shape != "plain":
+        ident = Matrix.identity(field, draw(st.integers(1, 3)))
+        a = permuted_rows(rng, ident.kron(a) if shape == "id (x) a" else a.kron(ident))
+    rows = list(a.sparse_rows())
+    if a.ncols and draw(st.booleans()):
+        rows.insert(rng.randrange(len(rows) + 1), {rng.randrange(a.ncols): field.one})
+    variant = draw(st.sampled_from(["unit rows", "two entries", "not 1", "zero column"]))
+    ncols = a.ncols
+    if variant == "zero column":
+        ncols += 1
+    elif variant != "unit rows" and ncols:
+        c = rng.randrange(ncols)
+        units = [i for i, r in enumerate(rows) if r == {c: field.one}]
+        for i in units:
+            if variant == "not 1":
+                rows[i] = {c: field.from_int(2)}
+            elif ncols > 1:
+                rows[i] = {c: field.one, (c + 1) % ncols: field.one}
+            else:
+                rows[i] = {}
+    else:
+        variant = "unit rows"
+    a = Matrix.from_sparse_rows(field, rows, ncols)
+    width = draw(st.integers(1, 3))
+    X = Matrix(field, [[field.from_int(rng.randrange(-3, 4)) for _ in range(width)]
+                       for _ in range(ncols)], width) if ncols else Matrix.zero(field, 0, width)
+    return a, variant == "unit rows", X, rng
+
+
+@given(unit_row_case())
+@settings(max_examples=300, deadline=None)
+def test_unit_row_solves_and_ranks_match_elimination(case):
+    """Over QQ and GF(101), ``solve`` and ``rank`` give what elimination
+    gives, with and without unit rows; a consistent right-hand side is
+    solved, and one changed in a row off the unit rows returns None."""
+    a, has_units, X, rng = case
+    f = a.field
+    assert (a.unit_rows() is not None) == has_units
+    assert a.rank() == len(a.rref()[1])
+    if has_units:
+        assert a.rank() == a.ncols
+        P = a.unit_rows()
+        assert Matrix.from_sparse_rows(f, [a.sparse_rows()[i] for i in P], a.ncols) \
+            == Matrix.identity(f, a.ncols)
+    consistent = a @ X
+    assert a.solve(consistent) == solve_by_elimination(a, consistent)
+    if has_units:
+        assert a.solve(consistent) == X
+    assert a.solve(consistent) is not None
+    rhs_rows = [dict(r) for r in consistent.sparse_rows()]
+    P = set(a.unit_rows() or ())
+    off = [i for i in range(a.nrows) if i not in P]
+    if has_units and off:
+        i = rng.choice(off)
+        rhs_rows[i][0] = f.add(rhs_rows[i].get(0, f.zero), f.one)
+        if f.is_zero(rhs_rows[i][0]):
+            del rhs_rows[i][0]
+        inconsistent = Matrix.from_sparse_rows(f, rhs_rows, X.ncols)
+        assert a.solve(inconsistent) is None
+        assert solve_by_elimination(a, inconsistent) is None
+    arbitrary = Matrix(f, [[f.from_int(rng.randrange(-3, 4)) for _ in range(X.ncols)]
+                           for _ in range(a.nrows)], X.ncols) if a.nrows \
+        else Matrix.zero(f, 0, X.ncols)
+    assert a.solve(arbitrary) == solve_by_elimination(a, arbitrary)
+
+
+def test_unit_row_solves_and_ranks_eliminate_nothing(monkeypatch):
+    """On matrices with unit rows, ``solve`` and ``rank`` make no ``rref``
+    call; with one column's unit row spoiled, both eliminate again."""
+    calls = []
+    rref = Matrix.rref
+
+    def counted(self):
+        calls.append(self.shape)
+        return rref(self)
+
+    monkeypatch.setattr(Matrix, "rref", counted)
+    rng = random.Random(23)
+    for field in (QQ, GF(101)):
+        calls.clear()
+        incl = echelon_inclusion(rng, field, 6, 3)
+        for a in (incl, permuted_rows(rng, incl.kron(Matrix.identity(field, 2))),
+                  Matrix.identity(field, 4), Matrix.zero(field, 3, 0)):
+            rhs = a @ Matrix(field, [[field.from_int(j - i) for j in range(2)]
+                                     for i in range(a.ncols)], 2) if a.ncols \
+                else Matrix.zero(field, a.nrows, 2)
+            assert a.solve(rhs) is not None and a.rank() == a.ncols
+        assert not calls
+        two = field.from_int(2)
+        spoiled = Matrix.from_sparse_rows(field, [{0: two} if r == {0: field.one} else r
+                                                  for r in incl.sparse_rows()], incl.ncols)
+        assert spoiled.rank() == 3 and calls

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from torsorkit.algebra import corestrict_through
 from torsorkit.errors import AmbientMismatch
 from torsorkit.fields import GF, QQ
 from torsorkit.linalg import Matrix
@@ -82,12 +83,12 @@ def test_corestrict():
     s = Subspace.from_spanning(v3, [(F(1), F(0), F(0))])
     inside = LinearMap(Space(QQ, 1, "L"), v3,
                        Matrix.from_rows(QQ, [[2], [0], [0]]))
-    co = s.corestrict(inside)
+    co = corestrict_through(s.inclusion, inside, AmbientMismatch, "outside")
     assert (s.inclusion @ co).matrix == inside.matrix
     outside = LinearMap(Space(QQ, 1, "L2"), v3,
                         Matrix.from_rows(QQ, [[0], [1], [0]]))
     with pytest.raises(AmbientMismatch):
-        s.corestrict(outside)
+        corestrict_through(s.inclusion, outside, AmbientMismatch, "outside")
 
 
 def test_tensor_space_labels():

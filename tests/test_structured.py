@@ -32,6 +32,8 @@ from torsorkit.bialgebroid import (
     _bilinear_from_pairs,
     _diagonal_coactions_raw,
     _factorwise_product_mixed,
+    _left_tensor_unit,
+    _translation_multiplicative,
     diagonal_coinvariants,
 )
 from torsorkit.cli import run
@@ -41,6 +43,7 @@ from torsorkit.fixtures import FIXTURE_NAMES, generate
 from torsorkit.linalg import Matrix, kron_apply, permute_cols, permute_rows
 from torsorkit.pretorsor import Hand, PreTorsorBundle, TorsorBundle, validate_torsor
 from torsorkit.serialize import bundle_from_document, loads
+from torsorkit.report import Report
 from torsorkit.spaces import LinearMap, Subspace, kernel
 
 from conftest import fixture
@@ -117,6 +120,30 @@ def test_contracted_rows_match_their_dense_forms(name, field):
     for lhs, contracted, dense in _contracted_rows(an, scale=2):
         assert contracted == dense
         assert lhs != contracted
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "GF101"])
+@pytest.mark.parametrize("name", [n for n in FIXTURE_NAMES if n != "EX-M2"])
+def test_translation_multiplicative_row_matches_its_dense_form(name, field):
+    """theta.translation-multiplicative composes the factorwise product on
+    the A^op-balanced square with chi (x) chi before expanding it, chi the
+    translation map; on every torsor fixture that equals the dense
+    ``X @ chi.kron(chi)`` form and the row passes, and with theta^{-1}
+    doubled both forms fail."""
+    an = BundleAnalysis(fixture(name, field).bundle)
+    bgd, th = an.bialgebroids[0], an.theta_right
+    C, mult = bgd.coring, bgd.algebra.mult.matrix
+    for scale in (1, 2):
+        th_inv = LinearMap(th.theta_inv.domain, th.theta_inv.codomain,
+                           th.theta_inv.matrix.scale(field.from_int(scale)))
+        chi = th_inv.matrix @ C.cc.proj.matrix @ _left_tensor_unit(field, bgd)
+        dense = (_dense_factorwise(th.chain_op, mult, mult, [C.dim] * 2, (2, 0, 1, 3))
+                 @ chi.kron(chi))
+        assert _factorwise_product_mixed(th.chain_op, mult, mult, [C.dim] * 2,
+                                         (2, 0, 1, 3), into=chi) == dense
+        rep = Report("translation")
+        _translation_multiplicative(bgd, th.chain_op, th_inv, rep)
+        assert rep.ok == (chi @ mult == dense) == (scale == 1)
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
