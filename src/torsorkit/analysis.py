@@ -96,13 +96,16 @@ class BundleAnalysis:
     def theta_left(self):
         return self._get("thL", lambda: theta(self.bialgebroids[1]))
 
+    @property
+    def creg(self):
+        """C as a left comodule over itself."""
+        C = self.pair.C
+        return self._get("creg", lambda: Comodule(C, C.carrier, "left", C.delta, "C"))
+
     def regular_comodule(self):
-        def build():
-            creg = Comodule(self.pair.C, self.pair.C.carrier, "left",
-                            self.pair.C.delta, "C")
-            enriched, _ = comodule_actions(creg, self.bialgebroids[0])
-            return enriched
-        return self._get("creg", build)
+        """``creg`` with the base action induced by the right bialgebroid."""
+        return self._get("creg-actions",
+                         lambda: comodule_actions(self.creg, self.bialgebroids[0])[0])
 
 
 def validate_report(bundle: PreTorsorBundle) -> Report:
@@ -170,9 +173,7 @@ def build_report(an: BundleAnalysis) -> Report:
         rep.add("thm4.4.isos", "4.4", False, witness=str(exc))
     # per-object equivalence witness on the regular comodule
     try:
-        creg = Comodule(an.pair.C, an.pair.C.carrier, "left",
-                        an.pair.C.delta, "C")
-        w = equivalence_witness(b, an.pair, an.tbar, creg, certified=cert)
+        w = equivalence_witness(b, an.pair, an.tbar, an.creg, certified=cert)
         rep.extend(w.report)
     except TorsorKitError as exc:
         rep.add("cor4.8.witness", "4.8", False, witness=str(exc))

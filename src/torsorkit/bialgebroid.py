@@ -619,7 +619,7 @@ def monoidal_witness(bundle: PreTorsorBundle, pair: CoringPair,
     if K is None:
         from .fixtures import field_algebra
         K = field_algebra(f)
-    T_right = Comodule(C, b.T_BA, "right", pair.rho_T, "T", check=False)
+    T_right = pair.bicomodule.right_part
 
     # the monoidal unit: A with coaction through the target map
     A_bim = regular_bimodule(A)
@@ -768,8 +768,7 @@ def lemma55_check(bundle: PreTorsorBundle, pair: CoringPair,
     TX = tensor_chain([b.T_BA, X_com.carrier], [A])
 
     # the equaliser difference whose kernel is the cotensor
-    phi = cotensor_difference(Comodule(C, b.T_BA, "right", pair.rho_T, "T", check=False),
-                              X_com)
+    phi = cotensor_difference(pair.bicomodule.right_part, X_com)
 
     nT, nC, nN, nM = b.T.dim, C.dim, N_bim.dim, M_bim.dim
     idT, idC = b.idT, Matrix.identity(f, nC)

@@ -9,6 +9,8 @@ validated by the right comodule's one body with its tensor legs reversed
 and its two actions exchanged (``Comodule.legs``), after Brzezinski and
 Wisbauer, *Corings and Comodules* (LMS LN 309, 2003), where the comodule
 axioms are identities of maps.  A group-like element is a column.
+``cotensor_coaction`` is the cotensor functor of a bicomodule on one
+comodule, with the coaction the cotensor keeps.
 """
 
 from __future__ import annotations
@@ -19,17 +21,21 @@ from .algebra import (
     TensorChain,
     chain_map,
     chain_outer_bimodule,
+    corestrict_through,
     first_nonzero_col,
     nonlinear_side,
+    sub_bimodule,
     tensor_chain,
 )
 from .errors import (
+    MembershipFailure,
     NotBilinear,
     NotCoassociative,
     NotColinear,
     NotCounital,
     NotCounitPreserving,
     NotGroupLike,
+    NotSubcomoduleCompatible,
     ShapeMismatch,
 )
 from .linalg import Matrix
@@ -255,6 +261,23 @@ def cotensor_difference(M: Comodule, N: Comodule) -> LinearMap:
     lhs = chain_map(mn, [(1, M.rho, 2), (1, None, 1)], mcn)
     rhs = chain_map(mn, [(1, None, 1), (1, N.rho, 2)], mcn)
     return lhs - rhs
+
+
+def cotensor_coaction(R: Bicomodule, M: Comodule, name: str, msg: str):
+    """R box_K M for a K'-K bicomodule R and a left K-comodule M, as the
+    cotensor functor of Brzezinski and Wisbauer (section 22) gives it: the
+    subspace of R (x) M, its sub-bimodule and its left K'-coaction, the
+    restriction of ``lrho_R (x) M``, corestricted with ``msg`` as the error."""
+    S = cotensor(R.right_part, M, name)
+    K, A = R.left_coring, M.coring.base
+    RM = tensor_chain([R.carrier, M.carrier], [A])
+    S_bim = sub_bimodule(S, chain_outer_bimodule(RM, R.carrier, M.carrier),
+                         NotSubcomoduleCompatible)
+    KRM = tensor_chain([K.carrier, R.carrier, M.carrier], [K.base, A])
+    step = chain_map(RM, [(1, R.lrho, 2), (1, None, 1)], KRM) @ S.inclusion
+    KS = tensor_chain([K.carrier, S_bim], [K.base])
+    j = chain_map(KS, [(1, None, 1), (1, S.inclusion, 2)], KRM)
+    return S, S_bim, corestrict_through(j, step, MembershipFailure, msg)
 
 
 def _tensor_with_grouplike(M: Comodule, g: Matrix) -> LinearMap:

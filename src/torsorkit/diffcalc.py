@@ -125,69 +125,49 @@ def build_calculus(bundle: PreTorsorBundle, pair: CoringPair,
 
 def connections(bundle: PreTorsorBundle, pair: CoringPair,
                 calcA: DiffCalculus, calcB: DiffCalculus):
-    """The canonical flat right and left connections on the pre-torsor."""
+    """The canonical flat right and left connections on the pre-torsor.
+
+    The right one is nabla(t) = tau(t) - t (x) 1 (x) 1 in T (x)_A Omega1(A),
+    with the degree-one extension nabla (x) id + id (x) d1.  The left one is
+    its mirror in Omega1(B) (x)_B T with the sign of every nabla term
+    flipped: nabla(t) = 1 (x) 1 (x) t - tau(t), extended by
+    d1 (x) id - id (x) nabla.
+    """
     b = bundle
     f = b.field
-    repR = Report(f"{b.name}:connection-right")
-    # nabla_r(t) = tau(t) - t (x) 1 (x) 1, in T (x)_A Omega1(A)
-    TOm1 = tensor_chain([b.T_BA, calcA.omega1_bim], [b.A])
-    embed = LinearMap(
-        b.T.space, b.X3.carrier,
-        b.X3.proj.matrix @ b.idT.kron(b.T.unit_col).kron(b.T.unit_col))
-    big = bundle.tau - embed
-    j = chain_map(TOm1, [(1, None, 1), (1, calcA.omega1.inclusion, 2)], b.X3)
-    nabla_r = corestrict_through(j, big, RangeFailure,
-                                 f"{b.name}: the right connection leaves its range")
-    # Leibniz
-    idA = Matrix.identity(f, b.A.dim)
-    tom1_outer = chain_outer_bimodule(TOm1, b.T_BA, calcA.omega1_bim)
-    lhs = nabla_r.matrix @ b.T_BA.ract.matrix
-    rhs = (tom1_outer.ract.matrix @ nabla_r.matrix.kron(idA)
-           + TOm1.proj.matrix @ b.idT.kron(calcA.d0.matrix))
-    repR.add("appB.leibniz-right", "B.1", lhs == rhs)
-    # flatness via the degree-one extension; the two Leibniz terms are only
-    # jointly balanced, so the sum is induced in one step
-    TOm12 = tensor_chain([b.T_BA, calcA.omega1_bim, calcA.omega1_bim],
-                         [b.A, b.A])
-    raw1 = TOm12.proj.matrix @ (TOm1.sect.matrix @ nabla_r.matrix).kron(
-        Matrix.identity(f, calcA.dim))
-    raw2 = TOm12.proj.matrix @ b.idT.kron(
-        calcA.omega2.sect.matrix @ calcA.d1.matrix)
-    ext = induce(TOm1, LinearMap(TOm1.ambient, TOm12.carrier, raw1 + raw2),
-                 "right extension")
-    repR.add("appB.flat-right", "B.1", (ext @ nabla_r).is_zero())
-    if not repR.ok:
-        raise NotFlat(f"{b.name}: right connection identities failed")
-    right = Connection("right", nabla_r, ext, TOm1, repR)
-
-    repL = Report(f"{b.name}:connection-left")
-    Om1T = tensor_chain([calcB.omega1_bim, b.T_BA], [b.B])
-    embed_l = LinearMap(
-        b.T.space, b.X3.carrier,
-        b.X3.proj.matrix @ b.T.unit_col.kron(b.T.unit_col).kron(b.idT))
-    big_l = embed_l - bundle.tau
-    j_l = chain_map(Om1T, [(1, calcB.omega1.inclusion, 2), (1, None, 1)], b.X3)
-    nabla_l = corestrict_through(j_l, big_l, RangeFailure,
-                                 f"{b.name}: the left connection leaves its range")
-    idB = Matrix.identity(f, b.B.dim)
-    om1t_outer = chain_outer_bimodule(Om1T, calcB.omega1_bim, b.T_BA)
-    lhs = nabla_l.matrix @ b.T_BA.lact.matrix
-    rhs = (om1t_outer.lact.matrix @ idB.kron(nabla_l.matrix)
-           + Om1T.proj.matrix @ calcB.d0.matrix.kron(b.idT))
-    repL.add("appB.leibniz-left", "B.1", lhs == rhs)
-    Om12T = tensor_chain([calcB.omega1_bim, calcB.omega1_bim, b.T_BA],
-                         [b.B, b.B])
-    raw1 = Om12T.proj.matrix @ (calcB.omega2.sect.matrix
-                                @ calcB.d1.matrix).kron(b.idT)
-    raw2 = Om12T.proj.matrix @ Matrix.identity(f, calcB.dim).kron(
-        Om1T.sect.matrix @ nabla_l.matrix)
-    ext_l = induce(Om1T, LinearMap(Om1T.ambient, Om12T.carrier, raw1 - raw2),
-                   "left extension")
-    repL.add("appB.flat-left", "B.1", (ext_l @ nabla_l).is_zero())
-    if not repL.ok:
-        raise NotFlat(f"{b.name}: left connection identities failed")
-    left = Connection("left", nabla_l, ext_l, Om1T, repL)
-    return right, left
+    one = b.T.unit_col
+    conns = []
+    for h, calc in ((Hand(b, "right", pair), calcA), (Hand(b, "left", pair), calcB)):
+        rep = Report(f"{b.name}:connection-{h.side}")
+        chain = tensor_chain(h.legs(b.T_BA, calc.omega1_bim), [h.base])
+        embed = LinearMap(b.T.space, b.X3.carrier,
+                          b.X3.proj.matrix @ h.kron(b.idT, one, one))
+        j = chain_map(chain, h.legs((1, None, 1), (1, calc.omega1.inclusion, 2)), b.X3)
+        nabla = corestrict_through(j, h.signed(bundle.tau - embed), RangeFailure,
+                                   f"{b.name}: the {h.side} connection leaves its range")
+        # Leibniz
+        idbase = Matrix.identity(f, h.base.dim)
+        outer = chain_outer_bimodule(chain, *h.legs(b.T_BA, calc.omega1_bim))
+        lhs = nabla.matrix @ h.pick(b.T_BA.ract, b.T_BA.lact).matrix
+        rhs = (h.pick(outer.ract, outer.lact).matrix @ h.kron(nabla.matrix, idbase)
+               + chain.proj.matrix @ h.kron(b.idT, calc.d0.matrix))
+        rep.add(f"appB.leibniz-{h.side}", "B.1", lhs == rhs)
+        # flatness via the degree-one extension; the two Leibniz terms are only
+        # jointly balanced, so the sum is induced in one step
+        chain2 = tensor_chain(h.legs(b.T_BA, calc.omega1_bim, calc.omega1_bim),
+                              [h.base, h.base])
+        raw_nabla = chain2.proj.matrix @ h.kron(chain.sect.matrix @ nabla.matrix,
+                                                Matrix.identity(f, calc.dim))
+        raw_d1 = chain2.proj.matrix @ h.kron(
+            b.idT, calc.omega2.sect.matrix @ calc.d1.matrix)
+        ext = induce(chain, LinearMap(chain.ambient, chain2.carrier,
+                                      h.signed(raw_nabla) + raw_d1),
+                     f"{h.side} extension")
+        rep.add(f"appB.flat-{h.side}", "B.1", (ext @ nabla).is_zero())
+        if not rep.ok:
+            raise NotFlat(f"{b.name}: {h.side} connection identities failed")
+        conns.append(Connection(h.side, nabla, ext, chain, rep))
+    return tuple(conns)
 
 
 def bimodule_connection(bundle: PreTorsorBundle, pair: CoringPair,

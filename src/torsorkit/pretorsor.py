@@ -15,11 +15,15 @@ hand builds the B-coring D inside T (x)_A T, the coaction T -> D (x)_B T and
 psi_D.  The left hand is the right hand with its tensor legs in reverse
 order and B, beta, D in place of A, alpha, C.  Each mirrored construction
 is written once, in right-hand order, against a ``Hand``, and only ``Hand``
-tells the two apart.  Not mirrors, and written out: the two branches of
-``equivalence_witness`` (both take left comodules, and only the C branch
-checks colinearity), ``kappa``, the identity (4.8) of ``structure_isos``,
-and in ``diffcalc`` d0 and the outer terms of d1 (mirroring d0 flips its
-sign).
+tells the two apart; ``Hand.signed`` flips the sign of a mirror that
+changes one, as the left connection of ``diffcalc`` does.  The witness of
+Cor 4.8 takes a left comodule over either coring and is one body: the
+cotensor functor ``coring.cotensor_coaction`` applied with T then Tbar, or
+Tbar then T, and one colinear collapse.  T and Tbar as one-sided
+comodules are the validated parts of ``CoringPair.bicomodule`` and
+``TbarBicomodule.bicomodule``.  Not mirrors, and written out: ``kappa``,
+the identity (4.8) of ``structure_isos``, and in ``diffcalc`` d0 and the
+outer terms of d1 (mirroring d0 flips its sign).
 
 Each check on elements is one identity of maps: bilinearity of tau through
 ``algebra.nonlinear_side``, the commuting base images as mu o (alpha (x)
@@ -59,6 +63,7 @@ from .coring import (
     check_grouplike,
     coring_morphism,
     cotensor,
+    cotensor_coaction,
 )
 from .errors import (
     AlphaNotInjective,
@@ -257,7 +262,8 @@ class Hand:
     Mirrored constructions are written once, in right-hand order: ``legs``
     and ``kron`` reverse tensor factors, chain-map blocks and Kronecker
     factors for the left hand, and ``label`` does the same for the names in
-    messages.  ``pick`` chooses between two words that are not mirrors.
+    messages.  ``pick`` chooses between two words that are not mirrors, and
+    ``signed`` negates for the left hand.
     """
 
     # per side: the coring's letter, the unit map, the base, the other side
@@ -312,6 +318,11 @@ class Hand:
 
     def pick(self, right, left):
         return left if self.reversed else right
+
+    def signed(self, x):
+        """``x`` for the right hand and ``-x`` for the left, for a mirror
+        that flips a sign."""
+        return -x if self.reversed else x
 
 
 # ---------------------------------------------------------------------------
@@ -836,10 +847,8 @@ def _collapse(h: Hand, other: Hand, tb: TbarBicomodule):
     """
     b = h.bundle
     Tbar = tb.subspace
-    T_com = Comodule(h.coring, b.T_BA, h.side, h.rho, "T", check=False)
-    Tbar_com = Comodule(h.coring, tb.carrier, h.opposite, h.pick(tb.lrho, tb.rrho), "Tbar",
-                        check=False)
-    box = cotensor(*h.legs(T_com, Tbar_com), "box".join(h.legs("T", "Tbar")))
+    first, second = h.legs(h.pair.bicomodule, tb.bicomodule)
+    box = cotensor(first.right_part, second.left_part, "box".join(h.legs("T", "Tbar")))
     TTbar = tensor_chain(h.legs(b.T_BA, tb.carrier), [h.base])
     # varpi: multiply the first three legs
     expand = h.kron(b.idT, b.X3bar.sect.matrix @ Tbar.inclusion.matrix)
@@ -906,9 +915,12 @@ def equivalence_witness(bundle: PreTorsorBundle, pair: CoringPair,
     """The composite cotensor applied to one comodule, with an explicit iso.
 
     For a left comodule M over the A-coring this computes the subspace
-    Tbar box_D (T box_C M) and exhibits the collapse isomorphism onto M;
-    symmetrically T box_C (Tbar box_D N) for a left comodule over the
-    B-coring.  This is a per-object witness; no functoriality is claimed.
+    Tbar box_D (T box_C M) and exhibits the collapse isomorphism onto M,
+    colinear for the left C-coactions; for a left comodule over the B-coring
+    the roles of T and Tbar, of C and D and of alpha and beta are exchanged,
+    giving T box_C (Tbar box_D M).  Each box is ``coring.cotensor_coaction``
+    on the validated bicomodule.  This is a per-object witness; no
+    functoriality is claimed.
     """
     b = bundle
     f = b.field
@@ -916,93 +928,44 @@ def equivalence_witness(bundle: PreTorsorBundle, pair: CoringPair,
     maps = {}
     if M.side != "left":
         raise ShapeMismatch("equivalence witness expects a left comodule")
+    if M.coring is not pair.C and M.coring is not pair.D:
+        raise ShapeMismatch("comodule is not over either associated coring")
+    h = Hand(b, "right" if M.coring is pair.C else "left", pair)
+    # M is cotensored with the first factor, the result with the second; each
+    # factor comes with the expansion of its carrier into copies of T
+    (n1, R1, e1), (n2, R2, e2) = h.legs(
+        ("T", pair.bicomodule, b.idT),
+        ("Tbar", tb.bicomodule, b.X3bar.sect.matrix @ tb.subspace.inclusion.matrix))
+    S1, S1_bim, coact_S1 = cotensor_coaction(
+        R1, M, f"{n1}box{M.name}",
+        f"{b.name}: the left coaction does not restrict to the cotensor")
+    S1_com = Comodule(R1.left_coring, S1_bim, "left", coact_S1, f"{n1}box{M.name}")
+    S2, S2_bim, coact_S2 = cotensor_coaction(
+        R2, S1_com, f"{n2}box{n1}box{M.name}",
+        f"{b.name}: the {h.letter}-coaction does not restrict to the composite")
+    rep.add("cor4.8.dim", "4.8", S2.dim == M.dim,
+            dims={"composite": S2.dim, M.name: M.dim}, certified=certified)
+    # collapse: multiply the four T legs, pull back along (alpha or beta) (x) M
     idM = Matrix.identity(f, M.dim)
-    mu3 = b.mu @ b.mu.kron(b.idT)
-    mu4 = b.mu @ mu3.kron(b.idT)
-
-    if M.coring is pair.C:
-        T_right = Comodule(pair.C, b.T_BA, "right", pair.rho_T, "T", check=False)
-        S1 = cotensor(T_right, M, f"Tbox{M.name}")
-        TM = tensor_chain([b.T_BA, M.carrier], [b.A])
-        tm_outer = chain_outer_bimodule(TM, b.T_BA, M.carrier)
-        S1_bim = sub_bimodule(S1, tm_outer, NotSubcomoduleCompatible)
-        # left D-coaction on the cotensor, restricted from lrho (x) M
-        DTM = tensor_chain([pair.D.carrier, b.T_BA, M.carrier], [b.B, b.A])
-        step = chain_map(TM, [(1, pair.lrho_T, 2), (1, None, 1)], DTM) @ S1.inclusion
-        DS1 = tensor_chain([pair.D.carrier, S1_bim], [b.B])
-        j_DS1 = chain_map(DS1, [(1, None, 1), (1, S1.inclusion, 2)], DTM)
-        coact_S1 = corestrict_through(
-            j_DS1, step, MembershipFailure,
-            f"{b.name}: the left coaction does not restrict to the cotensor")
-        S1_com = Comodule(pair.D, S1_bim, "left", coact_S1, f"Tbox{M.name}")
-        Tbar_right = Comodule(pair.D, tb.carrier, "right", tb.rrho, "Tbar",
-                              check=False)
-        S2 = cotensor(Tbar_right, S1_com, f"TbarboxTbox{M.name}")
-        TbarS1 = tensor_chain([tb.carrier, S1_bim], [b.B])
-        rep.add("cor4.8.dim", "4.8", S2.dim == M.dim,
-                dims={"composite": S2.dim, M.name: M.dim}, certified=certified)
-        expand = (b.X3bar.sect.matrix @ tb.subspace.inclusion.matrix).kron(
-            TM.sect.matrix @ S1.inclusion.matrix)
-        to_TM = mu4.kron(idM) @ expand @ TbarS1.sect.matrix @ S2.inclusion.matrix
-        X = factor_matrix(
-            b.alpha.map.matrix.kron(idM), to_TM, WitnessNotIso,
-            f"{b.name}: collapse does not factor through alpha")
-        iso = LinearMap(S2.space, M.space, M.carrier.lact.matrix @ X)
-        rank = iso.rank()
-        rep.add("cor4.8.iso", "4.8", rank == S2.dim == M.dim,
-                dims={"rank": rank}, certified=certified)
-        maps["iso"] = iso
-        # colinearity of the witness with the left C-coactions
-        tbars1_outer = chain_outer_bimodule(TbarS1, tb.carrier, S1_bim)
-        S2_bim = sub_bimodule(S2, tbars1_outer, NotSubcomoduleCompatible)
-        CTbarS1 = tensor_chain([pair.C.carrier, tb.carrier, S1_bim], [b.A, b.B])
-        step2 = chain_map(TbarS1, [(1, tb.lrho, 2), (1, None, 1)], CTbarS1) \
-            @ S2.inclusion
-        CS2 = tensor_chain([pair.C.carrier, S2_bim], [b.A])
-        j_CS2 = chain_map(CS2, [(1, None, 1), (1, S2.inclusion, 2)], CTbarS1)
-        coact_S2 = corestrict_through(
-            j_CS2, step2, MembershipFailure,
-            f"{b.name}: the C-coaction does not restrict to the composite")
-        transported = chain_map(CS2, [(1, None, 1), (1, iso, 1)], M.chain) @ coact_S2
-        rep.add("cor4.8.colinear", "4.8", transported == M.rho @ iso,
-                certified=certified)
-        return IsoReport(rep, maps)
-
-    if M.coring is pair.D:
-        Tbar_right = Comodule(pair.D, tb.carrier, "right", tb.rrho, "Tbar",
-                              check=False)
-        S1 = cotensor(Tbar_right, M, f"Tbarbox{M.name}")
-        TbarM = tensor_chain([tb.carrier, M.carrier], [b.B])
-        tbm_outer = chain_outer_bimodule(TbarM, tb.carrier, M.carrier)
-        S1_bim = sub_bimodule(S1, tbm_outer, NotSubcomoduleCompatible)
-        CTbarM = tensor_chain([pair.C.carrier, tb.carrier, M.carrier], [b.A, b.B])
-        step = chain_map(TbarM, [(1, tb.lrho, 2), (1, None, 1)], CTbarM) \
-            @ S1.inclusion
-        CS1 = tensor_chain([pair.C.carrier, S1_bim], [b.A])
-        j_CS1 = chain_map(CS1, [(1, None, 1), (1, S1.inclusion, 2)], CTbarM)
-        coact_S1 = corestrict_through(
-            j_CS1, step, MembershipFailure,
-            f"{b.name}: the left coaction does not restrict to the cotensor")
-        S1_com = Comodule(pair.C, S1_bim, "left", coact_S1, f"Tbarbox{M.name}")
-        T_right = Comodule(pair.C, b.T_BA, "right", pair.rho_T, "T", check=False)
-        S2 = cotensor(T_right, S1_com, f"TboxTbarbox{M.name}")
-        TS1 = tensor_chain([b.T_BA, S1_bim], [b.A])
-        rep.add("cor4.8.dim", "4.8", S2.dim == M.dim,
-                dims={"composite": S2.dim, M.name: M.dim}, certified=certified)
-        expand = b.idT.kron(
-            (b.X3bar.sect.matrix @ tb.subspace.inclusion.matrix).kron(idM)
-            @ TbarM.sect.matrix @ S1.inclusion.matrix)
-        to_TM = mu4.kron(idM) @ expand @ TS1.sect.matrix @ S2.inclusion.matrix
-        X = factor_matrix(
-            b.beta.map.matrix.kron(idM), to_TM, WitnessNotIso,
-            f"{b.name}: collapse does not factor through beta")
-        iso = LinearMap(S2.space, M.space, M.carrier.lact.matrix @ X)
-        rank = iso.rank()
-        rep.add("cor4.8.iso", "4.8", rank == S2.dim == M.dim,
-                dims={"rank": rank}, certified=certified)
-        maps["iso"] = iso
-        return IsoReport(rep, maps)
-    raise ShapeMismatch("comodule is not over either associated coring")
+    R1M = tensor_chain([R1.carrier, M.carrier], [M.coring.base])
+    R2S1 = tensor_chain([R2.carrier, S1_bim], [S1_com.coring.base])
+    expand = e2.kron(e1.kron(idM) @ R1M.sect.matrix @ S1.inclusion.matrix)
+    mu4 = b.mu @ (b.mu @ b.mu.kron(b.idT)).kron(b.idT)
+    to_TM = mu4.kron(idM) @ expand @ R2S1.sect.matrix @ S2.inclusion.matrix
+    X = factor_matrix(
+        h.unit.map.matrix.kron(idM), to_TM, WitnessNotIso,
+        f"{b.name}: collapse does not factor through {h.unit_name}")
+    iso = LinearMap(S2.space, M.space, M.carrier.lact.matrix @ X)
+    rank = iso.rank()
+    rep.add("cor4.8.iso", "4.8", rank == S2.dim == M.dim,
+            dims={"rank": rank}, certified=certified)
+    maps["iso"] = iso
+    # colinearity of the witness with the left coactions of M's coring
+    KS2 = tensor_chain([M.coring.carrier, S2_bim], [M.coring.base])
+    transported = chain_map(KS2, [(1, None, 1), (1, iso, 1)], M.chain) @ coact_S2
+    rep.add("cor4.8.colinear", "4.8", transported == M.rho @ iso,
+            certified=certified)
+    return IsoReport(rep, maps)
 
 
 # ---------------------------------------------------------------------------
@@ -1023,8 +986,7 @@ def kappa(bundle: PreTorsorBundle, pair: CoringPair, Ct: Coring,
     TCt = tensor_chain([b.T_BA, Ct.carrier], [b.A])
     if rho_tilde.domain is not b.T.space or rho_tilde.codomain is not TCt.carrier:
         raise ShapeMismatch("alternative coaction has wrong spaces")
-    Comodule(Ct, b.T_BA, "right", rho_tilde, "T")  # validates the coaction
-    # T must stay a D-Ct bicomodule
+    # validates the coaction: T must stay a D-Ct bicomodule
     Bicomodule(pair.D, Ct, b.T_BA, pair.lrho_T, rho_tilde, "T")
 
     # the induced coaction on C, with membership solved

@@ -14,10 +14,11 @@ def fixture(name, field=None):
     return _FIXTURES[key]
 
 
-def analysis(name):
-    if name not in _ANALYSES:
-        _ANALYSES[name] = BundleAnalysis(fixture(name).bundle)
-    return _ANALYSES[name]
+def analysis(name, field=None):
+    key = (name, getattr(field, "name", "Q"))
+    if key not in _ANALYSES:
+        _ANALYSES[key] = BundleAnalysis(fixture(name, field).bundle)
+    return _ANALYSES[key]
 
 
 @pytest.fixture(scope="session")

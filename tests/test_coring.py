@@ -2,7 +2,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from torsorkit.algebra import Algebra, regular_bimodule, tensor_chain
+from torsorkit import pretorsor
+from torsorkit.algebra import (
+    Algebra,
+    chain_map,
+    corestrict_through,
+    regular_bimodule,
+    tensor_chain,
+)
 from torsorkit.coring import (
     Comodule,
     Coring,
@@ -10,16 +17,20 @@ from torsorkit.coring import (
     coinvariants,
     coring_morphism,
     cotensor,
+    cotensor_coaction,
 )
 from torsorkit.errors import (
+    MembershipFailure,
     NotCoassociative,
     NotCounitPreserving,
     NotGroupLike,
 )
-from torsorkit.fields import QQ
-from torsorkit.fixtures import group_algebra
+from torsorkit.fields import GF, QQ
+from torsorkit.fixtures import FIXTURE_NAMES, group_algebra
 from torsorkit.linalg import Matrix
 from torsorkit.spaces import LinearMap, Subspace, kernel, tensor_space
+
+from conftest import analysis
 
 
 def coinvariants_entwined(M: Comodule, action: LinearMap, rho_unit: Matrix,
@@ -133,9 +144,45 @@ def test_coring_morphism_identity_and_zero(trivial_on_group):
         coring_morphism(zero, c, c)
 
 
-def test_bicomodule_from_bundle(an_c2):
-    # the structure bicomodule of a bundle validates its commuting coactions
-    assert an_c2.pair.bicomodule is not None
+def test_bicomodule_from_bundle(an_c2, monkeypatch):
+    """T and Tbar enter the cotensors of Thm 4.4 as the validated one-sided
+    parts of the structure bicomodule and the coinvariant bicomodule:
+    ``_collapse`` cotensors exactly those objects, on both hands."""
+    an = an_c2
+    pair, tb = an.pair, an.tbar
+    seen = []
+
+    def watched(M, N, name=""):
+        seen.append((M, N))
+        return cotensor(M, N, name)
+
+    monkeypatch.setattr(pretorsor, "cotensor", watched)
+    right, left = (pretorsor.Hand(an.bundle, side, pair) for side in ("right", "left"))
+    pretorsor._collapse(right, left, tb)
+    pretorsor._collapse(left, right, tb)
+    T, Tbar = pair.bicomodule, tb.bicomodule
+    assert len(seen) == 2
+    assert seen[0][0] is T.right_part and seen[0][1] is Tbar.left_part
+    assert seen[1][0] is Tbar.right_part and seen[1][1] is T.left_part
+
+
+@pytest.mark.parametrize("name, field", [(name, field) for name in FIXTURE_NAMES
+                                         for field in (QQ, GF(101))],
+                         ids=lambda x: getattr(x, "name", x))
+def test_cotensor_with_the_regular_comodule_is_the_bicomodule(name, field):
+    """R box_C C = R for the structure bicomodule R = T: the cotensor has
+    dim T, rho_T corestricts to an isomorphism onto it, and that
+    isomorphism intertwines the left D-coactions."""
+    an = analysis(name, field)
+    b, pair = an.bundle, an.pair
+    S, S_bim, coact = cotensor_coaction(pair.bicomodule, an.creg, "TboxC",
+                                        "the D-coaction misses the cotensor")
+    assert S.dim == b.T.dim
+    iso = corestrict_through(S.inclusion, pair.rho_T, MembershipFailure,
+                             "rho_T misses the cotensor")
+    assert iso.rank() == b.T.dim
+    DS = tensor_chain([pair.D.carrier, S_bim], [b.B])
+    assert coact @ iso == chain_map(pair.DT, [(1, None, 1), (1, iso, 1)], DS) @ pair.lrho_T
 
 
 def test_entwined_coinvariants_of_bundle(an_c2):
@@ -143,7 +190,7 @@ def test_entwined_coinvariants_of_bundle(an_c2):
     an = an_c2
     b = an.bundle
     pair = an.pair
-    T_com = Comodule(pair.C, b.T_BA, "right", pair.rho_T, "T", check=False)
+    T_com = pair.bicomodule.right_part
     # right T-action on T is multiplication
     action = LinearMap(tensor_space([b.T.space, b.T.space]), b.T.space, b.T.mult.matrix)
     rho_unit = pair.TC.sect.matrix @ pair.rho_T.matrix @ b.T.unit_col
@@ -171,7 +218,7 @@ def test_cotensor_with_regular_both_sides(an_c2):
     b = an_c2.bundle
     reg_r = Comodule(c, c.carrier, "right", c.delta, "reg")
     reg_l = Comodule(c, c.carrier, "left", c.delta, "regL")
-    T_right = Comodule(c, b.T_BA, "right", pair.rho_T, "T", check=False)
+    T_right = pair.bicomodule.right_part
     box = cotensor(T_right, reg_l)     # T box C = T
     assert box.dim == b.T.dim
     tc = tensor_chain([b.T_BA, c.carrier], [c.base])

@@ -85,6 +85,9 @@ SCALAR_METHODS = {"add", "sub", "mul", "div", "is_zero"}
 MIRRORED_MODULES = ("pretorsor.py", "diffcalc.py", "bialgebroid.py")
 HAND_WORDS = {"right", "left"}
 COMODULE_SIDE_CHECKS = {"M.side != 'left'"}
+# the coactions of the structure bicomodule T and the coinvariant bicomodule
+# Tbar: only Bicomodule.__init__ wraps them in a Comodule
+BICOMODULE_COACTIONS = {"rho_T", "lrho_T", "lrho", "rrho"}
 # the naive oracle builds its reference maps column by column on purpose
 ORACLE = "fixtures.py"
 COLUMN_LOOP_HELPERS = {"_fixed_left_act", "_fixed_right_act",
@@ -269,6 +272,30 @@ def test_only_hand_tells_the_hands_apart():
                 and any(isinstance(leaf, ast.Constant) and leaf.value in HAND_WORDS
                         for operand in (node.left, *node.comparators)
                         for leaf in ast.walk(operand))]
+    assert not offenders, offenders
+
+
+def test_structure_comodules_are_the_bicomodule_parts():
+    """Outside ``Bicomodule.__init__`` no ``Comodule(`` call in ``src/``
+    takes a coaction of T or Tbar: each one-sided comodule on T or Tbar is a
+    validated ``right_part`` or ``left_part`` of ``pair.bicomodule`` or
+    ``tb.bicomodule``, never an unvalidated rebuild."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {id(node) for scope in ast.walk(tree)
+                  if isinstance(scope, ast.ClassDef) and scope.name == "Bicomodule"
+                  for init in scope.body
+                  if isinstance(init, ast.FunctionDef) and init.name == "__init__"
+                  for node in ast.walk(init)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and _called_name(node) == "Comodule") \
+                    or id(node) in exempt:
+                continue
+            coaction = [*node.args[3:4], *(k.value for k in node.keywords if k.arg == "rho")]
+            if any(getattr(leaf, "id", getattr(leaf, "attr", None)) in BICOMODULE_COACTIONS
+                   for arg in coaction for leaf in ast.walk(arg)):
+                offenders.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert not offenders, offenders
 
 

@@ -1,13 +1,21 @@
+import copy
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from torsorkit.algebra import sub_bimodule, tensor_chain
-from torsorkit.coring import Comodule, Coring
+from torsorkit.coring import Bicomodule, Comodule, Coring
 from torsorkit.diffcalc import build_calculus
-from torsorkit.errors import NotGalois, ShapeMismatch, TorsorKitError
-from torsorkit.fields import QQ
-from torsorkit.fixtures import generate
+from torsorkit.errors import (
+    NotCoassociative,
+    NotCounital,
+    NotGalois,
+    ShapeMismatch,
+    TorsorKitError,
+)
+from torsorkit.fields import GF, QQ
+from torsorkit.fixtures import FIXTURE_NAMES, generate
 from torsorkit.linalg import Matrix
 from torsorkit.pretorsor import (
     Hand,
@@ -145,10 +153,50 @@ def test_equivalence_witness_regular_and_sum(an_c2):
     assert w1.ok
     dims = w1.report.find("cor4.8.dim").dims
     assert dims["composite"] == 1
-    # left comodule over the other coring, the mirror direction
-    dreg = Comodule(pair.D, pair.D.carrier, "left", pair.D.delta, "D")
-    w2 = equivalence_witness(b, pair, an.tbar, dreg)
-    assert w2.ok
+
+
+def _regular_comodules(an):
+    """C and D as left comodules over themselves."""
+    D = an.pair.D
+    return an.creg, Comodule(D, D.carrier, "left", D.delta, "D")
+
+
+@pytest.mark.parametrize("name, field", [(name, field) for name in FIXTURE_NAMES
+                                         for field in (QQ, GF(101))],
+                         ids=lambda x: getattr(x, "name", x))
+def test_equivalence_witness_in_both_directions(name, field):
+    """Cor 4.8 on the regular comodules of both corings, the D direction
+    the mirror of the C one: each composite has the comodule's dimension
+    and collapses onto it by a colinear isomorphism."""
+    an = analysis(name, field)
+    for M in _regular_comodules(an):
+        rep = equivalence_witness(an.bundle, an.pair, an.tbar, M).report
+        assert [c.check_id for c in rep.checks] == \
+            ["cor4.8.dim", "cor4.8.iso", "cor4.8.colinear"], M.name
+        assert rep.ok, rep.summary()
+
+
+def _doubled_left_coaction(bico):
+    """``bico`` with its left coaction doubled, left unvalidated."""
+    return Bicomodule(bico.left_coring, bico.right_coring, bico.carrier,
+                      bico.lrho + bico.lrho, bico.rrho, bico.name, check=False)
+
+
+@pytest.mark.parametrize("direction", ["C", "D"])
+def test_equivalence_witness_sees_a_coaction_that_is_not_colinear(direction):
+    """Doubling the left coaction of the composite's outer factor (Tbar for
+    a C-comodule, T for a D-comodule) leaves the composite and its collapse
+    alone, and only ``cor4.8.colinear`` fails."""
+    an = analysis("EX-C2")
+    pair, tb = copy.copy(an.pair), copy.copy(an.tbar)
+    if direction == "C":
+        M = _regular_comodules(an)[0]
+        tb.bicomodule = _doubled_left_coaction(tb.bicomodule)
+    else:
+        M = _regular_comodules(an)[1]
+        pair.bicomodule = _doubled_left_coaction(pair.bicomodule)
+    rep = equivalence_witness(an.bundle, pair, tb, M).report
+    assert [c.check_id for c in rep.failures()] == ["cor4.8.colinear"], rep.summary()
 
 
 def test_kappa_identity_permutation_and_degenerate(an_c2):
@@ -205,6 +253,22 @@ def test_kappa_identity_permutation_and_degenerate(an_c2):
     morph3, bij3, gal3 = kappa(b, pair, Cg, rho_triv)
     assert not bij3 and not gal3
     assert morph3.map.rank() == 1  # surjective onto the span, not injective
+
+
+@pytest.mark.parametrize("double, error, message", [
+    (True, NotCoassociative, "T: coaction fails coassociativity"),
+    (False, NotCounital, "T: (id (x) eps) o rho != id"),
+], ids=["doubled", "zero"])
+def test_kappa_rejects_an_alternative_coaction_that_is_not_one(an_c2, double, error,
+                                                               message):
+    """Twice rho_T is not coassociative and the zero map is not counital;
+    ``kappa`` validates ``rho_tilde`` as the right part of the D-Ct
+    bicomodule on T and raises for both."""
+    pair = an_c2.pair
+    rho = pair.rho_T + pair.rho_T if double \
+        else LinearMap.zero(pair.rho_T.domain, pair.rho_T.codomain)
+    with pytest.raises(error, match=re.escape(message)):
+        kappa(an_c2.bundle, pair, pair.C, rho)
 
 
 @pytest.mark.parametrize("build, side, error", [
