@@ -138,6 +138,11 @@ def algebra_from_table(field, dim, table, unit, name="", labels=None) -> Algebra
     return make_algebra(field, dim, sc, unit, name, labels)
 
 
+def field_algebra(field) -> Algebra:
+    """The ground field k as a one-dimensional algebra."""
+    return make_algebra(field, 1, [(0, 0, 0, field.one)], [field.one], "k")
+
+
 def opposite(A: Algebra) -> Algebra:
     """The opposite algebra on the same underlying space."""
     space = Space(A.field, A.dim, A.name + "^op", A.space.labels)

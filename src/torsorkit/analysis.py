@@ -208,12 +208,9 @@ def bialgebroid_report(an: BundleAnalysis) -> Report:
                                          creg, creg)
         rep.extend(witness.report)
         reduced = data["phi_MM"], data["S_MM"]
-        data["xi"] = witness.xi
-        ok = can_factorisation(b, an.pair, an.bialgebroids[0],
-                               an.galois_right, data)
+        ok = can_factorisation(b, an.pair, an.galois_right, data)
         rep.add("thm5.6.eq5.12", "(5.12)", ok, certified=cert)
-        rep.extend(recovered_structure(b, an.pair, an.bialgebroids[0], data,
-                                       witness.xi0, witness.xi, creg, creg))
+        rep.extend(recovered_structure(b, an.pair, an.bialgebroids[0], data))
     except TorsorKitError as exc:
         rep.add("thm5.4.witness", "5.4", False, witness=str(exc))
     try:

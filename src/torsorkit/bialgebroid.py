@@ -13,10 +13,12 @@ right bialgebroid, as one matrix identity over the whole base and carrier;
 a left bialgebroid is checked as the right one for its opposite product
 with source and target exchanged (``right_hand_form``), after Boehm,
 *Hopf algebroids*, Handbook of Algebra 6 (2009).  The two bialgebroids of a
-torsor are built by one body against a ``pretorsor.Hand``, and both hands'
-(2.3) translation identities by one body with the legs reversed
-(``RightBialgebroid.legs``).  No check reads a structure map one basis
-vector at a time; the per-value loops are the tests' reference.
+torsor are built by one body against a ``pretorsor.Hand``, as are both
+diagonal coactions of Lemma 5.3, and both hands' (2.3) translation
+identities by one body with the legs reversed (``RightBialgebroid.legs``).
+The (5.11) and (5.12) rows of Thm 5.4 read xi0, xi and the cotensors from
+the data ``monoidal_witness`` returns.  No check reads a structure map one
+basis vector at a time; the per-value loops are the tests' reference.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .algebra import (
     chain_of_spaces,
     chain_outer_bimodule,
     corestrict_through,
+    field_algebra,
     first_nonzero_col,
     first_unbalanced,
     induce,
@@ -120,8 +123,7 @@ class LeftBialgebroid(RightBialgebroid):
         return f"LeftBialgebroid({self.coring.name})"
 
 
-def _bilinear_from_pairs(bundle, raw_amb: Matrix, chain: TensorChain,
-                         sub: Subspace, name: str):
+def _bilinear_from_pairs(raw_amb: Matrix, chain: TensorChain, sub: Subspace, name: str):
     """Descend a bilinear map on chain-ambient pairs to the subspace.
 
     ``raw_amb`` maps ambient (x)_k ambient into the chain carrier; it must
@@ -160,7 +162,7 @@ def _bialgebroid_on(h: Hand) -> RightBialgebroid:
     n = b.T.dim
     mu_op = permute_cols(b.mu, [n, n], (1, 0))
     raw = permute_cols(h.two.proj.matrix @ h.kron(mu_op, b.mu), [n] * 4, (0, 2, 1, 3))
-    mult = _bilinear_from_pairs(b, raw, h.two, sub, f"{b.name}:{h.letter}-product")
+    mult = _bilinear_from_pairs(raw, h.two, sub, f"{b.name}:{h.letter}-product")
     if h.grouplike is None:
         raise AxiomFailure(f"{b.name}: bundle is not unital, no candidate unit")
     alg = Algebra(C.space, LinearMap(tensor_space([C.space, C.space]), C.space, mult),
@@ -320,7 +322,7 @@ def theta(bgd: RightBialgebroid) -> ThetaData:
     _translation_identities(bgd, chain_op, th_inv, rep)
     if not bgd.reversed:
         _translation_multiplicative(bgd, chain_op, th_inv, rep)
-        _pentagon_right(bgd, chain_op, th, rep, op_data)
+        _pentagon_right(bgd, th, rep, op_data)
     if not rep.ok:
         raise NotTimesAHopf(f"{C.name}: theta identities failed: "
                             + ", ".join(c.check_id for c in rep.failures()))
@@ -359,7 +361,7 @@ def _left_tensor_unit(f, bgd) -> Matrix:
     return bgd.algebra.unit_col.kron(Matrix.identity(f, bgd.dim))
 
 
-def _pentagon_right(bgd, chain_op, th, rep, op_data):
+def _pentagon_right(bgd, th, rep, op_data):
     f = bgd.coring.field
     C = bgd.coring
     A_op, C_opop, C_L = op_data
@@ -408,49 +410,32 @@ def diagonal_coinvariants(bundle: PreTorsorBundle, pair: CoringPair) -> Report:
 
     The B-coring equals the coinvariants of T (x)_A T under the diagonal
     right coaction, and the A-coring those of T (x)_B T under the diagonal
-    left coaction, both as canonical subspaces.
+    left coaction, both as canonical subspaces.  One body serves both: the
+    right hand's coaction u (x) v -> u1 (x) v1 (x) (v2 u2 (x) u3 v3) lands
+    in (T (x) T) (x) C, the left hand's, legs reversed, in D (x) (T (x) T),
+    and each is compared with the other hand's coring.
     """
     b = bundle
-    f = b.field
     rep = Report(f"{b.name}:diagonal-coinvariants")
-    C, D = pair.C, pair.D
-    raw, raw2 = _diagonal_coactions_raw(b)
-
-    # right coaction on T (x)_A T: u (x) v -> u1 (x) v1 (x) (v2 u2 (x) u3 v3)
-    X4diag = tensor_chain([b.T_BA, b.T_AA, b.T_AB, b.T_BA], [b.A, b.A, b.B])
-    to_big = b.to_chain(b.TAT, raw, X4diag, "diag-C-coaction")
-    TTC = tensor_chain([b.T_BA, b.T_AA, C.carrier], [b.A, b.A])
-    j = chain_map(TTC, [(1, None, 1), (1, None, 1),
-                        (1, pair.C_sub.inclusion, 2)], X4diag)
-    rho_diag = corestrict_through(j, to_big, MembershipFailure,
-                                  f"{b.name}: diagonal coaction misses (TxT)xC")
-    gC = pair.grouplike_C.element
-    ref = LinearMap(b.TAT.carrier, TTC.carrier,
-                    TTC.proj.matrix @ b.TAT.sect.matrix.kron(gC))
-    coinv = kernel(rho_diag - ref, "D-diag")
-    ok = coinv == pair.D_sub
-    rep.add("lem5.3.D", "5.3", ok,
-            dims={"coinvariants": coinv.dim, "D": pair.D_sub.dim})
-    if not ok:
-        raise Disagreement(f"{b.name}: diagonal coinvariants differ from D")
-
-    # left coaction on T (x)_B T: u (x) v -> (u1 v1 (x) v2 u2) (x) u3 (x) v3
-    X4diag2 = tensor_chain([b.T_BA, b.T_AB, b.T_BB, b.T_BA], [b.A, b.B, b.B])
-    to_big2 = b.to_chain(b.TBT, raw2, X4diag2, "diag-D-coaction")
-    DTT = tensor_chain([D.carrier, b.T_BB, b.T_BA], [b.B, b.B])
-    j2 = chain_map(DTT, [(1, pair.D_sub.inclusion, 2), (1, None, 1),
-                         (1, None, 1)], X4diag2)
-    lrho_diag = corestrict_through(j2, to_big2, MembershipFailure,
-                                   f"{b.name}: diagonal coaction misses Dx(TxT)")
-    gD = pair.grouplike_D.element
-    ref2 = LinearMap(b.TBT.carrier, DTT.carrier,
-                     DTT.proj.matrix @ gD.kron(b.TBT.sect.matrix))
-    coinv2 = kernel(lrho_diag - ref2, "C-diag")
-    ok = coinv2 == pair.C_sub
-    rep.add("lem5.3.C", "5.3", ok,
-            dims={"coinvariants": coinv2.dim, "C": pair.C_sub.dim})
-    if not ok:
-        raise Disagreement(f"{b.name}: diagonal coinvariants differ from C")
+    hands = (Hand(b, "right", pair), Hand(b, "left", pair))
+    for h, other, raw in zip(hands, hands[::-1], _diagonal_coactions_raw(b)):
+        X4diag = tensor_chain(h.legs(b.T_BA, h.T_base, b.T_AB, b.T_BA),
+                              h.legs(h.base, h.base, other.base))
+        to_big = b.to_chain(h.base_two, raw, X4diag, f"diag-{h.letter}-coaction")
+        TTK = tensor_chain(h.legs(b.T_BA, h.T_base, h.coring.carrier), h.legs(h.base, h.base))
+        j = chain_map(TTK, h.legs((1, None, 1), (1, None, 1), (1, h.sub.inclusion, 2)),
+                      X4diag)
+        rho_diag = corestrict_through(j, to_big, MembershipFailure,
+                                      f"{b.name}: diagonal coaction misses "
+                                      + "x".join(h.legs("(TxT)", h.letter)))
+        ref = LinearMap(h.base_two.carrier, TTK.carrier, TTK.proj.matrix @ h.kron(
+            h.base_two.sect.matrix, h.grouplike.element))
+        coinv = kernel(rho_diag - ref, f"{other.letter}-diag")
+        ok = coinv == other.sub
+        rep.add(f"lem5.3.{other.letter}", "5.3", ok,
+                dims={"coinvariants": coinv.dim, other.letter: other.sub.dim})
+        if not ok:
+            raise Disagreement(f"{b.name}: diagonal coinvariants differ from {other.letter}")
     return rep
 
 
@@ -494,11 +479,11 @@ def comodule_actions(M: Comodule, bgd: RightBialgebroid):
     return enriched, rep
 
 
-def monoidal_product(bgd: RightBialgebroid, M: Comodule, Mp: Comodule,
-                     K: Algebra):
+def monoidal_product(bgd: RightBialgebroid, M: Comodule, Mp: Comodule):
     """M (x)_{A^op} M' with the diagonal coaction, as a validated comodule.
 
-    Both factors must carry the induced base actions (see comodule_actions).
+    Both factors must carry the induced base actions (see comodule_actions);
+    the product is an A-k-bimodule, k acting trivially on the right.
     """
     C = bgd.coring
     A = bgd.base
@@ -511,6 +496,7 @@ def monoidal_product(bgd: RightBialgebroid, M: Comodule, Mp: Comodule,
                      MM.proj.matrix @ kron_apply(f, [None, Mp.carrier.lact.matrix],
                                                  [A.dim, M.dim, Mp.dim], (1, 0, 2),
                                                  [None, MM.sect.matrix]))
+    K = field_algebra(f)
     ract = LinearMap(tensor_space([MM.carrier, K.space]), MM.carrier,
                      Matrix.identity(f, MM.dim))
     MM_bim = Bimodule(MM.carrier, A, K, lact, ract)
@@ -529,7 +515,7 @@ def monoidal_product(bgd: RightBialgebroid, M: Comodule, Mp: Comodule,
     rho_MM_big = induce(MM, rho_amb, "diagonal coaction")
     # view C (x) (M (x) M') through the pair chain
     CMM2 = tensor_chain([C.carrier, MM_bim], [A])
-    j_map = _pair_to_triple(C, MM, MM_bim, CMM2, CMM)
+    j_map = _pair_to_triple(C, MM, CMM2, CMM)
     rho_MM = corestrict_through(j_map, rho_MM_big, MembershipFailure,
                                 "diagonal coaction misses C (x) (M (x) M')")
     com = Comodule(bgd.coring, MM_bim, "left", rho_MM, f"{M.name}(x){Mp.name}")
@@ -547,7 +533,7 @@ def _opposite_link(A_op: Algebra, M: Bimodule, Mp: Bimodule) -> Link:
                           permute_cols(Mp.ract.matrix, [n, Mp.dim], (1, 0))))
 
 
-def _pair_to_triple(C, MM, MM_bim, CMM2, CMM) -> LinearMap:
+def _pair_to_triple(C, MM, CMM2, CMM) -> LinearMap:
     """Identify C (x)_A (MxM') with the triple chain via representatives."""
     f = C.field
     idC = Matrix.identity(f, C.dim)
@@ -560,11 +546,9 @@ def _pair_to_triple(C, MM, MM_bim, CMM2, CMM) -> LinearMap:
 
 
 class MonoidalWitness:
-    def __init__(self, xi0, xi, unit_cotensor, product_cotensor, report):
+    def __init__(self, xi0, xi, report):
         self.xi0 = xi0
         self.xi = xi
-        self.unit_cotensor = unit_cotensor
-        self.product_cotensor = product_cotensor
         self.report = report
 
     @property
@@ -601,24 +585,21 @@ def _bb_bimodule(bundle, sub: Subspace, lact: Matrix, ract: Matrix) -> Bimodule:
 
 
 def monoidal_witness(bundle: PreTorsorBundle, pair: CoringPair,
-                     bgd: RightBialgebroid, M: Comodule, Mp: Comodule,
-                     gal_right=None, theta_data: ThetaData | None = None,
-                     K: Algebra | None = None):
+                     bgd: RightBialgebroid, M: Comodule, Mp: Comodule):
     """The lax monoidal structure maps on the cotensor functor.
 
     Builds xi0: B -> T box A and xi: (T box M) (x)_B (T box M') ->
-    T box (M (x) M'), checks bilinearity, cotensor membership and
-    bijectivity, and verifies the factorisation of the canonical map through
-    xi_{C,C} plus the recovered-structure consistency chain.
+    T box (M (x) M') and checks bilinearity, cotensor membership and
+    bijectivity.  Returns the witness and the data the (5.11) and (5.12)
+    rows read (``can_factorisation``, ``recovered_structure``): the
+    cotensors and chains, xi0, xi, and ``pair_reps``, the pairs of
+    cotensor representatives xi is built on, legs t (x) t' (x) m (x) m'.
     """
     b = bundle
     f = b.field
     C = pair.C
     A = b.A
     rep = Report(f"{b.name}:monoidal-{M.name}-{Mp.name}")
-    if K is None:
-        from .fixtures import field_algebra
-        K = field_algebra(f)
     T_right = pair.bicomodule.right_part
 
     # the monoidal unit: A with coaction through the target map
@@ -639,7 +620,7 @@ def monoidal_witness(bundle: PreTorsorBundle, pair: CoringPair,
             dims={"B": b.B.dim, "T box A": S_A.dim})
 
     # the product comodule and xi
-    MM_com, MM = monoidal_product(bgd, M, Mp, K)
+    MM_com, MM = monoidal_product(bgd, M, Mp)
     phi_MM = cotensor_difference(T_right, MM_com)
     S_MM = kernel(phi_MM, "TboxMM")
     TMM = tensor_chain([b.T_BA, MM_com.carrier], [A])
@@ -652,12 +633,12 @@ def monoidal_witness(bundle: PreTorsorBundle, pair: CoringPair,
     S1_bb = _bb_bimodule(b, S1, l1, r1)
     S1p_bb = _bb_bimodule(b, S1p, l2, r2)
     S11 = tensor_chain([S1_bb, S1p_bb], [b.B])
-    raw = (b.mu.kron(MM.proj.matrix)
-           @ permute_rows((TM.sect.matrix @ S1.inclusion.matrix).kron(
-               TMp.sect.matrix @ S1p.inclusion.matrix),
-               [b.T.dim, M.dim, b.T.dim, Mp.dim], (0, 2, 1, 3)))
+    pair_reps = permute_rows((TM.sect.matrix @ S1.inclusion.matrix).kron(
+        TMp.sect.matrix @ S1p.inclusion.matrix), [b.T.dim, M.dim, b.T.dim, Mp.dim],
+        (0, 2, 1, 3))
     to_TMM = induce(S11, LinearMap(S11.ambient, TMM.carrier,
-                                   TMM.proj.matrix @ raw), "xi")
+                                   TMM.proj.matrix @ b.mu.kron(MM.proj.matrix) @ pair_reps),
+                    "xi")
     xi = corestrict_through(S_MM.inclusion, to_TMM, MembershipFailure,
                             f"{b.name}: xi misses the cotensor")
     rep.add("thm5.4.xi-bijective", "(5.2)",
@@ -673,39 +654,32 @@ def monoidal_witness(bundle: PreTorsorBundle, pair: CoringPair,
     rep.add("thm5.4.xi-bilinear", "(5.2)", nonlinear_side(
         xi.matrix, chain_outer_bimodule(S11, S1_bb, S1p_bb), S_MM_bb) is None)
 
-    witness = MonoidalWitness(xi0, xi, S_A, S_MM, rep)
-    return witness, {"MM_com": MM_com, "MM": MM, "S1": S1, "S1p": S1p,
-                     "S11": S11, "S_MM": S_MM, "phi_MM": phi_MM, "TMM": TMM, "TM": TM,
-                     "A_com": A_com, "S_A": S_A, "TA": TA}
+    witness = MonoidalWitness(xi0, xi, rep)
+    return witness, {"MM": MM, "S1": S1, "S1p": S1p, "S11": S11, "S_MM": S_MM,
+                     "phi_MM": phi_MM, "TMM": TMM, "TM": TM, "A_com": A_com, "S_A": S_A,
+                     "TA": TA, "xi0": xi0, "xi": xi, "pair_reps": pair_reps}
 
 
-def can_factorisation(bundle: PreTorsorBundle, pair: CoringPair,
-                      bgd: RightBialgebroid, gal_right, witness_data) -> bool:
+def _rho_rho(b: PreTorsorBundle, pair: CoringPair, data) -> LinearMap:
+    """rho (x)_B rho: T (x)_B T -> (T box C) (x)_B (T box C), on the
+    cotensors of ``monoidal_witness`` for M = M' = C."""
+    rho1, rho2 = (corestrict_through(data[key].inclusion, pair.rho_T, MembershipFailure,
+                                     f"{b.name}: rho misses T box C") for key in ("S1", "S1p"))
+    return chain_map(b.TBT, [(1, rho1, 1), (1, rho2, 1)], data["S11"], "rho x rho")
+
+
+def can_factorisation(bundle: PreTorsorBundle, pair: CoringPair, gal_right,
+                      witness_data) -> bool:
     """can = (T box (eps (x) C)) o xi_{C,C} o (rho (x)_B rho), matrix-exact."""
-    b = bundle
-    f = b.field
+    b, w = bundle, witness_data
     C = pair.C
-    S1 = witness_data["S1"]
-    S1p = witness_data["S1p"]
-    S11 = witness_data["S11"]
-    S_MM = witness_data["S_MM"]
-    TMM = witness_data["TMM"]
-    MM = witness_data["MM"]
-    xi = witness_data["xi"]
-    rhoS1 = corestrict_through(S1.inclusion, pair.rho_T, MembershipFailure,
-                               f"{b.name}: rho misses T box C")
-    rhoS1p = corestrict_through(S1p.inclusion, pair.rho_T, MembershipFailure,
-                                f"{b.name}: rho misses T box C")
-    step1 = chain_map(b.TBT, [(1, rhoS1, 1), (1, rhoS1p, 1)], S11, "rho x rho")
-    idC = Matrix.identity(f, C.dim)
     alpha_eps = b.alpha.map.matrix @ C.eps.matrix
     final_raw = (pair.TC.proj.matrix
-                 @ (b.mu @ b.idT.kron(alpha_eps)).kron(idC)
-                 @ b.idT.kron(MM.sect.matrix) @ TMM.sect.matrix
-                 @ S_MM.inclusion.matrix)
-    final = LinearMap(S_MM.space, pair.TC.carrier, final_raw)
-    composite = final @ xi @ step1
-    return composite == gal_right.can
+                 @ (b.mu @ b.idT.kron(alpha_eps)).kron(Matrix.identity(b.field, C.dim))
+                 @ b.idT.kron(w["MM"].sect.matrix) @ w["TMM"].sect.matrix
+                 @ w["S_MM"].inclusion.matrix)
+    final = LinearMap(w["S_MM"].space, pair.TC.carrier, final_raw)
+    return final @ w["xi"] @ _rho_rho(b, pair, w) == gal_right.can
 
 
 # ---------------------------------------------------------------------------
@@ -732,8 +706,7 @@ def cofree_comodule(bgd: RightBialgebroid, N_bim: Bimodule):
 
 def lemma55_check(bundle: PreTorsorBundle, pair: CoringPair,
                   bgd: RightBialgebroid, th: ThetaData,
-                  N_bim: Bimodule, M_bim: Bimodule,
-                  K: Algebra | None = None, reduced=None) -> Report:
+                  N_bim: Bimodule, M_bim: Bimodule, reduced=None) -> Report:
     """The cotensor of T with a double cofree comodule collapses.
 
     Verifies that the counit-collapse map psi and its theta-built inverse
@@ -757,14 +730,11 @@ def lemma55_check(bundle: PreTorsorBundle, pair: CoringPair,
     C = pair.C
     A = b.A
     rep = Report(f"{b.name}:cotensor-collapse")
-    if K is None:
-        from .fixtures import field_algebra
-        K = field_algebra(f)
     CN_com, CN = cofree_comodule(bgd, N_bim)
     CM_com, CM = cofree_comodule(bgd, M_bim)
     CN_enr, _ = comodule_actions(CN_com, bgd)
     CM_enr, _ = comodule_actions(CM_com, bgd)
-    X_com, X = monoidal_product(bgd, CN_enr, CM_enr, K)
+    X_com, X = monoidal_product(bgd, CN_enr, CM_enr)
     TX = tensor_chain([b.T_BA, X_com.carrier], [A])
 
     # the equaliser difference whose kernel is the cotensor
@@ -824,50 +794,37 @@ def lemma55_check(bundle: PreTorsorBundle, pair: CoringPair,
 # recovered structure (the consistency chain)
 
 
-def recovered_structure(bundle, pair, bgd, witness_data, xi0, xi,
-                        M: Comodule, Mp: Comodule) -> Report:
+def recovered_structure(bundle: PreTorsorBundle, pair: CoringPair,
+                        bgd: RightBialgebroid, witness_data) -> Report:
     """Recover multiplication, unit and the coherence map from xi itself and
     compare with the originals."""
-    b = bundle
+    b, w = bundle, witness_data
     C = pair.C
     rep = Report(f"{b.name}:recovered-structure")
-    S1, S1p = witness_data["S1"], witness_data["S1p"]
-    S11 = witness_data["S11"]
-    S_MM, TMM, MM = witness_data["S_MM"], witness_data["TMM"], witness_data["MM"]
+    S_MM, TMM, MM = w["S_MM"], w["TMM"], w["MM"]
     # D1 = (T (x) eps o mu) o xi, then mu_rec = D1 o (rho x rho)
     collapse = (b.mu @ b.idT.kron(b.alpha.map.matrix @ C.eps.matrix
                                   @ bgd.algebra.mult.matrix @ MM.sect.matrix)
                 @ TMM.sect.matrix @ S_MM.inclusion.matrix)
     D1 = LinearMap(S_MM.space, b.T.space, collapse)
-    rhoS1 = corestrict_through(S1.inclusion, pair.rho_T, MembershipFailure, "rho")
-    rhoS1p = corestrict_through(S1p.inclusion, pair.rho_T, MembershipFailure, "rho")
-    step1 = chain_map(b.TBT, [(1, rhoS1, 1), (1, rhoS1p, 1)], S11, "rho x rho")
-    mu_rec = D1 @ xi @ step1
-    rep.add("thm5.4.recovered-mult", "(5.11)", mu_rec == bundle.mu_TBT)
+    mu_rec = D1 @ w["xi"] @ _rho_rho(b, pair, w)
+    rep.add("thm5.4.recovered-mult", "(5.11)", mu_rec == b.mu_TBT)
     # eta_rec = (T (x) eps) o (T box t) o xi0
-    TA = witness_data["TA"]
-    S_A = witness_data["S_A"]
     eta_collapse = (b.mu @ b.idT.kron(b.alpha.map.matrix)
-                    @ TA.sect.matrix @ S_A.inclusion.matrix)
-    eta_rec = LinearMap(S_A.space, b.T.space, eta_collapse) @ xi0
+                    @ w["TA"].sect.matrix @ w["S_A"].inclusion.matrix)
+    eta_rec = LinearMap(w["S_A"].space, b.T.space, eta_collapse) @ w["xi0"]
     rep.add("thm5.4.recovered-unit", "(5.11)", eta_rec.matrix == b.beta.map.matrix)
-    # xi_rec via the recovered multiplication formula
-    TM = witness_data["TM"]
-    TMp = tensor_chain([b.T_BA, Mp.carrier], [b.A])
-    pair_reps = permute_rows((TM.sect.matrix @ S1.inclusion.matrix).kron(
-        TMp.sect.matrix @ S1p.inclusion.matrix),
-        [b.T.dim, M.dim, b.T.dim, Mp.dim], (0, 2, 1, 3))
+    # xi_rec via the recovered multiplication formula, with
     # d(u, u') = u0 u'0 alpha(eps(u1 u'1)) as a map T (x) T -> T
     du = (b.mu @ b.mu.kron(b.alpha.map.matrix @ C.eps.matrix
                            @ bgd.algebra.mult.matrix)
           @ _rho_pair(b, pair))
-    xi_rec_raw = (TMM.proj.matrix
-                  @ du.kron(MM.proj.matrix) @ pair_reps
-                  @ S11.sect.matrix)
+    xi_rec_raw = (TMM.proj.matrix @ du.kron(MM.proj.matrix) @ w["pair_reps"]
+                  @ w["S11"].sect.matrix)
     xi_rec = corestrict_through(
-        S_MM.inclusion, LinearMap(S11.carrier, TMM.carrier, xi_rec_raw),
+        S_MM.inclusion, LinearMap(w["S11"].carrier, TMM.carrier, xi_rec_raw),
         MembershipFailure, "recovered xi misses the cotensor")
-    rep.add("thm5.4.recovered-xi", "(5.11)", xi_rec == xi)
+    rep.add("thm5.4.recovered-xi", "(5.11)", xi_rec == w["xi"])
     return rep
 
 

@@ -31,6 +31,7 @@ from .algebra import (
     Bimodule,
     Link,
     chain_of_spaces,
+    field_algebra,
     first_unbalanced,
     tensor_chain,
     tensor_space,
@@ -51,7 +52,7 @@ from .errors import (
 from .linalg import Matrix, kron_apply, permute_cols, permute_rows, split_leg
 from .report import Report
 from .spaces import LinearMap
-from .fixtures import HopfData, field_algebra
+from .fixtures import HopfData
 
 COCYCLE_NOTE = ("cocycle axioms are external data: validated through balance "
                 "of every displayed formula and the resulting bialgebroid sweep")

@@ -24,7 +24,6 @@ from .errors import (
     MembershipFailure,
     NotFlat,
     NotUnital,
-    PreconditionFailed,
     RangeFailure,
 )
 from .linalg import Matrix
@@ -172,13 +171,11 @@ def connections(bundle: PreTorsorBundle, pair: CoringPair,
 
 def bimodule_connection(bundle: PreTorsorBundle, pair: CoringPair,
                         calcA: DiffCalculus, calcB: DiffCalculus,
-                        left_conn: Connection,
-                        ent_left: EntwiningData | None = None,
-                        require_sigma_l: bool = False) -> BimoduleConnection:
+                        left_conn: Connection, ent_left: EntwiningData) -> BimoduleConnection:
     """The twist map t (x) omega -> tau(t omega_1) omega_2 and its variants.
 
     ``sigma_l`` exists only when the structure map is right B-linear; its
-    absence is a verdict recorded in the report (or raised when required).
+    absence is a verdict recorded in the report.
     """
     b = bundle
     f = b.field
@@ -214,15 +211,13 @@ def bimodule_connection(bundle: PreTorsorBundle, pair: CoringPair,
     rep.add("propB.2.twisted-leibniz", "B.2(1)", lhs == rhs)
 
     # sigma_B is a restriction of the left entwining map
-    if ent_left is not None:
-        D_sub = pair.D_sub
-        om1_to_D = LinearMap(om1B.space, D_sub.space,
-                             D_sub.retraction.matrix @ om1B.inclusion.matrix)
-        TD = tensor_chain([b.T_BB, pair.D.carrier], [b.B])
-        lift = chain_map(TOm1B, [(1, None, 1), (1, om1_to_D, 1)], TD)
-        into_DT = chain_map(Om1T, [(1, om1_to_D, 1), (1, None, 1)], pair.DT)
-        rep.add("propB.2.sigmaB-is-psiD", "B.2",
-                ent_left.psi @ lift == into_DT @ sigma_b)
+    D_sub = pair.D_sub
+    om1_to_D = LinearMap(om1B.space, D_sub.space,
+                         D_sub.retraction.matrix @ om1B.inclusion.matrix)
+    TD = tensor_chain([b.T_BB, pair.D.carrier], [b.B])
+    lift = chain_map(TOm1B, [(1, None, 1), (1, om1_to_D, 1)], TD)
+    into_DT = chain_map(Om1T, [(1, om1_to_D, 1), (1, None, 1)], pair.DT)
+    rep.add("propB.2.sigmaB-is-psiD", "B.2", ent_left.psi @ lift == into_DT @ sigma_b)
 
     # sigma_l needs tau right B-linear
     # per basis element of B, right multiplication by its image under beta,
@@ -242,9 +237,6 @@ def bimodule_connection(bundle: PreTorsorBundle, pair: CoringPair,
                         "the mixed twist leaves its range")
         kills = sigma_l.matrix @ TOm1A.proj.matrix @ b.idT.kron(calcA.d0.matrix)
         rep.add("propB.2.sigma-l-kills-dA", "B.2(2)", kills.is_zero())
-    elif require_sigma_l:
-        raise PreconditionFailed(
-            f"{b.name}: TauNotRightBLinear, no mixed twist exists")
     if not rep.ok:
         raise NotFlat(f"{b.name}: bimodule connection identities failed")
     return BimoduleConnection(left_conn.nabla, sigma_b, sigma_l, rep)

@@ -173,10 +173,6 @@ class NotConvolutionInverse(TorsorKitError):
         self.witness = witness
 
 
-class PreconditionFailed(TorsorKitError):
-    pass
-
-
 class MembershipFailure(TorsorKitError):
     pass
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Algebra, AlgebraMap, algebra_from_table, make_algebra
+from .algebra import Algebra, AlgebraMap, algebra_from_table, field_algebra, make_algebra
 from .errors import TorsorKitError, UnknownFixture
 from .fields import QQ, Field
 from .linalg import Matrix, permute_cols
@@ -213,10 +213,6 @@ def _oracle_dims(field, T: Algebra, alpha: Matrix, beta: Matrix,
 
 # ---------------------------------------------------------------------------
 # fixture constructions
-
-
-def field_algebra(field: Field) -> Algebra:
-    return make_algebra(field, 1, [(0, 0, 0, field.one)], [field.one], "k")
 
 
 def unit_algebra_map(k: Algebra, T: Algebra) -> AlgebraMap:

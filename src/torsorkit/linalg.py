@@ -523,17 +523,13 @@ class Matrix:
     def solve(self, rhs: "Matrix"):
         """A particular X with ``self @ X == rhs``, or None if inconsistent.
 
-        Free variables are set to zero, so the solution is canonical.  A tall
-        system (more rows than columns) is first cut to a basis P of the
-        rows of ``self`` and solved on those rows; X is returned only if
-        ``self @ X == rhs``, checked exactly, so callers need not check.
-        When every column has a unit row (``unit_rows``), those rows are P
-        and ``self[P]`` is the identity, so X is ``rhs[P]``, the unique
-        solution, read off with no elimination.  Otherwise P is the pivots
-        of ``self.transpose().rref()``, and X is read off the rref of
-        ``[self[P] | rhs[P]]``: when the system is consistent, the rows P
-        span all of its rows, so that rref, and with it X, is the same as
-        for the whole system.
+        Free variables are set to zero, so the solution is canonical.  When
+        every column has a unit row (``unit_rows``), those rows P make
+        ``self[P]`` the identity, so X is ``rhs[P]``, the unique solution,
+        read off with no elimination and returned only if ``self @ X ==
+        rhs``, checked exactly.  Otherwise X is read off one rref of
+        ``[self | rhs]``, whatever the shape: the system is inconsistent
+        exactly when a pivot falls in the ``rhs`` columns.
         """
         if rhs.nrows != self.nrows:
             raise ShapeMismatch("solve: row counts differ")
@@ -541,11 +537,6 @@ class Matrix:
         P = self.unit_rows()
         if P is not None:
             X = Matrix.from_sparse_rows(f, [rhs._rows[i] for i in P], rhs.ncols)
-            return X if self @ X == rhs else None
-        if self.nrows > self.ncols:
-            _, P = self.transpose().rref()
-            X = Matrix.from_sparse_rows(f, [self._rows[i] for i in P], self.ncols).solve(
-                Matrix.from_sparse_rows(f, [rhs._rows[i] for i in P], rhs.ncols))
             return X if self @ X == rhs else None
         R, pivots = Matrix.augment(self, rhs).rref()
         n = self.ncols

@@ -191,7 +191,8 @@ class PreTorsorBundle:
             self._cache[key] = build()
         return self._cache[key]
 
-    def to_chain(self, dom: TensorChain, mat: Matrix, cod: TensorChain, name="") -> LinearMap:
+    @staticmethod
+    def to_chain(dom: TensorChain, mat: Matrix, cod: TensorChain, name="") -> LinearMap:
         full = LinearMap(dom.ambient, cod.carrier, cod.proj.matrix @ mat)
         return induce(dom, full, name)
 
@@ -744,8 +745,7 @@ class IsoReport:
 
 def structure_isos(bundle: PreTorsorBundle, pair: CoringPair, tb: TbarBicomodule,
                    ent_right: EntwiningData, ent_left: EntwiningData,
-                   gal_right: GaloisData | None = None,
-                   gal_left: GaloisData | None = None,
+                   gal_right: GaloisData, gal_left: GaloisData,
                    certified: bool = True) -> IsoReport:
     """The cotensor isomorphisms and, with invertible entwinings, the
     identification of T with the coinvariant bicomodule."""
@@ -820,14 +820,12 @@ def structure_isos(bundle: PreTorsorBundle, pair: CoringPair, tb: TbarBicomodule
             for h, coact in ((right, lcoact), (left, rcoact)))
         lcan_inv = invert(lcan)
         rcan_inv = invert(rcan)
-        can_right = gal_right or galois(bundle, pair, "right")
-        can_left = gal_left or galois(bundle, pair, "left")
         TCT = tensor_chain([b.T_BA, C.carrier, b.T_AA], [b.A, b.A])
         TDT = tensor_chain([b.T_AB, D.carrier, b.T_BA], [b.B, b.B])
         lhs48 = (chain_map(TCT, [(1, None, 1), (2, lcan_inv, 2)], b.X3)
-                 @ chain_map(X3bar, [(2, can_right.can, 2), (1, None, 1)], TCT))
+                 @ chain_map(X3bar, [(2, gal_right.can, 2), (1, None, 1)], TCT))
         rhs48 = (chain_map(TDT, [(2, rcan_inv, 2), (1, None, 1)], b.X3)
-                 @ chain_map(X3bar, [(1, None, 1), (2, can_left.can, 2)], TDT))
+                 @ chain_map(X3bar, [(1, None, 1), (2, gal_left.can, 2)], TDT))
         rep.add("thm4.9.eq4.8", "(4.8)", lhs48 == rhs48, certified=certified)
         maps["can_D_right"] = rcan
         maps["can_C_left"] = lcan

@@ -232,18 +232,14 @@ def test_criterion_8_monoidal_witnesses():
         creg = an.regular_comodule()
         w, data = monoidal_witness(b, an.pair, bC, creg, creg)
         ok &= w.ok
-        data["xi"] = w.xi
-        ok &= can_factorisation(b, an.pair, bC, an.galois_right, data)
-        ok &= recovered_structure(b, an.pair, bC, data, w.xi0, w.xi,
-                                  creg, creg).ok
+        ok &= can_factorisation(b, an.pair, an.galois_right, data)
+        ok &= recovered_structure(b, an.pair, bC, data).ok
         K = field_algebra(b.field)
         A_bim = regular_bimodule(b.A)
-        ok &= lemma55_check(b, an.pair, bC, an.theta_right,
-                            A_bim, A_bim, K).ok
+        ok &= lemma55_check(b, an.pair, bC, an.theta_right, A_bim, A_bim).ok
         C_mod = left_module_wrap(b.A, an.pair.C.space,
                                  an.pair.C.carrier.lact, K)
-        ok &= lemma55_check(b, an.pair, bC, an.theta_right,
-                            C_mod, C_mod, K).ok
+        ok &= lemma55_check(b, an.pair, bC, an.theta_right, C_mod, C_mod).ok
     assert _line(8, ok, "monoidal structure maps bijective, canonical-map "
                         "factorisation and cotensor collapse exact")
 

@@ -49,10 +49,11 @@ from torsorkit.cleft_twist import (
     twist_data_for_fixture,
     twisted_bialgebroid,
 )
-from torsorkit.coring import Comodule
+from torsorkit.coring import Comodule, GroupLike
 from torsorkit.errors import (
     AxiomFailure,
     ClosureFailure,
+    Disagreement,
     MembershipFailure,
     NotConvolutionInverse,
     NotSubcomoduleCompatible,
@@ -65,7 +66,7 @@ from torsorkit.pretorsor import Hand
 from torsorkit.report import Report
 from torsorkit.spaces import LinearMap, Subspace, intersect, kernel, tensor_space
 
-from conftest import fixture
+from conftest import analysis, fixture
 
 
 def test_c2_bialgebroid_products(an_c2):
@@ -104,6 +105,20 @@ def test_diagonal_coinvariants(an_triv, an_c2, an_sw, an_smash):
         assert diagonal_coinvariants(an.bundle, an.pair).ok
 
 
+@pytest.mark.parametrize("name", ["EX-SW", "EX-SMASH"])
+@pytest.mark.parametrize("side, coring", [("right", "D"), ("left", "C")])
+def test_diagonal_coinvariants_see_a_scaled_grouplike(monkeypatch, name, side, coring):
+    """Doubling one hand's group-like leaves no coinvariants, so Lemma 5.3
+    fails on the other hand's coring: the right hand's on D, the left
+    hand's on C, after lem5.3.D has passed."""
+    b, pair = analysis(name).bundle, analysis(name).pair
+    key = {"right": "grouplike_C", "left": "grouplike_D"}[side]
+    g = getattr(pair, key)
+    monkeypatch.setattr(pair, key, GroupLike(g.coring, g.element.scale(b.field.from_int(2))))
+    with pytest.raises(Disagreement, match=f"differ from {coring}$"):
+        diagonal_coinvariants(b, pair)
+
+
 def test_comodule_actions_regular_and_unit(an_c2):
     an = an_c2
     bC = an.bialgebroids[0]
@@ -135,9 +150,8 @@ def test_monoidal_witness_and_512(an_triv, an_c2, an_sw):
         creg = an.regular_comodule()
         w, data = monoidal_witness(b, an.pair, bC, creg, creg)
         assert w.ok, w.report.summary()
-        data["xi"] = w.xi
-        assert can_factorisation(b, an.pair, bC, an.galois_right, data)
-        rec = recovered_structure(b, an.pair, bC, data, w.xi0, w.xi, creg, creg)
+        assert can_factorisation(b, an.pair, an.galois_right, data)
+        rec = recovered_structure(b, an.pair, bC, data)
         assert rec.ok, rec.summary()
 
 
@@ -155,9 +169,9 @@ def test_lemma55_unit_and_regular(an_c2):
     th = an.theta_right
     K = field_algebra(QQ)
     A_bim = regular_bimodule(b.A)
-    assert lemma55_check(b, an.pair, bC, th, A_bim, A_bim, K).ok
+    assert lemma55_check(b, an.pair, bC, th, A_bim, A_bim).ok
     C_mod = left_module_wrap(b.A, an.pair.C.space, an.pair.C.carrier.lact, K)
-    assert lemma55_check(b, an.pair, bC, th, C_mod, C_mod, K).ok
+    assert lemma55_check(b, an.pair, bC, th, C_mod, C_mod).ok
 
 
 def test_homogeneous_pretorsor_cases(an_sw):
@@ -695,6 +709,52 @@ def test_xi_bilinear_row_bites(an_smash, monkeypatch, leg):
                             creg, creg)
     assert len(calls) == 3
     assert w.report.find("thm5.4.xi-bilinear").status == "fail"
+
+
+def _doubled(lin: LinearMap) -> LinearMap:
+    return LinearMap(lin.domain, lin.codomain, lin.matrix.scale(lin.domain.field.from_int(2)))
+
+
+# the input each Section 5 row compares, doubled once monoidal_witness has run
+SECTION5_PERTURBATIONS = {
+    "thm5.6.eq5.12": lambda mp, an, data: mp.setattr(
+        an.galois_right, "can", _doubled(an.galois_right.can)),
+    "thm5.4.recovered-mult": lambda mp, an, data: mp.setitem(
+        an.bundle._cache, "mu_TBT", _doubled(an.bundle.mu_TBT)),
+    "thm5.4.recovered-unit": lambda mp, an, data: mp.setattr(
+        an.bundle, "beta", AlgebraMap(an.bundle.B, an.bundle.T, _doubled(an.bundle.beta.map),
+                                      check=False)),
+    "thm5.4.recovered-xi": lambda mp, an, data: mp.setitem(
+        data, "pair_reps", data["pair_reps"].scale(an.bundle.field.from_int(2))),
+}
+
+
+def _section5_rows(an, perturb=None):
+    """The (5.12) and (5.11) rows on the regular comodule, as
+    ``bialgebroid_report`` runs them, with ``perturb(data)`` applied to
+    their inputs after the witness is built."""
+    b, pair, bC = an.bundle, an.pair, an.bialgebroids[0]
+    creg = an.regular_comodule()
+    w, data = monoidal_witness(b, pair, bC, creg, creg)
+    if perturb is not None:
+        perturb(data)
+    rows = {"thm5.6.eq5.12": can_factorisation(b, pair, an.galois_right, data)}
+    rows.update((c.check_id, c.status == "pass")
+                for c in recovered_structure(b, pair, bC, data).checks)
+    return rows
+
+
+@pytest.mark.parametrize("name", ["EX-SW", "EX-SMASH"])
+@pytest.mark.parametrize("row", sorted(SECTION5_PERTURBATIONS))
+def test_each_section5_row_sees_its_own_input(monkeypatch, name, row):
+    """Doubling the one input a row compares fails exactly that row of
+    thm5.6.eq5.12 and thm5.4.recovered-mult/-unit/-xi; unperturbed, all
+    four pass."""
+    an = analysis(name)
+    rows = _section5_rows(an)
+    assert sorted(rows) == sorted(SECTION5_PERTURBATIONS) and all(rows.values())
+    rows = _section5_rows(an, lambda data: SECTION5_PERTURBATIONS[row](monkeypatch, an, data))
+    assert [r for r, ok in rows.items() if not ok] == [row]
 
 
 def _reference_subalgebra(alg, sub, name, err, msg):

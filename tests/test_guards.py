@@ -137,6 +137,9 @@ UNREACHED = {
     "report.Report.summary": "the failures of a report in one line, for callers",
     "algebra.join_right": "the right-action column layout stays in algebra beside its "
                           "mirror join_left",
+    "pretorsor.kappa": "paper construction: the comparison morphism into another coring "
+                       "coacting on T, awaiting a fixture with a second coring",
+    "linalg.Matrix.entry": "the one-entry read of a Matrix, for callers",
 }
 
 
@@ -671,9 +674,11 @@ def test_every_loaded_name_is_bound():
 def _unreached_functions():
     """Each function and method defined in ``src/`` whose name nothing else
     in ``src/`` mentions, as ``module.qualified.name``: no other Name,
-    Attribute or identifier-like string constant outside its own body.
-    Dunder methods are reached by the language and are skipped."""
-    defs, mentions = [], {}
+    Attribute or identifier-like string constant outside its own body.  A
+    Name read in a function that binds that name itself, as a parameter or
+    an assignment target, is the local and reaches nothing.  Dunder methods
+    are reached by the language and are skipped."""
+    defs, mentions = [], []
 
     def collect(node, prefix, module):
         for child in ast.iter_child_nodes(node):
@@ -692,21 +697,41 @@ def _unreached_functions():
             return node.value
         return None
 
+    def walk(node, local, inside):
+        """(name, ids of the enclosing defs) for each mention under node."""
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            local = local | _locally_bound(node)
+            inside = inside | {id(node)}
+        name = mentioned(node)
+        if name is not None and not (isinstance(node, ast.Name) and name in local):
+            mentions.append((name, inside))
+        for child in ast.iter_child_nodes(node):
+            walk(child, local, inside)
+
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         collect(tree, "", path.stem)
-        for node in ast.walk(tree):
-            name = mentioned(node)
-            if name is not None:
-                mentions[name] = mentions.get(name, 0) + 1
-    unreached = set()
-    for qualname, node in defs:
-        if node.name.startswith("__") and node.name.endswith("__"):
-            continue
-        own = sum(mentioned(inner) == node.name for inner in ast.walk(node))
-        if mentions.get(node.name, 0) == own:
-            unreached.add(qualname)
-    return unreached
+        walk(tree, frozenset(), frozenset())
+    reached = {}
+    for name, inside in mentions:
+        reached.setdefault(name, []).append(inside)
+    return {qualname for qualname, node in defs
+            if not (node.name.startswith("__") and node.name.endswith("__"))
+            and all(id(node) in inside for inside in reached.get(node.name, ()))}
+
+
+def _parameters(fn):
+    a = fn.args
+    return [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if x]
+
+
+def _locally_bound(fn):
+    """The parameters of a function or lambda and the names its body
+    assigns."""
+    body = fn.body if isinstance(fn.body, list) else [fn.body]
+    return frozenset(_parameters(fn)) | {
+        node.id for stmt in body for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
 
 
 def test_every_function_is_reached_from_the_package():
@@ -788,3 +813,29 @@ def test_dense_documents_eliminate_only_through_the_unit_maps(monkeypatch, tmp_p
 
     assert eliminating and all(through_a_unit(j) for j in eliminating), \
         [j.shape for j in eliminating]
+
+
+def test_every_parameter_is_read():
+    """Every parameter of every ``src/`` function is read in its body, so
+    no caller sets a knob that nothing reads.  The ``Field`` interface is
+    exempt: its abstract methods and their overrides take the interface's
+    parameters whether or not one field needs them."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        interface = {node.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                     and cls.name == "Field" for node in cls.body
+                     if isinstance(node, ast.FunctionDef)}
+        exempt = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                  and (cls.name == "Field" or any(getattr(base, "id", None) == "Field"
+                                                  for base in cls.bases))
+                  for node in cls.body
+                  if isinstance(node, ast.FunctionDef) and node.name in interface}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) or id(fn) in exempt:
+                continue
+            read = {node.id for node in ast.walk(fn)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{path.name}:{fn.lineno} {fn.name}({p})"
+                       for p in _parameters(fn) if p not in read]
+    assert not unread, unread

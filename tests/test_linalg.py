@@ -1332,3 +1332,29 @@ def test_unit_row_solves_and_ranks_eliminate_nothing(monkeypatch):
         spoiled = Matrix.from_sparse_rows(field, [{0: two} if r == {0: field.one} else r
                                                   for r in incl.sparse_rows()], incl.ncols)
         assert spoiled.rank() == 3 and calls
+
+
+def test_a_tall_solve_without_unit_rows_eliminates_once(monkeypatch):
+    """A tall system with no unit rows is solved by one rref of
+    ``[a | rhs]``, consistent or not, and agrees with the reference that
+    first cuts it to a row basis."""
+    calls = []
+    rref = Matrix.rref
+
+    def counted(self):
+        calls.append(self.shape)
+        return rref(self)
+
+    for field in (QQ, GF(101)):
+        a = Matrix.from_rows(field, [[1, 2], [3, 4], [5, 6], [2, 2]])
+        assert a.unit_rows() is None
+        consistent = a @ Matrix.from_rows(field, [[1, 0], [2, 1]])
+        inconsistent = Matrix.from_rows(field, [[1], [0], [0], [0]])
+        for rhs in (consistent, inconsistent):
+            want = solve_by_elimination(a, rhs)
+            calls.clear()
+            monkeypatch.setattr(Matrix, "rref", counted)
+            got = a.solve(rhs)
+            monkeypatch.setattr(Matrix, "rref", rref)
+            assert got == want and calls == [(4, 2 + rhs.ncols)]
+        assert a.solve(consistent) == Matrix.from_rows(field, [[1, 0], [2, 1]])

@@ -471,7 +471,7 @@ def test_product_descent_matches_dense_and_catches_a_perturbation(an_smash):
         return (m @ rel.kron(reps)).is_zero() and (m @ reps.kron(rel)).is_zero()
 
     assert dense_balanced(raw)
-    assert _bilinear_from_pairs(b, raw, chain, sub, "C").shape == (sub.dim, sub.dim ** 2)
+    assert _bilinear_from_pairs(raw, chain, sub, "C").shape == (sub.dim, sub.dim ** 2)
     proj, sect = chain.proj.matrix, chain.sect.matrix
     z = next(w for w in (relation_witness(proj, sect, x) for x in range(chain.ambient.dim))
              if any(not f.is_zero(v) for v in w))
@@ -482,7 +482,7 @@ def test_product_descent_matches_dense_and_catches_a_perturbation(an_smash):
         bumped = raw + Matrix(f, bump.rows + (zero_row,) * (raw.nrows - 1))
         assert not dense_balanced(bumped)
         with pytest.raises(ClosureFailure, match="representative-independent"):
-            _bilinear_from_pairs(b, bumped, chain, sub, "C")
+            _bilinear_from_pairs(bumped, chain, sub, "C")
 
 
 def _spans_the_relation_kernel(chain, cols):
