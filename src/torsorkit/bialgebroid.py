@@ -625,13 +625,15 @@ def monoidal_witness(bundle: PreTorsorBundle, pair: CoringPair,
     S_MM = kernel(phi_MM, "TboxMM")
     TMM = tensor_chain([b.T_BA, MM_com.carrier], [A])
     TM = tensor_chain([b.T_BA, M.carrier], [A])
-    TMp = tensor_chain([b.T_BA, Mp.carrier], [A])
     S1 = cotensor(T_right, M, f"Tbox{M.name}")
-    S1p = cotensor(T_right, Mp, f"Tbox{Mp.name}")
-    l1, r1 = _beta_actions_on_cotensor(b, TM, S1)
-    l2, r2 = _beta_actions_on_cotensor(b, TMp, S1p)
-    S1_bb = _bb_bimodule(b, S1, l1, r1)
-    S1p_bb = _bb_bimodule(b, S1p, l2, r2)
+    S1_bb = _bb_bimodule(b, S1, *_beta_actions_on_cotensor(b, TM, S1))
+    if Mp is M:
+        # one factor: T box M, its chain and its B-actions are built once
+        TMp, S1p, S1p_bb = TM, S1, S1_bb
+    else:
+        TMp = tensor_chain([b.T_BA, Mp.carrier], [A])
+        S1p = cotensor(T_right, Mp, f"Tbox{Mp.name}")
+        S1p_bb = _bb_bimodule(b, S1p, *_beta_actions_on_cotensor(b, TMp, S1p))
     S11 = tensor_chain([S1_bb, S1p_bb], [b.B])
     pair_reps = permute_rows((TM.sect.matrix @ S1.inclusion.matrix).kron(
         TMp.sect.matrix @ S1p.inclusion.matrix), [b.T.dim, M.dim, b.T.dim, Mp.dim],
@@ -662,9 +664,13 @@ def monoidal_witness(bundle: PreTorsorBundle, pair: CoringPair,
 
 def _rho_rho(b: PreTorsorBundle, pair: CoringPair, data) -> LinearMap:
     """rho (x)_B rho: T (x)_B T -> (T box C) (x)_B (T box C), on the
-    cotensors of ``monoidal_witness`` for M = M' = C."""
-    rho1, rho2 = (corestrict_through(data[key].inclusion, pair.rho_T, MembershipFailure,
-                                     f"{b.name}: rho misses T box C") for key in ("S1", "S1p"))
+    cotensors of ``monoidal_witness`` for M = M' = C; one corestriction
+    serves both legs when they are one cotensor."""
+    S1, S1p = data["S1"], data["S1p"]
+    rho1 = corestrict_through(S1.inclusion, pair.rho_T, MembershipFailure,
+                              f"{b.name}: rho misses T box C")
+    rho2 = rho1 if S1p is S1 else corestrict_through(
+        S1p.inclusion, pair.rho_T, MembershipFailure, f"{b.name}: rho misses T box C")
     return chain_map(b.TBT, [(1, rho1, 1), (1, rho2, 1)], data["S11"], "rho x rho")
 
 
@@ -731,9 +737,13 @@ def lemma55_check(bundle: PreTorsorBundle, pair: CoringPair,
     A = b.A
     rep = Report(f"{b.name}:cotensor-collapse")
     CN_com, CN = cofree_comodule(bgd, N_bim)
-    CM_com, CM = cofree_comodule(bgd, M_bim)
     CN_enr, _ = comodule_actions(CN_com, bgd)
-    CM_enr, _ = comodule_actions(CM_com, bgd)
+    if M_bim is N_bim:
+        # one cofree comodule serves both factors
+        CM, CM_enr = CN, CN_enr
+    else:
+        CM_com, CM = cofree_comodule(bgd, M_bim)
+        CM_enr, _ = comodule_actions(CM_com, bgd)
     X_com, X = monoidal_product(bgd, CN_enr, CM_enr)
     TX = tensor_chain([b.T_BA, X_com.carrier], [A])
 

@@ -14,17 +14,18 @@ Stored values are canonical: over QQ an ``int`` when integral and a
 ``Fraction`` with denominator > 1 otherwise, over GF(p) an ``int`` in
 ``[1, p)``.  The kernels (the product's two paths ``_sparse_product`` and
 ``_packed_product``, the elimination's two paths ``_sparse_rref`` and
-``_packed_rref``, the packing helpers ``_pack`` and ``_unpack``, ``kron``,
-``kron_apply``, ``apply``, ``apply_pair``, ``outer``, the entrywise
-operations and the constructors) compute every term with the native ``+``,
-``-`` and ``*`` of those values and call no per-entry field method.  Each
-result row, column or vector is reduced once: by ``Field.normalise``
-(which drops its zeros and puts each value in stored form: over QQ an
-integral ``Fraction`` becomes its ``int``, over GF(p) a value is reduced
-mod p), by the one mod-p pass of ``_unpack`` over a packed row, or, in
-``kron``, entry by entry as it is written, each entry being one product
-(``% p`` over GF(p); over QQ only a row with a ``Fraction`` factor is
-normalised).
+``_packed_rref``, the packing helpers ``_pack`` and ``_unpack``, the
+packed-resident helpers, ``kron``, ``kron_apply``, ``apply``,
+``apply_pair``, ``outer``, the entrywise operations and the constructors)
+compute every term with the native ``+``, ``-`` and ``*`` of those values
+and call no per-entry field method.  Each result row, column or vector is
+reduced once: by ``Field.normalise`` (which drops its zeros and puts each
+value in stored form: over QQ an integral ``Fraction`` becomes its
+``int``, over GF(p) a value is reduced mod p), by the one mod-p pass of
+``_unpack`` over a packed row of the elimination, by the one Barrett step
+of ``_reduce`` over a packed product, or, in ``kron``, entry by entry as
+it is written, each entry being one product (``% p`` over GF(p); over QQ
+only a row with a ``Fraction`` factor is normalised).
 
 The product has two paths.  ``_sparse_product`` sums each row in a dict,
 one update per term, over QQ and GF(p) alike.  Over GF(p) a product whose
@@ -32,10 +33,29 @@ right operand is dense enough takes ``_packed_product`` instead: each row
 of the right operand is packed into one Python int, one fixed-width slot
 per column, wide enough that no sum of residue products carries into the
 next slot, so a result row is a sum of small multiples of those ints, done
-in C by the big-int arithmetic, and is unpacked and reduced once (Dumas,
-Fousse and Salvy, J. Symb. Comput. 46, 2011).  ``_packed_slot`` picks the
-path from the operands' nonzero counts; QQ, sparse or tiny products and
-primes whose slot would exceed 64 bits keep the dict loop.
+in C by the big-int arithmetic (Dumas, Fousse and Salvy, J. Symb. Comput.
+46, 2011).  ``_packed_slot`` picks the path from the operands' nonzero
+counts; QQ, sparse or tiny products and primes whose slot would exceed 64
+bits keep the dict loop.
+
+A packed product stays packed.  Its row sums are joined into one int per
+matrix, and every slot is reduced mod p at once by one vectorised Barrett
+step (Barrett, CRYPTO '86): the even and odd slots are split to twice
+their width, each gets the quotient estimate ``v * (2**b // p) >> b`` for
+b-bit slots, and one conditional subtraction of p finishes it, since every
+slot is below ``2**b`` (``_reduce``).  The ``Matrix`` keeps that int as
+``_packed`` and builds its row dicts only when something reads ``_rows``
+(``_Packed.__getattr__``, on a subclass so that the dict paths and every
+QQ product pay nothing for it).  ``==``, ``is_zero`` and ``is_identity`` work on the packed
+residues: a dict matrix compared with a packed one is packed in the same
+slot format and keeps that packing, and two formats are compared slot by
+slot.  A packed matrix that becomes the right operand of a packed product
+hands over its row ints, cut from its one int and kept on it
+(``_packed_rows``); ``solve`` cuts its unit rows the same way
+(``_take_rows``), and ``kron_apply`` moves a packed stage to the next as
+runs of bytes (``_move_runs``).  In a ``suite`` run on the seed-1 dense
+EX-SW document over GF(101), 176 of the 282 packed products are compared
+and never unpacked.
 
 ``Matrix.rref`` is the only elimination, exact over Q and GF(p) alike, and
 it too has two paths.  ``_sparse_rref`` is Gauss-Jordan on the sparse rows,
@@ -105,9 +125,19 @@ class Matrix:
     ``_rows`` is a tuple of dicts ``{col: nonzero value}``; they are shared
     between matrices and never mutated after construction, so the hash is
     computed once, on first use.
+
+    A packed product (``_packed_product``) holds its entries as ``_packed``,
+    one int of reduced residues with a ``_code`` slot per entry, row-major,
+    and leaves ``_rows`` unset until something reads it (``_Packed``).
+    A dict matrix has ``_packed`` None until it is compared with a packed
+    one (``_pack_whole``).  ``_prows`` keeps the rows as packed ints in one
+    slot format, ``(code, ints)``, once the matrix has been the right
+    operand of a packed product.  So a matrix holds at most one packing of
+    each kind.
     """
 
-    __slots__ = ("field", "nrows", "ncols", "_rows", "_id_flag", "_col_cache", "_hash")
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_id_flag", "_col_cache", "_hash",
+                 "_packed", "_code", "_prows")
 
     def __init__(self, field: Field, rows, ncols: int | None = None):
         rows = [tuple(r) for r in rows]
@@ -128,6 +158,8 @@ class Matrix:
         self._id_flag = None
         self._col_cache = None
         self._hash = None
+        self._packed = None
+        self._prows = None
 
     # -- constructors ------------------------------------------------
 
@@ -146,6 +178,25 @@ class Matrix:
         m._id_flag = None
         m._col_cache = None
         m._hash = None
+        m._packed = None
+        m._prows = None
+        return m
+
+    @staticmethod
+    def _from_packed(field, nrows, ncols, packed, code) -> "Matrix":
+        """A GF(p) matrix on ``packed``, its ``nrows * ncols`` residues in
+        ``code`` slots, row-major (see ``_reduce``); its row dicts are built
+        when first read (``_Packed``)."""
+        m = object.__new__(_Packed)
+        m.field = field
+        m.nrows = nrows
+        m.ncols = ncols
+        m._id_flag = None
+        m._col_cache = None
+        m._hash = None
+        m._packed = packed
+        m._code = code
+        m._prows = None
         return m
 
     @staticmethod
@@ -202,11 +253,15 @@ class Matrix:
         return self._rows
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.shape == other.shape
-            and self._rows == other._rows
-        )
+        """Equal shapes and entries.  Two dict matrices compare their rows;
+        once either side is packed the comparison is on packed residues
+        (``_packed_equal``), so a packed product is never unpacked for it."""
+        if not (isinstance(other, Matrix) and self.nrows == other.nrows
+                and self.ncols == other.ncols):
+            return False
+        if self._packed is None and other._packed is None:
+            return self._rows == other._rows
+        return _packed_equal(self, other)
 
     def __hash__(self):
         if self._hash is None:
@@ -245,14 +300,23 @@ class Matrix:
         return cols
 
     def is_zero(self):
+        if self._packed is not None:
+            return not self._packed
         return not any(self._rows)
 
     def is_identity(self):
         if self._id_flag is not None:
             return self._id_flag
-        one = self.field.one
-        ok = self.nrows == self.ncols and all(
-            len(r) == 1 and r.get(i) == one for i, r in enumerate(self._rows))
+        n = self.nrows
+        packed = self._packed
+        if packed is not None:
+            # n set bits, each a 1 on the diagonal: slots 0, n + 1, 2n + 2, ...
+            ok = (n == self.ncols and packed.bit_count() == n and packed == int.from_bytes(
+                (b"\x01" + bytes(_SLOT_BYTES[self._code] * (n + 1) - 1)) * n, "little"))
+        else:
+            one = self.field.one
+            ok = n == self.ncols and all(
+                len(r) == 1 and r.get(i) == one for i, r in enumerate(self._rows))
         self._id_flag = ok
         return ok
 
@@ -311,22 +375,22 @@ class Matrix:
         """Matrix product, row by row over the nonzero entries.
 
         Over GF(p) a product whose right operand is dense enough is summed
-        as packed integers (``_packed_product``); every other product, and
-        every product over QQ, takes the dict loop (``_sparse_product``).
-        ``_packed_slot`` decides.  Both give the same stored rows."""
+        as packed integers and kept packed (``_packed_product``); every
+        other product, and every product over QQ, takes the dict loop
+        (``_sparse_product``).  ``_packed_slot`` decides.  Both give the
+        same stored rows."""
         if self.ncols != other.nrows:
             raise ShapeMismatch(f"cannot multiply {self.shape} by {other.shape}")
         if self.is_identity():
             return other
         if other.is_identity():
             return self
-        f = self.field
         code = _packed_slot(self, other)
-        if code is None:
-            rows = _sparse_product(self._rows, other._rows, f.normalise)
-        else:
-            rows = _packed_product(self._rows, other._rows, other.ncols, f.p, code)
-        return Matrix.from_sparse_rows(f, rows, other.ncols)
+        if code is not None:
+            return _packed_product(self, other, code)
+        f = self.field
+        return Matrix.from_sparse_rows(
+            f, _sparse_product(self._rows, other._rows, f.normalise), other.ncols)
 
     def apply(self, vec):
         """Image of a coordinate vector; cost scales with the nonzeros."""
@@ -536,7 +600,7 @@ class Matrix:
         f = self.field
         P = self.unit_rows()
         if P is not None:
-            X = Matrix.from_sparse_rows(f, [rhs._rows[i] for i in P], rhs.ncols)
+            X = _take_rows(rhs, P)
             return X if self @ X == rhs else None
         R, pivots = Matrix.augment(self, rhs).rref()
         n = self.ncols
@@ -565,6 +629,25 @@ class Matrix:
                 kernel_vector=return_witness,
             )
         return X
+
+
+class _Packed(Matrix):
+    """A packed product whose row dicts are not built yet.
+
+    Reading its unset ``_rows`` slot builds them (``_unpack_rows``) and
+    makes the matrix a plain ``Matrix``.  The hook lives on this subclass
+    only: a class with ``__getattr__`` loses CPython's specialised slot
+    reads, so ``Matrix`` itself, and every QQ or dict matrix, keeps them."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        # only an unset slot gets here
+        if name != "_rows":
+            raise AttributeError(name)
+        rows = self._rows = _unpack_rows(self)
+        self.__class__ = Matrix
+        return rows
 
 
 def _sparse_product(rows, orows, normalise):
@@ -662,6 +745,7 @@ def _sparse_rref(rows, field):
 # slots of the packed GF(p) kernels, narrowest first: (bits, memoryview
 # format), each format a native unsigned integer
 _SLOTS = tuple((8 * memoryview(bytes(8)).cast(code).itemsize, code) for code in "BHIQ")
+_SLOT_BYTES = {code: bits // 8 for bits, code in _SLOTS}
 
 
 def _slot(field, n):
@@ -676,7 +760,7 @@ def _slot(field, n):
 
 def _blank(ncols, code):
     """The zero bytes of a packed row of ``ncols`` slots of format ``code``."""
-    return bytes(memoryview(bytes(8)).cast(code).itemsize * ncols)
+    return bytes(_SLOT_BYTES[code] * ncols)
 
 
 def _pack(pairs, blank, code):
@@ -722,30 +806,173 @@ def _packed_slot(a: Matrix, b: Matrix):
     if slot is None:
         return None
     bits, code = slot
-    nnz_a = sum(map(len, a._rows))
-    nnz_b = sum(map(len, b._rows))
+    nnz_a = _nnz(a)
+    nnz_b = _nnz(b)
     words = (b.ncols * bits + 63) // 64
     if nnz_a * nnz_b > n * ((nnz_a + n) * words // 8 + nnz_b + 32):
         return code
     return None
 
 
-def _packed_product(rows, orows, ncols, p, code):
-    """The rows of a GF(p) product, summed as packed integers.
+def _nnz(m: Matrix):
+    """The nonzero entries of ``m``.  On packed residues no row dict is
+    built: each slot's bits are or-ed into its lowest bit, and those bits
+    counted."""
+    x = m._packed
+    if x is None:
+        return sum(map(len, m._rows))
+    w = _SLOT_BYTES[m._code]
+    shift = 4 * w
+    while shift:
+        x |= x >> shift
+        shift //= 2
+    return (x & int.from_bytes((b"\x01" + bytes(w - 1)) * (m.nrows * m.ncols),
+                               "little")).bit_count()
 
-    Each row of the right operand becomes one int with a fixed-width slot
-    per column (``code`` is its memoryview format; ``_pack``), so a result
-    row is the sum of its coefficients times those ints: big-int arithmetic
-    that runs in C (Kronecker substitution; Dumas, Fousse and Salvy, J.
-    Symb. Comput. 46, 2011).  The slot is wide enough that no carry crosses
-    it (``_slot``), and each result row is unpacked once and every slot
-    reduced mod p (``_unpack``).
+
+def _packed_product(a: Matrix, b: Matrix, code):
+    """``a @ b`` over GF(p), summed as packed integers and kept packed.
+
+    Each row of b is one int with a fixed-width slot per column (``code``
+    is its memoryview format; ``_packed_rows``), so a result row is the sum
+    of its coefficients times those ints: big-int arithmetic that runs in C
+    (Kronecker substitution; Dumas, Fousse and Salvy, J. Symb. Comput. 46,
+    2011).  The slot is wide enough that no carry crosses it (``_slot``).
+    The result rows are joined into one int and every slot reduced mod p at
+    once (``_reduce``); the result keeps that int and builds its row dicts
+    only when they are read (``_Packed``).
     """
-    blank = _blank(ncols, code)
-    nbytes = len(blank)
-    packed = [_pack(r.items(), blank, code) if r else 0 for r in orows]
-    get = packed.__getitem__
-    return [_unpack(sum(map(mul, r.values(), map(get, r))), nbytes, code, p) for r in rows]
+    ncols = b.ncols
+    nbytes = _SLOT_BYTES[code] * ncols
+    orows = _packed_rows(b, code)
+    order = sys.byteorder
+    if a._packed is None:
+        get = orows.__getitem__
+        sums = [sum(map(mul, r.values(), map(get, r))) for r in a._rows]
+    else:
+        # a packed left operand gives its residues, zeros included
+        n = a.ncols
+        vals = _slot_view(a).tolist()
+        sums = [sum(map(mul, vals[i:i + n], orows)) for i in range(0, a.nrows * n, n)]
+    joined = int.from_bytes(b"".join([x.to_bytes(nbytes, order) for x in sums]), order)
+    return Matrix._from_packed(a.field, a.nrows, ncols, _reduce(
+        joined, a.nrows * ncols, 8 * _SLOT_BYTES[code], a.field.p), code)
+
+
+def _reduce(x, nslots, bits, p):
+    """The ``nslots`` slots of ``bits`` bits of ``x``, each reduced mod p.
+
+    One vectorised Barrett step over the whole int (Barrett, CRYPTO '86;
+    Dumas, Fousse and Salvy 2011): the even and the odd slots are split
+    apart, so that each slot v has ``2 * bits`` bits of room, and each
+    gets the quotient estimate ``q = v * m >> bits`` with ``m = 2**bits //
+    p``.  Since ``v < 2**bits``, ``v - q * p`` lies in ``[0, 2p)``, so one
+    conditional subtraction of p finishes it: ``v - q * p + 2**bits - p``
+    carries into bit ``bits`` of its slot exactly when it is at least p.
+    """
+    if not x:
+        return 0
+    w = bits // 8
+    # bit 0 of each even slot, the even slots' bits, and 2**bits - p in each
+    flag = int.from_bytes((b"\x01" + bytes(2 * w - 1)) * ((nslots + 1) // 2), "little")
+    low = flag * ((1 << bits) - 1)
+    fill = flag * ((1 << bits) - p)
+    m = (1 << bits) // p
+    even, odd = x & low, x >> bits & low
+    even -= (even * m >> bits & low) * p
+    even -= ((even + fill) >> bits & flag) * p
+    odd -= (odd * m >> bits & low) * p
+    odd -= ((odd + fill) >> bits & flag) * p
+    return even | odd << bits
+
+
+def _slot_view(m: Matrix):
+    """The packed residues of ``m`` as a memoryview of its slots, row-major."""
+    return memoryview(m._packed.to_bytes(_SLOT_BYTES[m._code] * m.nrows * m.ncols,
+                                         sys.byteorder)).cast(m._code)
+
+
+def _unpack_rows(m: Matrix):
+    """The row dicts of a packed matrix, zeros dropped; its residues are
+    reduced already (``_reduce``)."""
+    vals = _slot_view(m).tolist()
+    n = m.ncols
+    cols = range(n)
+    return tuple({k: v for k, v in zip(cols, vals[i * n:(i + 1) * n]) if v}
+                 for i in range(m.nrows))
+
+
+def _packed_equal(a: Matrix, b: Matrix):
+    """``a == b`` for two matrices of one shape, at least one packed.
+
+    An identity is compared by ``is_identity``, and matrices over two
+    fields by their rows.  Otherwise a dict side is packed in the other
+    side's format and keeps that packing (``_pack_whole``), and the two
+    packed forms are compared as ints when their formats agree and slot by
+    slot otherwise."""
+    if a._id_flag or b._id_flag:
+        return a.is_identity() and b.is_identity()
+    if a.field is not b.field:
+        return a._rows == b._rows
+    if a._packed is None:
+        _pack_whole(a, b._code)
+    elif b._packed is None:
+        _pack_whole(b, a._code)
+    if a._code == b._code:
+        return a._packed == b._packed
+    # a memoryview compares slots of different formats by value
+    return _slot_view(a) == _slot_view(b)
+
+
+def _pack_whole(m: Matrix, code):
+    """Keep the entries of the dict matrix ``m`` as one packed int of
+    ``code`` slots, row-major, as a packed product holds them."""
+    blank = _blank(m.ncols, code)
+    parts = []
+    for r in m._rows:
+        buf = bytearray(blank)
+        slots = memoryview(buf).cast(code)
+        for k, v in r.items():
+            slots[k] = v
+        parts.append(buf)
+    m._packed = int.from_bytes(b"".join(parts), sys.byteorder)
+    m._code = code
+
+
+def _take_rows(m: Matrix, index):
+    """The matrix of rows ``index`` of ``m``; a packed m gives packed rows
+    cut from its int, so no row dict is built."""
+    if m._packed is None:
+        rows = m._rows
+        return Matrix.from_sparse_rows(m.field, [rows[i] for i in index], m.ncols)
+    width = _SLOT_BYTES[m._code] * m.ncols
+    order = sys.byteorder
+    buf = m._packed.to_bytes(width * m.nrows, order)
+    return Matrix._from_packed(
+        m.field, len(index), m.ncols,
+        int.from_bytes(b"".join([buf[i * width:(i + 1) * width] for i in index]), order),
+        m._code)
+
+
+def _packed_rows(m: Matrix, code):
+    """The rows of ``m`` as packed ints in ``code`` slots (``_pack``), kept
+    on ``m`` for its next packed product in that format.  A matrix packed in
+    that format hands over its rows cut from its one int; any other is
+    packed from its row dicts."""
+    held = m._prows
+    if held is not None and held[0] == code:
+        return held[1]
+    width = _SLOT_BYTES[code] * m.ncols
+    order = sys.byteorder
+    if m._packed is not None and m._code == code:
+        buf = memoryview(m._packed.to_bytes(width * m.nrows, order))
+        rows = [int.from_bytes(buf[i:i + width], order)
+                for i in range(0, width * m.nrows, width)]
+    else:
+        blank = bytes(width)
+        rows = [_pack(r.items(), blank, code) if r else 0 for r in m._rows]
+    m._prows = (code, rows)
+    return rows
 
 
 def _rref_slot(mat: Matrix):
@@ -804,7 +1031,7 @@ def _packed_rref(rows, ncols, field, code):
     p, inv = field.p, field.inv
     blank = _blank(ncols, code)
     nbytes = len(blank)
-    bits = 8 * memoryview(blank).cast(code).itemsize
+    bits = 8 * _SLOT_BYTES[code]
     mask = (1 << bits) - 1
     packed = [_pack(r.items(), blank, code) if r else 0 for r in rows]
     free = list(range(len(packed)))
@@ -1020,23 +1247,34 @@ def _g_rows(field, right, offsets):
 
 def _apply_block(field, fac, rows, nhi, lo, ncols):
     """``(I_nhi (x) fac (x) I_lo) @ S`` for S given by its nonempty rows
-    ``{row: {col: value}}`` with ``ncols`` columns, as the same kind of map.
+    ``{row: {col: value}}`` with ``ncols`` columns, or as a packed Matrix,
+    and returned as the one or the other.
 
     One matrix product ``fac @ R``: R has one row per index ``mid`` of the
     block's legs and one column per (leading index, trailing index,
     column) of S, so entry (hi, mid, low; j) of S is entry (mid; hi, low,
     j) of R.  The reshapes are index maps; only ``Matrix.__matmul__``
-    computes, on whichever path it picks.
+    computes, on whichever path it picks.  A packed S or product moves
+    whole runs of ``lo`` rows, each a slice of its bytes (``_move_runs``),
+    so a packed stage hands the next one packed rows and no dict is built.
     """
     n = fac.ncols
     width, span = n * lo, lo * ncols
-    blocks = [{} for _ in range(n)]
-    for x, row in rows.items():
-        hi, rem = divmod(x, width)
-        mid, low = divmod(rem, lo)
-        base = hi * span + low * ncols
-        blocks[mid].update({base + j: v for j, v in row.items()})
-    res = fac @ Matrix.from_sparse_rows(field, blocks, nhi * span)
+    if isinstance(rows, Matrix):
+        # run (hi, mid) of S is run (mid, hi) of R
+        R = _move_runs(rows, n, nhi * span, nhi, n, lo * ncols)
+    else:
+        blocks = [{} for _ in range(n)]
+        for x, row in rows.items():
+            hi, rem = divmod(x, width)
+            mid, low = divmod(rem, lo)
+            base = hi * span + low * ncols
+            blocks[mid].update({base + j: v for j, v in row.items()})
+        R = Matrix.from_sparse_rows(field, blocks, nhi * span)
+    res = fac @ R
+    if res._packed is not None:
+        # run (r, hi) of the product is run (hi, r) of the result
+        return _move_runs(res, nhi * fac.nrows * lo, ncols, fac.nrows, nhi, lo * ncols)
     # entry (r; hi, low, j) of the product is entry (hi, r, low; j) of the
     # result, whose row-major position y * ncols + j moves (hi, low, j) by
     # hi blocks of the other fac.nrows - 1 rows and by r rows
@@ -1054,6 +1292,19 @@ def _apply_block(field, fac, rows, nhi, lo, ncols):
             else:
                 row[pos % ncols] = v
     return out
+
+
+def _move_runs(m: Matrix, nrows, ncols, outer, inner, run):
+    """The packed matrix of shape ``nrows x ncols`` whose slots are those
+    of the packed ``m`` in runs of ``run`` slots, run ``(a, b)`` of ``m``
+    (for a < ``outer``, b < ``inner``) becoming run ``(b, a)``: a transpose
+    of runs, each one slice of bytes."""
+    size = _SLOT_BYTES[m._code] * run
+    order = sys.byteorder
+    buf = m._packed.to_bytes(size * outer * inner, order)
+    return Matrix._from_packed(m.field, nrows, ncols, int.from_bytes(b"".join(
+        [buf[(a * inner + b) * size:(a * inner + b + 1) * size]
+         for b in range(inner) for a in range(outer)]), order), m._code)
 
 
 def kron_apply(field, left, dims, order, right) -> Matrix:
@@ -1116,6 +1367,8 @@ def kron_apply(field, left, dims, order, right) -> Matrix:
             continue
         rows = _apply_block(field, fac, rows, lead[k], lo, ncols)
         lo *= fac.nrows
+    if isinstance(rows, Matrix):
+        return rows
     get = rows.get
     return Matrix.from_sparse_rows(field, [get(y, empty) for y in range(lo)], ncols)
 

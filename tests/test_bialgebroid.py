@@ -174,6 +174,66 @@ def test_lemma55_unit_and_regular(an_c2):
     assert lemma55_check(b, an.pair, bC, th, C_mod, C_mod).ok
 
 
+def _count_calls(monkeypatch, names):
+    """Wrap each named ``bialgebroid`` function so that its calls are
+    counted; returns the counts, by name."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def spy(*args, real=getattr(bialgebroid, name), name=name, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(bialgebroid, name, spy)
+    return counts
+
+
+@pytest.mark.parametrize("name", ["EX-C2", "EX-SMASH"])
+def test_lemma55_builds_one_cofree_comodule_for_one_bimodule(monkeypatch, name):
+    """With N and M the same bimodule, as ``bialgebroid_report`` passes
+    them, C (x)_A N and its induced action are built once; with two
+    distinct but equal bimodules, twice.  The rows are the same."""
+    an = analysis(name)
+    b, bC = an.bundle, an.bialgebroids[0]
+    A_bim, other = regular_bimodule(b.A), regular_bimodule(b.A)
+    assert other is not A_bim
+    counts = _count_calls(monkeypatch, ["cofree_comodule", "comodule_actions"])
+    shared = lemma55_check(b, an.pair, bC, an.theta_right, A_bim, A_bim)
+    assert counts == {"cofree_comodule": 1, "comodule_actions": 1}
+    distinct = lemma55_check(b, an.pair, bC, an.theta_right, A_bim, other)
+    assert counts == {"cofree_comodule": 3, "comodule_actions": 3}
+    assert shared.ok and _rows(shared, "") == _rows(distinct, "")
+
+
+@pytest.mark.parametrize("name", ["EX-C2", "EX-SMASH"])
+def test_monoidal_witness_builds_one_cotensor_for_one_comodule(monkeypatch, name):
+    """With M' the same comodule as M, as ``bialgebroid_report`` passes
+    them, T box M, its B-actions and the corestriction of rho onto it are
+    built once; with a distinct copy of M, once per factor.  The rows of
+    the witness, (5.12) and (5.11) are the same."""
+    an = analysis(name)
+    b, bC = an.bundle, an.bialgebroids[0]
+    creg = an.regular_comodule()
+    other = copy.copy(creg)
+    counts = _count_calls(monkeypatch, ["cotensor", "_beta_actions_on_cotensor",
+                                        "corestrict_through"])
+    results = []
+    for Mp, builds in ((creg, 1), (other, 2)):
+        w, data = monoidal_witness(b, an.pair, bC, creg, Mp)
+        # T box A and T box M, or T box M', and the B-actions on each
+        # factor and on T box (M (x) M')
+        assert counts["cotensor"] == 1 + builds
+        assert counts["_beta_actions_on_cotensor"] == builds + 1
+        assert (data["S1p"] is data["S1"]) == (builds == 1)
+        counts["corestrict_through"] = 0
+        rho = bialgebroid._rho_rho(b, an.pair, data)
+        assert counts["corestrict_through"] == builds
+        results.append((_rows(w.report, ""), rho.matrix,
+                        can_factorisation(b, an.pair, an.galois_right, data),
+                        _rows(recovered_structure(b, an.pair, bC, data), "")))
+        for key in counts:
+            counts[key] = 0
+    assert results[0] == results[1] and results[0][2]
+
+
 def test_homogeneous_pretorsor_cases(an_sw):
     an = an_sw
     bC = an.bialgebroids[0]
@@ -693,13 +753,14 @@ def test_monoidal_witness_maps_match_the_per_value_reference(an_smash):
 @pytest.mark.parametrize("leg", [0, 1])
 def test_xi_bilinear_row_bites(an_smash, monkeypatch, leg):
     """A doubled left or right B-action on T box (M (x) M') fails
-    thm5.4.xi-bilinear."""
+    thm5.4.xi-bilinear.  With M' = M the actions are built twice: on the
+    one factor T box M and then on the product."""
     calls = []
 
     def doubled_on_the_product(bundle, chain_TM, sub):
         acts = list(_beta_actions_on_cotensor(bundle, chain_TM, sub))
-        calls.append(sub)
-        if len(calls) == 3:
+        calls.append(sub.space.name)
+        if sub.space.name == "TboxMM":
             acts[leg] = acts[leg].scale(bundle.field.from_int(2))
         return tuple(acts)
 
@@ -707,7 +768,7 @@ def test_xi_bilinear_row_bites(an_smash, monkeypatch, leg):
     creg = an_smash.regular_comodule()
     w, _ = monoidal_witness(an_smash.bundle, an_smash.pair, an_smash.bialgebroids[0],
                             creg, creg)
-    assert len(calls) == 3
+    assert calls == [f"Tbox{creg.name}", "TboxMM"]
     assert w.report.find("thm5.4.xi-bilinear").status == "fail"
 
 

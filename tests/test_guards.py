@@ -9,10 +9,11 @@ evaluated on carriers, so no report materialises an ambient-sized matrix,
 and balance on a chain is the projector identity, so no relation span of
 nearly ambient dimension is built.
 The ``Matrix`` kernels sum with native operators and reduce each result
-once, through ``Field.normalise`` or a packed row's one mod-p pass, never
-through the per-entry field methods; ``rref``'s dict loop reduces once per
-column, pivot row and output row, and its packed path once per pivot row
-and output row.  The package
+once, through ``Field.normalise``, a packed row's one mod-p pass or a packed
+product's one Barrett step, never through the per-entry field methods, and
+a packed product compared by ``==`` is never unpacked; ``rref``'s dict loop
+reduces once per column, pivot row and output row, and its packed path once
+per pivot row and output row.  The package
 imports nothing outside the standard library.
 The benchmark's tracer and worker reach into the program by attribute
 name, so a renamed or deleted attribute must fail here rather than in a
@@ -77,7 +78,12 @@ GROWING_CACHES = {"algebra._chain_cache", "linalg._identity_cache", "fields._gf_
 NATIVE_KERNELS = {"__init__", "from_cols", "_combine", "__neg__", "scale", "__matmul__",
                   "_sparse_product", "_packed_product", "_pack", "_unpack", "apply",
                   "apply_pair", "kron", "rref", "_sparse_rref", "_packed_rref", "kron_apply",
-                  "outer"}
+                  "outer",
+                  # the packed residents: built, reduced, compared, cut and moved
+                  # without unpacking
+                  "_from_packed", "__getattr__", "_nnz", "_reduce", "_slot_view",
+                  "_unpack_rows", "_packed_equal", "_pack_whole", "_take_rows",
+                  "_packed_rows", "_move_runs"}
 SCALAR_METHODS = {"add", "sub", "mul", "div", "is_zero"}
 # the modules whose mirrored constructions take a Hand, the words that name a
 # hand, and the one comparison with such a word that is not about a hand:
@@ -813,6 +819,54 @@ def test_dense_documents_eliminate_only_through_the_unit_maps(monkeypatch, tmp_p
 
     assert eliminating and all(through_a_unit(j) for j in eliminating), \
         [j.shape for j in eliminating]
+
+
+def test_a_product_compared_by_eq_is_never_unpacked(monkeypatch, tmp_path):
+    """``suite`` on the seed-1 dense EX-SW document over GF(101): a packed
+    product keeps its residues packed until something reads its rows, and
+    ``==`` compares packed residues, so no comparison unpacks a product and
+    the products that are only compared are never unpacked at all."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import workloads
+    path = tmp_path / "dense.json"
+    path.write_text(workloads.dense_document_text("EX-SW", "GF101", 1), encoding="utf-8")
+    products, compared, unpacked, inside = [], set(), set(), []
+    unpacked_by_eq = []
+    packed_product, eq = linalg._packed_product, Matrix.__eq__
+    getattr_ = linalg._Packed.__getattr__
+
+    def watched_product(*args):
+        product = packed_product(*args)
+        products.append(product)
+        return product
+
+    def watched_eq(self, other):
+        compared.update((id(self), id(other)))
+        inside.append(True)
+        try:
+            return eq(self, other)
+        finally:
+            inside.pop()
+
+    def watched_getattr(self, name):
+        if name == "_rows":
+            unpacked.add(id(self))
+            if inside:
+                unpacked_by_eq.append(self.shape)
+        return getattr_(self, name)
+
+    monkeypatch.setattr(linalg, "_packed_product", watched_product)
+    monkeypatch.setattr(Matrix, "__eq__", watched_eq)
+    monkeypatch.setattr(linalg._Packed, "__getattr__", watched_getattr)
+    run("suite", argparse.Namespace(fixture=None, input=str(path), field=None,
+                                    dump_matrices=False))
+    assert not unpacked_by_eq, unpacked_by_eq
+    compared_products = [m for m in products if id(m) in compared]
+    kept = [m for m in compared_products if id(m) not in unpacked]
+    # most compared products are read in no other way
+    assert products and 2 * len(kept) > len(compared_products), \
+        (len(products), len(compared_products), len(kept))
 
 
 def test_every_parameter_is_read():

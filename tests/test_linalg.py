@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -941,8 +942,8 @@ def test_packed_product_matches_the_dict_loop_and_the_reference(case):
         if slot is None:
             assert f.p == 2**61 - 1 or f.p == 2**31 - 1 and left.ncols > 4
             continue
-        packed = _packed_product(left.sparse_rows(), right.sparse_rows(), q, f.p, slot[1])
-        assert tuple(packed) == want
+        packed = _packed_product(left, right, slot[1])
+        assert packed.sparse_rows() == tuple(want)
 
 
 def test_a_slot_holds_its_largest_sum():
@@ -950,6 +951,31 @@ def test_a_slot_holds_its_largest_sum():
     assert _slot(GF(101), 6) == (16, "H") and _slot(GF(101), 7) == (32, "I")
     assert _slot(GF(2**31 - 1), 4) == (64, "Q") and _slot(GF(2**31 - 1), 5) is None
     assert _slot(GF(2**61 - 1), 1) is None and _slot(QQ, 1) is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 251, 65521, 2**31 - 1])
+def test_the_barrett_step_reduces_every_slot_value(p):
+    """``_reduce`` against ``v % p``, in every slot format whose slot holds
+    ``(p - 1)**2``: on every value of an 8- or 16-bit slot, and on a wider
+    slot on its lowest and highest 4096 values and 4096 random ones, in
+    slots of both parities."""
+    rng = random.Random(p)
+    for bits, code in linalg._SLOTS:
+        if (p - 1) ** 2 >> bits:
+            continue
+        top = (1 << bits) - 1
+        if bits <= 16:
+            values = list(range(top + 1))
+        else:
+            values = [*range(4096), *range(top - 4095, top + 1),
+                      *(rng.randrange(top + 1) for _ in range(4096))]
+        buf = bytearray(bits // 8 * len(values))
+        slots = memoryview(buf).cast(code)
+        for k, v in enumerate(values):
+            slots[k] = v
+        x = int.from_bytes(buf, sys.byteorder)
+        got = linalg._reduce(x, len(values), bits, p).to_bytes(len(buf), sys.byteorder)
+        assert memoryview(got).cast(code).tolist() == [v % p for v in values], (p, code)
 
 
 def test_the_cost_rule_sends_each_product_down_its_path(monkeypatch):
@@ -985,6 +1011,117 @@ def test_the_cost_rule_sends_each_product_down_its_path(monkeypatch):
     taken.clear()
     assert qq @ qq.transpose() == Matrix.from_rows(QQ, [[64] * 16] * 16)
     assert taken == ["_sparse_product"]
+
+
+# A packed product keeps its residues as one int and builds its row dicts
+# only when they are read.  Every prime of the packed kernels' range:
+# GF(2) and GF(3) cancel often, GF(2^31 - 1) has a slot only for inner
+# dimensions up to 4 and GF(2^61 - 1) has none.
+RESIDENT_FIELDS = [GF(2), GF(3), GF(101), GF(2**31 - 1), GF(2**61 - 1)]
+
+
+def is_resident(m):
+    """``m`` holds packed residues and has not built its row dicts."""
+    try:
+        Matrix._rows.__get__(m)
+    except AttributeError:
+        return m._packed is not None
+    return False
+
+
+def packed_codes(field, n):
+    """Every slot format wide enough for a product through n, narrowest
+    first; none when the prime has no slot for n."""
+    need = _slot(field, n)
+    return [] if need is None else [code for bits, code in linalg._SLOTS if bits >= need[0]]
+
+
+def unit_upper(field, n):
+    """The n x n upper triangular matrix with 1 on its diagonal and p - 1
+    above it, and its inverse."""
+    u = Matrix.from_rows(field, [[1 if j == i else field.p - 1 if j > i else 0
+                                  for j in range(n)] for i in range(n)])
+    return u, u.inverse()
+
+
+@st.composite
+def resident_case(draw):
+    """GF(p) operands a (m x n), b (n x q), c (q x r) and d (k x m), up to
+    6 x 8 x 12, half their nonzero entries p - 1 so that the slot sums
+    reach their bound, a at one density from full to empty; and for each
+    product a slot format drawn from those wide enough for it, narrowest
+    first (None when the prime has none)."""
+    field = draw(st.sampled_from(RESIDENT_FIELDS))
+    m, n, q = draw(st.integers(1, 6)), draw(st.integers(1, 8)), draw(st.integers(1, 12))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    a = random_operand(rng, field, m, n, draw(st.sampled_from([1, 0.5, 0.125, 0])))
+    b = random_operand(rng, field, n, q, 1)
+    c = random_operand(rng, field, q, draw(st.integers(1, 6)), 1)
+    d = random_operand(rng, field, draw(st.integers(1, 6)), m, 1)
+
+    def code(inner):
+        codes = packed_codes(field, inner)
+        return draw(st.sampled_from(codes)) if codes else None
+
+    # a @ b twice, a @ b for the right operand of d, the zero a @ b - a @ b,
+    # and the products of d and of c with a @ b
+    codes = [code(n), code(n), code(max(n, m)), code(2 * n), code(m), code(q)]
+    return a, b, c, d, codes
+
+
+def _dict_product(a, b):
+    f = a.field
+    return Matrix.from_sparse_rows(
+        f, _sparse_product(a.sparse_rows(), b.sparse_rows(), f.normalise), b.ncols)
+
+
+@given(resident_case())
+@settings(max_examples=200, deadline=None)
+def test_packed_residents_match_the_dict_loop_and_the_reference(case):
+    """A packed product against ``_sparse_product`` and the dense reference:
+    packed against packed in one slot format and in two, packed against
+    dict on either side, zero products of two shapes, an identity product,
+    as either operand of a later packed product, and finally its rows
+    built and in stored form.  ``==``, ``is_zero`` and ``is_identity``
+    leave a packed product without row dicts."""
+    a, b, c, d, codes = case
+    f, (m, n), q = a.field, a.shape, b.ncols
+    want = _ref_matmul(f, a.rows, b.rows, q)
+    dict_ab = _dict_product(a, b)
+    assert_matches(dict_ab, want, (m, q))
+    if None in codes:
+        assert f.p == 2**61 - 1 or f.p == 2**31 - 1 and max(2 * n, m, q) > 4
+        assert a @ b == dict_ab
+        return
+    code, other, right, doubled, left_of, right_of = codes
+    zero = _packed_product(Matrix.augment(a, a), Matrix.stack_rows([b, -b]), doubled)
+    # (b^T | -b^T) @ (a^T ; a^T) is zero too, of shape q x m
+    zero_t = _packed_product(Matrix.augment(b.transpose(), -b.transpose()),
+                             Matrix.stack_rows([a.transpose(), a.transpose()]), doubled)
+    ab, ab_other, ab_right = (_packed_product(a, b, x) for x in (code, other, right))
+    residents = [ab, ab_other, ab_right, zero, zero_t]
+    nonzero = any(any(row) for row in want)
+    assert ab == _packed_product(a, b, code) and ab == ab_other and ab_other == ab
+    assert ab == dict_ab and _dict_product(a, b) == ab
+    assert (ab == zero) == (zero == ab) == (not nonzero)
+    assert zero.is_zero() and zero_t.is_zero() and ab.is_zero() == (not nonzero)
+    assert (zero == zero_t) == (m == q) and (zero_t == Matrix.zero(f, q, m))
+    assert not ab.is_identity() or want == _ref_identity(f, m)
+    assert all(map(is_resident, residents))
+    u, u_inv = unit_upper(f, m)
+    one = _packed_product(u, u_inv, left_of)
+    assert one.is_identity() and one == Matrix.identity(f, m) and is_resident(one)
+    assert Matrix.identity(f, m) == one and (one == ab) == (want == _ref_identity(f, m))
+    # as the right operand it hands over its row ints, as the left its residues
+    assert _packed_product(d, ab_right, right) == _dict_product(d, dict_ab)
+    assert _packed_product(ab_other, c, right_of) == _dict_product(dict_ab, c)
+    assert all(map(is_resident, residents))
+    assert hash(ab) == hash(dict_ab) and hash(zero) == hash(Matrix.zero(f, m, q))
+    for product in residents:
+        assert_sparse_invariants(product)
+    assert ab.sparse_rows() == dict_ab.sparse_rows() and ab_other.rows == want
+    assert ab_right.rows == want and zero_t.rows == ((f.zero,) * m,) * q
+    assert zero.sparse_rows() == ({},) * m
 
 
 RREF_FIELDS = [GF(2), GF(3), GF(101), GF(2**31 - 1)]
