@@ -204,8 +204,7 @@ def bialgebroid_report(an: BundleAnalysis) -> Report:
     reduced = None
     try:
         creg = an.regular_comodule()
-        witness, data = monoidal_witness(b, an.pair, an.bialgebroids[0],
-                                         creg, creg)
+        witness, data = monoidal_witness(b, an.pair, an.bialgebroids[0], creg)
         rep.extend(witness.report)
         reduced = data["phi_MM"], data["S_MM"]
         ok = can_factorisation(b, an.pair, an.galois_right, data)
@@ -217,7 +216,7 @@ def bialgebroid_report(an: BundleAnalysis) -> Report:
         from .algebra import regular_bimodule
         A_bim = regular_bimodule(b.A)
         rep.extend(lemma55_check(b, an.pair, an.bialgebroids[0],
-                                 an.theta_right, A_bim, A_bim, reduced=reduced))
+                                 an.theta_right, A_bim, reduced=reduced))
     except TorsorKitError as exc:
         rep.add("lem5.5", "(5.13)", False, witness=str(exc))
     return rep

@@ -585,21 +585,24 @@ def _bb_bimodule(bundle, sub: Subspace, lact: Matrix, ract: Matrix) -> Bimodule:
 
 
 def monoidal_witness(bundle: PreTorsorBundle, pair: CoringPair,
-                     bgd: RightBialgebroid, M: Comodule, Mp: Comodule):
-    """The lax monoidal structure maps on the cotensor functor.
+                     bgd: RightBialgebroid, M: Comodule):
+    """The lax monoidal structure maps on the cotensor functor, at M.
 
-    Builds xi0: B -> T box A and xi: (T box M) (x)_B (T box M') ->
-    T box (M (x) M') and checks bilinearity, cotensor membership and
-    bijectivity.  Returns the witness and the data the (5.11) and (5.12)
-    rows read (``can_factorisation``, ``recovered_structure``): the
-    cotensors and chains, xi0, xi, and ``pair_reps``, the pairs of
-    cotensor representatives xi is built on, legs t (x) t' (x) m (x) m'.
+    Builds xi0: B -> T box A and xi: (T box M) (x)_B (T box M) ->
+    T box (M (x) M), the structure map on the one comodule M in both
+    factors as the (5.11) and (5.12) rows read it (M = C), and checks
+    bilinearity, cotensor membership and bijectivity.  T box M, its chain
+    and its B-actions are built once and serve both factors.  Returns the
+    witness and the data the (5.11) and (5.12) rows read
+    (``can_factorisation``, ``recovered_structure``): the cotensors and
+    chains, xi0, xi, and ``pair_reps``, the pairs of cotensor
+    representatives xi is built on, legs t (x) t' (x) m (x) m'.
     """
     b = bundle
     f = b.field
     C = pair.C
     A = b.A
-    rep = Report(f"{b.name}:monoidal-{M.name}-{Mp.name}")
+    rep = Report(f"{b.name}:monoidal-{M.name}-{M.name}")
     T_right = pair.bicomodule.right_part
 
     # the monoidal unit: A with coaction through the target map
@@ -620,24 +623,17 @@ def monoidal_witness(bundle: PreTorsorBundle, pair: CoringPair,
             dims={"B": b.B.dim, "T box A": S_A.dim})
 
     # the product comodule and xi
-    MM_com, MM = monoidal_product(bgd, M, Mp)
+    MM_com, MM = monoidal_product(bgd, M, M)
     phi_MM = cotensor_difference(T_right, MM_com)
     S_MM = kernel(phi_MM, "TboxMM")
     TMM = tensor_chain([b.T_BA, MM_com.carrier], [A])
     TM = tensor_chain([b.T_BA, M.carrier], [A])
     S1 = cotensor(T_right, M, f"Tbox{M.name}")
     S1_bb = _bb_bimodule(b, S1, *_beta_actions_on_cotensor(b, TM, S1))
-    if Mp is M:
-        # one factor: T box M, its chain and its B-actions are built once
-        TMp, S1p, S1p_bb = TM, S1, S1_bb
-    else:
-        TMp = tensor_chain([b.T_BA, Mp.carrier], [A])
-        S1p = cotensor(T_right, Mp, f"Tbox{Mp.name}")
-        S1p_bb = _bb_bimodule(b, S1p, *_beta_actions_on_cotensor(b, TMp, S1p))
-    S11 = tensor_chain([S1_bb, S1p_bb], [b.B])
-    pair_reps = permute_rows((TM.sect.matrix @ S1.inclusion.matrix).kron(
-        TMp.sect.matrix @ S1p.inclusion.matrix), [b.T.dim, M.dim, b.T.dim, Mp.dim],
-        (0, 2, 1, 3))
+    S11 = tensor_chain([S1_bb, S1_bb], [b.B])
+    reps = TM.sect.matrix @ S1.inclusion.matrix
+    pair_reps = permute_rows(reps.kron(reps), [b.T.dim, M.dim, b.T.dim, M.dim],
+                             (0, 2, 1, 3))
     to_TMM = induce(S11, LinearMap(S11.ambient, TMM.carrier,
                                    TMM.proj.matrix @ b.mu.kron(MM.proj.matrix) @ pair_reps),
                     "xi")
@@ -654,24 +650,21 @@ def monoidal_witness(bundle: PreTorsorBundle, pair: CoringPair,
                        LinearMap(tensor_space([S_MM.space, b.B.space]), S_MM.space, rmm),
                        check=False)
     rep.add("thm5.4.xi-bilinear", "(5.2)", nonlinear_side(
-        xi.matrix, chain_outer_bimodule(S11, S1_bb, S1p_bb), S_MM_bb) is None)
+        xi.matrix, chain_outer_bimodule(S11, S1_bb, S1_bb), S_MM_bb) is None)
 
     witness = MonoidalWitness(xi0, xi, rep)
-    return witness, {"MM": MM, "S1": S1, "S1p": S1p, "S11": S11, "S_MM": S_MM,
+    return witness, {"MM": MM, "S1": S1, "S11": S11, "S_MM": S_MM,
                      "phi_MM": phi_MM, "TMM": TMM, "TM": TM, "A_com": A_com, "S_A": S_A,
                      "TA": TA, "xi0": xi0, "xi": xi, "pair_reps": pair_reps}
 
 
 def _rho_rho(b: PreTorsorBundle, pair: CoringPair, data) -> LinearMap:
     """rho (x)_B rho: T (x)_B T -> (T box C) (x)_B (T box C), on the
-    cotensors of ``monoidal_witness`` for M = M' = C; one corestriction
-    serves both legs when they are one cotensor."""
-    S1, S1p = data["S1"], data["S1p"]
-    rho1 = corestrict_through(S1.inclusion, pair.rho_T, MembershipFailure,
-                              f"{b.name}: rho misses T box C")
-    rho2 = rho1 if S1p is S1 else corestrict_through(
-        S1p.inclusion, pair.rho_T, MembershipFailure, f"{b.name}: rho misses T box C")
-    return chain_map(b.TBT, [(1, rho1, 1), (1, rho2, 1)], data["S11"], "rho x rho")
+    cotensor of ``monoidal_witness`` for M = C; rho is corestricted once
+    and serves both legs."""
+    rho = corestrict_through(data["S1"].inclusion, pair.rho_T, MembershipFailure,
+                             f"{b.name}: rho misses T box C")
+    return chain_map(b.TBT, [(1, rho, 1), (1, rho, 1)], data["S11"], "rho x rho")
 
 
 def can_factorisation(bundle: PreTorsorBundle, pair: CoringPair, gal_right,
@@ -712,12 +705,14 @@ def cofree_comodule(bgd: RightBialgebroid, N_bim: Bimodule):
 
 def lemma55_check(bundle: PreTorsorBundle, pair: CoringPair,
                   bgd: RightBialgebroid, th: ThetaData,
-                  N_bim: Bimodule, M_bim: Bimodule, reduced=None) -> Report:
+                  N_bim: Bimodule, reduced=None) -> Report:
     """The cotensor of T with a double cofree comodule collapses.
 
     Verifies that the counit-collapse map psi and its theta-built inverse
     theta are mutually inverse between the cotensor T box ((C (x) N)
-    (x)_{A^op} (C (x) M)) = ker(phi) and Z = (T (x) C (x) N) (x) M.  Three
+    (x)_{A^op} (C (x) N)) = ker(phi) and Z = (T (x) C (x) N) (x) N, with
+    the one bimodule N in both factors: the cofree comodule C (x)_A N and
+    its induced action are built once and serve both.  Three
     rows decide it: ``psi-theta-id`` (psi theta = id, so theta is
     injective), ``range-in-cotensor`` (phi theta = 0, so im theta lies in
     ker phi) and ``two-sided``, the exact rank equality ``rank phi =
@@ -728,7 +723,7 @@ def lemma55_check(bundle: PreTorsorBundle, pair: CoringPair,
     ``reduced`` is an optional ``(difference, cotensor)`` pair whose
     cotensor is the kernel of ``difference``, as ``monoidal_witness``
     builds for C (x) C.  When phi is that same matrix (it is whenever
-    N = M = A over a base of dimension one), its rank is read as
+    N = A over a base of dimension one), its rank is read as
     ``dim TX - dim cotensor`` instead of eliminating phi again.
     """
     b = bundle
@@ -738,51 +733,44 @@ def lemma55_check(bundle: PreTorsorBundle, pair: CoringPair,
     rep = Report(f"{b.name}:cotensor-collapse")
     CN_com, CN = cofree_comodule(bgd, N_bim)
     CN_enr, _ = comodule_actions(CN_com, bgd)
-    if M_bim is N_bim:
-        # one cofree comodule serves both factors
-        CM, CM_enr = CN, CN_enr
-    else:
-        CM_com, CM = cofree_comodule(bgd, M_bim)
-        CM_enr, _ = comodule_actions(CM_com, bgd)
-    X_com, X = monoidal_product(bgd, CN_enr, CM_enr)
+    X_com, X = monoidal_product(bgd, CN_enr, CN_enr)
     TX = tensor_chain([b.T_BA, X_com.carrier], [A])
 
     # the equaliser difference whose kernel is the cotensor
     phi = cotensor_difference(pair.bicomodule.right_part, X_com)
 
-    nT, nC, nN, nM = b.T.dim, C.dim, N_bim.dim, M_bim.dim
-    idT, idC = b.idT, Matrix.identity(f, nC)
-    idN, idM = Matrix.identity(f, nN), Matrix.identity(f, nM)
+    nT, nC, nN = b.T.dim, C.dim, N_bim.dim
+    idT, idC, idN = b.idT, Matrix.identity(f, nC), Matrix.identity(f, nN)
     # target chain with its three balancings
     # c . a = t(a) c
     ract_lt = LinearMap(tensor_space([C.space, A.space]), C.space, kron_apply(
         f, [bgd.algebra.mult.matrix], [nC, nC], (1, 0), [None, bgd.target.map.matrix]))
     Z55 = chain_of_spaces(
-        [b.T.space, C.space, N_bim.space, M_bim.space],
+        [b.T.space, C.space, N_bim.space, N_bim.space],
         [Link(0, 1, A, b.T_BA.ract, C.carrier.lact),
          Link(1, 2, A, ract_lt, N_bim.lact),
-         Link(1, 3, A, C.carrier.ract, M_bim.lact)])
+         Link(1, 3, A, C.carrier.ract, N_bim.lact)])
 
-    # Psi: t (x) (c (x) n) (x) (c' (x) m) -> t (x) c' (x) eps(c)n (x) m
-    expand = idT.kron(CN.sect.matrix.kron(CM.sect.matrix) @ X.sect.matrix) \
+    # Psi: t (x) (c (x) n) (x) (c' (x) n') -> t (x) c' (x) eps(c)n (x) n'
+    expand = idT.kron(CN.sect.matrix.kron(CN.sect.matrix) @ X.sect.matrix) \
         @ TX.sect.matrix
     collapse_eps = N_bim.lact.matrix @ C.eps.matrix.kron(idN)
-    step = idT.kron(collapse_eps).kron(idC).kron(idM)
+    step = idT.kron(collapse_eps).kron(idC).kron(idN)
     psi_map = LinearMap(TX.carrier, Z55.carrier,
-                        permute_cols(Z55.proj.matrix, [nT, nN, nC, nM], (0, 2, 1, 3))
+                        permute_cols(Z55.proj.matrix, [nT, nN, nC, nN], (0, 2, 1, 3))
                         @ step @ expand)
 
-    # Theta: t (x) c (x) n (x) m ->
-    #        t0 (x) ((t1 c-) (x) n) (x) (c+ (x) m)
+    # Theta: t (x) c (x) n (x) n' ->
+    #        t0 (x) ((t1 c-) (x) n) (x) (c+ (x) n')
     chi = th.chain_op.sect.matrix @ th.theta_inv.matrix \
         @ C.cc.proj.matrix @ _left_tensor_unit(f, bgd)
     rho_exp = pair.TC.sect.matrix @ pair.rho_T.matrix
-    s1 = rho_exp.kron(chi).kron(idN).kron(idM) @ Z55.sect.matrix
-    # legs now: t0, t1, c-, c+, n, m
-    s2 = idT.kron(bgd.algebra.mult.matrix).kron(idC).kron(idN).kron(idM) @ s1
-    # legs: t0, (t1 c-), c+, n, m -> reorder to t0, (t1 c-), n, c+, m
-    s3 = permute_rows(s2, [nT, nC, nC, nN, nM], (0, 1, 3, 2, 4))
-    into_X = idT.kron(X.proj.matrix @ CN.proj.matrix.kron(CM.proj.matrix)) @ s3
+    s1 = rho_exp.kron(chi).kron(idN).kron(idN) @ Z55.sect.matrix
+    # legs now: t0, t1, c-, c+, n, n'
+    s2 = idT.kron(bgd.algebra.mult.matrix).kron(idC).kron(idN).kron(idN) @ s1
+    # legs: t0, (t1 c-), c+, n, n' -> reorder to t0, (t1 c-), n, c+, n'
+    s3 = permute_rows(s2, [nT, nC, nC, nN, nN], (0, 1, 3, 2, 4))
+    into_X = idT.kron(X.proj.matrix @ CN.proj.matrix.kron(CN.proj.matrix)) @ s3
     theta_map = LinearMap(Z55.carrier, TX.carrier, TX.proj.matrix @ into_X)
 
     rep.add("lem5.5.psi-theta-id", "(5.13)",

@@ -45,17 +45,19 @@ their width, each gets the quotient estimate ``v * (2**b // p) >> b`` for
 b-bit slots, and one conditional subtraction of p finishes it, since every
 slot is below ``2**b`` (``_reduce``).  The ``Matrix`` keeps that int as
 ``_packed`` and builds its row dicts only when something reads ``_rows``
-(``_Packed.__getattr__``, on a subclass so that the dict paths and every
-QQ product pay nothing for it).  ``==``, ``is_zero`` and ``is_identity`` work on the packed
-residues: a dict matrix compared with a packed one is packed in the same
-slot format and keeps that packing, and two formats are compared slot by
-slot.  A packed matrix that becomes the right operand of a packed product
-hands over its row ints, cut from its one int and kept on it
-(``_packed_rows``); ``solve`` cuts its unit rows the same way
-(``_take_rows``), and ``kron_apply`` moves a packed stage to the next as
-runs of bytes (``_move_runs``).  In a ``suite`` run on the seed-1 dense
-EX-SW document over GF(101), 176 of the 282 packed products are compared
-and never unpacked.
+(``_Packed.__getattr__``, on a subclass so that reads of every other
+matrix keep CPython's specialised slot access; every matrix carries the
+packing slots).  ``is_zero`` and ``is_identity`` work on the packed
+residues, and so does ``==`` when both sides are packed in one slot
+format; against a dict matrix or another format it compares rows, which
+builds the packed side's row dicts.  A packed matrix that becomes the
+right operand of a packed product hands over its row ints, cut from its
+one int and kept on it (``_packed_rows``), and as the left operand gives
+its residues, zeros included; ``solve`` cuts its unit rows from the
+packed int (``_take_rows``), and ``kron_apply`` moves a packed stage to
+the next as runs of bytes (``_move_runs``).  In a ``suite`` run on the
+seed-1 dense EX-SW document over GF(101), 97 of the 101 packed products
+compared with a packed product of their format are never unpacked.
 
 ``Matrix.rref`` is the only elimination, exact over Q and GF(p) alike, and
 it too has two paths.  ``_sparse_rref`` is Gauss-Jordan on the sparse rows,
@@ -128,12 +130,11 @@ class Matrix:
 
     A packed product (``_packed_product``) holds its entries as ``_packed``,
     one int of reduced residues with a ``_code`` slot per entry, row-major,
-    and leaves ``_rows`` unset until something reads it (``_Packed``).
-    A dict matrix has ``_packed`` None until it is compared with a packed
-    one (``_pack_whole``).  ``_prows`` keeps the rows as packed ints in one
-    slot format, ``(code, ints)``, once the matrix has been the right
-    operand of a packed product.  So a matrix holds at most one packing of
-    each kind.
+    and leaves ``_rows`` unset until something reads it (``_Packed``); a
+    dict matrix has ``_packed`` None.  ``_prows`` keeps the rows as packed
+    ints in one slot format, ``(code, ints)``, once the matrix has been the
+    right operand of a packed product.  So a matrix holds at most one
+    packing of each kind.
     """
 
     __slots__ = ("field", "nrows", "ncols", "_rows", "_id_flag", "_col_cache", "_hash",
@@ -254,8 +255,8 @@ class Matrix:
 
     def __eq__(self, other):
         """Equal shapes and entries.  Two dict matrices compare their rows;
-        once either side is packed the comparison is on packed residues
-        (``_packed_equal``), so a packed product is never unpacked for it."""
+        two packed products in one slot format compare their packed
+        residues (``_packed_equal``), so neither is unpacked for it."""
         if not (isinstance(other, Matrix) and self.nrows == other.nrows
                 and self.ncols == other.ncols):
             return False
@@ -905,38 +906,14 @@ def _unpack_rows(m: Matrix):
 def _packed_equal(a: Matrix, b: Matrix):
     """``a == b`` for two matrices of one shape, at least one packed.
 
-    An identity is compared by ``is_identity``, and matrices over two
-    fields by their rows.  Otherwise a dict side is packed in the other
-    side's format and keeps that packing (``_pack_whole``), and the two
-    packed forms are compared as ints when their formats agree and slot by
-    slot otherwise."""
+    Two packings in one slot format compare as ints, and a known identity
+    by ``is_identity``; anything else compares rows, which builds the row
+    dicts of a packed side."""
     if a._id_flag or b._id_flag:
         return a.is_identity() and b.is_identity()
-    if a.field is not b.field:
-        return a._rows == b._rows
-    if a._packed is None:
-        _pack_whole(a, b._code)
-    elif b._packed is None:
-        _pack_whole(b, a._code)
-    if a._code == b._code:
+    if a._packed is not None and b._packed is not None and a._code == b._code:
         return a._packed == b._packed
-    # a memoryview compares slots of different formats by value
-    return _slot_view(a) == _slot_view(b)
-
-
-def _pack_whole(m: Matrix, code):
-    """Keep the entries of the dict matrix ``m`` as one packed int of
-    ``code`` slots, row-major, as a packed product holds them."""
-    blank = _blank(m.ncols, code)
-    parts = []
-    for r in m._rows:
-        buf = bytearray(blank)
-        slots = memoryview(buf).cast(code)
-        for k, v in r.items():
-            slots[k] = v
-        parts.append(buf)
-    m._packed = int.from_bytes(b"".join(parts), sys.byteorder)
-    m._code = code
+    return a._rows == b._rows
 
 
 def _take_rows(m: Matrix, index):

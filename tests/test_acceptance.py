@@ -230,16 +230,16 @@ def test_criterion_8_monoidal_witnesses():
         b = an.bundle
         bC = an.bialgebroids[0]
         creg = an.regular_comodule()
-        w, data = monoidal_witness(b, an.pair, bC, creg, creg)
+        w, data = monoidal_witness(b, an.pair, bC, creg)
         ok &= w.ok
         ok &= can_factorisation(b, an.pair, an.galois_right, data)
         ok &= recovered_structure(b, an.pair, bC, data).ok
         K = field_algebra(b.field)
         A_bim = regular_bimodule(b.A)
-        ok &= lemma55_check(b, an.pair, bC, an.theta_right, A_bim, A_bim).ok
+        ok &= lemma55_check(b, an.pair, bC, an.theta_right, A_bim).ok
         C_mod = left_module_wrap(b.A, an.pair.C.space,
                                  an.pair.C.carrier.lact, K)
-        ok &= lemma55_check(b, an.pair, bC, an.theta_right, C_mod, C_mod).ok
+        ok &= lemma55_check(b, an.pair, bC, an.theta_right, C_mod).ok
     assert _line(8, ok, "monoidal structure maps bijective, canonical-map "
                         "factorisation and cotensor collapse exact")
 

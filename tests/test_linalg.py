@@ -1082,8 +1082,9 @@ def test_packed_residents_match_the_dict_loop_and_the_reference(case):
     packed against packed in one slot format and in two, packed against
     dict on either side, zero products of two shapes, an identity product,
     as either operand of a later packed product, and finally its rows
-    built and in stored form.  ``==``, ``is_zero`` and ``is_identity``
-    leave a packed product without row dicts."""
+    built and in stored form.  ``is_zero``, ``is_identity`` and ``==``
+    between two packed products of one slot format leave them without row
+    dicts; ``==`` against rows or another format compares rows."""
     a, b, c, d, codes = case
     f, (m, n), q = a.field, a.shape, b.ncols
     want = _ref_matmul(f, a.rows, b.rows, q)
@@ -1098,24 +1099,28 @@ def test_packed_residents_match_the_dict_loop_and_the_reference(case):
     # (b^T | -b^T) @ (a^T ; a^T) is zero too, of shape q x m
     zero_t = _packed_product(Matrix.augment(b.transpose(), -b.transpose()),
                              Matrix.stack_rows([a.transpose(), a.transpose()]), doubled)
-    ab, ab_other, ab_right = (_packed_product(a, b, x) for x in (code, other, right))
-    residents = [ab, ab_other, ab_right, zero, zero_t]
-    nonzero = any(any(row) for row in want)
-    assert ab == _packed_product(a, b, code) and ab == ab_other and ab_other == ab
-    assert ab == dict_ab and _dict_product(a, b) == ab
-    assert (ab == zero) == (zero == ab) == (not nonzero)
-    assert zero.is_zero() and zero_t.is_zero() and ab.is_zero() == (not nonzero)
-    assert (zero == zero_t) == (m == q) and (zero_t == Matrix.zero(f, q, m))
-    assert not ab.is_identity() or want == _ref_identity(f, m)
-    assert all(map(is_resident, residents))
+    ab, ab_again, ab_other, ab_right = (_packed_product(a, b, x)
+                                        for x in (code, code, other, right))
     u, u_inv = unit_upper(f, m)
     one = _packed_product(u, u_inv, left_of)
-    assert one.is_identity() and one == Matrix.identity(f, m) and is_resident(one)
-    assert Matrix.identity(f, m) == one and (one == ab) == (want == _ref_identity(f, m))
+    residents = [ab, ab_again, ab_other, ab_right, zero, zero_t, one]
+    nonzero = any(any(row) for row in want)
+    assert ab == ab_again and ab_again == ab
+    assert (zero == zero_t) == (m == q)
+    assert zero.is_zero() and zero_t.is_zero() and ab.is_zero() == (not nonzero)
+    assert not ab.is_identity() or want == _ref_identity(f, m)
+    assert one.is_identity() and one == Matrix.identity(f, m)
+    assert Matrix.identity(f, m) == one
     # as the right operand it hands over its row ints, as the left its residues
     assert _packed_product(d, ab_right, right) == _dict_product(d, dict_ab)
     assert _packed_product(ab_other, c, right_of) == _dict_product(dict_ab, c)
     assert all(map(is_resident, residents))
+    # against dict rows or another slot format, == compares rows
+    assert ab == ab_other and ab_other == ab
+    assert ab == dict_ab and _dict_product(a, b) == ab
+    assert (ab == zero) == (zero == ab) == (not nonzero)
+    assert zero_t == Matrix.zero(f, q, m)
+    assert (one == ab) == (want == _ref_identity(f, m))
     assert hash(ab) == hash(dict_ab) and hash(zero) == hash(Matrix.zero(f, m, q))
     for product in residents:
         assert_sparse_invariants(product)
