@@ -260,12 +260,13 @@ def regular_bimodule(T: Algebra, left: AlgebraMap | None = None,
                     LinearMap(tensor_space([T.space, R.space]), T.space, ract), check=check)
 
 
-def sub_bimodule(sub: Subspace, outer: Bimodule, err=ActionMismatch, check: bool = False) -> Bimodule:
+def sub_bimodule(sub: Subspace, outer: Bimodule, err=ActionMismatch) -> Bimodule:
     """Restrict a bimodule structure to a stable subspace.
 
     Raises ``err`` when an action does not preserve the subspace, naming the
     ring basis element of the first column, in action-matrix order, that
-    leaves it.
+    leaves it.  The result is not validated again: the restriction of a
+    bimodule to a stable subspace is one.
     """
     if sub.ambient is not outer.space:
         raise ShapeMismatch("subspace does not live in the bimodule space")
@@ -279,7 +280,7 @@ def sub_bimodule(sub: Subspace, outer: Bimodule, err=ActionMismatch, check: bool
                                    "leaves the subspace"))
     return Bimodule(sub.space, L, R,
                     LinearMap(tensor_space([L.space, sub.space]), sub.space, lact),
-                    LinearMap(tensor_space([sub.space, R.space]), sub.space, ract), check=check)
+                    LinearMap(tensor_space([sub.space, R.space]), sub.space, ract), check=False)
 
 
 def _restrict(sub: Subspace, full: Matrix, fail) -> Matrix:
@@ -648,10 +649,12 @@ def _subchain(chain: TensorChain, a: int, b: int) -> TensorChain:
 
 
 def chain_outer_bimodule(chain: TensorChain, left_factor: Bimodule,
-                         right_factor: Bimodule, check: bool = False) -> Bimodule:
+                         right_factor: Bimodule) -> Bimodule:
     """Outer bimodule structure on a chain carrier, from the edge factors:
     the left factor's action on the first leg and the right factor's on the
-    last, each read on the carrier through ``proj``/``sect``."""
+    last, each read on the carrier through ``proj``/``sect``.  The result is
+    not validated again: the edge actions of a balanced tensor product of
+    bimodules make it one."""
     L, R = left_factor.left, right_factor.right
     f, proj, sect = chain.carrier.field, chain.proj.matrix, chain.sect.matrix
     dims = [s.dim for s in chain.factor_spaces]
@@ -663,7 +666,7 @@ def chain_outer_bimodule(chain: TensorChain, left_factor: Bimodule,
     return Bimodule(chain.carrier, L, R,
                     LinearMap(tensor_space([L.space, chain.carrier]), chain.carrier, lact),
                     LinearMap(tensor_space([chain.carrier, R.space]), chain.carrier, ract),
-                    check=check)
+                    check=False)
 
 
 def _carrier_leg_map(chain: TensorChain, pos, m: Matrix) -> LinearMap:

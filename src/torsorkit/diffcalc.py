@@ -58,9 +58,7 @@ class Connection:
 
 
 class BimoduleConnection:
-    def __init__(self, nabla_l, sigma_b, sigma_l, report):
-        self.nabla_l = nabla_l
-        self.sigma_b = sigma_b
+    def __init__(self, sigma_l, report):
         self.sigma_l = sigma_l            # None when tau is not right linear
         self.report = report
 
@@ -239,4 +237,4 @@ def bimodule_connection(bundle: PreTorsorBundle, pair: CoringPair,
         rep.add("propB.2.sigma-l-kills-dA", "B.2(2)", kills.is_zero())
     if not rep.ok:
         raise NotFlat(f"{b.name}: bimodule connection identities failed")
-    return BimoduleConnection(left_conn.nabla, sigma_b, sigma_l, rep)
+    return BimoduleConnection(sigma_l, rep)

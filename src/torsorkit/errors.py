@@ -136,9 +136,7 @@ class ClosureFailure(TorsorKitError):
 
 
 class AxiomFailure(TorsorKitError):
-    def __init__(self, msg, witness=None):
-        super().__init__(msg)
-        self.witness = witness
+    pass
 
 
 class NotTimesAHopf(TorsorKitError):

@@ -14,18 +14,16 @@ Stored values are canonical: over QQ an ``int`` when integral and a
 ``Fraction`` with denominator > 1 otherwise, over GF(p) an ``int`` in
 ``[1, p)``.  The kernels (the product's two paths ``_sparse_product`` and
 ``_packed_product``, the elimination's two paths ``_sparse_rref`` and
-``_packed_rref``, the packing helpers ``_pack`` and ``_unpack``, the
-packed-resident helpers, ``kron``, ``kron_apply``, ``apply``,
-``apply_pair``, ``outer``, the entrywise operations and the constructors)
+``_packed_rref``, the packed-resident helpers, ``kron``, ``kron_apply``,
+``apply``, ``apply_pair``, the entrywise operations and the constructors)
 compute every term with the native ``+``, ``-`` and ``*`` of those values
 and call no per-entry field method.  Each result row, column or vector is
 reduced once: by ``Field.normalise`` (which drops its zeros and puts each
 value in stored form: over QQ an integral ``Fraction`` becomes its
-``int``, over GF(p) a value is reduced mod p), by the one mod-p pass of
-``_unpack`` over a packed row of the elimination, by the one Barrett step
-of ``_reduce`` over a packed product, or, in ``kron``, entry by entry as
-it is written, each entry being one product (``% p`` over GF(p); over QQ
-only a row with a ``Fraction`` factor is normalised).
+``int``, over GF(p) a value is reduced mod p), by the Barrett step of
+``_reduce`` over packed residues, or, in ``kron``, entry by entry as it is
+written, each entry being one product (``% p`` over GF(p); over QQ only a
+row with a ``Fraction`` factor is normalised).
 
 The product has two paths.  ``_sparse_product`` sums each row in a dict,
 one update per term, over QQ and GF(p) alike.  Over GF(p) a product whose
@@ -55,34 +53,43 @@ right operand of a packed product hands over its row ints, cut from its
 one int and kept on it (``_packed_rows``), and as the left operand gives
 its residues, zeros included; ``solve`` cuts its unit rows from the
 packed int (``_take_rows``), and ``kron_apply`` moves a packed stage to
-the next as runs of bytes (``_move_runs``).  In a ``suite`` run on the
-seed-1 dense EX-SW document over GF(101), 97 of the 101 packed products
-compared with a packed product of their format are never unpacked.
+the next as runs of bytes (``_move_runs``).  ``_packed_rows`` is the one
+packer: it cuts row ints from a packed int of their slot format and writes
+any other matrix's row dicts into one buffer of slots; ``_unpack_rows`` is
+the one way back from packed residues to row dicts.  In a ``suite`` run
+on the seed-1 dense EX-SW document over GF(101), 97 of the 101 packed
+products compared with a packed product of their format are never
+unpacked.
 
 ``Matrix.rref`` is the only elimination, exact over Q and GF(p) alike, and
 it too has two paths.  ``_sparse_rref`` is Gauss-Jordan on the sparse rows,
 with the modular reduction delayed to the points where a value is read
 (once per column, pivot row and output row) and each pivot touching only
 the rows its column meets.  Over GF(p) a dense enough operand takes
-``_packed_rref``: the same Gauss-Jordan on rows packed as in the product,
-each row step one big-int multiply-add, with slots wide enough for the
-``min(m, n)`` steps a row can take (Dumas, Giorgi and Pernet, *FFLAS and
-FFPACK*, ACM TOMS 35, 2008).  ``_rref_slot`` picks the path from the
-operand's nonzero count and shape.  Every kernel and inverse goes through
-``rref``, and so does every rank and solve except on a matrix whose every
-column c has a unit row, a row equal to the unit vector e_c
-(``Matrix.unit_rows``).  A matrix has exactly one reduced row echelon form,
-so both paths give the same rows and pivots, and echelon bases are
-canonical and reproducible whichever row supplies a pivot.
+``_packed_rref``: the same Gauss-Jordan on the product's packed rows
+(``_packed_rows``, so a product packed in the elimination's slot format is
+cut from its int, not unpacked), each row step one big-int multiply-add,
+with slots wide enough for the ``min(m, n)`` steps a row can take (Dumas,
+Giorgi and Pernet, *FFLAS and FFPACK*, ACM TOMS 35, 2008).  A chosen pivot
+row is reduced by ``_reduce``, scaled by one big-int multiply and reduced
+again; at the end the pivot rows are joined, reduced by one ``_reduce``
+and unpacked by ``_unpack_rows``.  So the product and the elimination
+share one packer, one reducer and one unpacker.  ``_rref_slot`` picks the
+path from the operand's nonzero count and shape.  Every kernel and
+inverse goes through ``rref``, and so does every rank and solve except on
+a matrix whose every column c has a unit row, a row equal to the unit
+vector e_c (``Matrix.unit_rows``).  A matrix has exactly one reduced row
+echelon form, so both paths give the same rows and pivots, and echelon
+bases are canonical and reproducible whichever row supplies a pivot.
 
-``Matrix.solve`` cuts a tall system to a basis P of its rows and checks the
-solution exactly.  The injections the engine corestricts through (canonical
-echelon inclusions, identities and their Kronecker products) have unit rows
-for every column, so there P is those rows, the system on them is the
-identity, and the solution is read off the right-hand side with no
-elimination (reading permuted-identity structure instead of factoring:
-Davis, *Direct Methods for Sparse Linear Systems*, SIAM 2006).  Any other
-tall system finds P by eliminating its transpose.
+``Matrix.solve`` reads an injection's solution off its unit rows.  The
+injections the engine corestricts through (canonical echelon inclusions,
+identities and their Kronecker products) have a unit row for every
+column; on those rows P the system is the identity, so the solution is
+the right-hand side's rows P, read with no elimination (reading
+permuted-identity structure instead of factoring: Davis, *Direct Methods
+for Sparse Linear Systems*, SIAM 2006) and checked exactly.  Every other
+system, of any shape, is solved by one ``rref`` of ``[A | B]``.
 
 A permutation is an index map, not a matrix.  ``leg_permutation`` gives the
 index map of a reordering of tensor legs of mixed dimensions;
@@ -105,8 +112,7 @@ a tensor identity is checked at the size of its carrier, not of its
 ambient (the vec/Kronecker identities of Van Loan, *The ubiquitous
 Kronecker product*, JCAM 2000).  In the same way ``Matrix.apply_pair``
 evaluates a bilinear map, such as a product or an action, on a pair of
-vectors without building their outer product; ``outer`` builds it where a
-tensor vector is wanted.
+vectors without building their outer product.
 """
 
 from __future__ import annotations
@@ -133,8 +139,8 @@ class Matrix:
     and leaves ``_rows`` unset until something reads it (``_Packed``); a
     dict matrix has ``_packed`` None.  ``_prows`` keeps the rows as packed
     ints in one slot format, ``(code, ints)``, once the matrix has been the
-    right operand of a packed product.  So a matrix holds at most one
-    packing of each kind.
+    right operand of a packed product or eliminated on packed rows.  So a
+    matrix holds at most one packing of each kind.
     """
 
     __slots__ = ("field", "nrows", "ncols", "_rows", "_id_flag", "_col_cache", "_hash",
@@ -529,15 +535,15 @@ class Matrix:
         operand, and every operand over QQ, takes the dict loop
         (``_sparse_rref``).  ``_rref_slot`` decides.  The dict loop makes at
         most ``2 * ncols + nrows`` ``normalise`` calls; the packed path
-        makes none and unpacks and reduces each pivot row twice, when it
-        is chosen and when it is returned.
+        makes none, and at most two ``_reduce`` calls per pivot and one
+        for the rows it returns.
         """
         f = self.field
         code = _rref_slot(self)
         if code is None:
             rows, pivots = _sparse_rref(self._rows, f)
         else:
-            rows, pivots = _packed_rref(self._rows, self.ncols, f, code)
+            rows, pivots = _packed_rref(self, code)
         return Matrix.from_sparse_rows(f, rows, self.ncols), pivots
 
     def rank(self):
@@ -646,7 +652,7 @@ class _Packed(Matrix):
         # only an unset slot gets here
         if name != "_rows":
             raise AttributeError(name)
-        rows = self._rows = _unpack_rows(self)
+        rows = self._rows = _unpack_rows(self._packed, self.nrows, self.ncols, self._code)
         self.__class__ = Matrix
         return rows
 
@@ -759,33 +765,6 @@ def _slot(field, n):
     return next((s for s in _SLOTS if s[0] >= need), None)
 
 
-def _blank(ncols, code):
-    """The zero bytes of a packed row of ``ncols`` slots of format ``code``."""
-    return bytes(_SLOT_BYTES[code] * ncols)
-
-
-def _pack(pairs, blank, code):
-    """The ``(col, value)`` pairs of a row, each value fitting a slot, as
-    one int: one ``code`` slot per column over the zeros ``blank``, in
-    ``sys.byteorder``."""
-    buf = bytearray(blank)
-    slots = memoryview(buf).cast(code)
-    for k, b in pairs:
-        slots[k] = b
-    return int.from_bytes(buf, sys.byteorder)
-
-
-def _unpack(x, nbytes, code, p, s=1):
-    """The row ``{col: s * slot mod p}`` of a packed int of ``nbytes``
-    bytes, zeros dropped: the one reduction of each of its slots."""
-    if not x:
-        return {}
-    sums = memoryview(x.to_bytes(nbytes, sys.byteorder)).cast(code)
-    if s == 1:
-        return {k: r for k, v in enumerate(sums) if (r := v % p)}
-    return {k: r for k, v in enumerate(sums) if (r := v * s % p)}
-
-
 def _packed_slot(a: Matrix, b: Matrix):
     """The slot format ``a @ b`` is packed with, or None for the dict loop.
 
@@ -853,7 +832,7 @@ def _packed_product(a: Matrix, b: Matrix, code):
     else:
         # a packed left operand gives its residues, zeros included
         n = a.ncols
-        vals = _slot_view(a).tolist()
+        vals = _slot_view(a._packed, a.nrows * n, a._code).tolist()
         sums = [sum(map(mul, vals[i:i + n], orows)) for i in range(0, a.nrows * n, n)]
     joined = int.from_bytes(b"".join([x.to_bytes(nbytes, order) for x in sums]), order)
     return Matrix._from_packed(a.field, a.nrows, ncols, _reduce(
@@ -887,20 +866,20 @@ def _reduce(x, nslots, bits, p):
     return even | odd << bits
 
 
-def _slot_view(m: Matrix):
-    """The packed residues of ``m`` as a memoryview of its slots, row-major."""
-    return memoryview(m._packed.to_bytes(_SLOT_BYTES[m._code] * m.nrows * m.ncols,
-                                         sys.byteorder)).cast(m._code)
+def _slot_view(x, nslots, code):
+    """The ``nslots`` slots of format ``code`` of the packed int x as a
+    memoryview, row-major."""
+    return memoryview(x.to_bytes(_SLOT_BYTES[code] * nslots, sys.byteorder)).cast(code)
 
 
-def _unpack_rows(m: Matrix):
-    """The row dicts of a packed matrix, zeros dropped; its residues are
+def _unpack_rows(x, nrows, ncols, code):
+    """The row dicts of ``nrows x ncols`` residues packed in x, zeros
+    dropped: the one way from packed residues to dicts.  The residues are
     reduced already (``_reduce``)."""
-    vals = _slot_view(m).tolist()
-    n = m.ncols
-    cols = range(n)
-    return tuple({k: v for k, v in zip(cols, vals[i * n:(i + 1) * n]) if v}
-                 for i in range(m.nrows))
+    vals = _slot_view(x, nrows * ncols, code).tolist()
+    cols = range(ncols)
+    return tuple({k: v for k, v in zip(cols, vals[i * ncols:(i + 1) * ncols]) if v}
+                 for i in range(nrows))
 
 
 def _packed_equal(a: Matrix, b: Matrix):
@@ -932,22 +911,28 @@ def _take_rows(m: Matrix, index):
 
 
 def _packed_rows(m: Matrix, code):
-    """The rows of ``m`` as packed ints in ``code`` slots (``_pack``), kept
-    on ``m`` for its next packed product in that format.  A matrix packed in
-    that format hands over its rows cut from its one int; any other is
-    packed from its row dicts."""
+    """The rows of ``m`` as ints, one ``code`` slot per column in
+    ``sys.byteorder``, kept on ``m`` for its next packed kernel in that
+    format; do not mutate the list.  A matrix packed in that format hands
+    over its rows cut from its one int; any other writes its row dicts
+    into the slots of one buffer, cut the same way: the one packer."""
     held = m._prows
     if held is not None and held[0] == code:
         return held[1]
-    width = _SLOT_BYTES[code] * m.ncols
+    n = m.ncols
+    width = _SLOT_BYTES[code] * n
     order = sys.byteorder
     if m._packed is not None and m._code == code:
-        buf = memoryview(m._packed.to_bytes(width * m.nrows, order))
-        rows = [int.from_bytes(buf[i:i + width], order)
-                for i in range(0, width * m.nrows, width)]
+        buf = m._packed.to_bytes(width * m.nrows, order)
     else:
-        blank = bytes(width)
-        rows = [_pack(r.items(), blank, code) if r else 0 for r in m._rows]
+        buf = bytearray(width * m.nrows)
+        slots = memoryview(buf).cast(code)
+        for i, r in enumerate(m._rows):
+            base = i * n
+            for k, b in r.items():
+                slots[base + k] = b
+    view = memoryview(buf)
+    rows = [int.from_bytes(view[i * width:(i + 1) * width], order) for i in range(m.nrows)]
     m._prows = (code, rows)
     return rows
 
@@ -974,43 +959,45 @@ def _rref_slot(mat: Matrix):
     16384 x 1024 relation span (density 0.0068, rank 1020) takes 6.5 s
     there and 29 s packed.  What the rule cannot see is structure: a
     block-shaped operand meets few rows per pivot, so the dict loop does
-    well on it at any density.  On the pass the 16 x 1024 solves (density
-    0.75, pivots in blocks of four) pack at about the dict loop's speed
-    and the 64 x 80 ones (density 0.21) at half of it.
+    well on it at any density: the pass the rule was fitted on had 16 x
+    1024 solves (density 0.75, pivots in blocks of four) that packed at
+    about the dict loop's speed.  The pass no longer makes them; 70 of its
+    134 packed eliminations are 64 x 16.
     """
     m, n = mat.shape
     slot = _slot(mat.field, min(m, n) + 1)
     if slot is None:
         return None
-    nnz = sum(map(len, mat._rows))
-    if nnz * max(12, min(m, n, 128)) > 4 * m * n:
+    if _nnz(mat) * max(12, min(m, n, 128)) > 4 * m * n:
         return slot[1]
     return None
 
 
-def _packed_rref(rows, ncols, field, code):
-    """Gauss-Jordan over GF(p) on packed rows: the pivot rows in pivot
-    order, then the zero rows, and the pivot columns, as ``_sparse_rref``
-    gives them.
+def _packed_rref(mat: Matrix, code):
+    """Gauss-Jordan over GF(p) on the rows of ``mat`` packed as in the
+    product (``_packed_rows``): the pivot rows in pivot order, then the zero
+    rows, and the pivot columns, as ``_sparse_rref`` gives them.
 
-    Each row is one int with a ``code`` slot per column (``_pack``), and a
-    pivot subtracts itself from a row as ``row += (p - a) * pivot_row``, a
-    big-int step that runs in C.  Column c of a row is read as its slot
-    mod p.  A pivot row is unpacked, reduced and scaled by the inverse of
-    its pivot once, when it is chosen, and repacked; every output row is
-    unpacked and reduced once at the end.  Each row takes at most one step
-    per pivot and each step adds at most ``(p - 1)**2`` to a slot that
-    held a residue, so a slot for ``min(m, n) + 1`` such sums never
-    carries.  A column is read from the rows that are not pivot rows yet,
-    and from the pivot rows only when it gets a pivot: a pivot row keeps
-    its entries in the other columns.
+    A matrix already packed in ``code`` slots hands over its rows cut from
+    its int, so no row dict is built.  A pivot subtracts itself from a row
+    as ``row += (p - a) * pivot_row``, a big-int step that runs in C, and
+    column c of a row is read as its slot mod p.  A pivot row is reduced
+    (``_reduce``) when it is chosen, scaled by the inverse of its pivot as
+    one big-int multiply, and reduced again; at the end the pivot rows are
+    joined, reduced by one ``_reduce`` and unpacked (``_unpack_rows``).
+    Each row takes at most one step per pivot and each step adds at most
+    ``(p - 1)**2`` to a slot that held a residue, and a scaled pivot row
+    holds at most ``(p - 1)**2`` in a slot, so a slot for ``min(m, n) + 1``
+    such sums never carries.  A column is read from the rows that are not
+    pivot rows yet, and from the pivot rows only when it gets a pivot: a
+    pivot row keeps its entries in the other columns.
     """
+    field, ncols = mat.field, mat.ncols
     p, inv = field.p, field.inv
-    blank = _blank(ncols, code)
-    nbytes = len(blank)
     bits = 8 * _SLOT_BYTES[code]
     mask = (1 << bits) - 1
-    packed = [_pack(r.items(), blank, code) if r else 0 for r in rows]
+    # a copy: the list may be the one kept on mat
+    packed = list(_packed_rows(mat, code))
     free = list(range(len(packed)))
     pivots, pivot_rows = [], []
     for c in range(ncols):
@@ -1021,8 +1008,10 @@ def _packed_rref(rows, ncols, field, code):
         if not hits:
             continue
         pr, a = hits[0]
-        row = _unpack(packed[pr], nbytes, code, p, inv(a) if a != 1 else 1)
-        piv = packed[pr] = _pack(row.items(), blank, code)
+        piv = _reduce(packed[pr], ncols, bits, p)
+        if a != 1:
+            piv = _reduce(piv * inv(a), ncols, bits, p)
+        packed[pr] = piv
         free.remove(pr)
         for i, a in hits[1:]:
             packed[i] += (p - a) * piv
@@ -1031,8 +1020,12 @@ def _packed_rref(rows, ncols, field, code):
                 packed[i] += (p - a) * piv
         pivots.append(c)
         pivot_rows.append(pr)
-    out = [_unpack(packed[i], nbytes, code, p) for i in pivot_rows]
-    out += [{} for _ in range(len(free))]
+    nbytes, order = bits // 8 * ncols, sys.byteorder
+    joined = int.from_bytes(b"".join([packed[i].to_bytes(nbytes, order) for i in pivot_rows]),
+                            order)
+    out = list(_unpack_rows(_reduce(joined, len(pivots) * ncols, bits, p), len(pivots), ncols,
+                            code))
+    out += [{} for _ in free]
     return out, pivots
 
 
@@ -1348,18 +1341,6 @@ def kron_apply(field, left, dims, order, right) -> Matrix:
         return rows
     get = rows.get
     return Matrix.from_sparse_rows(field, [get(y, empty) for y in range(lo)], ncols)
-
-
-def outer(field, *vecs):
-    """Coordinates of ``v1 (x) ... (x) vk``, row-major, built from the
-    nonzeros of the factors."""
-    terms, size = {0: field.one}, 1
-    for vec in vecs:
-        n = len(vec)
-        support = [(j, a) for j, a in enumerate(vec) if a]
-        terms = {x * n + j: c * a for x, c in terms.items() for j, a in support}
-        size *= n
-    return _dense(field, field.normalise(terms, False), size)
 
 
 def _dense(field, entries, size):

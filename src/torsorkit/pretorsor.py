@@ -510,10 +510,9 @@ def _coring(h: Hand, sub, bim) -> Coring:
 
 
 class GaloisData:
-    def __init__(self, side, can, can_inv, chi):
+    def __init__(self, side, can, chi):
         self.side = side
         self.can = can
-        self.can_inv = can_inv
         self.chi = chi
 
     def __repr__(self):
@@ -552,7 +551,7 @@ def galois(bundle: PreTorsorBundle, pair: CoringPair, side: str = "right") -> Ga
     # mu o chi = alpha o eps
     if h.mu_two @ chi != h.unit.map @ K.eps:
         raise NotGalois(f"{b.name}: mu o chi != {h.unit_name} o eps")
-    return GaloisData(side, can, can_inv, chi)
+    return GaloisData(side, can, chi)
 
 
 # ---------------------------------------------------------------------------

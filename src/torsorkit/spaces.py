@@ -305,7 +305,7 @@ def intersect(subspaces, name: str = "") -> Subspace:
     return _kernel(ambient, Matrix.stack_rows(blocks), name or "intersection")
 
 
-def tensor_space(spaces, name: str = "") -> Space:
+def tensor_space(spaces) -> Space:
     """Plain k-tensor product space with product labels."""
     spaces = list(spaces)
     field = spaces[0].field
@@ -317,4 +317,4 @@ def tensor_space(spaces, name: str = "") -> Space:
     labels = []
     for combo in itertools.product(*[s.labels for s in spaces]):
         labels.append("|".join(combo))
-    return Space(field, dim, name or "(" + "*".join(s.name for s in spaces) + ")", labels)
+    return Space(field, dim, "(" + "*".join(s.name for s in spaces) + ")", labels)

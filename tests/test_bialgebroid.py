@@ -61,12 +61,13 @@ from torsorkit.errors import (
 )
 from torsorkit.fields import GF, QQ
 from torsorkit.fixtures import FIXTURE_NAMES, field_algebra, group_hopf, sweedler_hopf
-from torsorkit.linalg import Matrix, outer
+from torsorkit.linalg import Matrix
 from torsorkit.pretorsor import Hand
 from torsorkit.report import Report
 from torsorkit.spaces import LinearMap, Subspace, intersect, kernel, tensor_space
 
 from conftest import analysis, fixture
+from test_linalg import outer
 
 
 def test_c2_bialgebroid_products(an_c2):

@@ -30,8 +30,10 @@ from torsorkit.cleft_twist import (
 )
 from torsorkit.fields import GF, QQ
 from torsorkit.fixtures import field_algebra, group_hopf, poly_mod_algebra, sweedler_hopf
-from torsorkit.linalg import Matrix, outer
+from torsorkit.linalg import Matrix
 from torsorkit.spaces import LinearMap
+
+from test_linalg import outer
 
 
 def _trivial_sigma(h, B):

@@ -76,9 +76,8 @@ GROWING_CACHES = {"algebra._chain_cache", "linalg._identity_cache", "fields._gf_
 # the linalg kernels that sum with native operators, and the per-entry
 # field methods they must not call
 NATIVE_KERNELS = {"__init__", "from_cols", "_combine", "__neg__", "scale", "__matmul__",
-                  "_sparse_product", "_packed_product", "_pack", "_unpack", "apply",
-                  "apply_pair", "kron", "rref", "_sparse_rref", "_packed_rref", "kron_apply",
-                  "outer",
+                  "_sparse_product", "_packed_product", "apply", "apply_pair", "kron",
+                  "rref", "_sparse_rref", "_packed_rref", "kron_apply",
                   # the packed residents: built, reduced, compared, cut and moved
                   # without unpacking
                   "_from_packed", "__getattr__", "_nnz", "_reduce", "_slot_view",
@@ -228,26 +227,26 @@ def test_rref_reduces_once_per_column_pivot_and_output_row():
 
 
 def test_packed_rref_reduces_once_per_pivot_and_output_row(monkeypatch):
-    """On packed rows ``rref`` reduces a row only when it unpacks it: once
-    per pivot row it chooses and once per pivot row it returns, never at a
-    row step, and it calls no ``normalise``."""
+    """On packed rows ``rref`` reduces a pivot row when it chooses it, at
+    most twice (before and after scaling), and the rows it returns once, all
+    together, never at a row step; it calls no ``normalise``."""
     f = CountingField(101)
     rng = random.Random(0)
     n = 12
     dense = Matrix(f, [[rng.randrange(1, 101) for _ in range(n)] for _ in range(n)])
     assert _rref_slot(dense) is not None
-    unpacked = []
+    reduced = []
 
-    def counting_unpack(*args, real=linalg._unpack):
-        unpacked.append(args[0])
+    def counting_reduce(*args, real=linalg._reduce):
+        reduced.append(args[0])
         return real(*args)
 
-    monkeypatch.setattr(linalg, "_unpack", counting_unpack)
+    monkeypatch.setattr(linalg, "_reduce", counting_reduce)
     f.calls = 0
     _, pivots = dense.rref()
     assert len(pivots) == n
     assert f.calls == 0, f.calls
-    assert len(unpacked) <= 2 * len(pivots), len(unpacked)
+    assert len(reduced) <= 2 * len(pivots) + 1, len(reduced)
 
 
 def test_only_fields_uses_true_division():

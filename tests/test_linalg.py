@@ -22,7 +22,6 @@ from torsorkit.linalg import (
     kron_apply,
     leg_permutation,
     mixed_permutation,
-    outer,
     permute_cols,
     permute_rows,
     permute_tensor_rows,
@@ -856,6 +855,21 @@ def test_kron_apply_matches_the_dense_reference(case):
     assert_matches(kron_apply(field, left, dims, order, right), want, (len(fk), ncols))
 
 
+def outer(field, *vecs):
+    """Coordinates of ``v1 (x) ... (x) vk``, row-major, built from the
+    nonzeros of the factors."""
+    terms, size = {0: field.one}, 1
+    for vec in vecs:
+        n = len(vec)
+        support = [(j, a) for j, a in enumerate(vec) if a]
+        terms = {x * n + j: c * a for x, c in terms.items() for j, a in support}
+        size *= n
+    out = [field.zero] * size
+    for k, x in field.normalise(terms, False).items():
+        out[k] = x
+    return tuple(out)
+
+
 @st.composite
 def pair_case(draw):
     """A field, a matrix on the pairs of legs of dims d1 and d2 (a zero, an
@@ -1166,7 +1180,7 @@ def assert_packed_rref_agrees(a):
     if slot is None:
         assert f.p == 2**31 - 1 and min(m, n) > 3
         return
-    assert _packed_rref(a.sparse_rows(), n, f, slot[1]) == expected
+    assert _packed_rref(a, slot[1]) == expected
 
 
 @given(packed_rref_case())
@@ -1201,7 +1215,7 @@ def test_packed_rref_meets_its_slot_bound_and_empty_shapes():
             zero = Matrix.zero(field, m, n)
             assert zero.rref() == (zero, [])
             slot = _slot(field, min(m, n) + 1)
-            assert _packed_rref(zero.sparse_rows(), n, field, slot[1]) == ([{}] * m, [])
+            assert _packed_rref(zero, slot[1]) == ([{}] * m, [])
 
 
 def test_a_raw_multiple_of_p_is_no_pivot_on_packed_rows():
@@ -1211,9 +1225,72 @@ def test_a_raw_multiple_of_p_is_no_pivot_on_packed_rows():
     so column 2 has no pivot here either."""
     f = GF(3)
     m = Matrix.from_rows(f, [[1, 0, 2], [0, 1, 1], [2, 1, 2]])
-    rows, pivots = _packed_rref(m.sparse_rows(), 3, f, _slot(f, 4)[1])
+    rows, pivots = _packed_rref(m, _slot(f, 4)[1])
     assert rows == [{0: 1, 2: 2}, {1: 1, 2: 1}, {}]
     assert pivots == [0, 1]
+
+
+@st.composite
+def packed_operand_case(draw):
+    """A GF(p) product a @ b, m x n through an inner dimension k, each up to
+    12 (3 over GF(2^31 - 1), whose 64-bit slot holds 4 sums); a slot format
+    wide enough both for the product and for eliminating it; and another
+    format that holds a residue, or None when the prime has no other."""
+    field = draw(st.sampled_from(RREF_FIELDS))
+    top = 3 if field.p == 2**31 - 1 else 12
+    m, n, k = (draw(st.integers(1, top)) for _ in range(3))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    a = random_operand(rng, field, m, k, draw(st.sampled_from([1, 0.5, 0.125, 0])))
+    b = random_operand(rng, field, k, n, 1)
+    code = draw(st.sampled_from(packed_codes(field, max(k, min(m, n) + 1))))
+    others = [c for c in packed_codes(field, 1) if c != code]
+    return a, b, code, draw(st.sampled_from(others)) if others else None
+
+
+@given(packed_operand_case())
+@settings(max_examples=150, deadline=None)
+def test_packed_rref_takes_the_products_packed_rows(case):
+    """A packed product eliminated in its own slot format is cut from its
+    int: the one ``_unpack_rows`` call is the one that unpacks the result,
+    and the product keeps no row dicts.  Its rows and pivots equal
+    ``_sparse_rref``'s and the dense reference's, and so do those of a dict
+    operand whose kept packed rows are in another format, and of one whose
+    kept rows are in this format, which the elimination leaves as they were."""
+    a, b, code, other = case
+    f, (m, n) = a.field, (a.nrows, b.ncols)
+    product = _packed_product(a, b, code)
+    dict_ab = Matrix.from_sparse_rows(
+        f, _sparse_product(a.sparse_rows(), b.sparse_rows(), f.normalise), n)
+    expected = _sparse_rref(dict_ab.sparse_rows(), f)
+    want, want_pivots = _ref_rref(f, dict_ab.rows, n)
+    assert expected[1] == want_pivots
+    assert_matches(Matrix.from_sparse_rows(f, expected[0], n), want, (m, n))
+    unpacked, real = [], linalg._unpack_rows
+
+    def spy(*args):
+        unpacked.append(args[1:])
+        return real(*args)
+
+    linalg._unpack_rows = spy
+    try:
+        got = _packed_rref(product, code)
+        if _rref_slot(product) == code:
+            r, pivots = product.rref()
+            assert (list(r.sparse_rows()), pivots) == expected
+    finally:
+        linalg._unpack_rows = real
+    assert got == expected
+    assert is_resident(product)
+    assert all(rows == len(want_pivots) for rows, _, _ in unpacked), unpacked
+    if other is not None:
+        kept_other = Matrix.from_sparse_rows(f, dict_ab.sparse_rows(), n)
+        linalg._packed_rows(kept_other, other)
+        assert _packed_rref(kept_other, code) == expected
+    kept = Matrix.from_sparse_rows(f, dict_ab.sparse_rows(), n)
+    rows = linalg._packed_rows(kept, code)
+    before = list(rows)
+    assert _packed_rref(kept, code) == expected
+    assert kept._prows == (code, before) and kept._prows[1] is rows
 
 
 def operand_with(rng, field, m, n, nnz):
