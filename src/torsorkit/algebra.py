@@ -491,12 +491,13 @@ def _build_chain(spaces, links) -> TensorChain:
             carrier, step_proj, step_sect = step_amb, ident, ident
         else:
             # the newest link, with its right action read on the prefix carrier
-            rel_cols = []
+            rel_cols, ints = [], True
             for mi, mj in _link_leg_maps(link):
                 lifted = _carrier_leg_map(head, n - 2, mi).matrix
                 rel_cols += _relation_columns(field, [head.dim, last.dim], 0, lifted, 1, mj)
+                ints = ints and lifted._ints and mj._ints
             rel = Subspace.from_spanning(
-                step_amb, Matrix.from_sparse_rows(field, rel_cols, step_amb.dim))
+                step_amb, Matrix.from_sparse_rows(field, rel_cols, step_amb.dim, ints))
             carrier, step_proj, step_sect = quotient(step_amb, rel)
         proj = _lift_rows(field, step_proj.matrix, head.proj.matrix, last.dim)
         sect = _compose_selections(field, head.sect.matrix, step_sect.matrix, last.dim)
@@ -528,7 +529,7 @@ def _lift_rows(field, step: Matrix, head: Matrix, width) -> Matrix:
                 w = get(y)
                 acc[y] = c * v if w is None else w + c * v
         out.append(normalise(acc, terms > len(acc)))
-    return Matrix.from_sparse_rows(field, out, head.ncols * width)
+    return Matrix.from_sparse_rows(field, out, head.ncols * width, step._ints and head._ints)
 
 
 def _compose_selections(field, head: Matrix, step: Matrix, width=1) -> Matrix:
@@ -548,7 +549,7 @@ def _compose_selections(field, head: Matrix, step: Matrix, width=1) -> Matrix:
         x, l = divmod(s, width)
         for q in row:
             out[pos[x] * width + l] = {q: one}
-    return Matrix.from_sparse_rows(field, out, step.ncols)
+    return Matrix.from_sparse_rows(field, out, step.ncols, True)
 
 
 def single_chain(space: Space) -> TensorChain:
@@ -701,7 +702,7 @@ def split_left(act: Matrix, m) -> list:
         for k, x in row.items():
             r, c = divmod(k, n)
             blocks[r][i][c] = x
-    return [Matrix.from_sparse_rows(act.field, rows, n) for rows in blocks]
+    return [Matrix.from_sparse_rows(act.field, rows, n, act._ints) for rows in blocks]
 
 
 def split_right(act: Matrix, m) -> list:

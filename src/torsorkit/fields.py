@@ -23,6 +23,9 @@ zeros dropped.  Over QQ that turns each integral ``Fraction`` (``2 * 1/2``,
 ``1/2 + 1/2``) into its ``int`` and filters zeros where terms were summed;
 over GF(p) it reduces every value mod p once (delayed modular reduction, as
 in Dumas, Giorgi and Pernet, *FFLAS and FFPACK*, ACM TOMS 35(3), 2008).
+``normalise_rows`` does the same for the rows of a matrix built from
+arbitrary values and also says whether every value is an ``int``, which
+picks the QQ product's path.
 
 Both fields parse only the literals ``to_str`` writes: ``[+-]digits`` or
 ``[+-]digits/digits``.  Exponents, decimal points, underscores and
@@ -70,6 +73,13 @@ class Field:
         are arbitrary input.  When it is false every value is a product of
         nonzero stored values.  The result may be ``acc`` itself.
         """
+        raise NotImplementedError
+
+    def normalise_rows(self, rows) -> tuple[list, bool]:
+        """``normalise(row, True)`` of each row, and whether every value is
+        known to be an ``int``: the pass that puts the values in stored
+        form reads their types, so a matrix built from arbitrary input
+        learns them for free (``Matrix._ints``)."""
         raise NotImplementedError
 
     def from_int(self, n: int):
@@ -145,6 +155,19 @@ class Rationals(Field):
                         for k, x in acc.items() if x}
         # a product of nonzero ints is nonzero: only sums need the zero filter
         return {k: v for k, v in acc.items() if v} if summed else acc
+
+    def normalise_rows(self, rows):
+        out, ints = [], True
+        for acc in rows:
+            for v in acc.values():
+                if type(v) is not int:
+                    # an integral Fraction leaves the flag False: a hint only
+                    ints = False
+                    out.append(self.normalise(acc, True))
+                    break
+            else:
+                out.append({k: v for k, v in acc.items() if v})
+        return out, ints
 
     def from_int(self, n):
         return n
@@ -234,6 +257,10 @@ class PrimeField(Field):
         # every raw value needs its reduction, summed or not
         p = self.p
         return {k: r for k, v in acc.items() if (r := v % p)}
+
+    def normalise_rows(self, rows):
+        normalise = self.normalise
+        return [normalise(r, True) for r in rows], True
 
     def from_int(self, n):
         return n % self.p

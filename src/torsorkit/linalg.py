@@ -12,29 +12,58 @@ operation builds its result from sparse rows directly through
 
 Stored values are canonical: over QQ an ``int`` when integral and a
 ``Fraction`` with denominator > 1 otherwise, over GF(p) an ``int`` in
-``[1, p)``.  The kernels (the product's two paths ``_sparse_product`` and
-``_packed_product``, the elimination's two paths ``_sparse_rref`` and
+``[1, p)``.  The kernels (the product's three paths ``_sparse_product``,
+``_integer_row_product`` and ``_packed_product``, the elimination's two
+paths ``_sparse_rref`` and
 ``_packed_rref``, the packed-resident helpers, ``kron``, ``kron_apply``,
 ``apply``, ``apply_pair``, the entrywise operations and the constructors)
 compute every term with the native ``+``, ``-`` and ``*`` of those values
 and call no per-entry field method.  Each result row, column or vector is
 reduced once: by ``Field.normalise`` (which drops its zeros and puts each
 value in stored form: over QQ an integral ``Fraction`` becomes its
-``int``, over GF(p) a value is reduced mod p), by the Barrett step of
-``_reduce`` over packed residues, or, in ``kron``, entry by entry as it is
-written, each entry being one product (``% p`` over GF(p); over QQ only a
-row with a ``Fraction`` factor is normalised).
+``int``, over GF(p) a value is reduced mod p), by one gcd per value over
+the row's common denominator (``_integer_row_product``), by the Barrett
+step of ``_reduce`` over packed residues, or, in ``kron``, entry by entry
+as it is written, each entry being one product (``% p`` over GF(p); over
+QQ only a row with a ``Fraction`` factor is normalised).
 
-The product has two paths.  ``_sparse_product`` sums each row in a dict,
-one update per term, over QQ and GF(p) alike.  Over GF(p) a product whose
-right operand is dense enough takes ``_packed_product`` instead: each row
-of the right operand is packed into one Python int, one fixed-width slot
-per column, wide enough that no sum of residue products carries into the
-next slot, so a result row is a sum of small multiples of those ints, done
-in C by the big-int arithmetic (Dumas, Fousse and Salvy, J. Symb. Comput.
-46, 2011).  ``_packed_slot`` picks the path from the operands' nonzero
-counts; QQ, sparse or tiny products and primes whose slot would exceed 64
-bits keep the dict loop.
+The product has three paths.  ``_sparse_product`` sums each row in a dict,
+one update per term, when every value of both operands is an ``int``, over
+QQ and GF(p) alike.  Over QQ a product with a ``Fraction`` on either side
+takes ``_integer_row_product``: each right row j is scaled by the lcm d_j
+of its denominators into an int row, each left row i puts its coefficients
+a_ij / d_j over one common denominator L_i and sums those int rows with
+native ``+`` and ``*``, and each nonzero sum v becomes v / L_i in stored
+form after one gcd.  So every term is big-int arithmetic in C and no
+``Fraction`` is built or added per term (integer rows over a common
+denominator, the fraction-free technique of von zur Gathen and Gerhard,
+*Modern Computer Algebra*).  In a ``suite`` pass over the seed-1 dense
+EX-C2 and EX-Q3 documents the 1,583 ``@`` calls with a ``Fraction``
+operand took 0.19 s when they all took the dict loop and take 0.08 s
+(2-core Xeon, Python 3.11).  The dispatch reads one flag per operand,
+``Matrix._ints``: True when every value is an ``int``, False when one may
+be a ``Fraction``, None when the builder did not know.  It is decided
+where a matrix is built: every constructor and kernel of this module
+passes it to ``from_sparse_rows`` from its inputs' flags (a product of int
+operands is int, a transpose keeps its operand's flag, an echelon form of
+an int operand is int when every pivot was 1 or -1, ``kron`` reads both
+operands' types anyway), the constructors from arbitrary values read it
+off the pass that puts them in stored form (``Field.normalise_rows``), and
+the engine's own builders outside this module pass their inputs' flags.  A matrix built with None is scanned once, when a product, an
+echelon form or a Kronecker product first needs its flag (``_integral``),
+and keeps the answer; the last two ask for their operands' flags, so that
+what they build inherits one answer instead of being scanned again.  So an
+int-only workload adds no per-product work.  A False flag on a matrix of
+ints costs only speed: its products take the integer-row path, which gives
+the same stored rows.  Over GF(p) every value is an ``int``, and a product
+whose right operand is dense enough takes ``_packed_product`` instead:
+each row of the right operand is packed into one Python int, one
+fixed-width slot per column, wide enough that no sum of residue products
+carries into the next slot, so a result row is a sum of small multiples of
+those ints, done in C by the big-int arithmetic (Dumas, Fousse and Salvy,
+J. Symb. Comput. 46, 2011).  ``_packed_slot`` picks the path from the
+operands' nonzero counts; sparse or tiny products and primes whose slot
+would exceed 64 bits keep the dict loop.
 
 A packed product stays packed.  Its row sums are joined into one int per
 matrix, and every slot is reduced mod p at once by one vectorised Barrett
@@ -118,8 +147,10 @@ vectors without building their outer product.
 from __future__ import annotations
 
 import sys
-from math import prod
-from operator import mul
+from fractions import Fraction
+from functools import reduce
+from math import gcd, lcm, prod
+from operator import attrgetter, mul
 
 from .errors import NotInvertible, ShapeMismatch
 from .fields import Field, PrimeField
@@ -140,11 +171,14 @@ class Matrix:
     dict matrix has ``_packed`` None.  ``_prows`` keeps the rows as packed
     ints in one slot format, ``(code, ints)``, once the matrix has been the
     right operand of a packed product or eliminated on packed rows.  So a
-    matrix holds at most one packing of each kind.
+    matrix holds at most one packing of each kind.  ``_ints`` says what is
+    known of the values' types, which picks the QQ product's path: True
+    when every one is an ``int``, False when one may be a ``Fraction``, None
+    until a scan finds out (``_integral``).
     """
 
     __slots__ = ("field", "nrows", "ncols", "_rows", "_id_flag", "_col_cache", "_hash",
-                 "_packed", "_code", "_prows")
+                 "_packed", "_code", "_prows", "_ints")
 
     def __init__(self, field: Field, rows, ncols: int | None = None):
         rows = [tuple(r) for r in rows]
@@ -157,11 +191,11 @@ class Matrix:
             ncols = width
         elif ncols is None:
             raise ShapeMismatch("empty matrix needs explicit ncols")
-        normalise = field.normalise
         self.field = field
         self.nrows = len(rows)
         self.ncols = ncols
-        self._rows = tuple(normalise(dict(enumerate(r)), True) for r in rows)
+        stored, self._ints = field.normalise_rows([dict(enumerate(r)) for r in rows])
+        self._rows = tuple(stored)
         self._id_flag = None
         self._col_cache = None
         self._hash = None
@@ -171,11 +205,13 @@ class Matrix:
     # -- constructors ------------------------------------------------
 
     @staticmethod
-    def from_sparse_rows(field, rows, ncols) -> "Matrix":
+    def from_sparse_rows(field, rows, ncols, ints=None) -> "Matrix":
         """A matrix on rows given as dicts ``{col: nonzero value}``.
 
         The dicts must hold no zero.  They are kept, not copied, so no one
-        may mutate them afterwards.
+        may mutate them afterwards.  ``ints`` is what the caller knows of
+        the values (see ``_ints``): True when every one is an ``int``, False
+        when one may be a ``Fraction``, None when it does not know.
         """
         m = object.__new__(Matrix)
         m.field = field
@@ -187,6 +223,7 @@ class Matrix:
         m._hash = None
         m._packed = None
         m._prows = None
+        m._ints = ints
         return m
 
     @staticmethod
@@ -204,11 +241,12 @@ class Matrix:
         m._packed = packed
         m._code = code
         m._prows = None
+        m._ints = True
         return m
 
     @staticmethod
     def zero(field, nrows, ncols):
-        return Matrix.from_sparse_rows(field, [{} for _ in range(nrows)], ncols)
+        return Matrix.from_sparse_rows(field, [{} for _ in range(nrows)], ncols, True)
 
     @staticmethod
     def identity(field, n):
@@ -216,7 +254,7 @@ class Matrix:
         hit = _identity_cache.get(key)
         if hit is None:
             one = field.one
-            hit = Matrix.from_sparse_rows(field, [{i: one} for i in range(n)], n)
+            hit = Matrix.from_sparse_rows(field, [{i: one} for i in range(n)], n, True)
             hit._id_flag = True
             _identity_cache[key] = hit
         return hit
@@ -241,8 +279,8 @@ class Matrix:
         for j, c in enumerate(cols):
             for i, x in enumerate(c):
                 rows[i][j] = x
-        normalise = field.normalise
-        return Matrix.from_sparse_rows(field, [normalise(r, True) for r in rows], len(cols))
+        stored, ints = field.normalise_rows(rows)
+        return Matrix.from_sparse_rows(field, stored, len(cols), ints)
 
     # -- basics ------------------------------------------------------
 
@@ -332,7 +370,7 @@ class Matrix:
         for i, r in enumerate(self._rows):
             for j, x in r.items():
                 cols[j][i] = x
-        return Matrix.from_sparse_rows(self.field, cols, self.nrows)
+        return Matrix.from_sparse_rows(self.field, cols, self.nrows, self._ints)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -350,7 +388,7 @@ class Matrix:
                     v = -v
                 row[k] = row[k] + v if k in row else v
             out.append(normalise(row, len(row) < len(r1) + len(r2)))
-        return Matrix.from_sparse_rows(f, out, self.ncols)
+        return Matrix.from_sparse_rows(f, out, self.ncols, self._ints and other._ints)
 
     def __add__(self, other):
         return self._combine(other, False)
@@ -362,7 +400,7 @@ class Matrix:
         normalise = self.field.normalise
         return Matrix.from_sparse_rows(
             self.field, [normalise({k: -v for k, v in r.items()}, False) for r in self._rows],
-            self.ncols)
+            self.ncols, self._ints)
 
     def scale(self, c):
         f = self.field
@@ -372,7 +410,7 @@ class Matrix:
         # a multiple of p reduces to zero rows over GF(p); over QQ c is nonzero
         return Matrix.from_sparse_rows(
             f, [normalise({k: c * v for k, v in r.items()}, False) for r in self._rows],
-            self.ncols)
+            self.ncols, self._ints and type(c) is int)
 
     def _check_same_shape(self, other):
         if self.shape != other.shape:
@@ -382,22 +420,28 @@ class Matrix:
         """Matrix product, row by row over the nonzero entries.
 
         Over GF(p) a product whose right operand is dense enough is summed
-        as packed integers and kept packed (``_packed_product``); every
-        other product, and every product over QQ, takes the dict loop
-        (``_sparse_product``).  ``_packed_slot`` decides.  Both give the
-        same stored rows."""
+        as packed integers and kept packed (``_packed_product``;
+        ``_packed_slot`` decides).  Over QQ a product with a ``Fraction`` on
+        either side (the operands' ``_ints`` flags, ``_integral``) is summed
+        on integer rows over one denominator per row
+        (``_integer_row_product``).  Every other product takes the dict
+        loop (``_sparse_product``).  All three give the same stored rows."""
         if self.ncols != other.nrows:
             raise ShapeMismatch(f"cannot multiply {self.shape} by {other.shape}")
         if self.is_identity():
             return other
         if other.is_identity():
             return self
-        code = _packed_slot(self, other)
-        if code is not None:
-            return _packed_product(self, other, code)
         f = self.field
+        if isinstance(f, PrimeField):
+            code = _packed_slot(self, other)
+            if code is not None:
+                return _packed_product(self, other, code)
+        elif not ((self._ints or _integral(self)) and (other._ints or _integral(other))):
+            rows, ints = _integer_row_product(self._rows, other._rows)
+            return Matrix.from_sparse_rows(f, rows, other.ncols, ints)
         return Matrix.from_sparse_rows(
-            f, _sparse_product(self._rows, other._rows, f.normalise), other.ncols)
+            f, _sparse_product(self._rows, other._rows, f.normalise), other.ncols, True)
 
     def apply(self, vec):
         """Image of a coordinate vector; cost scales with the nonzeros."""
@@ -470,13 +514,13 @@ class Matrix:
                 # block i is X shifted by i blocks of columns; block 0 is X
                 base = i * n
                 out += [{base + k: v for k, v in r.items()} for r in orows] if base else orows
-            return Matrix.from_sparse_rows(f, out, ncols)
+            return Matrix.from_sparse_rows(f, out, ncols, other._ints or _integral(other))
         if other.is_identity():
             out = []
             for r1 in self._rows:
                 spread = [(j * n, a) for j, a in r1.items()]
                 out += [{base + d: a for base, a in spread} for d in range(n)]
-            return Matrix.from_sparse_rows(f, out, ncols)
+            return Matrix.from_sparse_rows(f, out, ncols, self._ints or _integral(self))
         out = []
         if isinstance(f, PrimeField):
             p = f.p
@@ -484,17 +528,21 @@ class Matrix:
                 blocks = [(j1 * n, a) for j1, a in r1.items()]
                 out += [{base + j2: a * b % p for base, a in blocks for j2, b in r2.items()}
                         for r2 in orows]
-            return Matrix.from_sparse_rows(f, out, ncols)
+            return Matrix.from_sparse_rows(f, out, ncols, True)
         normalise = f.normalise
-        # rows of ``other`` whose values are all ``int``
+        # rows of ``other`` whose values are all ``int``; the scan of both
+        # operands gives their ``_ints`` flags too
         exact = [all(type(b) is int for b in r2.values()) for r2 in orows]
+        ints1, ints2 = True, all(exact)
         for r1 in self._rows:
             blocks = [(j1 * n, a) for j1, a in r1.items()]
             exact1 = all(type(a) is int for _, a in blocks)
+            ints1 = ints1 and exact1
             for r2, exact2 in zip(orows, exact):
                 row = {base + j2: a * b for base, a in blocks for j2, b in r2.items()}
                 out.append(row if exact1 and exact2 else normalise(row, False))
-        return Matrix.from_sparse_rows(f, out, ncols)
+        self._ints, other._ints = ints1, ints2
+        return Matrix.from_sparse_rows(f, out, ncols, ints1 and ints2)
 
     @staticmethod
     def stack_rows(mats):
@@ -502,11 +550,13 @@ class Matrix:
         f = mats[0].field
         ncols = mats[0].ncols
         rows = []
+        ints = True
         for m in mats:
             if m.ncols != ncols:
                 raise ShapeMismatch("stack_rows: column counts differ")
             rows.extend(m._rows)
-        return Matrix.from_sparse_rows(f, rows, ncols)
+            ints = ints and m._ints
+        return Matrix.from_sparse_rows(f, rows, ncols, ints)
 
     @staticmethod
     def augment(a: "Matrix", b: "Matrix") -> "Matrix":
@@ -519,7 +569,7 @@ class Matrix:
             for k, v in rb.items():
                 row[n + k] = v
             rows.append(row)
-        return Matrix.from_sparse_rows(a.field, rows, n + b.ncols)
+        return Matrix.from_sparse_rows(a.field, rows, n + b.ncols, a._ints and b._ints)
 
     # -- elimination ---------------------------------------------------
 
@@ -541,10 +591,13 @@ class Matrix:
         f = self.field
         code = _rref_slot(self)
         if code is None:
-            rows, pivots = _sparse_rref(self._rows, f)
+            rows, pivots, units = _sparse_rref(self._rows, f)
+            # a non-unit pivot of an int operand may still leave int rows
+            ints = (self._ints or _integral(self)) if units else None
         else:
             rows, pivots = _packed_rref(self, code)
-        return Matrix.from_sparse_rows(f, rows, self.ncols), pivots
+            ints = True
+        return Matrix.from_sparse_rows(f, rows, self.ncols, ints), pivots
 
     def rank(self):
         """The rank: ``ncols`` when every column has a unit row (see
@@ -585,7 +638,7 @@ class Matrix:
             for j, x in row.items():
                 if j != p:
                     vecs[j][p] = neg(x)
-        return Matrix.from_sparse_rows(f, vecs.values(), self.ncols)
+        return Matrix.from_sparse_rows(f, vecs.values(), self.ncols, R._ints)
 
     def kernel_basis(self):
         """``nullspace`` as a list of coordinate tuples."""
@@ -616,7 +669,7 @@ class Matrix:
         out = [{} for _ in range(n)]
         for p, row in zip(pivots, R._rows):
             out[p] = {k - n: v for k, v in row.items() if k >= n}
-        return Matrix.from_sparse_rows(f, out, rhs.ncols)
+        return Matrix.from_sparse_rows(f, out, rhs.ncols, R._ints)
 
     def inverse(self):
         f = self.field
@@ -679,9 +732,88 @@ def _sparse_product(rows, orows, normalise):
     return out
 
 
+def _integral(m: Matrix):
+    """Whether every value of ``m`` is an ``int``: its ``_ints`` flag, kept
+    once found when the constructor did not know it, by one scan over QQ
+    and at once over GF(p)."""
+    ints = m._ints
+    if ints is None:
+        ints = m._ints = isinstance(m.field, PrimeField) or _all_ints(m._rows)
+    return ints
+
+
+def _all_ints(rows):
+    # a plain loop: the cheapest scan of the small matrices a document holds
+    for r in rows:
+        for v in r.values():
+            if type(v) is not int:
+                return False
+    return True
+
+
+_denominator = attrgetter("denominator")
+
+
+def _ratio(num, den):
+    """The ``Fraction`` num/den of coprime ints with ``den > 1``, built
+    without the second gcd of the constructor (as Python 3.12's
+    ``Fraction._from_coprime_ints`` does)."""
+    x = object.__new__(Fraction)
+    x._numerator = num
+    x._denominator = den
+    return x
+
+
+def _integer_row_product(rows, orows):
+    """The rows of a QQ product, summed on integer rows over one
+    denominator per row, and whether every value is an ``int``.
+
+    Each right row j is scaled by the lcm d_j of its denominators into an
+    int row.  Each left row i writes its coefficients a_ij / d_j over one
+    common denominator L_i and sums those int rows times the int
+    numerators with native ``+`` and ``*``, so every term is big-int
+    arithmetic in C and no ``Fraction`` is built or added per term (the
+    fraction-free technique of von zur Gathen and Gerhard, *Modern Computer
+    Algebra*).  A nonzero sum v is v / L_i in stored form after one
+    gcd: an ``int`` when L_i divides v, otherwise a ``Fraction``.
+    """
+    # lcm by reduce, not lcm(*...): an argument tuple per row would stock
+    # CPython's tuple free lists with a few hundred KB that stay allocated
+    dens = [reduce(lcm, map(_denominator, b.values()), 1) for b in orows]
+    scaled = [b if d == 1 else {k: v.numerator * (d // v.denominator) for k, v in b.items()}
+              for b, d in zip(orows, dens)]
+    out = []
+    ints = True
+    for r in rows:
+        den = [a.denominator * dens[j] for j, a in r.items()]
+        L = reduce(lcm, den, 1)
+        acc = {}
+        get = acc.get
+        for (j, a), d in zip(r.items(), den):
+            e = a.numerator * (L // d)
+            for k, b in scaled[j].items():
+                x = get(k)
+                acc[k] = e * b if x is None else x + e * b
+        if L == 1:
+            out.append({k: v for k, v in acc.items() if v})
+            continue
+        row = {}
+        for k, v in acc.items():
+            if v:
+                g = gcd(v, L)
+                if g == L:
+                    row[k] = v // L
+                else:
+                    row[k] = _ratio(v // g, L // g)
+                    ints = False
+        out.append(row)
+    return out, ints
+
+
 def _sparse_rref(rows, field):
     """Gauss-Jordan on sparse rows: the pivot rows in pivot order, then the
-    zero rows, and the pivot columns.
+    zero rows, the pivot columns, and whether every pivot's inverse was an
+    ``int``, so that over QQ the rows of an all-``int`` operand stay ``int``.
 
     Between pivots the rows hold raw values built with native ``+ - *``
     (delayed reduction).  An index from each column to the rows that may
@@ -709,6 +841,7 @@ def _sparse_rref(rows, field):
                 held[i] = None
     is_pivot = [False] * m
     pivots, pivot_rows = [], []
+    units = True
     # a row gains keys only from pivot rows, whose columns are all
     # listed already, so the columns to visit are known up front
     for c in sorted(cols):
@@ -722,6 +855,7 @@ def _sparse_rref(rows, field):
             continue
         p = col.pop(pr)
         s = inv(p) if p != one else one
+        units = units and type(s) is int
         piv = normalise({k: v * s for k, v in rows[pr].items()}, True)
         # every other row that meets column c loses it; a key new to a
         # row joins its column's list
@@ -746,7 +880,7 @@ def _sparse_rref(rows, field):
     # every other row lost each of its columns, so it is empty
     out = [normalise(rows[i], True) for i in pivot_rows]
     out += [{} for _ in range(m - len(out))]
-    return out, pivots
+    return out, pivots, units
 
 
 # slots of the packed GF(p) kernels, narrowest first: (bits, memoryview
@@ -900,7 +1034,7 @@ def _take_rows(m: Matrix, index):
     cut from its int, so no row dict is built."""
     if m._packed is None:
         rows = m._rows
-        return Matrix.from_sparse_rows(m.field, [rows[i] for i in index], m.ncols)
+        return Matrix.from_sparse_rows(m.field, [rows[i] for i in index], m.ncols, m._ints)
     width = _SLOT_BYTES[m._code] * m.ncols
     order = sys.byteorder
     buf = m._packed.to_bytes(width * m.nrows, order)
@@ -1063,7 +1197,7 @@ def permute_rows(mat: Matrix, dims, order) -> Matrix:
     if len(idx) != mat.nrows:
         raise ShapeMismatch("permutation does not match the row count")
     rows = mat._rows
-    return Matrix.from_sparse_rows(mat.field, [rows[i] for i in idx], mat.ncols)
+    return Matrix.from_sparse_rows(mat.field, [rows[i] for i in idx], mat.ncols, mat._ints)
 
 
 def permute_cols(mat: Matrix, dims, order) -> Matrix:
@@ -1076,7 +1210,7 @@ def permute_cols(mat: Matrix, dims, order) -> Matrix:
     if len(idx) != mat.ncols:
         raise ShapeMismatch("permutation does not match the column count")
     return Matrix.from_sparse_rows(mat.field, [{idx[j]: x for j, x in r.items()} for r in mat._rows],
-                          mat.ncols)
+                                   mat.ncols, mat._ints)
 
 
 def split_leg(mat: Matrix, dims, leg) -> Matrix:
@@ -1096,7 +1230,7 @@ def split_leg(mat: Matrix, dims, leg) -> Matrix:
             hi, rem = divmod(k, span)
             t, lo = divmod(rem, stride)
             out[base + hi * stride + lo][t] = x
-    return Matrix.from_sparse_rows(mat.field, out, dims[leg])
+    return Matrix.from_sparse_rows(mat.field, out, dims[leg], mat._ints)
 
 
 def _block_sizes(factors, legs, size_of):
@@ -1173,7 +1307,8 @@ def _block_offsets(dims, order, sizes):
 
 def _g_rows(field, right, offsets):
     """The nonempty rows of ``P @ (G1 (x) ... (x) Gm)`` as ``{row: {col:
-    value}}``, and its column count.
+    value}}``, its column count and what is known of its values' types
+    (``_ints``, from the factors').
 
     ``offsets`` gives, per G block, where each of its rows lands (a table
     from ``_block_offsets``, or a ``range`` of the block's row-major
@@ -1183,7 +1318,7 @@ def _g_rows(field, right, offsets):
     and multiplies nothing.  A row is normalised only where it holds
     products of two matrix factors' values.
     """
-    rows, ncols, scaled = None, 1, False
+    rows, ncols, scaled, ints = None, 1, False, True
     for g, off in zip(right, offsets):
         if g is None:
             n = len(off)
@@ -1209,16 +1344,18 @@ def _g_rows(field, right, offsets):
                     for x, row in rows.items() for r, gr in enumerate(g._rows) if gr}
         ncols *= m
         scaled = True
+        ints = ints and (g._ints or _integral(g))
     if rows is None:
         # no legs: the product is the 1 x 1 identity
         rows = {0: {0: field.one}}
-    return rows, ncols
+    return rows, ncols, ints
 
 
-def _apply_block(field, fac, rows, nhi, lo, ncols):
+def _apply_block(field, fac, rows, nhi, lo, ncols, ints):
     """``(I_nhi (x) fac (x) I_lo) @ S`` for S given by its nonempty rows
     ``{row: {col: value}}`` with ``ncols`` columns, or as a packed Matrix,
-    and returned as the one or the other.
+    and returned as the one or the other, with what is known of its values'
+    types (``ints`` is S's; see ``_ints``).
 
     One matrix product ``fac @ R``: R has one row per index ``mid`` of the
     block's legs and one column per (leading index, trailing index,
@@ -1240,11 +1377,11 @@ def _apply_block(field, fac, rows, nhi, lo, ncols):
             mid, low = divmod(rem, lo)
             base = hi * span + low * ncols
             blocks[mid].update({base + j: v for j, v in row.items()})
-        R = Matrix.from_sparse_rows(field, blocks, nhi * span)
+        R = Matrix.from_sparse_rows(field, blocks, nhi * span, ints)
     res = fac @ R
     if res._packed is not None:
         # run (r, hi) of the product is run (hi, r) of the result
-        return _move_runs(res, nhi * fac.nrows * lo, ncols, fac.nrows, nhi, lo * ncols)
+        return _move_runs(res, nhi * fac.nrows * lo, ncols, fac.nrows, nhi, lo * ncols), True
     # entry (r; hi, low, j) of the product is entry (hi, r, low; j) of the
     # result, whose row-major position y * ncols + j moves (hi, low, j) by
     # hi blocks of the other fac.nrows - 1 rows and by r rows
@@ -1261,7 +1398,7 @@ def _apply_block(field, fac, rows, nhi, lo, ncols):
                 out[y] = {pos % ncols: v}
             else:
                 row[pos % ncols] = v
-    return out
+    return out, res._ints
 
 
 def _move_runs(m: Matrix, nrows, ncols, outer, inner, run):
@@ -1317,13 +1454,13 @@ def kron_apply(field, left, dims, order, right) -> Matrix:
         offsets.reverse()
     else:
         offsets = _block_offsets(dims, order, g_sizes)
-    rows, ncols = _g_rows(field, right, offsets)
+    rows, ncols, ints = _g_rows(field, right, offsets)
     empty = {}
     if len(left) == 1 and left[0] is not None:
         # the one factor spans every leg: S itself is the right operand
         get = rows.get
         return left[0] @ Matrix.from_sparse_rows(
-            field, [get(x, empty) for x in range(f_sizes[0])], ncols)
+            field, [get(x, empty) for x in range(f_sizes[0])], ncols, ints)
     # block k is applied between the input legs of blocks 0..k-1 (lead)
     # and the output legs of the blocks after it (lo)
     lead = [1]
@@ -1335,12 +1472,12 @@ def kron_apply(field, left, dims, order, right) -> Matrix:
         if fac is None:
             lo *= f_sizes[k]
             continue
-        rows = _apply_block(field, fac, rows, lead[k], lo, ncols)
+        rows, ints = _apply_block(field, fac, rows, lead[k], lo, ncols, ints)
         lo *= fac.nrows
     if isinstance(rows, Matrix):
         return rows
     get = rows.get
-    return Matrix.from_sparse_rows(field, [get(y, empty) for y in range(lo)], ncols)
+    return Matrix.from_sparse_rows(field, [get(y, empty) for y in range(lo)], ncols, ints)
 
 
 def _dense(field, entries, size):

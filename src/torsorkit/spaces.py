@@ -166,19 +166,20 @@ class Subspace:
             mat = Matrix(field, list(vectors), ambient.dim)
         R, pivots = mat.rref()
         return Subspace._from_echelon(ambient, R.sparse_rows()[:len(pivots)], pivots,
-                                      name or f"sub({ambient.name})")
+                                      name or f"sub({ambient.name})", R._ints)
 
     @staticmethod
-    def _from_echelon(ambient: Space, rows, pivots, name: str) -> "Subspace":
+    def _from_echelon(ambient: Space, rows, pivots, name: str, ints) -> "Subspace":
         """The Subspace whose reduced-echelon basis is ``rows`` (sparse, one
-        per pivot column, in pivot order)."""
+        per pivot column, in pivot order), with ``ints`` what is known of
+        its values' types (see ``Matrix.from_sparse_rows``)."""
         field = ambient.field
         sub = Space(field, len(pivots), name)
-        basis = Matrix.from_sparse_rows(field, rows, ambient.dim)
+        basis = Matrix.from_sparse_rows(field, rows, ambient.dim, ints)
         incl = LinearMap(sub, ambient, basis.transpose())
         one = field.one
         retr = LinearMap(ambient, sub, Matrix.from_sparse_rows(
-            field, [{p: one} for p in pivots], ambient.dim))
+            field, [{p: one} for p in pivots], ambient.dim, True))
         return Subspace(ambient, sub, incl, retr, pivots)
 
     def contains_vector(self, vec) -> bool:
@@ -227,13 +228,13 @@ def _kernel(domain: Space, mat: Matrix, name: str) -> Subspace:
     last = mat.ncols - 1
     flipped = Matrix.from_sparse_rows(
         mat.field, [{last - k: v for k, v in r.items()} for r in mat.sparse_rows()],
-        mat.ncols)
-    rows = [{last - k: v for k, v in r.items()}
-            for r in reversed(flipped.nullspace().sparse_rows())]
+        mat.ncols, mat._ints)
+    null = flipped.nullspace()
+    rows = [{last - k: v for k, v in r.items()} for r in reversed(null.sparse_rows())]
     pivots = [min(r) for r in rows]
     if any(a >= b for a, b in zip(pivots, pivots[1:])):
         raise ShapeMismatch(f"the nullspace basis of {name} is not independent")
-    return Subspace._from_echelon(domain, rows, pivots, name)
+    return Subspace._from_echelon(domain, rows, pivots, name, null._ints)
 
 
 def image(f: LinearMap, name: str = "") -> Subspace:
@@ -267,9 +268,10 @@ def quotient(V: Space, S: Subspace, name: str = ""):
         for bi, coeff in incl_rows[j].items():
             row[pivots[bi]] = neg(coeff)
         reduce_rows.append(row)
-    proj = LinearMap(V, Q, Matrix.from_sparse_rows(field, reduce_rows, V.dim))
+    proj = LinearMap(V, Q, Matrix.from_sparse_rows(field, reduce_rows, V.dim,
+                                                   S.inclusion.matrix._ints))
     sect = LinearMap(Q, V, Matrix.from_sparse_rows(field, [{j: one} for j in free],
-                                                   V.dim).transpose())
+                                                   V.dim, True).transpose())
     return Q, proj, sect
 
 

@@ -677,52 +677,63 @@ def test_every_loaded_name_is_bound():
 
 
 def _unreached_functions():
-    """Each function and method defined in ``src/`` whose name nothing else
-    in ``src/`` mentions, as ``module.qualified.name``: no other Name,
-    Attribute or identifier-like string constant outside its own body.  A
-    Name read in a function that binds that name itself, as a parameter or
-    an assignment target, is the local and reaches nothing.  Dunder methods
-    are reached by the language and are skipped."""
-    defs, mentions = [], []
+    """Each function and method defined in ``src/`` that nothing else in
+    ``src/`` reaches, as ``module.qualified.name``.  A module-level function
+    is reached only by a Name load in its own module, a ``from … import`` of
+    it, or an attribute read on its module (``fixture_mod.generate``); a
+    method by an attribute read of its name, or by that name as a string,
+    which ``getattr`` reads.  A mention inside the function's own body, and
+    a Name read in a function that binds that name itself, as a parameter or
+    an assignment target, reach nothing.  Dunder methods are reached by the
+    language and are skipped."""
+    defs, reached = [], {}
 
     def collect(node, prefix, module):
+        # a module-level function's key is (module, name), a method's its name
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defs.append((f"{module}.{prefix}{child.name}", child))
+                key = child.name if prefix else (module, child.name)
+                defs.append((f"{module}.{prefix}{child.name}", key, child))
             elif isinstance(child, ast.ClassDef):
                 collect(child, f"{prefix}{child.name}.", module)
 
-    def mentioned(node):
+    def keys(node, module, modules, local):
+        """What ``node`` reaches (see ``collect``)."""
         if isinstance(node, ast.Name):
-            return node.id
+            return [(module, node.id)] if isinstance(node.ctx, ast.Load) \
+                and node.id not in local else []
         if isinstance(node, ast.Attribute):
-            return node.attr
+            if not isinstance(node.ctx, ast.Load):
+                return []
+            owner = node.value.id if isinstance(node.value, ast.Name) else None
+            return [node.attr] + ([(modules[owner], node.attr)] if owner in modules else [])
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            return [(node.module, alias.name) for alias in node.names]
         if isinstance(node, ast.Constant) and isinstance(node.value, str) \
                 and node.value.isidentifier():
-            return node.value
-        return None
+            return [node.value]
+        return []
 
-    def walk(node, local, inside):
-        """(name, ids of the enclosing defs) for each mention under node."""
+    def walk(node, module, modules, local, inside):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             local = local | _locally_bound(node)
             inside = inside | {id(node)}
-        name = mentioned(node)
-        if name is not None and not (isinstance(node, ast.Name) and name in local):
-            mentions.append((name, inside))
+        for key in keys(node, module, modules, local):
+            reached.setdefault(key, []).append(inside)
         for child in ast.iter_child_nodes(node):
-            walk(child, local, inside)
+            walk(child, module, modules, local, inside)
 
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
+        # the names this module binds to a package module: from . import x as y
+        modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level == 1
+                   and node.module is None for alias in node.names}
         collect(tree, "", path.stem)
-        walk(tree, frozenset(), frozenset())
-    reached = {}
-    for name, inside in mentions:
-        reached.setdefault(name, []).append(inside)
-    return {qualname for qualname, node in defs
+        walk(tree, path.stem, modules, frozenset(), frozenset())
+    return {qualname for qualname, key, node in defs
             if not (node.name.startswith("__") and node.name.endswith("__"))
-            and all(id(node) in inside for inside in reached.get(node.name, ()))}
+            and all(id(node) in inside for inside in reached.get(key, ()))}
 
 
 def _parameters(fn):
@@ -818,6 +829,63 @@ def test_dense_documents_eliminate_only_through_the_unit_maps(monkeypatch, tmp_p
 
     assert eliminating and all(through_a_unit(j) for j in eliminating), \
         [j.shape for j in eliminating]
+
+
+def _qq_product_paths(monkeypatch, args):
+    """One ``suite`` run: per QQ product of each dict path, whether an
+    operand held a ``Fraction``, and every matrix built flagged integral."""
+    paths = {"_sparse_product": [], "_integer_row_product": []}
+    flagged = []
+
+    def holds_fraction(rows):
+        return any(type(v) is not int for r in rows for v in r.values())
+
+    for name, taken in paths.items():
+        def spy(rows, orows, *rest, real=getattr(linalg, name), taken=taken):
+            taken.append(holds_fraction(rows) or holds_fraction(orows))
+            return real(rows, orows, *rest)
+        monkeypatch.setattr(linalg, name, spy)
+    build = Matrix.from_sparse_rows
+
+    def watched_build(field, rows, ncols, ints=None):
+        m = build(field, rows, ncols, ints)
+        if ints:
+            flagged.append(m)
+        return m
+
+    monkeypatch.setattr(Matrix, "from_sparse_rows", staticmethod(watched_build))
+    run("suite", args)
+    return paths, flagged
+
+
+def test_an_int_bundle_takes_no_integer_row_product(monkeypatch):
+    """``suite`` on EX-SW over Q, whose values are all ``int``: every
+    product that is not an identity or a packed one takes the dict loop,
+    none the integer-row kernel, and no matrix flagged integral holds a
+    ``Fraction``."""
+    paths, flagged = _qq_product_paths(monkeypatch, argparse.Namespace(
+        fixture="EX-SW", input=None, field="Q", dump_matrices=False))
+    assert paths["_sparse_product"] and not any(paths["_sparse_product"])
+    assert not paths["_integer_row_product"]
+    assert all(type(v) is int for m in flagged for r in m.sparse_rows() for v in r.values())
+
+
+def test_a_dense_document_sends_its_fractional_products_to_integer_rows(monkeypatch,
+                                                                        tmp_path):
+    """``suite`` on the seed-1 dense EX-C2 document over Q: every product
+    with a ``Fraction`` on either side is summed on integer rows, the dict
+    loop sees only ``int`` operands, and no matrix flagged integral holds a
+    ``Fraction``."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import workloads
+    path = tmp_path / "dense.json"
+    path.write_text(workloads.dense_document_text("EX-C2", "Q", 1), encoding="utf-8")
+    paths, flagged = _qq_product_paths(monkeypatch, argparse.Namespace(
+        fixture=None, input=str(path), field=None, dump_matrices=False))
+    assert any(paths["_integer_row_product"]), len(paths["_integer_row_product"])
+    assert not any(paths["_sparse_product"])
+    assert all(type(v) is int for m in flagged for r in m.sparse_rows() for v in r.values())
 
 
 def test_a_product_compared_by_eq_is_never_unpacked(monkeypatch, tmp_path):

@@ -13,6 +13,7 @@ from torsorkit.errors import NotInvertible, ShapeMismatch
 from torsorkit.fields import GF, QQ
 from torsorkit.linalg import (
     Matrix,
+    _integer_row_product,
     _packed_product,
     _packed_rref,
     _rref_slot,
@@ -286,7 +287,9 @@ def test_kron_apply_matches_dense_kron(case):
     field, dims, order, (left, lsizes), (right, rsizes) = case
     perm = mixed_permutation(field, dims, range(len(dims)) if order is None else order)
     want = _dense_kron(field, left, lsizes) @ perm @ _dense_kron(field, right, rsizes)
-    assert kron_apply(field, left, dims, order, right) == want
+    got = kron_apply(field, left, dims, order, right)
+    assert got == want
+    assert_flag_holds(got)
 
 
 def test_kron_apply_reorders_many_legs_at_the_size_of_its_blocks():
@@ -614,8 +617,9 @@ def assert_canonical_vector(f, vec):
 
 
 def assert_sparse_invariants(m):
-    """Every stored value canonical and nonzero, every column in range, and
-    equal matrices hash alike."""
+    """Every stored value canonical and nonzero, every column in range, no
+    ``Fraction`` in a matrix flagged integral, and equal matrices hash
+    alike."""
     f = m.field
     rows = m.sparse_rows()
     assert len(rows) == m.nrows
@@ -623,8 +627,17 @@ def assert_sparse_invariants(m):
         assert all(0 <= k < m.ncols for k in r)
         for v in r.values():
             assert_canonical(f, v)
+    assert_flag_holds(m)
     copy = Matrix(f, m.rows, m.ncols)
     assert copy == m and hash(copy) == hash(m)
+
+
+def assert_flag_holds(m):
+    """A matrix flagged integral (``_ints`` True) holds no ``Fraction``.
+    Both product paths are exact, so a wrong flag would change no result,
+    only send a product with a ``Fraction`` down the dict loop."""
+    if m._ints:
+        assert all(type(v) is int for r in m.sparse_rows() for v in r.values()), m
 
 
 def assert_matches(m, ref, shape):
@@ -993,12 +1006,14 @@ def test_the_barrett_step_reduces_every_slot_value(p):
 
 
 def test_the_cost_rule_sends_each_product_down_its_path(monkeypatch):
-    """Each product runs the path ``_packed_slot`` names and equals the
-    dense reference: dense products over GF(p) with a slot pack; products
-    over QQ, over a prime too large for a slot, with a sparse right operand
-    or tiny take the dict loop."""
+    """Each product runs the path its field and operands name and equals
+    the dense reference: dense products over GF(p) with a slot pack;
+    products over a prime too large for a slot, with a sparse right operand
+    or tiny take the dict loop; over QQ a product with a ``Fraction`` on
+    either side is summed on integer rows and one of ``int`` operands takes
+    the dict loop."""
     taken = []
-    for name in ("_sparse_product", "_packed_product"):
+    for name in ("_sparse_product", "_packed_product", "_integer_row_product"):
         def spy(*args, real=getattr(linalg, name), name=name):
             taken.append(name)
             return real(*args)
@@ -1025,6 +1040,107 @@ def test_the_cost_rule_sends_each_product_down_its_path(monkeypatch):
     taken.clear()
     assert qq @ qq.transpose() == Matrix.from_rows(QQ, [[64] * 16] * 16)
     assert taken == ["_sparse_product"]
+    half = Matrix.from_rows(QQ, [["1/2"] * 64] * 16)
+    for a, b, want in ((half, qq.transpose(), 32), (qq, half.transpose(), 32),
+                       (half, half.transpose(), 16)):
+        taken.clear()
+        product = a @ b
+        assert taken == ["_integer_row_product"]
+        assert product == Matrix.from_rows(QQ, [[want] * 16] * 16) and product._ints
+
+
+# Over QQ a product whose operands hold a ``Fraction`` is summed on integer
+# rows over one denominator per row (``_integer_row_product``); every other
+# QQ product takes the dict loop.  Both must give the dense reference's
+# entries, stored alike.
+
+# denominators far past a machine word, pairwise coprime, so that the
+# common denominator of a row and its sums grow large
+LARGE_DENOMINATORS = [2**61 - 1, 10**9 + 7, 3**40, 2**89 - 1]
+large_fractions = st.builds(Fraction, st.integers(-10**12, 10**12).filter(bool),
+                            st.sampled_from(LARGE_DENOMINATORS))
+
+
+def qq_operand(draw, nrows, ncols):
+    """A QQ matrix, about half of its entries zero, the rest drawn from
+    ``qq_entries`` and ``large_fractions``; empty rows are common."""
+    values = st.one_of(st.just(0), st.just(0), qq_entries, large_fractions)
+    return Matrix(QQ, draw(st.lists(st.lists(values, min_size=ncols, max_size=ncols),
+                                    min_size=nrows, max_size=nrows)), ncols)
+
+
+@st.composite
+def integer_row_case(draw):
+    """QQ operands a (m x n) and b (n x q), each size from 0 to 5."""
+    m, n, q = (draw(st.integers(0, 5)) for _ in range(3))
+    return qq_operand(draw, m, n), qq_operand(draw, n, q)
+
+
+def assert_integer_row_product(a, b, want):
+    """``_integer_row_product`` on a and b gives ``_sparse_product``'s rows,
+    the dense reference's entries in stored form, and a flag that says
+    exactly whether every value is an ``int``."""
+    rows, ints = _integer_row_product(a.sparse_rows(), b.sparse_rows())
+    assert tuple(rows) == tuple(_sparse_product(a.sparse_rows(), b.sparse_rows(),
+                                                QQ.normalise))
+    assert ints == all(type(v) is int for r in rows for v in r.values())
+    assert_matches(Matrix.from_sparse_rows(QQ, rows, b.ncols, ints), want, (a.nrows, b.ncols))
+
+
+@given(integer_row_case())
+@settings(max_examples=300, deadline=None)
+def test_integer_row_product_matches_the_dict_loop_and_the_reference(case):
+    """On QQ operands with small and large coprime denominators: the
+    product itself, a product whose every row cancels to zero, and a
+    product of ``Fraction`` operands that is integral (``2 * 1/2``), each
+    against the dict loop and the dense reference; ``@`` agrees."""
+    a, b = case
+    (m, n), q = a.shape, b.ncols
+    want = _ref_matmul(QQ, a.rows, b.rows, q)
+    assert_integer_row_product(a, b, want)
+    assert_matches(a @ b, want, (m, q))
+    # every sum meets its negative
+    doubled, negated = Matrix.augment(a, a), Matrix.stack_rows([b, -b])
+    assert_integer_row_product(doubled, negated, [(0,) * q] * m)
+    # the numerators of a, doubled, times those of b, halved: a ``Fraction``
+    # operand and an integral product (2 * 1/2)
+    ints_a = Matrix.from_sparse_rows(
+        QQ, [{k: v.numerator for k, v in r.items()} for r in a.sparse_rows()], n)
+    ints_b = Matrix.from_sparse_rows(
+        QQ, [{k: v.numerator for k, v in r.items()} for r in b.sparse_rows()], q)
+    product = ints_a.scale(2) @ ints_b.scale(Fraction(1, 2))
+    want = _ref_matmul(QQ, ints_a.rows, ints_b.rows, q)
+    assert_integer_row_product(ints_a.scale(2), ints_b.scale(Fraction(1, 2)), want)
+    assert_matches(product, want, (m, q))
+
+
+@given(integer_row_case(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_no_matrix_flagged_integral_holds_a_fraction(case, integral):
+    """Every QQ constructor and kernel that sets ``_ints``, on operands with
+    a ``Fraction`` and on all-``int`` ones: a matrix flagged integral holds
+    no ``Fraction``, and where the constructor did not know the flag the
+    scan (``_integral``) finds it exactly."""
+    a, b = case
+    if integral:
+        a, b = (Matrix.from_sparse_rows(
+            QQ, [{k: v.numerator for k, v in r.items()} for r in m.sparse_rows()], m.ncols,
+            True) for m in (a, b))
+    (m, n), q = a.shape, b.ncols
+    sq = a.transpose() @ a
+    built = [a @ b, b.transpose() @ a.transpose(), a.kron(b), a.transpose(), -a, a + a,
+             a - a, a.scale(3), a.scale(Fraction(1, 3)), Matrix.stack_rows([a, a]),
+             Matrix.augment(a, a @ b), sq.rref()[0], a.nullspace(),
+             a.solve(a @ b), linalg._take_rows(a, range(m)[::-1]),
+             permute_rows(a, [1, m], (1, 0)), permute_cols(a, [n, 1], (1, 0)),
+             split_leg(a, [1, n], 1), Matrix.identity(QQ, n), Matrix.zero(QQ, m, n)]
+    if n:
+        built.append(kron_apply(QQ, [sq, None], [n, n], (1, 0), [None, sq]))
+    for x in built:
+        assert_flag_holds(x)
+        if x._ints is None:
+            assert linalg._integral(x) == all(
+                type(v) is int for r in x.sparse_rows() for v in r.values())
 
 
 # A packed product keeps its residues as one int and builds its row dicts
@@ -1175,7 +1291,7 @@ def assert_packed_rref_agrees(a):
     assert_matches(r, want, (m, n))
     assert pivots == want_pivots
     expected = (list(r.sparse_rows()), pivots)
-    assert _sparse_rref(a.sparse_rows(), f) == expected
+    assert _sparse_rref(a.sparse_rows(), f)[:2] == expected
     slot = _slot(f, min(m, n) + 1)
     if slot is None:
         assert f.p == 2**31 - 1 and min(m, n) > 3
@@ -1261,7 +1377,7 @@ def test_packed_rref_takes_the_products_packed_rows(case):
     product = _packed_product(a, b, code)
     dict_ab = Matrix.from_sparse_rows(
         f, _sparse_product(a.sparse_rows(), b.sparse_rows(), f.normalise), n)
-    expected = _sparse_rref(dict_ab.sparse_rows(), f)
+    expected = _sparse_rref(dict_ab.sparse_rows(), f)[:2]
     want, want_pivots = _ref_rref(f, dict_ab.rows, n)
     assert expected[1] == want_pivots
     assert_matches(Matrix.from_sparse_rows(f, expected[0], n), want, (m, n))
