@@ -81,11 +81,13 @@ builds the packed side's row dicts.  A packed matrix that becomes the
 right operand of a packed product hands over its row ints, cut from its
 one int and kept on it (``_packed_rows``), and as the left operand gives
 its residues, zeros included; ``solve`` cuts its unit rows from the
-packed int (``_take_rows``), and ``kron_apply`` moves a packed stage to
-the next as runs of bytes (``_move_runs``).  ``_packed_rows`` is the one
-packer: it cuts row ints from a packed int of their slot format and writes
-any other matrix's row dicts into one buffer of slots; ``_unpack_rows`` is
-the one way back from packed residues to row dicts.  In a ``suite`` run
+packed int (``_take_rows``), and ``kron_apply`` builds its G product
+packed and moves a packed stage to the next as runs of bytes
+(``_move_runs``).  ``_packed_rows`` is the one packer: it cuts row ints
+from a packed int of their slot format, rewrites the residues of a packed
+int of another format on its bytes (``_recode``), and writes a dict
+matrix's row dicts into one buffer of slots; ``_unpack_rows`` is the one
+way back from packed residues to row dicts.  In a ``suite`` run
 on the seed-1 dense EX-SW document over GF(101), 97 of the 101 packed
 products compared with a packed product of their format are never
 unpacked.
@@ -136,7 +138,15 @@ index table, and then applies the F factors one at a time, last first,
 each to all columns at once as one ``Matrix.__matmul__`` whose right
 operand is the current rows reshaped so that the factor's legs index its
 rows.  A reshape is an index map with no arithmetic, so every stage takes
-the product's own path choice, and over GF(p) a dense stage is packed.  So
+the product's own path choice, and over GF(p) a dense stage is packed.
+When the cost rule packs the first stage (``_packed_slot``, on counts
+known before anything is built: the G product has the product of its
+factors' nonzeros), the G product is built packed too: each row is one
+big-int product of the rows so far, spread to the next factor's width by
+one strided write, with a row int of that factor, or shifted for an
+identity leg, and the rows are joined in landing order and reduced once
+(``_packed_g_product``).  The stages then move byte runs and build no row
+dict unless one takes the dict loop.  So
 a tensor identity is checked at the size of its carrier, not of its
 ambient (the vec/Kronecker identities of Van Loan, *The ubiquitous
 Kronecker product*, JCAM 2000).  In the same way ``Matrix.apply_pair``
@@ -434,7 +444,7 @@ class Matrix:
             return self
         f = self.field
         if isinstance(f, PrimeField):
-            code = _packed_slot(self, other)
+            code = _packed_slot(f, self.ncols, _nnz(self), _nnz(other), other.ncols)
             if code is not None:
                 return _packed_product(self, other, code)
         elif not ((self._ints or _integral(self)) and (other._ints or _integral(other))):
@@ -899,30 +909,28 @@ def _slot(field, n):
     return next((s for s in _SLOTS if s[0] >= need), None)
 
 
-def _packed_slot(a: Matrix, b: Matrix):
-    """The slot format ``a @ b`` is packed with, or None for the dict loop.
+def _packed_slot(field, n, nnz_a, nnz_b, ncols):
+    """The slot format of a product ``a @ b`` through n, or None for the
+    dict loop; a has ``nnz_a`` nonzero entries, b has ``nnz_b`` and
+    ``ncols`` columns.
 
     A product packs when it has a slot (``_slot``) and the cost rule, on
-    counts the operands already have, says it pays.  The dict loop spends
-    about one dict update per term, about ``nnz(a) * nnz(b) / n`` terms in
-    all for n = ``a.ncols``; the packed path about one big-int step per
-    64-bit word it adds, ``(nnz(a) + n) * words`` with ``words`` the 64-bit
-    words of a packed row, plus one slot write per nonzero of b.  Timed on
-    the 1,984 nonempty products of a dense-gf101 pass and on 245 random
-    GF(101) products up to 1024 x 1024 (2-core Xeon, Python 3.11), a word
-    costs about an eighth of a dict update and a product with fewer than 32
-    spare terms gains nothing.  The rule packs about a third of that
-    workload's products, and its total time comes within 4% of always
-    picking the faster path.
+    those counts, says it pays.  The dict loop spends about one dict update
+    per term, about ``nnz_a * nnz_b / n`` terms in all; the packed path
+    about one big-int step per 64-bit word it adds, ``(nnz_a + n) * words``
+    with ``words`` the 64-bit words of a packed row, plus one slot write per
+    nonzero of b.  Timed on the 1,984 nonempty products of a dense-gf101
+    pass and on 245 random GF(101) products up to 1024 x 1024 (2-core Xeon,
+    Python 3.11), a word costs about an eighth of a dict update and a
+    product with fewer than 32 spare terms gains nothing.  The rule packs
+    about a third of that workload's products, and its total time comes
+    within 4% of always picking the faster path.
     """
-    n = a.ncols
-    slot = _slot(a.field, n)
+    slot = _slot(field, n)
     if slot is None:
         return None
     bits, code = slot
-    nnz_a = _nnz(a)
-    nnz_b = _nnz(b)
-    words = (b.ncols * bits + 63) // 64
+    words = (ncols * bits + 63) // 64
     if nnz_a * nnz_b > n * ((nnz_a + n) * words // 8 + nnz_b + 32):
         return code
     return None
@@ -1006,6 +1014,23 @@ def _slot_view(x, nslots, code):
     return memoryview(x.to_bytes(_SLOT_BYTES[code] * nslots, sys.byteorder)).cast(code)
 
 
+def _recode(x, nslots, code, new):
+    """The bytes of the ``nslots`` residues packed in x with ``code`` slots,
+    rewritten in ``new`` slots, row-major.  A residue is below p, which
+    fits every slot format that p has, so each slot's low bytes are copied
+    as one strided slice per byte and the rest are zero.  That builds no
+    int per slot: 13 us for 1,024 slots, against 82 us through
+    ``array(new, _slot_view(...))`` (2-core Xeon, Python 3.11)."""
+    w, v = _SLOT_BYTES[code], _SLOT_BYTES[new]
+    low = min(w, v)
+    # the low bytes come first in a little-endian slot, last in a big-endian one
+    a, b = (0, 0) if sys.byteorder == "little" else (w - low, v - low)
+    src, out = x.to_bytes(w * nslots, sys.byteorder), bytearray(v * nslots)
+    for k in range(low):
+        out[b + k::v] = src[a + k::w]
+    return out
+
+
 def _unpack_rows(x, nrows, ncols, code):
     """The row dicts of ``nrows x ncols`` residues packed in x, zeros
     dropped: the one way from packed residues to dicts.  The residues are
@@ -1048,16 +1073,19 @@ def _packed_rows(m: Matrix, code):
     """The rows of ``m`` as ints, one ``code`` slot per column in
     ``sys.byteorder``, kept on ``m`` for its next packed kernel in that
     format; do not mutate the list.  A matrix packed in that format hands
-    over its rows cut from its one int; any other writes its row dicts
-    into the slots of one buffer, cut the same way: the one packer."""
+    over its rows cut from its one int, and one packed in another format
+    its slots rewritten in this one (``_recode``), so no row dict is built;
+    a dict matrix writes its row dicts into the slots of one buffer, cut the
+    same way: the one packer."""
     held = m._prows
     if held is not None and held[0] == code:
         return held[1]
     n = m.ncols
     width = _SLOT_BYTES[code] * n
     order = sys.byteorder
-    if m._packed is not None and m._code == code:
-        buf = m._packed.to_bytes(width * m.nrows, order)
+    if m._packed is not None:
+        buf = (m._packed.to_bytes(width * m.nrows, order) if m._code == code
+               else _recode(m._packed, m.nrows * n, m._code, code))
     else:
         buf = bytearray(width * m.nrows)
         slots = memoryview(buf).cast(code)
@@ -1351,6 +1379,91 @@ def _g_rows(field, right, offsets):
     return rows, ncols, ints
 
 
+def _g_slots(field, left, right, g_sizes, f_sizes):
+    """The slot formats ``(stage, build)`` of a packed G product for
+    ``kron_apply``, or None for ``_g_rows``.
+
+    The G product is packed when its first stage, ``fac @ R`` for the last
+    F factor (``_apply_block``), takes the packed product: ``_packed_slot``
+    on counts known before S is built, since the nonzeros of S are the
+    product of its factors' nonzeros.  It is built in the stage's slot
+    format when that holds a product ``(p - 1)**k`` of residues of its k
+    matrix factors, and otherwise in the narrowest one that does, then
+    rewritten (``_recode``); above 64 bits it takes ``_g_rows``."""
+    if not isinstance(field, PrimeField):
+        return None
+    k = next((k for k in range(len(left) - 1, -1, -1) if left[k] is not None), None)
+    if k is None or left[k].is_identity():
+        return None
+    fac = left[k]
+    nnz, ncols, factors = 1, 1, 0
+    for g, n in zip(right, g_sizes):
+        if g is None or g._id_flag:
+            nnz *= n
+            ncols *= n
+        else:
+            nnz *= _nnz(g)
+            ncols *= g.ncols
+            factors += 1
+    # R has one column per (leading index, trailing index, column) of S
+    stage = _packed_slot(field, fac.ncols, _nnz(fac), nnz,
+                         prod(f_sizes[:k]) * prod(f_sizes[k + 1:]) * ncols)
+    if stage is None:
+        return None
+    need = max(((field.p - 1) ** factors).bit_length(), 8 * _SLOT_BYTES[stage])
+    build = next((code for bits, code in _SLOTS if bits >= need), None)
+    return None if build is None else (stage, build)
+
+
+def _packed_g_product(field, right, offsets, nrows, stage, build):
+    """``P @ (G1 (x) ... (x) Gm)`` over GF(p), packed in ``stage`` slots
+    and never held as row dicts (see ``_g_slots``).
+
+    The rows are built in ``build`` slots, factor by factor, on the
+    nonempty rows only.  The rows so far are spread to the new factor's
+    width n, slot c to slot ``c * n``, all of them in one strided write;
+    each of them times each nonempty row int of the factor
+    (``_packed_rows``) is then a row of the product, with one term per
+    slot, so no slot carries.  An identity factor's row r is the unit
+    vector at r: a shift by r slots.  The rows land where ``offsets`` puts
+    them (see ``_g_rows``), are joined in that order with zero rows
+    between, and are reduced by one ``_reduce`` when a slot holds a product
+    of two or more residues."""
+    order = sys.byteorder
+    w = _SLOT_BYTES[build]
+    bits = 8 * w
+    places, vals, ncols, factors = [0], [1], 1, 0
+    for g, off in zip(right, offsets):
+        n = len(off) if g is None or g._id_flag else g.ncols
+        if ncols > 1 and n > 1 and vals:
+            size = w * ncols
+            spread = bytearray(size * n * len(vals))
+            memoryview(spread).cast(build)[::n] = memoryview(
+                b"".join([v.to_bytes(size, order) for v in vals])).cast(build)
+            view, size = memoryview(spread), size * n
+            vals = [int.from_bytes(view[i:i + size], order) for i in range(0, len(spread), size)]
+        if g is None or g._id_flag:
+            shifts = [(off[r], r * bits) for r in range(n)]
+            vals = [v << s for v in vals for _, s in shifts]
+        else:
+            shifts = [(off[r], gr) for r, gr in enumerate(_packed_rows(g, build)) if gr]
+            vals = [v * gr for v in vals for _, gr in shifts]
+            factors += 1
+        places = [x + o for x in places for o, _ in shifts]
+        ncols *= n
+    size = w * ncols
+    parts = [bytes(size)] * nrows
+    for x, v in zip(places, vals):
+        parts[x] = v.to_bytes(size, order)
+    packed = int.from_bytes(b"".join(parts), order)
+    if factors > 1:
+        # a slot holds a product of residues; one factor's are reduced
+        packed = _reduce(packed, nrows * ncols, bits, field.p)
+    if build != stage:
+        packed = int.from_bytes(_recode(packed, nrows * ncols, build, stage), order)
+    return Matrix._from_packed(field, nrows, ncols, packed, stage)
+
+
 def _apply_block(field, fac, rows, nhi, lo, ncols, ints):
     """``(I_nhi (x) fac (x) I_lo) @ S`` for S given by its nonempty rows
     ``{row: {col: value}}`` with ``ncols`` columns, or as a packed Matrix,
@@ -1364,6 +1477,9 @@ def _apply_block(field, fac, rows, nhi, lo, ncols, ints):
     computes, on whichever path it picks.  A packed S or product moves
     whole runs of ``lo`` rows, each a slice of its bytes (``_move_runs``),
     so a packed stage hands the next one packed rows and no dict is built.
+    S is packed from the first stage on when ``kron_apply`` built the G
+    product packed (``_packed_g_product``), which it does when this
+    stage's product packs.
     """
     n = fac.ncols
     width, span = n * lo, lo * ncols
@@ -1429,9 +1545,13 @@ def kron_apply(field, left, dims, order, right) -> Matrix:
     (``_apply_block``): the shuffle algorithm of Davio, *Kronecker products
     and shuffle algebra* (IEEE Trans. Comput. 1981) and Fackler, *Algorithm
     993* (ACM TOMS 45, 2019).  Each stage is a ``Matrix.__matmul__``, so
-    over GF(p) a dense stage takes the packed product.  No Kronecker
-    product, no ambient-sized matrix and no empty row of an intermediate
-    stage is materialised.
+    over GF(p) a dense stage takes the packed product.  When the first
+    stage does, the G product is built packed too (``_g_slots`` decides,
+    ``_packed_g_product`` builds), so the stages move packed rows from the
+    start; over QQ, over a prime with no slot and when the first stage
+    takes the dict loop, it is built as row dicts (``_g_rows``).  No
+    Kronecker product, no ambient-sized matrix and no empty row of an
+    intermediate dict stage is materialised.
     """
     if order is not None:
         _check_order(dims, order)
@@ -1454,10 +1574,17 @@ def kron_apply(field, left, dims, order, right) -> Matrix:
         offsets.reverse()
     else:
         offsets = _block_offsets(dims, order, g_sizes)
-    rows, ncols, ints = _g_rows(field, right, offsets)
+    slots = _g_slots(field, left, right, g_sizes, f_sizes)
+    if slots is None:
+        rows, ncols, ints = _g_rows(field, right, offsets)
+    else:
+        rows = _packed_g_product(field, right, offsets, prod(g_sizes), *slots)
+        ncols, ints = rows.ncols, True
     empty = {}
     if len(left) == 1 and left[0] is not None:
         # the one factor spans every leg: S itself is the right operand
+        if isinstance(rows, Matrix):
+            return left[0] @ rows
         get = rows.get
         return left[0] @ Matrix.from_sparse_rows(
             field, [get(x, empty) for x in range(f_sizes[0])], ncols, ints)

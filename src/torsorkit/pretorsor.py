@@ -871,19 +871,22 @@ def _counit_iso(h: Hand, other: Hand, TTbar, expand: Matrix, j_TTbar: LinearMap,
                 j_KT: LinearMap) -> tuple[LinearMap, bool]:
     """Cor 4.3(1), T (x)_A Tbar = T (x)_B D: multiply the first two legs, and
     back by tau on the middle leg; the left hand gives (2), Tbar (x)_B T =
-    C (x)_A T.  ``j_KT`` injects T (x)_B D into T (x)_B T (x)_A T."""
+    C (x)_A T.  ``j_KT`` injects T (x)_B D into T (x)_B T (x)_A T.  mu and
+    tau act on the ambient legs through ``kron_apply``; no Kronecker
+    product of them is built."""
     b = h.bundle
+    f, n = b.field, b.T.dim
     X3bar, X4, KT = b.X3bar, other.X4, other.KT
     name = f"{other.letter}cou"
     cou_amb = induce(TTbar, LinearMap(
-        TTbar.ambient, X3bar.carrier,
-        X3bar.proj.matrix @ h.kron(b.mu, b.idT, b.idT) @ expand), name)
+        TTbar.ambient, X3bar.carrier, X3bar.proj.matrix @ kron_apply(
+            f, h.legs(b.mu, None, None), [n] * 4, None, [expand])), name)
     cou = corestrict_through(
         j_KT, cou_amb, IsoFailure, f"{b.name}: {h.pick('counit map', 'mirror counit')} "
         f"does not land in {other.label(other.letter, 'T')}")
     expand_K = other.kron(other.two.sect.matrix @ other.sub.inclusion.matrix, b.idT)
-    inv_mat = h.kron(b.mu, b.idT, b.idT, b.idT) \
-        @ h.kron(b.idT, b.tau_raw, b.idT) @ expand_K
+    inv_mat = kron_apply(f, h.legs(b.mu, None, None, None), [n] * 5, None,
+                         [kron_apply(f, [None, b.tau_raw, None], [n] * 3, None, [expand_K])])
     inv_amb = induce(KT, LinearMap(KT.ambient, X4.carrier, X4.proj.matrix @ inv_mat),
                      f"{name}inv")
     inv = corestrict_through(
@@ -948,7 +951,8 @@ def equivalence_witness(bundle: PreTorsorBundle, pair: CoringPair,
     R2S1 = tensor_chain([R2.carrier, S1_bim], [S1_com.coring.base])
     expand = e2.kron(e1.kron(idM) @ R1M.sect.matrix @ S1.inclusion.matrix)
     mu4 = b.mu @ (b.mu @ b.mu.kron(b.idT)).kron(b.idT)
-    to_TM = mu4.kron(idM) @ expand @ R2S1.sect.matrix @ S2.inclusion.matrix
+    to_TM = kron_apply(f, [mu4, None], [b.T.dim ** 4, M.dim], None, [expand]) \
+        @ R2S1.sect.matrix @ S2.inclusion.matrix
     X = factor_matrix(
         h.unit.map.matrix.kron(idM), to_TM, WitnessNotIso,
         f"{b.name}: collapse does not factor through {h.unit_name}")

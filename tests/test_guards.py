@@ -67,6 +67,9 @@ DENSE_PERMUTATIONS = {"mixed_permutation", "permutation_matrix"}
 DENSE_VIEW_READERS = {"linalg.py", "serialize.py"}
 # the dense ambients of T (x) T (x) T (x) T and beyond start here (n = 4)
 AMBIENT_ENTRIES = 1 << 20
+# structure_isos stays below this: a dense (mu (x) id (x) id (x) id) on
+# T^(x)5 has 2^18 shape entries at n = 4
+ISO_ENTRIES = 1 << 16
 # the relation spans of the chains over T^(x)5 have 768 (EX-SMASH) and
 # 1,020 (EX-M2) dimensions; every subspace the suite needs is below this
 SPAN_DIM = 512
@@ -82,7 +85,9 @@ NATIVE_KERNELS = {"__init__", "from_cols", "_combine", "__neg__", "scale", "__ma
                   # without unpacking
                   "_from_packed", "__getattr__", "_nnz", "_reduce", "_slot_view",
                   "_unpack_rows", "_packed_equal", "_take_rows",
-                  "_packed_rows", "_move_runs"}
+                  "_packed_rows", "_move_runs", "_recode",
+                  # kron_apply's G product built packed, and its slot choice
+                  "_g_slots", "_packed_g_product"}
 SCALAR_METHODS = {"add", "sub", "mul", "div", "is_zero"}
 # the modules whose mirrored constructions take a Hand, the words that name a
 # hand, and the one comparison with such a word that is not about a hand:
@@ -414,6 +419,33 @@ def test_bialgebroid_report_stays_below_ambient_size(monkeypatch, name):
     assert bialgebroid_report(BundleAnalysis(generate(name).bundle)).ok
     size, shape = max(largest)
     assert size < AMBIENT_ENTRIES, shape
+
+
+@pytest.mark.parametrize("name", ["EX-SW", "EX-SMASH"])
+def test_structure_isos_stay_below_a_fourfold_operator(monkeypatch, name):
+    """No ``kron`` or ``@`` result under ``structure_isos`` reaches 2^16
+    shape entries: Cor 4.3's ``mu (x) id (x) id (x) id`` (256 x 1024 at n =
+    4) is applied through ``kron_apply``, never built.  A freshly generated
+    bundle has fresh spaces, so the chains ``structure_isos`` asks for are
+    built under the watch too; the stages it reads are built before."""
+    an = BundleAnalysis(generate(name).bundle)
+    for stage in ("pair", "tbar", "ent_right", "ent_left", "galois_right", "galois_left",
+                  "certified"):
+        getattr(an, stage)
+    largest = []
+
+    def watched(method):
+        def wrapper(self, other):
+            out = method(self, other)
+            largest.append((out.nrows * out.ncols, out.shape))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(Matrix, "kron", watched(Matrix.kron))
+    monkeypatch.setattr(Matrix, "__matmul__", watched(Matrix.__matmul__))
+    assert an.isos.report.ok
+    size, shape = max(largest)
+    assert size < ISO_ENTRIES, shape
 
 
 @pytest.mark.parametrize("name", ["EX-SMASH", "EX-M2"])

@@ -1693,3 +1693,141 @@ def test_a_tall_solve_without_unit_rows_eliminates_once(monkeypatch):
             monkeypatch.setattr(Matrix, "rref", rref)
             assert got == want and calls == [(4, 2 + rhs.ncols)]
         assert a.solve(consistent) == Matrix.from_rows(field, [[1, 0], [2, 1]])
+
+
+def test_packed_rows_rewrite_another_slot_format_without_unpacking():
+    """A product packed in one slot format hands its rows to a kernel that
+    needs another as its residues rewritten slot by slot on the packed
+    bytes (``_recode``): the rows equal those packed from its row dicts,
+    the product taken through them equals the dict loop's, and the matrix
+    builds no row dicts, narrower format or wider."""
+    rng = random.Random(29)
+    for field in RESIDENT_FIELDS:
+        for _ in range(8):
+            m, n, q = rng.randint(1, 6), rng.randint(1, 8), rng.randint(0, 6)
+            a = random_operand(rng, field, m, n, rng.choice([1, 0.5, 0]))
+            b = random_operand(rng, field, n, q, 1)
+            d = random_operand(rng, field, rng.randint(1, 4), m, 1)
+            for code in packed_codes(field, n):
+                for other in packed_codes(field, m):
+                    ab = _packed_product(a, b, code)
+                    want = linalg._packed_rows(_dict_product(a, b), other)
+                    assert linalg._packed_rows(ab, other) == want
+                    assert _packed_product(d, ab, other) == _dict_product(d, _dict_product(a, b))
+                    assert is_resident(ab)
+
+
+def random_kron_case(rng):
+    """A GF(p) ``kron_apply`` case: 1-3 legs of dimension 0-6, an order or
+    none, G factors over runs of the legs (``None`` on one leg, or a matrix
+    of 0-4 columns) and F factors over the reordered legs (``None`` or a
+    matrix of 1-6 rows).  Three cases in four are dense: every G matrix is
+    dense, and so is the last F factor, with at least two rows, so that
+    its stage often passes the cost rule; the others draw each matrix dense
+    or sparse.  Half of the nonzero entries are p - 1, so that raw products
+    reach their bound, and the primes run from GF(2) to two whose stages
+    have no slot."""
+    field = rng.choice(RESIDENT_FIELDS)
+    dense = rng.random() < 0.75
+    dims = [rng.randint(0, 6) if rng.random() < 0.2 else rng.randint(2, 6)
+            for _ in range(rng.randint(1, 3))]
+    order = None if rng.random() < 0.3 else tuple(rng.sample(range(len(dims)), len(dims)))
+
+    def factors(legs, side):
+        out, sizes, pos = [], [], 0
+        while pos < len(legs):
+            end = rng.randint(pos + 1, len(legs))
+            size = math.prod(legs[pos:end])
+            full = dense and (side == "rows" or end == len(legs))
+            if end == pos + 1 and not (side == "cols" and full) and rng.random() < 0.3:
+                out.append(None)
+            else:
+                shape = ((size, rng.randint(1 if full else 0, 4)) if side == "rows"
+                         else (rng.randint(2 if full else 1, 6), size))
+                out.append(random_operand(rng, field, *shape,
+                                          1 if full or rng.random() < 0.5 else 0.3))
+            sizes.append(size)
+            pos = end
+        return out, sizes
+
+    right, rsizes = factors(dims, "rows")
+    left, lsizes = factors(dims if order is None else [dims[leg] for leg in order], "cols")
+    return field, dims, order, left, lsizes, right, rsizes
+
+
+@given(st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None)
+def test_the_packed_g_product_matches_the_references(seed):
+    """``kron_apply`` over GF(p), its G product packed or not, equals the
+    per-column reference and the dense ``kron``/``mixed_permutation``
+    product, in stored form and with a true ``_ints`` flag."""
+    field, dims, order, left, lsizes, right, rsizes = random_kron_case(random.Random(seed))
+    got = kron_apply(field, left, dims, order, right)
+    assert_sparse_invariants(got)
+    assert_flag_holds(got)
+    assert got == kron_apply_per_column(field, left, dims, order, right)
+    perm = mixed_permutation(field, dims, range(len(dims)) if order is None else order)
+    assert got == _dense_kron(field, left, lsizes) @ perm @ _dense_kron(field, right, rsizes)
+
+
+def test_a_packed_first_stage_gets_a_packed_g_product(monkeypatch):
+    """Over 300 cases of ``random_kron_case`` the G product is built packed
+    in at least a quarter (98 at the time of writing), each time its first stage takes the packed
+    product, and then no G-product row dict is built: ``_g_rows`` is not
+    called and the packed G product is never unpacked.  Every other case
+    builds it once with ``_g_rows``, or not at all when it is the one G
+    factor and one F factor takes it whole."""
+    built, dict_built, packed_products = [], [], []
+
+    def spy(name, log):
+        real = getattr(linalg, name)
+
+        def watched(*args):
+            out = real(*args)
+            log.append(out)
+            return out
+        monkeypatch.setattr(linalg, name, watched)
+
+    spy("_packed_g_product", built)
+    spy("_g_rows", dict_built)
+    spy("_packed_product", packed_products)
+    taken = 0
+    for seed in range(300):
+        field, dims, order, left, _, right, _ = random_kron_case(random.Random(seed))
+        built.clear()
+        dict_built.clear()
+        packed_products.clear()
+        got = kron_apply(field, left, dims, order, right)
+        if built:
+            taken += 1
+            assert not dict_built and packed_products and is_resident(built[0]), seed
+        else:
+            assert len(dict_built) <= 1, seed
+        assert got == kron_apply_per_column(field, left, dims, order, right)
+    assert 4 * taken >= 300, taken
+
+
+def test_a_g_product_past_its_stage_slot_is_built_wider(monkeypatch):
+    """Over GF(101) three G factors give raw products up to 100**3, past the
+    16-bit slot of a stage through at most 6 columns: the G product is
+    built in 32-bit slots, reduced and rewritten in the stage's, and equals
+    the references; with two factors it is built in the stage's own slot."""
+    field, rng = GF(101), random.Random(5)
+    slots = []
+    real = linalg._g_slots
+
+    def watched(*args):
+        out = real(*args)
+        slots.append(out)
+        return out
+
+    monkeypatch.setattr(linalg, "_g_slots", watched)
+    for right, want in (([random_operand(rng, field, 4, 2, 1) for _ in range(3)], ("H", "I")),
+                        ([random_operand(rng, field, 16, 3, 1), None], ("H", "H"))):
+        left = [None, None, random_operand(rng, field, 5, 4, 1)]
+        for order in (None, (2, 0, 1)):
+            slots.clear()
+            got = kron_apply(field, left, [4, 4, 4], order, right)
+            assert slots == [want]
+            assert_sparse_invariants(got)
+            assert got == kron_apply_per_column(field, left, [4, 4, 4], order, right)

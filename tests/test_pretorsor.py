@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from torsorkit.algebra import sub_bimodule, tensor_chain
+from torsorkit import pretorsor
+from torsorkit.algebra import induce, sub_bimodule, tensor_chain
 from torsorkit.coring import Bicomodule, Comodule, Coring
 from torsorkit.diffcalc import build_calculus
 from torsorkit.errors import (
@@ -24,6 +25,7 @@ from torsorkit.pretorsor import (
     galois,
     kappa,
     make_bundle,
+    structure_isos,
     validate_pretorsor,
     validate_torsor,
 )
@@ -174,6 +176,52 @@ def test_equivalence_witness_in_both_directions(name, field):
         assert [c.check_id for c in rep.checks] == \
             ["cor4.8.dim", "cor4.8.iso", "cor4.8.colinear"], M.name
         assert rep.ok, rep.summary()
+
+
+@pytest.mark.parametrize("name, field", [(name, field) for name in ("EX-SW", "EX-SMASH")
+                                         for field in (QQ, GF(101))],
+                         ids=lambda x: getattr(x, "name", x))
+def test_kron_apply_call_sites_equal_their_dense_expressions(monkeypatch, name, field):
+    """Cor 4.3's counit maps on the ambient, ``(mu (x) id (x) id) @ expand``
+    and ``(mu (x) id (x) id (x) id) @ (id (x) tau (x) id) @ expand_K`` before
+    the projection, in both hands, and Cor 4.8's collapse ``(mu4 (x) id_M) @
+    expand`` on both regular comodules, each applied through ``kron_apply``,
+    equal the dense Kronecker products they replace."""
+    an = analysis(name, field)
+    b, n = an.bundle, an.bundle.T.dim
+    raw, applied = {}, []
+    kron_apply = pretorsor.kron_apply
+
+    def watched_induce(dom, lin, label=""):
+        raw[label] = lin.matrix
+        return induce(dom, lin, label)
+
+    def watched_kron_apply(*args):
+        out = kron_apply(*args)
+        applied.append((args, out))
+        return out
+
+    monkeypatch.setattr(pretorsor, "induce", watched_induce)
+    monkeypatch.setattr(pretorsor, "kron_apply", watched_kron_apply)
+    structure_isos(b, an.pair, an.tbar, an.ent_right, an.ent_left, an.galois_right,
+                   an.galois_left)
+    idT, Tbar = b.idT, an.tbar.subspace
+    for h, other in ((Hand(b, "right", an.pair), Hand(b, "left", an.pair)),
+                     (Hand(b, "left", an.pair), Hand(b, "right", an.pair))):
+        expand = h.kron(idT, b.X3bar.sect.matrix @ Tbar.inclusion.matrix)
+        expand_K = other.kron(other.two.sect.matrix @ other.sub.inclusion.matrix, idT)
+        assert raw[f"{other.letter}cou"] == \
+            b.X3bar.proj.matrix @ h.kron(b.mu, idT, idT) @ expand
+        assert raw[f"{other.letter}couinv"] == other.X4.proj.matrix \
+            @ h.kron(b.mu, idT, idT, idT) @ h.kron(idT, b.tau_raw, idT) @ expand_K
+    mu4 = b.mu @ (b.mu @ b.mu.kron(idT)).kron(idT)
+    for M in _regular_comodules(an):
+        applied.clear()
+        assert equivalence_witness(b, an.pair, an.tbar, M).ok
+        (_, left, dims, order, right), out = next(
+            call for call in applied if call[0][2] == [n ** 4, M.dim])
+        assert left[0] == mu4 and order is None
+        assert out == mu4.kron(Matrix.identity(field, M.dim)) @ right[0]
 
 
 def _doubled_left_coaction(bico):
