@@ -184,12 +184,9 @@ def bimodule_connection(bundle: PreTorsorBundle, pair: CoringPair,
     j_l = chain_map(Om1T, [(1, om1B.inclusion, 2), (1, None, 1)], b.X3)
 
     def twist(chain, two_leg, omega1, name, msg):
-        # t (x) omega -> tau(t omega_1) omega_2 on ``chain``, into Omega1(B) (x)_B T
-        expand = b.idT.kron(two_leg.sect.matrix @ omega1.inclusion.matrix)
-        raw = (b.idT.kron(b.idT).kron(b.mu)
-               @ b.tau_raw.kron(b.idT)
-               @ b.mu.kron(b.idT)
-               @ expand)
+        # t (x) omega -> tau(t omega_1) omega_2 on ``chain``, into Omega1(B) (x)_B T:
+        # the left entwining's formula on Omega1 instead of the coring D
+        raw = Hand(b, "left").entwined(two_leg.sect.matrix @ omega1.inclusion.matrix)
         to_X3 = induce(chain, LinearMap(chain.ambient, b.X3.carrier,
                                         b.X3.proj.matrix @ raw), name)
         return corestrict_through(j_l, to_X3, MembershipFailure, f"{b.name}: {msg}")

@@ -23,9 +23,9 @@ reduced once: by ``Field.normalise`` (which drops its zeros and puts each
 value in stored form: over QQ an integral ``Fraction`` becomes its
 ``int``, over GF(p) a value is reduced mod p), by one gcd per value over
 the row's common denominator (``_integer_row_product``), by the Barrett
-step of ``_reduce`` over packed residues, or, in ``kron``, entry by entry
-as it is written, each entry being one product (``% p`` over GF(p); over
-QQ only a row with a ``Fraction`` factor is normalised).
+step of ``_reduce`` over packed residues, or, in ``_g_rows``, entry by
+entry as it is written, each entry being one product (``% p`` over GF(p);
+over QQ only a row with a ``Fraction`` factor is normalised).
 
 The product has three paths.  ``_sparse_product`` sums each row in a dict,
 one update per term, when every value of both operands is an ``int``, over
@@ -44,26 +44,28 @@ operand took 0.19 s when they all took the dict loop and take 0.08 s
 ``Matrix._ints``: True when every value is an ``int``, False when one may
 be a ``Fraction``, None when the builder did not know.  It is decided
 where a matrix is built: every constructor and kernel of this module
-passes it to ``from_sparse_rows`` from its inputs' flags (a product of int
-operands is int, a transpose keeps its operand's flag, an echelon form of
-an int operand is int when every pivot was 1 or -1, ``kron`` reads both
-operands' types anyway), the constructors from arbitrary values read it
-off the pass that puts them in stored form (``Field.normalise_rows``), and
-the engine's own builders outside this module pass their inputs' flags.  A matrix built with None is scanned once, when a product, an
-echelon form or a Kronecker product first needs its flag (``_integral``),
-and keeps the answer; the last two ask for their operands' flags, so that
-what they build inherits one answer instead of being scanned again.  So an
-int-only workload adds no per-product work.  A False flag on a matrix of
-ints costs only speed: its products take the integer-row path, which gives
-the same stored rows.  Over GF(p) every value is an ``int``, and a product
-whose right operand is dense enough takes ``_packed_product`` instead:
-each row of the right operand is packed into one Python int, one
-fixed-width slot per column, wide enough that no sum of residue products
-carries into the next slot, so a result row is a sum of small multiples of
-those ints, done in C by the big-int arithmetic (Dumas, Fousse and Salvy,
-J. Symb. Comput. 46, 2011).  ``_packed_slot`` picks the path from the
-operands' nonzero counts; sparse or tiny products and primes whose slot
-would exceed 64 bits keep the dict loop.
+passes it to ``from_sparse_rows`` from its inputs' flags (a product of
+int operands is int, a transpose keeps its operand's flag, an echelon
+form of an int operand is int when every pivot was 1 or -1, a Kronecker
+product scans a factor not flagged int and keeps the answer), the
+constructors from arbitrary values read it off the pass that puts them
+in stored form (``Field.normalise_rows``), and the engine's own builders
+outside this module pass their inputs' flags.  A matrix built with None
+is scanned once, when a product, an echelon form or a Kronecker product
+first needs its flag (``_integral``), and keeps the answer; the last two
+ask for their operands' flags, so that what they build inherits one
+answer instead of being scanned again.  So an int-only workload adds no
+per-product work.  A False flag on a matrix of ints costs only speed: its
+products take the integer-row path, which gives the same stored rows.
+Over GF(p) every value is an ``int``, and a product whose right operand is
+dense enough takes ``_packed_product`` instead: each row of the right
+operand is packed into one Python int, one fixed-width slot per column,
+wide enough that no sum of residue products carries into the next slot, so
+a result row is a sum of small multiples of those ints, done in C by the
+big-int arithmetic (Dumas, Fousse and Salvy, J. Symb. Comput. 46,
+2011).  ``_packed_slot`` picks the path from the operands' nonzero counts;
+sparse or tiny products and primes whose slot would exceed 64 bits keep
+the dict loop.
 
 A packed product stays packed.  Its row sums are joined into one int per
 matrix, and every slot is reduced mod p at once by one vectorised Barrett
@@ -80,14 +82,14 @@ format; against a dict matrix or another format it compares rows, which
 builds the packed side's row dicts.  A packed matrix that becomes the
 right operand of a packed product hands over its row ints, cut from its
 one int and kept on it (``_packed_rows``), and as the left operand gives
-its residues, zeros included; ``solve`` cuts its unit rows from the
-packed int (``_take_rows``), and ``kron_apply`` builds its G product
-packed and moves a packed stage to the next as runs of bytes
-(``_move_runs``).  ``_packed_rows`` is the one packer: it cuts row ints
-from a packed int of their slot format, rewrites the residues of a packed
-int of another format on its bytes (``_recode``), and writes a dict
-matrix's row dicts into one buffer of slots; ``_unpack_rows`` is the one
-way back from packed residues to row dicts.  In a ``suite`` run
+its residues, zeros included; ``solve`` and ``permute_rows`` cut the
+rows they take from the packed int (``_take_rows``), and ``kron_apply``
+builds its G product packed and moves a packed stage to the next as runs
+of bytes (``_move_runs``).  ``_packed_rows`` is the one packer: it cuts
+row ints from a packed int of their slot format, rewrites the residues
+of a packed int of another format on its bytes (``_recode``), and writes
+a dict matrix's row dicts into one buffer of slots; ``_unpack_rows`` is
+the one way back from packed residues to row dicts.  In a ``suite`` run
 on the seed-1 dense EX-SW document over GF(101), 97 of the 101 packed
 products compared with a packed product of their format are never
 unpacked.
@@ -141,13 +143,14 @@ rows.  A reshape is an index map with no arithmetic, so every stage takes
 the product's own path choice, and over GF(p) a dense stage is packed.
 When the cost rule packs the first stage (``_packed_slot``, on counts
 known before anything is built: the G product has the product of its
-factors' nonzeros), the G product is built packed too: each row is one
-big-int product of the rows so far, spread to the next factor's width by
-one strided write, with a row int of that factor, or shifted for an
-identity leg, and the rows are joined in landing order and reduced once
+factors' nonzeros), the G product is built packed too, in that stage's
+slot format: each row is one big-int product of the rows so far, spread
+to the next factor's width by one strided write, with a row int of that
+factor, or shifted for an identity leg, reduced before a third matrix
+factor and once more when joined in landing order
 (``_packed_g_product``).  The stages then move byte runs and build no row
-dict unless one takes the dict loop.  So
-a tensor identity is checked at the size of its carrier, not of its
+dict unless one takes the dict loop.  ``Matrix.kron`` is the dict G
+product (``_g_rows``) of its two factors.  So a tensor identity is checked at the size of its carrier, not of its
 ambient (the vec/Kronecker identities of Van Loan, *The ubiquitous
 Kronecker product*, JCAM 2000).  In the same way ``Matrix.apply_pair``
 evaluates a bilinear map, such as a product or an action, on a pair of
@@ -502,57 +505,29 @@ class Matrix:
         return _dense(f, f.normalise(acc, terms > len(acc)), self.nrows)
 
     def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product, row-major index convention.
-
-        An identity factor only moves entries: ``I (x) X`` is X's rows with
-        their columns shifted block by block (its first block shares X's
-        row dicts), and ``X (x) I`` spreads each entry of X along a
-        diagonal.  Otherwise each entry is one product of stored values:
-        over GF(p) reduced inline (a product of nonzero residues is nonzero
-        mod p), over QQ already stored when both values are ``int``; a row
-        with a ``Fraction`` factor is normalised, since ``2 * 1/2`` is
-        integral."""
+        """Kronecker product, row-major index convention: the G product of
+        its two factors (``_g_rows``), its empty rows one shared dict.
+        ``I (x) I`` is an identity, and ``I (x) X`` is X's rows with their
+        columns shifted block by block: its first block is X's own rows and
+        the later blocks reuse X's empty rows."""
         f = self.field
-        n = other.ncols
-        ncols = self.ncols * n
-        orows = other._rows
+        m, n = self.nrows, other.nrows
         if self.is_identity():
             if other.is_identity():
-                return Matrix.identity(f, self.nrows * other.nrows)
+                return Matrix.identity(f, m * n)
+            width = other.ncols
+            orows = other._rows
             out = []
-            for i in range(self.nrows):
+            for i in range(m):
                 # block i is X shifted by i blocks of columns; block 0 is X
-                base = i * n
-                out += [{base + k: v for k, v in r.items()} for r in orows] if base else orows
-            return Matrix.from_sparse_rows(f, out, ncols, other._ints or _integral(other))
-        if other.is_identity():
-            out = []
-            for r1 in self._rows:
-                spread = [(j * n, a) for j, a in r1.items()]
-                out += [{base + d: a for base, a in spread} for d in range(n)]
-            return Matrix.from_sparse_rows(f, out, ncols, self._ints or _integral(self))
-        out = []
-        if isinstance(f, PrimeField):
-            p = f.p
-            for r1 in self._rows:
-                blocks = [(j1 * n, a) for j1, a in r1.items()]
-                out += [{base + j2: a * b % p for base, a in blocks for j2, b in r2.items()}
-                        for r2 in orows]
-            return Matrix.from_sparse_rows(f, out, ncols, True)
-        normalise = f.normalise
-        # rows of ``other`` whose values are all ``int``; the scan of both
-        # operands gives their ``_ints`` flags too
-        exact = [all(type(b) is int for b in r2.values()) for r2 in orows]
-        ints1, ints2 = True, all(exact)
-        for r1 in self._rows:
-            blocks = [(j1 * n, a) for j1, a in r1.items()]
-            exact1 = all(type(a) is int for _, a in blocks)
-            ints1 = ints1 and exact1
-            for r2, exact2 in zip(orows, exact):
-                row = {base + j2: a * b for base, a in blocks for j2, b in r2.items()}
-                out.append(row if exact1 and exact2 else normalise(row, False))
-        self._ints, other._ints = ints1, ints2
-        return Matrix.from_sparse_rows(f, out, ncols, ints1 and ints2)
+                base = i * width
+                out += [{base + k: v for k, v in r.items()} if r else r
+                        for r in orows] if base else orows
+            return Matrix.from_sparse_rows(f, out, m * width, other._ints or _integral(other))
+        rows, ncols, ints = _g_rows(f, [self, other],
+                                    [range(0, m * n, n) if n else range(m), range(n)])
+        get, empty = rows.get, {}
+        return Matrix.from_sparse_rows(f, [get(x, empty) for x in range(m * n)], ncols, ints)
 
     @staticmethod
     def stack_rows(mats):
@@ -1220,12 +1195,12 @@ def leg_permutation(dims, order) -> list[int]:
 
 
 def permute_rows(mat: Matrix, dims, order) -> Matrix:
-    """``mixed_permutation(f, dims, order) @ mat`` by reordering rows."""
+    """``mixed_permutation(f, dims, order) @ mat`` by reordering rows
+    (``_take_rows``, so a packed operand gives packed rows)."""
     idx = leg_permutation(dims, order)
     if len(idx) != mat.nrows:
         raise ShapeMismatch("permutation does not match the row count")
-    rows = mat._rows
-    return Matrix.from_sparse_rows(mat.field, [rows[i] for i in idx], mat.ncols, mat._ints)
+    return _take_rows(mat, idx)
 
 
 def permute_cols(mat: Matrix, dims, order) -> Matrix:
@@ -1341,14 +1316,18 @@ def _g_rows(field, right, offsets):
     ``offsets`` gives, per G block, where each of its rows lands (a table
     from ``_block_offsets``, or a ``range`` of the block's row-major
     stride), so a product row lands at the sum of its blocks' entries.  A
-    row is the outer product of one nonempty row of each factor; an
-    identity factor's row r is the unit vector at r, so it moves indices
-    and multiplies nothing.  A row is normalised only where it holds
-    products of two matrix factors' values.
+    row is the outer product of one nonempty row of each factor.  An
+    identity factor (``None``, or ``is_identity()``) has row r the unit
+    vector at r, so it moves indices and multiplies nothing.  Every other
+    value is one product, over GF(p) reduced as it is written (a product
+    of nonzero residues is nonzero mod p); over QQ a row is normalised only
+    when a factor may hold a ``Fraction`` (``2 * 1/2`` is integral), and a
+    factor whose ``_ints`` is not True is scanned and keeps the answer.
     """
+    p = field.p if isinstance(field, PrimeField) else None
     rows, ncols, scaled, ints = None, 1, False, True
     for g, off in zip(right, offsets):
-        if g is None:
+        if g is None or g.is_identity():
             n = len(off)
             if rows is None:
                 one = field.one
@@ -1359,20 +1338,31 @@ def _g_rows(field, right, offsets):
             ncols *= n
             continue
         m = g.ncols
+        g_ints = g._ints
+        if not g_ints:
+            # a False flag is a hint too: scanned, like None, and kept
+            g_ints = g._ints = p is not None or _all_ints(g._rows)
+        grows = [(off[r], gr) for r, gr in enumerate(g._rows) if gr]
         if rows is None:
-            rows = {off[r]: gr for r, gr in enumerate(g._rows) if gr}
-        elif scaled:
-            normalise = field.normalise
-            rows = {x + off[r]: normalise({c * m + k: v * a for c, v in row.items()
-                                           for k, a in gr.items()}, False)
-                    for x, row in rows.items() for r, gr in enumerate(g._rows) if gr}
-        else:
+            rows = dict(grows)
+        elif not scaled:
             # every value so far is one
-            rows = {x + off[r]: {c * m + k: a for c in row for k, a in gr.items()}
-                    for x, row in rows.items() for r, gr in enumerate(g._rows) if gr}
+            rows = {x + o: {c * m + k: a for c in row for k, a in gr.items()}
+                    for x, row in rows.items() for o, gr in grows}
+        elif p is not None:
+            rows = {x + o: {c * m + k: v * a % p for c, v in row.items() for k, a in gr.items()}
+                    for x, row in rows.items() for o, gr in grows}
+        elif ints and g_ints:
+            rows = {x + o: {c * m + k: v * a for c, v in row.items() for k, a in gr.items()}
+                    for x, row in rows.items() for o, gr in grows}
+        else:
+            normalise = field.normalise
+            rows = {x + o: normalise({c * m + k: v * a for c, v in row.items()
+                                      for k, a in gr.items()}, False)
+                    for x, row in rows.items() for o, gr in grows}
         ncols *= m
         scaled = True
-        ints = ints and (g._ints or _integral(g))
+        ints = ints and g_ints
     if rows is None:
         # no legs: the product is the 1 x 1 identity
         rows = {0: {0: field.one}}
@@ -1380,23 +1370,25 @@ def _g_rows(field, right, offsets):
 
 
 def _g_slots(field, left, right, g_sizes, f_sizes):
-    """The slot formats ``(stage, build)`` of a packed G product for
-    ``kron_apply``, or None for ``_g_rows``.
+    """The slot format of a packed G product for ``kron_apply``, or None
+    for ``_g_rows``.
 
     The G product is packed when its first stage, ``fac @ R`` for the last
-    F factor (``_apply_block``), takes the packed product: ``_packed_slot``
-    on counts known before S is built, since the nonzeros of S are the
-    product of its factors' nonzeros.  It is built in the stage's slot
-    format when that holds a product ``(p - 1)**k`` of residues of its k
-    matrix factors, and otherwise in the narrowest one that does, then
-    rewritten (``_recode``); above 64 bits it takes ``_g_rows``."""
+    F factor (``_apply_block``), takes the packed product, and in that
+    stage's slot format: ``_packed_slot`` on counts known before S is
+    built, since the nonzeros of S are the product of its factors'
+    nonzeros.  The rule needs ``nnz_a > n`` (its right side exceeds ``n *
+    nnz_b``), so that is tested before the G factors are counted."""
     if not isinstance(field, PrimeField):
         return None
     k = next((k for k in range(len(left) - 1, -1, -1) if left[k] is not None), None)
     if k is None or left[k].is_identity():
         return None
     fac = left[k]
-    nnz, ncols, factors = 1, 1, 0
+    fac_nnz = _nnz(fac)
+    if fac_nnz <= fac.ncols:
+        return None
+    nnz, ncols = 1, 1
     for g, n in zip(right, g_sizes):
         if g is None or g._id_flag:
             nnz *= n
@@ -1404,49 +1396,49 @@ def _g_slots(field, left, right, g_sizes, f_sizes):
         else:
             nnz *= _nnz(g)
             ncols *= g.ncols
-            factors += 1
     # R has one column per (leading index, trailing index, column) of S
-    stage = _packed_slot(field, fac.ncols, _nnz(fac), nnz,
-                         prod(f_sizes[:k]) * prod(f_sizes[k + 1:]) * ncols)
-    if stage is None:
-        return None
-    need = max(((field.p - 1) ** factors).bit_length(), 8 * _SLOT_BYTES[stage])
-    build = next((code for bits, code in _SLOTS if bits >= need), None)
-    return None if build is None else (stage, build)
+    return _packed_slot(field, fac.ncols, fac_nnz, nnz,
+                        prod(f_sizes[:k]) * prod(f_sizes[k + 1:]) * ncols)
 
 
-def _packed_g_product(field, right, offsets, nrows, stage, build):
-    """``P @ (G1 (x) ... (x) Gm)`` over GF(p), packed in ``stage`` slots
+def _packed_g_product(field, right, offsets, nrows, code):
+    """``P @ (G1 (x) ... (x) Gm)`` over GF(p), packed in ``code`` slots
     and never held as row dicts (see ``_g_slots``).
 
-    The rows are built in ``build`` slots, factor by factor, on the
-    nonempty rows only.  The rows so far are spread to the new factor's
-    width n, slot c to slot ``c * n``, all of them in one strided write;
-    each of them times each nonempty row int of the factor
-    (``_packed_rows``) is then a row of the product, with one term per
-    slot, so no slot carries.  An identity factor's row r is the unit
-    vector at r: a shift by r slots.  The rows land where ``offsets`` puts
-    them (see ``_g_rows``), are joined in that order with zero rows
-    between, and are reduced by one ``_reduce`` when a slot holds a product
-    of two or more residues."""
+    The rows are built factor by factor, on the nonempty rows only.  The
+    rows so far are spread to the new factor's width n, slot c to slot ``c
+    * n``, all of them in one strided write; each of them times each
+    nonempty row int of the factor (``_packed_rows``) is then a row of the
+    product, with one term per slot, so no slot carries.  An identity
+    factor's row r is the unit vector at r: a shift by r slots.  The
+    stage's slot holds a product of two residues (``_slot``), so the rows
+    are reduced (``_reduce``) before a third matrix factor multiplies
+    them.  They land where ``offsets`` puts them (see ``_g_rows``), are
+    joined in that order with zero rows between, and are reduced once
+    more when a slot holds a product of two residues."""
     order = sys.byteorder
-    w = _SLOT_BYTES[build]
+    w = _SLOT_BYTES[code]
     bits = 8 * w
+    p = field.p
     places, vals, ncols, factors = [0], [1], 1, 0
     for g, off in zip(right, offsets):
-        n = len(off) if g is None or g._id_flag else g.ncols
+        ident = g is None or g.is_identity()
+        n = len(off) if ident else g.ncols
+        if factors == 2 and not ident:
+            vals = [_reduce(v, ncols, bits, p) for v in vals]
+            factors = 1
         if ncols > 1 and n > 1 and vals:
             size = w * ncols
             spread = bytearray(size * n * len(vals))
-            memoryview(spread).cast(build)[::n] = memoryview(
-                b"".join([v.to_bytes(size, order) for v in vals])).cast(build)
+            memoryview(spread).cast(code)[::n] = memoryview(
+                b"".join([v.to_bytes(size, order) for v in vals])).cast(code)
             view, size = memoryview(spread), size * n
             vals = [int.from_bytes(view[i:i + size], order) for i in range(0, len(spread), size)]
-        if g is None or g._id_flag:
+        if ident:
             shifts = [(off[r], r * bits) for r in range(n)]
             vals = [v << s for v in vals for _, s in shifts]
         else:
-            shifts = [(off[r], gr) for r, gr in enumerate(_packed_rows(g, build)) if gr]
+            shifts = [(off[r], gr) for r, gr in enumerate(_packed_rows(g, code)) if gr]
             vals = [v * gr for v in vals for _, gr in shifts]
             factors += 1
         places = [x + o for x in places for o, _ in shifts]
@@ -1456,12 +1448,9 @@ def _packed_g_product(field, right, offsets, nrows, stage, build):
     for x, v in zip(places, vals):
         parts[x] = v.to_bytes(size, order)
     packed = int.from_bytes(b"".join(parts), order)
-    if factors > 1:
-        # a slot holds a product of residues; one factor's are reduced
-        packed = _reduce(packed, nrows * ncols, bits, field.p)
-    if build != stage:
-        packed = int.from_bytes(_recode(packed, nrows * ncols, build, stage), order)
-    return Matrix._from_packed(field, nrows, ncols, packed, stage)
+    if factors == 2:
+        packed = _reduce(packed, nrows * ncols, bits, p)
+    return Matrix._from_packed(field, nrows, ncols, packed, code)
 
 
 def _apply_block(field, fac, rows, nhi, lo, ncols, ints):
@@ -1574,11 +1563,11 @@ def kron_apply(field, left, dims, order, right) -> Matrix:
         offsets.reverse()
     else:
         offsets = _block_offsets(dims, order, g_sizes)
-    slots = _g_slots(field, left, right, g_sizes, f_sizes)
-    if slots is None:
+    code = _g_slots(field, left, right, g_sizes, f_sizes)
+    if code is None:
         rows, ncols, ints = _g_rows(field, right, offsets)
     else:
-        rows = _packed_g_product(field, right, offsets, prod(g_sizes), *slots)
+        rows = _packed_g_product(field, right, offsets, prod(g_sizes), code)
         ncols, ints = rows.ncols, True
     empty = {}
     if len(left) == 1 and left[0] is not None:

@@ -314,6 +314,15 @@ class Hand:
             first = first.kron(m)
         return first
 
+    def entwined(self, expand: Matrix) -> Matrix:
+        """The raw entwining ``(mu (x) T (x) T)(T (x) tau)(T (x) mu)(E (x)
+        T)`` on the ambient, mirrored for the left hand, with E = ``expand``
+        taking a coring element to ``T (x) T``: ``entwining``'s psi, and
+        with E from Omega1(B) or Omega1(A) the twist maps of ``diffcalc``."""
+        b = self.bundle
+        return (self.kron(b.mu, b.idT, b.idT) @ self.kron(b.idT, b.tau_raw)
+                @ self.kron(b.idT, b.mu) @ self.kron(expand, b.idT))
+
     def label(self, *names: str) -> str:
         return "(x)".join(self.legs(*names))
 
@@ -581,14 +590,8 @@ def entwining(bundle: PreTorsorBundle, pair: CoringPair, side: str = "right") ->
     f = b.field
     rep = Report(f"{b.name}:entwining-{side}")
     K, KT, TK = h.coring, h.KT, h.TK
-    expand = h.two.sect.matrix @ h.sub.inclusion.matrix
     idK = Matrix.identity(f, K.dim)
-    raw = (
-        h.kron(b.mu, b.idT, b.idT)
-        @ h.kron(b.idT, b.tau_raw)
-        @ h.kron(b.idT, b.mu)
-        @ h.kron(expand, b.idT)
-    )
+    raw = h.entwined(h.two.sect.matrix @ h.sub.inclusion.matrix)
     to_X3 = induce(KT, LinearMap(KT.ambient, b.X3.carrier, b.X3.proj.matrix @ raw),
                    f"psi_{h.letter}")
     j_TK = chain_map(TK, h.legs((1, None, 1), (1, h.sub.inclusion, 2)), b.X3)

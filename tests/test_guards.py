@@ -87,7 +87,9 @@ NATIVE_KERNELS = {"__init__", "from_cols", "_combine", "__neg__", "scale", "__ma
                   "_unpack_rows", "_packed_equal", "_take_rows",
                   "_packed_rows", "_move_runs", "_recode",
                   # kron_apply's G product built packed, and its slot choice
-                  "_g_slots", "_packed_g_product"}
+                  "_g_slots", "_packed_g_product",
+                  # the G product on row dicts, which is also kron's arithmetic
+                  "_g_rows"}
 SCALAR_METHODS = {"add", "sub", "mul", "div", "is_zero"}
 # the modules whose mirrored constructions take a Hand, the words that name a
 # hand, and the one comparison with such a word that is not about a hand:

@@ -1497,6 +1497,65 @@ def test_kron_with_an_identity_factor_matches_the_reference():
     assert all(type(v) is int for v in (k.entry(0, 0), k.entry(0, 3)))
 
 
+def kron_operands(rng, f):
+    """Builders of ``kron`` operands over f: random ones, an identity built
+    from its rows and so not flagged, 0-row and 0-column ones, over QQ one
+    with integral ``Fraction`` entries (stored as ints, flagged False) and
+    over GF(101) packed products (``_packed_product``), built afresh per
+    call so that each reaches ``kron`` packed."""
+    if f is QQ:
+        values = [1, -2, 3, Fraction(1, 2), Fraction(-2, 3), 0, 0]
+        rows = [[rng.choice(values) for _ in range(3)] for _ in range(2)]
+    else:
+        rows = [[rng.randrange(f.p) for _ in range(3)] for _ in range(2)]
+    builders = [lambda: Matrix.from_rows(f, rows),
+                lambda: Matrix.from_rows(f, [[int(i == j) for j in range(3)] for i in range(3)]),
+                lambda: Matrix.zero(f, 0, 2), lambda: Matrix.zero(f, 2, 0)]
+    if f is QQ:
+        builders.append(lambda: Matrix(QQ, [[Fraction(4, 2), 0], [Fraction(-9, 3), 1]]))
+    if f.name == "GF(101)":
+        a, b = random_operand(rng, f, 3, 4, 1), random_operand(rng, f, 4, 5, 0.5)
+        builders.append(lambda: _packed_product(a, b, "H"))
+    return builders
+
+
+def test_kron_is_the_g_product_of_its_factors():
+    """``kron`` equals the dense reference on every pair of operands of
+    ``kron_operands``, either side; all-int operands give a result stored
+    and flagged int, except that ``I (x) X`` keeps X's flag; and every
+    result but ``I (x) X`` has one shared empty row dict."""
+    rng = random.Random(31)
+    for f in (QQ, GF(2), GF(101)):
+        builders = kron_operands(rng, f)
+        for make_a, make_b in itertools.product(builders, repeat=2):
+            a, b = make_a(), make_b()
+            (m, n), (p, q) = a.shape, b.shape
+            want = _ref_kron(f, make_a().rows, make_b().rows)
+            k = a.kron(b)
+            assert_matches(k, want, (m * p, n * q))
+            if a.is_identity() and not b.is_identity():
+                continue
+            assert len({id(r) for r in k.sparse_rows() if not r}) <= 1
+            if all(type(v) is int for x in (a, b) for r in x.sparse_rows() for v in r.values()):
+                assert k._ints is True
+
+
+def test_x_kron_y_builds_its_rows_with_one_g_rows_call(monkeypatch):
+    """``kron`` has no arithmetic of its own: ``X (x) Y`` is one
+    ``_g_rows`` call."""
+    calls = []
+    real = linalg._g_rows
+
+    def watched(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "_g_rows", watched)
+    x, y = (Matrix.from_rows(QQ, [[1, Fraction(1, 2)], [0, 3]]) for _ in range(2))
+    assert x.kron(y) == Matrix.from_rows(QQ, _ref_kron(QQ, x.rows, y.rows))
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("order", [(1, 1), (0, 2), (0,), (0, 1, 2), (-1, 0)])
 def test_an_order_that_is_no_permutation_is_refused(order):
     """``leg_permutation([2, 2], (1, 1))`` once gave [0, 1, 1, 2], so a row
@@ -1807,11 +1866,13 @@ def test_a_packed_first_stage_gets_a_packed_g_product(monkeypatch):
     assert 4 * taken >= 300, taken
 
 
-def test_a_g_product_past_its_stage_slot_is_built_wider(monkeypatch):
-    """Over GF(101) three G factors give raw products up to 100**3, past the
-    16-bit slot of a stage through at most 6 columns: the G product is
-    built in 32-bit slots, reduced and rewritten in the stage's, and equals
-    the references; with two factors it is built in the stage's own slot."""
+def test_a_g_product_past_its_stage_slot_is_reduced_before_a_third_factor(monkeypatch):
+    """Over GF(101) three G factors give raw triple products up to 100**3,
+    past the 16-bit slot of a stage through at most 6 columns: the G
+    product is still built in the stage's slot (``_g_slots`` gives one
+    format), its rows reduced before the third factor, and equals the
+    per-column reference in both orders; so does a product of two
+    factors."""
     field, rng = GF(101), random.Random(5)
     slots = []
     real = linalg._g_slots
@@ -1822,12 +1883,12 @@ def test_a_g_product_past_its_stage_slot_is_built_wider(monkeypatch):
         return out
 
     monkeypatch.setattr(linalg, "_g_slots", watched)
-    for right, want in (([random_operand(rng, field, 4, 2, 1) for _ in range(3)], ("H", "I")),
-                        ([random_operand(rng, field, 16, 3, 1), None], ("H", "H"))):
+    for right in ([random_operand(rng, field, 4, 2, 1) for _ in range(3)],
+                  [random_operand(rng, field, 16, 3, 1), None]):
         left = [None, None, random_operand(rng, field, 5, 4, 1)]
         for order in (None, (2, 0, 1)):
             slots.clear()
             got = kron_apply(field, left, [4, 4, 4], order, right)
-            assert slots == [want]
+            assert slots == ["H"]
             assert_sparse_invariants(got)
             assert got == kron_apply_per_column(field, left, [4, 4, 4], order, right)
