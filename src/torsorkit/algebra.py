@@ -6,11 +6,11 @@ full k-tensor ambient by all balancing relations.  ``chain_outer_bimodule``
 gives a chain's carrier the outer bimodule structure of its edge factors.
 Chains are cached, so the same factor/action data always yields the
 identical carrier -- rebracketing never produces two different spaces.  Each
-chain is its cached prefix plus one step: with adjacent links only, the
-chain on all but the last factor, tensored with the last factor and
-quotiented by the newest link alone (which keeps the quotient small); with
-non-adjacent links, its adjacent-only chain quotiented by the rest.  No
-prefix is folded twice.  Every column of a chain's ``sect`` is an ambient
+chain is its cached prefix plus one step, by one rule: the chain on all but
+the last factor, tensored with the last factor and quotiented by the links
+that end there, each read on the prefix carrier (which keeps the quotient
+small).  No prefix is folded twice, and no relation is generated on a
+chain's full ambient.  Every column of a chain's ``sect`` is an ambient
 basis vector, so a step writes ``sect`` down as a column selection
 (``_compose_selections``), and its ``proj`` is the step's reduction rows
 applied to the prefix's ``proj``, assembled row by row (``_lift_rows``);
@@ -362,16 +362,6 @@ def _link_leg_maps(link: Link):
     return zip(split_right(link.act_i.matrix, m), split_left(link.act_j.matrix, m))
 
 
-def _link_relation_columns(field, factor_spaces, link: Link):
-    """Relation generators of one link, as sparse columns over the full
-    ambient (see ``_relation_columns``)."""
-    dims = [s.dim for s in factor_spaces]
-    cols = []
-    for mi, mj in _link_leg_maps(link):
-        cols += _relation_columns(field, dims, link.i, mi, link.j, mj)
-    return cols
-
-
 def _relation_columns(field, dims, i, mi: Matrix, j, mj: Matrix):
     """Nonzero columns of (mi on leg i) - (mj on leg j), in column order,
     each a dict ``{row: nonzero value}``.
@@ -443,13 +433,18 @@ def _cached_chain(spaces, links) -> TensorChain:
 
 
 def _build_chain(spaces, links) -> TensorChain:
-    """A chain from a cached smaller one and at most one quotient step.
+    """A chain from its cached prefix and one quotient step.
 
-    The chain's ``sect`` is a column selection: the smaller chain's
-    selection composed with the step's.  Its ``proj`` is the step's
-    reduction rows applied to the smaller chain's ``proj``: ``step_proj @
-    base.proj``, or over a prefix ``head``, ``step_proj @ (head.proj (x) I)``
-    assembled row by row.
+    The prefix ``head`` is the chain on all factors but the last, with the
+    links that end before it.  The step tensors its carrier with the last
+    factor and quotients by the relations of every link that ends at the
+    last factor, each right action read on the prefix carrier at its own
+    leg (``_prefix_leg_map``).  The chain's ``sect`` is a column selection:
+    the prefix's selection composed with the step's.  Its ``proj`` is
+    ``step_proj @ (head.proj (x) I)``, assembled row by row.  A column is
+    free in the reduced echelon form of the whole relation span exactly
+    when it is free once the prefix's relations are quotiented out, so the
+    carrier basis does not depend on the order the links are folded in.
     """
     field = spaces[0].field
     ambient = tensor_space(spaces)
@@ -465,42 +460,26 @@ def _build_chain(spaces, links) -> TensorChain:
         ident = Matrix.identity(field, ambient.dim)
         return TensorChain(spaces, links, carrier, LinearMap(ambient, carrier, ident),
                            LinearMap(carrier, ambient, ident))
-    adjacent = [l for l in links if l.j == l.i + 1]
-    if len({l.i for l in adjacent}) != len(adjacent):
-        raise ShapeMismatch("duplicate adjacent links")
-    if len(adjacent) < len(links):
-        base = _cached_chain(spaces, adjacent)
-        gen_cols = []
-        for link in links:
-            if link.j != link.i + 1:
-                gen_cols += _link_relation_columns(field, spaces, link)
-        gen = Matrix.from_sparse_rows(field, gen_cols, ambient.dim)
-        rel = Subspace.from_spanning(base.carrier,
-                                     (base.proj.matrix @ gen.transpose()).transpose())
-        carrier, step_proj, step_sect = quotient(base.carrier, rel)
-        proj = step_proj.matrix @ base.proj.matrix
-        sect = _compose_selections(field, base.sect.matrix, step_sect.matrix)
+    n = len(spaces)
+    head = _cached_chain(spaces[:-1], [l for l in links if l.j < n - 1])
+    last = spaces[-1]
+    step_amb = tensor_space([head.carrier, last])
+    ending = [l for l in links if l.j == n - 1]
+    if not ending:
+        ident = LinearMap.identity(step_amb)
+        carrier, step_proj, step_sect = step_amb, ident, ident
     else:
-        n = len(spaces)
-        head = _cached_chain(spaces[:-1], [l for l in links if l.j < n - 1])
-        last = spaces[-1]
-        step_amb = tensor_space([head.carrier, last])
-        link = next((l for l in links if l.j == n - 1), None)
-        if link is None:
-            ident = LinearMap.identity(step_amb)
-            carrier, step_proj, step_sect = step_amb, ident, ident
-        else:
-            # the newest link, with its right action read on the prefix carrier
-            rel_cols, ints = [], True
+        rel_cols, ints = [], True
+        for link in ending:
             for mi, mj in _link_leg_maps(link):
-                lifted = _carrier_leg_map(head, n - 2, mi).matrix
+                lifted = _prefix_leg_map(head, link, mi)
                 rel_cols += _relation_columns(field, [head.dim, last.dim], 0, lifted, 1, mj)
                 ints = ints and lifted._ints and mj._ints
-            rel = Subspace.from_spanning(
-                step_amb, Matrix.from_sparse_rows(field, rel_cols, step_amb.dim, ints))
-            carrier, step_proj, step_sect = quotient(step_amb, rel)
-        proj = _lift_rows(field, step_proj.matrix, head.proj.matrix, last.dim)
-        sect = _compose_selections(field, head.sect.matrix, step_sect.matrix, last.dim)
+        rel = Subspace.from_spanning(
+            step_amb, Matrix.from_sparse_rows(field, rel_cols, step_amb.dim, ints))
+        carrier, step_proj, step_sect = quotient(step_amb, rel)
+    proj = _lift_rows(field, step_proj.matrix, head.proj.matrix, last.dim)
+    sect = _compose_selections(field, head.sect.matrix, step_sect.matrix, last.dim)
     carrier = Space(field, carrier.dim, name, carrier.labels)
     proj, sect = LinearMap(ambient, carrier, proj), LinearMap(carrier, ambient, sect)
     if not (proj @ sect).is_identity():
@@ -532,7 +511,7 @@ def _lift_rows(field, step: Matrix, head: Matrix, width) -> Matrix:
     return Matrix.from_sparse_rows(field, out, head.ncols * width, step._ints and head._ints)
 
 
-def _compose_selections(field, head: Matrix, step: Matrix, width=1) -> Matrix:
+def _compose_selections(field, head: Matrix, step: Matrix, width) -> Matrix:
     """``(head (x) I_width) @ step`` for two selection matrices, each column
     an ambient unit vector: the column q that ``step`` puts at row s, with
     (x, l) = divmod(s, width), lands at row pos(x) * width + l, where pos(x)
@@ -668,6 +647,24 @@ def chain_outer_bimodule(chain: TensorChain, left_factor: Bimodule,
                     LinearMap(tensor_space([L.space, chain.carrier]), chain.carrier, lact),
                     LinearMap(tensor_space([chain.carrier, R.space]), chain.carrier, ract),
                     check=False)
+
+
+def _prefix_leg_map(head: TensorChain, link: Link, m: Matrix) -> Matrix:
+    """``m``, one ring element's right action, on leg ``link.i`` of a chain
+    step's prefix, read on the prefix carrier.
+
+    On the prefix's last leg, or on a prefix without a quotient, it is
+    ``_carrier_leg_map``'s reading.  On an inner leg of a prefix with a
+    quotient the action must descend through the prefix's relations, and
+    ``induce`` checks that on the prefix ambient."""
+    pos, dims = link.i, [s.dim for s in head.factor_spaces]
+    if pos == len(dims) - 1 or head.dim == head.ambient.dim:
+        return _carrier_leg_map(head, pos, m).matrix
+    legs = [None] * len(dims)
+    legs[pos] = m
+    raw = LinearMap(head.ambient, head.carrier,
+                    kron_apply(head.carrier.field, [head.proj.matrix], dims, None, legs))
+    return induce(head, raw, f"the right {link.ring.name}-action on leg {pos}").matrix
 
 
 def _carrier_leg_map(chain: TensorChain, pos, m: Matrix) -> LinearMap:

@@ -332,3 +332,38 @@ def test_criterion_11_cross_field():
         ok &= dq == dbig
         ok &= _suite_rows(name, "Q") == _suite_rows(name, f"GF{BIG_PRIME}")
     assert _line(11, ok, "dimension verdicts identical over Q, GF(101) and GF(2^61-1)")
+
+
+def _failing_rows(doc):
+    return [c["id"] for c in doc["checks"] if c["status"] == "fail"]
+
+
+@pytest.mark.parametrize("name, checks", [("EX-SW", 99), ("EX-M2", 56)])
+@pytest.mark.parametrize("field", ["Q", "GF101"])
+def test_opposite_bundle_passes_every_check(opposite_suites, name, field, checks):
+    """The opposite bundle of a fixture whose algebras A and B are k: the
+    torsor EX-SW^op passes all of ``suite``, and the pre-torsor EX-M2^op
+    all of its pre-torsor rows."""
+    doc = opposite_suites(name, field)
+    assert len(doc["checks"]) == checks
+    assert _failing_rows(doc) == []
+
+
+@pytest.mark.parametrize("field", ["Q", "GF101"])
+def test_opposite_smash_fails_only_the_right_linearity_rows(opposite_suites, field):
+    """EX-SMASH^op, a right bialgebroid over the two-dimensional base B^op,
+    runs all 91 checks, and no row fails but the two of the strict xfail
+    below."""
+    doc = opposite_suites("EX-SMASH", field)
+    assert len(doc["checks"]) == 91
+    assert set(_failing_rows(doc)) <= {"thm5.4.witness", "lem5.5"}
+
+
+@pytest.mark.xfail(strict=True,
+                   reason="over a base of dimension > 1 thm5.4.witness and lem5.5 "
+                          "fail: a comodule with an induced right action is checked "
+                          "for rho(m.a) = m(-1) (x) m(0).a, where the Takeuchi "
+                          "condition gives rho(m.a) = t(a)m(-1) (x) m(0)")
+def test_opposite_smash_suite_has_no_failing_row(opposite_suites):
+    for field in ("Q", "GF101"):
+        assert _failing_rows(opposite_suites("EX-SMASH", field)) == [], field

@@ -9,6 +9,8 @@ from torsorkit.algebra import (
     Bimodule,
     certify_free,
     Algebra,
+    Link,
+    chain_of_spaces,
     chain_outer_bimodule,
     fix_left,
     fix_right,
@@ -117,6 +119,33 @@ def test_iterated_tensors_share_one_carrier():
     outer = validated(chain_outer_bimodule(pair, bim, bim))
     assert tensor_chain([outer, bim], [m2]).dim == 4
     assert tensor_chain([bim, outer], [m2]).dim == 4
+
+
+def test_a_link_that_does_not_descend_through_the_prefix_raises():
+    """On M (x)_M2 M (x) M, the regular M2 bimodule thrice, a second link
+    from leg 0 to leg 2 is read on the prefix M (x)_M2 M, where right
+    multiplication on leg 0 does not descend: x.s (x) y and x (x) s.y are
+    equal there, but x.s.r (x) y and x.r (x) s.y need not be.  The step
+    raises with a relation of the prefix the action does not kill.  The same
+    link over k, through the unit map, descends and adds no relation."""
+    m2 = matrix_algebra(QQ)
+    M = regular_bimodule(m2)
+    spaces = [M.space] * 3
+    adjacent = Link(0, 1, m2, M.ract, M.lact)
+    with pytest.raises(NotWellDefined) as err:
+        chain_of_spaces(spaces, [adjacent, Link(0, 2, m2, M.ract, M.lact)])
+    prefix = chain_of_spaces(spaces[:2], [adjacent])
+    witness = Matrix.from_cols(QQ, [err.value.witness], prefix.ambient.dim)
+    assert not witness.is_zero() and (prefix.proj.matrix @ witness).is_zero()
+    kk = field_algebra(QQ)
+    um = unit_algebra_map(kk, m2)
+    Mk = regular_bimodule(m2, um, um)
+    chain = chain_of_spaces(spaces, [adjacent, Link(0, 2, kk, Mk.ract, Mk.lact)])
+    assert (chain.dim, chain.ambient.dim) == (16, 64)
+    plain = chain_of_spaces(spaces, [adjacent])
+    assert chain.proj.matrix == plain.proj.matrix
+    assert chain.sect.matrix == plain.sect.matrix
+    assert chain.carrier.labels == plain.carrier.labels
 
 
 def _mult_on_square(m2):

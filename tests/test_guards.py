@@ -25,7 +25,8 @@ Over QQ integral values are stored as ``int``, so only ``fields`` may
 divide: ``a / b`` on two stored ints would give a ``float``.
 The engine states its consistency checks as explicit raises, never as
 ``assert``, and a chain is built from its cached prefix with one quotient
-step, so no prefix is folded twice.
+step, so no prefix is folded twice and no relation is generated on a
+chain's full ambient.
 Every bimodule action is a matrix expression in the structure maps, never
 assembled one basis vector at a time, and a traced benchmark pass passes.
 The checks on tau (x) tau contract its middle legs before any outer product.
@@ -59,6 +60,8 @@ from torsorkit.linalg import Matrix, _rref_slot, kron_apply
 from torsorkit.pretorsor import validate_torsor
 from torsorkit.serialize import bundle_from_document, loads
 from torsorkit.spaces import Subspace
+
+from conftest import opposite_document, suite_on_document
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "torsorkit"
@@ -371,6 +374,24 @@ def test_chain_steps_assemble_proj_and_sect_without_kron_apply(monkeypatch):
                                     dump_matrices=False))
     assert "_carrier_leg_map" in callers
     assert callers.count("_build_chain") == 0, callers.count("_build_chain")
+
+
+def test_chain_relations_are_generated_on_two_legs(monkeypatch, tmp_path):
+    """Every relation a chain step generates lives on the prefix carrier
+    tensored with the last factor, never on the chain's full ambient.
+    EX-SMASH^op's pentagon chains join legs 0 and 2 over its two-dimensional
+    base, each link read on the prefix carrier at its own leg."""
+    dims_seen = []
+    relation_columns = algebra._relation_columns
+
+    def watched(field, dims, *args):
+        dims_seen.append(list(dims))
+        return relation_columns(field, dims, *args)
+
+    monkeypatch.setattr(algebra, "_relation_columns", watched)
+    suite_on_document(opposite_document("EX-SMASH", "Q"), tmp_path / "bundle.json")
+    assert dims_seen
+    assert all(len(dims) == 2 for dims in dims_seen), [d for d in dims_seen if len(d) != 2]
 
 
 def test_tracer_spans_resolve():

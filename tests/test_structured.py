@@ -21,7 +21,7 @@ from torsorkit import algebra, bialgebroid
 from torsorkit.algebra import (
     Algebra,
     _carrier_leg_map,
-    _link_relation_columns,
+    _link_leg_maps,
     _relation_columns,
     first_unbalanced,
     induce,
@@ -46,7 +46,7 @@ from torsorkit.serialize import bundle_from_document, loads
 from torsorkit.report import Report
 from torsorkit.spaces import LinearMap, Subspace, kernel
 
-from conftest import fixture
+from conftest import fixture, opposite_document
 from test_linalg import assert_sparse_invariants
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -381,7 +381,17 @@ def test_projector_identity_matches_relation_kernel(name, field, pick, data):
         assert any(not field.is_zero(v) for v in g.apply(witness))
 
 
-@pytest.mark.parametrize("name", ["EX-SMASH", "EX-M2", "dense-EX-M2"])
+def _link_relation_columns(field, factor_spaces, link):
+    """The relation generators of one link, as sparse columns over the full
+    ambient of a chain: the slow way, which the engine never takes."""
+    dims = [s.dim for s in factor_spaces]
+    cols = []
+    for mi, mj in _link_leg_maps(link):
+        cols += _relation_columns(field, dims, link.i, mi, link.j, mj)
+    return cols
+
+
+@pytest.mark.parametrize("name", ["EX-SMASH", "EX-M2", "dense-EX-M2", "op-EX-SMASH"])
 @pytest.mark.parametrize("field", ["Q", "GF101"])
 def test_every_quotient_chain_meets_the_relation_oracle(name, field, tmp_path):
     """Each chain is its cached prefix plus one quotient step.  For every
@@ -390,11 +400,15 @@ def test_every_quotient_chain_meets_the_relation_oracle(name, field, tmp_path):
     way, is ``kernel(proj)``, ``sect`` sends each carrier basis vector to
     the ambient basis vector of the same label, and both hold stored-form
     values.  In a dense basis the reduction rows of ``proj`` carry general
-    coefficients, not just +-1, and over GF(p) their sums need reducing."""
+    coefficients, not just +-1, and over GF(p) their sums need reducing.
+    EX-SMASH's opposite bundle ("op-") has links over its two-dimensional
+    base that join legs 0 and 2, across a prefix with a quotient."""
     before = set(map(id, algebra._chain_cache.values()))
-    if name.startswith("dense-"):
+    if name.startswith(("dense-", "op-")):
         doc = tmp_path / "bundle.json"
-        doc.write_text(_dense_text(name, field), encoding="utf-8")
+        text = (_dense_text(name, field) if name.startswith("dense-")
+                else opposite_document(name[len("op-"):], field))
+        doc.write_text(text, encoding="utf-8")
         args = argparse.Namespace(fixture=None, input=str(doc), field=None,
                                   dump_matrices=False)
     else:
@@ -506,7 +520,7 @@ def test_relation_span_check_catches_a_rank_loss(field):
         for chain, _ in chains:
             cols = []
             for link in reversed(chain.links):
-                cols.extend(reversed(algebra._link_relation_columns(
+                cols.extend(reversed(_link_relation_columns(
                     field, chain.factor_spaces, link)))
             assert _spans_the_relation_kernel(chain, cols), chain
             assert chain.ambient.dim - chain.dim > 1
