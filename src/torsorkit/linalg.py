@@ -63,9 +63,12 @@ operand is packed into one Python int, one fixed-width slot per column,
 wide enough that no sum of residue products carries into the next slot, so
 a result row is a sum of small multiples of those ints, done in C by the
 big-int arithmetic (Dumas, Fousse and Salvy, J. Symb. Comput. 46,
-2011).  ``_packed_slot`` picks the path from the operands' nonzero counts;
-sparse or tiny products and primes whose slot would exceed 64 bits keep
-the dict loop.
+2011).  There is one slot width per prime: ``_slot`` gives GF(p) 32-bit
+slots when they hold 2**16 sums of products of two residues, 64-bit ones
+when those do, and none above, so every packed matrix of a field has one
+format.  ``_packed_slot`` picks the path from the operands' nonzero
+counts; sparse or tiny products, and products whose sums do not fit the
+prime's slot, keep the dict loop.
 
 A packed product stays packed.  Its row sums are joined into one int per
 matrix, and every slot is reduced mod p at once by one vectorised Barrett
@@ -77,21 +80,19 @@ slot is below ``2**b`` (``_reduce``).  The ``Matrix`` keeps that int as
 (``_Packed.__getattr__``, on a subclass so that reads of every other
 matrix keep CPython's specialised slot access; every matrix carries the
 packing slots).  ``is_zero`` and ``is_identity`` work on the packed
-residues, and so does ``==`` when both sides are packed in one slot
-format; against a dict matrix or another format it compares rows, which
-builds the packed side's row dicts.  A packed matrix that becomes the
-right operand of a packed product hands over its row ints, cut from its
-one int and kept on it (``_packed_rows``), and as the left operand gives
-its residues, zeros included; ``solve`` and ``permute_rows`` cut the
-rows they take from the packed int (``_take_rows``), and ``kron_apply``
-builds its G product packed and moves a packed stage to the next as runs
-of bytes (``_move_runs``).  ``_packed_rows`` is the one packer: it cuts
-row ints from a packed int of their slot format, rewrites the residues
-of a packed int of another format on its bytes (``_recode``), and writes
-a dict matrix's row dicts into one buffer of slots; ``_unpack_rows`` is
-the one way back from packed residues to row dicts.  In a ``suite`` run
-on the seed-1 dense EX-SW document over GF(101), 97 of the 101 packed
-products compared with a packed product of their format are never
+residues, and so does ``==`` when both sides are packed; against a dict
+matrix it compares rows, which builds the packed side's row dicts.  A
+packed matrix that becomes the right operand of a packed product hands
+over its row ints, cut from its one int and kept on it (``_packed_rows``),
+and as the left operand gives its residues, zeros included; ``solve`` and
+``permute_rows`` cut the rows they take from the packed int
+(``_take_rows``), and ``kron_apply`` builds its G product packed and moves
+a packed stage to the next as runs of bytes (``_move_runs``).
+``_packed_rows`` is the one packer: it cuts row ints from a packed int and
+writes a dict matrix's row dicts into one buffer of slots;
+``_unpack_rows`` is the one way back from packed residues to row dicts.
+In a ``suite`` run on the seed-1 dense EX-SW document over GF(101), 121
+of the 131 packed products compared with a packed matrix are never
 unpacked.
 
 ``Matrix.rref`` is the only elimination, exact over Q and GF(p) alike, and
@@ -100,13 +101,13 @@ with the modular reduction delayed to the points where a value is read
 (once per column, pivot row and output row) and each pivot touching only
 the rows its column meets.  Over GF(p) a dense enough operand takes
 ``_packed_rref``: the same Gauss-Jordan on the product's packed rows
-(``_packed_rows``, so a product packed in the elimination's slot format is
-cut from its int, not unpacked), each row step one big-int multiply-add,
-with slots wide enough for the ``min(m, n)`` steps a row can take (Dumas,
-Giorgi and Pernet, *FFLAS and FFPACK*, ACM TOMS 35, 2008).  A chosen pivot
-row is reduced by ``_reduce``, scaled by one big-int multiply and reduced
-again; at the end the pivot rows are joined, reduced by one ``_reduce``
-and unpacked by ``_unpack_rows``.  So the product and the elimination
+(``_packed_rows``, so a packed product is cut from its int, not
+unpacked), each row step one big-int multiply-add, when the prime's slot
+holds the ``min(m, n)`` steps a row can take (Dumas, Giorgi and Pernet,
+*FFLAS and FFPACK*, ACM TOMS 35, 2008).  A chosen pivot row is reduced by
+``_reduce``, scaled by one big-int multiply and reduced again; at the end
+the pivot rows are joined, reduced by one ``_reduce`` and unpacked by
+``_unpack_rows``.  So the product and the elimination
 share one packer, one reducer and one unpacker.  ``_rref_slot`` picks the
 path from the operand's nonzero count and shape.  Every kernel and
 inverse goes through ``rref``, and so does every rank and solve except on
@@ -143,14 +144,14 @@ rows.  A reshape is an index map with no arithmetic, so every stage takes
 the product's own path choice, and over GF(p) a dense stage is packed.
 When the cost rule packs the first stage (``_packed_slot``, on counts
 known before anything is built: the G product has the product of its
-factors' nonzeros), the G product is built packed too, in that stage's
-slot format: each row is one big-int product of the rows so far, spread
-to the next factor's width by one strided write, with a row int of that
-factor, or shifted for an identity leg, reduced before a third matrix
-factor and once more when joined in landing order
-(``_packed_g_product``).  The stages then move byte runs and build no row
-dict unless one takes the dict loop.  ``Matrix.kron`` is the dict G
-product (``_g_rows``) of its two factors.  So a tensor identity is checked at the size of its carrier, not of its
+factors' nonzeros), the G product is built packed too: each row is one
+big-int product of the rows so far, spread to the next factor's width by
+one strided write, with a row int of that factor, or shifted for an
+identity leg, reduced before a third matrix factor and once more when
+joined in landing order (``_packed_g_product``).  The stages then move
+byte runs and build no row dict unless one takes the dict loop.
+``Matrix.kron`` is the dict G product (``_g_rows``) of its two factors.
+So a tensor identity is checked at the size of its carrier, not of its
 ambient (the vec/Kronecker identities of Van Loan, *The ubiquitous
 Kronecker product*, JCAM 2000).  In the same way ``Matrix.apply_pair``
 evaluates a bilinear map, such as a product or an action, on a pair of
@@ -179,19 +180,19 @@ class Matrix:
     computed once, on first use.
 
     A packed product (``_packed_product``) holds its entries as ``_packed``,
-    one int of reduced residues with a ``_code`` slot per entry, row-major,
-    and leaves ``_rows`` unset until something reads it (``_Packed``); a
-    dict matrix has ``_packed`` None.  ``_prows`` keeps the rows as packed
-    ints in one slot format, ``(code, ints)``, once the matrix has been the
-    right operand of a packed product or eliminated on packed rows.  So a
-    matrix holds at most one packing of each kind.  ``_ints`` says what is
-    known of the values' types, which picks the QQ product's path: True
-    when every one is an ``int``, False when one may be a ``Fraction``, None
-    until a scan finds out (``_integral``).
+    one int of reduced residues with one slot per entry, row-major, in the
+    one slot width of its prime (``_slot``), and leaves ``_rows`` unset
+    until something reads it (``_Packed``); a dict matrix has ``_packed``
+    None.  ``_prows`` keeps the rows as a list of packed ints once the
+    matrix has been the right operand of a packed product or eliminated on
+    packed rows.  ``_ints`` says what is known of the values' types, which
+    picks the QQ product's path: True when every one is an ``int``, False
+    when one may be a ``Fraction``, None until a scan finds out
+    (``_integral``).
     """
 
     __slots__ = ("field", "nrows", "ncols", "_rows", "_id_flag", "_col_cache", "_hash",
-                 "_packed", "_code", "_prows", "_ints")
+                 "_packed", "_prows", "_ints")
 
     def __init__(self, field: Field, rows, ncols: int | None = None):
         rows = [tuple(r) for r in rows]
@@ -240,10 +241,10 @@ class Matrix:
         return m
 
     @staticmethod
-    def _from_packed(field, nrows, ncols, packed, code) -> "Matrix":
+    def _from_packed(field, nrows, ncols, packed) -> "Matrix":
         """A GF(p) matrix on ``packed``, its ``nrows * ncols`` residues in
-        ``code`` slots, row-major (see ``_reduce``); its row dicts are built
-        when first read (``_Packed``)."""
+        the slots of p (``_slot``), row-major (see ``_reduce``); its row
+        dicts are built when first read (``_Packed``)."""
         m = object.__new__(_Packed)
         m.field = field
         m.nrows = nrows
@@ -252,7 +253,6 @@ class Matrix:
         m._col_cache = None
         m._hash = None
         m._packed = packed
-        m._code = code
         m._prows = None
         m._ints = True
         return m
@@ -312,8 +312,8 @@ class Matrix:
 
     def __eq__(self, other):
         """Equal shapes and entries.  Two dict matrices compare their rows;
-        two packed products in one slot format compare their packed
-        residues (``_packed_equal``), so neither is unpacked for it."""
+        two packed matrices compare their packed residues
+        (``_packed_equal``), so neither is unpacked for it."""
         if not (isinstance(other, Matrix) and self.nrows == other.nrows
                 and self.ncols == other.ncols):
             return False
@@ -370,7 +370,7 @@ class Matrix:
         if packed is not None:
             # n set bits, each a 1 on the diagonal: slots 0, n + 1, 2n + 2, ...
             ok = (n == self.ncols and packed.bit_count() == n and packed == int.from_bytes(
-                (b"\x01" + bytes(_SLOT_BYTES[self._code] * (n + 1) - 1)) * n, "little"))
+                (b"\x01" + bytes(_slot(self.field.p)[0] // 8 * (n + 1) - 1)) * n, "little"))
         else:
             one = self.field.one
             ok = n == self.ncols and all(
@@ -447,9 +447,8 @@ class Matrix:
             return self
         f = self.field
         if isinstance(f, PrimeField):
-            code = _packed_slot(f, self.ncols, _nnz(self), _nnz(other), other.ncols)
-            if code is not None:
-                return _packed_product(self, other, code)
+            if _packed_slot(f, self.ncols, _nnz(self), _nnz(other), other.ncols):
+                return _packed_product(self, other)
         elif not ((self._ints or _integral(self)) and (other._ints or _integral(other))):
             rows, ints = _integer_row_product(self._rows, other._rows)
             return Matrix.from_sparse_rows(f, rows, other.ncols, ints)
@@ -574,14 +573,13 @@ class Matrix:
         for the rows it returns.
         """
         f = self.field
-        code = _rref_slot(self)
-        if code is None:
+        if _rref_slot(self):
+            rows, pivots = _packed_rref(self)
+            ints = True
+        else:
             rows, pivots, units = _sparse_rref(self._rows, f)
             # a non-unit pivot of an int operand may still leave int rows
             ints = (self._ints or _integral(self)) if units else None
-        else:
-            rows, pivots = _packed_rref(self, code)
-            ints = True
         return Matrix.from_sparse_rows(f, rows, self.ncols, ints), pivots
 
     def rank(self):
@@ -690,7 +688,7 @@ class _Packed(Matrix):
         # only an unset slot gets here
         if name != "_rows":
             raise AttributeError(name)
-        rows = self._rows = _unpack_rows(self._packed, self.nrows, self.ncols, self._code)
+        rows = self._rows = _unpack_rows(self.field, self._packed, self.nrows, self.ncols)
         self.__class__ = Matrix
         return rows
 
@@ -868,47 +866,59 @@ def _sparse_rref(rows, field):
     return out, pivots, units
 
 
-# slots of the packed GF(p) kernels, narrowest first: (bits, memoryview
-# format), each format a native unsigned integer
-_SLOTS = tuple((8 * memoryview(bytes(8)).cast(code).itemsize, code) for code in "BHIQ")
-_SLOT_BYTES = {code: bits // 8 for bits, code in _SLOTS}
+# the slot formats of the packed GF(p) kernels, narrowest first: (bits,
+# memoryview format), each format a native unsigned integer
+_SLOTS = ((32, "I"), (64, "Q"))
 
 
-def _slot(field, n):
-    """``(bits, format)`` of the narrowest slot that holds a sum of n
-    products of GF(p) residues, ``n * (p - 1)**2``, so that no carry
-    crosses into the next slot; None over QQ or above 64 bits."""
+def _slot(p):
+    """GF(p)'s packed slot, ``(bits, memoryview format)``, or None when p
+    has none: one slot width per prime, so every packed matrix of a field
+    has one format.
+
+    It is the narrower of 32 and 64 bits in which 2**16 products of two
+    residues, ``(p - 1)**2`` each, add up to at most ``2**bits``: 32 bits
+    when ``(p - 1)**2 <= 2**16``, so p <= 257, 64 bits when ``(p - 1)**2
+    <= 2**48``, so p - 1 < 2**24 (2**24 + 1 is not prime), and none above.
+    A kernel whose sums do not fit the slot takes the dict loop
+    (``_fits``)."""
+    return _SLOTS[0] if p <= 257 else _SLOTS[1] if p < 1 << 24 else None
+
+
+def _fits(field, n):
+    """The bits of the slot of GF(p) when it holds a sum of n products of
+    two residues, ``n * (p - 1)**2``, so that no carry crosses into the
+    next slot; None over QQ, for a prime with no slot or a longer sum."""
     if not isinstance(field, PrimeField):
         return None
-    need = (n * (field.p - 1) ** 2).bit_length()
-    return next((s for s in _SLOTS if s[0] >= need), None)
+    slot = _slot(field.p)
+    if slot is None or (n * (field.p - 1) ** 2) >> slot[0]:
+        return None
+    return slot[0]
 
 
 def _packed_slot(field, n, nnz_a, nnz_b, ncols):
-    """The slot format of a product ``a @ b`` through n, or None for the
-    dict loop; a has ``nnz_a`` nonzero entries, b has ``nnz_b`` and
-    ``ncols`` columns.
+    """Whether a product ``a @ b`` through n packs; a has ``nnz_a``
+    nonzero entries, b has ``nnz_b`` and ``ncols`` columns.
 
-    A product packs when it has a slot (``_slot``) and the cost rule, on
-    those counts, says it pays.  The dict loop spends about one dict update
-    per term, about ``nnz_a * nnz_b / n`` terms in all; the packed path
-    about one big-int step per 64-bit word it adds, ``(nnz_a + n) * words``
-    with ``words`` the 64-bit words of a packed row, plus one slot write per
-    nonzero of b.  Timed on the 1,984 nonempty products of a dense-gf101
-    pass and on 245 random GF(101) products up to 1024 x 1024 (2-core Xeon,
-    Python 3.11), a word costs about an eighth of a dict update and a
-    product with fewer than 32 spare terms gains nothing.  The rule packs
-    about a third of that workload's products, and its total time comes
-    within 4% of always picking the faster path.
+    A product packs when its prime's slot holds its sums (``_fits``) and
+    the cost rule, on those counts, says it pays.  The dict loop spends
+    about one dict update per term, about ``nnz_a * nnz_b / n`` terms in
+    all; the packed path about one big-int step per 64-bit word it adds,
+    ``(nnz_a + n) * words`` with ``words`` the 64-bit words of a packed
+    row, plus one slot write per nonzero of b.  Timed on the 1,984
+    nonempty products of a dense-gf101 pass and on 245 random GF(101)
+    products up to 1024 x 1024 (2-core Xeon, Python 3.11), a word costs
+    about an eighth of a dict update and a product with fewer than 32
+    spare terms gains nothing.  The rule packs about a third of that
+    workload's products, and its total time comes within 4% of always
+    picking the faster path.
     """
-    slot = _slot(field, n)
-    if slot is None:
-        return None
-    bits, code = slot
+    bits = _fits(field, n)
+    if bits is None:
+        return False
     words = (ncols * bits + 63) // 64
-    if nnz_a * nnz_b > n * ((nnz_a + n) * words // 8 + nnz_b + 32):
-        return code
-    return None
+    return nnz_a * nnz_b > n * ((nnz_a + n) * words // 8 + nnz_b + 32)
 
 
 def _nnz(m: Matrix):
@@ -918,7 +928,7 @@ def _nnz(m: Matrix):
     x = m._packed
     if x is None:
         return sum(map(len, m._rows))
-    w = _SLOT_BYTES[m._code]
+    w = _slot(m.field.p)[0] // 8
     shift = 4 * w
     while shift:
         x |= x >> shift
@@ -927,21 +937,22 @@ def _nnz(m: Matrix):
                                "little")).bit_count()
 
 
-def _packed_product(a: Matrix, b: Matrix, code):
+def _packed_product(a: Matrix, b: Matrix):
     """``a @ b`` over GF(p), summed as packed integers and kept packed.
 
-    Each row of b is one int with a fixed-width slot per column (``code``
-    is its memoryview format; ``_packed_rows``), so a result row is the sum
-    of its coefficients times those ints: big-int arithmetic that runs in C
-    (Kronecker substitution; Dumas, Fousse and Salvy, J. Symb. Comput. 46,
-    2011).  The slot is wide enough that no carry crosses it (``_slot``).
-    The result rows are joined into one int and every slot reduced mod p at
+    Each row of b is one int with a slot of p per column (``_packed_rows``),
+    so a result row is the sum of its coefficients times those ints:
+    big-int arithmetic that runs in C (Kronecker substitution; Dumas,
+    Fousse and Salvy, J. Symb. Comput. 46, 2011).  The caller has checked
+    that the slot holds the sums, so no carry crosses it (``_fits``).  The
+    result rows are joined into one int and every slot reduced mod p at
     once (``_reduce``); the result keeps that int and builds its row dicts
     only when they are read (``_Packed``).
     """
-    ncols = b.ncols
-    nbytes = _SLOT_BYTES[code] * ncols
-    orows = _packed_rows(b, code)
+    field, ncols = a.field, b.ncols
+    bits = _slot(field.p)[0]
+    nbytes = bits // 8 * ncols
+    orows = _packed_rows(b)
     order = sys.byteorder
     if a._packed is None:
         get = orows.__getitem__
@@ -949,11 +960,11 @@ def _packed_product(a: Matrix, b: Matrix, code):
     else:
         # a packed left operand gives its residues, zeros included
         n = a.ncols
-        vals = _slot_view(a._packed, a.nrows * n, a._code).tolist()
+        vals = _slot_view(field, a._packed, a.nrows * n).tolist()
         sums = [sum(map(mul, vals[i:i + n], orows)) for i in range(0, a.nrows * n, n)]
     joined = int.from_bytes(b"".join([x.to_bytes(nbytes, order) for x in sums]), order)
-    return Matrix._from_packed(a.field, a.nrows, ncols, _reduce(
-        joined, a.nrows * ncols, 8 * _SLOT_BYTES[code], a.field.p), code)
+    return Matrix._from_packed(field, a.nrows, ncols,
+                               _reduce(joined, a.nrows * ncols, bits, field.p))
 
 
 def _reduce(x, nslots, bits, p):
@@ -983,34 +994,18 @@ def _reduce(x, nslots, bits, p):
     return even | odd << bits
 
 
-def _slot_view(x, nslots, code):
-    """The ``nslots`` slots of format ``code`` of the packed int x as a
+def _slot_view(field, x, nslots):
+    """The ``nslots`` slots of the packed int x over ``field`` as a
     memoryview, row-major."""
-    return memoryview(x.to_bytes(_SLOT_BYTES[code] * nslots, sys.byteorder)).cast(code)
+    bits, code = _slot(field.p)
+    return memoryview(x.to_bytes(bits // 8 * nslots, sys.byteorder)).cast(code)
 
 
-def _recode(x, nslots, code, new):
-    """The bytes of the ``nslots`` residues packed in x with ``code`` slots,
-    rewritten in ``new`` slots, row-major.  A residue is below p, which
-    fits every slot format that p has, so each slot's low bytes are copied
-    as one strided slice per byte and the rest are zero.  That builds no
-    int per slot: 13 us for 1,024 slots, against 82 us through
-    ``array(new, _slot_view(...))`` (2-core Xeon, Python 3.11)."""
-    w, v = _SLOT_BYTES[code], _SLOT_BYTES[new]
-    low = min(w, v)
-    # the low bytes come first in a little-endian slot, last in a big-endian one
-    a, b = (0, 0) if sys.byteorder == "little" else (w - low, v - low)
-    src, out = x.to_bytes(w * nslots, sys.byteorder), bytearray(v * nslots)
-    for k in range(low):
-        out[b + k::v] = src[a + k::w]
-    return out
-
-
-def _unpack_rows(x, nrows, ncols, code):
+def _unpack_rows(field, x, nrows, ncols):
     """The row dicts of ``nrows x ncols`` residues packed in x, zeros
     dropped: the one way from packed residues to dicts.  The residues are
     reduced already (``_reduce``)."""
-    vals = _slot_view(x, nrows * ncols, code).tolist()
+    vals = _slot_view(field, x, nrows * ncols).tolist()
     cols = range(ncols)
     return tuple({k: v for k, v in zip(cols, vals[i * ncols:(i + 1) * ncols]) if v}
                  for i in range(nrows))
@@ -1019,12 +1014,12 @@ def _unpack_rows(x, nrows, ncols, code):
 def _packed_equal(a: Matrix, b: Matrix):
     """``a == b`` for two matrices of one shape, at least one packed.
 
-    Two packings in one slot format compare as ints, and a known identity
-    by ``is_identity``; anything else compares rows, which builds the row
-    dicts of a packed side."""
+    Two packed matrices compare as ints, since a field packs in one slot
+    width, and a known identity by ``is_identity``; a packed matrix and a
+    dict one compare rows, which builds the row dicts of the packed side."""
     if a._id_flag or b._id_flag:
         return a.is_identity() and b.is_identity()
-    if a._packed is not None and b._packed is not None and a._code == b._code:
+    if a._packed is not None and b._packed is not None:
         return a._packed == b._packed
     return a._rows == b._rows
 
@@ -1035,32 +1030,29 @@ def _take_rows(m: Matrix, index):
     if m._packed is None:
         rows = m._rows
         return Matrix.from_sparse_rows(m.field, [rows[i] for i in index], m.ncols, m._ints)
-    width = _SLOT_BYTES[m._code] * m.ncols
+    width = _slot(m.field.p)[0] // 8 * m.ncols
     order = sys.byteorder
     buf = m._packed.to_bytes(width * m.nrows, order)
     return Matrix._from_packed(
         m.field, len(index), m.ncols,
-        int.from_bytes(b"".join([buf[i * width:(i + 1) * width] for i in index]), order),
-        m._code)
+        int.from_bytes(b"".join([buf[i * width:(i + 1) * width] for i in index]), order))
 
 
-def _packed_rows(m: Matrix, code):
-    """The rows of ``m`` as ints, one ``code`` slot per column in
-    ``sys.byteorder``, kept on ``m`` for its next packed kernel in that
-    format; do not mutate the list.  A matrix packed in that format hands
-    over its rows cut from its one int, and one packed in another format
-    its slots rewritten in this one (``_recode``), so no row dict is built;
-    a dict matrix writes its row dicts into the slots of one buffer, cut the
-    same way: the one packer."""
-    held = m._prows
-    if held is not None and held[0] == code:
-        return held[1]
+def _packed_rows(m: Matrix):
+    """The rows of ``m`` as ints, one slot of its prime per column in
+    ``sys.byteorder``, kept on ``m`` for its next packed kernel; do not
+    mutate the list.  A packed matrix hands over its rows cut from its one
+    int, so no row dict is built; a dict matrix writes its row dicts into
+    the slots of one buffer, cut the same way: the one packer."""
+    rows = m._prows
+    if rows is not None:
+        return rows
+    bits, code = _slot(m.field.p)
     n = m.ncols
-    width = _SLOT_BYTES[code] * n
+    width = bits // 8 * n
     order = sys.byteorder
     if m._packed is not None:
-        buf = (m._packed.to_bytes(width * m.nrows, order) if m._code == code
-               else _recode(m._packed, m.nrows * n, m._code, code))
+        buf = m._packed.to_bytes(width * m.nrows, order)
     else:
         buf = bytearray(width * m.nrows)
         slots = memoryview(buf).cast(code)
@@ -1069,26 +1061,25 @@ def _packed_rows(m: Matrix, code):
             for k, b in r.items():
                 slots[base + k] = b
     view = memoryview(buf)
-    rows = [int.from_bytes(view[i * width:(i + 1) * width], order) for i in range(m.nrows)]
-    m._prows = (code, rows)
+    rows = m._prows = [int.from_bytes(view[i * width:(i + 1) * width], order)
+                       for i in range(m.nrows)]
     return rows
 
 
 def _rref_slot(mat: Matrix):
-    """The slot format ``mat.rref()`` eliminates on packed rows, or None for
-    the dict loop.
+    """Whether ``mat.rref()`` eliminates on packed rows.
 
-    An elimination packs when it has a slot for ``min(m, n) + 1`` sums
-    (``_slot``; see ``_packed_rref``) and its density ``nnz / (m * n)``
-    exceeds ``4 / min(m, n)``, but at least 1/32 and, when ``min(m, n) <=
-    12``, 1/3.  The dict loop's work grows with the rows each pivot meets
-    and the length of the pivot row, both driven up by fill-in, over up to
-    ``min(m, n)`` pivots; the packed path reads every row at every column
-    it passes, whatever the density.  The constants were fitted on the 464
-    nonempty GF(101) eliminations of a seed-1 dense-gf101 pass, on 192
-    random GF(101) ones, 4 x 16 to 256 x 64 and 16 x 1024, full rank and
-    rank-deficient, densities 0.02 to 1, and on the four largest ones of
-    the relation-span oracle test on dense EX-M2 over GF(101) (2-core
+    An elimination packs when its prime's slot holds ``min(m, n) + 1``
+    sums (``_fits``; see ``_packed_rref``) and its density ``nnz / (m *
+    n)`` exceeds ``4 / min(m, n)``, but at least 1/32 and, when ``min(m,
+    n) <= 12``, 1/3.  The dict loop's work grows with the rows each pivot
+    meets and the length of the pivot row, both driven up by fill-in, over
+    up to ``min(m, n)`` pivots; the packed path reads every row at every
+    column it passes, whatever the density.  The constants were fitted on
+    the 464 nonempty GF(101) eliminations of a seed-1 dense-gf101 pass, on
+    192 random GF(101) ones, 4 x 16 to 256 x 64 and 16 x 1024, full rank
+    and rank-deficient, densities 0.02 to 1, and on the four largest ones
+    of the relation-span oracle test on dense EX-M2 over GF(101) (2-core
     Xeon, Python 3.11).  On the pass the rule takes the eliminations from
     0.36 s on the dict loop to 0.19 s, within 8% of always picking the
     faster path, and on the random set from 4.75 s to 0.82 s, within 7%.
@@ -1102,39 +1093,35 @@ def _rref_slot(mat: Matrix):
     134 packed eliminations are 64 x 16.
     """
     m, n = mat.shape
-    slot = _slot(mat.field, min(m, n) + 1)
-    if slot is None:
-        return None
-    if _nnz(mat) * max(12, min(m, n, 128)) > 4 * m * n:
-        return slot[1]
-    return None
+    return (_fits(mat.field, min(m, n) + 1) is not None
+            and _nnz(mat) * max(12, min(m, n, 128)) > 4 * m * n)
 
 
-def _packed_rref(mat: Matrix, code):
+def _packed_rref(mat: Matrix):
     """Gauss-Jordan over GF(p) on the rows of ``mat`` packed as in the
     product (``_packed_rows``): the pivot rows in pivot order, then the zero
     rows, and the pivot columns, as ``_sparse_rref`` gives them.
 
-    A matrix already packed in ``code`` slots hands over its rows cut from
-    its int, so no row dict is built.  A pivot subtracts itself from a row
-    as ``row += (p - a) * pivot_row``, a big-int step that runs in C, and
-    column c of a row is read as its slot mod p.  A pivot row is reduced
-    (``_reduce``) when it is chosen, scaled by the inverse of its pivot as
-    one big-int multiply, and reduced again; at the end the pivot rows are
-    joined, reduced by one ``_reduce`` and unpacked (``_unpack_rows``).
-    Each row takes at most one step per pivot and each step adds at most
-    ``(p - 1)**2`` to a slot that held a residue, and a scaled pivot row
-    holds at most ``(p - 1)**2`` in a slot, so a slot for ``min(m, n) + 1``
-    such sums never carries.  A column is read from the rows that are not
+    A packed matrix hands over its rows cut from its int, so no row dict
+    is built.  A pivot subtracts itself from a row as ``row += (p - a) *
+    pivot_row``, a big-int step that runs in C, and column c of a row is
+    read as its slot mod p.  A pivot row is reduced (``_reduce``) when it
+    is chosen, scaled by the inverse of its pivot as one big-int multiply,
+    and reduced again; at the end the pivot rows are joined, reduced by one
+    ``_reduce`` and unpacked (``_unpack_rows``).  Each row takes at most
+    one step per pivot and each step adds at most ``(p - 1)**2`` to a slot
+    that held a residue, and a scaled pivot row holds at most ``(p - 1)**2``
+    in a slot, so a slot that holds ``min(m, n) + 1`` such sums
+    (``_fits``) never carries.  A column is read from the rows that are not
     pivot rows yet, and from the pivot rows only when it gets a pivot: a
     pivot row keeps its entries in the other columns.
     """
     field, ncols = mat.field, mat.ncols
     p, inv = field.p, field.inv
-    bits = 8 * _SLOT_BYTES[code]
+    bits = _slot(p)[0]
     mask = (1 << bits) - 1
     # a copy: the list may be the one kept on mat
-    packed = list(_packed_rows(mat, code))
+    packed = list(_packed_rows(mat))
     free = list(range(len(packed)))
     pivots, pivot_rows = [], []
     for c in range(ncols):
@@ -1160,8 +1147,8 @@ def _packed_rref(mat: Matrix, code):
     nbytes, order = bits // 8 * ncols, sys.byteorder
     joined = int.from_bytes(b"".join([packed[i].to_bytes(nbytes, order) for i in pivot_rows]),
                             order)
-    out = list(_unpack_rows(_reduce(joined, len(pivots) * ncols, bits, p), len(pivots), ncols,
-                            code))
+    out = list(_unpack_rows(field, _reduce(joined, len(pivots) * ncols, bits, p), len(pivots),
+                            ncols))
     out += [{} for _ in free]
     return out, pivots
 
@@ -1370,24 +1357,24 @@ def _g_rows(field, right, offsets):
 
 
 def _g_slots(field, left, right, g_sizes, f_sizes):
-    """The slot format of a packed G product for ``kron_apply``, or None
-    for ``_g_rows``.
+    """Whether ``kron_apply`` builds its G product packed
+    (``_packed_g_product``) rather than with ``_g_rows``.
 
     The G product is packed when its first stage, ``fac @ R`` for the last
-    F factor (``_apply_block``), takes the packed product, and in that
-    stage's slot format: ``_packed_slot`` on counts known before S is
-    built, since the nonzeros of S are the product of its factors'
-    nonzeros.  The rule needs ``nnz_a > n`` (its right side exceeds ``n *
-    nnz_b``), so that is tested before the G factors are counted."""
+    F factor (``_apply_block``), takes the packed product: ``_packed_slot``
+    on counts known before S is built, since the nonzeros of S are the
+    product of its factors' nonzeros.  The rule needs ``nnz_a > n`` (its
+    right side exceeds ``n * nnz_b``), so that is tested before the G
+    factors are counted."""
     if not isinstance(field, PrimeField):
-        return None
+        return False
     k = next((k for k in range(len(left) - 1, -1, -1) if left[k] is not None), None)
     if k is None or left[k].is_identity():
-        return None
+        return False
     fac = left[k]
     fac_nnz = _nnz(fac)
     if fac_nnz <= fac.ncols:
-        return None
+        return False
     nnz, ncols = 1, 1
     for g, n in zip(right, g_sizes):
         if g is None or g._id_flag:
@@ -1401,8 +1388,8 @@ def _g_slots(field, left, right, g_sizes, f_sizes):
                         prod(f_sizes[:k]) * prod(f_sizes[k + 1:]) * ncols)
 
 
-def _packed_g_product(field, right, offsets, nrows, code):
-    """``P @ (G1 (x) ... (x) Gm)`` over GF(p), packed in ``code`` slots
+def _packed_g_product(field, right, offsets, nrows):
+    """``P @ (G1 (x) ... (x) Gm)`` over GF(p), packed in the slots of p
     and never held as row dicts (see ``_g_slots``).
 
     The rows are built factor by factor, on the nonempty rows only.  The
@@ -1410,16 +1397,16 @@ def _packed_g_product(field, right, offsets, nrows, code):
     * n``, all of them in one strided write; each of them times each
     nonempty row int of the factor (``_packed_rows``) is then a row of the
     product, with one term per slot, so no slot carries.  An identity
-    factor's row r is the unit vector at r: a shift by r slots.  The
-    stage's slot holds a product of two residues (``_slot``), so the rows
-    are reduced (``_reduce``) before a third matrix factor multiplies
-    them.  They land where ``offsets`` puts them (see ``_g_rows``), are
+    factor's row r is the unit vector at r: a shift by r slots.  A slot
+    holds a product of two residues (``_slot``) but not always one of
+    three, so the rows are reduced (``_reduce``) before a third matrix
+    factor multiplies them.  They land where ``offsets`` puts them (see ``_g_rows``), are
     joined in that order with zero rows between, and are reduced once
     more when a slot holds a product of two residues."""
     order = sys.byteorder
-    w = _SLOT_BYTES[code]
-    bits = 8 * w
     p = field.p
+    bits, code = _slot(p)
+    w = bits // 8
     places, vals, ncols, factors = [0], [1], 1, 0
     for g, off in zip(right, offsets):
         ident = g is None or g.is_identity()
@@ -1438,7 +1425,7 @@ def _packed_g_product(field, right, offsets, nrows, code):
             shifts = [(off[r], r * bits) for r in range(n)]
             vals = [v << s for v in vals for _, s in shifts]
         else:
-            shifts = [(off[r], gr) for r, gr in enumerate(_packed_rows(g, code)) if gr]
+            shifts = [(off[r], gr) for r, gr in enumerate(_packed_rows(g)) if gr]
             vals = [v * gr for v in vals for _, gr in shifts]
             factors += 1
         places = [x + o for x in places for o, _ in shifts]
@@ -1450,7 +1437,7 @@ def _packed_g_product(field, right, offsets, nrows, code):
     packed = int.from_bytes(b"".join(parts), order)
     if factors == 2:
         packed = _reduce(packed, nrows * ncols, bits, p)
-    return Matrix._from_packed(field, nrows, ncols, packed, code)
+    return Matrix._from_packed(field, nrows, ncols, packed)
 
 
 def _apply_block(field, fac, rows, nhi, lo, ncols, ints):
@@ -1511,12 +1498,12 @@ def _move_runs(m: Matrix, nrows, ncols, outer, inner, run):
     of the packed ``m`` in runs of ``run`` slots, run ``(a, b)`` of ``m``
     (for a < ``outer``, b < ``inner``) becoming run ``(b, a)``: a transpose
     of runs, each one slice of bytes."""
-    size = _SLOT_BYTES[m._code] * run
+    size = _slot(m.field.p)[0] // 8 * run
     order = sys.byteorder
     buf = m._packed.to_bytes(size * outer * inner, order)
     return Matrix._from_packed(m.field, nrows, ncols, int.from_bytes(b"".join(
         [buf[(a * inner + b) * size:(a * inner + b + 1) * size]
-         for b in range(inner) for a in range(outer)]), order), m._code)
+         for b in range(inner) for a in range(outer)]), order))
 
 
 def kron_apply(field, left, dims, order, right) -> Matrix:
@@ -1563,12 +1550,11 @@ def kron_apply(field, left, dims, order, right) -> Matrix:
         offsets.reverse()
     else:
         offsets = _block_offsets(dims, order, g_sizes)
-    code = _g_slots(field, left, right, g_sizes, f_sizes)
-    if code is None:
-        rows, ncols, ints = _g_rows(field, right, offsets)
-    else:
-        rows = _packed_g_product(field, right, offsets, prod(g_sizes), code)
+    if _g_slots(field, left, right, g_sizes, f_sizes):
+        rows = _packed_g_product(field, right, offsets, prod(g_sizes))
         ncols, ints = rows.ncols, True
+    else:
+        rows, ncols, ints = _g_rows(field, right, offsets)
     empty = {}
     if len(left) == 1 and left[0] is not None:
         # the one factor spans every leg: S itself is the right operand

@@ -86,6 +86,11 @@ def algebra_from_json(field, doc, name, pointer):
         if len(labels) != dim:
             raise DocumentError(f"expected {dim} labels, found {len(labels)}",
                                 f"{pointer}/basis_labels")
+        # tensor_space joins factor labels with "|"
+        bad = next((i for i, x in enumerate(labels) if "|" in x), None)
+        if bad is not None:
+            raise DocumentError("a basis label may not contain '|'",
+                                f"{pointer}/basis_labels/{bad}")
         if len(set(labels)) != dim:
             raise DocumentError("duplicate basis labels", f"{pointer}/basis_labels")
     try:

@@ -142,10 +142,11 @@ def test_malformed_field_and_metadata_exit_2(tmp_path, capsys, path, value, poin
     _assert_exit_2_at(tmp_path, capsys, path, value, pointer)
 
 
-def _write_bad_doc(tmp_path, path, value, field=None):
-    """EX-C2's document, over Q unless ``field`` is given, with ``value``
-    put at ``path``, written to a file whose path is returned."""
-    fx = generate("EX-C2") if field is None else generate("EX-C2", field)
+def _write_bad_doc(tmp_path, path, value, field=None, fixture="EX-C2"):
+    """A fixture's document, EX-C2's unless ``fixture`` is given, over Q
+    unless ``field`` is given, with ``value`` put at ``path``, written to a
+    file whose path is returned."""
+    fx = generate(fixture) if field is None else generate(fixture, field)
     doc = copy.deepcopy(bundle_to_document(fx.bundle))
     target = doc
     for key in path[:-1]:
@@ -156,9 +157,10 @@ def _write_bad_doc(tmp_path, path, value, field=None):
     return doc_path
 
 
-def _assert_exit_2_at(tmp_path, capsys, path, value, pointer, field=None):
-    """EX-C2's document with ``value`` put at ``path`` exits 2 at ``pointer``."""
-    doc_path = _write_bad_doc(tmp_path, path, value, field)
+def _assert_exit_2_at(tmp_path, capsys, path, value, pointer, field=None, fixture="EX-C2"):
+    """A fixture's document (EX-C2's by default) with ``value`` put at
+    ``path`` exits 2 at ``pointer``."""
+    doc_path = _write_bad_doc(tmp_path, path, value, field, fixture)
     assert main(["validate", "--input", str(doc_path)]) == 2
     assert f"error: {pointer}: " in capsys.readouterr().err
 
@@ -196,6 +198,21 @@ def test_malformed_algebra_exit_2(tmp_path, capsys, path, value, pointer):
     indices and label lists range-checked, at the parser: a bad entry exits
     2 with a pointer to it, never a traceback or a silent conversion."""
     _assert_exit_2_at(tmp_path, capsys, path, value, pointer)
+
+
+@pytest.mark.parametrize("labels, pointer", [
+    (["a", "c", "a|b", "b|c"], "/algebras/T/basis_labels/2"),
+    (["a", "b", "c", "a|b"], "/algebras/T/basis_labels/3"),
+    (["x", "y", "z", "w|"], "/algebras/T/basis_labels/3"),
+])
+def test_a_label_with_the_tensor_separator_exits_2(tmp_path, capsys, labels, pointer):
+    """EX-Q4 with T relabelled: a label may not contain "|", which joins
+    the labels of a tensor product, so the first such label exits 2 with a
+    pointer to it.  Otherwise the first two documents are refused with a
+    wrong message (the labels of T (x) T collide) and the third is accepted
+    with ambiguous product labels."""
+    _assert_exit_2_at(tmp_path, capsys, ("algebras", "T", "basis_labels"), labels, pointer,
+                      fixture="EX-Q4")
 
 
 @pytest.mark.parametrize("field", [None, GF(101)], ids=["Q", "GF101"])

@@ -88,7 +88,7 @@ NATIVE_KERNELS = {"__init__", "from_cols", "_combine", "__neg__", "scale", "__ma
                   # without unpacking
                   "_from_packed", "__getattr__", "_nnz", "_reduce", "_slot_view",
                   "_unpack_rows", "_packed_equal", "_take_rows",
-                  "_packed_rows", "_move_runs", "_recode",
+                  "_packed_rows", "_move_runs",
                   # kron_apply's G product built packed, and its slot choice
                   "_g_slots", "_packed_g_product",
                   # the G product on row dicts, which is also kron's arithmetic
@@ -229,7 +229,7 @@ def test_rref_reduces_once_per_column_pivot_and_output_row():
     rng = random.Random(0)
     n = 12
     dense = Matrix(f, [[rng.randrange(1, f.p) for _ in range(n)] for _ in range(n)])
-    assert _rref_slot(dense) is None
+    assert not _rref_slot(dense)
     f.calls = 0
     _, pivots = dense.rref()
     assert len(pivots) == n
@@ -244,7 +244,7 @@ def test_packed_rref_reduces_once_per_pivot_and_output_row(monkeypatch):
     rng = random.Random(0)
     n = 12
     dense = Matrix(f, [[rng.randrange(1, 101) for _ in range(n)] for _ in range(n)])
-    assert _rref_slot(dense) is not None
+    assert _rref_slot(dense)
     reduced = []
 
     def counting_reduce(*args, real=linalg._reduce):
@@ -944,20 +944,27 @@ def test_a_dense_document_sends_its_fractional_products_to_integer_rows(monkeypa
 
 
 def test_a_product_compared_by_eq_is_never_unpacked(monkeypatch, tmp_path):
-    """``suite`` on the seed-1 dense EX-SW document over GF(101): a packed
-    product keeps its residues packed until something reads its rows, and
-    ``==`` between two packed products in one slot format compares packed
-    residues, so no such comparison unpacks a product and the products
-    compared that way are mostly never unpacked at all."""
+    """``suite`` on the seed-1 dense EX-SW document over GF(101): every
+    packed matrix is built in the one slot width of GF(101), 32 bits, so
+    its residues read in that width are its rows.  A packed product keeps
+    its residues packed until something reads its rows, and ``==`` between
+    two packed matrices compares packed residues, so no such comparison
+    unpacks either side and the products compared that way are mostly
+    never unpacked at all."""
     if str(PERFBENCH) not in sys.path:
         sys.path.insert(0, str(PERFBENCH))
     import workloads
     path = tmp_path / "dense.json"
     path.write_text(workloads.dense_document_text("EX-SW", "GF101", 1), encoding="utf-8")
     products, compared, unpacked, inside = [], set(), set(), []
-    unpacked_by_eq = []
+    unpacked_by_eq, built = [], []
     packed_product, eq = linalg._packed_product, Matrix.__eq__
-    getattr_ = linalg._Packed.__getattr__
+    getattr_, from_packed = linalg._Packed.__getattr__, Matrix._from_packed
+
+    def watched_from_packed(*args):
+        m = from_packed(*args)
+        built.append(m)
+        return m
 
     def watched_product(*args):
         product = packed_product(*args)
@@ -965,9 +972,9 @@ def test_a_product_compared_by_eq_is_never_unpacked(monkeypatch, tmp_path):
         return product
 
     def watched_eq(self, other):
-        # one packed format on both sides; any other pair compares rows
+        # packed on both sides; a pair with a dict side compares rows
         packed = (isinstance(other, Matrix) and self._packed is not None
-                  and other._packed is not None and self._code == other._code)
+                  and other._packed is not None)
         if packed:
             compared.update((id(self), id(other)))
         inside.append(packed)
@@ -986,6 +993,7 @@ def test_a_product_compared_by_eq_is_never_unpacked(monkeypatch, tmp_path):
     monkeypatch.setattr(linalg, "_packed_product", watched_product)
     monkeypatch.setattr(Matrix, "__eq__", watched_eq)
     monkeypatch.setattr(linalg._Packed, "__getattr__", watched_getattr)
+    monkeypatch.setattr(Matrix, "_from_packed", staticmethod(watched_from_packed))
     run("suite", argparse.Namespace(fixture=None, input=str(path), field=None,
                                     dump_matrices=False))
     assert not unpacked_by_eq, unpacked_by_eq
@@ -994,6 +1002,12 @@ def test_a_product_compared_by_eq_is_never_unpacked(monkeypatch, tmp_path):
     # most compared products are read in no other way
     assert products and 2 * len(kept) > len(compared_products), \
         (len(products), len(compared_products), len(kept))
+    # read last: reading the rows unpacks
+    assert linalg._slot(101) == (32, "I") and built
+    for m in built:
+        slots = memoryview(m._packed.to_bytes(4 * m.nrows * m.ncols, sys.byteorder)).cast("I")
+        assert [tuple(slots[i * m.ncols:(i + 1) * m.ncols]) for i in range(m.nrows)] == \
+            list(m.rows), m.shape
 
 
 def test_every_parameter_is_read():

@@ -13,6 +13,7 @@ from torsorkit.errors import NotInvertible, ShapeMismatch
 from torsorkit.fields import GF, QQ
 from torsorkit.linalg import (
     Matrix,
+    _fits,
     _integer_row_product,
     _packed_product,
     _packed_rref,
@@ -432,7 +433,7 @@ def test_a_dense_gf_stage_takes_the_packed_product(case):
     real = linalg._packed_product
 
     def counted(*args):
-        packed.append(args[2])
+        packed.append(args[1].shape)
         return real(*args)
 
     linalg._packed_product = counted
@@ -920,9 +921,9 @@ def test_apply_pair_and_outer_match_the_dense_reference(case):
 # product in dicts (``_sparse_product``); ``_packed_slot`` picks the path.
 # Both must give the dense reference's entries, stored alike.
 
-# (2^31 - 2)^2 fills 62 bits, so four such products fill a 64-bit slot;
-# (2^61 - 2)^2 fills 122 bits, which no slot holds
-PACKED_FIELDS = [GF(2), GF(101), GF(2**31 - 1), GF(2**61 - 1)]
+# GF(2) and GF(101) pack in 32-bit slots, GF(2^24 - 3) in 64-bit ones whose
+# sums of (p - 1)^2 pass 2^48, and GF(2^31 - 1) and GF(2^61 - 1) have no slot
+PACKED_FIELDS = [GF(2), GF(101), GF(2**24 - 3), GF(2**31 - 1), GF(2**61 - 1)]
 
 
 def random_operand(rng, field, nrows, ncols, density):
@@ -965,37 +966,44 @@ def test_packed_product_matches_the_dict_loop_and_the_reference(case):
     doubled, negated = Matrix.augment(a, a), Matrix.stack_rows([b, -b])
     assert_matches(doubled @ negated, [(f.zero,) * q] * m, (m, q))
     for left, right, want in ((a, b, rows), (doubled, negated, ({},) * m)):
-        slot = _slot(f, left.ncols)
-        if slot is None:
-            assert f.p == 2**61 - 1 or f.p == 2**31 - 1 and left.ncols > 4
+        if _fits(f, left.ncols) is None:
+            # a prime below 2^24 has a slot that holds every sum here
+            assert _slot(f.p) is None and f.p > 2**24
             continue
-        packed = _packed_product(left, right, slot[1])
+        packed = _packed_product(left, right)
         assert packed.sparse_rows() == tuple(want)
 
 
 def test_a_slot_holds_its_largest_sum():
-    assert _slot(GF(2), 255) == (8, "B") and _slot(GF(2), 256) == (16, "H")
-    assert _slot(GF(101), 6) == (16, "H") and _slot(GF(101), 7) == (32, "I")
-    assert _slot(GF(2**31 - 1), 4) == (64, "Q") and _slot(GF(2**31 - 1), 5) is None
-    assert _slot(GF(2**61 - 1), 1) is None and _slot(QQ, 1) is None
+    """One slot width per prime, the narrower of 32 and 64 bits in which
+    2^16 products of two residues fit, at each boundary of the rule: 257
+    is the last prime with 32-bit slots and 263 the first with 64-bit
+    ones, 2^24 - 3 is the last prime with a slot and 2^24 + 43 the first
+    with none.  A kernel packs only when the slot holds its n sums
+    (``_fits``), up to the largest n for each width."""
+    assert _slot(2) == _slot(101) == _slot(257) == (32, "I")
+    assert _slot(263) == _slot(2**24 - 3) == (64, "Q")
+    assert _slot(2**24 + 43) is None and _slot(2**31 - 1) is None and _slot(2**61 - 1) is None
+    assert _fits(GF(2), 2**32 - 1) == 32 and _fits(GF(2), 2**32) is None
+    assert _fits(GF(101), 429496) == 32 and _fits(GF(101), 429497) is None
+    assert _fits(GF(257), 2**16 - 1) == 32 and _fits(GF(257), 2**16) is None
+    assert _fits(GF(263), 2**16) == 64
+    assert _fits(GF(2**24 - 3), 2**16) == 64 and _fits(GF(2**24 - 3), 2**16 + 1) is None
+    assert _fits(GF(2**31 - 1), 1) is None and _fits(QQ, 1) is None
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 101, 251, 65521, 2**31 - 1])
 def test_the_barrett_step_reduces_every_slot_value(p):
     """``_reduce`` against ``v % p``, in every slot format whose slot holds
-    ``(p - 1)**2``: on every value of an 8- or 16-bit slot, and on a wider
-    slot on its lowest and highest 4096 values and 4096 random ones, in
-    slots of both parities."""
+    ``(p - 1)**2``, on its lowest and highest 4096 values and 4096 random
+    ones, in slots of both parities."""
     rng = random.Random(p)
     for bits, code in linalg._SLOTS:
         if (p - 1) ** 2 >> bits:
             continue
         top = (1 << bits) - 1
-        if bits <= 16:
-            values = list(range(top + 1))
-        else:
-            values = [*range(4096), *range(top - 4095, top + 1),
-                      *(rng.randrange(top + 1) for _ in range(4096))]
+        values = [*range(4096), *range(top - 4095, top + 1),
+                  *(rng.randrange(top + 1) for _ in range(4096))]
         buf = bytearray(bits // 8 * len(values))
         slots = memoryview(buf).cast(code)
         for k, v in enumerate(values):
@@ -1008,8 +1016,8 @@ def test_the_barrett_step_reduces_every_slot_value(p):
 def test_the_cost_rule_sends_each_product_down_its_path(monkeypatch):
     """Each product runs the path its field and operands name and equals
     the dense reference: dense products over GF(p) with a slot pack;
-    products over a prime too large for a slot, with a sparse right operand
-    or tiny take the dict loop; over QQ a product with a ``Fraction`` on
+    products over a prime with no slot, with a sparse right operand or tiny
+    take the dict loop; over QQ a product with a ``Fraction`` on
     either side is summed on integer rows and one of ``int`` operands takes
     the dict loop."""
     taken = []
@@ -1023,8 +1031,9 @@ def test_the_cost_rule_sends_each_product_down_its_path(monkeypatch):
         (GF(101), (16, 64, 16), 1, 1, "_packed_product"),
         (GF(2), (16, 64, 16), 1, 1, "_packed_product"),
         (GF(101), (1024, 16, 4), 0.75, 1, "_packed_product"),
-        (GF(2**31 - 1), (64, 4, 64), 1, 1, "_packed_product"),
-        (GF(2**31 - 1), (64, 5, 64), 1, 1, "_sparse_product"),
+        (GF(257), (16, 64, 16), 1, 1, "_packed_product"),
+        (GF(2**24 - 3), (16, 64, 16), 1, 1, "_packed_product"),
+        (GF(2**31 - 1), (64, 4, 64), 1, 1, "_sparse_product"),
         (GF(2**61 - 1), (16, 64, 16), 1, 1, "_sparse_product"),
         (GF(101), (16, 64, 16), 1, 1 / 64, "_sparse_product"),
         (GF(101), (4, 64, 4), 1 / 16, 1 / 16, "_sparse_product"),
@@ -1144,10 +1153,13 @@ def test_no_matrix_flagged_integral_holds_a_fraction(case, integral):
 
 
 # A packed product keeps its residues as one int and builds its row dicts
-# only when they are read.  Every prime of the packed kernels' range:
-# GF(2) and GF(3) cancel often, GF(2^31 - 1) has a slot only for inner
-# dimensions up to 4 and GF(2^61 - 1) has none.
-RESIDENT_FIELDS = [GF(2), GF(3), GF(101), GF(2**31 - 1), GF(2**61 - 1)]
+# only when they are read.  Every prime of the packed kernels' range, and
+# the primes at the boundaries of the slot widths: GF(2) and GF(3) cancel
+# often, GF(257) is the last prime with 32-bit slots and GF(263) the first
+# with 64-bit ones, GF(2^24 - 3) is the last prime with a slot, and
+# GF(2^31 - 1) and GF(2^61 - 1) have none.
+RESIDENT_FIELDS = [GF(2), GF(3), GF(101), GF(257), GF(263), GF(2**24 - 3), GF(2**31 - 1),
+                   GF(2**61 - 1)]
 
 
 def is_resident(m):
@@ -1157,13 +1169,6 @@ def is_resident(m):
     except AttributeError:
         return m._packed is not None
     return False
-
-
-def packed_codes(field, n):
-    """Every slot format wide enough for a product through n, narrowest
-    first; none when the prime has no slot for n."""
-    need = _slot(field, n)
-    return [] if need is None else [code for bits, code in linalg._SLOTS if bits >= need[0]]
 
 
 def unit_upper(field, n):
@@ -1178,9 +1183,7 @@ def unit_upper(field, n):
 def resident_case(draw):
     """GF(p) operands a (m x n), b (n x q), c (q x r) and d (k x m), up to
     6 x 8 x 12, half their nonzero entries p - 1 so that the slot sums
-    reach their bound, a at one density from full to empty; and for each
-    product a slot format drawn from those wide enough for it, narrowest
-    first (None when the prime has none)."""
+    reach their bound, a at one density from full to empty."""
     field = draw(st.sampled_from(RESIDENT_FIELDS))
     m, n, q = draw(st.integers(1, 6)), draw(st.integers(1, 8)), draw(st.integers(1, 12))
     rng = random.Random(draw(st.integers(0, 2**32)))
@@ -1188,15 +1191,7 @@ def resident_case(draw):
     b = random_operand(rng, field, n, q, 1)
     c = random_operand(rng, field, q, draw(st.integers(1, 6)), 1)
     d = random_operand(rng, field, draw(st.integers(1, 6)), m, 1)
-
-    def code(inner):
-        codes = packed_codes(field, inner)
-        return draw(st.sampled_from(codes)) if codes else None
-
-    # a @ b twice, a @ b for the right operand of d, the zero a @ b - a @ b,
-    # and the products of d and of c with a @ b
-    codes = [code(n), code(n), code(max(n, m)), code(2 * n), code(m), code(q)]
-    return a, b, c, d, codes
+    return a, b, c, d
 
 
 def _dict_product(a, b):
@@ -1209,31 +1204,29 @@ def _dict_product(a, b):
 @settings(max_examples=200, deadline=None)
 def test_packed_residents_match_the_dict_loop_and_the_reference(case):
     """A packed product against ``_sparse_product`` and the dense reference:
-    packed against packed in one slot format and in two, packed against
-    dict on either side, zero products of two shapes, an identity product,
-    as either operand of a later packed product, and finally its rows
-    built and in stored form.  ``is_zero``, ``is_identity`` and ``==``
-    between two packed products of one slot format leave them without row
-    dicts; ``==`` against rows or another format compares rows."""
-    a, b, c, d, codes = case
+    packed against packed, packed against dict on either side, zero
+    products of two shapes, an identity product, as either operand of a
+    later packed product, and finally its rows built and in stored form.
+    ``is_zero``, ``is_identity`` and ``==`` between two packed products
+    leave them without row dicts; ``==`` against rows compares rows."""
+    a, b, c, d = case
     f, (m, n), q = a.field, a.shape, b.ncols
     want = _ref_matmul(f, a.rows, b.rows, q)
     dict_ab = _dict_product(a, b)
     assert_matches(dict_ab, want, (m, q))
-    if None in codes:
-        assert f.p == 2**61 - 1 or f.p == 2**31 - 1 and max(2 * n, m, q) > 4
+    if _slot(f.p) is None:
+        assert f.p > 2**24
         assert a @ b == dict_ab
         return
-    code, other, right, doubled, left_of, right_of = codes
-    zero = _packed_product(Matrix.augment(a, a), Matrix.stack_rows([b, -b]), doubled)
+    # a prime with a slot holds 2^16 sums, more than any product here
+    zero = _packed_product(Matrix.augment(a, a), Matrix.stack_rows([b, -b]))
     # (b^T | -b^T) @ (a^T ; a^T) is zero too, of shape q x m
     zero_t = _packed_product(Matrix.augment(b.transpose(), -b.transpose()),
-                             Matrix.stack_rows([a.transpose(), a.transpose()]), doubled)
-    ab, ab_again, ab_other, ab_right = (_packed_product(a, b, x)
-                                        for x in (code, code, other, right))
+                             Matrix.stack_rows([a.transpose(), a.transpose()]))
+    ab, ab_again, ab_left, ab_right = (_packed_product(a, b) for _ in range(4))
     u, u_inv = unit_upper(f, m)
-    one = _packed_product(u, u_inv, left_of)
-    residents = [ab, ab_again, ab_other, ab_right, zero, zero_t, one]
+    one = _packed_product(u, u_inv)
+    residents = [ab, ab_again, ab_left, ab_right, zero, zero_t, one]
     nonzero = any(any(row) for row in want)
     assert ab == ab_again and ab_again == ab
     assert (zero == zero_t) == (m == q)
@@ -1242,11 +1235,10 @@ def test_packed_residents_match_the_dict_loop_and_the_reference(case):
     assert one.is_identity() and one == Matrix.identity(f, m)
     assert Matrix.identity(f, m) == one
     # as the right operand it hands over its row ints, as the left its residues
-    assert _packed_product(d, ab_right, right) == _dict_product(d, dict_ab)
-    assert _packed_product(ab_other, c, right_of) == _dict_product(dict_ab, c)
+    assert _packed_product(d, ab_right) == _dict_product(d, dict_ab)
+    assert _packed_product(ab_left, c) == _dict_product(dict_ab, c)
     assert all(map(is_resident, residents))
-    # against dict rows or another slot format, == compares rows
-    assert ab == ab_other and ab_other == ab
+    # against dict rows, == compares rows
     assert ab == dict_ab and _dict_product(a, b) == ab
     assert (ab == zero) == (zero == ab) == (not nonzero)
     assert zero_t == Matrix.zero(f, q, m)
@@ -1254,12 +1246,13 @@ def test_packed_residents_match_the_dict_loop_and_the_reference(case):
     assert hash(ab) == hash(dict_ab) and hash(zero) == hash(Matrix.zero(f, m, q))
     for product in residents:
         assert_sparse_invariants(product)
-    assert ab.sparse_rows() == dict_ab.sparse_rows() and ab_other.rows == want
+    assert ab.sparse_rows() == dict_ab.sparse_rows() and ab_left.rows == want
     assert ab_right.rows == want and zero_t.rows == ((f.zero,) * m,) * q
     assert zero.sparse_rows() == ({},) * m
 
 
-RREF_FIELDS = [GF(2), GF(3), GF(101), GF(2**31 - 1)]
+# GF(2^24 - 3) packs in 64-bit slots, and GF(2^31 - 1) has no slot
+RREF_FIELDS = [GF(2), GF(3), GF(101), GF(2**24 - 3), GF(2**31 - 1)]
 
 
 @st.composite
@@ -1284,7 +1277,8 @@ def packed_rref_case(draw):
 
 def assert_packed_rref_agrees(a):
     """``a.rref()`` equals the dense reference, and so do the dict loop and,
-    wherever a slot exists, the packed path forced on ``a``."""
+    wherever the prime's slot holds the elimination's sums, the packed path
+    forced on ``a``."""
     f, (m, n) = a.field, a.shape
     r, pivots = a.rref()
     want, want_pivots = _ref_rref(f, a.rows, n)
@@ -1292,11 +1286,10 @@ def assert_packed_rref_agrees(a):
     assert pivots == want_pivots
     expected = (list(r.sparse_rows()), pivots)
     assert _sparse_rref(a.sparse_rows(), f)[:2] == expected
-    slot = _slot(f, min(m, n) + 1)
-    if slot is None:
-        assert f.p == 2**31 - 1 and min(m, n) > 3
+    if _fits(f, min(m, n) + 1) is None:
+        assert f.p == 2**31 - 1
         return
-    assert _packed_rref(a, slot[1]) == expected
+    assert _packed_rref(a) == expected
 
 
 @given(packed_rref_case())
@@ -1315,7 +1308,7 @@ def test_packed_rref_meets_its_slot_bound_and_empty_shapes():
     rng = random.Random(19)
     for field in RREF_FIELDS:
         top = field.p - 1
-        n = 3 if field.p == 2**31 - 1 else 24
+        n = 24
         lower = Matrix.from_rows(field, [[1 if j <= i else 0 for j in range(n)]
                                          for i in range(n)])
         upper = Matrix.from_rows(field, [[1 if j == i else top if j > i else 0
@@ -1330,8 +1323,8 @@ def test_packed_rref_meets_its_slot_bound_and_empty_shapes():
         for m, n in [(0, 3), (3, 0), (0, 0), (3, 5)]:
             zero = Matrix.zero(field, m, n)
             assert zero.rref() == (zero, [])
-            slot = _slot(field, min(m, n) + 1)
-            assert _packed_rref(zero, slot[1]) == ([{}] * m, [])
+            if _slot(field.p) is not None:
+                assert _packed_rref(zero) == ([{}] * m, [])
 
 
 def test_a_raw_multiple_of_p_is_no_pivot_on_packed_rows():
@@ -1341,7 +1334,7 @@ def test_a_raw_multiple_of_p_is_no_pivot_on_packed_rows():
     so column 2 has no pivot here either."""
     f = GF(3)
     m = Matrix.from_rows(f, [[1, 0, 2], [0, 1, 1], [2, 1, 2]])
-    rows, pivots = _packed_rref(m, _slot(f, 4)[1])
+    rows, pivots = _packed_rref(m)
     assert rows == [{0: 1, 2: 2}, {1: 1, 2: 1}, {}]
     assert pivots == [0, 1]
 
@@ -1349,32 +1342,28 @@ def test_a_raw_multiple_of_p_is_no_pivot_on_packed_rows():
 @st.composite
 def packed_operand_case(draw):
     """A GF(p) product a @ b, m x n through an inner dimension k, each up to
-    12 (3 over GF(2^31 - 1), whose 64-bit slot holds 4 sums); a slot format
-    wide enough both for the product and for eliminating it; and another
-    format that holds a residue, or None when the prime has no other."""
-    field = draw(st.sampled_from(RREF_FIELDS))
-    top = 3 if field.p == 2**31 - 1 else 12
-    m, n, k = (draw(st.integers(1, top)) for _ in range(3))
+    12, over a prime whose slot holds the sums of the product and of its
+    elimination."""
+    field = draw(st.sampled_from([f for f in RREF_FIELDS if _slot(f.p) is not None]))
+    m, n, k = (draw(st.integers(1, 12)) for _ in range(3))
     rng = random.Random(draw(st.integers(0, 2**32)))
     a = random_operand(rng, field, m, k, draw(st.sampled_from([1, 0.5, 0.125, 0])))
     b = random_operand(rng, field, k, n, 1)
-    code = draw(st.sampled_from(packed_codes(field, max(k, min(m, n) + 1))))
-    others = [c for c in packed_codes(field, 1) if c != code]
-    return a, b, code, draw(st.sampled_from(others)) if others else None
+    return a, b
 
 
 @given(packed_operand_case())
 @settings(max_examples=150, deadline=None)
 def test_packed_rref_takes_the_products_packed_rows(case):
-    """A packed product eliminated in its own slot format is cut from its
-    int: the one ``_unpack_rows`` call is the one that unpacks the result,
-    and the product keeps no row dicts.  Its rows and pivots equal
+    """A packed product eliminated on packed rows is cut from its int: the
+    one ``_unpack_rows`` call is the one that unpacks the result, and the
+    product keeps no row dicts.  Its rows and pivots equal
     ``_sparse_rref``'s and the dense reference's, and so do those of a dict
-    operand whose kept packed rows are in another format, and of one whose
-    kept rows are in this format, which the elimination leaves as they were."""
-    a, b, code, other = case
+    operand whose packed rows are kept, which the elimination leaves as
+    they were."""
+    a, b = case
     f, (m, n) = a.field, (a.nrows, b.ncols)
-    product = _packed_product(a, b, code)
+    product = _packed_product(a, b)
     dict_ab = Matrix.from_sparse_rows(
         f, _sparse_product(a.sparse_rows(), b.sparse_rows(), f.normalise), n)
     expected = _sparse_rref(dict_ab.sparse_rows(), f)[:2]
@@ -1384,29 +1373,25 @@ def test_packed_rref_takes_the_products_packed_rows(case):
     unpacked, real = [], linalg._unpack_rows
 
     def spy(*args):
-        unpacked.append(args[1:])
+        unpacked.append(args[2])
         return real(*args)
 
     linalg._unpack_rows = spy
     try:
-        got = _packed_rref(product, code)
-        if _rref_slot(product) == code:
+        got = _packed_rref(product)
+        if _rref_slot(product):
             r, pivots = product.rref()
             assert (list(r.sparse_rows()), pivots) == expected
     finally:
         linalg._unpack_rows = real
     assert got == expected
     assert is_resident(product)
-    assert all(rows == len(want_pivots) for rows, _, _ in unpacked), unpacked
-    if other is not None:
-        kept_other = Matrix.from_sparse_rows(f, dict_ab.sparse_rows(), n)
-        linalg._packed_rows(kept_other, other)
-        assert _packed_rref(kept_other, code) == expected
+    assert all(rows == len(want_pivots) for rows in unpacked), unpacked
     kept = Matrix.from_sparse_rows(f, dict_ab.sparse_rows(), n)
-    rows = linalg._packed_rows(kept, code)
+    rows = linalg._packed_rows(kept)
     before = list(rows)
-    assert _packed_rref(kept, code) == expected
-    assert kept._prows == (code, before) and kept._prows[1] is rows
+    assert _packed_rref(kept) == expected
+    assert kept._prows == before and kept._prows is rows
 
 
 def operand_with(rng, field, m, n, nnz):
@@ -1442,17 +1427,17 @@ def test_the_cost_rule_sends_each_elimination_down_its_path(monkeypatch):
         (GF(101), 8, 8, 22, "_packed_rref"),
         (GF(101), 8, 8, 21, "_sparse_rref"),
         (GF(101), 64, 64, 128, "_sparse_rref"),
-        (GF(2**31 - 1), 3, 8, 24, "_packed_rref"),
-        (GF(2**31 - 1), 4, 8, 32, "_sparse_rref"),
+        (GF(2**24 - 3), 3, 8, 24, "_packed_rref"),
+        (GF(2**31 - 1), 3, 8, 24, "_sparse_rref"),
         (GF(2**61 - 1), 16, 16, 256, "_sparse_rref"),
     ]
     # above min(m, n) = 128 the density must pass 1/32; these are only
     # classified, their dict-loop eliminations would take too long here
-    assert _rref_slot(operand_with(rng, GF(101), 512, 256, 4097)) is not None
-    assert _rref_slot(operand_with(rng, GF(101), 512, 256, 4096)) is None
+    assert _rref_slot(operand_with(rng, GF(101), 512, 256, 4097))
+    assert not _rref_slot(operand_with(rng, GF(101), 512, 256, 4096))
     for field, m, n, nnz, path in cases:
         a = operand_with(rng, field, m, n, nnz)
-        assert (_rref_slot(a) is not None) == (path == "_packed_rref")
+        assert _rref_slot(a) == (path == "_packed_rref")
         taken.clear()
         r, pivots = a.rref()
         assert taken == [path], (field, m, n, nnz)
@@ -1515,7 +1500,7 @@ def kron_operands(rng, f):
         builders.append(lambda: Matrix(QQ, [[Fraction(4, 2), 0], [Fraction(-9, 3), 1]]))
     if f.name == "GF(101)":
         a, b = random_operand(rng, f, 3, 4, 1), random_operand(rng, f, 4, 5, 0.5)
-        builders.append(lambda: _packed_product(a, b, "H"))
+        builders.append(lambda: _packed_product(a, b))
     return builders
 
 
@@ -1754,28 +1739,6 @@ def test_a_tall_solve_without_unit_rows_eliminates_once(monkeypatch):
         assert a.solve(consistent) == Matrix.from_rows(field, [[1, 0], [2, 1]])
 
 
-def test_packed_rows_rewrite_another_slot_format_without_unpacking():
-    """A product packed in one slot format hands its rows to a kernel that
-    needs another as its residues rewritten slot by slot on the packed
-    bytes (``_recode``): the rows equal those packed from its row dicts,
-    the product taken through them equals the dict loop's, and the matrix
-    builds no row dicts, narrower format or wider."""
-    rng = random.Random(29)
-    for field in RESIDENT_FIELDS:
-        for _ in range(8):
-            m, n, q = rng.randint(1, 6), rng.randint(1, 8), rng.randint(0, 6)
-            a = random_operand(rng, field, m, n, rng.choice([1, 0.5, 0]))
-            b = random_operand(rng, field, n, q, 1)
-            d = random_operand(rng, field, rng.randint(1, 4), m, 1)
-            for code in packed_codes(field, n):
-                for other in packed_codes(field, m):
-                    ab = _packed_product(a, b, code)
-                    want = linalg._packed_rows(_dict_product(a, b), other)
-                    assert linalg._packed_rows(ab, other) == want
-                    assert _packed_product(d, ab, other) == _dict_product(d, _dict_product(a, b))
-                    assert is_resident(ab)
-
-
 def random_kron_case(rng):
     """A GF(p) ``kron_apply`` case: 1-3 legs of dimension 0-6, an order or
     none, G factors over runs of the legs (``None`` on one leg, or a matrix
@@ -1867,19 +1830,19 @@ def test_a_packed_first_stage_gets_a_packed_g_product(monkeypatch):
 
 
 def test_a_g_product_past_its_stage_slot_is_reduced_before_a_third_factor(monkeypatch):
-    """Over GF(101) three G factors give raw triple products up to 100**3,
-    past the 16-bit slot of a stage through at most 6 columns: the G
-    product is still built in the stage's slot (``_g_slots`` gives one
-    format), its rows reduced before the third factor, and equals the
-    per-column reference in both orders; so does a product of two
-    factors."""
-    field, rng = GF(101), random.Random(5)
-    slots = []
+    """Over GF(2^24 - 3) three G factors give raw triple products up to
+    (p - 1)**3, past 2**71 and so past the 64-bit slot: the G product is
+    still built packed (``_g_slots`` says so), its rows reduced before the
+    third factor, and equals the per-column reference in both orders; so
+    does a product of two factors."""
+    field, rng = GF(2**24 - 3), random.Random(5)
+    assert (field.p - 1) ** 3 >> _slot(field.p)[0]
+    packs = []
     real = linalg._g_slots
 
     def watched(*args):
         out = real(*args)
-        slots.append(out)
+        packs.append(out)
         return out
 
     monkeypatch.setattr(linalg, "_g_slots", watched)
@@ -1887,8 +1850,8 @@ def test_a_g_product_past_its_stage_slot_is_reduced_before_a_third_factor(monkey
                   [random_operand(rng, field, 16, 3, 1), None]):
         left = [None, None, random_operand(rng, field, 5, 4, 1)]
         for order in (None, (2, 0, 1)):
-            slots.clear()
+            packs.clear()
             got = kron_apply(field, left, [4, 4, 4], order, right)
-            assert slots == ["H"]
+            assert packs == [True]
             assert_sparse_invariants(got)
             assert got == kron_apply_per_column(field, left, [4, 4, 4], order, right)
