@@ -21,13 +21,13 @@ only ``proj``/``sect`` with ``proj @ sect = I``; the relation span is
 ``ker(proj)``, never built, and a map ``g`` kills it iff
 ``g == (g @ sect) @ proj`` (``first_unbalanced``).
 
-A bimodule action is one matrix, on ``L (x) M`` or ``M (x) R``, and this
-module is the only one that knows its column layout: ``fix_left`` and
-``fix_right`` read off the map of one ring element, given as a column,
-``split_left`` and ``split_right`` the maps of the whole ring basis by
-column selection, and ``join_left`` and ``join_right`` assemble an action
-from those maps.  Every action is written as a matrix expression in the
-structure maps, such as ``mult o (alpha (x) id)``, and evaluated by
+A bimodule action is one matrix, on ``L (x) M`` or ``M (x) R``, and is
+read whole: a balancing relation, a leg action on a chain carrier and a
+linearity check each take the action matrix of the whole ring, with the
+ring leg moved beside the leg it acts on, never one map per ring basis
+element.  ``fix_left`` and ``fix_right`` read off the map of one ring
+element, given as a column.  Every action is written as a matrix expression
+in the structure maps, such as ``mult o (alpha (x) id)``, and evaluated by
 ``kron_apply``; none is built one basis vector at a time.
 
 Elements the engine checks are columns, as the unit ``Algebra.unit_col``
@@ -43,7 +43,6 @@ act_N o (id (x) x)`` on either side, for every validator that needs it.
 from __future__ import annotations
 
 import functools
-from math import prod
 
 from .errors import (
     ActionMismatch,
@@ -54,7 +53,7 @@ from .errors import (
     NotWellDefined,
     ShapeMismatch,
 )
-from .linalg import Matrix, kron_apply, permute_cols
+from .linalg import Matrix, kron_apply, permute_cols, split_leg
 from .spaces import LinearMap, Space, Subspace, quotient, tensor_space
 
 
@@ -192,8 +191,8 @@ class Bimodule:
     """An L-R bimodule with explicit action matrices.
 
     ``lact: L (x) M -> M`` and ``ract: M (x) R -> M`` are stored as full
-    matrices on k-tensor ambients so induced maps stay uniform, read with
-    ``fix_left``/``fix_right`` and assembled with ``join_left``/``join_right``.
+    matrices on k-tensor ambients so induced maps stay uniform; the map of
+    one ring element is read with ``fix_left``/``fix_right``.
     """
 
     def __init__(self, space: Space, left: Algebra, right: Algebra,
@@ -355,40 +354,35 @@ _chain_cache: dict = {}
 _chain_outer_registry: dict = {}
 
 
-def _link_leg_maps(link: Link):
-    """Per ring basis element r, the pair ``(mi, mj)``: x -> x.r on factor
-    i and y -> r.y on factor j, read off the two actions."""
-    m = link.ring.dim
-    return zip(split_right(link.act_i.matrix, m), split_left(link.act_j.matrix, m))
+def _relation_columns(field, rho: Matrix, lam: Matrix, m):
+    """Nonzero columns of ``rho (x) id - id (x) lam`` on ``H (x) R (x) L``,
+    in (w, r, x) order, each a dict ``{row: nonzero value}`` on ``H (x) L``.
 
-
-def _relation_columns(field, dims, i, mi: Matrix, j, mj: Matrix):
-    """Nonzero columns of (mi on leg i) - (mj on leg j), in column order,
-    each a dict ``{row: nonzero value}``.
-
-    Column x is ``mi[:, x_i]`` put on leg i minus ``mj[:, x_j]`` put on leg
-    j, where x_i, x_j are the digits of x; it is built from the two column
-    supports, never from the ambient-sized operators.
+    ``rho: H (x) R -> H`` is a right and ``lam: R (x) L -> L`` a left action
+    of the m-dim ring R, so column (w, r, x) is ``w.r (x) x - w (x) r.x``;
+    it is built from the two column supports, never from the operators.
     """
-    total = prod(dims)
-    si, sj = prod(dims[i + 1:]), prod(dims[j + 1:])
+    l = lam.nrows
     iz, sub, neg = field.is_zero, field.sub, field.neg
-    mi_cols, mj_cols = mi.col_supports(), mj.col_supports()
+    rho_cols, lam_cols = rho.col_supports(), lam.col_supports()
     cols = []
-    for x in range(total):
-        xi, xj = x // si % dims[i], x // sj % dims[j]
-        entries = {x + (r - xi) * si: v for r, v in mi_cols[xi]}
-        for r, w in mj_cols[xj]:
-            y = x + (r - xj) * sj
-            v = entries.get(y)
-            if v is None:
-                entries[y] = neg(w)
-            elif iz(v := sub(v, w)):
-                del entries[y]
-            else:
-                entries[y] = v
-        if entries:
-            cols.append(entries)
+    for w in range(rho.nrows):
+        base = w * l
+        for r in range(m):
+            wr = rho_cols[w * m + r]
+            for x in range(l):
+                entries = {v * l + x: c for v, c in wr}
+                for y, c in lam_cols[r * l + x]:
+                    y += base
+                    v = entries.get(y)
+                    if v is None:
+                        entries[y] = neg(c)
+                    elif iz(v := sub(v, c)):
+                        del entries[y]
+                    else:
+                        entries[y] = v
+                if entries:
+                    cols.append(entries)
     return cols
 
 
@@ -438,13 +432,14 @@ def _build_chain(spaces, links) -> TensorChain:
     The prefix ``head`` is the chain on all factors but the last, with the
     links that end before it.  The step tensors its carrier with the last
     factor and quotients by the relations of every link that ends at the
-    last factor, each right action read on the prefix carrier at its own
-    leg (``_prefix_leg_map``).  The chain's ``sect`` is a column selection:
-    the prefix's selection composed with the step's.  Its ``proj`` is
-    ``step_proj @ (head.proj (x) I)``, assembled row by row.  A column is
-    free in the reduced echelon form of the whole relation span exactly
-    when it is free once the prefix's relations are quotiented out, so the
-    carrier basis does not depend on the order the links are folded in.
+    last factor, each link's whole right action read on the prefix carrier
+    at its own leg (``_prefix_action``).  The chain's ``sect`` is a column
+    selection: the prefix's selection composed with the step's.  Its
+    ``proj`` is ``step_proj @ (head.proj (x) I)``, assembled row by row.  A
+    column is free in the reduced echelon form of the whole relation span
+    exactly when it is free once the prefix's relations are quotiented out,
+    so the carrier basis does not depend on the order the links are folded
+    in.
     """
     field = spaces[0].field
     ambient = tensor_space(spaces)
@@ -471,10 +466,9 @@ def _build_chain(spaces, links) -> TensorChain:
     else:
         rel_cols, ints = [], True
         for link in ending:
-            for mi, mj in _link_leg_maps(link):
-                lifted = _prefix_leg_map(head, link, mi)
-                rel_cols += _relation_columns(field, [head.dim, last.dim], 0, lifted, 1, mj)
-                ints = ints and lifted._ints and mj._ints
+            rho, lam = _prefix_action(head, link), link.act_j.matrix
+            rel_cols += _relation_columns(field, rho, lam, link.ring.dim)
+            ints = ints and rho._ints and lam._ints
         rel = Subspace.from_spanning(
             step_amb, Matrix.from_sparse_rows(field, rel_cols, step_amb.dim, ints))
         carrier, step_proj, step_sect = quotient(step_amb, rel)
@@ -649,31 +643,31 @@ def chain_outer_bimodule(chain: TensorChain, left_factor: Bimodule,
                     check=False)
 
 
-def _prefix_leg_map(head: TensorChain, link: Link, m: Matrix) -> Matrix:
-    """``m``, one ring element's right action, on leg ``link.i`` of a chain
-    step's prefix, read on the prefix carrier.
+def _prefix_action(head: TensorChain, link: Link) -> Matrix:
+    """The whole right action ``H (x) R -> H`` of ``link.ring`` on leg
+    ``link.i`` of a chain step's prefix H, read on the prefix carrier:
+    ``proj @ (act_i on leg i) @ (sect (x) I)``, with the ring leg moved
+    beside leg i.
 
-    On the prefix's last leg, or on a prefix without a quotient, it is
-    ``_carrier_leg_map``'s reading.  On an inner leg of a prefix with a
-    quotient the action must descend through the prefix's relations, and
-    ``induce`` checks that on the prefix ambient."""
-    pos, dims = link.i, [s.dim for s in head.factor_spaces]
-    if pos == len(dims) - 1 or head.dim == head.ambient.dim:
-        return _carrier_leg_map(head, pos, m).matrix
-    legs = [None] * len(dims)
-    legs[pos] = m
-    raw = LinearMap(head.ambient, head.carrier,
-                    kron_apply(head.carrier.field, [head.proj.matrix], dims, None, legs))
-    return induce(head, raw, f"the right {link.ring.name}-action on leg {pos}").matrix
-
-
-def _carrier_leg_map(chain: TensorChain, pos, m: Matrix) -> LinearMap:
-    """id (x) ... (x) m (x) ... (x) id on the ambient, seen on the carrier."""
-    legs = [None] * len(chain.factor_spaces)
-    legs[pos] = m
-    dims = [s.dim for s in chain.factor_spaces]
-    return LinearMap(chain.carrier, chain.carrier, chain.proj.matrix @ kron_apply(
-        chain.carrier.field, legs, dims, None, [chain.sect.matrix]))
+    On an inner leg of a prefix with a quotient the action must descend
+    through the prefix's relations: read along the ambient leg
+    (``split_leg``), the action on the ambient must kill ``ker(proj)``
+    (``first_unbalanced``), or ``NotWellDefined`` names a relation."""
+    pos, m, f = link.i, link.ring.dim, head.carrier.field
+    proj, sect = head.proj.matrix, head.sect.matrix
+    dims = [s.dim for s in head.factor_spaces]
+    n = len(dims)
+    legs = [None] * n
+    legs[pos] = link.act_i.matrix
+    order = [*range(pos + 1), n, *range(pos + 1, n)]
+    if pos < n - 1 and head.dim < head.ambient.dim:
+        raw = proj @ kron_apply(f, legs, dims + [m], order, [None] * (n + 1))
+        bad = first_unbalanced(split_leg(raw, [head.ambient.dim, m], 0), proj, sect)
+        if bad is not None:
+            raise NotWellDefined(f"the right {link.ring.name}-action on leg {pos} is not "
+                                 f"balanced on {head!r}",
+                                 witness=relation_witness(proj, sect, bad))
+    return proj @ kron_apply(f, legs, dims + [m], order, [sect, None])
 
 
 def fix_left(bilinear: Matrix, u: Matrix, n) -> Matrix:
@@ -688,36 +682,6 @@ def fix_right(bilinear: Matrix, n, v: Matrix) -> Matrix:
     element, given as a column v, read off a right action (or product)
     matrix, as ``bilinear @ (id (x) v)``."""
     return bilinear @ Matrix.identity(v.field, n).kron(v)
-
-
-def split_left(act: Matrix, m) -> list:
-    """The maps of the m ring basis elements read off a left action matrix
-    on ``L (x) M``: its m blocks of columns, so ``join_left`` undoes it."""
-    n = act.ncols // m
-    blocks = [[{} for _ in range(act.nrows)] for _ in range(m)]
-    for i, row in enumerate(act.sparse_rows()):
-        for k, x in row.items():
-            r, c = divmod(k, n)
-            blocks[r][i][c] = x
-    return [Matrix.from_sparse_rows(act.field, rows, n, act._ints) for rows in blocks]
-
-
-def split_right(act: Matrix, m) -> list:
-    """``split_left`` for a right action matrix on ``M (x) R``, with its two
-    column legs swapped first, so ``join_right`` undoes it."""
-    return split_left(permute_cols(act, [m, act.ncols // m], (1, 0)), m)
-
-
-def join_left(maps) -> Matrix:
-    """The left action matrix on ``L (x) M`` whose i-th fixed map is
-    ``maps[i]``: the blocks side by side."""
-    return functools.reduce(Matrix.augment, maps)
-
-
-def join_right(maps) -> Matrix:
-    """The right action matrix on ``M (x) R`` whose i-th fixed map is
-    ``maps[i]``: ``join_left`` with its two column legs swapped."""
-    return permute_cols(join_left(maps), [maps[0].ncols, len(maps)], (1, 0))
 
 
 def nonlinear_side(x: Matrix, M: Bimodule, N: Bimodule, sides=("left", "right")):

@@ -28,8 +28,9 @@ outer terms of d1 (mirroring d0 flips its sign).
 Each check on elements is one identity of maps: bilinearity of tau through
 ``algebra.nonlinear_side``, the commuting base images as mu o (alpha (x)
 beta) against its swap, units and group-likes as the columns
-``Algebra.unit_col`` and ``GroupLike.element``, and the multiplication by
-each ring basis element read off an action matrix (``algebra.split_left``).
+``Algebra.unit_col`` and ``GroupLike.element``, and the multiplications of
+Def 5.1(a)/(b) as a whole action matrix of T, with its ring leg moved
+beside the leg it acts on (``linalg.kron_apply``).
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .algebra import (
     Algebra,
     AlgebraMap,
     TensorChain,
-    _carrier_leg_map,
     certify_free,
     chain_map,
     chain_outer_bimodule,
@@ -49,8 +49,6 @@ from .algebra import (
     nonlinear_side,
     regular_bimodule,
     single_chain,
-    split_left,
-    split_right,
     sub_bimodule,
     tensor_chain,
 )
@@ -402,15 +400,21 @@ def validate_torsor(bundle: PreTorsorBundle) -> Report:
 
     # (a) alpha(a) on leg 1 from the left == alpha(a) on leg 2 from the right,
     # (b) beta(b) on leg 2 from the left == beta(b) on leg 3 from the right,
-    # per basis element, the multiplications read off the actions of T
-    # (well defined on X3 thanks to the commuting images)
-    tau = bundle.tau.matrix
+    # each one identity of maps on T (x) R: an action of T applied to tau,
+    # the ring leg moved beside the leg it acts on (well defined on X3
+    # thanks to the commuting images)
+    tau_raw = bundle.tau_raw
+
+    def acted(act, leg, ring_at, m):
+        legs = [None] * 3
+        legs[leg] = act.matrix
+        order = [0, 1, 2]
+        order.insert(ring_at, 3)
+        return X3.proj.matrix @ kron_apply(f, legs, [n] * 3 + [m], order, [tau_raw, None])
+
     for part, ring, lact, ract, pos in (("a", bundle.A, bundle.T_AB.lact, bundle.T_BA.ract, 0),
                                         ("b", bundle.B, bundle.T_BA.lact, bundle.T_AB.ract, 1)):
-        ok = all(_carrier_leg_map(X3, pos, l).matrix @ tau
-                 == _carrier_leg_map(X3, pos + 1, r).matrix @ tau
-                 for l, r in zip(split_left(lact.matrix, ring.dim),
-                                 split_right(ract.matrix, ring.dim)))
+        ok = acted(lact, pos, pos, ring.dim) == acted(ract, pos + 1, pos + 2, ring.dim)
         rep.add(f"def5.1.{part}", f"5.1({part})", ok)
 
     # (c) tau(t t') = t1 t'1 (x) t'2 t2 (x) t3 t'3: the middle product comes

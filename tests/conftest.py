@@ -1,4 +1,5 @@
 import argparse
+import functools
 
 import pytest
 
@@ -7,12 +8,25 @@ from torsorkit.analysis import BundleAnalysis
 from torsorkit.cli import run
 from torsorkit.fields import GF, QQ
 from torsorkit.fixtures import generate
-from torsorkit.linalg import permute_rows
+from torsorkit.linalg import Matrix, permute_cols, permute_rows
 from torsorkit.pretorsor import TorsorBundle, make_bundle
 from torsorkit.serialize import bundle_to_document, dumps
 from torsorkit.spaces import LinearMap
 
 FIELDS = {"Q": QQ, "GF101": GF(101)}
+
+
+def join_left(maps) -> Matrix:
+    """The left action matrix on ``L (x) M`` whose i-th fixed map is
+    ``maps[i]``: the blocks side by side."""
+    return functools.reduce(Matrix.augment, maps)
+
+
+def join_right(maps) -> Matrix:
+    """The right action matrix on ``M (x) R`` whose i-th fixed map is
+    ``maps[i]``: ``join_left`` with its two column legs swapped."""
+    return permute_cols(join_left(maps), [maps[0].ncols, len(maps)], (1, 0))
+
 
 _FIXTURES = {}
 _ANALYSES = {}

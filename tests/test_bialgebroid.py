@@ -19,8 +19,6 @@ from torsorkit.algebra import (
     corestrict_through,
     fix_left,
     fix_right,
-    join_left,
-    join_right,
     make_algebra,
     regular_bimodule,
 )
@@ -66,7 +64,7 @@ from torsorkit.pretorsor import Hand
 from torsorkit.report import Report
 from torsorkit.spaces import LinearMap, Subspace, intersect, kernel, tensor_space
 
-from conftest import analysis, fixture
+from conftest import analysis, fixture, join_left, join_right
 from test_linalg import outer
 
 

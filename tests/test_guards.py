@@ -34,7 +34,8 @@ Every displayed cleft/twist formula is a ``kron_apply`` expression; only the
 independent smash-pattern reference still sums one scalar at a time.  No
 bialgebroid check reads a structure map one value at a time, and no engine
 code outside a short list of named functions reads a value at a time at
-all.  Every name a module reads is bound in it.
+all.  Every name a module reads is bound in it, and every name a docstring
+cites resolves.
 """
 
 import argparse
@@ -44,6 +45,7 @@ import importlib
 import importlib.util
 import json
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -150,8 +152,6 @@ UNREACHED = {
     "linalg.Matrix.scale": "Matrix arithmetic beside +, - and negation",
     "report.Report.find": "the lookup of one check row, for callers reading a report",
     "report.Report.summary": "the failures of a report in one line, for callers",
-    "algebra.join_right": "the right-action column layout stays in algebra beside its "
-                          "mirror join_left",
     "pretorsor.kappa": "paper construction: the comparison morphism into another coring "
                        "coacting on T, awaiting a fixture with a second coring",
     "linalg.Matrix.entry": "the one-entry read of a Matrix, for callers",
@@ -361,8 +361,8 @@ def test_chain_steps_assemble_proj_and_sect_without_kron_apply(monkeypatch):
     """A quotient step writes ``sect`` as a column selection and ``proj`` as
     its reduction rows applied to the prefix's ``proj``, so on a fresh
     EX-SMASH ``suite`` ``_build_chain`` itself never calls ``kron_apply``.
-    The step's relation columns still reach it through
-    ``_carrier_leg_map``."""
+    The step's relation columns still reach it through the whole ring
+    action of ``_prefix_action``."""
     callers = []
 
     def watched(*args):
@@ -372,26 +372,36 @@ def test_chain_steps_assemble_proj_and_sect_without_kron_apply(monkeypatch):
     monkeypatch.setattr(algebra, "kron_apply", watched)
     run("suite", argparse.Namespace(fixture="EX-SMASH", input=None, field=None,
                                     dump_matrices=False))
-    assert "_carrier_leg_map" in callers
+    assert "_prefix_action" in callers
     assert callers.count("_build_chain") == 0, callers.count("_build_chain")
 
 
 def test_chain_relations_are_generated_on_two_legs(monkeypatch, tmp_path):
     """Every relation a chain step generates lives on the prefix carrier
-    tensored with the last factor, never on the chain's full ambient.
+    tensored with the last factor, never on the chain's full ambient: the
+    right action it reads has a row per prefix carrier basis vector.
     EX-SMASH^op's pentagon chains join legs 0 and 2 over its two-dimensional
-    base, each link read on the prefix carrier at its own leg."""
-    dims_seen = []
-    relation_columns = algebra._relation_columns
+    base, each link read on the prefix carrier at its own leg, and there the
+    prefix carrier is below its ambient."""
+    heads, seen = {}, []
+    prefix_action, relation_columns = algebra._prefix_action, algebra._relation_columns
 
-    def watched(field, dims, *args):
-        dims_seen.append(list(dims))
-        return relation_columns(field, dims, *args)
+    def watched_action(head, link):
+        rho = prefix_action(head, link)
+        heads[id(rho)] = (rho, head)
+        return rho
 
+    def watched(field, rho, lam, m):
+        head = heads[id(rho)][1]
+        seen.append((rho.nrows, head.dim, head.ambient.dim))
+        return relation_columns(field, rho, lam, m)
+
+    monkeypatch.setattr(algebra, "_prefix_action", watched_action)
     monkeypatch.setattr(algebra, "_relation_columns", watched)
     suite_on_document(opposite_document("EX-SMASH", "Q"), tmp_path / "bundle.json")
-    assert dims_seen
-    assert all(len(dims) == 2 for dims in dims_seen), [d for d in dims_seen if len(d) != 2]
+    assert seen
+    assert all(rows == dim for rows, dim, _ in seen), [s for s in seen if s[0] != s[1]]
+    assert any(dim < amb for _, dim, amb in seen), seen
 
 
 def test_tracer_spans_resolve():
@@ -729,6 +739,70 @@ def test_every_loaded_name_is_bound():
                     if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
                     and node.id not in bound]
     assert not unbound, unbound
+
+
+# the ``name`` spans of docstrings that cite no code: a keyword, the CLI
+# command, python-flint's integer type, a formula's operand, and a private
+# classmethod of ``fractions.Fraction`` that only some Pythons have
+DOC_REFERENCE_ALLOWED = {"pass", "suite", "fmpz", "difference", "Fraction._from_coprime_ints"}
+DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def _docstring_references(tree):
+    """The double-backquoted spans of a module's docstrings that are
+    dotted names, with the line of their docstring's owner."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            doc = ast.get_docstring(node, clean=False) or ""
+            for span in re.findall(r"``(.+?)``", doc, re.S):
+                if DOTTED_NAME.fullmatch(span):
+                    yield span, getattr(node, "lineno", 1)
+
+
+def _module_attribute(module, parts):
+    """Whether the dotted ``parts`` resolve on ``module``, through its
+    attributes and submodules."""
+    obj = importlib.import_module(module)
+    for part in parts:
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+        elif importlib.util.find_spec(f"{obj.__name__}.{part}") is not None:
+            obj = importlib.import_module(f"{obj.__name__}.{part}")
+        else:
+            return False
+    return True
+
+
+def test_docstring_references_resolve():
+    """Every ``name`` a ``src/`` docstring cites is something the package
+    binds (a definition, a parameter, a local, an attribute it sets or an
+    import), a module or a builtin.  A dotted name on a module resolves
+    through that module's attributes, any other through names the package
+    binds, so a docstring that still cites a deleted helper fails here."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    bound = set(dir(builtins))
+    modules = {"torsorkit": "torsorkit"}
+    modules.update((name, f"torsorkit.{name}") for name in trees)
+    for tree in trees.values():
+        bound |= _bound_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                bound.add(node.attr)
+            elif isinstance(node, ast.Import):
+                modules.update((a.name, a.name) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules[node.module] = node.module
+    unresolved = []
+    for stem, tree in trees.items():
+        for span, line in _docstring_references(tree):
+            head, *rest = span.split(".")
+            ok = (span in DOC_REFERENCE_ALLOWED
+                  or (_module_attribute(modules[head], rest) if head in modules
+                      else head in bound and all(part in bound for part in rest)))
+            if not ok:
+                unresolved.append(f"{stem}.py:{line} {span}")
+    assert not unresolved, unresolved
 
 
 def _unreached_functions():

@@ -12,6 +12,8 @@ import argparse
 import math
 import random
 import sys
+from fractions import Fraction as F
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -20,10 +22,12 @@ from hypothesis import given, settings, strategies as st
 from torsorkit import algebra, bialgebroid
 from torsorkit.algebra import (
     Algebra,
-    _carrier_leg_map,
-    _link_leg_maps,
+    _cached_chain,
+    _prefix_action,
     _relation_columns,
     first_unbalanced,
+    fix_left,
+    fix_right,
     induce,
     relation_witness,
 )
@@ -37,16 +41,17 @@ from torsorkit.bialgebroid import (
     diagonal_coinvariants,
 )
 from torsorkit.cli import run
+from torsorkit.diffcalc import _tau_right_linear
 from torsorkit.errors import ClosureFailure, Disagreement, NotWellDefined
 from torsorkit.fields import GF, QQ
 from torsorkit.fixtures import FIXTURE_NAMES, generate
-from torsorkit.linalg import Matrix, kron_apply, permute_cols, permute_rows
+from torsorkit.linalg import Matrix, kron_apply, mixed_permutation, permute_cols, permute_rows
 from torsorkit.pretorsor import Hand, PreTorsorBundle, TorsorBundle, validate_torsor
 from torsorkit.serialize import bundle_from_document, loads
 from torsorkit.report import Report
 from torsorkit.spaces import LinearMap, Subspace, kernel
 
-from conftest import fixture, opposite_document
+from conftest import fixture, opposite_bundle, opposite_document, suite_on_document
 from test_linalg import assert_sparse_invariants
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -226,22 +231,28 @@ def test_diagonal_coactions_match_dense():
         assert left == b.mu.kron(b.mu).kron(b.idT).kron(b.idT) @ two_tau, name
 
 
-def _square(field, side):
-    return st.lists(st.lists(st.one_of(st.integers(-3, 3), st.just(0)),
-                             min_size=side, max_size=side),
-                    min_size=side, max_size=side).map(
-        lambda rows: Matrix(field, [tuple(field.from_int(x) for x in r) for r in rows], side))
+def _entries(field):
+    """Small values, over QQ with fractions among them."""
+    values = [0, 0, 1, -1, 2, -3]
+    if field is QQ:
+        values += [F(1, 2), F(-3, 4), F(5, 3)]
+    return st.sampled_from(values)
+
+
+def _rect(field, nrows, ncols):
+    return st.lists(st.lists(_entries(field), min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows).map(
+        lambda rows: Matrix(field, [tuple(field.parse(x) for x in r) for r in rows], ncols))
 
 
 @st.composite
 def relation_case(draw):
-    """Two or three legs, two of them acted on: ``lifted``/``mj`` of a chain
-    step are legs 0 and 1 of two, a non-adjacent link legs 0 and 2 of three."""
+    """A right action ``rho: H (x) R -> H`` and a left action ``lam: R (x) L
+    -> L`` of an m-dim ring, as general matrices (the generator reads only
+    their entries), with H or L possibly zero-dimensional."""
     field = draw(st.sampled_from([QQ, GF(101)]))
-    dims = draw(st.lists(st.integers(1, 4), min_size=2, max_size=3))
-    i = draw(st.integers(0, len(dims) - 2))
-    j = draw(st.integers(i + 1, len(dims) - 1))
-    return field, dims, i, draw(_square(field, dims[i])), j, draw(_square(field, dims[j]))
+    h, m, l = draw(st.integers(0, 3)), draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    return field, draw(_rect(field, h, h * m)), draw(_rect(field, l, m * l)), m
 
 
 def _dense_leg_map(field, dims, pos, m):
@@ -252,26 +263,124 @@ def _dense_leg_map(field, dims, pos, m):
 @given(relation_case())
 @settings(max_examples=80, deadline=None)
 def test_relation_columns_match_dense(case):
-    field, dims, i, mi, j, mj = case
-    gen = _dense_leg_map(field, dims, i, mi) - _dense_leg_map(field, dims, j, mj)
+    """The chain step's relation columns are the nonzero columns of the
+    dense ``rho (x) I - I (x) lam`` on ``H (x) R (x) L``, in column order,
+    with no stored zero."""
+    field, rho, lam, m = case
+    h, l = rho.nrows, lam.nrows
+    gen = rho.kron(Matrix.identity(field, l)) - Matrix.identity(field, h).kron(lam)
     want = [c for c in gen.transpose().rows if any(not field.is_zero(x) for x in c)]
-    got = _relation_columns(field, dims, i, mi, j, mj)
-    assert [tuple(c.get(y, field.zero) for y in range(gen.nrows)) for c in got] == want
+    got = _relation_columns(field, rho, lam, m)
+    assert [tuple(c.get(y, field.zero) for y in range(h * l)) for c in got] == want
     assert all(not field.is_zero(v) for c in got for v in c.values())
 
 
-def test_carrier_leg_maps_match_dense(ex_smash):
-    """A map on one leg seen on the carrier of EX-SMASH's threefold balanced
-    tensor: the outer actions of a chain (first and last leg) and the leg
-    multiplications of ``validate_torsor`` (every leg)."""
-    chain = ex_smash.bundle.X3
-    f = chain.carrier.field
-    dims = [s.dim for s in chain.factor_spaces]
-    for pos in range(len(dims)):
-        m = Matrix(f, [tuple(f.from_int((3 * r + 5 * c) % 7 - 3) for c in range(dims[pos]))
-                       for r in range(dims[pos])])
-        want = chain.proj.matrix @ _dense_leg_map(f, dims, pos, m) @ chain.sect.matrix
-        assert _carrier_leg_map(chain, pos, m).matrix == want
+def test_prefix_action_matches_dense(tmp_path):
+    """The whole right action a chain step reads on its prefix carrier is
+    ``proj @ (act on leg i) @ P @ (sect (x) I_m)``, P the dense permutation
+    that moves the ring leg beside leg i.  EX-SMASH^op's pentagon chains
+    have a link from leg 0 to leg 2 over its two-dimensional base, read on
+    an inner leg of a prefix with a quotient, beside the adjacent link read
+    on the prefix's edge leg."""
+    before = set(map(id, algebra._chain_cache.values()))
+    suite_on_document(opposite_document("EX-SMASH", "Q"), tmp_path / "bundle.json")
+    seen = set()
+    for chain in [c for c in list(algebra._chain_cache.values()) if id(c) not in before]:
+        n = len(chain.factor_spaces)
+        if n < 2:
+            continue
+        head = _cached_chain(list(chain.factor_spaces[:-1]),
+                             [l for l in chain.links if l.j < n - 1])
+        dims = [s.dim for s in head.factor_spaces]
+        for link in chain.links:
+            if link.j != n - 1 or link.ring.dim == 1 or head.dim == head.ambient.dim:
+                continue
+            f, m = head.carrier.field, link.ring.dim
+            order = [*range(link.i + 1), n - 1, *range(link.i + 1, n - 1)]
+            want = (head.proj.matrix @ _dense_leg_map(f, dims, link.i, link.act_i.matrix)
+                    @ mixed_permutation(f, dims + [m], order)
+                    @ head.sect.matrix.kron(Matrix.identity(f, m)))
+            assert _prefix_action(head, link) == want, (chain, link.i)
+            seen.add("edge" if link.i == n - 2 else "inner")
+    assert seen == {"edge", "inner"}
+
+
+def _basis_cols(field, m):
+    return [Matrix.from_sparse_rows(field, [{0: field.one} if k == r else {} for k in range(m)], 1)
+            for r in range(m)]
+
+
+def _per_element_def51(bundle, part):
+    """Def 5.1(a)/(b) one ring basis element at a time, each leg map read on
+    X3's carrier through its dense Kronecker product: the per-element loop
+    the whole-ring rows replaced."""
+    f, n, X3, tau = bundle.field, bundle.T.dim, bundle.X3, bundle.tau.matrix
+    ring, lact, ract, pos = {"a": (bundle.A, bundle.T_AB.lact, bundle.T_BA.ract, 0),
+                             "b": (bundle.B, bundle.T_BA.lact, bundle.T_AB.ract, 1)}[part]
+
+    def on_carrier(leg, m):
+        return X3.proj.matrix @ _dense_leg_map(f, [n] * 3, leg, m) @ X3.sect.matrix
+
+    return all(on_carrier(pos, fix_left(lact.matrix, e, n)) @ tau
+               == on_carrier(pos + 1, fix_right(ract.matrix, n, e)) @ tau
+               for e in _basis_cols(f, ring.dim))
+
+
+def _per_element_tau_right_linear(b):
+    """Right B-linearity of tau, one basis element of B at a time: the
+    per-element loop ``_tau_right_linear`` replaced."""
+    f, n, tau = b.field, b.T.dim, b.tau.matrix
+    return all(tau @ rmul == b.X3.proj.matrix @ b.idT.kron(b.idT).kron(rmul)
+               @ b.X3.sect.matrix @ tau
+               for rmul in (fix_right(b.T_AB.ract.matrix, n, e) for e in _basis_cols(f, b.B.dim)))
+
+
+def _torsor_row(row):
+    return lambda bundle: validate_torsor(bundle).find(row).status == "pass"
+
+
+# each row's whole-ring form in the engine and its per-element reference
+WHOLE_RING_ROWS = {
+    "def5.1.a": (_torsor_row("def5.1.a"), lambda bundle: _per_element_def51(bundle, "a")),
+    "def5.1.b": (_torsor_row("def5.1.b"), lambda bundle: _per_element_def51(bundle, "b")),
+    "propB.2.tau-right-linear": (_tau_right_linear, _per_element_tau_right_linear),
+}
+
+
+def _perturbed(bundle, c, t):
+    """``bundle`` with ``tau(e_t)`` moved by the carrier basis vector c of X3."""
+    bump = Matrix.from_sparse_rows(bundle.field, [{t: bundle.field.one} if k == c else {}
+                                                  for k in range(bundle.X3.dim)], bundle.T.dim)
+    return PreTorsorBundle(bundle.A, bundle.B, bundle.T, bundle.alpha, bundle.beta,
+                           bundle.tau_raw + bundle.X3.sect.matrix @ bump, bundle.name)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "GF101"])
+def test_whole_ring_rows_match_the_per_element_loop(field):
+    """``def5.1.a``, ``def5.1.b`` and ``propB.2.tau-right-linear`` read each
+    ring action as one matrix; on EX-SMASH and its opposite bundle they
+    agree with the per-basis-element loop they replaced.  Both bundles pass
+    (a) and (b); EX-SMASH's tau is not right B-linear, its opposite's (over
+    B = k) is.  For each row, the first perturbation of tau, one carrier
+    basis vector added to one of its columns, that the loop rejects is
+    rejected by the whole-ring form too: (a) on the opposite bundle, whose
+    A is two-dimensional, (b) on EX-SMASH, whose B is, and right
+    B-linearity on EX-M2, whose B is M2 and whose tau is right B-linear."""
+    smash = fixture("EX-SMASH", field).bundle
+    op = opposite_bundle(smash)
+    m2 = fixture("EX-M2", field).bundle
+    for bundle, linear in ((smash, False), (op, True)):
+        for row, (whole, per_element) in WHOLE_RING_ROWS.items():
+            want = linear if row == "propB.2.tau-right-linear" else True
+            assert whole(bundle) == per_element(bundle) == want, (bundle.name, row)
+    for row, bundle in (("def5.1.a", op), ("def5.1.b", smash),
+                        ("propB.2.tau-right-linear", m2)):
+        whole, per_element = WHOLE_RING_ROWS[row]
+        assert whole(bundle), row
+        bumped = next(p for p in (_perturbed(bundle, c, t) for t in range(bundle.T.dim)
+                                  for c in range(bundle.X3.dim))
+                      if not per_element(p))
+        assert not whole(bumped), row
 
 
 def test_perturbed_d_product_breaks_delta_multiplicativity(an_smash):
@@ -381,13 +490,47 @@ def test_projector_identity_matches_relation_kernel(name, field, pick, data):
         assert any(not field.is_zero(v) for v in g.apply(witness))
 
 
+def _general_relation_columns(field, dims, i, mi: Matrix, j, mj: Matrix):
+    """Nonzero columns of (mi on leg i) - (mj on leg j), in column order,
+    each a dict ``{row: nonzero value}``.
+
+    Column x is ``mi[:, x_i]`` put on leg i minus ``mj[:, x_j]`` put on leg
+    j, where x_i, x_j are the digits of x; it is built from the two column
+    supports, never from the ambient-sized operators.
+    """
+    total = prod(dims)
+    si, sj = prod(dims[i + 1:]), prod(dims[j + 1:])
+    iz, sub, neg = field.is_zero, field.sub, field.neg
+    mi_cols, mj_cols = mi.col_supports(), mj.col_supports()
+    cols = []
+    for x in range(total):
+        xi, xj = x // si % dims[i], x // sj % dims[j]
+        entries = {x + (r - xi) * si: v for r, v in mi_cols[xi]}
+        for r, w in mj_cols[xj]:
+            y = x + (r - xj) * sj
+            v = entries.get(y)
+            if v is None:
+                entries[y] = neg(w)
+            elif iz(v := sub(v, w)):
+                del entries[y]
+            else:
+                entries[y] = v
+        if entries:
+            cols.append(entries)
+    return cols
+
+
 def _link_relation_columns(field, factor_spaces, link):
     """The relation generators of one link, as sparse columns over the full
-    ambient of a chain: the slow way, which the engine never takes."""
+    ambient of a chain, one ring basis element at a time: the slow way,
+    which the engine never takes."""
     dims = [s.dim for s in factor_spaces]
+    si, sj = dims[link.i], dims[link.j]
     cols = []
-    for mi, mj in _link_leg_maps(link):
-        cols += _relation_columns(field, dims, link.i, mi, link.j, mj)
+    for e in _basis_cols(field, link.ring.dim):
+        mi = fix_right(link.act_i.matrix, si, e)
+        mj = fix_left(link.act_j.matrix, e, sj)
+        cols += _general_relation_columns(field, dims, link.i, mi, link.j, mj)
     return cols
 
 

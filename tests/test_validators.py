@@ -22,8 +22,6 @@ from torsorkit.algebra import (
     chain_map,
     fix_left,
     fix_right,
-    join_left,
-    join_right,
     regular_bimodule,
     tensor_chain,
 )
@@ -42,7 +40,7 @@ from torsorkit.linalg import Matrix
 from torsorkit.pretorsor import make_bundle, validate_pretorsor, validate_torsor
 from torsorkit.spaces import LinearMap, Space, tensor_space
 
-from conftest import analysis, fixture
+from conftest import analysis, fixture, join_left, join_right
 from test_coring import trivial_coring
 from test_linalg import row_space_basis
 
