@@ -5,8 +5,11 @@ bundle is emitted, an oracle checks the construction independently: Hopf
 axioms are verified by direct matrix identities, and the expected dimensions
 of the derived objects (the two corings, the coinvariant sub-bimodule, the
 degree-one forms) are recomputed by naive kernel enumeration using only the
-basic linear algebra layer -- none of the chain or coring machinery.  The
-stored expectations exist to catch regressions, not to define truth.
+basic linear algebra layer -- none of the chain or coring machinery.  Every
+balancing relation is generated on the full plain tensor power, and the
+relation and T-bar spans are read as the sparse columns of whole
+matrices, never one dense column or vector at a time.  The stored
+expectations exist to catch regressions, not to define truth.
 """
 
 from __future__ import annotations
@@ -85,24 +88,16 @@ def oracle_check_hopf(field: Field, mult: Matrix, unit, delta: Matrix,
 
 
 def _naive_relations(field, n, act_right: Matrix, act_left: Matrix, rdim):
-    """Relation rows for one balanced link on a pair of n-dim legs."""
+    """Relation rows for one balanced link on a pair of n-dim legs: per
+    ring basis element e_r, x -> x.e_r and y -> e_r.y, read off the columns
+    of the two actions as rows of their transposes."""
+    art = act_right.transpose().sparse_rows()
+    alt = act_left.transpose().sparse_rows()
     rows = []
     for r in range(rdim):
-        er = [field.one if i == r else field.zero for i in range(rdim)]
-        # x.er on the left leg
-        mi_cols = []
-        for t in range(n):
-            vec = [field.zero] * (n * rdim)
-            vec[t * rdim + r] = field.one
-            mi_cols.append(act_right.apply(tuple(vec)))
-        mi = Matrix.from_cols(field, mi_cols, n)
-        mj_cols = []
-        for t in range(n):
-            vec = [field.zero] * (rdim * n)
-            vec[r * n + t] = field.one
-            mj_cols.append(act_left.apply(tuple(vec)))
-        mj = Matrix.from_cols(field, mj_cols, n)
-        rows.append((mi, mj))
+        mi = Matrix.from_sparse_rows(field, [art[t * rdim + r] for t in range(n)], n)
+        mj = Matrix.from_sparse_rows(field, [alt[r * n + t] for t in range(n)], n)
+        rows.append((mi.transpose(), mj.transpose()))
     return rows
 
 
@@ -131,12 +126,9 @@ def _naive_quotient(field, leg_dims, links):
                 Matrix.identity(field, n2 * right))
             gj = Matrix.identity(field, left * n1).kron(mj).kron(
                 Matrix.identity(field, right))
-            diff = gi - gj
-            for j in range(total):
-                col = diff.col(j)
-                if any(not field.is_zero(x) for x in col):
-                    gen_rows.append(col)
-    rel = Subspace.from_spanning(amb, gen_rows)
+            # the nonzero columns of the difference span the relations
+            gen_rows += [r for r in (gi - gj).transpose().sparse_rows() if r]
+    rel = Subspace.from_spanning(amb, Matrix.from_sparse_rows(field, gen_rows, total))
     return quotient(amb, rel)
 
 
@@ -168,34 +160,20 @@ def _oracle_dims(field, T: Algebra, alpha: Matrix, beta: Matrix,
     omega_c = p3.matrix @ (
         m.kron(idn).kron(idn) @ idn.kron(tau_raw)
         - unit_col.kron(idn).kron(idn)) @ s2b.matrix
-    C_basis = Matrix(field, omega_c.kernel_basis() or [], q2b.dim)
+    C_basis = omega_c.nullspace()
     dim_C = C_basis.nrows
 
     omega_d = p3.matrix @ (
         idn.kron(idn).kron(m) @ tau_raw.kron(idn)
         - idn.kron(idn).kron(unit_col)) @ s2a.matrix
-    D_basis = Matrix(field, omega_d.kernel_basis() or [], q2a.dim)
+    D_basis = omega_d.nullspace()
     dim_D = D_basis.nrows
 
     # Tbar as the intersection (C (x) T and T (x) D inside q3bar)
-    ct_cols = []
-    for i in range(dim_C):
-        rep = s2b.apply(C_basis.row(i))
-        for t in range(n):
-            vec = [field.zero] * (n ** 3)
-            for j, x in enumerate(rep):
-                vec[j * n + t] = x
-            ct_cols.append(p3bar.apply(tuple(vec)))
-    td_cols = []
-    for i in range(dim_D):
-        rep = s2a.apply(D_basis.row(i))
-        for t in range(n):
-            vec = [field.zero] * (n ** 3)
-            for j, x in enumerate(rep):
-                vec[t * n * n + j] = x
-            td_cols.append(p3bar.apply(tuple(vec)))
-    S_ct = Subspace.from_spanning(q3bar, ct_cols)
-    S_td = Subspace.from_spanning(q3bar, td_cols)
+    ct = p3bar.matrix @ (s2b.matrix @ C_basis.transpose()).kron(idn)
+    td = p3bar.matrix @ idn.kron(s2a.matrix @ D_basis.transpose())
+    S_ct = Subspace.from_spanning(q3bar, ct.transpose())
+    S_td = Subspace.from_spanning(q3bar, td.transpose())
     dim_Tbar = intersect([S_ct, S_td]).dim
 
     # degree-one forms on the A side: mu = 0 and the tau condition, in q2b
@@ -205,7 +183,7 @@ def _oracle_dims(field, T: Algebra, alpha: Matrix, beta: Matrix,
     embed = p3.matrix @ unit_col.kron(s2b.matrix)
     cond2 = first_leg_tau - embed
     stacked = Matrix.stack_rows([cond1, cond2])
-    dim_Omega1A = len(stacked.kernel_basis())
+    dim_Omega1A = stacked.nullspace().nrows
 
     return {"dim_C": dim_C, "dim_D": dim_D, "dim_Tbar": dim_Tbar,
             "dim_Omega1A": dim_Omega1A}

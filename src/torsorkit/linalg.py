@@ -21,15 +21,18 @@ compute every term with the native ``+``, ``-`` and ``*`` of those values
 and call no per-entry field method.  Each result row, column or vector is
 reduced once: by ``Field.normalise`` (which drops its zeros and puts each
 value in stored form: over QQ an integral ``Fraction`` becomes its
-``int``, over GF(p) a value is reduced mod p), by one gcd per value over
-the row's common denominator (``_integer_row_product``), by the Barrett
-step of ``_reduce`` over packed residues, or, in ``_g_rows``, entry by
-entry as it is written, each entry being one product (``% p`` over GF(p);
-over QQ only a row with a ``Fraction`` factor is normalised).
+``int``, over GF(p) a value is reduced mod p), by the zero filter alone
+(``_drop_zeros``, for an int-only QQ row of the dict loop), by one gcd
+per value over the row's common denominator (``_integer_row_product``), by
+the Barrett step of ``_reduce`` over packed residues, or, in ``_g_rows``,
+entry by entry as it is written, each entry being one product (``% p``
+over GF(p); over QQ only a row with a ``Fraction`` factor is normalised).
 
 The product has three paths.  ``_sparse_product`` sums each row in a dict,
 one update per term, when every value of both operands is an ``int``, over
-QQ and GF(p) alike.  Over QQ a product with a ``Fraction`` on either side
+QQ and GF(p) alike.  Over QQ such a row is already in stored form, so it is
+reduced by the zero filter alone, and only where terms met
+(``_drop_zeros``).  Over QQ a product with a ``Fraction`` on either side
 takes ``_integer_row_product``: each right row j is scaled by the lcm d_j
 of its denominators into an int row, each left row i puts its coefficients
 a_ij / d_j over one common denominator L_i and sums those int rows with
@@ -438,7 +441,8 @@ class Matrix:
         either side (the operands' ``_ints`` flags, ``_integral``) is summed
         on integer rows over one denominator per row
         (``_integer_row_product``).  Every other product takes the dict
-        loop (``_sparse_product``).  All three give the same stored rows."""
+        loop (``_sparse_product``), which over QQ needs only the zero filter
+        (``_drop_zeros``).  All three give the same stored rows."""
         if self.ncols != other.nrows:
             raise ShapeMismatch(f"cannot multiply {self.shape} by {other.shape}")
         if self.is_identity():
@@ -449,11 +453,14 @@ class Matrix:
         if isinstance(f, PrimeField):
             if _packed_slot(f, self.ncols, _nnz(self), _nnz(other), other.ncols):
                 return _packed_product(self, other)
+            normalise = f.normalise
         elif not ((self._ints or _integral(self)) and (other._ints or _integral(other))):
             rows, ints = _integer_row_product(self._rows, other._rows)
             return Matrix.from_sparse_rows(f, rows, other.ncols, ints)
+        else:
+            normalise = _drop_zeros
         return Matrix.from_sparse_rows(
-            f, _sparse_product(self._rows, other._rows, f.normalise), other.ncols, True)
+            f, _sparse_product(self._rows, other._rows, normalise), other.ncols, True)
 
     def apply(self, vec):
         """Image of a coordinate vector; cost scales with the nonzeros."""
@@ -713,6 +720,13 @@ def _sparse_product(rows, orows, normalise):
                 acc[k] = a * b if x is None else x + a * b
         out.append(normalise(acc, terms > len(acc)))
     return out
+
+
+def _drop_zeros(acc, summed):
+    """``Field.normalise`` of a QQ row summed from ints: a sum of ints is an
+    ``int``, already in stored form, and a product of nonzero ints is
+    nonzero, so only a row where terms met is filtered for zeros."""
+    return {k: v for k, v in acc.items() if v} if summed else acc
 
 
 def _integral(m: Matrix):

@@ -105,8 +105,17 @@ COMODULE_SIDE_CHECKS = {"M.side != 'left'"}
 # the coactions of the structure bicomodule T and the coinvariant bicomodule
 # Tbar: only Bicomodule.__init__ wraps them in a Comodule
 BICOMODULE_COACTIONS = {"rho_T", "lrho_T", "lrho", "rrho"}
-# the naive oracle builds its reference maps column by column on purpose
+# the fixture constructions (structure constants, coproducts, the smash
+# product and its cleft tau) are written a value at a time on purpose
 ORACLE = "fixtures.py"
+# the naive oracle's functions, and the calls they may not make: the chain,
+# coring and kron_apply machinery they are independent of, and the reads of
+# a dense column, one vector's image or one value's zero test
+ORACLE_FUNCTIONS = {"_naive_relations", "_naive_quotient", "_oracle_dims"}
+ORACLE_MACHINERY = {"tensor_chain", "chain_of_spaces", "_cached_chain", "_build_chain",
+                    "_relation_columns", "_prefix_action", "induce", "chain_map",
+                    "kron_apply", "Coring", "build_corings"}
+ORACLE_DENSE_READS = {"col", "apply", "is_zero"}
 COLUMN_LOOP_HELPERS = {"_fixed_left_act", "_fixed_right_act",
                        "_assemble_action_left", "_assemble_action_right"}
 # cleft_twist: the per-value reference kept on purpose, the helpers and
@@ -576,6 +585,28 @@ def test_no_action_is_assembled_column_by_column():
                       if isinstance(node, ast.Call) and _called_name(node) == "from_columns"
                       and node.args and isinstance(node.args[0], ast.Call)
                       and _called_name(node.args[0]) == "tensor_space"]
+    assert not offenders, offenders
+
+
+def test_the_oracle_stays_naive_independent_and_sparse():
+    """The fixture oracle (``ORACLE_FUNCTIONS``) calls none of the chain,
+    coring or ``kron_apply`` machinery, so it generates every relation on
+    the full ambient with no prefix step, and it reads no dense column, no
+    image of one vector and no single value's zero test: its relation and
+    T-bar spans are sparse rows.  Every machinery name it must not call is
+    defined in the package."""
+    defined = {node.name for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert ORACLE_MACHINERY <= defined, ORACLE_MACHINERY - defined
+    tree = ast.parse((PACKAGE / ORACLE).read_text(encoding="utf-8"))
+    oracle = {node.name: node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name in ORACLE_FUNCTIONS}
+    assert set(oracle) == ORACLE_FUNCTIONS, ORACLE_FUNCTIONS - set(oracle)
+    offenders = [f"{name}:{node.lineno} {ast.unparse(node)[:60]}"
+                 for name, fn in sorted(oracle.items()) for node in ast.walk(fn)
+                 if isinstance(node, ast.Call)
+                 and _called_name(node) in ORACLE_MACHINERY | ORACLE_DENSE_READS]
     assert not offenders, offenders
 
 

@@ -1152,6 +1152,43 @@ def test_no_matrix_flagged_integral_holds_a_fraction(case, integral):
                 type(v) is int for r in x.sparse_rows() for v in r.values())
 
 
+@st.composite
+def int_product_case(draw):
+    """All-int QQ operands a (m x n) and b (n x q), each size from 0 to 5,
+    about half of their entries zero and ints past a machine word among the
+    rest; empty rows are common."""
+    m, n, q = (draw(st.integers(0, 5)) for _ in range(3))
+    values = st.one_of(st.just(0), st.just(0), small_entries, st.integers(-2**70, 2**70))
+
+    def draw_operand(nrows, ncols):
+        return Matrix(QQ, draw(st.lists(st.lists(values, min_size=ncols, max_size=ncols),
+                                        min_size=nrows, max_size=nrows)), ncols)
+
+    return draw_operand(m, n), draw_operand(n, q)
+
+
+@given(int_product_case())
+@settings(max_examples=200, deadline=None)
+def test_an_int_product_is_reduced_by_the_zero_filter_alone(case):
+    """Over QQ the dict loop reduces the rows of an int-only product by the
+    zero filter alone (``_drop_zeros``).  On operands of 0 to 5 rows and
+    columns, and on products whose every row cancels to zero, the filter
+    gives ``QQ.normalise``'s rows, and ``@`` gives the dense reference's
+    entries as ints, flagged integral."""
+    a, b = case
+    (m, n), q = a.shape, b.ncols
+    doubled, negated = Matrix.augment(a, a), Matrix.stack_rows([b, -b])
+    for x, y, want in ((a, b, _ref_matmul(QQ, a.rows, b.rows, q)),
+                       (doubled, negated, [(0,) * q] * m)):
+        rows = _sparse_product(x.sparse_rows(), y.sparse_rows(), linalg._drop_zeros)
+        assert rows == _sparse_product(x.sparse_rows(), y.sparse_rows(), QQ.normalise)
+        product = x @ y
+        assert product._ints is True
+        assert all(type(v) is int for r in product.sparse_rows() for v in r.values())
+        assert_matches(product, want, (m, q))
+        assert_matches(Matrix.from_sparse_rows(QQ, rows, q, True), want, (m, q))
+
+
 # A packed product keeps its residues as one int and builds its row dicts
 # only when they are read.  Every prime of the packed kernels' range, and
 # the primes at the boundaries of the slot widths: GF(2) and GF(3) cancel
