@@ -23,12 +23,15 @@ only ``proj``/``sect`` with ``proj @ sect = I``; the relation span is
 
 A bimodule action is one matrix, on ``L (x) M`` or ``M (x) R``, and is
 read whole: a balancing relation, a leg action on a chain carrier and a
-linearity check each take the action matrix of the whole ring, with the
-ring leg moved beside the leg it acts on, never one map per ring basis
-element.  ``fix_left`` and ``fix_right`` read off the map of one ring
-element, given as a column.  Every action is written as a matrix expression
-in the structure maps, such as ``mult o (alpha (x) id)``, and evaluated by
-``kron_apply``; none is built one basis vector at a time.
+linearity check each take the action matrix of the whole ring, never one
+map per ring basis element.  ``leg_action`` is the one place a ring meets a
+chain leg: it moves the ring leg beside the leg it acts on and reads the
+action on the carrier, for chain steps, outer bimodules and every check
+that acts on one leg of a balanced tensor product.  ``fix_left`` and
+``fix_right`` read off the map of one ring element, given as a column.
+Every action is written as a matrix expression in the structure maps, such
+as ``mult o (alpha (x) id)``, and evaluated by ``kron_apply``; none is
+built one basis vector at a time.
 
 Elements the engine checks are columns, as the unit ``Algebra.unit_col``
 is.  Each validator is an identity of maps checked on the whole basis at
@@ -626,48 +629,62 @@ def chain_outer_bimodule(chain: TensorChain, left_factor: Bimodule,
                          right_factor: Bimodule) -> Bimodule:
     """Outer bimodule structure on a chain carrier, from the edge factors:
     the left factor's action on the first leg and the right factor's on the
-    last, each read on the carrier through ``proj``/``sect``.  The result is
-    not validated again: the edge actions of a balanced tensor product of
-    bimodules make it one."""
+    last (``leg_action``).  The result is not validated again: the edge
+    actions of a balanced tensor product of bimodules make it one."""
     L, R = left_factor.left, right_factor.right
-    f, proj, sect = chain.carrier.field, chain.proj.matrix, chain.sect.matrix
-    dims = [s.dim for s in chain.factor_spaces]
-    idle = [None] * (len(dims) - 1)
-    lact = proj @ kron_apply(f, [left_factor.lact.matrix] + idle, [L.dim] + dims, None,
-                             [None, sect])
-    ract = proj @ kron_apply(f, idle + [right_factor.ract.matrix], dims + [R.dim], None,
-                             [sect, None])
+    last = len(chain.factor_spaces) - 1
     return Bimodule(chain.carrier, L, R,
-                    LinearMap(tensor_space([L.space, chain.carrier]), chain.carrier, lact),
-                    LinearMap(tensor_space([chain.carrier, R.space]), chain.carrier, ract),
+                    LinearMap(tensor_space([L.space, chain.carrier]), chain.carrier,
+                              leg_action(chain, 0, L, left_factor.lact.matrix, "left")),
+                    LinearMap(tensor_space([chain.carrier, R.space]), chain.carrier,
+                              leg_action(chain, last, R, right_factor.ract.matrix, "right")),
                     check=False)
+
+
+def leg_action(chain: TensorChain, leg: int, ring: Algebra, act: Matrix, side: str,
+               rep: Matrix | None = None) -> Matrix:
+    """The whole action ``act`` of ``ring`` on leg ``leg`` of a chain, read
+    on its carrier: ``proj @ (act on the leg) @ P @ (rep (x) I)`` for
+    ``side="right"`` and ``proj @ (act on the leg) @ P @ (I (x) rep)`` for
+    "left", P moving the ring leg just after or just before the leg, through
+    ``kron_apply``.  ``rep`` maps into the ambient and defaults to ``sect``.
+    The one place a ring meets a chain leg."""
+    if side not in ("left", "right"):
+        raise ShapeMismatch(f"side must be 'left' or 'right', not {side!r}")
+    f, m = chain.carrier.field, ring.dim
+    dims = [s.dim for s in chain.factor_spaces]
+    n = len(dims)
+    legs = [None] * n
+    legs[leg] = act
+    rep = chain.sect.matrix if rep is None else rep
+    if side == "right":
+        order, dims, g = [*range(leg + 1), n, *range(leg + 1, n)], dims + [m], [rep, None]
+    else:
+        order, dims, g = [*range(1, leg + 1), 0, *range(leg + 1, n + 1)], [m] + dims, [None, rep]
+    # beside an edge leg the ring leg is in place already: no reordering
+    order = None if order == sorted(order) else order
+    return chain.proj.matrix @ kron_apply(f, legs, dims, order, g)
 
 
 def _prefix_action(head: TensorChain, link: Link) -> Matrix:
     """The whole right action ``H (x) R -> H`` of ``link.ring`` on leg
-    ``link.i`` of a chain step's prefix H, read on the prefix carrier:
-    ``proj @ (act_i on leg i) @ (sect (x) I)``, with the ring leg moved
-    beside leg i.
+    ``link.i`` of a chain step's prefix H, read on the prefix carrier
+    (``leg_action``).
 
     On an inner leg of a prefix with a quotient the action must descend
     through the prefix's relations: read along the ambient leg
     (``split_leg``), the action on the ambient must kill ``ker(proj)``
     (``first_unbalanced``), or ``NotWellDefined`` names a relation."""
-    pos, m, f = link.i, link.ring.dim, head.carrier.field
-    proj, sect = head.proj.matrix, head.sect.matrix
-    dims = [s.dim for s in head.factor_spaces]
-    n = len(dims)
-    legs = [None] * n
-    legs[pos] = link.act_i.matrix
-    order = [*range(pos + 1), n, *range(pos + 1, n)]
-    if pos < n - 1 and head.dim < head.ambient.dim:
-        raw = proj @ kron_apply(f, legs, dims + [m], order, [None] * (n + 1))
-        bad = first_unbalanced(split_leg(raw, [head.ambient.dim, m], 0), proj, sect)
+    pos, act = link.i, link.act_i.matrix
+    if pos < len(head.factor_spaces) - 1 and head.dim < head.ambient.dim:
+        proj, sect, amb = head.proj.matrix, head.sect.matrix, head.ambient.dim
+        raw = leg_action(head, pos, link.ring, act, "right", Matrix.identity(proj.field, amb))
+        bad = first_unbalanced(split_leg(raw, [amb, link.ring.dim], 0), proj, sect)
         if bad is not None:
             raise NotWellDefined(f"the right {link.ring.name}-action on leg {pos} is not "
                                  f"balanced on {head!r}",
                                  witness=relation_witness(proj, sect, bad))
-    return proj @ kron_apply(f, legs, dims + [m], order, [sect, None])
+    return leg_action(head, pos, link.ring, act, "right")
 
 
 def fix_left(bilinear: Matrix, u: Matrix, n) -> Matrix:

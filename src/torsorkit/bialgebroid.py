@@ -37,6 +37,7 @@ from .algebra import (
     first_nonzero_col,
     first_unbalanced,
     induce,
+    leg_action,
     nonlinear_side,
     opposite,
     regular_bimodule,
@@ -493,9 +494,7 @@ def monoidal_product(bgd: RightBialgebroid, M: Comodule, Mp: Comodule):
     MM = chain_of_spaces([M.space, Mp.space], [link])
     # carrier bimodule: left A through the second factor, trivial right
     lact = LinearMap(tensor_space([A.space, MM.carrier]), MM.carrier,
-                     MM.proj.matrix @ kron_apply(f, [None, Mp.carrier.lact.matrix],
-                                                 [A.dim, M.dim, Mp.dim], (1, 0, 2),
-                                                 [None, MM.sect.matrix]))
+                     leg_action(MM, 1, A, Mp.carrier.lact.matrix, "left"))
     K = field_algebra(f)
     ract = LinearMap(tensor_space([MM.carrier, K.space]), MM.carrier,
                      Matrix.identity(f, MM.dim))
@@ -561,15 +560,11 @@ def _beta_actions_on_cotensor(bundle, chain_TM, sub: Subspace):
     cotensor subspace (torsor case: both stabilise it): the action
     matrices on B (x) sub and sub (x) B."""
     b = bundle
-    f, nT, nB = b.field, b.T.dim, b.B.dim
-    rest = Matrix.identity(f, chain_TM.ambient.dim // nT)
-    on_sub, id_B = chain_TM.sect.matrix @ sub.inclusion.matrix, Matrix.identity(f, nB)
-    # T_BB's actions on the T-leg; the right one needs the B leg moved next to T
-    lact = b.T_BB.lact.matrix.kron(rest) @ id_B.kron(on_sub)
-    ract = b.T_BB.ract.matrix.kron(rest) @ permute_rows(
-        on_sub.kron(id_B), [nT, rest.nrows, nB], (0, 2, 1))
-    acts = ((chain_TM.proj.matrix @ lact, [b.B.space, sub.space]),
-            (chain_TM.proj.matrix @ ract, [sub.space, b.B.space]))
+    on_sub = chain_TM.sect.matrix @ sub.inclusion.matrix
+    acts = ((leg_action(chain_TM, 0, b.B, b.T_BB.lact.matrix, "left", on_sub),
+             [b.B.space, sub.space]),
+            (leg_action(chain_TM, 0, b.B, b.T_BB.ract.matrix, "right", on_sub),
+             [sub.space, b.B.space]))
     for act, legs in acts:
         if not sub.contains_map(LinearMap(tensor_space(legs), chain_TM.carrier, act)):
             raise MembershipFailure(
@@ -599,7 +594,6 @@ def monoidal_witness(bundle: PreTorsorBundle, pair: CoringPair,
     representatives xi is built on, legs t (x) t' (x) m (x) m'.
     """
     b = bundle
-    f = b.field
     C = pair.C
     A = b.A
     rep = Report(f"{b.name}:monoidal-{M.name}-{M.name}")
@@ -991,7 +985,6 @@ def cleft_pretorsor(A: Algebra, T: Algebra, alpha: AlgebraMap, C,
     """
     f = T.field
     idT = Matrix.identity(f, T.dim)
-    idC = Matrix.identity(f, C.dim)
     mu = T.mult.matrix
     T_AA = regular_bimodule(T, alpha, alpha, check=False)
     TC = tensor_chain([T_AA, C.carrier], [A])
@@ -1033,15 +1026,13 @@ def cleft_pretorsor(A: Algebra, T: Algebra, alpha: AlgebraMap, C,
            @ chain_map(TAT, [(1, rho, 2), (1, None, 1)], TCT))
     if lhs != rhs:
         raise AxiomFailure(f"{name}: T is not an entwined module")
-    # identity (3.5): jt(c) rho(1) = psi(c1 (x) jt(c2))
-    rho1 = rho.matrix @ T.unit_col
-    lmult_TC = TC.proj.matrix @ mu.kron(idC) @ idT.kron(TC.sect.matrix)
-    lhs35 = LinearMap(C.space, TC.carrier, lmult_TC @ jt.matrix.kron(rho1))
+    # identity (3.5): jt(c) rho(1) = psi(c1 (x) jt(c2)), with t -> t rho(1)
+    ref = LinearMap(T.space, TC.carrier, leg_action(
+        TC, 0, T, mu, "left", TC.sect.matrix @ rho.matrix @ T.unit_col))
     rhs35 = psi @ chain_map(C.cc, [(1, None, 1), (1, jt, 1)], CT) @ C.delta
-    if lhs35 != rhs35:
+    if ref @ jt != rhs35:
         raise AxiomFailure(f"{name}: the convolution-inverse entwining identity fails")
     # alpha lands in the coinvariants
-    ref = LinearMap(T.space, TC.carrier, lmult_TC @ idT.kron(rho1))
     coinv = kernel(rho - ref, "Tco")
     if not coinv.contains_map(alpha.map):
         raise AxiomFailure(f"{name}: the base does not land in the coinvariants")

@@ -559,7 +559,9 @@ def cleft_iso_check(bundle, pair, bgd_D, tw: TwistedBialgebroid,
 
 
 def twist_data_for_fixture(fx, bundle):
-    """TwistInput plus the raw cleft maps for a Hopf-based fixture."""
+    """TwistInput plus the raw cleft maps for a Hopf-based fixture: the
+    action, coaction and cleaving map its ``twist`` data gives, by default
+    the trivial action, T = H and the identity."""
     h = fx.hopf
     if h is None:
         raise ShapeMismatch(f"fixture {fx.name} carries no Hopf data")
@@ -569,23 +571,12 @@ def twist_data_for_fixture(fx, bundle):
     L = bgdH.base
     nH, nB = h.algebra.dim, B.dim
     iota = AlgebraMap(L, B, LinearMap(L.space, B.space, B.unit_col))
-    unit_B = B.unit_col
-    if fx.twist is not None and "action" in fx.twist:
-        action = fx.twist["action"]
-    else:
-        # h.b = eps(h) b
-        action = kron_apply(f, [h.eps, None], [nH, nB], None, [None, None])
+    data = fx.twist or {}
+    # h.b = eps(h) b
+    action = data.get("action") or kron_apply(f, [h.eps, None], [nH, nB], None, [None, None])
     # sigma(h, h') = eps(h) eps(h') 1
-    sigma = unit_B @ kron_apply(f, [h.eps, h.eps], [nH, nH], None, [None, None])
+    sigma = B.unit_col @ kron_apply(f, [h.eps, h.eps], [nH, nH], None, [None, None])
     inp = TwistInput(L, bgdH, thH, B, iota, action, sigma, sigma)
-
-    if fx.name == "EX-SMASH":
-        # T = B # H: coaction b # h -> b # h1 (x) h2, cleaving h -> 1 # h
-        rho_raw = kron_apply(f, [None, h.delta], [nB, nH], None, [None, None])
-        j_raw = kron_apply(f, [None, None], [nB, nH], None, [unit_B, None])
-    else:
-        # T = H itself
-        rho_raw = h.delta
-        j_raw = Matrix.identity(f, bundle.T.dim)
-    jt_raw = j_raw @ h.antipode
-    return inp, rho_raw, j_raw, jt_raw, h.antipode
+    rho_raw = data.get("coaction") or h.delta
+    j_raw = data.get("cleaving") or Matrix.identity(f, bundle.T.dim)
+    return inp, rho_raw, j_raw, j_raw @ h.antipode, h.antipode

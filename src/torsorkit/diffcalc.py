@@ -6,7 +6,9 @@ equivalently the intersection of the A-side coring with the multiplication
 kernel.  Differentials are implemented in degrees up to two, which carries
 every identity checked here (d squared on degree zero, flatness of the two
 canonical connections, and the twisted Leibniz rule of the bimodule
-connection).  Everything is an exact matrix identity.
+connection).  Everything is an exact matrix identity.  The base actions of
+the Leibniz rules and B on tau's last leg go through ``algebra.leg_action``,
+the one place a ring meets a chain leg.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from .algebra import (
     chain_outer_bimodule,
     corestrict_through,
     induce,
+    leg_action,
     sub_bimodule,
     tensor_chain,
 )
@@ -25,7 +28,7 @@ from .errors import (
     NotUnital,
     RangeFailure,
 )
-from .linalg import Matrix, kron_apply
+from .linalg import Matrix
 from .pretorsor import CoringPair, EntwiningData, Hand, PreTorsorBundle
 from .report import Report
 from .spaces import LinearMap, intersect, kernel
@@ -141,11 +144,11 @@ def connections(bundle: PreTorsorBundle, pair: CoringPair,
         j = chain_map(chain, h.legs((1, None, 1), (1, calc.omega1.inclusion, 2)), b.X3)
         nabla = corestrict_through(j, h.signed(bundle.tau - embed), RangeFailure,
                                    f"{b.name}: the {h.side} connection leaves its range")
-        # Leibniz
-        idbase = Matrix.identity(f, h.base.dim)
-        outer = chain_outer_bimodule(chain, *h.legs(b.T_BA, calc.omega1_bim))
+        # Leibniz: the base acts on the forms leg of nabla's values
         lhs = nabla.matrix @ h.pick(b.T_BA.ract, b.T_BA.lact).matrix
-        rhs = (h.pick(outer.ract, outer.lact).matrix @ h.kron(nabla.matrix, idbase)
+        rhs = (leg_action(chain, h.pick(1, 0), h.base,
+                          h.pick(calc.omega1_bim.ract, calc.omega1_bim.lact).matrix, h.side,
+                          chain.sect.matrix @ nabla.matrix)
                + chain.proj.matrix @ h.kron(b.idT, calc.d0.matrix))
         rep.add(f"appB.leibniz-{h.side}", "B.1", lhs == rhs)
         # flatness via the degree-one extension; the two Leibniz terms are only
@@ -169,10 +172,10 @@ def connections(bundle: PreTorsorBundle, pair: CoringPair,
 def _tau_right_linear(b: PreTorsorBundle) -> bool:
     """Whether tau is right B-linear, as one identity of maps on T (x) B:
     ``tau o ract_T == ract_X3 o (tau (x) id)``, where B acts on X3 through
-    its last leg, ``proj o (id (x) id (x) ract_T) o (tau_raw (x) id)``."""
-    n, ract = b.T.dim, b.T_AB.ract.matrix
-    return b.tau.matrix @ ract == b.X3.proj.matrix @ kron_apply(
-        b.field, [None, None, ract], [n] * 3 + [b.B.dim], None, [b.tau_raw, None])
+    its last leg (``leg_action`` on ``tau_raw``)."""
+    ract = b.T_AB.ract.matrix
+    acted = leg_action(b.X3, 2, b.B, ract, "right", b.tau_raw)
+    return b.tau.matrix @ ract == acted
 
 
 def bimodule_connection(bundle: PreTorsorBundle, pair: CoringPair,
@@ -184,7 +187,6 @@ def bimodule_connection(bundle: PreTorsorBundle, pair: CoringPair,
     absence is a verdict recorded in the report.
     """
     b = bundle
-    f = b.field
     rep = Report(f"{b.name}:bimodule-connection")
     Om1T = left_conn.module_chain
     om1B = calcB.omega1
@@ -206,10 +208,9 @@ def bimodule_connection(bundle: PreTorsorBundle, pair: CoringPair,
 
     # twisted Leibniz: nabla_l(t b) = nabla_l(t) b + sigma_B(t (x) d0 b);
     # the right action on the range goes through the T leg via beta
-    idB = Matrix.identity(f, b.B.dim)
-    om1t_outer = chain_outer_bimodule(Om1T, calcB.omega1_bim, b.T_AB)
     lhs = left_conn.nabla.matrix @ b.T_BB.ract.matrix
-    rhs = (om1t_outer.ract.matrix @ left_conn.nabla.matrix.kron(idB)
+    rhs = (leg_action(Om1T, 1, b.B, b.T_AB.ract.matrix, "right",
+                      Om1T.sect.matrix @ left_conn.nabla.matrix)
            + sigma_b.matrix @ TOm1B.proj.matrix @ b.idT.kron(calcB.d0.matrix))
     rep.add("propB.2.twisted-leibniz", "B.2(1)", lhs == rhs)
 

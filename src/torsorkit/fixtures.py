@@ -236,7 +236,6 @@ def sweedler_hopf(field: Field) -> HopfData:
     ]
     T = algebra_from_table(field, 4, table, [o, z, z, z], "H4",
                            labels=["1", "g", "x", "gx"])
-    dim = 4
     dcols = [[z] * 16 for _ in range(4)]
     dcols[0][0 * 4 + 0] = o                      # 1 -> 1(x)1
     dcols[1][1 * 4 + 1] = o                      # g -> g(x)g
@@ -451,11 +450,11 @@ def generate(name: str, field: Field = QQ) -> Fixture:
         dims = _oracle_dims(f, T, alpha.map.matrix, beta.map.matrix, tau_raw,
                             1, B.dim)
         _check_expected(name, dims)
+        # T = B # H: coaction b # h -> b # h1 (x) h2, cleaving h -> 1 # h
         twist = {
-            "hopf": h,
-            "B": B,
             "action": action,
-            "trivial_cocycle": True,
+            "coaction": Matrix.identity(f, B.dim).kron(h.delta),
+            "cleaving": B.unit_col.kron(Matrix.identity(f, h.algebra.dim)),
         }
         return Fixture(name, bundle, dims, hopf=h, twist=twist)
 

@@ -29,8 +29,9 @@ Each check on elements is one identity of maps: bilinearity of tau through
 ``algebra.nonlinear_side``, the commuting base images as mu o (alpha (x)
 beta) against its swap, units and group-likes as the columns
 ``Algebra.unit_col`` and ``GroupLike.element``, and the multiplications of
-Def 5.1(a)/(b) as a whole action matrix of T, with its ring leg moved
-beside the leg it acts on (``linalg.kron_apply``).
+Def 5.1(a)/(b) as a whole action matrix of T, a failing row naming its
+first failing basis pair.  Every ring acting on one leg of a chain carrier
+goes through ``algebra.leg_action``.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .algebra import (
     factor_matrix,
     first_nonzero_col,
     induce,
+    leg_action,
     nonlinear_side,
     regular_bimodule,
     single_chain,
@@ -81,7 +83,7 @@ from .errors import (
     TorsorKitError,
     WitnessNotIso,
 )
-from .linalg import Matrix, kron_apply, permute_rows
+from .linalg import Matrix, kron_apply, permute_cols, permute_rows
 from .report import Report
 from .spaces import LinearMap, image, intersect, invert, kernel
 
@@ -389,45 +391,46 @@ def validate_torsor(bundle: PreTorsorBundle) -> Report:
 
     # alpha(a) beta(b) == beta(b) alpha(a), the witness the first failing pair
     maps = [bundle.alpha.map.matrix, bundle.beta.map.matrix]
-    bad = first_nonzero_col(kron_apply(f, [bundle.mu], [n, n], None, maps)
-                            - kron_apply(f, [bundle.mu], [n, n], (1, 0), maps))
+    bad = _failing_pair(bundle.A, bundle.B, kron_apply(f, [bundle.mu], [n, n], None, maps),
+                        kron_apply(f, [bundle.mu], [n, n], (1, 0), maps))
     if bad is not None:
-        i, j = divmod(bad, bundle.B.dim)
-        rep.add("def5.1.commuting", "5.1", False,
-                witness=f"({bundle.A.space.labels[i]}, {bundle.B.space.labels[j]})")
+        rep.add("def5.1.commuting", "5.1", False, witness=bad)
         return rep
     rep.add("def5.1.commuting", "5.1", True)
 
     # (a) alpha(a) on leg 1 from the left == alpha(a) on leg 2 from the right,
     # (b) beta(b) on leg 2 from the left == beta(b) on leg 3 from the right,
-    # each one identity of maps on T (x) R: an action of T applied to tau,
-    # the ring leg moved beside the leg it acts on (well defined on X3
-    # thanks to the commuting images)
+    # each one identity of maps on T (x) R: an action of T applied to tau
+    # (``leg_action``, well defined on X3 thanks to the commuting images),
+    # the left one's columns reordered to T (x) R; the witness is the first
+    # failing (t, r)
     tau_raw = bundle.tau_raw
-
-    def acted(act, leg, ring_at, m):
-        legs = [None] * 3
-        legs[leg] = act.matrix
-        order = [0, 1, 2]
-        order.insert(ring_at, 3)
-        return X3.proj.matrix @ kron_apply(f, legs, [n] * 3 + [m], order, [tau_raw, None])
-
     for part, ring, lact, ract, pos in (("a", bundle.A, bundle.T_AB.lact, bundle.T_BA.ract, 0),
                                         ("b", bundle.B, bundle.T_BA.lact, bundle.T_AB.ract, 1)):
-        ok = acted(lact, pos, pos, ring.dim) == acted(ract, pos + 1, pos + 2, ring.dim)
-        rep.add(f"def5.1.{part}", f"5.1({part})", ok)
+        on_left = leg_action(X3, pos, ring, lact.matrix, "left", tau_raw)
+        on_right = leg_action(X3, pos + 1, ring, ract.matrix, "right", tau_raw)
+        bad = _failing_pair(T, ring, permute_cols(on_left, [n, ring.dim], (1, 0)), on_right)
+        rep.add(f"def5.1.{part}", f"5.1({part})", bad is None, witness=bad)
 
     # (c) tau(t t') = t1 t'1 (x) t'2 t2 (x) t3 t'3: the middle product comes
     # contracted in tau_pair_inner, mu on the outer leg pairs finishes it
     rhs_mat = X3.proj.matrix @ kron_apply(f, [bundle.mu, None, bundle.mu], [n] * 5, None,
                                           [bundle.tau_pair_inner()])
-    lhs_mat = bundle.tau.matrix @ bundle.mu
-    ok = lhs_mat == rhs_mat
-    rep.add("def5.1.c", "5.1(c)", ok)
+    bad = _failing_pair(T, T, bundle.tau.matrix @ bundle.mu, rhs_mat)
+    rep.add("def5.1.c", "5.1(c)", bad is None, witness=bad)
 
     # (d) unitality
     rep.add("def5.1.d", "5.1(d)", bundle.is_unital())
     return rep
+
+
+def _failing_pair(first, second, lhs: Matrix, rhs: Matrix):
+    """None when two maps on ``first (x) second`` agree, else the basis pair
+    of the first column on which they differ, named by its labels."""
+    if lhs == rhs:
+        return None
+    i, j = divmod(first_nonzero_col(lhs - rhs), second.dim)
+    return f"({first.space.labels[i]}, {second.space.labels[j]})"
 
 
 # ---------------------------------------------------------------------------
@@ -725,8 +728,7 @@ def _coinvariant_image(h: Hand, ent: EntwiningData, j: LinearMap):
     coact = (chain_map(KKT, h.legs((1, None, 1), (2, ent.psi, 2)), KTK)
              @ chain_map(KT, h.legs((1, K.delta, 2), (1, None, 1)), KKT))
     v1 = h.TK.sect.matrix @ h.rho.matrix @ b.T.unit_col
-    action = KT.proj.matrix @ h.kron(Matrix.identity(f, K.space.dim), b.mu) \
-        @ h.kron(KT.sect.matrix, b.idT)
+    action = leg_action(KT, h.pick(1, 0), b.T, b.mu, h.side)
     ref = LinearMap(
         KT.carrier, KTK.carrier,
         KTK.proj.matrix @ h.kron(KT.sect.matrix, idK)
@@ -819,10 +821,9 @@ def structure_isos(bundle: PreTorsorBundle, pair: CoringPair, tb: TbarBicomodule
 
         # identity (4.8)
         lcan, rcan = (
-            induce(h.two, LinearMap(
-                h.two.ambient, h.KT.carrier,
-                h.KT.proj.matrix @ h.kron(Matrix.identity(b.field, h.coring.dim), b.mu)
-                @ h.kron(h.KT.sect.matrix @ coact.matrix, b.idT)), f"{h.opposite[0]}can")
+            induce(h.two, LinearMap(h.two.ambient, h.KT.carrier, leg_action(
+                h.KT, h.pick(1, 0), b.T, b.mu, h.side, h.KT.sect.matrix @ coact.matrix)),
+                f"{h.opposite[0]}can")
             for h, coact in ((right, lcoact), (left, rcoact)))
         lcan_inv = invert(lcan)
         rcan_inv = invert(rcan)
@@ -906,10 +907,9 @@ def _one_sided_coaction(h: Hand, ent: EntwiningData) -> LinearMap:
     """T -> C (x)_A T, t -> psi_C^-1(t rho(1)); the left hand gives T -> T (x)_B D."""
     b = h.bundle
     TK = h.TK
-    idK = Matrix.identity(b.field, h.coring.dim)
-    v1 = h.rho.matrix @ b.T.unit_col
-    mult = TK.proj.matrix @ h.kron(b.mu, idK) @ h.kron(b.idT, TK.sect.matrix)
-    return ent.psi_inv @ LinearMap(b.T.space, TK.carrier, mult @ h.kron(b.idT, v1))
+    v1 = TK.sect.matrix @ h.rho.matrix @ b.T.unit_col
+    return ent.psi_inv @ LinearMap(b.T.space, TK.carrier, leg_action(
+        TK, h.pick(0, 1), b.T, b.mu, h.opposite, v1))
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,9 @@ Every displayed cleft/twist formula is a ``kron_apply`` expression; only the
 independent smash-pattern reference still sums one scalar at a time.  No
 bialgebroid check reads a structure map one value at a time, and no engine
 code outside a short list of named functions reads a value at a time at
-all.  Every name a module reads is bound in it, and every name a docstring
-cites resolves.
+all.  Every name a module reads is bound in it, every name a function
+assigns is read, and every name a docstring cites resolves.  The engine
+modules' ``.kron(`` calls only fall.
 """
 
 import argparse
@@ -113,8 +114,13 @@ ORACLE = "fixtures.py"
 # a dense column, one vector's image or one value's zero test
 ORACLE_FUNCTIONS = {"_naive_relations", "_naive_quotient", "_oracle_dims"}
 ORACLE_MACHINERY = {"tensor_chain", "chain_of_spaces", "_cached_chain", "_build_chain",
-                    "_relation_columns", "_prefix_action", "induce", "chain_map",
-                    "kron_apply", "Coring", "build_corings"}
+                    "_relation_columns", "_prefix_action", "leg_action", "induce",
+                    "chain_map", "kron_apply", "Coring", "build_corings"}
+# the ``.kron(`` calls left in each engine module: a ratchet that may only
+# fall, as the Kronecker products built just to be projected away are
+# applied through ``kron_apply`` (``algebra.leg_action`` for ring actions)
+KRON_CALLS = {"algebra.py": 5, "pretorsor.py": 39, "bialgebroid.py": 59,
+              "cleft_twist.py": 20, "diffcalc.py": 14, "coring.py": 5}
 ORACLE_DENSE_READS = {"col", "apply", "is_zero"}
 COLUMN_LOOP_HELPERS = {"_fixed_left_act", "_fixed_right_act",
                        "_assemble_action_left", "_assemble_action_right"}
@@ -371,18 +377,32 @@ def test_chain_steps_assemble_proj_and_sect_without_kron_apply(monkeypatch):
     its reduction rows applied to the prefix's ``proj``, so on a fresh
     EX-SMASH ``suite`` ``_build_chain`` itself never calls ``kron_apply``.
     The step's relation columns still reach it through the whole ring
-    action of ``_prefix_action``."""
+    action of ``_prefix_action``, which calls ``leg_action``, the one
+    ``kron_apply`` caller that places a ring leg on a chain leg."""
     callers = []
 
     def watched(*args):
-        callers.append(sys._getframe(1).f_code.co_name)
+        callers.append((sys._getframe(1).f_code.co_name, sys._getframe(2).f_code.co_name))
         return kron_apply(*args)
 
     monkeypatch.setattr(algebra, "kron_apply", watched)
     run("suite", argparse.Namespace(fixture="EX-SMASH", input=None, field=None,
                                     dump_matrices=False))
-    assert "_prefix_action" in callers
-    assert callers.count("_build_chain") == 0, callers.count("_build_chain")
+    assert ("leg_action", "_prefix_action") in callers
+    direct = [caller for caller, _ in callers]
+    assert "_prefix_action" not in direct and "chain_outer_bimodule" not in direct
+    assert direct.count("_build_chain") == 0, direct.count("_build_chain")
+
+
+def test_kron_calls_only_fall():
+    """The ``.kron(`` calls of each engine module, counted on its syntax
+    tree, stay at or below ``KRON_CALLS``."""
+    counts = {}
+    for name in KRON_CALLS:
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        counts[name] = sum(1 for node in ast.walk(tree) if isinstance(node, ast.Call)
+                           and getattr(node.func, "attr", None) == "kron")
+    assert all(counts[name] <= bound for name, bound in KRON_CALLS.items()), counts
 
 
 def test_chain_relations_are_generated_on_two_legs(monkeypatch, tmp_path):
@@ -894,6 +914,26 @@ def _unreached_functions():
     return {qualname for qualname, key, node in defs
             if not (node.name.startswith("__") and node.name.endswith("__"))
             and all(id(node) in inside for inside in reached.get(key, ()))}
+
+
+def test_every_local_is_read():
+    """Every name a ``src/`` function binds by a plain assignment is read in
+    that function, so no value is computed for nothing.  Names bound by
+    unpacking a tuple are exempt: taking some of a result's parts is how a
+    caller reads it."""
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            read = {node.id for node in ast.walk(fn)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno} {fn.name}: {target.id}"
+                       for node in ast.walk(fn) if isinstance(node, (ast.Assign, ast.AnnAssign))
+                       for target in (node.targets if isinstance(node, ast.Assign)
+                                      else [node.target])
+                       if isinstance(target, ast.Name) and target.id not in read]
+    assert not unread, unread
 
 
 def _parameters(fn):

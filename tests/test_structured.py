@@ -22,13 +22,17 @@ from hypothesis import given, settings, strategies as st
 from torsorkit import algebra, bialgebroid
 from torsorkit.algebra import (
     Algebra,
+    Link,
     _cached_chain,
     _prefix_action,
     _relation_columns,
+    chain_of_spaces,
     first_unbalanced,
     fix_left,
     fix_right,
     induce,
+    leg_action,
+    make_algebra,
     relation_witness,
 )
 from torsorkit.analysis import BundleAnalysis, bialgebroid_report
@@ -49,7 +53,7 @@ from torsorkit.linalg import Matrix, kron_apply, mixed_permutation, permute_cols
 from torsorkit.pretorsor import Hand, PreTorsorBundle, TorsorBundle, validate_torsor
 from torsorkit.serialize import bundle_from_document, loads
 from torsorkit.report import Report
-from torsorkit.spaces import LinearMap, Subspace, kernel
+from torsorkit.spaces import LinearMap, Space, Subspace, kernel, tensor_space
 
 from conftest import fixture, opposite_bundle, opposite_document, suite_on_document
 from test_linalg import assert_sparse_invariants
@@ -305,15 +309,114 @@ def test_prefix_action_matches_dense(tmp_path):
     assert seen == {"edge", "inner"}
 
 
+def _diagonal(field, m):
+    """k^m, the m-dim ring of diagonal matrices."""
+    return make_algebra(field, m, [(i, i, i, field.one) for i in range(m)], [field.one] * m,
+                        f"k^{m}")
+
+
+def _leg_action_case(data, field, side, inner, with_rep):
+    """A chain of two or three legs of dimension 0-3, each pair of adjacent
+    legs joined or not by a link of general matrices (so ``proj`` and
+    ``sect`` are a real quotient), and the action ``act`` of an m-dim ring
+    on an edge leg (the first for "left", the last for "right") or on the
+    inner leg of three, applied to ``sect`` or to a caller's map ``rep``
+    into the ambient."""
+    dims = data.draw(st.lists(st.integers(0, 3), min_size=3 if inner else 2, max_size=3))
+    spaces = [Space(field, d, f"S{i}") for i, d in enumerate(dims)]
+    links = []
+    for i in range(len(dims) - 1):
+        if data.draw(st.booleans()):
+            r = data.draw(st.integers(1, 2))
+            ring = _diagonal(field, r)
+            act_i = data.draw(_rect(field, dims[i], dims[i] * r))
+            act_j = data.draw(_rect(field, dims[i + 1], r * dims[i + 1]))
+            links.append(Link(i, i + 1, ring,
+                              LinearMap(tensor_space([spaces[i], ring.space]), spaces[i], act_i),
+                              LinearMap(tensor_space([ring.space, spaces[i + 1]]),
+                                        spaces[i + 1], act_j)))
+    chain = chain_of_spaces(spaces, links)
+    leg = 1 if inner else (0 if side == "left" else len(dims) - 1)
+    m = data.draw(st.integers(1, 3))
+    act = data.draw(_rect(field, dims[leg], dims[leg] * m))
+    rep = (data.draw(_rect(field, chain.ambient.dim, data.draw(st.integers(0, 2))))
+           if with_rep else None)
+    return chain, leg, _diagonal(field, m), act, rep
+
+
+def _check_leg_action(chain, leg, ring, act, side, rep):
+    """``leg_action`` against the dense ``proj @ (I (x) act (x) I) @ P @ G``,
+    P the permutation matrix that moves the ring leg just after (right) or
+    just before (left) the leg and G = ``rep (x) I_R`` or ``I_R (x) rep``,
+    and, one ring basis element at a time, against ``act`` fixed at that
+    element (``fix_right``/``fix_left``) on the leg."""
+    f, m = chain.carrier.field, ring.dim
+    dims = [s.dim for s in chain.factor_spaces]
+    n, proj = len(dims), chain.proj.matrix
+    got = leg_action(chain, leg, ring, act, side, rep)
+    rep = chain.sect.matrix if rep is None else rep
+    id_R = Matrix.identity(f, m)
+    on_leg = proj @ _dense_leg_map(f, dims, leg, act)
+    if side == "right":
+        perm = mixed_permutation(f, dims + [m], [*range(leg + 1), n, *range(leg + 1, n)])
+        assert got == on_leg @ perm @ rep.kron(id_R)
+    else:
+        perm = mixed_permutation(f, [m] + dims, [*range(1, leg + 1), 0, *range(leg + 1, n + 1)])
+        assert got == on_leg @ perm @ id_R.kron(rep)
+    assert_sparse_invariants(got)
+    for e in _basis_cols(f, m):
+        fixed = (fix_right(act, dims[leg], e) if side == "right"
+                 else fix_left(act, e, dims[leg]))
+        column = (fix_right(got, rep.ncols, e) if side == "right"
+                  else fix_left(got, e, rep.ncols))
+        assert column == proj @ _dense_leg_map(f, dims, leg, fixed) @ rep
+
+
+@pytest.mark.parametrize("with_rep", [False, True], ids=["sect", "rep"])
+@pytest.mark.parametrize("inner", [False, True], ids=["edge", "inner"])
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=["Q", "GF101"])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_leg_action_matches_dense(field, side, inner, with_rep, data):
+    """``leg_action`` on both sides, on edge and inner legs, on ``sect`` and
+    on a caller's map, over QQ (with fractions) and GF(101), legs of
+    dimension zero included."""
+    chain, leg, ring, act, rep = _leg_action_case(data, field, side, inner, with_rep)
+    _check_leg_action(chain, leg, ring, act, side, rep)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_leg_action_on_a_zero_dimensional_leg(side):
+    """A leg of dimension zero: the action is empty, of the right shape,
+    with no division by the leg's dimension."""
+    field = QQ
+    spaces = [Space(field, 2, "S0"), Space(field, 0, "S1"), Space(field, 3, "S2")]
+    chain = chain_of_spaces(spaces, [])
+    ring = _diagonal(field, 2)
+    for leg in range(3):
+        act = Matrix.identity(field, spaces[leg].dim).kron(Matrix.zero(field, 1, 2))
+        _check_leg_action(chain, leg, ring, act, side, None)
+        got = leg_action(chain, leg, ring, act, side)
+        assert got.shape == (0, 0)
+
+
 def _basis_cols(field, m):
     return [Matrix.from_sparse_rows(field, [{0: field.one} if k == r else {} for k in range(m)], 1)
             for r in range(m)]
 
 
+def _first_failing_column(lhs, rhs):
+    """The least column index at which two matrices differ, one column at a
+    time, or None."""
+    return next((j for j in range(lhs.ncols) if lhs.col(j) != rhs.col(j)), None)
+
+
 def _per_element_def51(bundle, part):
-    """Def 5.1(a)/(b) one ring basis element at a time, each leg map read on
-    X3's carrier through its dense Kronecker product: the per-element loop
-    the whole-ring rows replaced."""
+    """Def 5.1(a)/(b) one ring basis element r at a time, each leg map read
+    on X3's carrier through its dense Kronecker product: the per-element
+    loop the whole-ring rows replaced.  The first (t, r) it rejects, named
+    as the report names it, or None."""
     f, n, X3, tau = bundle.field, bundle.T.dim, bundle.X3, bundle.tau.matrix
     ring, lact, ract, pos = {"a": (bundle.A, bundle.T_AB.lact, bundle.T_BA.ract, 0),
                              "b": (bundle.B, bundle.T_BA.lact, bundle.T_AB.ract, 1)}[part]
@@ -321,9 +424,25 @@ def _per_element_def51(bundle, part):
     def on_carrier(leg, m):
         return X3.proj.matrix @ _dense_leg_map(f, [n] * 3, leg, m) @ X3.sect.matrix
 
-    return all(on_carrier(pos, fix_left(lact.matrix, e, n)) @ tau
-               == on_carrier(pos + 1, fix_right(ract.matrix, n, e)) @ tau
-               for e in _basis_cols(f, ring.dim))
+    for r, e in enumerate(_basis_cols(f, ring.dim)):
+        t = _first_failing_column(on_carrier(pos, fix_left(lact.matrix, e, n)) @ tau,
+                                  on_carrier(pos + 1, fix_right(ract.matrix, n, e)) @ tau)
+        if t is not None:
+            return f"({bundle.T.space.labels[t]}, {ring.space.labels[r]})"
+    return None
+
+
+def _per_element_def51c(bundle):
+    """Def 5.1(c) one pair (t, t') at a time against the dense ``mu (x) mu
+    (x) mu`` after the interleaving of ``tau (x) tau``: the first pair it
+    rejects, or None."""
+    b, n = bundle, bundle.T.dim
+    dense = b.X3.proj.matrix @ b.mu.kron(b.mu).kron(b.mu) @ _dense_two_tau(b)
+    bad = _first_failing_column(b.tau.matrix @ b.mu, dense)
+    if bad is None:
+        return None
+    labels = b.T.space.labels
+    return f"({labels[bad // n]}, {labels[bad % n]})"
 
 
 def _per_element_tau_right_linear(b):
@@ -341,8 +460,8 @@ def _torsor_row(row):
 
 # each row's whole-ring form in the engine and its per-element reference
 WHOLE_RING_ROWS = {
-    "def5.1.a": (_torsor_row("def5.1.a"), lambda bundle: _per_element_def51(bundle, "a")),
-    "def5.1.b": (_torsor_row("def5.1.b"), lambda bundle: _per_element_def51(bundle, "b")),
+    "def5.1.a": (_torsor_row("def5.1.a"), lambda bundle: _per_element_def51(bundle, "a") is None),
+    "def5.1.b": (_torsor_row("def5.1.b"), lambda bundle: _per_element_def51(bundle, "b") is None),
     "propB.2.tau-right-linear": (_tau_right_linear, _per_element_tau_right_linear),
 }
 
@@ -365,7 +484,10 @@ def test_whole_ring_rows_match_the_per_element_loop(field):
     basis vector added to one of its columns, that the loop rejects is
     rejected by the whole-ring form too: (a) on the opposite bundle, whose
     A is two-dimensional, (b) on EX-SMASH, whose B is, and right
-    B-linearity on EX-M2, whose B is M2 and whose tau is right B-linear."""
+    B-linearity on EX-M2, whose B is M2 and whose tau is right B-linear.
+    On the perturbed bundles the (a), (b) and (c) rows name as witness the
+    pair their per-element loops reject first: the perturbation moves one
+    column of tau, so the failing pairs share their T element."""
     smash = fixture("EX-SMASH", field).bundle
     op = opposite_bundle(smash)
     m2 = fixture("EX-M2", field).bundle
@@ -381,6 +503,16 @@ def test_whole_ring_rows_match_the_per_element_loop(field):
                                   for c in range(bundle.X3.dim))
                       if not per_element(p))
         assert not whole(bumped), row
+        if row == "propB.2.tau-right-linear":
+            continue
+        report = validate_torsor(bumped)
+        for part, want in (("a", _per_element_def51(bumped, "a")),
+                           ("b", _per_element_def51(bumped, "b")),
+                           ("c", _per_element_def51c(bumped))):
+            check = report.find(f"def5.1.{part}")
+            assert (check.status, check.witness) == \
+                ("pass" if want is None else "fail", want), (row, part)
+        assert report.find(row).witness is not None
 
 
 def test_perturbed_d_product_breaks_delta_multiplicativity(an_smash):
