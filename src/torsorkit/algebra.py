@@ -15,10 +15,13 @@ basis vector, so a step writes ``sect`` down as a column selection
 (``_compose_selections``), and its ``proj`` is the step's reduction rows
 applied to the prefix's ``proj``, assembled row by row (``_lift_rows``);
 neither goes through ``kron_apply``.  Every map the engine defines on
-representatives goes through ``induce``, which checks that the raw map kills
-the relation span before descending it to the carrier.  A chain carries
-only ``proj``/``sect`` with ``proj @ sect = I``; the relation span is
-``ker(proj)``, never built, and a map ``g`` kills it iff
+representatives goes through ``induce(dom, raw, cod)``, the one descent: a
+raw map from ``dom``'s ambient to ``cod``'s, projected by ``cod.proj``, must
+kill ``dom``'s relation span before it is read as a map of carriers.  A raw
+map into a plain space takes ``single_chain`` of it as ``cod``, and
+``chain_map`` is the descent of a map given as per-run blocks.  A chain
+carries only ``proj``/``sect`` with ``proj @ sect = I``; the relation span
+is ``ker(proj)``, never built, and a map ``g`` kills it iff
 ``g == (g @ sect) @ proj`` (``first_unbalanced``).
 
 A bimodule action is one matrix, on ``L (x) M`` or ``M (x) R``, and is
@@ -533,21 +536,24 @@ def single_chain(space: Space) -> TensorChain:
     return chain_of_spaces([space], [])
 
 
-def induce(dom: TensorChain, raw: LinearMap, name: str = "") -> LinearMap:
-    """Descend a raw map on the ambient to the carrier.
+def induce(dom: TensorChain, raw: Matrix, cod: TensorChain, name: str = "") -> LinearMap:
+    """Descend a raw map ``dom.ambient -> cod.ambient`` to the carriers.
 
-    ``raw`` must kill the balancing relations; the failure witness is a
-    relation vector with nonzero image.
+    ``cod.proj @ raw`` must kill the balancing relations of ``dom``; the
+    failure witness is a relation vector with nonzero image.  A raw map
+    that already lands in a plain space takes ``single_chain`` of it as
+    ``cod``, whose ``proj`` is the identity.
     """
-    if raw.domain is not dom.ambient:
+    if raw.ncols != dom.ambient.dim:
         raise ShapeMismatch("raw map is not defined on the chain ambient")
-    composed = raw @ dom.sect
+    g = cod.proj.matrix @ raw
     proj, sect = dom.proj.matrix, dom.sect.matrix
-    bad = first_unbalanced(raw.matrix, proj, sect, composed.matrix)
+    composed = g @ sect
+    bad = first_unbalanced(g, proj, sect, composed)
     if bad is not None:
         raise NotWellDefined(f"{name or 'map'} is not balanced on {dom!r}",
                              witness=relation_witness(proj, sect, bad))
-    return composed
+    return LinearMap(dom.carrier, cod.carrier, composed)
 
 
 def first_unbalanced(g: Matrix, proj: Matrix, sect: Matrix, g_sect: Matrix | None = None):
@@ -612,8 +618,7 @@ def chain_map(dom: TensorChain, blocks, cod: TensorChain, name: str = "") -> Lin
         ci += clen
     if di != len(dom.factor_spaces) or ci != len(cod.factor_spaces):
         raise ShapeMismatch("blocks do not cover the chains")
-    raw = LinearMap(dom.ambient, cod.ambient, mat)
-    return induce(dom, cod.proj @ raw, name)
+    return induce(dom, mat, cod, name)
 
 
 def _subchain(chain: TensorChain, a: int, b: int) -> TensorChain:

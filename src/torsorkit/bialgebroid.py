@@ -41,6 +41,7 @@ from .algebra import (
     nonlinear_side,
     opposite,
     regular_bimodule,
+    single_chain,
     tensor_chain,
     tensor_space,
 )
@@ -310,8 +311,7 @@ def theta(bgd: RightBialgebroid) -> ThetaData:
     chain_op = tensor_chain([op_data[1], op_data[1]], [op_data[0]])
     mult, split = bgd.algebra.mult.matrix, C.cc.sect.matrix @ C.delta.matrix
     raw = kron_apply(f, bgd.legs(mult, None), [C.dim] * 3, None, bgd.legs(None, split))
-    th = induce(chain_op, LinearMap(
-        chain_op.ambient, C.cc.carrier, C.cc.proj.matrix @ raw), "theta")
+    th = induce(chain_op, raw, C.cc, "theta")
     try:
         th_inv = invert(th)
     except NotInvertible as exc:
@@ -382,8 +382,7 @@ def _pentagon_right(bgd, th, rep, op_data):
     raw13 = (bgd.algebra.mult.matrix.kron(idC).kron(idC)
              @ permute_rows(idC.kron(idC).kron(C.cc.sect.matrix @ C.delta.matrix),
                             [C.dim] * 4, (0, 2, 1, 3)))
-    th13 = induce(M2, LinearMap(M2.ambient, M3.carrier,
-                                M3.proj.matrix @ raw13), "theta13")
+    th13 = induce(M2, raw13, M3, "theta13")
     last = chain_map(M3, [(1, None, 1), (2, th, 2)], Z)
     rhs = last @ th13 @ first
     rep.add("theta.pentagon", "(2.2)", lhs == rhs)
@@ -422,7 +421,7 @@ def diagonal_coinvariants(bundle: PreTorsorBundle, pair: CoringPair) -> Report:
     for h, other, raw in zip(hands, hands[::-1], _diagonal_coactions_raw(b)):
         X4diag = tensor_chain(h.legs(b.T_BA, h.T_base, b.T_AB, b.T_BA),
                               h.legs(h.base, h.base, other.base))
-        to_big = b.to_chain(h.base_two, raw, X4diag, f"diag-{h.letter}-coaction")
+        to_big = induce(h.base_two, raw, X4diag, f"diag-{h.letter}-coaction")
         TTK = tensor_chain(h.legs(b.T_BA, h.T_base, h.coring.carrier), h.legs(h.base, h.base))
         j = chain_map(TTK, h.legs((1, None, 1), (1, None, 1), (1, h.sub.inclusion, 2)),
                       X4diag)
@@ -510,11 +509,10 @@ def monoidal_product(bgd: RightBialgebroid, M: Comodule, Mp: Comodule):
            .kron(Matrix.identity(f, Mp.dim))
            @ permute_rows(rho_M.kron(rho_Mp),
                           [C.dim, M.dim, C.dim, Mp.dim], (0, 2, 1, 3)))
-    rho_amb = LinearMap(MM.ambient, CMM.carrier, CMM.proj.matrix @ raw)
-    rho_MM_big = induce(MM, rho_amb, "diagonal coaction")
+    rho_MM_big = induce(MM, raw, CMM, "diagonal coaction")
     # view C (x) (M (x) M') through the pair chain
     CMM2 = tensor_chain([C.carrier, MM_bim], [A])
-    j_map = _pair_to_triple(C, MM, CMM2, CMM)
+    j_map = chain_map(CMM2, [(1, None, 1), (1, LinearMap.identity(MM.carrier), 2)], CMM)
     rho_MM = corestrict_through(j_map, rho_MM_big, MembershipFailure,
                                 "diagonal coaction misses C (x) (M (x) M')")
     com = Comodule(bgd.coring, MM_bim, "left", rho_MM, f"{M.name}(x){Mp.name}")
@@ -530,14 +528,6 @@ def _opposite_link(A_op: Algebra, M: Bimodule, Mp: Bimodule) -> Link:
                           permute_cols(M.lact.matrix, [M.dim, n], (1, 0))),
                 LinearMap(tensor_space([A_op.space, Mp.space]), Mp.space,
                           permute_cols(Mp.ract.matrix, [n, Mp.dim], (1, 0))))
-
-
-def _pair_to_triple(C, MM, CMM2, CMM) -> LinearMap:
-    """Identify C (x)_A (MxM') with the triple chain via representatives."""
-    f = C.field
-    idC = Matrix.identity(f, C.dim)
-    raw = idC.kron(MM.sect.matrix) @ CMM2.sect.matrix
-    return LinearMap(CMM2.carrier, CMM.carrier, CMM.proj.matrix @ raw)
 
 
 # ---------------------------------------------------------------------------
@@ -628,9 +618,7 @@ def monoidal_witness(bundle: PreTorsorBundle, pair: CoringPair,
     reps = TM.sect.matrix @ S1.inclusion.matrix
     pair_reps = permute_rows(reps.kron(reps), [b.T.dim, M.dim, b.T.dim, M.dim],
                              (0, 2, 1, 3))
-    to_TMM = induce(S11, LinearMap(S11.ambient, TMM.carrier,
-                                   TMM.proj.matrix @ b.mu.kron(MM.proj.matrix) @ pair_reps),
-                    "xi")
+    to_TMM = induce(S11, b.mu.kron(MM.proj.matrix) @ pair_reps, TMM, "xi")
     xi = corestrict_through(S_MM.inclusion, to_TMM, MembershipFailure,
                             f"{b.name}: xi misses the cotensor")
     rep.add("thm5.4.xi-bijective", "(5.2)",
@@ -667,11 +655,9 @@ def can_factorisation(bundle: PreTorsorBundle, pair: CoringPair, gal_right,
     b, w = bundle, witness_data
     C = pair.C
     alpha_eps = b.alpha.map.matrix @ C.eps.matrix
-    final_raw = (pair.TC.proj.matrix
-                 @ (b.mu @ b.idT.kron(alpha_eps)).kron(Matrix.identity(b.field, C.dim))
-                 @ b.idT.kron(w["MM"].sect.matrix) @ w["TMM"].sect.matrix
-                 @ w["S_MM"].inclusion.matrix)
-    final = LinearMap(w["S_MM"].space, pair.TC.carrier, final_raw)
+    final_raw = ((b.mu @ b.idT.kron(alpha_eps)).kron(Matrix.identity(b.field, C.dim))
+                 @ b.idT.kron(w["MM"].sect.matrix))
+    final = induce(w["TMM"], final_raw, pair.TC, "T box (eps (x) C)") @ w["S_MM"].inclusion
     return final @ w["xi"] @ _rho_rho(b, pair, w) == gal_right.can
 
 
@@ -688,10 +674,7 @@ def cofree_comodule(bgd: RightBialgebroid, N_bim: Bimodule):
     CCN = tensor_chain([C.carrier, C.carrier, N_bim], [A, A])
     big = chain_map(CN, [(1, C.delta, 2), (1, None, 1)], CCN)
     CCN2 = tensor_chain([C.carrier, CN_bim], [A])
-    f = C.field
-    j = LinearMap(CCN2.carrier, CCN.carrier,
-                  CCN.proj.matrix @ Matrix.identity(f, C.dim).kron(CN.sect.matrix)
-                  @ CCN2.sect.matrix)
+    j = chain_map(CCN2, [(1, None, 1), (1, LinearMap.identity(CN.carrier), 2)], CCN)
     rho = corestrict_through(j, big, MembershipFailure,
                              "cofree coaction misses the pair chain")
     return Comodule(C, CN_bim, "left", rho, f"C(x){N_bim.space.name}"), CN
@@ -746,26 +729,24 @@ def lemma55_check(bundle: PreTorsorBundle, pair: CoringPair,
          Link(1, 3, A, C.carrier.ract, N_bim.lact)])
 
     # Psi: t (x) (c (x) n) (x) (c' (x) n') -> t (x) c' (x) eps(c)n (x) n'
-    expand = idT.kron(CN.sect.matrix.kron(CN.sect.matrix) @ X.sect.matrix) \
-        @ TX.sect.matrix
+    expand = idT.kron(CN.sect.matrix.kron(CN.sect.matrix) @ X.sect.matrix)
     collapse_eps = N_bim.lact.matrix @ C.eps.matrix.kron(idN)
     step = idT.kron(collapse_eps).kron(idC).kron(idN)
-    psi_map = LinearMap(TX.carrier, Z55.carrier,
-                        permute_cols(Z55.proj.matrix, [nT, nN, nC, nN], (0, 2, 1, 3))
-                        @ step @ expand)
+    psi_map = induce(TX, permute_rows(step, [nT, nN, nC, nN], (0, 2, 1, 3)) @ expand,
+                     Z55, "psi")
 
     # Theta: t (x) c (x) n (x) n' ->
     #        t0 (x) ((t1 c-) (x) n) (x) (c+ (x) n')
     chi = th.chain_op.sect.matrix @ th.theta_inv.matrix \
         @ C.cc.proj.matrix @ _left_tensor_unit(f, bgd)
     rho_exp = pair.TC.sect.matrix @ pair.rho_T.matrix
-    s1 = rho_exp.kron(chi).kron(idN).kron(idN) @ Z55.sect.matrix
+    s1 = rho_exp.kron(chi).kron(idN).kron(idN)
     # legs now: t0, t1, c-, c+, n, n'
     s2 = idT.kron(bgd.algebra.mult.matrix).kron(idC).kron(idN).kron(idN) @ s1
     # legs: t0, (t1 c-), c+, n, n' -> reorder to t0, (t1 c-), n, c+, n'
     s3 = permute_rows(s2, [nT, nC, nC, nN, nN], (0, 1, 3, 2, 4))
     into_X = idT.kron(X.proj.matrix @ CN.proj.matrix.kron(CN.proj.matrix)) @ s3
-    theta_map = LinearMap(Z55.carrier, TX.carrier, TX.proj.matrix @ into_X)
+    theta_map = induce(Z55, into_X, TX, "theta")
 
     rep.add("lem5.5.psi-theta-id", "(5.13)",
             (psi_map @ theta_map).is_identity())
@@ -795,27 +776,25 @@ def recovered_structure(bundle: PreTorsorBundle, pair: CoringPair,
     rep = Report(f"{b.name}:recovered-structure")
     S_MM, TMM, MM = w["S_MM"], w["TMM"], w["MM"]
     # D1 = (T (x) eps o mu) o xi, then mu_rec = D1 o (rho x rho)
-    collapse = (b.mu @ b.idT.kron(b.alpha.map.matrix @ C.eps.matrix
-                                  @ bgd.algebra.mult.matrix @ MM.sect.matrix)
-                @ TMM.sect.matrix @ S_MM.inclusion.matrix)
-    D1 = LinearMap(S_MM.space, b.T.space, collapse)
+    collapse = b.mu @ b.idT.kron(b.alpha.map.matrix @ C.eps.matrix
+                                 @ bgd.algebra.mult.matrix @ MM.sect.matrix)
+    D1 = induce(TMM, collapse, single_chain(b.T.space), "D1") @ S_MM.inclusion
     mu_rec = D1 @ w["xi"] @ _rho_rho(b, pair, w)
     rep.add("thm5.4.recovered-mult", "(5.11)", mu_rec == b.mu_TBT)
     # eta_rec = (T (x) eps) o (T box t) o xi0
-    eta_collapse = (b.mu @ b.idT.kron(b.alpha.map.matrix)
-                    @ w["TA"].sect.matrix @ w["S_A"].inclusion.matrix)
-    eta_rec = LinearMap(w["S_A"].space, b.T.space, eta_collapse) @ w["xi0"]
+    eta_collapse = induce(w["TA"], b.mu @ b.idT.kron(b.alpha.map.matrix),
+                          single_chain(b.T.space), "eta collapse")
+    eta_rec = eta_collapse @ w["S_A"].inclusion @ w["xi0"]
     rep.add("thm5.4.recovered-unit", "(5.11)", eta_rec.matrix == b.beta.map.matrix)
     # xi_rec via the recovered multiplication formula, with
     # d(u, u') = u0 u'0 alpha(eps(u1 u'1)) as a map T (x) T -> T
     du = (b.mu @ b.mu.kron(b.alpha.map.matrix @ C.eps.matrix
                            @ bgd.algebra.mult.matrix)
           @ _rho_pair(b, pair))
-    xi_rec_raw = (TMM.proj.matrix @ du.kron(MM.proj.matrix) @ w["pair_reps"]
-                  @ w["S11"].sect.matrix)
-    xi_rec = corestrict_through(
-        S_MM.inclusion, LinearMap(w["S11"].carrier, TMM.carrier, xi_rec_raw),
-        MembershipFailure, "recovered xi misses the cotensor")
+    rec_to_TMM = induce(w["S11"], du.kron(MM.proj.matrix) @ w["pair_reps"], TMM,
+                        "recovered xi")
+    xi_rec = corestrict_through(S_MM.inclusion, rec_to_TMM, MembershipFailure,
+                                "recovered xi misses the cotensor")
     rep.add("thm5.4.recovered-xi", "(5.11)", xi_rec == w["xi"])
     return rep
 
@@ -905,19 +884,16 @@ def homogeneous_pretorsor(bgd: RightBialgebroid, th: ThetaData, p_span,
         f, [C.carrier.ract.matrix], [C.dim, A.dim], None, [sect_Q.matrix, None]))
     Q_bim = Bimodule(Q_space, A, A, lact_Q, ract_Q)
     QQ = tensor_chain([Q_bim, Q_bim], [A])
-    two_pi = QQ.proj.matrix @ pi.matrix.kron(pi.matrix) @ C.cc.sect.matrix
-    if not (two_pi @ C.delta.matrix @ I.inclusion.matrix).is_zero():
+    two_pi = chain_map(C.cc, [(1, pi, 1), (1, pi, 1)], QQ)
+    if not (two_pi @ C.delta @ I.inclusion).is_zero():
         raise NotSubcomoduleCompatible(f"{name}: quotient coproduct ill-defined")
-    delta_Q = LinearMap(Q_space, QQ.carrier,
-                        two_pi @ C.delta.matrix @ sect_Q.matrix)
+    delta_Q = two_pi @ C.delta @ sect_Q
     eps_Q = LinearMap(Q_space, A.space, C.eps.matrix @ sect_Q.matrix)
     Q = Coring(A, Q_bim, delta_Q, eps_Q, name=f"Q({name})")
 
     # Q-comodule structure on C and its coinvariants
     CQ = tensor_chain([C.carrier, Q_bim], [A])
-    rho_C = LinearMap(C.space, CQ.carrier,
-                      CQ.proj.matrix @ Matrix.identity(f, C.dim).kron(pi.matrix)
-                      @ C.cc.sect.matrix @ C.delta.matrix)
+    rho_C = chain_map(C.cc, [(1, None, 1), (1, pi, 1)], CQ) @ C.delta
     C_comodule = Comodule(Q, C.carrier, "right", rho_C, "C")
     gQ = check_grouplike(Q, pi.matrix @ alg.unit_col)
     Bsub = coinvariants(C_comodule, gQ, "B")
@@ -944,8 +920,7 @@ def homogeneous_pretorsor(bgd: RightBialgebroid, th: ThetaData, p_span,
     idC = Matrix.identity(f, C.dim)
     can_raw = (alg.mult.matrix.kron(pi.matrix)
                @ idC.kron(C.cc.sect.matrix @ C.delta.matrix))
-    can = induce(CBC, LinearMap(CBC.ambient, CQ.carrier,
-                                CQ.proj.matrix @ can_raw), "can")
+    can = induce(CBC, can_raw, CQ, "can")
     chi_theta = th.chain_op.sect.matrix @ th.theta_inv.matrix \
         @ C.cc.proj.matrix @ _left_tensor_unit(f, bgd)
     caninv_raw = (alg.mult.matrix.kron(idC)
@@ -954,8 +929,7 @@ def homogeneous_pretorsor(bgd: RightBialgebroid, th: ThetaData, p_span,
     if not (CBC.proj.matrix @ alg.mult.matrix.kron(idC)
             @ idC.kron(chi_theta @ I.inclusion.matrix)).is_zero():
         raise IsoFailure(f"{name}: displayed inverse is not defined on the quotient")
-    can_inv = induce(CQ, LinearMap(CQ.ambient, CBC.carrier,
-                                   CBC.proj.matrix @ caninv_raw), "can-inv")
+    can_inv = induce(CQ, caninv_raw, CBC, "can-inv")
     if not (can @ can_inv).is_identity() or not (can_inv @ can).is_identity():
         raise IsoFailure(f"{name}: canonical map and displayed inverse not inverse")
 
@@ -1017,7 +991,7 @@ def cleft_pretorsor(A: Algebra, T: Algebra, alpha: AlgebraMap, C,
             witness=C.space.labels[bad])
     # entwined module identity for T
     TAT = tensor_chain([T_AA, T_AA], [A])
-    mu_bal = induce(TAT, LinearMap(TAT.ambient, T.space, mu), "mu")
+    mu_bal = induce(TAT, mu, single_chain(T.space), "mu")
     TCT = tensor_chain([T_AA, C.carrier, T_AA], [A, A])
     TTC = tensor_chain([T_AA, T_AA, C.carrier], [A, A])
     lhs = rho @ mu_bal

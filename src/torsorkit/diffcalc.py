@@ -155,13 +155,9 @@ def connections(bundle: PreTorsorBundle, pair: CoringPair,
         # jointly balanced, so the sum is induced in one step
         chain2 = tensor_chain(h.legs(b.T_BA, calc.omega1_bim, calc.omega1_bim),
                               [h.base, h.base])
-        raw_nabla = chain2.proj.matrix @ h.kron(chain.sect.matrix @ nabla.matrix,
-                                                Matrix.identity(f, calc.dim))
-        raw_d1 = chain2.proj.matrix @ h.kron(
-            b.idT, calc.omega2.sect.matrix @ calc.d1.matrix)
-        ext = induce(chain, LinearMap(chain.ambient, chain2.carrier,
-                                      h.signed(raw_nabla) + raw_d1),
-                     f"{h.side} extension")
+        raw_nabla = h.kron(chain.sect.matrix @ nabla.matrix, Matrix.identity(f, calc.dim))
+        raw_d1 = h.kron(b.idT, calc.omega2.sect.matrix @ calc.d1.matrix)
+        ext = induce(chain, h.signed(raw_nabla) + raw_d1, chain2, f"{h.side} extension")
         rep.add(f"appB.flat-{h.side}", "B.1", (ext @ nabla).is_zero())
         if not rep.ok:
             raise NotFlat(f"{b.name}: {h.side} connection identities failed")
@@ -197,8 +193,7 @@ def bimodule_connection(bundle: PreTorsorBundle, pair: CoringPair,
         # t (x) omega -> tau(t omega_1) omega_2 on ``chain``, into Omega1(B) (x)_B T:
         # the left entwining's formula on Omega1 instead of the coring D
         raw = Hand(b, "left").entwined(two_leg.sect.matrix @ omega1.inclusion.matrix)
-        to_X3 = induce(chain, LinearMap(chain.ambient, b.X3.carrier,
-                                        b.X3.proj.matrix @ raw), name)
+        to_X3 = induce(chain, raw, b.X3, name)
         return corestrict_through(j_l, to_X3, MembershipFailure, f"{b.name}: {msg}")
 
     # sigma_B on T (x)_B Omega1(B)

@@ -31,7 +31,10 @@ beta) against its swap, units and group-likes as the columns
 ``Algebra.unit_col`` and ``GroupLike.element``, and the multiplications of
 Def 5.1(a)/(b) as a whole action matrix of T, a failing row naming its
 first failing basis pair.  Every ring acting on one leg of a chain carrier
-goes through ``algebra.leg_action``.
+goes through ``algebra.leg_action``, and every map written on
+representatives, such as the Galois maps, omega and T (x) tau, descends to
+its carriers through ``algebra.induce`` or ``algebra.chain_map``.  The
+bundle memoises the induced maps (``_memo``) but has no descent of its own.
 """
 
 from __future__ import annotations
@@ -191,20 +194,15 @@ class PreTorsorBundle:
             self._cache[key] = build()
         return self._cache[key]
 
-    @staticmethod
-    def to_chain(dom: TensorChain, mat: Matrix, cod: TensorChain, name="") -> LinearMap:
-        full = LinearMap(dom.ambient, cod.carrier, cod.proj.matrix @ mat)
-        return induce(dom, full, name)
-
     @property
     def mu_TBT(self) -> LinearMap:
         """Multiplication T (x)_B T -> T."""
-        return self._memo("mu_TBT", lambda: self.to_chain(
+        return self._memo("mu_TBT", lambda: induce(
             self.TBT, self.mu, single_chain(self.T.space), "mu over B"))
 
     @property
     def mu_TAT(self) -> LinearMap:
-        return self._memo("mu_TAT", lambda: self.to_chain(
+        return self._memo("mu_TAT", lambda: induce(
             self.TAT, self.mu, single_chain(self.T.space), "mu over A"))
 
     # -- the defining kernels ------------------------------------------
@@ -216,7 +214,7 @@ class PreTorsorBundle:
             step1 = h.kron(self.idT, self.tau_raw)
             first = h.kron(self.mu, self.idT, self.idT) @ step1
             second = h.kron(self.T.unit_col, self.idT, self.idT)
-            return self.to_chain(h.two, first - second, self.X3, f"omega_{h.letter}")
+            return induce(h.two, first - second, self.X3, f"omega_{h.letter}")
         return self._memo(f"omega_{h.letter}", build)
 
     @property
@@ -302,7 +300,7 @@ class Hand:
         """T (x)_B tau from the coring's ambient, memoised on the bundle."""
         b = self.bundle
         name = self.label("T", "tau")
-        return b._memo(name, lambda: b.to_chain(
+        return b._memo(name, lambda: induce(
             self.two, self.kron(b.idT, b.tau_raw), self.X4, name))
 
     def legs(self, *xs) -> list:
@@ -550,7 +548,7 @@ def galois(bundle: PreTorsorBundle, pair: CoringPair, side: str = "right") -> Ga
     rho_exp = TK.sect.matrix @ h.rho.matrix
     step1 = h.kron(b.idT, rho_exp)
     step2 = h.kron(b.mu, idK)
-    can = b.to_chain(h.two, step2 @ step1, TK, h.pick("can_C", "can_D_left"))
+    can = induce(h.two, step2 @ step1, TK, h.pick("can_C", "can_D_left"))
     try:
         can_inv = invert(can)
     except NotInvertible as exc:
@@ -599,8 +597,7 @@ def entwining(bundle: PreTorsorBundle, pair: CoringPair, side: str = "right") ->
     K, KT, TK = h.coring, h.KT, h.TK
     idK = Matrix.identity(f, K.dim)
     raw = h.entwined(h.two.sect.matrix @ h.sub.inclusion.matrix)
-    to_X3 = induce(KT, LinearMap(KT.ambient, b.X3.carrier, b.X3.proj.matrix @ raw),
-                   f"psi_{h.letter}")
+    to_X3 = induce(KT, raw, b.X3, f"psi_{h.letter}")
     j_TK = chain_map(TK, h.legs((1, None, 1), (1, h.sub.inclusion, 2)), b.X3)
     psi = corestrict_through(
         j_TK, to_X3, MembershipFailure,
@@ -702,9 +699,8 @@ def tbar(bundle: PreTorsorBundle, pair: CoringPair,
     # coactions: restriction of T (x)_B tau (x)_A T
     X5bar = tensor_chain([b.T_AB, b.T_BA, b.T_AB, b.T_BA, b.T_AB],
                          [b.B, b.A, b.B, b.A])
-    mid_tau = X5bar.proj.matrix @ b.idT.kron(b.tau_raw).kron(b.idT) \
-        @ X3bar.sect.matrix @ S_iii.inclusion.matrix
-    to_X5 = LinearMap(S_iii.space, X5bar.carrier, mid_tau)
+    to_X5 = chain_map(X3bar, [(1, None, 1), (1, b.tau, 3), (1, None, 1)], X5bar) \
+        @ S_iii.inclusion
     lrho, rrho = (
         corestrict_through(
             chain_map(tensor_chain(h.legs(h.coring.carrier, Tbar_bim), [h.base]),
@@ -821,9 +817,9 @@ def structure_isos(bundle: PreTorsorBundle, pair: CoringPair, tb: TbarBicomodule
 
         # identity (4.8)
         lcan, rcan = (
-            induce(h.two, LinearMap(h.two.ambient, h.KT.carrier, leg_action(
-                h.KT, h.pick(1, 0), b.T, b.mu, h.side, h.KT.sect.matrix @ coact.matrix)),
-                f"{h.opposite[0]}can")
+            induce(h.two, leg_action(h.KT, h.pick(1, 0), b.T, b.mu, h.side,
+                                     h.KT.sect.matrix @ coact.matrix),
+                   single_chain(h.KT.carrier), f"{h.opposite[0]}can")
             for h, coact in ((right, lcoact), (left, rcoact)))
         lcan_inv = invert(lcan)
         rcan_inv = invert(rcan)
@@ -858,9 +854,7 @@ def _collapse(h: Hand, other: Hand, tb: TbarBicomodule):
     # varpi: multiply the first three legs
     expand = h.kron(b.idT, b.X3bar.sect.matrix @ Tbar.inclusion.matrix)
     mul3 = h.kron(b.mu @ b.mu.kron(b.idT), b.idT)
-    varpi_amb = induce(TTbar, LinearMap(
-        TTbar.ambient, h.base_two.carrier, h.base_two.proj.matrix @ mul3 @ expand),
-        h.pick("varpi", "varpi2"))
+    varpi_amb = induce(TTbar, mul3 @ expand, h.base_two, h.pick("varpi", "varpi2"))
     varpi = corestrict_through(
         other.sub.inclusion, varpi_amb @ box.inclusion, IsoFailure,
         f"{b.name}: {h.pick('varpi', 'mirror map')} does not land in {other.letter}")
@@ -886,17 +880,15 @@ def _counit_iso(h: Hand, other: Hand, TTbar, expand: Matrix, j_TTbar: LinearMap,
     f, n = b.field, b.T.dim
     X3bar, X4, KT = b.X3bar, other.X4, other.KT
     name = f"{other.letter}cou"
-    cou_amb = induce(TTbar, LinearMap(
-        TTbar.ambient, X3bar.carrier, X3bar.proj.matrix @ kron_apply(
-            f, h.legs(b.mu, None, None), [n] * 4, None, [expand])), name)
+    cou_amb = induce(TTbar, kron_apply(f, h.legs(b.mu, None, None), [n] * 4, None, [expand]),
+                     X3bar, name)
     cou = corestrict_through(
         j_KT, cou_amb, IsoFailure, f"{b.name}: {h.pick('counit map', 'mirror counit')} "
         f"does not land in {other.label(other.letter, 'T')}")
     expand_K = other.kron(other.two.sect.matrix @ other.sub.inclusion.matrix, b.idT)
     inv_mat = kron_apply(f, h.legs(b.mu, None, None, None), [n] * 5, None,
                          [kron_apply(f, [None, b.tau_raw, None], [n] * 3, None, [expand_K])])
-    inv_amb = induce(KT, LinearMap(KT.ambient, X4.carrier, X4.proj.matrix @ inv_mat),
-                     f"{name}inv")
+    inv_amb = induce(KT, inv_mat, X4, f"{name}inv")
     inv = corestrict_through(
         j_TTbar, inv_amb, IsoFailure,
         f"{b.name}: {h.pick('inverse', 'mirror inverse')} misses {h.label('T', 'Tbar')}")
@@ -1023,7 +1015,7 @@ def kappa(bundle: PreTorsorBundle, pair: CoringPair, Ct: Coring,
     # Galois verdict for the alternative coring
     step1 = b.idT.kron(rho_exp)
     step2 = b.mu.kron(idCt)
-    can_t = b.to_chain(b.TBT, step2 @ step1, TCt, "can_Ct")
+    can_t = induce(b.TBT, step2 @ step1, TCt, "can_Ct")
     galois_verdict = can_t.domain.dim == can_t.codomain.dim \
         and can_t.rank() == can_t.domain.dim
     return morphism, kappa_bijective, galois_verdict

@@ -18,11 +18,12 @@ from torsorkit.algebra import (
     make_algebra,
     opposite,
     regular_bimodule,
+    single_chain,
     sub_bimodule,
     tensor_chain,
 )
 from torsorkit.bialgebroid import _opposite_link
-from torsorkit.errors import NotAssociative, NotFree, NotUnital, NotWellDefined
+from torsorkit.errors import NotAssociative, NotFree, NotUnital, NotWellDefined, ShapeMismatch
 from torsorkit.fields import GF, QQ
 from torsorkit.fixtures import field_algebra, group_algebra, matrix_algebra, unit_algebra_map
 from torsorkit.linalg import Matrix, kron_apply, permute_cols
@@ -147,15 +148,17 @@ def test_a_link_that_does_not_descend_through_the_prefix_raises():
 
 
 def _mult_on_square(m2):
+    """M2 (x)_M2 M2, its multiplication as a raw map and the plain chain
+    on M2 it lands in."""
     chain = tensor_chain([regular_bimodule(m2)] * 2, [m2])
-    return chain, LinearMap(chain.ambient, m2.space, m2.mult.matrix)
+    return chain, m2.mult.matrix, single_chain(m2.space)
 
 
 def test_induce_well_defined_and_not():
     m2 = matrix_algebra(QQ)
-    chain, mu = _mult_on_square(m2)
-    induced = induce(chain, mu)
-    assert induced.domain is chain.carrier
+    chain, mu, cod = _mult_on_square(m2)
+    induced = induce(chain, mu, cod)
+    assert induced.domain is chain.carrier and induced.codomain is m2.space
     # multiplication after the swap is not balanced over a matrix algebra
     n = m2.dim
     perm_cols = []
@@ -165,10 +168,12 @@ def test_induce_well_defined_and_not():
             v[j * n + i] = QQ.one
             perm_cols.append(tuple(v))
     swap = Matrix.from_cols(QQ, perm_cols, n * n)
-    bad = LinearMap(chain.ambient, m2.space, m2.mult.matrix @ swap)
     with pytest.raises(NotWellDefined) as err:
-        induce(chain, bad)
+        induce(chain, mu @ swap, cod)
     assert err.value.witness is not None
+    # a raw map on the wrong number of ambient columns
+    with pytest.raises(ShapeMismatch):
+        induce(chain, Matrix.identity(QQ, n), cod)
 
 
 def test_certify_free_examples():
@@ -229,8 +234,8 @@ def test_algebra_map_validation():
 
 def test_induced_map_composes_with_projection():
     # the induced map followed by the projection recovers the raw map
-    chain, mu = _mult_on_square(matrix_algebra(QQ))
-    assert (induce(chain, mu) @ chain.proj).matrix == mu.matrix
+    chain, mu, cod = _mult_on_square(matrix_algebra(QQ))
+    assert (induce(chain, mu, cod) @ chain.proj).matrix == mu
 
 
 # (ring dim, module dim) pairs: unequal, with one-dimensional legs on

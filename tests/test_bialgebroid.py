@@ -55,11 +55,12 @@ from torsorkit.errors import (
     MembershipFailure,
     NotConvolutionInverse,
     NotSubcomoduleCompatible,
+    NotWellDefined,
     TakeuchiViolation,
 )
 from torsorkit.fields import GF, QQ
 from torsorkit.fixtures import FIXTURE_NAMES, field_algebra, group_hopf, sweedler_hopf
-from torsorkit.linalg import Matrix
+from torsorkit.linalg import Matrix, permute_cols
 from torsorkit.pretorsor import Hand
 from torsorkit.report import Report
 from torsorkit.spaces import LinearMap, Subspace, intersect, kernel, tensor_space
@@ -797,6 +798,25 @@ def test_each_section5_row_sees_its_own_input(monkeypatch, name, row):
     assert sorted(rows) == sorted(SECTION5_PERTURBATIONS) and all(rows.values())
     rows = _section5_rows(an, lambda data: SECTION5_PERTURBATIONS[row](monkeypatch, an, data))
     assert [r for r, ok in rows.items() if not ok] == [row]
+
+
+def test_recovered_xi_refuses_an_unbalanced_formula(monkeypatch, an_smash):
+    """With the two T legs of ``_rho_pair`` swapped, the recovered xi
+    formula no longer kills the balancing relations of (T box C) (x)_B
+    (T box C), a real quotient on EX-SMASH: its descent raises and names a
+    relation, rather than reading ``fail``."""
+    b, pair, bC = an_smash.bundle, an_smash.pair, an_smash.bialgebroids[0]
+    n, rho_pair = b.T.dim, bialgebroid._rho_pair
+    monkeypatch.setattr(bialgebroid, "_rho_pair", lambda bundle, p: permute_cols(
+        rho_pair(bundle, p), [n, n], (1, 0)))
+    _, data = monoidal_witness(b, pair, bC, an_smash.regular_comodule())
+    S11 = data["S11"]
+    assert S11.dim < S11.ambient.dim
+    with pytest.raises(NotWellDefined, match="recovered xi is not balanced") as err:
+        recovered_structure(b, pair, bC, data)
+    witness = err.value.witness
+    assert any(not b.field.is_zero(v) for v in witness)
+    assert all(b.field.is_zero(v) for v in S11.proj.apply(witness))
 
 
 def _reference_subalgebra(alg, sub, name, err, msg):

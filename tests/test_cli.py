@@ -324,6 +324,30 @@ def test_gf101_suite_report_bytes_match_the_recorded_digests(name):
     assert digest == GF101_SUITE_DIGESTS[name]
 
 
+# suite report digests of every fixture's opposite bundle (conftest's
+# opposite_bundle) over both fields; a report names no scalar, so the two
+# fields agree.  The EX-SMASH^op digests record its two failing
+# right-linearity rows and change when ROADMAP item 5 mends them.
+OPPOSITE_SUITE_DIGESTS = {
+    "EX-TRIV": "5226001ae49ce915d7cb8fca80d50a3744177539a1a626501e36edc527058292",
+    "EX-C2": "63c08ec8b94a3a1cbf2b0291f64a31470436eb2635931b02f9e0b4d6aa0e923e",
+    "EX-SW": "959475677dba14942a4906305793f6820768433fe8ecaca35aa6fd363eb4f50f",
+    "EX-M2": "1c9292e9e36956e5aa5de3f6e94e7ee9a497ee98c6387747a3748290e0c2531d",
+    "EX-SMASH": "e031676615864b408a709f18db38fe50b90bc94a83f0174eb6c348fe437ee034",
+    "EX-Q3": "4ddb646ce9f78276ed3654961076187679b015c02d884e76e4709de0f4f9bad8",
+    "EX-Q4": "1d3cd0f3ad1e0aa230f840a6efbd0db41d64b80a8b42fffdb0cbebd0da732928",
+}
+
+
+@pytest.mark.parametrize("field", ["Q", "GF101"])
+@pytest.mark.parametrize("name", sorted(OPPOSITE_SUITE_DIGESTS))
+def test_opposite_suite_report_bytes_match_the_recorded_digests(opposite_suites, name, field):
+    """The session's cached opposite-bundle reports, so no analysis runs
+    twice."""
+    digest = hashlib.sha256(dumps(opposite_suites(name, field)).encode("utf-8")).hexdigest()
+    assert digest == OPPOSITE_SUITE_DIGESTS[name]
+
+
 @pytest.mark.parametrize("path, value", [
     (("maps", "tau", 0), ["1"]),                       # ragged row
     (("maps", "tau", 0), ["1", "0", "0"]),             # too-long row

@@ -36,7 +36,9 @@ bialgebroid check reads a structure map one value at a time, and no engine
 code outside a short list of named functions reads a value at a time at
 all.  Every name a module reads is bound in it, every name a function
 assigns is read, and every name a docstring cites resolves.  The engine
-modules' ``.kron(`` calls only fall.
+modules' ``.kron(`` calls only fall, and every map defined on a chain's
+representatives descends through ``algebra.induce``: no other module builds
+a ``LinearMap`` on a chain ambient.
 """
 
 import argparse
@@ -119,7 +121,7 @@ ORACLE_MACHINERY = {"tensor_chain", "chain_of_spaces", "_cached_chain", "_build_
 # the ``.kron(`` calls left in each engine module: a ratchet that may only
 # fall, as the Kronecker products built just to be projected away are
 # applied through ``kron_apply`` (``algebra.leg_action`` for ring actions)
-KRON_CALLS = {"algebra.py": 5, "pretorsor.py": 39, "bialgebroid.py": 59,
+KRON_CALLS = {"algebra.py": 5, "pretorsor.py": 37, "bialgebroid.py": 55,
               "cleft_twist.py": 20, "diffcalc.py": 14, "coring.py": 5}
 ORACLE_DENSE_READS = {"col", "apply", "is_zero"}
 COLUMN_LOOP_HELPERS = {"_fixed_left_act", "_fixed_right_act",
@@ -403,6 +405,23 @@ def test_kron_calls_only_fall():
         counts[name] = sum(1 for node in ast.walk(tree) if isinstance(node, ast.Call)
                            and getattr(node.func, "attr", None) == "kron")
     assert all(counts[name] <= bound for name, bound in KRON_CALLS.items()), counts
+
+
+def test_only_induce_maps_a_chain_ambient():
+    """No module but ``algebra`` builds a ``LinearMap`` whose domain is a
+    chain's ``.ambient``: a raw map on representatives reaches its carrier
+    through ``induce(dom, raw, cod)`` or ``chain_map``, which check that it
+    kills the balancing relations."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        offenders += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and _called_name(node) == "LinearMap"
+                      and node.args and isinstance(node.args[0], ast.Attribute)
+                      and node.args[0].attr == "ambient"]
+    assert not offenders, offenders
 
 
 def test_chain_relations_are_generated_on_two_legs(monkeypatch, tmp_path):

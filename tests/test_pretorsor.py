@@ -192,9 +192,9 @@ def test_kron_apply_call_sites_equal_their_dense_expressions(monkeypatch, name, 
     raw, applied = {}, []
     kron_apply = pretorsor.kron_apply
 
-    def watched_induce(dom, lin, label=""):
-        raw[label] = lin.matrix
-        return induce(dom, lin, label)
+    def watched_induce(dom, raw_map, cod, label=""):
+        raw[label] = cod.proj.matrix @ raw_map
+        return induce(dom, raw_map, cod, label)
 
     def watched_kron_apply(*args):
         out = kron_apply(*args)

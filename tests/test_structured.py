@@ -34,6 +34,7 @@ from torsorkit.algebra import (
     leg_action,
     make_algebra,
     relation_witness,
+    single_chain,
 )
 from torsorkit.analysis import BundleAnalysis, bialgebroid_report
 from torsorkit.bialgebroid import (
@@ -732,15 +733,20 @@ def _spans_the_relation_kernel_mod_p(chain, cols):
 
 def test_induce_rejects_the_swapped_product_on_smash(ex_smash):
     """mu is balanced on T (x)_B T; mu after the leg swap is not, and the
-    witness is a relation with nonzero image."""
+    witness is a relation with nonzero image.  Into a codomain that is a
+    real quotient, T (x)_B T itself, mu on the first two legs of
+    T (x)_A T (x)_B T descends to ``cod.proj @ raw @ dom.sect``."""
     b = ex_smash.bundle
     TBT, f = b.TBT, b.field
     assert TBT.dim < TBT.ambient.dim
-    mu = LinearMap(TBT.ambient, b.T.space, b.mu)
-    assert induce(TBT, mu).matrix == b.mu @ TBT.sect.matrix
-    swapped = LinearMap(TBT.ambient, b.T.space, permute_cols(b.mu, [b.T.dim] * 2, (1, 0)))
+    T_chain = single_chain(b.T.space)
+    assert induce(TBT, b.mu, T_chain).matrix == b.mu @ TBT.sect.matrix
+    first_two = b.mu.kron(b.idT)
+    assert induce(b.X3, first_two, TBT).matrix \
+        == TBT.proj.matrix @ first_two @ b.X3.sect.matrix
+    swapped = permute_cols(b.mu, [b.T.dim] * 2, (1, 0))
     with pytest.raises(NotWellDefined) as err:
-        induce(TBT, swapped)
+        induce(TBT, swapped, T_chain)
     witness = err.value.witness
     assert not any(not f.is_zero(v) for v in TBT.proj.apply(witness))
     assert any(not f.is_zero(v) for v in swapped.apply(witness))
