@@ -59,7 +59,7 @@ from .errors import (
     NotWellDefined,
     ShapeMismatch,
 )
-from .linalg import Matrix, kron_apply, permute_cols, split_leg
+from .linalg import Matrix, _binomial_rref, kron_apply, permute_cols, split_leg
 from .spaces import LinearMap, Space, Subspace, quotient, tensor_space
 
 
@@ -366,29 +366,40 @@ def _relation_columns(field, rho: Matrix, lam: Matrix, m):
 
     ``rho: H (x) R -> H`` is a right and ``lam: R (x) L -> L`` a left action
     of the m-dim ring R, so column (w, r, x) is ``w.r (x) x - w (x) r.x``;
-    it is built from the two column supports, never from the operators.
+    it is built from the two column supports, never from the operators,
+    with native arithmetic: two terms cancel when their stored values are
+    equal, and the sums where they met and did not are normalised together.
     """
     l = lam.nrows
-    iz, sub, neg = field.is_zero, field.sub, field.neg
+    normalise = field.normalise
     rho_cols, lam_cols = rho.col_supports(), lam.col_supports()
+    # each value c of lam beside -c in stored form, from one normalise
+    neg = iter(normalise({k: -c for k, c in enumerate(c for col in lam_cols for _, c in col)},
+                         False).values())
+    lam_terms = [[(y, c, next(neg)) for y, c in col] for col in lam_cols]
     cols = []
+    # (column, row) -> the raw sum where two terms met and did not cancel
+    summed = {}
     for w in range(rho.nrows):
         base = w * l
         for r in range(m):
             wr = rho_cols[w * m + r]
             for x in range(l):
                 entries = {v * l + x: c for v, c in wr}
-                for y, c in lam_cols[r * l + x]:
+                for y, c, nc in lam_terms[r * l + x]:
                     y += base
                     v = entries.get(y)
                     if v is None:
-                        entries[y] = neg(c)
-                    elif iz(v := sub(v, c)):
+                        entries[y] = nc
+                    elif v == c:
+                        # stored forms are canonical: the two terms cancel
                         del entries[y]
                     else:
-                        entries[y] = v
+                        entries[y] = summed[len(cols), y] = v + nc
                 if entries:
                     cols.append(entries)
+    for (k, y), v in normalise(summed, True).items():
+        cols[k][y] = v
     return cols
 
 
@@ -445,7 +456,11 @@ def _build_chain(spaces, links) -> TensorChain:
     column is free in the reduced echelon form of the whole relation span
     exactly when it is free once the prefix's relations are quotiented out,
     so the carrier basis does not depend on the order the links are folded
-    in.
+    in.  When every relation has at most two terms, as every relation of a
+    monomial basis does, the step's span is eliminated by weighted
+    union-find (``linalg._binomial_rref``); any other span by
+    ``Subspace.from_spanning``.  Both give the one reduced echelon form, so
+    the carrier does not depend on which ran.
     """
     field = spaces[0].field
     ambient = tensor_space(spaces)
@@ -475,8 +490,14 @@ def _build_chain(spaces, links) -> TensorChain:
             rho, lam = _prefix_action(head, link), link.act_j.matrix
             rel_cols += _relation_columns(field, rho, lam, link.ring.dim)
             ints = ints and rho._ints and lam._ints
-        rel = Subspace.from_spanning(
-            step_amb, Matrix.from_sparse_rows(field, rel_cols, step_amb.dim, ints))
+        if max(map(len, rel_cols), default=0) <= 2:
+            rows, pivots, units = _binomial_rref(rel_cols, field)
+            # flagged as Matrix.rref flags an echelon form: int when every inverse was
+            rel = Subspace._from_echelon(step_amb, rows[:len(pivots)], pivots,
+                                         f"sub({step_amb.name})", ints if units else None)
+        else:
+            rel = Subspace.from_spanning(
+                step_amb, Matrix.from_sparse_rows(field, rel_cols, step_amb.dim, ints))
         carrier, step_proj, step_sect = quotient(step_amb, rel)
     proj = _lift_rows(field, step_proj.matrix, head.proj.matrix, last.dim)
     sect = _compose_selections(field, head.sect.matrix, step_sect.matrix, last.dim)

@@ -33,6 +33,7 @@ from .algebra import (
     chain_of_spaces,
     field_algebra,
     first_unbalanced,
+    induce,
     tensor_chain,
     tensor_space,
 )
@@ -287,9 +288,8 @@ def twisted_bialgebroid(inp: TwistInput, name: str = "twist") -> TwistedBialgebr
 
     # coproduct and counit
     dd = tensor_chain([carrier, carrier], [B])
-    pairs = kron_apply(f, [proj, proj], [amb_dim] * 2, None,
-                       [twisted_coproduct(inp, chi) @ sect])
-    delta_D = LinearMap(chain.carrier, dd.carrier, dd.proj.matrix @ pairs)
+    pairs = kron_apply(f, [proj, proj], [amb_dim] * 2, None, [twisted_coproduct(inp, chi)])
+    delta_D = induce(chain, pairs, dd, f"{name}: the twisted coproduct")
     eps_D = LinearMap(chain.carrier, B.space, twisted_counit(inp, chi) @ sect)
     coring = Coring(B, carrier, delta_D, eps_D, name=f"D({name})")
     rep.add("propA.1.coring", "A.1(2)", True)
@@ -459,13 +459,13 @@ def remark_a2_automorphism(inp: TwistInput, tw: TwistedBialgebroid,
         rep.add("remA.2.iso", "A.2(2)", False)
         return rep
     # multiplicativity of the comparison
+    comp2 = comp.kron(comp)
     lhs = comp @ tw.bgd.algebra.mult.matrix
-    rhs = twisted.algebra.mult.matrix @ comp.kron(comp)
+    rhs = twisted.algebra.mult.matrix @ comp2
     rep.add("remA.2.iso-multiplicative", "A.2(2)", lhs == rhs)
     # coring structure transported
-    dd_tw = tw.bgd.coring.cc
-    hh = twisted.coring.cc
-    two = hh.proj.matrix @ comp.kron(comp) @ dd_tw.sect.matrix
+    two = induce(tw.bgd.coring.cc, comp2, twisted.coring.cc,
+                 f"{name}: the comparison on D (x)_B D").matrix
     lhs = two @ tw.bgd.coring.delta.matrix
     rhs = twisted.coring.delta.matrix @ comp
     rep.add("remA.2.iso-coproduct", "A.2(2)", lhs == rhs)

@@ -15,7 +15,8 @@ Stored values are canonical: over QQ an ``int`` when integral and a
 ``[1, p)``.  The kernels (the product's three paths ``_sparse_product``,
 ``_integer_row_product`` and ``_packed_product``, the elimination's two
 paths ``_sparse_rref`` and
-``_packed_rref``, the packed-resident helpers, ``kron``, ``kron_apply``,
+``_packed_rref`` and the binomial one ``_binomial_rref``, the
+packed-resident helpers, ``kron``, ``kron_apply``,
 ``apply``, ``apply_pair``, the entrywise operations and the constructors)
 compute every term with the native ``+``, ``-`` and ``*`` of those values
 and call no per-entry field method.  Each result row, column or vector is
@@ -98,8 +99,9 @@ In a ``suite`` run on the seed-1 dense EX-SW document over GF(101), 121
 of the 131 packed products compared with a packed matrix are never
 unpacked.
 
-``Matrix.rref`` is the only elimination, exact over Q and GF(p) alike, and
-it too has two paths.  ``_sparse_rref`` is Gauss-Jordan on the sparse rows,
+``Matrix.rref`` is the elimination of every kernel, image, rank, solve and
+inverse, exact over Q and GF(p) alike, and it too has two paths.
+``_sparse_rref`` is Gauss-Jordan on the sparse rows,
 with the modular reduction delayed to the points where a value is read
 (once per column, pivot row and output row) and each pivot touching only
 the rows its column meets.  Over GF(p) a dense enough operand takes
@@ -118,6 +120,20 @@ a matrix whose every column c has a unit row, a row equal to the unit
 vector e_c (``Matrix.unit_rows``).  A matrix has exactly one reduced row
 echelon form, so both paths give the same rows and pivots, and echelon
 bases are canonical and reproducible whichever row supplies a pivot.
+
+One elimination does not go through ``rref``: a chain step's relation
+span whose every row has at most two entries, as the relations
+``w.b (x) x - w (x) b.x`` of a monomial basis do, is eliminated by
+``_binomial_rref``.  Its reduced echelon form is a graph problem: columns
+are nodes and each two-entry row ``c_a e_a + c_b e_b`` an edge saying
+e_a = -(c_b / c_a) e_b, solved by union-find with potentials (Tarjan, JACM
+1975).  A component met by a one-entry row or by a cycle whose weights
+disagree spans all its unit vectors; any other component of k columns has
+rank k - 1, its largest column free.  It makes at most one ``inv`` per
+union, where the dict loop does a Gauss-Jordan step, and gives the same
+rows and pivots.  ``algebra._build_chain`` picks it by one pass over the
+rows' lengths; ``rref`` itself never does, so ``Subspace.from_spanning``
+and the fixtures' naive oracle stay on the two paths above.
 
 ``Matrix.solve`` reads an injection's solution off its unit rows.  The
 injections the engine corestricts through (canonical echelon inclusions,
@@ -166,6 +182,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from math import gcd, lcm, prod
 from operator import attrgetter, mul
 
@@ -877,6 +894,121 @@ def _sparse_rref(rows, field):
     # every other row lost each of its columns, so it is empty
     out = [normalise(rows[i], True) for i in pivot_rows]
     out += [{} for _ in range(m - len(out))]
+    return out, pivots, units
+
+
+def _binomial_rref(rows, field):
+    """``_sparse_rref`` of rows with at most two entries each, by weighted
+    union-find: the same pivot rows in pivot order, then the zero rows, the
+    pivot columns, and whether every inverse taken was an ``int``.
+
+    Columns are nodes.  A row ``c_a e_a + c_b e_b`` is an edge that says
+    e_a = -(c_b / c_a) e_b modulo the row space, and union by size with path
+    compression keeps, for each column a, its potential: the p_a with
+    e_a = p_a e_r for the root r of a's component (Tarjan, *Efficiency of a
+    good but not linear set union algorithm*, JACM 1975).  A component is
+    dead when a one-entry row meets it or a cycle's weights disagree; every
+    column of it is then a pivot with the row e_a.  A live component of k
+    columns has rank k - 1: its largest column M is free, and every other
+    column a is a pivot with the row e_a - (p_a / p_M) e_M.  A column in no
+    row is free.  Terms use the native ``+ - *``; every potential stored is
+    normalised, a cycle's disagreements are normalised together at the end,
+    and ``inv`` is taken at most once per union and once per live component.
+    """
+    normalise, inv, one = field.normalise, field.inv, field.one
+    n = max(chain.from_iterable(rows), default=-1) + 1
+    parent = list(range(n))
+    pot = [one] * n
+    size = [1] * n
+    top = list(range(n))
+    units = True
+
+    def find(a):
+        # the root of a and p_a, for a at least two steps below its root;
+        # the path is compressed with one normalise
+        path = [a]
+        r = parent[a]
+        while parent[r] != r:
+            path.append(r)
+            r = parent[r]
+        lam, acc = {}, one
+        for x in reversed(path):
+            acc = lam[x] = pot[x] * acc
+        for x, v in normalise(lam, False).items():
+            parent[x] = r
+            pot[x] = v
+        return r, pot[a]
+
+    def recip(x):
+        # 1 and -1 are their own inverses: no Fraction is built for them
+        return x if x == one or x == -one else inv(x)
+
+    def locate(a):
+        # a root's potential is one: pot is written only when it is attached
+        r = parent[a]
+        return (r, pot[a]) if parent[r] == r else find(a)
+
+    # a cycle row whose weights disagree leaves a nonzero here
+    clash = {}
+    single = []
+    for i, row in enumerate(rows):
+        if len(row) != 2:
+            if row:
+                single.append(next(iter(row)))
+            continue
+        (a, ca), (b, cb) = row.items()
+        # the row is alpha e_ra + beta e_rb
+        ra = parent[a]
+        if parent[ra] == ra:
+            alpha = ca * pot[a]
+        else:
+            ra, pa = find(a)
+            alpha = ca * pa
+        rb = parent[b]
+        if parent[rb] == rb:
+            beta = cb * pot[b]
+        else:
+            rb, pb = find(b)
+            beta = cb * pb
+        if ra == rb:
+            clash[i] = alpha + beta
+            continue
+        if size[ra] > size[rb]:
+            ra, rb, alpha, beta = rb, ra, beta, alpha
+        s = recip(alpha)
+        units = units and type(s) is int
+        parent[ra] = rb
+        (pot[ra],) = normalise({ra: -beta * s}, False).values()
+        size[rb] += size[ra]
+        if top[ra] > top[rb]:
+            top[rb] = top[ra]
+    dead = {locate(a)[0] for a in single}
+    dead.update(locate(next(iter(rows[i])))[0] for i in normalise(clash, True))
+    # the live rows: e_a + scale_r p_a e_M, with scale_r = -1 / p_M
+    pivots, frees, raw, scale = [], [], {}, {}
+    for a in range(n):
+        r = parent[a]
+        if parent[r] == r:
+            pa = pot[a]
+        else:
+            r, pa = find(a)
+        if r in dead:
+            pivots.append(a)
+            frees.append(None)
+            continue
+        M = top[r]
+        if a == M:
+            continue
+        s = scale.get(r)
+        if s is None:
+            s = scale[r] = -recip(locate(M)[1])
+            units = units and type(s) is int
+        raw[a] = pa * s
+        pivots.append(a)
+        frees.append(M)
+    vals = normalise(raw, False)
+    out = [{a: one} if M is None else {a: one, M: vals[a]} for a, M in zip(pivots, frees)]
+    out += [{} for _ in range(len(rows) - len(out))]
     return out, pivots, units
 
 

@@ -10,7 +10,8 @@ import random
 
 import pytest
 
-from torsorkit.algebra import AlgebraMap
+from torsorkit import cleft_twist
+from torsorkit.algebra import AlgebraMap, relation_witness
 from torsorkit.cleft_twist import (
     TwistInput,
     _minus_plus,
@@ -28,9 +29,10 @@ from torsorkit.cleft_twist import (
     twisted_counit,
     twisted_product,
 )
+from torsorkit.errors import NotWellDefined
 from torsorkit.fields import GF, QQ
 from torsorkit.fixtures import field_algebra, group_hopf, poly_mod_algebra, sweedler_hopf
-from torsorkit.linalg import Matrix
+from torsorkit.linalg import Matrix, kron_apply
 from torsorkit.spaces import LinearMap
 
 from test_linalg import outer
@@ -67,6 +69,64 @@ def test_smash_fixture_twist(ex_smash, an_smash):
     assert tw.report.ok
     assert tw.report.find("propA.1.galois-inverse").status == "pass"
     assert smash_comparison(inp, tw, antipode)
+
+
+def _trivial_twist_over_the_base(an):
+    """The twist of EX-SMASH's left Hopf algebroid D over its base L = B by
+    the trivial data: B = L, the measuring h . l = eps(h s(l)) and the
+    cocycles sigma = sigma~ = eps o mult.  L is two-dimensional, so the
+    carrier chain L (x)_L (L (x)_L D) is a real quotient."""
+    bgd = an.bialgebroids[1]
+    L, f, n = bgd.base, bgd.coring.field, bgd.dim
+    eps_mult = bgd.coring.eps.matrix @ bgd.algebra.mult.matrix
+    action = kron_apply(f, [eps_mult], [n, n], None, [None, bgd.source.map.matrix])
+    iota = AlgebraMap(L, L, LinearMap.identity(L.space))
+    return TwistInput(L, bgd, an.theta_left, L, iota, action, eps_mult, eps_mult)
+
+
+def test_an_unbalanced_twisted_coproduct_is_refused(monkeypatch, an_smash):
+    """The twisted coproduct plus a rank-one term ``3 w z^T``, with z a
+    relation of the carrier chain (in ``ker(proj)``) and w a representative
+    of a nonzero element of D (x)_B D, no longer kills the chain's
+    relations: the descent of Delta_D raises and names a relation, rather
+    than projecting the term away."""
+    inp = _trivial_twist_over_the_base(an_smash)
+    tw = twisted_bialgebroid(inp, "EX-SMASH-base")
+    assert tw.report.ok
+    chain, dd = tw.chain, tw.bgd.coring.cc
+    f, proj, sect = inp.B.field, chain.proj.matrix, chain.sect.matrix
+    assert chain.dim < chain.ambient.dim
+    x = min(i for i, r in enumerate(sect.sparse_rows()) if not r)
+    z = relation_witness(proj, sect, x)
+    w = (sect.kron(sect) @ dd.sect.matrix).col(0)
+    term = Matrix.from_cols(f, [w], len(w)) @ Matrix(f, [z], len(z)).scale(3)
+    real = cleft_twist.twisted_coproduct
+    monkeypatch.setattr(cleft_twist, "twisted_coproduct",
+                        lambda inp, chi: real(inp, chi) + term)
+    with pytest.raises(NotWellDefined, match="twisted coproduct is not balanced") as err:
+        twisted_bialgebroid(inp, "EX-SMASH-base")
+    witness = err.value.witness
+    assert any(v != 0 for v in witness)
+    assert all(v == 0 for v in proj.apply(witness))
+
+
+def test_remark_a2_over_a_real_base_descends_through_induce(monkeypatch, an_smash):
+    """Remark A.2 on the trivial twist over L = B: the report passes, and
+    the comparison on D (x)_B D, a real quotient, reaches H (x)_L H through
+    ``induce``, which checks that it kills the relations of D (x)_B D."""
+    inp = _trivial_twist_over_the_base(an_smash)
+    tw = twisted_bialgebroid(inp, "EX-SMASH-base")
+    doms, real = [], cleft_twist.induce
+
+    def watched(dom, raw, cod, name=""):
+        doms.append(dom)
+        return real(dom, raw, cod, name)
+
+    monkeypatch.setattr(cleft_twist, "induce", watched)
+    rep = remark_a2_automorphism(inp, tw, "EX-SMASH-base")
+    assert rep.ok, rep.summary()
+    dd = tw.bgd.coring.cc
+    assert doms == [dd] and dd.dim < dd.ambient.dim
 
 
 def test_base_case_and_double_twist():

@@ -88,7 +88,7 @@ GROWING_CACHES = {"algebra._chain_cache", "linalg._identity_cache", "fields._gf_
 # field methods they must not call
 NATIVE_KERNELS = {"__init__", "from_cols", "_combine", "__neg__", "scale", "__matmul__",
                   "_sparse_product", "_packed_product", "apply", "apply_pair", "kron",
-                  "rref", "_sparse_rref", "_packed_rref", "kron_apply",
+                  "rref", "_sparse_rref", "_binomial_rref", "_packed_rref", "kron_apply",
                   # the packed residents: built, reduced, compared, cut and moved
                   # without unpacking
                   "_from_packed", "__getattr__", "_nnz", "_reduce", "_slot_view",
@@ -116,13 +116,13 @@ ORACLE = "fixtures.py"
 # a dense column, one vector's image or one value's zero test
 ORACLE_FUNCTIONS = {"_naive_relations", "_naive_quotient", "_oracle_dims"}
 ORACLE_MACHINERY = {"tensor_chain", "chain_of_spaces", "_cached_chain", "_build_chain",
-                    "_relation_columns", "_prefix_action", "leg_action", "induce",
-                    "chain_map", "kron_apply", "Coring", "build_corings"}
+                    "_relation_columns", "_binomial_rref", "_prefix_action", "leg_action",
+                    "induce", "chain_map", "kron_apply", "Coring", "build_corings"}
 # the ``.kron(`` calls left in each engine module: a ratchet that may only
 # fall, as the Kronecker products built just to be projected away are
 # applied through ``kron_apply`` (``algebra.leg_action`` for ring actions)
 KRON_CALLS = {"algebra.py": 5, "pretorsor.py": 37, "bialgebroid.py": 55,
-              "cleft_twist.py": 20, "diffcalc.py": 14, "coring.py": 5}
+              "cleft_twist.py": 19, "diffcalc.py": 14, "coring.py": 5}
 ORACLE_DENSE_READS = {"col", "apply", "is_zero"}
 COLUMN_LOOP_HELPERS = {"_fixed_left_act", "_fixed_right_act",
                        "_assemble_action_left", "_assemble_action_right"}
@@ -142,8 +142,6 @@ PER_VALUE_EXEMPT = {
     "algebra.algebra_from_table": "parses a document's dense product table",
     "algebra._restrict": "its per-column contains_vector keeps dense-q's traced "
                          "fields.is_zero calls, which the benchmark requires",
-    "algebra._relation_columns": "the per-value field.sub and is_zero that the traced "
-                                 "benchmark counts",
     "algebra.relation_witness": "a witness is a vector",
     "algebra.Algebra.unit": "the unit as the vector documents store and the tests read",
     "spaces.LinearMap.apply": "the per-vector image the tests use as their reference",
@@ -546,6 +544,57 @@ def test_suite_builds_no_relation_span(monkeypatch, name):
     args = argparse.Namespace(fixture=name, input=None, field=None, dump_matrices=False)
     run("suite", args)
     assert max(dims)[0] < SPAN_DIM, max(dims)
+
+
+def _chain_steps(monkeypatch, commands, args):
+    """Runs of the CLI ``commands``: the number of ``_build_chain`` steps
+    with a nonzero relation (each makes one ``quotient`` call by a nonzero
+    span) and of those eliminated by union-find."""
+    steps, binomial = [], []
+    quotient, binomial_rref = algebra.quotient, algebra._binomial_rref
+
+    def watched_quotient(V, S, *rest):
+        steps.append(S.dim > 0)
+        return quotient(V, S, *rest)
+
+    def watched_binomial(*a):
+        out = binomial_rref(*a)
+        binomial.append(bool(out[1]))
+        return out
+
+    monkeypatch.setattr(algebra, "quotient", watched_quotient)
+    monkeypatch.setattr(algebra, "_binomial_rref", watched_binomial)
+    for command in commands:
+        run(command, args)
+    return sum(steps), sum(binomial)
+
+
+@pytest.mark.parametrize("field", ["Q", "GF101"])
+def test_monomial_bases_eliminate_their_relations_by_union_find(monkeypatch, field):
+    """EX-SMASH's basis is monomial, so on fresh runs of every report but
+    ``diffcalc`` each relation has at most two terms and every chain step
+    with relations is eliminated by ``_binomial_rref``.  The calculus's
+    bimodules are kernels in echelon bases, not monomial, and two of their
+    steps have three-term relations (``suite`` makes 39 of its 41 steps by
+    union-find)."""
+    steps, binomial = _chain_steps(
+        monkeypatch, ["validate", "build", "bialgebroid", "twist"],
+        argparse.Namespace(fixture="EX-SMASH", input=None, field=field, dump_matrices=False))
+    assert steps and binomial == steps, (steps, binomial)
+
+
+def test_dense_relation_spans_keep_the_dict_loop(monkeypatch, tmp_path):
+    """In the seed-1 dense EX-M2 document over GF(101) the relations are
+    dense, so no chain step with a nonzero relation takes
+    ``_binomial_rref``."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    import workloads
+    path = tmp_path / "dense.json"
+    path.write_text(workloads.dense_document_text("EX-M2", "GF101", 1), encoding="utf-8")
+    steps, binomial = _chain_steps(monkeypatch, ["suite"], argparse.Namespace(
+        fixture=None, input=str(path), field=None, dump_matrices=False))
+    assert steps and not binomial, (steps, binomial)
 
 
 def test_every_top_level_import_is_read():

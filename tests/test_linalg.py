@@ -13,6 +13,7 @@ from torsorkit.errors import NotInvertible, ShapeMismatch
 from torsorkit.fields import GF, QQ
 from torsorkit.linalg import (
     Matrix,
+    _binomial_rref,
     _fits,
     _integer_row_product,
     _packed_product,
@@ -814,6 +815,84 @@ def test_a_raw_multiple_of_p_is_no_pivot():
     left = Matrix.from_rows(f, [[1, 0], [0, 1], [2, 1]])
     assert_matches(left.solve(Matrix.from_rows(f, [[2], [1], [2]])), [(2,), (1,)], (2, 1))
     assert left.solve(Matrix.from_rows(f, [[2], [1], [0]])) is None
+
+
+@st.composite
+def binomial_case(draw):
+    """Rows of at most two entries on up to 12 columns, 0 columns included:
+    random rows (whose cycles mostly disagree), rows ``c (p_b e_a - p_a
+    e_b)`` that all vanish on one hidden vector p (whose cycles agree),
+    one-entry rows, empty rows and repeated rows."""
+    field = draw(FIELDS)
+    n = draw(st.integers(0, 12))
+    nonzero = entries(field).filter(lambda v: field.parse(v) != 0)
+    hidden = [field.parse(draw(nonzero)) for _ in range(n)]
+    rows = []
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(["agree", "agree", "agree", "random", "one", "empty"]))
+        row = [0] * n
+        if kind == "one" and n:
+            row[draw(st.integers(0, n - 1))] = draw(nonzero)
+        elif kind != "empty" and n > 1:
+            a, b = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            if kind == "random":
+                row[a], row[b] = draw(nonzero), draw(nonzero)
+            else:
+                c = field.parse(draw(nonzero))
+                row[a], row[b] = field.mul(c, hidden[b]), field.neg(field.mul(c, hidden[a]))
+        rows.append(row)
+    if rows and draw(st.booleans()):
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    return Matrix(field, rows, n)
+
+
+def assert_binomial_rref_agrees(m):
+    """``_binomial_rref`` gives ``_sparse_rref``'s rows and pivots and the
+    dense reference's, in stored form, and its flag, read as ``rref``
+    reads ``units``, never claims ``int`` for a ``Fraction``."""
+    f, (nrows, n) = m.field, m.shape
+    rows, pivots, units = _binomial_rref(m.sparse_rows(), f)
+    assert (rows, pivots) == _sparse_rref(m.sparse_rows(), f)[:2]
+    want, want_pivots = _ref_rref(f, m.rows, n)
+    assert pivots == want_pivots
+    got = Matrix.from_sparse_rows(f, rows, n, m._ints if units else None)
+    assert_matches(got, want, (nrows, n))
+
+
+@given(binomial_case())
+@settings(max_examples=300, deadline=None)
+def test_binomial_rref_matches_the_dict_loop_and_the_reference(m):
+    assert_binomial_rref_agrees(m)
+
+
+def test_binomial_rref_on_deep_trees_and_cycles():
+    """A path on eight columns joined pairwise, then pairs of pairs, then
+    the two halves, so union by size leaves a tree three unions deep; a
+    row closing a cycle between its two deepest columns then agrees or
+    disagrees with the path's weights.  Agreeing, column 7 is the one free
+    column; disagreeing, the component is dead.  A one-entry row kills a
+    component the same way, and a column in no row stays free."""
+    for f in (QQ, GF(101)):
+        half = Fraction(1, 2) if f is QQ else f.parse("1/2")
+        path = [{0: 1, 1: -2}, {2: 1, 3: -2}, {4: 1, 5: -2}, {6: 1, 7: -2},
+                {1: 1, 2: -2}, {5: 1, 6: -2}, {3: 1, 4: -2}]
+        # e_i = 2 e_{i+1}, so e_0 = 2^6 e_6 and the cycle row e_0 - 64 e_6 agrees
+        for closing, dead in (({0: 1, 6: -64}, False), ({0: 1, 6: -63}, True)):
+            rows = [dict(r) for r in path] + [closing]
+            m = Matrix.from_rows(f, [[r.get(j, 0) for j in range(9)] for r in rows])
+            assert_binomial_rref_agrees(m)
+            got, pivots, _ = _binomial_rref(m.sparse_rows(), f)
+            if dead:
+                assert pivots == list(range(8))
+            else:
+                assert pivots == list(range(7))
+                assert got[6] == {6: 1, 7: f.parse(-2)}
+                assert got[0] == {0: 1, 7: f.parse(-128)}
+        m = Matrix.from_rows(f, [[1, half, 0], [0, 1, 0], [0, 0, 0]])
+        assert_binomial_rref_agrees(m)
+    for f in (QQ, GF(2)):
+        for shape in ((0, 0), (3, 0), (0, 4), (3, 4)):
+            assert_binomial_rref_agrees(Matrix.zero(f, *shape))
 
 
 @st.composite
