@@ -5,23 +5,26 @@ The balanced tensor product M1 (x)_R1 M2 (x)_R2 ... Mn is realised once as a
 full k-tensor ambient by all balancing relations.  ``chain_outer_bimodule``
 gives a chain's carrier the outer bimodule structure of its edge factors.
 Chains are cached, so the same factor/action data always yields the
-identical carrier -- rebracketing never produces two different spaces.  Each
-chain is its cached prefix plus one step, by one rule: the chain on all but
-the last factor, tensored with the last factor and quotiented by the links
-that end there, each read on the prefix carrier (which keeps the quotient
-small).  No prefix is folded twice, and no relation is generated on a
-chain's full ambient.  Every column of a chain's ``sect`` is an ambient
-basis vector, so a step writes ``sect`` down as a column selection
-(``_compose_selections``), and its ``proj`` is the step's reduction rows
-applied to the prefix's ``proj``, assembled row by row (``_lift_rows``);
-neither goes through ``kron_apply``.  Every map the engine defines on
-representatives goes through ``induce(dom, raw, cod)``, the one descent: a
-raw map from ``dom``'s ambient to ``cod``'s, projected by ``cod.proj``, must
-kill ``dom``'s relation span before it is read as a map of carriers.  A raw
-map into a plain space takes ``single_chain`` of it as ``cod``, and
-``chain_map`` is the descent of a map given as per-run blocks.  A chain
-carries only ``proj``/``sect`` with ``proj @ sect = I``; the relation span
-is ``ker(proj)``, never built, and a map ``g`` kills it iff
+identical carrier -- rebracketing never produces two different spaces.  A
+link over a one-dimensional ring relates nothing (its lone basis vector is a
+multiple of the unit, so it acts by one scalar on both legs), and the cache
+drops it: T (x)_k T is the chain T (x) T.  A chain with no links is its
+ambient.  Any other is its cached prefix plus one quotient step, by one
+rule: the chain on all but the last factor, tensored with the last factor
+and quotiented by the links that end there (maybe none), each read on the
+prefix carrier (which keeps the quotient small).  No prefix is folded twice,
+and no relation is generated on a chain's full ambient.  Every column of a
+chain's ``sect`` is an ambient basis vector, so a step writes ``sect`` down
+as a column selection (``_compose_selections``), and its ``proj`` is the
+step's reduction rows applied to the prefix's ``proj``, assembled row by row
+(``_lift_rows``); neither goes through ``kron_apply``.  Every map the engine
+defines on representatives goes through ``induce(dom, raw, cod)``, the one
+descent: a raw map from ``dom``'s ambient to ``cod``'s, projected by
+``cod.proj``, must kill ``dom``'s relation span before it is read as a map
+of carriers.  A raw map into a plain space takes ``single_chain`` of it as
+``cod``, and ``chain_map`` is the descent of a map given as per-run blocks.
+A chain carries only ``proj``/``sect`` with ``proj @ sect = I``; the
+relation span is ``ker(proj)``, never built, and a map ``g`` kills it iff
 ``g == (g @ sect) @ proj`` (``first_unbalanced``).
 
 A bimodule action is one matrix, on ``L (x) M`` or ``M (x) R``, and is
@@ -436,6 +439,8 @@ def chain_of_spaces(spaces, links) -> TensorChain:
 
 
 def _cached_chain(spaces, links) -> TensorChain:
+    # a link over a one-dimensional ring relates nothing (module docstring)
+    links = [l for l in links if l.ring.dim > 1]
     key = (tuple(s.uid for s in spaces), tuple(sorted(l.key() for l in links)))
     chain = _chain_cache.get(key)
     if chain is None:
@@ -444,64 +449,58 @@ def _cached_chain(spaces, links) -> TensorChain:
 
 
 def _build_chain(spaces, links) -> TensorChain:
-    """A chain from its cached prefix and one quotient step.
+    """A chain with no links is its ambient; any other is its cached prefix
+    and one quotient step.
 
-    The prefix ``head`` is the chain on all factors but the last, with the
-    links that end before it.  The step tensors its carrier with the last
-    factor and quotients by the relations of every link that ends at the
-    last factor, each link's whole right action read on the prefix carrier
-    at its own leg (``_prefix_action``).  The chain's ``sect`` is a column
-    selection: the prefix's selection composed with the step's.  Its
-    ``proj`` is ``step_proj @ (head.proj (x) I)``, assembled row by row.  A
-    column is free in the reduced echelon form of the whole relation span
-    exactly when it is free once the prefix's relations are quotiented out,
-    so the carrier basis does not depend on the order the links are folded
-    in.  When every relation has at most two terms, as every relation of a
+    A single factor is its own ambient and carrier.  No link here is over a
+    one-dimensional ring: such a link relates nothing, and ``_cached_chain``
+    drops it.  The prefix ``head`` is the chain on all factors but the last,
+    with the links that end before it.  The step tensors its carrier with
+    the last factor and quotients by the relations of every link that ends
+    at the last factor (the zero span if none does), each link's whole right
+    action read on the prefix carrier at its own leg (``_prefix_action``).
+    The chain's ``sect`` is a column selection: the prefix's selection
+    composed with the step's.  Its ``proj`` is
+    ``step_proj @ (head.proj (x) I)``, assembled row by row.  A column is
+    free in the reduced echelon form of the whole relation span exactly when
+    it is free once the prefix's relations are quotiented out, so the
+    carrier basis does not depend on the order the links are folded in.
+    When every relation has at most two terms, as every relation of a
     monomial basis does, the step's span is eliminated by weighted
     union-find (``linalg._binomial_rref``); any other span by
     ``Subspace.from_spanning``.  Both give the one reduced echelon form, so
     the carrier does not depend on which ran.
     """
     field = spaces[0].field
-    ambient = tensor_space(spaces)
-    if len(spaces) == 1 and not links:
-        ident = Matrix.identity(field, spaces[0].dim)
-        return TensorChain(spaces, (), spaces[0], LinearMap(ambient, spaces[0], ident),
-                           LinearMap(spaces[0], ambient, ident))
+    ambient = spaces[0] if len(spaces) == 1 else tensor_space(spaces)
     name = "(x)".join(s.name for s in spaces)
-    # a link over a one-dimensional ring has zero relation span (the unital
-    # action by the lone basis vector is a scalar on both sides)
-    if all(l.ring.dim == 1 for l in links):
-        carrier = Space(field, ambient.dim, name, ambient.labels)
+    if not links:
+        carrier = ambient if len(spaces) == 1 else Space(field, ambient.dim, name, ambient.labels)
         ident = Matrix.identity(field, ambient.dim)
-        return TensorChain(spaces, links, carrier, LinearMap(ambient, carrier, ident),
+        return TensorChain(spaces, (), carrier, LinearMap(ambient, carrier, ident),
                            LinearMap(carrier, ambient, ident))
     n = len(spaces)
     head = _cached_chain(spaces[:-1], [l for l in links if l.j < n - 1])
     last = spaces[-1]
-    step_amb = tensor_space([head.carrier, last])
-    ending = [l for l in links if l.j == n - 1]
-    if not ending:
-        ident = LinearMap.identity(step_amb)
-        carrier, step_proj, step_sect = step_amb, ident, ident
-    else:
-        rel_cols, ints = [], True
-        for link in ending:
+    # a prefix with no quotient keeps its factors' product labels
+    step_amb = ambient if head.dim == head.ambient.dim else tensor_space([head.carrier, last])
+    rel_cols, ints = [], True
+    for link in links:
+        if link.j == n - 1:
             rho, lam = _prefix_action(head, link), link.act_j.matrix
             rel_cols += _relation_columns(field, rho, lam, link.ring.dim)
             ints = ints and rho._ints and lam._ints
-        if max(map(len, rel_cols), default=0) <= 2:
-            rows, pivots, units = _binomial_rref(rel_cols, field)
-            # flagged as Matrix.rref flags an echelon form: int when every inverse was
-            rel = Subspace._from_echelon(step_amb, rows[:len(pivots)], pivots,
-                                         f"sub({step_amb.name})", ints if units else None)
-        else:
-            rel = Subspace.from_spanning(
-                step_amb, Matrix.from_sparse_rows(field, rel_cols, step_amb.dim, ints))
-        carrier, step_proj, step_sect = quotient(step_amb, rel)
+    if max(map(len, rel_cols), default=0) <= 2:
+        rows, pivots, units = _binomial_rref(rel_cols, field)
+        # flagged as Matrix.rref flags an echelon form: int when every inverse was
+        rel = Subspace._from_echelon(step_amb, rows[:len(pivots)], pivots,
+                                     f"sub({step_amb.name})", ints if units else None)
+    else:
+        rel = Subspace.from_spanning(
+            step_amb, Matrix.from_sparse_rows(field, rel_cols, step_amb.dim, ints))
+    carrier, step_proj, step_sect = quotient(step_amb, rel, name)
     proj = _lift_rows(field, step_proj.matrix, head.proj.matrix, last.dim)
     sect = _compose_selections(field, head.sect.matrix, step_sect.matrix, last.dim)
-    carrier = Space(field, carrier.dim, name, carrier.labels)
     proj, sect = LinearMap(ambient, carrier, proj), LinearMap(carrier, ambient, sect)
     if not (proj @ sect).is_identity():
         raise ShapeMismatch(f"the section of {name} does not split its projection")
@@ -553,7 +552,7 @@ def _compose_selections(field, head: Matrix, step: Matrix, width) -> Matrix:
 
 
 def single_chain(space: Space) -> TensorChain:
-    """A one-factor chain: carrier is the space itself."""
+    """A one-factor chain: the space is its ambient and its carrier."""
     return chain_of_spaces([space], [])
 
 

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from torsorkit import fixtures
@@ -15,7 +18,10 @@ from torsorkit.fixtures import (
 )
 from torsorkit.linalg import Matrix
 from torsorkit.pretorsor import build_corings, validate_pretorsor
+from torsorkit.serialize import dumps
 from torsorkit.spaces import Space, Subspace, intersect, quotient
+
+LADDER = Path(__file__).resolve().parent.parent / "tools" / "ladder.py"
 
 
 def test_unknown_fixture():
@@ -257,3 +263,17 @@ def test_oracle_rejects_a_scaled_tau(monkeypatch):
     assert dims != _EXPECTED["EX-SW"]
     with pytest.raises(TorsorKitError):
         _check_expected("EX-SW", dims)
+
+
+def test_ladder_cyclic_recipe_is_the_ex_q4_fixture():
+    """The ladder's cyclic rungs rest on one recipe: at n = 4 and named
+    EX-Q4 it gives the same validate, build, bialgebroid and diffcalc
+    report bytes as the fixture EX-Q4."""
+    spec = importlib.util.spec_from_file_location("ladder", LADDER)
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+
+    def docs(bundle):
+        return [dumps(r.to_json()) for r in ladder.reports(bundle)]
+
+    assert docs(ladder._cyclic(4, "EX-Q4")) == docs(generate("EX-Q4").bundle)

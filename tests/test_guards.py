@@ -26,7 +26,8 @@ divide: ``a / b`` on two stored ints would give a ``float``.
 The engine states its consistency checks as explicit raises, never as
 ``assert``, and a chain is built from its cached prefix with one quotient
 step, so no prefix is folded twice and no relation is generated on a
-chain's full ambient.
+chain's full ambient; a link over a one-dimensional ring never reaches a
+step.
 Every bimodule action is a matrix expression in the structure maps, never
 assembled one basis vector at a time, and a traced benchmark pass passes.
 The checks on tau (x) tau contract its middle legs before any outer product.
@@ -448,6 +449,33 @@ def test_chain_relations_are_generated_on_two_legs(monkeypatch, tmp_path):
     assert seen
     assert all(rows == dim for rows, dim, _ in seen), [s for s in seen if s[0] != s[1]]
     assert any(dim < amb for _, dim, amb in seen), seen
+
+
+def test_links_over_one_dimensional_rings_relate_nothing(monkeypatch):
+    """A link over a one-dimensional ring relates nothing, so
+    ``_cached_chain`` drops it before it keys the chain: no step of a fresh
+    EX-SMASH ``suite`` (A = k) reads a prefix action or relation columns
+    for such a link, and over EX-SW's A = k the chain T (x)_A T is the
+    cached chain T (x) T with no links."""
+    ring_dims = []
+    prefix_action, relation_columns = algebra._prefix_action, algebra._relation_columns
+
+    def watched_action(head, link):
+        ring_dims.append(link.ring.dim)
+        return prefix_action(head, link)
+
+    def watched(field, rho, lam, m):
+        ring_dims.append(m)
+        return relation_columns(field, rho, lam, m)
+
+    monkeypatch.setattr(algebra, "_prefix_action", watched_action)
+    monkeypatch.setattr(algebra, "_relation_columns", watched)
+    run("suite", argparse.Namespace(fixture="EX-SMASH", input=None, field=None,
+                                    dump_matrices=False))
+    assert ring_dims and min(ring_dims) > 1, sorted(ring_dims)
+    b = generate("EX-SW").bundle
+    assert (algebra.tensor_chain([b.T_BA, b.T_AB], [b.A])
+            is algebra.chain_of_spaces([b.T.space, b.T.space], []))
 
 
 def test_tracer_spans_resolve():

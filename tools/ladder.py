@@ -13,8 +13,9 @@ alternate which tree runs first.  The rungs (ROADMAP item 1):
     smash4   smash m = 4 over GF(101): B = k[y]/(y^4 - 1), H = kC4, g^h acting
              on y^b by zeta^(hb) with zeta = 10, T = B # H, beta(y^b) = y^b # 1
              and the cleft tau
-    cyclic16 the cyclic group algebra kC16 over Q as a Hopf-Galois torsor over
-             k, built as the fixture EX-Q4 is
+    cyclic12 the cyclic group algebra kC12 over Q as a Hopf-Galois torsor over
+             k, built as the fixture EX-Q4 is (kC4)
+    cyclic16 the same at order 16
 
 The wall times are plain seconds, so compare only runs made in one session.
 """
@@ -30,7 +31,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-RUNGS = ("smash4", "cyclic16")
+RUNGS = ("smash4", "cyclic12", "cyclic16")
 ZETA = 10  # of order 4 in GF(101)
 
 
@@ -57,17 +58,30 @@ def _smash4():
                        smash_cleft_tau(f, B, h), "smash4", torsor=True)
 
 
-def _cyclic16():
+def _cyclic(n, name):
+    """The cyclic group algebra kC_n over Q as a Hopf-Galois torsor over k,
+    named ``name``; at n = 4 and named EX-Q4 it is the fixture EX-Q4."""
     from torsorkit.algebra import field_algebra
     from torsorkit.fields import QQ
     from torsorkit.fixtures import group_hopf, hopf_torsor_tau, unit_algebra_map
     from torsorkit.pretorsor import make_bundle
 
-    h = group_hopf(QQ, 16, "kC16")
+    h = group_hopf(QQ, n, f"kC{n}")
     kA, kB = field_algebra(QQ), field_algebra(QQ)
     T = h.algebra
     return make_bundle(kA, kB, T, unit_algebra_map(kA, T), unit_algebra_map(kB, T),
-                       hopf_torsor_tau(h), "cyclic16", torsor=True)
+                       hopf_torsor_tau(h), name, torsor=True)
+
+
+def reports(bundle):
+    """The ``validate``, ``build``, ``bialgebroid`` and ``diffcalc`` reports
+    of ``bundle``, in that order."""
+    from torsorkit.analysis import (BundleAnalysis, bialgebroid_report, build_report,
+                                    diffcalc_report, validate_report)
+
+    an = BundleAnalysis(bundle)
+    return [validate_report(bundle), build_report(an), bialgebroid_report(an),
+            diffcalc_report(an)]
 
 
 def run_rung(rung):
@@ -75,17 +89,13 @@ def run_rung(rung):
     import resource
     import time
 
-    from torsorkit.analysis import (BundleAnalysis, bialgebroid_report, build_report,
-                                    diffcalc_report, validate_report)
     from torsorkit.serialize import dumps
 
-    bundle = {"smash4": _smash4, "cyclic16": _cyclic16}[rung]()
+    bundle = _smash4() if rung == "smash4" else _cyclic(int(rung[len("cyclic"):]), rung)
     start = time.perf_counter()
-    an = BundleAnalysis(bundle)
-    reports = [validate_report(bundle), build_report(an), bialgebroid_report(an),
-               diffcalc_report(an)]
+    done = reports(bundle)
     wall = time.perf_counter() - start
-    docs = [r.to_json() for r in reports]
+    docs = [r.to_json() for r in done]
     checks = [c for d in docs for c in d["checks"]]
     return {"rung": rung, "wall_s": round(wall, 3),
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
