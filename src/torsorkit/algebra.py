@@ -297,7 +297,7 @@ def _restrict(sub: Subspace, full: Matrix, fail) -> Matrix:
     for x in range(full.ncols):
         if not sub.contains_vector(full.col(x)):
             raise fail(x)
-    return sub.retraction.matrix @ full
+    return sub.coordinates(full)
 
 
 def factor_matrix(jmat: Matrix, fmat: Matrix, err, msg: str) -> Matrix:
@@ -459,12 +459,14 @@ def _build_chain(spaces, links) -> TensorChain:
     the last factor and quotients by the relations of every link that ends
     at the last factor (the zero span if none does), each link's whole right
     action read on the prefix carrier at its own leg (``_prefix_action``).
-    The chain's ``sect`` is a column selection: the prefix's selection
-    composed with the step's.  Its ``proj`` is
-    ``step_proj @ (head.proj (x) I)``, assembled row by row.  A column is
-    free in the reduced echelon form of the whole relation span exactly when
-    it is free once the prefix's relations are quotiented out, so the
-    carrier basis does not depend on the order the links are folded in.
+    The step's ``proj`` is the complement rows of the span's echelon rows,
+    which are never transposed.  The chain's ``sect`` is a column
+    selection: the prefix's selection composed with the step's.  Its
+    ``proj`` is ``step_proj @ (head.proj (x) I)``, assembled row by row.
+    A column is free in the reduced echelon form of the whole relation span
+    exactly when it is free once the prefix's relations are quotiented out,
+    so the carrier basis does not depend on the order the links are folded
+    in.
     When every relation has at most two terms, as every relation of a
     monomial basis does, the step's span is eliminated by weighted
     union-find (``linalg._binomial_rref``); any other span by
@@ -493,8 +495,8 @@ def _build_chain(spaces, links) -> TensorChain:
     if max(map(len, rel_cols), default=0) <= 2:
         rows, pivots, units = _binomial_rref(rel_cols, field)
         # flagged as Matrix.rref flags an echelon form: int when every inverse was
-        rel = Subspace._from_echelon(step_amb, rows[:len(pivots)], pivots,
-                                     f"sub({step_amb.name})", ints if units else None)
+        rel = Subspace(step_amb, rows[:len(pivots)], pivots, f"sub({step_amb.name})",
+                       ints if units else None)
     else:
         rel = Subspace.from_spanning(
             step_amb, Matrix.from_sparse_rows(field, rel_cols, step_amb.dim, ints))

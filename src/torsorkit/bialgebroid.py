@@ -142,11 +142,10 @@ def _bilinear_from_pairs(raw_amb: Matrix, chain: TensorChain, sub: Subspace, nam
                             [split_leg(raw_amb, legs, leg)])
         if first_unbalanced(on_leg, proj, sect) is not None:
             raise ClosureFailure(f"{name}: product is not representative-independent")
-    on_sub = raw_amb @ reps.kron(reps)
-    on_sub_map = LinearMap(tensor_space([sub.space, sub.space]), chain.carrier, on_sub)
-    if not sub.contains_map(on_sub_map):
-        raise ClosureFailure(f"{name}: product leaves the defining kernel")
-    return sub.retraction.matrix @ on_sub
+    on_sub = LinearMap(tensor_space([sub.space, sub.space]), chain.carrier,
+                       raw_amb @ reps.kron(reps))
+    return corestrict_through(sub.inclusion, on_sub, ClosureFailure,
+                              f"{name}: product leaves the defining kernel").matrix
 
 
 def bialgebroid_from_torsor(bundle: PreTorsorBundle, pair: CoringPair):
@@ -169,7 +168,7 @@ def _bialgebroid_on(h: Hand) -> RightBialgebroid:
         raise AxiomFailure(f"{b.name}: bundle is not unital, no candidate unit")
     alg = Algebra(C.space, LinearMap(tensor_space([C.space, C.space]), C.space, mult),
                   h.grouplike.element, name=f"{h.letter}alg({b.name})")
-    to_C, unit = sub.retraction.matrix @ h.two.proj.matrix, h.unit.map.matrix
+    to_C, unit = sub.coordinates(h.two.proj.matrix), h.unit.map.matrix
     source = AlgebraMap(h.base, alg, LinearMap(h.base.space, C.space,
                                                to_C @ h.kron(b.T.unit_col, unit)))
     target = AlgebraMap(h.base, alg, LinearMap(h.base.space, C.space,
@@ -555,11 +554,10 @@ def _beta_actions_on_cotensor(bundle, chain_TM, sub: Subspace):
              [b.B.space, sub.space]),
             (leg_action(chain_TM, 0, b.B, b.T_BB.ract.matrix, "right", on_sub),
              [sub.space, b.B.space]))
-    for act, legs in acts:
-        if not sub.contains_map(LinearMap(tensor_space(legs), chain_TM.carrier, act)):
-            raise MembershipFailure(
-                f"{bundle.name}: base multiplication leaves the cotensor")
-    return tuple(sub.retraction.matrix @ act for act, _ in acts)
+    return tuple(corestrict_through(
+        sub.inclusion, LinearMap(tensor_space(legs), chain_TM.carrier, act),
+        MembershipFailure, f"{bundle.name}: base multiplication leaves the cotensor").matrix
+        for act, legs in acts)
 
 
 def _bb_bimodule(bundle, sub: Subspace, lact: Matrix, ract: Matrix) -> Bimodule:
@@ -822,12 +820,10 @@ def _subalgebra(alg: Algebra, sub: Subspace, name: str, err, msg: str) -> Algebr
     f, n, incl = alg.field, alg.dim, sub.inclusion.matrix
     prods = LinearMap(tensor_space([sub.space, sub.space]), alg.space,
                       kron_apply(f, [alg.mult.matrix], [n, n], None, [incl, incl]))
-    if not sub.contains_map(prods):
-        raise err(msg)
+    mult = corestrict_through(sub.inclusion, prods, err, msg).matrix
     space = Space(f, sub.dim, name)
-    return Algebra(space, LinearMap(tensor_space([space, space]), space,
-                                    sub.retraction.matrix @ prods.matrix),
-                   sub.retraction.matrix @ alg.unit_col, name)
+    return Algebra(space, LinearMap(tensor_space([space, space]), space, mult),
+                   sub.coordinates(alg.unit_col), name)
 
 
 def homogeneous_pretorsor(bgd: RightBialgebroid, th: ThetaData, p_span,

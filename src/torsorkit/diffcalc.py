@@ -212,7 +212,7 @@ def bimodule_connection(bundle: PreTorsorBundle, pair: CoringPair,
     # sigma_B is a restriction of the left entwining map
     D_sub = pair.D_sub
     om1_to_D = LinearMap(om1B.space, D_sub.space,
-                         D_sub.retraction.matrix @ om1B.inclusion.matrix)
+                         D_sub.coordinates(om1B.inclusion.matrix))
     TD = tensor_chain([b.T_BB, pair.D.carrier], [b.B])
     lift = chain_map(TOm1B, [(1, None, 1), (1, om1_to_D, 1)], TD)
     into_DT = chain_map(Om1T, [(1, om1_to_D, 1), (1, None, 1)], pair.DT)

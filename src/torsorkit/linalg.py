@@ -120,6 +120,9 @@ a matrix whose every column c has a unit row, a row equal to the unit
 vector e_c (``Matrix.unit_rows``).  A matrix has exactly one reduced row
 echelon form, so both paths give the same rows and pivots, and echelon
 bases are canonical and reproducible whichever row supplies a pivot.
+``complement_rows``, the rows whose kernel is an echelon span, is
+``Matrix.nullspace``, the projection of ``spaces.quotient`` and, stacked,
+what ``spaces.intersect`` takes the kernel of.
 
 One elimination does not go through ``rref``: a chain step's relation
 span whose every row has at most two entries, as the relations
@@ -633,19 +636,9 @@ class Matrix:
         return [first[c] for c in range(self.ncols)]
 
     def nullspace(self) -> "Matrix":
-        """Canonical kernel basis as the rows of a matrix: one row per free
-        column j of the rref, 1 at j and minus column j of the rref at the
-        pivots."""
-        f = self.field
-        R, pivots = self.rref()
-        neg, one = f.neg, f.one
-        pivset = set(pivots)
-        vecs = {j: {j: one} for j in range(self.ncols) if j not in pivset}
-        for p, row in zip(pivots, R._rows):
-            for j, x in row.items():
-                if j != p:
-                    vecs[j][p] = neg(x)
-        return Matrix.from_sparse_rows(f, vecs.values(), self.ncols, R._ints)
+        """Canonical kernel basis as the rows of a matrix: the complement
+        rows of the rref (``complement_rows``)."""
+        return complement_rows(*self.rref())
 
     def kernel_basis(self):
         """``nullspace`` as a list of coordinate tuples."""
@@ -1182,6 +1175,23 @@ def _take_rows(m: Matrix, index):
     return Matrix._from_packed(
         m.field, len(index), m.ncols,
         int.from_bytes(b"".join([buf[i * width:(i + 1) * width] for i in index]), order))
+
+
+def complement_rows(echelon: Matrix, pivots) -> Matrix:
+    """One row per free column j of the reduced echelon form ``echelon``
+    (pivot rows in pivot order, then zero rows): 1 at j and minus column j
+    at the pivots.  Their common kernel is the row span of ``echelon``;
+    with no pivot they are the identity's."""
+    f = echelon.field
+    neg, one = f.neg, f.one
+    pivset = set(pivots)
+    vecs = {j: {j: one} for j in range(echelon.ncols) if j not in pivset}
+    for p, row in zip(pivots, echelon._rows):
+        for j, x in row.items():
+            if j != p:
+                vecs[j][p] = neg(x)
+    return Matrix.from_sparse_rows(f, vecs.values(), echelon.ncols,
+                                   echelon._ints if pivots else True)
 
 
 def _packed_rows(m: Matrix):

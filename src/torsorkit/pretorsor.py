@@ -494,7 +494,7 @@ def build_corings(bundle: PreTorsorBundle) -> CoringPair:
     if bundle.is_unital():
         one_pair = b.T.unit_col.kron(b.T.unit_col)
         grouplike_C, grouplike_D = (
-            check_grouplike(K, sub.retraction.matrix @ h.two.proj.matrix @ one_pair)
+            check_grouplike(K, sub.coordinates(h.two.proj.matrix) @ one_pair)
             for h, K, sub in zip(hands, (C, D), subs))
 
     return CoringPair(bundle, C, D, subs[0], subs[1], rho_T, lrho_T, bicomodule,

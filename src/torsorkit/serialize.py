@@ -146,7 +146,7 @@ def bundle_from_document(doc: dict) -> PreTorsorBundle:
                                 (T.dim, B.dim), "/maps/beta")
     tau_mat = matrix_from_json(field, maps.get("tau"),
                                (T.dim ** 3, T.dim), "/maps/tau")
-    meta = doc.get("bundle") or {}
+    meta = doc.get("bundle", {})
     if not isinstance(meta, dict):
         raise DocumentError("bundle metadata must be an object", "/bundle")
     name, torsor = meta.get("name", "bundle"), meta.get("torsor", False)
@@ -172,3 +172,5 @@ def loads(text: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON: {exc}", "") from exc
+    except RecursionError:
+        raise DocumentError("invalid JSON: nested too deeply", "") from None

@@ -5,8 +5,11 @@ matrix is the image of the j-th domain basis vector.  Composition is only
 defined when the inner space handles match, which catches a large class of
 assembly mistakes at the type level.
 
-Subspaces are always stored with a canonical reduced-echelon basis so two
-computations of the same subspace compare equal as matrices.
+A ``Subspace`` is its canonical reduced-echelon basis and its pivots, so
+two computations of one subspace compare equal as matrices.  A map into it
+is read in its coordinates by gathering the map's pivot rows; no
+retraction is stored.  Quotients and intersections are read off the
+complement rows of the bases (``linalg.complement_rows``).
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import itertools
 
 from .errors import AmbientMismatch, NotInvertible, ShapeMismatch
 from .fields import Field
-from .linalg import Matrix
+from .linalg import Matrix, _take_rows, complement_rows
 
 _space_counter = itertools.count()
 
@@ -129,29 +132,39 @@ class LinearMap:
 
 
 class Subspace:
-    """A subspace with canonical inclusion and a retraction splitting it.
+    """A subspace as its reduced-echelon ``basis``, built on ``rows`` with
+    flag ``ints`` (``Matrix.from_sparse_rows``), and ``pivots``.
 
-    The inclusion columns are the reduced-echelon basis of the span, so two
-    subspaces are equal iff their inclusion matrices are equal.  The
-    retraction reads off the pivot coordinates; ``retraction o inclusion``
-    is the identity by construction and is re-checked here.
+    Row i has 1 at ``pivots[i]`` and no entry at another pivot, checked on
+    the stored rows; so the pivot entries of a vector in the subspace are
+    its coordinates (``coordinates``).
     """
 
-    __slots__ = ("ambient", "space", "inclusion", "retraction", "pivots")
+    __slots__ = ("ambient", "space", "basis", "pivots", "_inclusion")
 
-    def __init__(self, ambient: Space, space: Space, inclusion: LinearMap,
-                 retraction: LinearMap, pivots):
+    def __init__(self, ambient: Space, rows, pivots, name: str, ints):
+        field = ambient.field
         self.ambient = ambient
-        self.space = space
-        self.inclusion = inclusion
-        self.retraction = retraction
         self.pivots = tuple(pivots)
-        if not (retraction @ inclusion).is_identity():
-            raise ShapeMismatch("retraction does not split the inclusion")
+        self.space = Space(field, len(self.pivots), name)
+        self.basis = Matrix.from_sparse_rows(field, rows, ambient.dim, ints)
+        self._inclusion = None
+        one, pivset = field.one, set(self.pivots)
+        if not self.basis.nrows == len(pivset) == self.dim or not all(
+                r.get(p) == one and len(pivset.intersection(r)) == 1
+                for r, p in zip(self.basis.sparse_rows(), self.pivots)):
+            raise ShapeMismatch(f"{name}: the basis is not reduced at its pivots")
 
     @property
     def dim(self):
         return self.space.dim
+
+    @property
+    def inclusion(self) -> LinearMap:
+        """The transposed basis, built on first read and kept."""
+        if self._inclusion is None:
+            self._inclusion = LinearMap(self.space, self.ambient, self.basis.transpose())
+        return self._inclusion
 
     @staticmethod
     def from_spanning(ambient: Space, vectors, name: str = "") -> "Subspace":
@@ -165,45 +178,35 @@ class Subspace:
         else:
             mat = Matrix(field, list(vectors), ambient.dim)
         R, pivots = mat.rref()
-        return Subspace._from_echelon(ambient, R.sparse_rows()[:len(pivots)], pivots,
-                                      name or f"sub({ambient.name})", R._ints)
+        return Subspace(ambient, R.sparse_rows()[:len(pivots)], pivots,
+                        name or f"sub({ambient.name})", R._ints)
 
-    @staticmethod
-    def _from_echelon(ambient: Space, rows, pivots, name: str, ints) -> "Subspace":
-        """The Subspace whose reduced-echelon basis is ``rows`` (sparse, one
-        per pivot column, in pivot order), with ``ints`` what is known of
-        its values' types (see ``Matrix.from_sparse_rows``)."""
-        field = ambient.field
-        sub = Space(field, len(pivots), name)
-        basis = Matrix.from_sparse_rows(field, rows, ambient.dim, ints)
-        incl = LinearMap(sub, ambient, basis.transpose())
-        one = field.one
-        retr = LinearMap(ambient, sub, Matrix.from_sparse_rows(
-            field, [{p: one} for p in pivots], ambient.dim, True))
-        return Subspace(ambient, sub, incl, retr, pivots)
+    def coordinates(self, m: Matrix) -> Matrix:
+        """The pivot rows of ``m``: each column of ``m`` that lies in the
+        subspace, in its basis."""
+        return _take_rows(m, self.pivots)
 
     def contains_vector(self, vec) -> bool:
-        back = self.inclusion.apply(self.retraction.apply(vec))
+        back = self.inclusion.apply(tuple(vec[p] for p in self.pivots))
         f = self.ambient.field
         return all(f.is_zero(f.sub(a, b)) for a, b in zip(back, vec))
 
     def contains_map(self, f: LinearMap) -> bool:
         """Whether the image of ``f`` (into the ambient) lies in this
-        subspace: whether the inclusion of ``retraction @ f`` is ``f``.  The
-        ambient projector ``inclusion @ retraction`` is never built."""
+        subspace: whether the inclusion of its coordinates is ``f``."""
         if f.codomain is not self.ambient:
             raise AmbientMismatch("map does not land in the ambient space")
-        return self.inclusion.matrix @ (self.retraction.matrix @ f.matrix) == f.matrix
+        return self.inclusion.matrix @ self.coordinates(f.matrix) == f.matrix
 
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)
             and self.ambient is other.ambient
-            and self.inclusion.matrix == other.inclusion.matrix
+            and self.basis == other.basis
         )
 
     def __hash__(self):
-        return hash((self.ambient.uid, self.inclusion.matrix))
+        return hash((self.ambient.uid, self.basis))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient.name})"
@@ -234,7 +237,7 @@ def _kernel(domain: Space, mat: Matrix, name: str) -> Subspace:
     pivots = [min(r) for r in rows]
     if any(a >= b for a, b in zip(pivots, pivots[1:])):
         raise ShapeMismatch(f"the nullspace basis of {name} is not independent")
-    return Subspace._from_echelon(domain, rows, pivots, name, null._ints)
+    return Subspace(domain, rows, pivots, name, null._ints)
 
 
 def image(f: LinearMap, name: str = "") -> Subspace:
@@ -245,34 +248,19 @@ def image(f: LinearMap, name: str = "") -> Subspace:
 def quotient(V: Space, S: Subspace, name: str = ""):
     """Quotient V/S with canonical complement-pivot basis.
 
-    Returns (Q, proj, sect) with proj surjective, proj o sect = id and
-    kernel(proj) = S.
+    Returns (Q, proj, sect): ``proj`` the complement rows of S's basis,
+    whose kernel is S, and ``sect`` selecting the free columns.
     """
     if S.ambient is not V:
         raise AmbientMismatch("subspace does not live in the given space")
-    field = V.field
-    if S.dim == 0:
-        Q = Space(field, V.dim, name or f"{V.name}/~", labels=V.labels)
-        ident = Matrix.identity(field, V.dim)
-        return Q, LinearMap(V, Q, ident), LinearMap(Q, V, ident)
-    pivset = set(S.pivots)
+    field, one, pivset = V.field, V.field.one, set(S.pivots)
     free = [j for j in range(V.dim) if j not in pivset]
     Q = Space(field, len(free), name or f"{V.name}/~", labels=[V.labels[j] for j in free])
-    # reduce mod S, then read off the complement coordinates: row j of the
-    # inclusion holds coordinate j of each echelon basis vector of S
-    one, neg, pivots = field.one, field.neg, S.pivots
-    incl_rows = S.inclusion.matrix.sparse_rows()
-    reduce_rows = []
-    for j in free:
-        row = {j: one}
-        for bi, coeff in incl_rows[j].items():
-            row[pivots[bi]] = neg(coeff)
-        reduce_rows.append(row)
-    proj = LinearMap(V, Q, Matrix.from_sparse_rows(field, reduce_rows, V.dim,
-                                                   S.inclusion.matrix._ints))
-    sect = LinearMap(Q, V, Matrix.from_sparse_rows(field, [{j: one} for j in free],
-                                                   V.dim, True).transpose())
-    return Q, proj, sect
+    sect = [{} for _ in range(V.dim)]
+    for k, j in enumerate(free):
+        sect[j] = {k: one}
+    return (Q, LinearMap(V, Q, complement_rows(S.basis, S.pivots)),
+            LinearMap(Q, V, Matrix.from_sparse_rows(field, sect, len(free), True)))
 
 
 def invert(f: LinearMap) -> LinearMap:
@@ -299,12 +287,8 @@ def intersect(subspaces, name: str = "") -> Subspace:
     ambient = subspaces[0].ambient
     if any(s.ambient is not ambient for s in subspaces):
         raise AmbientMismatch("subspaces live in different ambients")
-    ident = Matrix.identity(ambient.field, ambient.dim)
-    blocks = []
-    for s in subspaces:
-        proj_onto = (s.inclusion @ s.retraction).matrix
-        blocks.append(proj_onto - ident)
-    return _kernel(ambient, Matrix.stack_rows(blocks), name or "intersection")
+    return _kernel(ambient, Matrix.stack_rows([complement_rows(s.basis, s.pivots)
+                                               for s in subspaces]), name or "intersection")
 
 
 def tensor_space(spaces) -> Space:

@@ -137,6 +137,11 @@ def test_alpha_not_injective_rejected():
     (("bundle", "torsor"), "yes", "/bundle/torsor"),
     (("bundle", "name"), 7, "/bundle/name"),
     (("bundle",), ["torsor"], "/bundle"),
+    (("bundle",), [], "/bundle"),
+    (("bundle",), "", "/bundle"),
+    (("bundle",), 0, "/bundle"),
+    (("bundle",), False, "/bundle"),
+    (("bundle",), None, "/bundle"),
 ])
 def test_malformed_field_and_metadata_exit_2(tmp_path, capsys, path, value, pointer):
     _assert_exit_2_at(tmp_path, capsys, path, value, pointer)
@@ -400,6 +405,18 @@ def test_python_dash_m_runs_the_cli():
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
+
+
+def test_a_deeply_nested_document_exits_2_without_a_traceback(tmp_path):
+    """200,000 nested lists overflow the JSON parser's recursion; the CLI
+    refuses the document at pointer "" instead of raising."""
+    doc_path = tmp_path / "deep.json"
+    doc_path.write_text("[" * 200_000 + "]" * 200_000)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "torsorkit", "validate", "--input",
+                           str(doc_path)], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == "error: /: invalid JSON: nested too deeply\n"
 
 
 def test_importing_the_main_module_does_not_run_the_cli(monkeypatch):

@@ -27,7 +27,7 @@ The engine states its consistency checks as explicit raises, never as
 ``assert``, and a chain is built from its cached prefix with one quotient
 step, so no prefix is folded twice and no relation is generated on a
 chain's full ambient; a link over a one-dimensional ring never reaches a
-step.
+step, and a step never transposes its relation span.
 Every bimodule action is a matrix expression in the structure maps, never
 assembled one basis vector at a time, and a traced benchmark pass passes.
 The checks on tau (x) tau contract its middle legs before any outer product.
@@ -393,6 +393,36 @@ def test_chain_steps_assemble_proj_and_sect_without_kron_apply(monkeypatch):
     direct = [caller for caller, _ in callers]
     assert "_prefix_action" not in direct and "chain_outer_bimodule" not in direct
     assert direct.count("_build_chain") == 0, direct.count("_build_chain")
+
+
+def test_chain_steps_never_transpose_their_relation_span(monkeypatch):
+    """A quotient step reads its projection off the relation span's echelon
+    rows (``linalg.complement_rows``) and writes its section as a column
+    selection, so on a fresh EX-SMASH ``suite`` nothing under
+    ``_build_chain`` calls ``Matrix.transpose``: the span's inclusion is
+    never built."""
+    building, builds, transposed = [], [], []
+    build_chain, transpose = algebra._build_chain, Matrix.transpose
+
+    def traced_build(*args):
+        building.append(args)
+        builds.append(len(args[1]))
+        try:
+            return build_chain(*args)
+        finally:
+            building.pop()
+
+    def traced_transpose(self):
+        if building:
+            transposed.append(sys._getframe(1).f_code.co_name)
+        return transpose(self)
+
+    monkeypatch.setattr(algebra, "_build_chain", traced_build)
+    monkeypatch.setattr(Matrix, "transpose", traced_transpose)
+    run("suite", argparse.Namespace(fixture="EX-SMASH", input=None, field=None,
+                                    dump_matrices=False))
+    assert any(builds), "no chain with a link was built"
+    assert transposed == [], sorted(set(transposed))
 
 
 def test_kron_calls_only_fall():

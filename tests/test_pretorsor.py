@@ -85,8 +85,8 @@ def test_c2_corings_explicit(an_c2):
         amb = b.TBT.sect.apply(pair.C_sub.inclusion.matrix.col(k))
         nz = [i for i, x in enumerate(amb) if x != 0]
         assert nz in ([0], [3])  # e|e or g|g in the square basis
-        assert pair.C.eps.apply(pair.C_sub.retraction.apply(
-            b.TBT.proj.apply(amb))) == b.A.unit
+        on_C = b.TBT.proj.apply(amb)
+        assert pair.C.eps.apply(tuple(on_C[p] for p in pair.C_sub.pivots)) == b.A.unit
     from torsorkit.coring import check_grouplike
     for k in range(2):
         check_grouplike(pair.C, Matrix.from_cols(QQ, [pair.C.space.basis_vector(k)]))
@@ -100,8 +100,8 @@ def test_galois_translation_values(an_c2):
     # chi fixes the canonical basis of C: chi(e(x)e) = e(x)e, chi(g(x)g) = g(x)g
     for k in range(2):
         image = b.TBT.sect.apply(g.chi.apply(pair.C.space.basis_vector(k)))
-        back = pair.C_sub.retraction.apply(b.TBT.proj.apply(image))
-        assert back == pair.C.space.basis_vector(k)
+        on_C = b.TBT.proj.apply(image)
+        assert tuple(on_C[p] for p in pair.C_sub.pivots) == pair.C.space.basis_vector(k)
 
 
 def test_galois_roundtrip_all(an_triv, an_c2, an_sw, an_m2):

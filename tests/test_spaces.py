@@ -7,17 +7,20 @@ from hypothesis import given, settings, strategies as st
 from torsorkit.algebra import corestrict_through
 from torsorkit.errors import AmbientMismatch
 from torsorkit.fields import GF, QQ
-from torsorkit.linalg import Matrix
+from torsorkit.linalg import Matrix, complement_rows
 from torsorkit.spaces import (
     LinearMap,
     Space,
     Subspace,
+    _kernel,
     intersect,
     invert,
     kernel,
     quotient,
     tensor_space,
 )
+
+from test_linalg import _ref_kernel, assert_sparse_invariants
 
 
 def test_kernel_examples():
@@ -66,7 +69,7 @@ def test_subspace_canonical_and_retraction():
     s1 = Subspace.from_spanning(v3, [(F(1), F(1), F(0)), (F(0), F(0), F(1))])
     s2 = Subspace.from_spanning(v3, [(F(2), F(2), F(2)), (F(0), F(0), F(5))])
     assert s1 == s2
-    assert (s1.retraction @ s1.inclusion).is_identity()
+    assert s1.coordinates(s1.inclusion.matrix).is_identity()
     assert s1.contains_vector((F(3), F(3), F(7)))
     assert not s1.contains_vector((F(1), F(0), F(0)))
 
@@ -138,10 +141,99 @@ def test_kernel_and_intersect_match_the_span_of_the_nullspace(case):
         assert all(type(v) is int or type(v) is F and v.denominator > 1 for v in values)
         subs.append(sub)
     both = intersect(subs)
-    stacked = Matrix.stack_rows([(s.inclusion @ s.retraction).matrix
-                                 - Matrix.identity(field, n) for s in subs])
-    want = Subspace.from_spanning(domain, stacked.nullspace())
-    assert both == want and both.pivots == want.pivots
+    for blocks in ([projector_rows(s) for s in subs],
+                   [complement_rows(s.basis, s.pivots) for s in subs]):
+        want = Subspace.from_spanning(domain, Matrix.stack_rows(blocks).nullspace())
+        assert both == want and both.pivots == want.pivots
+
+
+def projector_rows(sub):
+    """``inclusion @ selection - I``, whose kernel is ``sub``: the rows
+    ``intersect`` stacked before it read complement rows, with selection
+    the identity's rows at the pivots."""
+    f, n = sub.ambient.field, sub.ambient.dim
+    selection = Matrix.from_sparse_rows(f, [{p: f.one} for p in sub.pivots], n, True)
+    return sub.inclusion.matrix @ selection - Matrix.identity(f, n)
+
+
+def reduction_rows(sub):
+    """The rows ``quotient`` wrote before it read complement rows: the
+    identity for a zero span, and otherwise, per free column j, 1 at j and
+    minus row j of the inclusion at the pivots."""
+    f, n = sub.ambient.field, sub.ambient.dim
+    if sub.dim == 0:
+        return Matrix.identity(f, n)
+    incl = sub.inclusion.matrix
+    rows = []
+    for j in range(n):
+        if j not in sub.pivots:
+            row = {j: f.one}
+            for bi, c in incl.sparse_rows()[j].items():
+                row[sub.pivots[bi]] = f.neg(c)
+            rows.append(row)
+    return Matrix.from_sparse_rows(f, rows, n, incl._ints)
+
+
+@st.composite
+def spans_case(draw):
+    """Two spanning families in one ambient of dimension 0-7 over QQ (with
+    ``Fraction`` values), GF(2) or GF(101): each no rows, the identity or
+    random rows; the second is as often as not a respanning of the first."""
+    field = draw(st.sampled_from([QQ, GF(2), GF(101)]))
+    n = draw(st.integers(0, 7))
+    values = (st.builds(F, st.integers(-3, 3), st.integers(1, 3)) if field is QQ
+              else st.integers(0, field.p - 1))
+
+    def mat(rows, cols):
+        return Matrix(field, draw(st.lists(st.lists(values, min_size=cols, max_size=cols),
+                                           min_size=rows, max_size=rows)), cols)
+
+    def family():
+        kind = draw(st.sampled_from(["zero", "full", "random", "random"]))
+        if kind == "zero":
+            return Matrix.zero(field, 0, n)
+        return Matrix.identity(field, n) if kind == "full" else mat(draw(st.integers(1, 5)), n)
+
+    first = family()
+    if draw(st.booleans()):
+        return field, n, first, family()
+    return field, n, first, Matrix.stack_rows([mat(draw(st.integers(0, 3)), first.nrows) @ first,
+                                               first])
+
+
+@given(spans_case())
+@settings(max_examples=200, deadline=None)
+def test_complement_rows_match_the_old_formulas_and_the_dense_reference(case):
+    """``complement_rows`` behind ``nullspace``, ``quotient`` and
+    ``intersect`` gives the dense reference's kernel and the results and
+    pivots of the formulas it replaced: ``quotient``'s reduction loop,
+    with its ``_ints`` flag, and ``intersect``'s stacked
+    ``inclusion @ selection - I``."""
+    field, n, first, second = case
+    V = Space(field, n, "V")
+    subs = [Subspace.from_spanning(V, m) for m in (first, second)]
+    for m, sub in zip((first, second), subs):
+        null = m.nullspace()
+        assert null.rows == tuple(_ref_kernel(field, m.rows, n))
+        Q, proj, sect = quotient(V, sub)
+        want = reduction_rows(sub)
+        assert proj.matrix == want and proj.matrix._ints == want._ints
+        assert proj.matrix.rows == tuple(_ref_kernel(field, sub.basis.rows, n))
+        assert Q.dim == n - sub.dim and (proj @ sect).is_identity()
+        assert (proj @ sub.inclusion).is_zero()
+        for mat in (null, proj.matrix, sect.matrix, sub.basis):
+            assert_sparse_invariants(mat)
+    both = intersect(subs)
+    old = _kernel(V, Matrix.stack_rows([projector_rows(s) for s in subs]), "old")
+    dense = Subspace.from_spanning(V, _ref_kernel(
+        field, Matrix.stack_rows([projector_rows(s) for s in subs]).rows, n))
+    assert both == old == dense and both.pivots == old.pivots == dense.pivots
+    # the complement rows keep their bases' flags, which may say False of
+    # ints (a hint only), where the projector product scanned its values
+    assert_sparse_invariants(both.basis)
+    assert intersect([subs[0], subs[0]]) == subs[0]
+    if subs[0] == subs[1]:
+        assert both == subs[0]
 
 
 def test_a_wide_kernel_takes_one_elimination(monkeypatch):
