@@ -13,17 +13,17 @@ ambient.  Any other is its cached prefix plus one quotient step, by one
 rule: the chain on all but the last factor, tensored with the last factor
 and quotiented by the links that end there (maybe none), each read on the
 prefix carrier (which keeps the quotient small).  No prefix is folded twice,
-and no relation is generated on a chain's full ambient.  Every column of a
-chain's ``sect`` is an ambient basis vector, so a step writes ``sect`` down
-as a column selection (``_compose_selections``), and its ``proj`` is the
-step's reduction rows applied to the prefix's ``proj``, assembled row by row
-(``_lift_rows``); neither goes through ``kron_apply``.  Every map the engine
+and no relation is generated on a chain's full ambient.  A chain is its
+``proj`` and its free columns, which a step reads through the prefix's by
+index arithmetic; its ``proj`` is the step's reduction rows applied to the
+prefix's ``proj``, assembled row by row (``_lift_rows``), not through
+``kron_apply``, and its ``sect`` is built on first read.  Every map the engine
 defines on representatives goes through ``induce(dom, raw, cod)``, the one
 descent: a raw map from ``dom``'s ambient to ``cod``'s, projected by
 ``cod.proj``, must kill ``dom``'s relation span before it is read as a map
 of carriers.  A raw map into a plain space takes ``single_chain`` of it as
 ``cod``, and ``chain_map`` is the descent of a map given as per-run blocks.
-A chain carries only ``proj``/``sect`` with ``proj @ sect = I``; the
+``proj`` is the identity at the free columns, so ``proj @ sect = I``; the
 relation span is ``ker(proj)``, never built, and a map ``g`` kills it iff
 ``g == (g @ sect) @ proj`` (``first_unbalanced``).
 
@@ -62,7 +62,7 @@ from .errors import (
     NotWellDefined,
     ShapeMismatch,
 )
-from .linalg import Matrix, _binomial_rref, kron_apply, permute_cols, split_leg
+from .linalg import Matrix, _binomial_rref, column_selection, kron_apply, permute_cols, split_leg
 from .spaces import LinearMap, Space, Subspace, quotient, tensor_space
 
 
@@ -340,15 +340,24 @@ class Link:
 
 
 class TensorChain:
-    """Canonical flat realisation of an iterated balanced tensor product."""
+    """Canonical flat realisation of an iterated balanced tensor product:
+    its ``proj`` and ``free``, the ascending ambient index of each carrier
+    basis vector (a ``range`` when the chain has no links)."""
 
-    def __init__(self, factor_spaces, links, carrier, proj, sect):
+    def __init__(self, factor_spaces, links, carrier, proj, free):
         self.factor_spaces = tuple(factor_spaces)
         self.links = tuple(links)
         self.carrier = carrier
         self.proj = proj          # ambient -> carrier; its kernel is the relation span
-        self.sect = sect          # carrier -> ambient, proj @ sect = I
+        self.free = free
         self.ambient = proj.domain
+
+    @functools.cached_property
+    def sect(self) -> LinearMap:
+        """The column selection of ``free``, built on first read and kept."""
+        mat = self.proj.matrix if not self.links else column_selection(
+            self.carrier.field, self.free, self.ambient.dim)
+        return LinearMap(self.carrier, self.ambient, mat)
 
     @property
     def dim(self):
@@ -460,13 +469,12 @@ def _build_chain(spaces, links) -> TensorChain:
     at the last factor (the zero span if none does), each link's whole right
     action read on the prefix carrier at its own leg (``_prefix_action``).
     The step's ``proj`` is the complement rows of the span's echelon rows,
-    which are never transposed.  The chain's ``sect`` is a column
-    selection: the prefix's selection composed with the step's.  Its
-    ``proj`` is ``step_proj @ (head.proj (x) I)``, assembled row by row.
-    A column is free in the reduced echelon form of the whole relation span
-    exactly when it is free once the prefix's relations are quotiented out,
-    so the carrier basis does not depend on the order the links are folded
-    in.
+    which are never transposed.  The chain's free columns are the step's
+    read through the prefix's, its ``proj`` is ``step_proj @ (head.proj (x)
+    I)``, assembled row by row, and ``proj`` is checked at the free columns.
+    A column is free in the reduced echelon form of the whole relation
+    span exactly when it is free once the prefix's relations are quotiented
+    out, so the carrier basis does not depend on the order links are folded.
     When every relation has at most two terms, as every relation of a
     monomial basis does, the step's span is eliminated by weighted
     union-find (``linalg._binomial_rref``); any other span by
@@ -478,9 +486,8 @@ def _build_chain(spaces, links) -> TensorChain:
     name = "(x)".join(s.name for s in spaces)
     if not links:
         carrier = ambient if len(spaces) == 1 else Space(field, ambient.dim, name, ambient.labels)
-        ident = Matrix.identity(field, ambient.dim)
-        return TensorChain(spaces, (), carrier, LinearMap(ambient, carrier, ident),
-                           LinearMap(carrier, ambient, ident))
+        return TensorChain(spaces, (), carrier, LinearMap(
+            ambient, carrier, Matrix.identity(field, ambient.dim)), range(ambient.dim))
     n = len(spaces)
     head = _cached_chain(spaces[:-1], [l for l in links if l.j < n - 1])
     last = spaces[-1]
@@ -501,12 +508,16 @@ def _build_chain(spaces, links) -> TensorChain:
         rel = Subspace.from_spanning(
             step_amb, Matrix.from_sparse_rows(field, rel_cols, step_amb.dim, ints))
     carrier, step_proj, step_sect = quotient(step_amb, rel, name)
-    proj = _lift_rows(field, step_proj.matrix, head.proj.matrix, last.dim)
-    sect = _compose_selections(field, head.sect.matrix, step_sect.matrix, last.dim)
-    proj, sect = LinearMap(ambient, carrier, proj), LinearMap(carrier, ambient, sect)
-    if not (proj @ sect).is_identity():
+    width, head_free = last.dim, head.free
+    free = tuple(head_free[s // width] * width + s % width
+                 for s, row in enumerate(step_sect.matrix.sparse_rows()) if row)
+    proj = _lift_rows(field, step_proj.matrix, head.proj.matrix, width)
+    one, freeset = field.one, set(free)
+    # proj @ sect = I: row k of proj is 1 at free[k] and 0 at every other free column
+    if not all(r.get(j) == one and len(freeset.intersection(r)) == 1
+               for r, j in zip(proj.sparse_rows(), free)):
         raise ShapeMismatch(f"the section of {name} does not split its projection")
-    return TensorChain(spaces, links, carrier, proj, sect)
+    return TensorChain(spaces, links, carrier, LinearMap(ambient, carrier, proj), free)
 
 
 def _lift_rows(field, step: Matrix, head: Matrix, width) -> Matrix:
@@ -531,26 +542,6 @@ def _lift_rows(field, step: Matrix, head: Matrix, width) -> Matrix:
                 acc[y] = c * v if w is None else w + c * v
         out.append(normalise(acc, terms > len(acc)))
     return Matrix.from_sparse_rows(field, out, head.ncols * width, step._ints and head._ints)
-
-
-def _compose_selections(field, head: Matrix, step: Matrix, width) -> Matrix:
-    """``(head (x) I_width) @ step`` for two selection matrices, each column
-    an ambient unit vector: the column q that ``step`` puts at row s, with
-    (x, l) = divmod(s, width), lands at row pos(x) * width + l, where pos(x)
-    is the row of ``head``'s column x, read off its sparse rows."""
-    if head.is_identity():
-        return step
-    pos = [None] * head.ncols
-    for i, row in enumerate(head.sparse_rows()):
-        for x in row:
-            pos[x] = i
-    one = field.one
-    out = [{} for _ in range(head.nrows * width)]
-    for s, row in enumerate(step.sparse_rows()):
-        x, l = divmod(s, width)
-        for q in row:
-            out[pos[x] * width + l] = {q: one}
-    return Matrix.from_sparse_rows(field, out, step.ncols, True)
 
 
 def single_chain(space: Space) -> TensorChain:

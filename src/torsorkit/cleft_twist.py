@@ -34,6 +34,7 @@ from .algebra import (
     field_algebra,
     first_unbalanced,
     induce,
+    single_chain,
     tensor_chain,
     tensor_space,
 )
@@ -290,7 +291,8 @@ def twisted_bialgebroid(inp: TwistInput, name: str = "twist") -> TwistedBialgebr
     dd = tensor_chain([carrier, carrier], [B])
     pairs = kron_apply(f, [proj, proj], [amb_dim] * 2, None, [twisted_coproduct(inp, chi)])
     delta_D = induce(chain, pairs, dd, f"{name}: the twisted coproduct")
-    eps_D = LinearMap(chain.carrier, B.space, twisted_counit(inp, chi) @ sect)
+    eps_D = induce(chain, twisted_counit(inp, chi), single_chain(B.space),
+                   f"{name}: the twisted counit")
     coring = Coring(B, carrier, delta_D, eps_D, name=f"D({name})")
     rep.add("propA.1.coring", "A.1(2)", True)
     bgd = LeftBialgebroid(coring, D_alg, source, target, rep)

@@ -1194,6 +1194,15 @@ def complement_rows(echelon: Matrix, pivots) -> Matrix:
                                    echelon._ints if pivots else True)
 
 
+def column_selection(field, free, nrows) -> Matrix:
+    """The ``nrows x len(free)`` matrix whose column k is the unit vector
+    at row ``free[k]``; its empty rows share one dict."""
+    rows = [{}] * nrows
+    for k, j in enumerate(free):
+        rows[j] = {k: field.one}
+    return Matrix.from_sparse_rows(field, rows, len(free), True)
+
+
 def _packed_rows(m: Matrix):
     """The rows of ``m`` as ints, one slot of its prime per column in
     ``sys.byteorder``, kept on ``m`` for its next packed kernel; do not

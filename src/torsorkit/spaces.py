@@ -18,7 +18,7 @@ import itertools
 
 from .errors import AmbientMismatch, NotInvertible, ShapeMismatch
 from .fields import Field
-from .linalg import Matrix, _take_rows, complement_rows
+from .linalg import Matrix, _take_rows, column_selection, complement_rows
 
 _space_counter = itertools.count()
 
@@ -249,18 +249,15 @@ def quotient(V: Space, S: Subspace, name: str = ""):
     """Quotient V/S with canonical complement-pivot basis.
 
     Returns (Q, proj, sect): ``proj`` the complement rows of S's basis,
-    whose kernel is S, and ``sect`` selecting the free columns.
+    whose kernel is S, and ``sect`` the ``column_selection`` of the rest.
     """
     if S.ambient is not V:
         raise AmbientMismatch("subspace does not live in the given space")
-    field, one, pivset = V.field, V.field.one, set(S.pivots)
+    pivset = set(S.pivots)
     free = [j for j in range(V.dim) if j not in pivset]
-    Q = Space(field, len(free), name or f"{V.name}/~", labels=[V.labels[j] for j in free])
-    sect = [{} for _ in range(V.dim)]
-    for k, j in enumerate(free):
-        sect[j] = {k: one}
+    Q = Space(V.field, len(free), name or f"{V.name}/~", labels=[V.labels[j] for j in free])
     return (Q, LinearMap(V, Q, complement_rows(S.basis, S.pivots)),
-            LinearMap(Q, V, Matrix.from_sparse_rows(field, sect, len(free), True)))
+            LinearMap(Q, V, column_selection(V.field, free, V.dim)))
 
 
 def invert(f: LinearMap) -> LinearMap:

@@ -110,6 +110,29 @@ def test_an_unbalanced_twisted_coproduct_is_refused(monkeypatch, an_smash):
     assert all(v == 0 for v in proj.apply(witness))
 
 
+def test_an_unbalanced_twisted_counit_is_refused(monkeypatch, an_smash):
+    """The twisted counit plus a rank-one term ``3 w e_x^T``, with x a
+    column the carrier chain does not select and w the unit of B, no longer
+    kills the relation ``e_x - sect proj e_x``: the descent of eps_D raises
+    and names a relation, rather than reading the counit on the chosen
+    representatives only."""
+    inp = _trivial_twist_over_the_base(an_smash)
+    tw = twisted_bialgebroid(inp, "EX-SMASH-base")
+    assert tw.report.ok
+    chain, f = tw.chain, inp.B.field
+    x = min(set(range(chain.ambient.dim)).difference(chain.free))
+    e_x = [f.zero] * chain.ambient.dim
+    e_x[x] = f.one
+    term = inp.B.unit_col @ Matrix(f, [e_x]).scale(3)
+    real = cleft_twist.twisted_counit
+    monkeypatch.setattr(cleft_twist, "twisted_counit", lambda inp, chi: real(inp, chi) + term)
+    with pytest.raises(NotWellDefined, match="twisted counit is not balanced") as err:
+        twisted_bialgebroid(inp, "EX-SMASH-base")
+    witness = err.value.witness
+    assert witness[x] == f.one
+    assert all(v == 0 for v in chain.proj.apply(witness))
+
+
 def test_remark_a2_over_a_real_base_descends_through_induce(monkeypatch, an_smash):
     """Remark A.2 on the trivial twist over L = B: the report passes, and
     the comparison on D (x)_B D, a real quotient, reaches H (x)_L H through

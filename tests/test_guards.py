@@ -27,7 +27,8 @@ The engine states its consistency checks as explicit raises, never as
 ``assert``, and a chain is built from its cached prefix with one quotient
 step, so no prefix is folded twice and no relation is generated on a
 chain's full ambient; a link over a one-dimensional ring never reaches a
-step, and a step never transposes its relation span.
+step, a step never transposes its relation span, and a chain that is only
+ever a codomain never builds its section.
 Every bimodule action is a matrix expression in the structure maps, never
 assembled one basis vector at a time, and a traced benchmark pass passes.
 The checks on tau (x) tau contract its middle legs before any outer product.
@@ -56,7 +57,7 @@ from pathlib import Path
 
 import pytest
 
-from torsorkit import algebra, linalg
+from torsorkit import algebra, cli, linalg
 from torsorkit.analysis import BundleAnalysis, bialgebroid_report
 from torsorkit.bialgebroid import diagonal_coinvariants
 from torsorkit.cli import run
@@ -374,8 +375,9 @@ def test_suite_quotients_each_chain_prefix_once(monkeypatch):
 
 
 def test_chain_steps_assemble_proj_and_sect_without_kron_apply(monkeypatch):
-    """A quotient step writes ``sect`` as a column selection and ``proj`` as
-    its reduction rows applied to the prefix's ``proj``, so on a fresh
+    """A quotient step composes its free columns by index arithmetic and
+    writes ``proj`` as its reduction rows applied to the prefix's ``proj``,
+    so on a fresh
     EX-SMASH ``suite`` ``_build_chain`` itself never calls ``kron_apply``.
     The step's relation columns still reach it through the whole ring
     action of ``_prefix_action``, which calls ``leg_action``, the one
@@ -397,8 +399,8 @@ def test_chain_steps_assemble_proj_and_sect_without_kron_apply(monkeypatch):
 
 def test_chain_steps_never_transpose_their_relation_span(monkeypatch):
     """A quotient step reads its projection off the relation span's echelon
-    rows (``linalg.complement_rows``) and writes its section as a column
-    selection, so on a fresh EX-SMASH ``suite`` nothing under
+    rows (``linalg.complement_rows``) and stores its free columns, not a
+    section, so on a fresh EX-SMASH ``suite`` nothing under
     ``_build_chain`` calls ``Matrix.transpose``: the span's inclusion is
     never built."""
     building, builds, transposed = [], [], []
@@ -423,6 +425,29 @@ def test_chain_steps_never_transpose_their_relation_span(monkeypatch):
                                     dump_matrices=False))
     assert any(builds), "no chain with a link was built"
     assert transposed == [], sorted(set(transposed))
+
+
+def test_codomain_chains_never_build_their_section(monkeypatch):
+    """A chain stores its free columns and builds ``sect`` only when read.
+    X5 and X5bar are only ever codomains, which ``induce`` reads through
+    ``proj`` alone, so after a fresh EX-SMASH ``suite`` neither has built
+    its section."""
+    seen, generate_fixture = [], cli.fixture_mod.generate
+
+    def recorded(*args):
+        seen.append(generate_fixture(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(cli.fixture_mod, "generate", recorded)
+    run("suite", argparse.Namespace(fixture="EX-SMASH", input=None, field=None,
+                                    dump_matrices=False))
+    b = seen[0].bundle
+    cached = set(map(id, algebra._chain_cache.values()))
+    x5bar = algebra.tensor_chain([b.T_AB, b.T_BA, b.T_AB, b.T_BA, b.T_AB],
+                                 [b.B, b.A, b.B, b.A])
+    for chain in (b.X5, x5bar):
+        assert id(chain) in cached and chain.dim < chain.ambient.dim, chain
+        assert "sect" not in vars(chain), chain
 
 
 def test_kron_calls_only_fall():

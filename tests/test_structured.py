@@ -47,7 +47,7 @@ from torsorkit.bialgebroid import (
 )
 from torsorkit.cli import run
 from torsorkit.diffcalc import _tau_right_linear
-from torsorkit.errors import ClosureFailure, Disagreement, NotWellDefined
+from torsorkit.errors import ClosureFailure, Disagreement, NotWellDefined, ShapeMismatch
 from torsorkit.fields import GF, QQ
 from torsorkit.fixtures import FIXTURE_NAMES, generate
 from torsorkit.linalg import Matrix, kron_apply, mixed_permutation, permute_cols, permute_rows
@@ -709,6 +709,59 @@ def test_every_quotient_chain_meets_the_relation_oracle(name, field, tmp_path):
         for q, col in enumerate(chain.sect.matrix.col_supports()):
             assert len(col) == 1 and col[0][1] == f.one, (chain, q)
             assert chain.ambient.labels[col[0][0]] == chain.carrier.labels[q], (chain, q)
+
+
+@pytest.mark.parametrize("name,field", [("EX-SW", "Q"), ("EX-SW", "GF101"),
+                                        ("EX-SMASH", "Q"), ("EX-SMASH", "GF101"),
+                                        ("op-EX-SMASH", "Q")])
+def test_free_columns_give_the_section_and_split_the_projection(name, field, tmp_path):
+    """For every chain ``suite`` caches on a fresh bundle, ``free`` is
+    ascending, ``sect`` is the column selection with 1 at row ``free[k]``
+    of column k, written here one row dict per ambient row, and ``proj``'s
+    block at the free columns is the identity.  EX-SW sits over k, so its
+    chains have no links and ``free`` is their whole ambient; EX-SMASH's
+    have quotients."""
+    before = set(map(id, algebra._chain_cache.values()))
+    if name.startswith("op-"):
+        doc = tmp_path / "bundle.json"
+        doc.write_text(opposite_document(name[len("op-"):], field), encoding="utf-8")
+        args = argparse.Namespace(fixture=None, input=str(doc), field=None,
+                                  dump_matrices=False)
+    else:
+        args = argparse.Namespace(fixture=name, input=None, field=field,
+                                  dump_matrices=False)
+    run("suite", args)
+    chains = [c for c in list(algebra._chain_cache.values()) if id(c) not in before]
+    assert chains and any(c.dim < c.ambient.dim for c in chains) == ("SMASH" in name)
+    for chain in chains:
+        f, free = chain.carrier.field, chain.free
+        assert len(free) == chain.dim and all(a < b for a, b in zip(free, free[1:])), chain
+        sect = [{} for _ in range(chain.ambient.dim)]
+        for k, j in enumerate(free):
+            sect[j] = {k: f.one}
+        assert chain.sect.matrix == Matrix.from_sparse_rows(f, sect, chain.dim), chain
+        block = [{k: row[j] for k, j in enumerate(free) if j in row}
+                 for row in chain.proj.matrix.sparse_rows()]
+        assert Matrix.from_sparse_rows(f, block, chain.dim).is_identity(), chain
+
+
+def test_a_projection_the_free_columns_do_not_split_is_refused(monkeypatch, ex_smash):
+    """A chain step whose lifted ``proj`` has an entry at another free
+    column than its own no longer has ``proj @ sect = I``, and
+    ``_build_chain`` refuses it."""
+    X3 = ex_smash.bundle.X3
+    assert X3.dim > 1 and X3.dim < X3.ambient.dim
+    other, lift_rows = X3.free[1], algebra._lift_rows
+
+    def spoiled(field, step, head, width):
+        m = lift_rows(field, step, head, width)
+        rows = list(m.sparse_rows())
+        rows[0] = {**rows[0], other: field.one}
+        return Matrix.from_sparse_rows(field, rows, m.ncols, m._ints)
+
+    monkeypatch.setattr(algebra, "_lift_rows", spoiled)
+    with pytest.raises(ShapeMismatch, match="does not split its projection"):
+        algebra._build_chain(list(X3.factor_spaces), list(X3.links))
 
 
 def _spans_the_relation_kernel_mod_p(chain, cols):
